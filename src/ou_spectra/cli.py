@@ -193,17 +193,10 @@ def write_json_report(path, report):
         + "\n")
 
 
-def _write_curve_csv(path, rows, header):
+def _write_csv(path, rows, header):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_spectrum_csv(path, spec):
-    lines = ["re,im"]
-    for z in spec.points:
-        lines.append("%s,%s" % (repr(float(z.real)), repr(float(z.imag))))
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -235,7 +228,7 @@ def cmd_analyze(args):
     for t in grid:
         rows.append((float(t), smu_norm(model, factor, float(t)),
                      contractivity_constant(model, float(t))))
-    _write_curve_csv(csv_path, rows, header=("t", "smu_norm", "K"))
+    _write_csv(csv_path, rows, header=("t", "smu_norm", "K"))
 
     lyap = float(np.abs(model.A @ gram.Q_inf + gram.Q_inf @ model.A.T
                         + model.Q).max())
@@ -306,8 +299,9 @@ def cmd_spectrum(args):
 
     pred_csv = os.path.splitext(out_path)[0] + ".predicted.csv"
     comp_csv = os.path.splitext(out_path)[0] + ".computed.csv"
-    _write_spectrum_csv(pred_csv, predicted)
-    _write_spectrum_csv(comp_csv, computed)
+    for path, spec in ((pred_csv, predicted), (comp_csv, computed)):
+        _write_csv(path, [(z.real, z.imag) for z in spec.points],
+                   header=("re", "im"))
     report = {
         "schema": 1,
         "command": "spectrum",

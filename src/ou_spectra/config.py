@@ -41,10 +41,6 @@ class Tolerances:
     stab_tol : float
         Margin by which the spectral abscissa must be negative before the
         drift counts as stable.
-    cluster_radius : float
-        Radius used when clustering near-identical spectrum points.
-    size_cap : int
-        Largest tensor-power side length the package will materialize.
     """
 
     sym_tol: float = 1e-10
@@ -53,19 +49,12 @@ class Tolerances:
     rank_tol: float = 1e-10
     inv_tol: float = 1e-8
     stab_tol: float = 1e-8
-    cluster_radius: float = 1e-7
-    size_cap: int = 4096
 
     def scaled(self, factor):
-        """Return a copy with every float tolerance multiplied by `factor`.
-
-        The size cap is left untouched; it is a memory guard, not a
-        precision knob.
-        """
+        """Return a copy with every tolerance multiplied by `factor`."""
         updates = {
             f.name: getattr(self, f.name) * factor
             for f in dataclasses.fields(self)
-            if f.type == "float"
         }
         return dataclasses.replace(self, **updates)
 

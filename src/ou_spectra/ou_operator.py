@@ -6,13 +6,21 @@ polynomials of total degree at most N form an invariant subspace of both the
 generator ``L f = 1/2 Tr(Q D^2 f) + <Ax, Df>`` and its transition semigroup.
 The Galerkin matrix of L on monomials is therefore exact (no projection
 error), block upper triangular in graded order, and its eigenvalues are
-honest eigenvalues of L.  The transition action is computed in closed form
-from the substitution ``x -> exp(tA) x + G`` with ``G ~ N(0, Q_t)``, taking
-expectations termwise with Gaussian moments (Isserlis recursion).  The chaos
-decomposition orthogonalizes the monomials in the inner product of the
-invariant measure and yields the projections onto each polynomial chaos
-layer, plus the occupation-indexed Hermite family that matches coordinates
-on symmetric tensor powers of the kernel space.
+honest eigenvalues of L.
+
+The transition action and the chaos family are both the substitution
+kernel ``S(M)`` of ``tensor_fock`` (the matrix of ``f -> f(M x)``, one
+:func:`~ou_spectra.tensor_fock.substitution_block` per degree) composed
+with the exponential of a heat operator ``Delta_Q = 1/2 Tr(Q D^2)``, which
+lowers the degree by two, so its exponential is a finite sum:
+
+    P(t) = S(exp(tA)) exp(Delta_(Q_t))               (Mehler formula),
+    Phi  = S(W) exp(Delta_(-I)) diag(alpha!)^(-1/2)  (Hermite chaos),
+
+with ``W`` the whitening of the invariant covariance.  The columns of
+``Phi`` are the normalized Hermite products ``He_alpha(W x) / sqrt(alpha!)``
+indexed like the occupation basis of symmetric tensor powers, and the
+projection onto the n-th chaos layer is ``Phi[:, n] Phi^-1[n, :]``.
 
 The path sampler is deliberately crude (Euler-Maruyama): it is a
 statistical cross-check of the exact formulas above, not a production
@@ -24,7 +32,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iter_product
 from math import comb, factorial, prod, sqrt
 
 import numpy as np
@@ -44,10 +51,10 @@ from .gramian import (
     rkhs_factor,
     smu_matrix,
 )
-from .tensor_fock import multi_indices, sym_power
+from .tensor_fock import multi_indices, substitution_levels, sym_power
 
 __all__ = [
-    "PolyBasis", "poly_basis", "Polynomial", "poly_mul", "MomentTable",
+    "PolyBasis", "poly_basis", "Polynomial", "poly_mul",
     "assemble_L", "mehler_apply", "mehler_matrix", "ChaosDecomposition",
     "chaos_decomposition", "SecondQuantizationReport",
     "verify_second_quantization", "PathStats", "simulate_paths",
@@ -185,86 +192,6 @@ def poly_mul(f, g, basis=None):
     return Polynomial(basis=basis, coeffs=out)
 
 
-# Dict-of-exponents polynomial algebra used internally where the target
-# basis is not fixed in advance.
-
-def _dict_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _linear_form(row):
-    d = len(row)
-    form = {}
-    for i, c in enumerate(row):
-        if c != 0:
-            form[tuple(1 if k == i else 0 for k in range(d))] = float(c)
-    if not form:
-        form[(0,) * d] = 0.0
-    return form
-
-
-def _linear_powers(row, n_max):
-    """Powers 0..n_max of the linear form <row, x>, as exponent dicts."""
-    d = len(row)
-    powers = [{(0,) * d: 1.0}]
-    base = _linear_form(row)
-    for _ in range(n_max):
-        powers.append(_dict_mul(powers[-1], base))
-    return powers
-
-
-# --- Gaussian moments -------------------------------------------------------
-
-class MomentTable:
-    """Memoized moments ``E[x^alpha]`` for ``x ~ N(0, Sigma)``.
-
-    Uses the pairing recursion
-    ``E[x^a] = sum_j Sigma[i, j] (a - e_i)_j E[x^(a - e_i - e_j)]``
-    (integration by parts against the Gaussian), which is exact up to
-    float arithmetic and costs one dictionary lookup per reduction.
-    """
-
-    def __init__(self, Sigma):
-        S = np.asarray(Sigma, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise DimensionMismatch("covariance must be square")
-        self.Sigma = 0.5 * (S + S.T)
-        self._cache = {}
-
-    def __call__(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if any(a < 0 for a in alpha):
-            raise InputError("multi-index entries must be nonnegative")
-        if sum(alpha) % 2 == 1:
-            return 0.0
-        return self._moment(alpha)
-
-    def _moment(self, alpha):
-        total_deg = sum(alpha)
-        if total_deg == 0:
-            return 1.0
-        cached = self._cache.get(alpha)
-        if cached is not None:
-            return cached
-        i = next(k for k, a in enumerate(alpha) if a > 0)
-        reduced = list(alpha)
-        reduced[i] -= 1
-        total = 0.0
-        for j, count in enumerate(reduced):
-            if count == 0 or self.Sigma[i, j] == 0:
-                continue
-            nxt = list(reduced)
-            nxt[j] -= 1
-            total += self.Sigma[i, j] * count * self._moment(tuple(nxt))
-        self._cache[alpha] = total
-        return total
-
-
 # --- the Galerkin matrix ----------------------------------------------------
 
 def assemble_L(model, basis):
@@ -282,7 +209,7 @@ def assemble_L(model, basis):
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
     d, dim = basis.d, basis.dim
-    A, Q = model.A, model.Q
+    A = model.A
     L = np.zeros((dim, dim))
     for col, alpha in enumerate(basis.monomials):
         # drift: sum_ij A[i, j] x_j d_i
@@ -296,7 +223,15 @@ def assemble_L(model, basis):
                 target[i] -= 1
                 target[j] += 1
                 L[basis.position(tuple(target)), col] += A[i, j] * alpha[i]
-        # diffusion: 1/2 sum_ij Q[i, j] d_i d_j
+    return L + _heat_matrix(model.Q, basis)
+
+
+def _heat_matrix(Q, basis):
+    """Matrix of ``f -> 1/2 Tr(Q D^2 f)`` on the monomials: the diffusion
+    half of :func:`assemble_L`, which lowers the degree by two."""
+    d, dim = basis.d, basis.dim
+    H = np.zeros((dim, dim))
+    for col, alpha in enumerate(basis.monomials):
         for i in range(d):
             if alpha[i] == 0:
                 continue
@@ -311,67 +246,43 @@ def assemble_L(model, basis):
                 target[j] -= 1
                 if target[j] < 0:
                     continue
-                L[basis.position(tuple(target)), col] += 0.5 * Q[i, j] * factor
-    return L
+                H[basis.position(tuple(target)), col] += 0.5 * Q[i, j] * factor
+    return H
+
+
+def _heat_exp(Q, basis):
+    """``exp(1/2 Tr(Q D^2))`` on the monomials.  The heat operator lowers
+    the degree by two, so the series stops after ``N // 2`` terms."""
+    H = _heat_matrix(Q, basis)
+    term = total = np.eye(basis.dim)
+    for k in range(1, basis.N // 2 + 1):
+        term = term @ H / k
+        total = total + term
+    return total
+
+
+def _substitution(M, basis):
+    """The substitution ``f -> f(M x)`` on all degrees of `basis`."""
+    return scipy.linalg.block_diag(*substitution_levels(M, basis.N))
 
 
 # --- exact transition action ------------------------------------------------
 
-class _MehlerContext:
-    """Shared tables for expanding E[(exp(tA) x + G)^alpha]."""
-
-    def __init__(self, model, t, basis):
-        self.basis = basis
-        self.moments = MomentTable(gramian_t(model, t))
-        M = flow(model, t)
-        self.row_powers = [_linear_powers(M[i], basis.N)
-                           for i in range(basis.d)]
-
-    def column(self, alpha):
-        """Coefficients of the transition action on ``x^alpha``."""
-        basis = self.basis
-        out = np.zeros(basis.dim)
-        ranges = [range(a + 1) for a in alpha]
-        for k in _iter_product(*ranges):
-            m = self.moments(tuple(a - ki for a, ki in zip(alpha, k)))
-            if m == 0.0:
-                continue
-            w = m * prod(comb(a, ki) for a, ki in zip(alpha, k))
-            term = {(0,) * basis.d: 1.0}
-            for i, ki in enumerate(k):
-                if ki:
-                    term = _dict_mul(term, self.row_powers[i][ki])
-            for exps, c in term.items():
-                out[basis.position(exps)] += w * c
-        return out
-
-
 def mehler_apply(model, t, f):
-    """Exact transition action on a polynomial.
-
-    Substitutes ``x -> exp(tA) x + G`` with ``G ~ N(0, Q_t)`` and takes the
-    expectation termwise; the result is again a polynomial of no higher
-    degree on the same basis.  ``t = 0`` is the identity.
-    """
-    t = float(t)
-    if t < 0:
-        raise InputError("mehler_apply needs t >= 0, got %g" % t)
-    if t == 0.0:
-        return Polynomial(basis=f.basis, coeffs=f.coeffs.copy())
-    if f.basis.d != model.dim:
-        raise DimensionMismatch(
-            "polynomial is over %d variables, model has dimension %d"
-            % (f.basis.d, model.dim))
-    ctx = _MehlerContext(model, t, f.basis)
-    out = np.zeros(f.basis.dim, dtype=f.coeffs.dtype)
-    for idx, c in enumerate(f.coeffs):
-        if c != 0:
-            out = out + c * ctx.column(f.basis.monomials[idx])
-    return Polynomial(basis=f.basis, coeffs=out)
+    """Exact transition action on a polynomial: ``mehler_matrix`` applied
+    to its coefficients.  The result is again a polynomial of no higher
+    degree on the same basis; ``t = 0`` is the identity."""
+    P = mehler_matrix(model, t, f.basis)
+    return Polynomial(basis=f.basis, coeffs=P @ f.coeffs)
 
 
 def mehler_matrix(model, t, basis):
-    """Matrix of the transition action on all basis monomials at once."""
+    """Matrix of the transition action ``P(t) f(x) = E f(exp(tA) x + G)``,
+    ``G ~ N(0, Q_t)``, on all basis monomials at once.
+
+    Averaging over G is the heat operator ``exp(1/2 Tr(Q_t D^2))``; the
+    substitution ``x -> exp(tA) x`` follows it.
+    """
     t = float(t)
     if t < 0:
         raise InputError("mehler_matrix needs t >= 0, got %g" % t)
@@ -381,11 +292,8 @@ def mehler_matrix(model, t, basis):
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
-    ctx = _MehlerContext(model, t, basis)
-    P = np.empty((basis.dim, basis.dim))
-    for col, alpha in enumerate(basis.monomials):
-        P[:, col] = ctx.column(alpha)
-    return P
+    return _substitution(flow(model, t), basis) \
+        @ _heat_exp(gramian_t(model, t), basis)
 
 
 # --- chaos decomposition ----------------------------------------------------
@@ -402,28 +310,21 @@ class ChaosDecomposition:
         Covariance of the invariant measure.
     factor : RKHSFactor
         The kernel-space coordinates all layers are expressed in.
-    gram : ndarray
-        Monomial Gram matrix ``E[x^a x^b]``; the inner product.
-    hermite : ndarray
-        Upper-triangular change of basis: column k holds the monomial
-        coefficients of the k-th orthonormal polynomial produced by graded
-        Gram-Schmidt.
     occupation_hermite : ndarray
-        The product-form orthonormal family: column for multi-index alpha
-        holds ``prod_i He_(alpha_i)(xi_i) / sqrt(alpha!)`` where ``xi`` are
-        the whitened coordinates from `factor`.  Spans the same layers as
-        `hermite` but matches the occupation-number indexing of symmetric
+        The product-form orthonormal family ``Phi``: column for
+        multi-index alpha holds the monomial coefficients of
+        ``prod_i He_(alpha_i)(xi_i) / sqrt(alpha!)`` where ``xi`` are the
+        whitened coordinates from `factor`.  Its degree-n columns span the
+        n-th layer and match the occupation-number indexing of symmetric
         tensor powers, which is what level-by-level transports need.
     projections : tuple of ndarray
         ``projections[n]`` projects onto the degree-n layer, in monomial
-        coordinates.
+        coordinates: ``Phi[:, n-block] Phi^-1[n-block, :]``.
     """
 
     basis: PolyBasis
     Q_inf: np.ndarray
     factor: object
-    gram: np.ndarray
-    hermite: np.ndarray
     occupation_hermite: np.ndarray
     projections: tuple
 
@@ -436,59 +337,15 @@ class ChaosDecomposition:
         return P @ np.asarray(f)
 
 
-@lru_cache(maxsize=None)
-def _hermite_1d(k):
-    """Coefficient list of the k-th probabilists' Hermite polynomial."""
-    if k == 0:
-        return (1.0,)
-    if k == 1:
-        return (0.0, 1.0)
-    prev2, prev1 = _hermite_1d(k - 2), _hermite_1d(k - 1)
-    out = [0.0] * (k + 1)
-    for i, c in enumerate(prev1):       # x * He_{k-1}
-        out[i + 1] += c
-    for i, c in enumerate(prev2):       # - (k-1) He_{k-2}
-        out[i] -= (k - 1) * c
-    return tuple(out)
-
-
-def _occupation_hermite_matrix(basis, factor):
-    """Columns: normalized Hermite products in the whitened coordinates."""
-    d, dim = basis.d, basis.dim
-    W = factor.inv_sqrt          # xi = W x, i.i.d. standard normal under mu
-    lin_powers = [_linear_powers(W[i], basis.N) for i in range(d)]
-    he_of_xi = []
-    for i in range(d):
-        per_degree = []
-        for k in range(basis.N + 1):
-            poly = {}
-            for m, c in enumerate(_hermite_1d(k)):
-                if c == 0:
-                    continue
-                for exps, pc in lin_powers[i][m].items():
-                    poly[exps] = poly.get(exps, 0.0) + c * pc
-            per_degree.append(poly)
-        he_of_xi.append(per_degree)
-    Phi = np.zeros((dim, dim))
-    for col, alpha in enumerate(basis.monomials):
-        term = {(0,) * d: 1.0}
-        for i, a in enumerate(alpha):
-            if a:
-                term = _dict_mul(term, he_of_xi[i][a])
-        scale = 1.0 / sqrt(prod(factorial(a) for a in alpha))
-        for exps, c in term.items():
-            Phi[basis.position(exps), col] += scale * c
-    return Phi
-
-
 def chaos_decomposition(model, basis):
-    """Orthogonalize the monomials under the invariant measure.
+    """The Hermite chaos of the invariant measure on `basis`.
 
-    Gram-Schmidt runs in graded order with a second re-orthogonalization
-    pass, using the exact Gaussian moment Gram matrix; the resulting
-    change of basis is upper triangular, so the layer projections follow
-    from a triangular solve.  A warning is issued when the covariance is
-    ill-conditioned (eigenvalue ratio beyond 1e12).
+    ``He_alpha = exp(-1/2 Tr(D^2)) xi^alpha`` in the whitened coordinates
+    ``xi = W x``, so the family is ``Phi = S(W) exp(Delta_(-I))
+    diag(alpha!)^(-1/2)``; it is block upper triangular in graded order
+    and the layer projections follow from one inverse.  A warning is
+    issued when the covariance is ill-conditioned (eigenvalue ratio beyond
+    1e12).
 
     Raises
     ------
@@ -511,42 +368,22 @@ def chaos_decomposition(model, basis):
     if lam[-1] / lam[0] > 1e12:
         warnings.warn(
             "invariant covariance is ill-conditioned (ratio %.3e); "
-            "orthogonalization may lose digits" % (lam[-1] / lam[0]),
+            "the chaos family may lose digits" % (lam[-1] / lam[0]),
             RuntimeWarning, stacklevel=2)
     factor = rkhs_factor(Qi, model.tol.rank_tol)
-    dim = basis.dim
-    moments = MomentTable(Qi)
-    G = np.empty((dim, dim))
-    for i, alpha in enumerate(basis.monomials):
-        for j in range(i, dim):
-            beta = basis.monomials[j]
-            G[i, j] = G[j, i] = moments(
-                tuple(a + b for a, b in zip(alpha, beta)))
-    R = np.zeros((dim, dim))
-    for k in range(dim):
-        v = np.zeros(dim)
-        v[k] = 1.0
-        for _ in range(2):      # re-orthogonalize: twice is enough
-            coeffs = R[:, :k].T @ (G @ v)
-            v = v - R[:, :k] @ coeffs
-        nrm = float(v @ G @ v)
-        if nrm <= 0:
-            raise DegenerateMeasure(
-                "monomial %r collapsed during orthogonalization"
-                % (basis.monomials[k],))
-        R[:, k] = v / sqrt(nrm)
-    R_inv = scipy.linalg.solve_triangular(R, np.eye(dim))
+    norms = np.sqrt([prod(factorial(a) for a in alpha)
+                     for alpha in basis.monomials])
+    Phi = _substitution(factor.inv_sqrt, basis) \
+        @ _heat_exp(-np.eye(basis.d), basis) / norms
+    Phi_inv = np.linalg.inv(Phi)
     projections = []
     for n in range(basis.N + 1):
         sel = basis.degree_slice(n)
-        projections.append(R[:, sel] @ R_inv[sel, :])
-    Phi = _occupation_hermite_matrix(basis, factor)
+        projections.append(Phi[:, sel] @ Phi_inv[sel, :])
     return ChaosDecomposition(
         basis=basis,
         Q_inf=Qi,
         factor=factor,
-        gram=G,
-        hermite=R,
         occupation_hermite=Phi,
         projections=tuple(projections),
     )
@@ -584,7 +421,7 @@ class SecondQuantizationReport:
 
 
 def verify_second_quantization(model, t, N, tol=1e-8):
-    """Compute the transition matrix three independent ways and compare.
+    """Compute the transition matrix three ways and compare.
 
     (a) ``expm(t L)`` with L the Galerkin matrix; (b) the exact Gaussian
     substitution applied to every monomial; (c) the block-diagonal lift
@@ -597,6 +434,8 @@ def verify_second_quantization(model, t, N, tol=1e-8):
     if t < 0:
         raise InputError("verify_second_quantization needs t >= 0")
     basis = poly_basis(model.dim, N)
+    # Shares no code with (b) and (c), which both rest on the substitution
+    # kernel; that kernel is pinned to the Kronecker route by the tests.
     P_gen = scipy.linalg.expm(t * assemble_L(model, basis))
     P_meh = mehler_matrix(model, t, basis)
     chaos = chaos_decomposition(model, basis)

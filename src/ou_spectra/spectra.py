@@ -17,7 +17,6 @@ points.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from math import comb
@@ -138,14 +137,6 @@ class SpectrumSet:
     def to_json(self, **kwargs):
         return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
 
-    def write_csv(self, path):
-        """Write the points to `path` as CSV with columns ``re,im``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im"])
-            for z in self.points:
-                writer.writerow([repr(float(z.real)), repr(float(z.imag))])
-
     @classmethod
     def from_json_dict(cls, data):
         pts = [complex(p["re"], p["im"]) for p in data["points"]]
@@ -239,15 +230,26 @@ def lattice_spectrum(base, window):
         raise NonStableInput(
             "lattice_spectrum needs all points in the open left half plane; "
             "max real part is %g" % z.real.max())
+    values = np.array([val for val, _ in _lattice_walk(base, window)],
+                      dtype=complex)
+    keep = np.abs(values.imag) <= window.im_max + base.cluster_radius
+    return SpectrumSet(values[keep], base.cluster_radius)
+
+
+def _lattice_walk(base, window):
+    """Breadth-first walk over count vectors: yields ``(value, total
+    count)`` for every sum inside the real-part cut of the window, once
+    per count vector.  The imaginary cut is left to the caller."""
+    z = base.points
     m = len(z)
     start = (0,) * m
     seen = {start}
     queue = deque([(start, 0.0 + 0.0j)])
-    values = []
     while queue:
         counts, val = queue.popleft()
-        values.append(val)
-        if sum(counts) >= window.max_terms:
+        depth = sum(counts)
+        yield val, depth
+        if depth >= window.max_terms:
             continue
         for j in range(m):
             nxt = counts[:j] + (counts[j] + 1,) + counts[j + 1:]
@@ -260,9 +262,13 @@ def lattice_spectrum(base, window):
                 continue
             seen.add(nxt)
             queue.append((nxt, nval))
-    values = np.array(values, dtype=complex)
-    keep = np.abs(values.imag) <= window.im_max + base.cluster_radius
-    return SpectrumSet(values[keep], base.cluster_radius)
+
+
+def _nearest_distances(pa, pb):
+    """Distance from each point of `pa` to the nearest point of `pb`, and
+    from each point of `pb` to the nearest point of `pa`."""
+    dist = np.abs(pa[:, None] - pb[None, :])
+    return dist.min(axis=1), dist.min(axis=0)
 
 
 def hausdorff(a, b):
@@ -271,8 +277,8 @@ def hausdorff(a, b):
     pb = b.points if isinstance(b, SpectrumSet) else _as_complex_array(b)
     if len(pa) == 0 or len(pb) == 0:
         raise EmptySet("hausdorff distance needs two nonempty sets")
-    dist = np.abs(pa[:, None] - pb[None, :])
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    near_a, near_b = _nearest_distances(pa, pb)
+    return float(max(near_a.max(), near_b.max()))
 
 
 @dataclass(frozen=True)
@@ -314,10 +320,10 @@ def match_report(computed, predicted, tol):
         else _as_complex_array(predicted)
     if len(pc) == 0 or len(pp) == 0:
         raise EmptySet("match_report needs two nonempty sets")
-    dist = np.abs(pc[:, None] - pp[None, :])
-    un_c = tuple(pc[dist.min(axis=1) > tol])
-    un_p = tuple(pp[dist.min(axis=0) > tol])
-    h = float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    near_c, near_p = _nearest_distances(pc, pp)
+    un_c = tuple(pc[near_c > tol])
+    un_p = tuple(pp[near_p > tol])
+    h = float(max(near_c.max(), near_p.max()))
     return MatchReport(
         tol=float(tol),
         hausdorff=h,

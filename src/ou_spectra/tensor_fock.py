@@ -4,14 +4,25 @@ quantization over a finite-dimensional base space.
 Level n of the symmetric tensor algebra over ``R^d`` is coordinatized by
 occupation vectors: multi-indices ``alpha`` with ``|alpha| = n``, where the
 basis vector ``e_alpha`` is the normalized symmetrization of the word with
-``alpha_i`` copies of the i-th base vector.  The isometric embedding ``J_n``
-of level n into the full n-fold tensor power makes every construction here a
-compression of a Kronecker product:
+``alpha_i`` copies of the i-th base vector.  Identifying ``e_alpha`` with
+the monomial ``x^alpha / sqrt(alpha!)`` turns level n into the homogeneous
+polynomials of degree n, and the symmetric power of T into the substitution
+``x -> T' x``.  One kernel, :func:`substitution_block`, builds the matrix
+of ``x^alpha -> (M x)^alpha`` level by level without any ``d**n``
+intermediate, and
 
-    sym_power(T, n)  =  J_n' (T (x) ... (x) T) J_n,
-    dgamma(M, n)     =  J_n' (sum_j I (x)...(x) M (x)...(x) I) J_n,
+    sym_power(T, n)  =  D_n substitution_block(T', n) D_n^-1,
+    D_n              =  diag(sqrt(alpha!)).
 
-and ladder operators act on occupation numbers directly
+The same kernel gives the polynomial side of the package (Mehler matrix,
+Hermite chaos) in ``ou_operator``.  The isometric embedding ``J_n`` of
+level n into the full n-fold tensor power is kept as the independent
+Kronecker route: ``J_n' (T (x) ... (x) T) J_n`` is the oracle the tests pin
+``sym_power`` to, and the number-operator lift is its compression
+
+    dgamma(M, n)     =  J_n' (sum_j I (x)...(x) M (x)...(x) I) J_n.
+
+Ladder operators act on occupation numbers directly
 (``creation(h)`` sends ``e_alpha`` to ``sum_i h_i sqrt(alpha_i + 1)
 e_(alpha + delta_i)``).  ``annihilation`` is the transpose of ``creation``,
 so the adjoint relation holds exactly, not up to roundoff.
@@ -33,17 +44,19 @@ from math import comb, factorial, prod
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT
 from .errors import DimensionMismatch, InputError, NotContraction, SizeCap
 from .spectra import DEFAULT_CLUSTER_RADIUS, SpectrumSet, eig
 
 __all__ = [
     "multi_indices", "sym_dim", "SymBasis", "sym_basis", "embedding",
-    "tensor_power", "sym_power", "creation", "annihilation", "dgamma",
+    "tensor_power", "substitution_levels", "substitution_block",
+    "sym_power", "creation", "annihilation", "dgamma",
     "FockTruncation", "second_quantization",
 ]
 
-DEFAULT_SIZE_CAP = DEFAULT.size_cap
+#: Largest matrix side the package will materialize: a memory guard, not
+#: a precision knob.
+DEFAULT_SIZE_CAP = 4096
 
 
 @lru_cache(maxsize=None)
@@ -128,6 +141,8 @@ def _embedding_cached(d, n):
     return J
 
 
+# The Kronecker route (embedding, tensor_power, dgamma) stays as the
+# independent oracle that the tests pin sym_power against.
 def embedding(d, n, cap=DEFAULT_SIZE_CAP):
     """Isometry from level n (occupation coordinates) into the plain n-fold
     tensor power, as a ``(d**n, sym_dim(d, n))`` matrix with orthonormal
@@ -157,20 +172,71 @@ def tensor_power(T, n, cap=DEFAULT_SIZE_CAP):
     return out
 
 
+@lru_cache(maxsize=None)
+def _substitution_tables(d, n):
+    """Integer tables that build level n of the substitution from level
+    n - 1: for each alpha, its first nonzero slot i and the position of
+    ``alpha - e_i``; for each beta of level n - 1 and each j, the position
+    of ``beta + e_j``."""
+    pos_prev = _position_table(d, n - 1)
+    pos = _position_table(d, n)
+    alphas = multi_indices(d, n)
+    first = np.array([next(k for k, a in enumerate(alpha) if a)
+                      for alpha in alphas])
+    parent = np.array([pos_prev[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
+                       for alpha, i in zip(alphas, first)])
+    up = np.array([[pos[beta[:j] + (beta[j] + 1,) + beta[j + 1:]]
+                    for j in range(d)] for beta in multi_indices(d, n - 1)])
+    return _readonly(first), _readonly(parent), _readonly(up)
+
+
+def substitution_levels(M, N):
+    """The blocks ``substitution_block(M, n)`` for n = 0..N, in order.
+
+    Level n comes from level n - 1 through
+    ``(M x)^alpha = (M x)^(alpha - e_i) * sum_j M[i, j] x_j`` with i the
+    first nonzero slot of alpha: one numpy update per j, on the cached
+    index tables of ``(d, n)``.
+    """
+    M = _square(M, "substitution argument")
+    d = M.shape[0]
+    block = np.ones((1, 1), dtype=np.result_type(M, float))
+    yield block
+    for n in range(1, N + 1):
+        first, parent, up = _substitution_tables(d, n)
+        prev = block[:, parent]
+        block = np.zeros((len(first), len(first)), dtype=prev.dtype)
+        for j in range(d):
+            block[up[:, j]] += prev * M[first, j]
+        yield block
+
+
+def substitution_block(M, n):
+    """Degree-n block of ``x^alpha -> (M x)^alpha``, in ``multi_indices(d,
+    n)`` order: column alpha holds the monomial coefficients of
+    ``(M x)^alpha``."""
+    if n < 0:
+        raise InputError("substitution_block needs n >= 0")
+    *_, block = substitution_levels(M, n)
+    return block
+
+
 def sym_power(T, n, cap=DEFAULT_SIZE_CAP):
     """Restriction of the n-fold tensor power to the symmetric subspace,
     in occupation coordinates.
 
-    The Kronecker power is materialized as an intermediate, so the cap
-    applies to ``d**n`` as well as to the symmetric dimension.
+    Built as ``D_n substitution_block(T', n) D_n^-1`` with
+    ``D_n = diag(sqrt(alpha!))``, so the cap applies to the symmetric
+    dimension only.
     """
     T = _square(T, "sym_power argument")
     if n < 0:
         raise InputError("sym_power needs n >= 0")
     d = T.shape[0]
-    _check_cap(max(d ** n, sym_dim(d, n)), cap, "symmetric power %d" % n)
-    J = embedding(d, n, cap)
-    return J.T @ tensor_power(T, n, cap) @ J
+    _check_cap(sym_dim(d, n), cap, "symmetric power %d" % n)
+    D = np.sqrt([prod(factorial(a) for a in alpha)
+                 for alpha in multi_indices(d, n)])
+    return D[:, None] * substitution_block(T.T, n) / D[None, :]
 
 
 def creation(h, n, cap=DEFAULT_SIZE_CAP):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.integrate
@@ -27,7 +28,12 @@ import scipy.linalg
 
 from . import gramian as _gr
 from .config import DEFAULT
-from .errors import CriteriaDisagree, DegenerateMeasure, OUSpectraError
+from .errors import (
+    CriteriaDisagree,
+    DegenerateMeasure,
+    DimensionMismatch,
+    InputError,
+)
 from .gramian import (
     OUModel,
     controllability_rank,
@@ -41,16 +47,18 @@ from .gramian import (
     validate,
 )
 from .ou_operator import (
-    MomentTable,
+    Polynomial,
     assemble_L,
     chaos_decomposition,
     mehler_matrix,
     poly_basis,
+    poly_mul,
     verify_second_quantization,
 )
 from .spectra import (
     LatticeWindow,
     SpectrumSet,
+    _lattice_walk,
     eig,
     hausdorff,
     lattice_spectrum,
@@ -68,7 +76,8 @@ from .tensor_fock import (
 )
 
 __all__ = [
-    "CheckResult", "UNTESTED_THEORY", "model_suite", "contraction_suite",
+    "CheckResult", "UNTESTED_THEORY", "MomentTable", "moment_gram",
+    "model_suite", "contraction_suite",
     "spectra_suite", "random_suite", "summarize", "random_stable_model",
     "random_contraction",
 ]
@@ -133,6 +142,66 @@ def _quadrature_gramian(model, t):
     val, _ = scipy.integrate.quad_vec(integrand, 0.0, t,
                                       epsabs=1e-12, epsrel=1e-12)
     return val
+
+
+# Stays as the oracle for the chaos layers: the L2(mu) inner product from
+# Gaussian moments alone, without the Hermite construction.
+class MomentTable:
+    """Memoized moments ``E[x^alpha]`` for ``x ~ N(0, Sigma)``.
+
+    Uses the pairing recursion
+    ``E[x^a] = sum_j Sigma[i, j] (a - e_i)_j E[x^(a - e_i - e_j)]``
+    (integration by parts against the Gaussian), which is exact up to
+    float arithmetic and costs one dictionary lookup per reduction.
+    """
+
+    def __init__(self, Sigma):
+        S = np.asarray(Sigma, dtype=float)
+        if S.ndim != 2 or S.shape[0] != S.shape[1]:
+            raise DimensionMismatch("covariance must be square")
+        self.Sigma = 0.5 * (S + S.T)
+        self._cache = {}
+
+    def __call__(self, alpha):
+        alpha = tuple(int(a) for a in alpha)
+        if any(a < 0 for a in alpha):
+            raise InputError("multi-index entries must be nonnegative")
+        if sum(alpha) % 2 == 1:
+            return 0.0
+        return self._moment(alpha)
+
+    def _moment(self, alpha):
+        total_deg = sum(alpha)
+        if total_deg == 0:
+            return 1.0
+        cached = self._cache.get(alpha)
+        if cached is not None:
+            return cached
+        i = next(k for k, a in enumerate(alpha) if a > 0)
+        reduced = list(alpha)
+        reduced[i] -= 1
+        total = 0.0
+        for j, count in enumerate(reduced):
+            if count == 0 or self.Sigma[i, j] == 0:
+                continue
+            nxt = list(reduced)
+            nxt[j] -= 1
+            total += self.Sigma[i, j] * count * self._moment(tuple(nxt))
+        self._cache[alpha] = total
+        return total
+
+
+def moment_gram(basis, Sigma):
+    """Monomial Gram matrix ``E[x^a x^b]`` for ``x ~ N(0, Sigma)`` on
+    `basis`."""
+    moments = MomentTable(Sigma)
+    G = np.empty((basis.dim, basis.dim))
+    for i, alpha in enumerate(basis.monomials):
+        for j in range(i, basis.dim):
+            beta = basis.monomials[j]
+            G[i, j] = G[j, i] = moments(
+                tuple(a + b for a, b in zip(alpha, beta)))
+    return G
 
 
 def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
@@ -300,52 +369,38 @@ def _chaos_covariance_residual(model, chaos, rng):
     """Pairing identity for the covariance of projected products of linear
     functionals: the second-layer inner product of phi_h1 phi_h2 and
     phi_k1 phi_k2 equals the permanent of the kernel-space Gram matrix."""
-    basis = chaos.basis
-    if basis.N < 2:
+    if chaos.basis.N < 2:
         return 0.0
+    # I_2 keeps a quadratic supported in degrees <= 2, so the Gram block of
+    # those degrees is the whole inner product needed.
+    low = poly_basis(model.dim, 2)
+    G = moment_gram(low, chaos.Q_inf)
+    I2 = chaos.projections[2][:low.dim, :low.dim]
     Qi_inv = np.linalg.inv(chaos.Q_inf)
+
+    def linear(v):
+        c = np.zeros(low.dim)
+        c[low.degree_slice(1)] = Qi_inv @ v
+        return Polynomial(basis=low, coeffs=c)
+
     worst = 0.0
     for _ in range(3):
         h = rng.standard_normal((2, model.dim))
         k = rng.standard_normal((2, model.dim))
-        fs = []
-        for pair in (h, k):
-            lin0 = _linear_poly(basis, Qi_inv @ pair[0])
-            lin1 = _linear_poly(basis, Qi_inv @ pair[1])
-            fs.append(_poly_product(basis, lin0, lin1))
-        I2 = chaos.projections[2]
-        lhs = float((I2 @ fs[0]) @ chaos.gram @ (I2 @ fs[1]))
+        f, g = (poly_mul(linear(pair[0]), linear(pair[1])).coeffs
+                for pair in (h, k))
+        lhs = float((I2 @ f) @ G @ (I2 @ g))
         ip = lambda a, b: float(a @ Qi_inv @ b)
         rhs = ip(h[0], k[0]) * ip(h[1], k[1]) + ip(h[0], k[1]) * ip(h[1], k[0])
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     return worst
 
 
-def _linear_poly(basis, coeffs):
-    v = np.zeros(basis.dim)
-    for i, c in enumerate(coeffs):
-        alpha = tuple(1 if j == i else 0 for j in range(basis.d))
-        v[basis.position(alpha)] = c
-    return v
-
-
-def _poly_product(basis, a, b):
-    out = np.zeros(basis.dim)
-    nza = np.nonzero(a)[0]
-    nzb = np.nonzero(b)[0]
-    for i in nza:
-        for j in nzb:
-            gamma = tuple(x + y for x, y in zip(basis.monomials[i],
-                                                basis.monomials[j]))
-            out[basis.position(gamma)] += a[i] * b[j]
-    return out
-
-
 def _eigenvector_degree_check(model, basis, L, window):
     """Eigenvalues realized by a unique sum of n drift eigenvalues must
     have eigenvectors supported in degrees <= n."""
     name = "eigenvector_degree_support"
-    depths = _lattice_depths(eig(model.A).points, window)
+    depths = list(_lattice_walk(eig(model.A), window))
     vals, vecs = np.linalg.eig(L)
     sep = 1e-5
     worst = 0.0
@@ -366,33 +421,6 @@ def _eigenvector_degree_check(model, basis, L, window):
     if tested == 0:
         return _skip(name, "no isolated, uniquely represented eigenvalues")
     return _check(name, worst, 1e-8, detail="%d eigenvalues tested" % tested)
-
-
-def _lattice_depths(points, window):
-    """Lattice values with the total count that produced them; values
-    reachable at several counts are reported once per count."""
-    from collections import deque
-    z = points
-    m = len(z)
-    start = (0,) * m
-    seen = {start}
-    queue = deque([(start, 0.0 + 0.0j)])
-    values = []
-    while queue:
-        counts, val = queue.popleft()
-        values.append((val, sum(counts)))
-        if sum(counts) >= window.max_terms:
-            continue
-        for j in range(m):
-            nxt = counts[:j] + (counts[j] + 1,) + counts[j + 1:]
-            if nxt in seen:
-                continue
-            nval = val + z[j]
-            if nval.real < window.re_min - 1e-9:
-                continue
-            seen.add(nxt)
-            queue.append((nxt, nval))
-    return values
 
 
 def contraction_suite(T, *, levels=3, seed=0, prefix="", spectral=True):
@@ -490,7 +518,8 @@ def contraction_suite(T, *, levels=3, seed=0, prefix="", spectral=True):
             dg_resid = 0.0
             for n in range(1, levels + 1):
                 sums = SpectrumSet(
-                    [sum(c) for c in _combos(base.points, n)])
+                    [sum(c) for c in
+                     combinations_with_replacement(base.points, n)])
                 dg_resid = max(dg_resid, hausdorff(eig(dgamma(T, n)), sums))
             out.append(_check(prefix + "dgamma_sum_spectrum", dg_resid, 1e-7))
 
@@ -509,11 +538,6 @@ def contraction_suite(T, *, levels=3, seed=0, prefix="", spectral=True):
                           bigger.embedded_spectrum()),
                 tnorm ** (levels + 1) + 1e-9))
     return out
-
-
-def _combos(points, n):
-    from itertools import combinations_with_replacement
-    return combinations_with_replacement(points, n)
 
 
 def spectra_suite(seed=0):

@@ -49,6 +49,13 @@ def test_load_model_unknown_tolerance_key(tmp_path):
         cli.load_model(path)
 
 
+def test_removed_tolerance_field_is_rejected(tmp_path, capsys):
+    path = _write(tmp_path / "m.json", {
+        "A": [[-2.0]], "Q": [[1.0]], "tolerances": {"cluster_radius": 1e-5}})
+    assert cli.main(["verify", path]) == 1
+    assert "cluster_radius" in capsys.readouterr().err
+
+
 def test_load_model_missing_and_malformed(tmp_path):
     with pytest.raises(InputError):
         cli.load_model(str(tmp_path / "absent.json"))
@@ -134,7 +141,9 @@ def test_spectrum_classical(tmp_path):
     got = sorted(p["re"] for p in report["computed"]["points"])
     assert np.allclose(got, [-4, -3, -2, -1, 0], atol=1e-9)
     assert os.path.exists(report["predicted_csv"])
-    assert os.path.exists(report["computed_csv"])
+    lines = open(report["computed_csv"]).read().splitlines()
+    assert lines[0] == "re,im"
+    assert len(lines) == 1 + len(report["computed"]["points"])
 
 
 def test_analyze_classical_report_values(tmp_path):

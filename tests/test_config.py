@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ou_spectra import config
+from ou_spectra import config, tensor_fock
 from ou_spectra.errors import (
     InputError,
     NotContraction,
@@ -18,13 +18,15 @@ def test_default_values():
     tol = config.DEFAULT
     assert tol.sym_tol == 1e-10
     assert tol.rank_tol == 1e-10
-    assert tol.size_cap == 4096
+    assert tensor_fock.DEFAULT_SIZE_CAP == 4096
 
 
 def test_scaled_touches_floats_only():
     tol = config.DEFAULT.scaled(10.0)
     assert math.isclose(tol.sym_tol, 1e-9)
-    assert tol.size_cap == config.DEFAULT.size_cap
+    assert math.isclose(tol.stab_tol, 1e-7)
+    # the memory guard is a module constant, not a tolerance
+    assert not hasattr(tol, "size_cap")
 
 
 def test_profiles():

@@ -28,7 +28,6 @@ from ou_spectra.errors import (
 )
 from ou_spectra.gramian import gramian_inf, gramian_t, rkhs_factor, validate
 from ou_spectra.ou_operator import (
-    MomentTable,
     Polynomial,
     assemble_L,
     chaos_decomposition,
@@ -40,6 +39,11 @@ from ou_spectra.ou_operator import (
     poly_mul,
     simulate_paths,
     verify_second_quantization,
+)
+from ou_spectra.verification import (
+    MomentTable,
+    moment_gram,
+    random_stable_model,
 )
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
@@ -279,14 +283,15 @@ def test_chaos_projections_resolve_identity():
 
 
 def test_chaos_layers_mu_orthogonal():
-    # columns of hermite are orthonormal in the Gram inner product
+    # the occupation family is orthonormal in the moment Gram inner
+    # product, and each layer projection is self-adjoint in it
     b = poly_basis(2, 3)
     chaos = chaos_decomposition(JORDAN, b)
-    H = chaos.hermite
-    assert_allclose(H.T @ chaos.gram @ H, np.eye(b.dim), atol=1e-10)
-    # occupation family spans the same layers, also orthonormal
+    G = moment_gram(b, chaos.Q_inf)
     O = chaos.occupation_hermite
-    assert_allclose(O.T @ chaos.gram @ O, np.eye(b.dim), atol=1e-10)
+    assert_allclose(O.T @ G @ O, np.eye(b.dim), atol=1e-10)
+    for P in chaos.projections:
+        assert_allclose(G @ P, P.T @ G, atol=1e-10)
 
 
 def test_chaos_rejects_degenerate():
@@ -296,13 +301,19 @@ def test_chaos_rejects_degenerate():
 
 
 def test_gram_is_moment_matrix():
+    # N(0, 1/2): E[x^m] = (m-1)!! / 2^(m/2) for even m, 0 for odd m; the
+    # chaos family is orthonormal in that Gram matrix
     b = poly_basis(1, 3)
     chaos = chaos_decomposition(CLASSICAL, b)
-    mt = MomentTable(np.array([[0.5]]))
+    G = moment_gram(b, chaos.Q_inf)
     for i, a in enumerate(b.monomials):
         for j, bb in enumerate(b.monomials):
-            assert_allclose(chaos.gram[i, j], mt((a[0] + bb[0],)),
-                            atol=1e-12)
+            m = a[0] + bb[0]
+            want = 0.0 if m % 2 else \
+                math.prod(range(m - 1, 0, -2)) / 2 ** (m / 2)
+            assert_allclose(G[i, j], want, atol=1e-12)
+    O = chaos.occupation_hermite
+    assert_allclose(O.T @ G @ O, np.eye(b.dim), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +326,15 @@ def test_verify_second_quantization_passes():
     assert rep.max_residual <= 1e-10
     d = rep.to_dict()
     assert d["passed"] is True
+
+
+def test_verify_second_quantization_degree_8_in_three_dims():
+    # the level-8 lift has symmetric dimension 45 but Kronecker side
+    # 3**8 = 6561, above the default size cap
+    model = random_stable_model(np.random.default_rng(3), d=3, kind="real")
+    rep = verify_second_quantization(model, 1.0, 8)
+    assert rep.passed, rep.to_dict()
+    assert rep.max_residual <= 1e-8
 
 
 def test_verify_second_quantization_detects_corruption(monkeypatch):

@@ -171,11 +171,3 @@ def test_json_round_trip():
     back = SpectrumSet.from_json_dict(d)
     assert_allclose(back.points, s.points)
 
-
-def test_csv_write(tmp_path):
-    s = SpectrumSet([1.0 + 2.0j, -0.5])
-    path = tmp_path / "spec.csv"
-    s.write_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re,im"
-    assert len(lines) == 3

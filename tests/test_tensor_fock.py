@@ -149,6 +149,25 @@ def test_sym_power_triangular_stays_triangular():
         assert_allclose(np.diag(S), want, atol=1e-15)
 
 
+def test_sym_power_matches_kronecker_compression():
+    # the substitution kernel against the independent route J' T^(x)n J
+    rng = np.random.default_rng(8)
+    cases = [(2, n) for n in range(5)] + [(3, 3), (4, 3)]
+    for d, n in cases:
+        J = embedding(d, n)
+        for T in (rng.standard_normal((d, d)),
+                  rng.standard_normal((d, d))
+                  + 1j * rng.standard_normal((d, d))):
+            assert_allclose(sym_power(T, n), J.T @ tensor_power(T, n) @ J,
+                            atol=1e-12)
+
+
+def test_sym_power_beyond_kronecker_cap():
+    # 8**6 = 262144 is far above the default cap; sym_dim(8, 6) = 1716 is not
+    S = sym_power(0.5 * np.eye(8), 6)
+    assert_allclose(S, 0.5 ** 6 * np.eye(sym_dim(8, 6)), atol=1e-8)
+
+
 def test_size_cap():
     with pytest.raises(SizeCap):
         tensor_power(np.eye(2), 10, cap=100)
