@@ -159,6 +159,11 @@ def _to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        # tolist() already yields the same ints, bools and finite floats;
+        # only non-finite or complex entries need the element path.
+        if obj.dtype.kind in "biu" or (
+                obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return _to_jsonable(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)

@@ -20,18 +20,21 @@ whose norm is tied to the generalized Rayleigh quotient
 by ``norm^2 = 1 - 1/K(t)``.
 
 Numerical choices: ``Q_t`` comes from one block matrix exponential (exact up
-to expm accuracy, no quadrature grid), ``Q_inf`` from a dense solve of the
-vectorized steady-state equation, and all rank decisions use relative
-eigenvalue thresholds from :class:`~ou_spectra.config.Tolerances`.
+to expm accuracy, no quadrature grid), ``Q_inf`` from the Schur-based
+Bartels-Stewart solver, O(d^3), computed at most once per model and cached
+on it, and all rank decisions use one relative threshold from
+:class:`~ou_spectra.config.Tolerances`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import solve_continuous_lyapunov
 
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -62,12 +65,23 @@ def _readonly(a):
     return a
 
 
+def _rank_cut(values, rank_tol):
+    """Mask of the values strictly above ``rank_tol`` times the largest;
+    nothing is kept when the largest is not positive."""
+    vmax = float(np.max(values, initial=0.0))
+    if vmax <= 0:
+        return np.zeros(values.shape, bool)
+    return values > rank_tol * vmax
+
+
 @dataclass(frozen=True)
 class OUModel:
     """A validated drift-diffusion pair with its tolerance settings.
 
     Construct through :func:`validate`; the dataclass itself only
-    normalizes dtypes and freezes the arrays.
+    normalizes dtypes and freezes the arrays.  The steady-state covariance
+    is derived from the frozen fields once, on first use, and shared by
+    every caller of :func:`gramian_inf`.
     """
 
     A: np.ndarray
@@ -82,6 +96,25 @@ class OUModel:
     @property
     def dim(self):
         return self.A.shape[0]
+
+    @functools.cached_property
+    def _q_inf(self):
+        # A raise is not cached, so Unstable and EigFailure recur per call.
+        alpha = spectral_abscissa(self.A)
+        if alpha >= -self.tol.stab_tol:
+            raise Unstable(
+                "no steady-state covariance: spectral abscissa %.6g is not "
+                "below the stability margin -%g" % (alpha, self.tol.stab_tol))
+        X = solve_continuous_lyapunov(self.A, -self.Q)
+        X = 0.5 * (X + X.T)
+        resid = float(np.abs(self.A @ X + X @ self.A.T + self.Q).max())
+        allowed = self.tol.lyap_tol * (1.0 + float(np.abs(self.Q).max()))
+        if resid > allowed:
+            raise EigFailure(
+                "steady-state covariance residual %.3e exceeds %.3e; the "
+                "Bartels-Stewart solve is unreliable for this model"
+                % (resid, allowed))
+        return _readonly(X)
 
 
 def validate(A, Q, name="", tol=None):
@@ -191,34 +224,21 @@ def gramian_t(model, t):
 def gramian_inf(model):
     """Steady-state covariance ``Q_inf`` for a stable drift.
 
-    Solves the vectorized equation
-    ``(kron(A, I) + kron(I, A)) vec(X) = -vec(Q)`` (row-major vec) with a
-    dense LU factorization; the result is symmetrized and its residual in
-    the original equation is checked against ``lyap_tol * (1 + max|Q|)``.
+    Solves ``A X + X A' + Q = 0`` by Bartels-Stewart (real Schur form of
+    ``A``, then a triangular Sylvester solve; O(d^3) time, O(d^2) memory);
+    the result is symmetrized and its residual in the equation is checked
+    against ``lyap_tol * (1 + max|Q|)``.  The checked result is cached on
+    the model, so every call for one model returns the same read-only
+    array; a model made by ``dataclasses.replace`` gets its own solve.
 
     Raises
     ------
     Unstable
         If the spectral abscissa is not below ``-stab_tol``.
+    EigFailure
+        If the residual exceeds the guard.
     """
-    alpha = spectral_abscissa(model.A)
-    if alpha >= -model.tol.stab_tol:
-        raise Unstable(
-            "no steady-state covariance: spectral abscissa %.6g is not "
-            "below the stability margin -%g" % (alpha, model.tol.stab_tol))
-    d = model.dim
-    eye = np.eye(d)
-    lhs = np.kron(model.A, eye) + np.kron(eye, model.A)
-    x = np.linalg.solve(lhs, -model.Q.ravel())
-    X = x.reshape(d, d)
-    X = 0.5 * (X + X.T)
-    resid = float(np.abs(model.A @ X + X @ model.A.T + model.Q).max())
-    allowed = model.tol.lyap_tol * (1.0 + float(np.abs(model.Q).max()))
-    if resid > allowed:
-        raise EigFailure(
-            "steady-state covariance residual %.3e exceeds %.3e; the "
-            "vectorized solve is unreliable for this model" % (resid, allowed))
-    return X
+    return model._q_inf
 
 
 @dataclass(frozen=True)
@@ -265,8 +285,7 @@ def rkhs_factor(Q_inf, rank_tol=DEFAULT.rank_tol):
     S = 0.5 * (S + S.T)
     lam, U = np.linalg.eigh(S)
     lam, U = lam[::-1], U[:, ::-1]
-    lmax = max(float(lam[0]) if lam.size else 0.0, 0.0)
-    keep = lam > rank_tol * lmax if lmax > 0 else np.zeros(lam.shape, bool)
+    keep = _rank_cut(lam, rank_tol)
     lam_k = lam[keep]
     U_k = U[:, keep]
     sq = np.sqrt(lam_k)
@@ -331,8 +350,7 @@ def quadratic_form_ratio_sup(P, R, rank_tol=DEFAULT.rank_tol):
     R = np.asarray(R, dtype=float)
     lam, V = np.linalg.eigh(0.5 * (R + R.T))
     lam, V = lam[::-1], V[:, ::-1]
-    lmax = max(float(lam[0]) if lam.size else 0.0, 0.0)
-    keep = lam > rank_tol * lmax if lmax > 0 else np.zeros(lam.shape, bool)
+    keep = _rank_cut(lam, rank_tol)
     pscale = max(1.0, float(np.abs(P).max(initial=0.0)))
     if not keep.all():
         W = V[:, ~keep]
@@ -378,10 +396,7 @@ def psd_sqrt(M):
 def rank_psd(M, rank_tol=DEFAULT.rank_tol):
     """Numerical rank of a symmetric PSD matrix by relative eigenvalue cut."""
     lam = np.linalg.eigvalsh(0.5 * (M + M.T))
-    lmax = max(float(lam[-1]) if lam.size else 0.0, 0.0)
-    if lmax <= 0:
-        return 0
-    return int((lam > rank_tol * lmax).sum())
+    return int(_rank_cut(lam, rank_tol).sum())
 
 
 def controllability_matrix(A, B):
@@ -397,10 +412,7 @@ def controllability_rank(A, Q, rank_tol=DEFAULT.rank_tol):
     """Rank of the Kalman matrix built from the PSD square root of Q."""
     C = controllability_matrix(A, psd_sqrt(Q))
     s = np.linalg.svd(C, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    if smax <= 0:
-        return 0
-    return int((s > rank_tol * smax).sum())
+    return int(_rank_cut(s, rank_tol).sum())
 
 
 def strong_feller_check(model, t):

@@ -97,6 +97,41 @@ def test_to_jsonable_replaces_nonfinite():
     json.dumps(out)  # must be serializable
 
 
+def _lists_only(obj):
+    """Replace every ndarray by its tolist(), so that _to_jsonable walks
+    the entries one at a time (the reference path)."""
+    if isinstance(obj, dict):
+        return {k: _lists_only(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_lists_only(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
+def test_to_jsonable_array_fast_path_same_text():
+    rng = np.random.default_rng(5)
+    report = {
+        "float": rng.standard_normal((3, 4)) * 1e7,
+        "tiny": np.array([5e-324, -0.0, 1e-300, 0.1 + 0.2]),
+        "float32": np.array([0.1, 3.5], dtype=np.float32),
+        "int": np.arange(-3, 3),
+        "uint": np.array([0, 7], dtype=np.uint8),
+        "bool": np.array([True, False]),
+        "nonfinite": np.array([[1.0, np.inf], [-np.inf, np.nan]]),
+        "complex": np.array([1.0 + 2.0j, np.inf * 1j]),
+        "scalar": np.float64(2.5),
+        "zero_d": np.array(7.25),
+        "empty": np.zeros((0, 3)),
+        "nested": [np.eye(2), {"k": np.array([np.nan])}],
+    }
+    want = json.dumps(cli._to_jsonable(_lists_only(report)), indent=2,
+                      sort_keys=True)
+    got = json.dumps(cli._to_jsonable(report), indent=2, sort_keys=True)
+    assert got == want
+    assert '"inf"' in got and '"nan"' in got and '"-inf"' in got
+
+
 # ---------------------------------------------------------------------------
 # subcommands, happy paths
 # ---------------------------------------------------------------------------
@@ -120,6 +155,23 @@ def test_analyze_writes_report_and_curve(tmp_path, capsys):
     assert math.isclose(t, 1.0)
     assert abs(nrm - math.exp(-1) * (1 + math.sqrt(2))) < 1e-10
     assert "strong_feller=True" in capsys.readouterr().out
+
+
+def test_analyze_solves_lyapunov_once(tmp_path, monkeypatch):
+    import ou_spectra.gramian as gr
+    calls = []
+    real = gr.solve_continuous_lyapunov
+
+    def counting(a, q):
+        calls.append(a.shape)
+        return real(a, q)
+
+    monkeypatch.setattr(gr, "solve_continuous_lyapunov", counting)
+    out = str(tmp_path / "h.json")
+    assert cli.main(["analyze", "hypoelliptic_2d",
+                     "--t-grid", "0.1:5.0:0.1", "--out", out]) == 0
+    assert json.loads(open(out).read())["t_grid"]["count"] == 50
+    assert calls == [(2, 2)]
 
 
 def test_analyze_deterministic_output(tmp_path):

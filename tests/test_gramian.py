@@ -10,10 +10,14 @@ The closed forms used as oracles:
   by hand from A X + X A' + Q = 0.
 
 The quadrature oracle integrates e^{sA} Q e^{sA'} directly with quad_vec,
-independent of the block-exponential route used by gramian_t.
+independent of the block-exponential route used by gramian_t; the Kronecker
+oracle solves the vectorized steady-state equation, independent of the
+Bartels-Stewart route used by gramian_inf.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +25,12 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from ou_spectra.config import DEFAULT
 from ou_spectra.errors import (
     AsymmetricQ,
     CriteriaDisagree,
     DimensionMismatch,
+    EigFailure,
     InputError,
     NotPSD,
     RangeNotInvariant,
@@ -33,6 +39,7 @@ from ou_spectra.errors import (
 from ou_spectra.gramian import (
     OUModel,
     contractivity_constant,
+    controllability_matrix,
     controllability_rank,
     flow,
     gramian_inf,
@@ -40,6 +47,7 @@ from ou_spectra.gramian import (
     gramian_t,
     invertibility_equivalence_report,
     is_stable,
+    psd_sqrt,
     quadratic_form_ratio_sup,
     rank_psd,
     rkhs_factor,
@@ -49,6 +57,7 @@ from ou_spectra.gramian import (
     strong_feller_check,
     validate,
 )
+from ou_spectra.verification import random_stable_model
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],
@@ -68,6 +77,17 @@ def quadrature_gramian(model, t):
         lambda s: expm(s * model.A) @ model.Q @ expm(s * model.A).T,
         0.0, t, epsabs=1e-13, epsrel=1e-13)
     return val
+
+
+def kronecker_lyapunov(A, Q):
+    """Independent oracle for Q_inf: dense LU on the d^2 x d^2 system
+    ``(kron(A, I) + kron(I, A)) vec(X) = -vec(Q)``.  O(d^6) time and O(d^4)
+    memory, so it stays here, as a cross-check of the Schur-based solver,
+    and not in the library."""
+    d = A.shape[0]
+    eye = np.eye(d)
+    lhs = np.kron(A, eye) + np.kron(eye, A)
+    return np.linalg.solve(lhs, -Q.ravel()).reshape(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +183,88 @@ def test_gramian_inf_lyapunov_residual():
 def test_gramian_inf_requires_stability():
     with pytest.raises(Unstable):
         gramian_inf(validate([[0.1]], [[1.0]]))
+
+
+@pytest.mark.parametrize("d,kind", [
+    (d, kind) for d in (2, 3, 8) for kind in ("real", "complex", "defective")
+] + [(16, "real"), (16, "complex"), (32, "real"), (32, "complex")])
+def test_gramian_inf_matches_kronecker_oracle(d, kind):
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(3):
+        m = random_stable_model(rng, d=d, kind=kind)
+        got = gramian_inf(m)
+        want = kronecker_lyapunov(m.A, m.Q)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_gramian_inf_peak_memory_at_d64():
+    # The Kronecker system alone would take (64^2)^2 * 8 bytes = 134 MB.
+    m = random_stable_model(np.random.default_rng(64), d=64, kind="real")
+    tracemalloc.start()
+    try:
+        gramian_inf(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_gramian_inf_cached_read_only():
+    m = validate([[-1.0, 1.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 1.0]])
+    q_inf = gramian_inf(m)
+    assert gramian_inf(m) is q_inf
+    assert not q_inf.flags.writeable
+    with pytest.raises(ValueError):
+        q_inf[0, 0] = 1.0
+    assert_allclose(gramian_inf(m), JORDAN_Q_INF, atol=1e-14)
+
+
+def test_gramian_inf_failures_are_not_cached(monkeypatch):
+    import ou_spectra.gramian as gr
+    unstable = validate([[0.1]], [[1.0]])
+    for _ in range(3):
+        with pytest.raises(Unstable):
+            gramian_inf(unstable)
+
+    calls = []
+    real = gr.solve_continuous_lyapunov
+
+    def off_by_one(a, q):
+        calls.append(1)
+        return real(a, q) + 1.0
+
+    m = validate([[-1.0]], [[1.0]])
+    monkeypatch.setattr(gr, "solve_continuous_lyapunov", off_by_one)
+    for _ in range(2):
+        with pytest.raises(EigFailure, match="Bartels-Stewart"):
+            gramian_inf(m)
+    assert len(calls) == 2
+    monkeypatch.setattr(gr, "solve_continuous_lyapunov", real)
+    assert_allclose(gramian_inf(m), [[0.5]], atol=1e-14)
+
+
+def test_gramian_inf_replaced_model_solves_again(monkeypatch):
+    import ou_spectra.gramian as gr
+    calls = []
+    real = gr.solve_continuous_lyapunov
+
+    def counting(a, q):
+        calls.append(1)
+        return real(a, q)
+
+    monkeypatch.setattr(gr, "solve_continuous_lyapunov", counting)
+    m = validate([[-1.0, 1.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 1.0]])
+    first = gramian_inf(m)
+    gramian_inf(m)
+    assert len(calls) == 1
+    loose = dataclasses.replace(m, tol=DEFAULT.with_overrides(
+        {"lyap_tol": 1e-6}))
+    second = gramian_inf(loose)
+    assert len(calls) == 2
+    assert second is not first
+    assert gramian_inf(loose) is second
+    assert_allclose(second, first, atol=0)
 
 
 def test_splitting_identity():
@@ -267,6 +369,27 @@ def test_contractivity_requires_positive_t():
 # ---------------------------------------------------------------------------
 # strong Feller / rank diagnostics
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rank_tol", [0.25, 2.0**-30])
+def test_rank_cut_drops_value_at_threshold(rank_tol):
+    # A value exactly at rank_tol * max is dropped by all four cuts, and
+    # the next float above it is kept: the comparison is strict.
+    for tiny, want in ((rank_tol, 1), (np.nextafter(rank_tol, 1.0), 2)):
+        Q = np.diag([1.0, tiny])
+        assert np.array_equal(np.linalg.eigvalsh(Q), [tiny, 1.0])
+        assert rkhs_factor(Q, rank_tol).rank == want
+        assert rank_psd(Q, rank_tol) == want
+        # mass off the kept range makes the supremum infinite
+        ratio = quadratic_form_ratio_sup(np.eye(2), Q, rank_tol)
+        assert (ratio == math.inf) == (want == 1)
+    # Kalman matrix [B, 0B] with B = psd_sqrt(diag(1, rank_tol^2))
+    Q = np.diag([1.0, rank_tol ** 2])
+    C = controllability_matrix(np.zeros((2, 2)), psd_sqrt(Q))
+    assert np.array_equal(np.linalg.svd(C, compute_uv=False),
+                          [1.0, rank_tol])
+    assert controllability_rank(np.zeros((2, 2)), Q, rank_tol) == 1
+    assert controllability_rank(np.zeros((2, 2)), np.eye(2), rank_tol) == 2
+
 
 def test_rank_and_controllability():
     assert rank_psd(gramian_inf(DEGENERATE), 1e-10) == 1
