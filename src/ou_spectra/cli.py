@@ -283,11 +283,12 @@ def cmd_spectrum(args):
             "spectral prediction needs a stable drift (abscissa %.6g); "
             "hypothesis failed: stability" % spectral_abscissa(model.A))
     q_inf = _gramian_mod.gramian_inf(model)
-    if rank_psd(q_inf, model.tol.rank_tol) < model.dim:
+    rank = rank_psd(q_inf, model.tol.rank_tol)
+    if rank < model.dim:
         raise DegenerateMeasure(
             "spectral prediction needs an invertible steady-state "
             "covariance; hypothesis failed: nondegeneracy (rank %d < %d)"
-            % (rank_psd(q_inf, model.tol.rank_tol), model.dim))
+            % (rank, model.dim))
 
     N = args.degree
     drift_eigs = eig(model.A)

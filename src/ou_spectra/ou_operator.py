@@ -44,6 +44,7 @@ from .errors import (
     InvalidStep,
 )
 from .gramian import (
+    _rank_cut,
     flow,
     gramian_inf,
     gramian_t,
@@ -51,7 +52,8 @@ from .gramian import (
     rkhs_factor,
     smu_matrix,
 )
-from .tensor_fock import multi_indices, substitution_levels, sym_power
+from .tensor_fock import (derivation_block, heat_block, multi_indices,
+                          substitution_levels, sym_power)
 
 __all__ = [
     "PolyBasis", "poly_basis", "Polynomial", "poly_mul",
@@ -197,10 +199,14 @@ def poly_mul(f, g, basis=None):
 def assemble_L(model, basis):
     """Matrix of ``f -> 1/2 Tr(Q D^2 f) + <Ax, Df>`` on the monomials.
 
-    The assembly differentiates monomials symbolically, so the matrix is
-    exact up to float products of entries of A, Q with small integers.  The
-    drift term preserves total degree and the diffusion term lowers it by
-    two, making the matrix block upper triangular in the graded order; that
+    Each degree block of the drift term is
+    :func:`~ou_spectra.tensor_fock.derivation_block` of A and each
+    ``n -> n - 2`` block of the diffusion term is
+    :func:`~ou_spectra.tensor_fock.heat_block` of Q, both scattered from
+    the integer index tables of ``tensor_fock``, so the matrix is exact up
+    to float products of entries of A, Q with small integers.  The drift
+    term preserves total degree and the diffusion term lowers it by two,
+    making the matrix block upper triangular in the graded order; that
     structure is exact, not a numerical accident, and is asserted by the
     tests.
     """
@@ -208,45 +214,19 @@ def assemble_L(model, basis):
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
-    d, dim = basis.d, basis.dim
-    A = model.A
-    L = np.zeros((dim, dim))
-    for col, alpha in enumerate(basis.monomials):
-        # drift: sum_ij A[i, j] x_j d_i
-        for i in range(d):
-            if alpha[i] == 0:
-                continue
-            for j in range(d):
-                if A[i, j] == 0:
-                    continue
-                target = list(alpha)
-                target[i] -= 1
-                target[j] += 1
-                L[basis.position(tuple(target)), col] += A[i, j] * alpha[i]
+    L = np.zeros((basis.dim, basis.dim))
+    for n in range(basis.N + 1):
+        sel = basis.degree_slice(n)
+        L[sel, sel] = derivation_block(model.A, n)
     return L + _heat_matrix(model.Q, basis)
 
 
 def _heat_matrix(Q, basis):
     """Matrix of ``f -> 1/2 Tr(Q D^2 f)`` on the monomials: the diffusion
     half of :func:`assemble_L`, which lowers the degree by two."""
-    d, dim = basis.d, basis.dim
-    H = np.zeros((dim, dim))
-    for col, alpha in enumerate(basis.monomials):
-        for i in range(d):
-            if alpha[i] == 0:
-                continue
-            for j in range(d):
-                if Q[i, j] == 0:
-                    continue
-                factor = alpha[i] * (alpha[j] - (1 if i == j else 0))
-                if factor == 0:
-                    continue
-                target = list(alpha)
-                target[i] -= 1
-                target[j] -= 1
-                if target[j] < 0:
-                    continue
-                H[basis.position(tuple(target)), col] += 0.5 * Q[i, j] * factor
+    H = np.zeros((basis.dim, basis.dim))
+    for n in range(2, basis.N + 1):
+        H[basis.degree_slice(n - 2), basis.degree_slice(n)] = heat_block(Q, n)
     return H
 
 
@@ -360,7 +340,7 @@ def chaos_decomposition(model, basis):
             % (basis.d, model.dim))
     Qi = gramian_inf(model)
     lam = np.linalg.eigvalsh(Qi)
-    if lam[0] <= model.tol.rank_tol * max(lam[-1], 0.0):
+    if not _rank_cut(lam, model.tol.rank_tol).all():
         raise DegenerateMeasure(
             "invariant covariance is singular (eigenvalues %s); polynomials "
             "in kernel directions have no square-integrable normalization"

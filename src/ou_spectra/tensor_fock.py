@@ -7,25 +7,30 @@ basis vector ``e_alpha`` is the normalized symmetrization of the word with
 ``alpha_i`` copies of the i-th base vector.  Identifying ``e_alpha`` with
 the monomial ``x^alpha / sqrt(alpha!)`` turns level n into the homogeneous
 polynomials of degree n, and the symmetric power of T into the substitution
-``x -> T' x``.  One kernel, :func:`substitution_block`, builds the matrix
-of ``x^alpha -> (M x)^alpha`` level by level without any ``d**n``
-intermediate, and
+``x -> T' x``.
 
-    sym_power(T, n)  =  D_n substitution_block(T', n) D_n^-1,
-    D_n              =  diag(sqrt(alpha!)).
+One index kernel, the cached table ``up[beta, j] = pos(beta + e_j)`` from
+level n - 1 to level n with the multi-indices beta beside it, builds every
+graded operator as a numpy scatter, with no ``d**n`` intermediate: the
+substitution ``x^alpha -> (M x)^alpha`` (:func:`substitution_block`), the
+derivation ``f -> <M x, grad f>`` (:func:`derivation_block`), the heat
+operator ``1/2 Tr(Q D^2)`` (:func:`heat_block`, degree n to n - 2) and the
+ladder operators (``creation(h)`` sends ``e_alpha`` to ``sum_i h_i
+sqrt(alpha_i + 1) e_(alpha + delta_i)``; ``annihilation`` is its conjugate
+transpose, so the adjoint relation holds exactly).  With ``D_n =
+diag(sqrt(alpha!))``,
 
-The same kernel gives the polynomial side of the package (Mehler matrix,
-Hermite chaos) in ``ou_operator``.  The isometric embedding ``J_n`` of
-level n into the full n-fold tensor power is kept as the independent
-Kronecker route: ``J_n' (T (x) ... (x) T) J_n`` is the oracle the tests pin
-``sym_power`` to, and the number-operator lift is its compression
+    sym_power(T, n)  =  D_n substitution_block(T', n) D_n^-1.
 
-    dgamma(M, n)     =  J_n' (sum_j I (x)...(x) M (x)...(x) I) J_n.
+The same kernel gives the polynomial side of the package (Galerkin
+generator, Mehler matrix, Hermite chaos) in ``ou_operator``.  The
+isometric embedding ``J_n`` of level n into the full n-fold tensor power is
+kept as the independent Kronecker route: ``J_n' (T (x) ... (x) T) J_n`` is
+the oracle the tests pin ``sym_power`` to, and the number-operator lift is
+its compression, which the tests pin ``derivation_block`` to:
 
-Ladder operators act on occupation numbers directly
-(``creation(h)`` sends ``e_alpha`` to ``sum_i h_i sqrt(alpha_i + 1)
-e_(alpha + delta_i)``).  ``annihilation`` is the transpose of ``creation``,
-so the adjoint relation holds exactly, not up to roundoff.
+    dgamma(M, n)  =  J_n' (sum_j I (x)...(x) M (x)...(x) I) J_n
+                  =  D_n derivation_block(M', n) D_n^-1.
 
 A :class:`FockTruncation` keeps the blocks of all levels up to a cap N.  Its
 ``spectrum`` is the union of the block spectra; ``embedded_spectrum`` adds
@@ -48,9 +53,9 @@ from .errors import DimensionMismatch, InputError, NotContraction, SizeCap
 from .spectra import DEFAULT_CLUSTER_RADIUS, SpectrumSet, eig
 
 __all__ = [
-    "multi_indices", "sym_dim", "SymBasis", "sym_basis", "embedding",
-    "tensor_power", "substitution_levels", "substitution_block",
-    "sym_power", "creation", "annihilation", "dgamma",
+    "multi_indices", "sym_dim", "embedding", "tensor_power",
+    "substitution_levels", "substitution_block", "derivation_block",
+    "heat_block", "sym_power", "creation", "annihilation", "dgamma",
     "FockTruncation", "second_quantization",
 ]
 
@@ -81,31 +86,9 @@ def sym_dim(d, n):
     return comb(d + n - 1, n)
 
 
-@dataclass(frozen=True)
-class SymBasis:
-    """Occupation basis of one level: the ordered multi-indices and the
-    inverse lookup table."""
-
-    d: int
-    n: int
-    indices: tuple
-
-    @property
-    def dim(self):
-        return len(self.indices)
-
-    def position(self, alpha):
-        return _position_table(self.d, self.n)[tuple(alpha)]
-
-
 @lru_cache(maxsize=None)
 def _position_table(d, n):
     return {alpha: i for i, alpha in enumerate(multi_indices(d, n))}
-
-
-@lru_cache(maxsize=None)
-def sym_basis(d, n):
-    return SymBasis(d=d, n=n, indices=multi_indices(d, n))
 
 
 def _check_cap(side, cap, what):
@@ -126,17 +109,17 @@ def _embedding_cached(d, n):
     if n == 0:
         J[0, 0] = 1.0
         return _readonly(J)
-    basis = sym_basis(d, n)
+    pos = _position_table(d, n)
     nfact = factorial(n)
     weights = [np.sqrt(prod(factorial(a) for a in alpha) / nfact)
-               for alpha in basis.indices]
+               for alpha in multi_indices(d, n)]
     for word in _iter_product(range(d), repeat=n):
         flat = 0
         alpha = [0] * d
         for letter in word:
             flat = flat * d + letter
             alpha[letter] += 1
-        col = basis.position(tuple(alpha))
+        col = pos[tuple(alpha)]
         J[flat, col] = weights[col]
     return J
 
@@ -174,10 +157,10 @@ def tensor_power(T, n, cap=DEFAULT_SIZE_CAP):
 
 @lru_cache(maxsize=None)
 def _substitution_tables(d, n):
-    """Integer tables that build level n of the substitution from level
-    n - 1: for each alpha, its first nonzero slot i and the position of
-    ``alpha - e_i``; for each beta of level n - 1 and each j, the position
-    of ``beta + e_j``."""
+    """Integer tables from level n - 1 to level n: for each alpha, its
+    first nonzero slot i and the position of ``alpha - e_i``; for each beta
+    of level n - 1 and each j, the position of ``beta + e_j``; and the
+    beta themselves, as rows of an integer array."""
     pos_prev = _position_table(d, n - 1)
     pos = _position_table(d, n)
     alphas = multi_indices(d, n)
@@ -185,9 +168,10 @@ def _substitution_tables(d, n):
                       for alpha in alphas])
     parent = np.array([pos_prev[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
                        for alpha, i in zip(alphas, first)])
+    betas = multi_indices(d, n - 1)
     up = np.array([[pos[beta[:j] + (beta[j] + 1,) + beta[j + 1:]]
-                    for j in range(d)] for beta in multi_indices(d, n - 1)])
-    return _readonly(first), _readonly(parent), _readonly(up)
+                    for j in range(d)] for beta in betas])
+    return tuple(_readonly(np.array(t)) for t in (first, parent, up, betas))
 
 
 def substitution_levels(M, N):
@@ -203,7 +187,7 @@ def substitution_levels(M, N):
     block = np.ones((1, 1), dtype=np.result_type(M, float))
     yield block
     for n in range(1, N + 1):
-        first, parent, up = _substitution_tables(d, n)
+        first, parent, up, _ = _substitution_tables(d, n)
         prev = block[:, parent]
         block = np.zeros((len(first), len(first)), dtype=prev.dtype)
         for j in range(d):
@@ -218,6 +202,40 @@ def substitution_block(M, n):
     if n < 0:
         raise InputError("substitution_block needs n >= 0")
     *_, block = substitution_levels(M, n)
+    return block
+
+
+def derivation_block(M, n):
+    """Degree-n block of ``f -> <M x, grad f>``, the generator of
+    ``substitution_block(expm(t M), n)``.  With ``alpha = beta + e_i``,
+    ``(M x)_i d_i x^alpha = sum_j M[i, j] (beta_i + 1) x^(beta + e_j)``."""
+    M = _square(M, "derivation argument")
+    if n < 0:
+        raise InputError("derivation_block needs n >= 0")
+    d = M.shape[0]
+    block = np.zeros((sym_dim(d, n),) * 2, dtype=np.result_type(M, float))
+    if n > 0:
+        _, _, up, beta = _substitution_tables(d, n)
+        np.add.at(block, (up[:, None, :], up[:, :, None]),
+                  M * (beta[:, :, None] + 1.0))
+    return block
+
+
+def heat_block(Q, n):
+    """Degree-n to degree-(n - 2) block of ``f -> 1/2 Tr(Q D^2 f)``.  With
+    ``alpha = gamma + e_i + e_j`` at ``up_n[up_(n-1)][gamma, i, j]``,
+    ``d_i d_j x^alpha = (gamma_i + 1) (gamma_j + 1 + delta_ij) x^gamma``."""
+    Q = _square(Q, "heat argument")
+    if n < 2:
+        raise InputError("heat_block needs n >= 2")
+    d = Q.shape[0]
+    _, _, up_prev, gamma = _substitution_tables(d, n - 1)
+    _, _, up, _ = _substitution_tables(d, n)
+    weight = (gamma[:, :, None] + 1.0) * (gamma[:, None, :] + 1.0 + np.eye(d))
+    block = np.zeros((len(gamma), sym_dim(d, n)),
+                     dtype=np.result_type(Q, float))
+    np.add.at(block, (np.arange(len(gamma))[:, None, None], up[up_prev]),
+              0.5 * Q * weight)
     return block
 
 
@@ -251,16 +269,11 @@ def creation(h, n, cap=DEFAULT_SIZE_CAP):
     if d < 1:
         raise DimensionMismatch("creation needs a nonempty vector")
     _check_cap(sym_dim(d, n + 1), cap, "creation target level %d" % (n + 1))
-    src = sym_basis(d, n)
-    dst = sym_basis(d, n + 1)
-    M = np.zeros((dst.dim, src.dim), dtype=h.dtype)
-    for col, alpha in enumerate(src.indices):
-        for i in range(d):
-            if h[i] == 0:
-                continue
-            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-            M[dst.position(beta), col] += h[i] * np.sqrt(alpha[i] + 1.0)
-    return M
+    _, _, up, alpha = _substitution_tables(d, n + 1)
+    C = np.zeros((sym_dim(d, n + 1), len(alpha)),
+                 dtype=np.result_type(h, float))
+    C[up, np.arange(len(alpha))[:, None]] = h * np.sqrt(alpha + 1.0)
+    return C
 
 
 def annihilation(h, n, cap=DEFAULT_SIZE_CAP):

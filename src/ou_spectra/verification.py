@@ -137,8 +137,9 @@ def _q_inf(model):
 
 
 def _quadrature_gramian(model, t):
-    integrand = lambda s: scipy.linalg.expm(s * model.A) @ model.Q \
-        @ scipy.linalg.expm(s * model.A).T
+    def integrand(s):
+        E = scipy.linalg.expm(s * model.A)
+        return E @ model.Q @ E.T
     val, _ = scipy.integrate.quad_vec(integrand, 0.0, t,
                                       epsabs=1e-12, epsrel=1e-12)
     return val
@@ -309,11 +310,8 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
     # -- generator-level identities ---------------------------------------
     basis = poly_basis(d, degree)
     L = assemble_L(model, basis)
-    tri = 0.0
-    for i, alpha in enumerate(basis.monomials):
-        for j, beta in enumerate(basis.monomials):
-            if sum(alpha) > sum(beta):
-                tri = max(tri, abs(L[i, j]))
+    deg = np.array([sum(alpha) for alpha in basis.monomials])
+    tri = np.abs(L[deg[:, None] > deg[None, :]]).max(initial=0.0)
     out.append(_check("galerkin_block_triangular", tri, 0.0))
 
     window = _covering_window(eig(model.A).points, degree)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from ou_spectra import cli
+from ou_spectra import cli, gramian
 from ou_spectra.errors import InputError
 
 
@@ -223,6 +223,14 @@ def test_spectrum_rotation_drift_is_numerical_failure(tmp_path, capsys):
                   "Q": [[1.0, 0.0], [0.0, 1.0]]})
     assert cli.main(["spectrum", rot]) == 2
     assert "stab" in capsys.readouterr().err
+
+
+def test_spectrum_rejects_eigenvalue_at_rank_threshold(monkeypatch, capsys):
+    # Q_inf with an eigenvalue exactly at rank_tol * max has rank 1
+    monkeypatch.setattr(gramian, "gramian_inf",
+                        lambda m: np.diag([1.0, m.tol.rank_tol]))
+    assert cli.main(["spectrum", "jordan_omega1"]) == 2
+    assert "rank 1 < 2" in capsys.readouterr().err
 
 
 def test_spectrum_explicit_window(tmp_path):

@@ -17,9 +17,11 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from ou_spectra import ou_operator
 from ou_spectra.errors import (
     DegenerateMeasure,
     DimensionMismatch,
@@ -175,6 +177,37 @@ def test_assemble_L_drift_hand_oracle():
     assert_allclose(L[:, b.position((1, 1))], want, atol=0)
 
 
+def _sympy_generator(model, basis):
+    # independent oracle: sympy differentiates every monomial, and the
+    # integer coefficients it returns are weighted by A and Q here
+    xs = sympy.symbols("x0:%d" % basis.d)
+    L = np.zeros((basis.dim, basis.dim))
+    for col, alpha in enumerate(basis.monomials):
+        f = sympy.prod([x ** a for x, a in zip(xs, alpha)])
+        for i in range(basis.d):
+            f_i = sympy.diff(f, xs[i])
+            for j in range(basis.d):
+                for weight, term in ((model.A[i, j], xs[j] * f_i),
+                                     (0.5 * model.Q[i, j],
+                                      sympy.diff(f_i, xs[j]))):
+                    for monom, coeff in sympy.Poly(term, *xs).terms():
+                        L[basis.position(monom), col] += weight * int(coeff)
+    return L
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "defective"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_assemble_L_matches_sympy_differentiation(d, kind):
+    model = random_stable_model(np.random.default_rng(20 + d), d=d,
+                                kind=kind)
+    want = _sympy_generator(model, poly_basis(d, 4))
+    for N in range(5):
+        b = poly_basis(d, N)
+        ref = want[:b.dim, :b.dim]
+        assert np.abs(assemble_L(model, b) - ref).max() \
+            <= 1e-13 * np.abs(ref).max()
+
+
 def test_assemble_L_is_mehler_derivative():
     # (P(h) - I)/h -> L as h -> 0, on each bundled model
     for model in (CLASSICAL, JORDAN, OSCILLATOR):
@@ -298,6 +331,24 @@ def test_chaos_rejects_degenerate():
     b = poly_basis(2, 2)
     with pytest.raises(DegenerateMeasure):
         chaos_decomposition(DEGENERATE, b)
+
+
+def test_chaos_rejects_eigenvalue_at_rank_threshold(monkeypatch):
+    # an eigenvalue exactly at rank_tol * max is cut by the relative rank
+    # cut, so the measure is degenerate; the next float above it is kept
+    model = validate(-np.eye(2), np.eye(2), name="threshold")
+    rank_tol = model.tol.rank_tol
+    b = poly_basis(2, 2)
+    for tiny, degenerate in ((rank_tol, True),
+                             (np.nextafter(rank_tol, 1.0), False)):
+        Qi = np.diag([1.0, tiny])
+        assert np.array_equal(np.linalg.eigvalsh(Qi), [tiny, 1.0])
+        monkeypatch.setattr(ou_operator, "gramian_inf", lambda m: Qi)
+        if degenerate:
+            with pytest.raises(DegenerateMeasure):
+                chaos_decomposition(model, b)
+        else:
+            assert chaos_decomposition(model, b).factor.rank == 2
 
 
 def test_gram_is_moment_matrix():

@@ -25,13 +25,14 @@ from ou_spectra.errors import InputError, NotContraction, SizeCap
 from ou_spectra.spectra import SpectrumSet, eig, hausdorff, product_set
 from ou_spectra.tensor_fock import (
     FockTruncation,
+    _substitution_tables,
     annihilation,
     creation,
+    derivation_block,
     dgamma,
     embedding,
     multi_indices,
     second_quantization,
-    sym_basis,
     sym_dim,
     sym_power,
     tensor_power,
@@ -80,10 +81,18 @@ def test_sym_dim_binomial():
             assert len(multi_indices(d, n)) == sym_dim(d, n)
 
 
-def test_sym_basis_positions():
-    b = sym_basis(2, 3)
-    for i, alpha in enumerate(multi_indices(2, 3)):
-        assert b.position(alpha) == i
+def test_substitution_tables_up_invariant():
+    # the invariant every graded operator rests on: up[b, j] is the
+    # position of beta_b + e_j, with beta the multi-indices of level n - 1
+    for d, n in [(1, 1), (1, 4), (2, 1), (2, 3), (3, 4), (4, 3)]:
+        *_, up, beta = _substitution_tables(d, n)
+        assert beta.tolist() == [list(b) for b in multi_indices(d, n - 1)]
+        level = np.array(multi_indices(d, n))
+        assert up.shape == (sym_dim(d, n - 1), d)
+        for b in range(len(beta)):
+            for j in range(d):
+                assert np.array_equal(level[up[b, j]],
+                                      beta[b] + np.eye(d, dtype=int)[j])
 
 
 def test_embedding_hand_oracle():
@@ -186,6 +195,35 @@ def test_creation_hand_oracle():
     assert_allclose(creation(h, 0), h.reshape(2, 1), atol=0)
 
 
+def test_creation_integer_vector():
+    # the square-root weights are not truncated to the integer dtype of h
+    assert_allclose(creation(np.array([1, 2]), 1), CREATION_1_HAND(1, 2),
+                    atol=1e-15)
+
+
+def _creation_loop(h, n):
+    # reference: one dictionary lookup per occupation vector and slot
+    d = len(h)
+    pos = {beta: i for i, beta in enumerate(multi_indices(d, n + 1))}
+    C = np.zeros((len(pos), sym_dim(d, n)), dtype=h.dtype)
+    for col, alpha in enumerate(multi_indices(d, n)):
+        for i in range(d):
+            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            C[pos[beta], col] += h[i] * np.sqrt(alpha[i] + 1.0)
+    return C
+
+
+def test_creation_matches_loop_reference():
+    # the indexed assignment does the same arithmetic as the loop
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 4):
+        h = rng.standard_normal(d)
+        h[0] = 0.0
+        for hh in (h, h + 1j * rng.standard_normal(d)):
+            for n in range(5):
+                assert np.array_equal(creation(hh, n), _creation_loop(hh, n))
+
+
 def test_annihilation_is_exact_adjoint():
     rng = np.random.default_rng(8)
     for d in (2, 3):
@@ -252,6 +290,21 @@ def test_dgamma_is_derivative_of_sym_power():
         h = 1e-6
         fd = (sym_power(expm(h * M), n) - np.eye(sym_dim(2, n))) / h
         assert_allclose(fd, want, atol=1e-4)
+
+
+def test_derivation_block_matches_kronecker_dgamma():
+    # the scatter kernel against the independent route
+    # dgamma(M, n) = D_n derivation_block(M', n) D_n^-1, D_n = diag sqrt(a!)
+    rng = np.random.default_rng(11)
+    cases = [(2, n) for n in range(5)] + [(3, 3), (4, 3)]
+    for d, n in cases:
+        D = np.sqrt([math.prod(math.factorial(a) for a in alpha)
+                     for alpha in multi_indices(d, n)])
+        for M in (rng.standard_normal((d, d)),
+                  rng.standard_normal((d, d))
+                  + 1j * rng.standard_normal((d, d))):
+            got = D[:, None] * derivation_block(M.T, n) / D[None, :]
+            assert_allclose(got, dgamma(M, n), atol=1e-12)
 
 
 def test_dgamma_spectrum_is_eigenvalue_sums():
