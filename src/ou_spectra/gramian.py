@@ -22,7 +22,8 @@ by ``norm^2 = 1 - 1/K(t)``.
 Numerical choices: ``Q_t`` comes from one block matrix exponential (exact up
 to expm accuracy, no quadrature grid), ``Q_inf`` from the Schur-based
 Bartels-Stewart solver, O(d^3), computed at most once per model and cached
-on it, and all rank decisions use one relative threshold from
+on it, the controllability rank from the orthogonal staircase, O(d^3) per
+step, and all rank decisions use one relative threshold from
 :class:`~ou_spectra.config.Tolerances`.
 """
 
@@ -53,7 +54,7 @@ __all__ = [
     "OUModel", "validate", "spectral_abscissa", "is_stable", "flow",
     "gramian_t", "gramian_inf", "RKHSFactor", "rkhs_factor", "smu_matrix",
     "smu_norm", "quadratic_form_ratio_sup", "contractivity_constant",
-    "psd_sqrt", "rank_psd", "controllability_matrix", "controllability_rank",
+    "psd_sqrt", "rank_psd", "controllability_rank",
     "strong_feller_check", "GramianReport", "gramian_report",
     "InvertibilityReport", "invertibility_equivalence_report",
 ]
@@ -65,13 +66,32 @@ def _readonly(a):
     return a
 
 
+def _cut(values, rank_tol):
+    """The rank cut of a set of values: ``rank_tol`` times the largest, or
+    zero when the largest is not positive."""
+    return rank_tol * float(np.max(values, initial=0.0))
+
+
 def _rank_cut(values, rank_tol):
     """Mask of the values strictly above ``rank_tol`` times the largest;
     nothing is kept when the largest is not positive."""
-    vmax = float(np.max(values, initial=0.0))
-    if vmax <= 0:
-        return np.zeros(values.shape, bool)
-    return values > rank_tol * vmax
+    return values > _cut(values, rank_tol)
+
+
+def _rank_gap(steps):
+    """The closest calls of a series of ``(values, cut)`` rank decisions:
+    the smallest kept and the largest dropped value, each with its cut,
+    ranked by value over cut."""
+    pairs = [(float(v), float(cut)) for values, cut in steps for v in values]
+
+    def ratio(pair):
+        return pair[0] / pair[1] if pair[1] > 0 else pair[0]
+
+    kept = min((p for p in pairs if p[0] > p[1]), key=ratio, default=None)
+    dropped = max((p for p in pairs if p[0] <= p[1]), key=ratio, default=None)
+    return "smallest kept %s, largest dropped %s" % tuple(
+        "none" if p is None else "%.3g (cut %.3g)" % p
+        for p in (kept, dropped))
 
 
 @dataclass(frozen=True)
@@ -399,44 +419,86 @@ def rank_psd(M, rank_tol=DEFAULT.rank_tol):
     return int(_rank_cut(lam, rank_tol).sum())
 
 
-def controllability_matrix(A, B):
-    """Kalman block row ``[B, AB, ..., A^(d-1) B]``."""
+def _staircase(A, Q, rank_tol):
+    """Rank decisions of the orthogonal controllability staircase.
+
+    The pair is ``(A, B)`` with ``B`` the rank-cut spectral factor of Q
+    scaled to unit Frobenius norm (Varga 1981; Van Dooren 1981).  Returns
+    one ``(values, cut)`` pair per step; the controllability rank is the
+    number of values strictly above their cut.
+
+    The first step is the eigendecomposition of Q: it keeps the eigenvalues
+    above ``rank_tol`` times the largest, the decision of :func:`rank_psd`
+    and :func:`rkhs_factor`, and rotates A into that eigenbasis, kept
+    directions first.  Each later step takes the SVD of the block ``A21``
+    that maps the directions reached so far into the rest, keeps its
+    singular values above ``rank_tol * ||[B, A]||_F`` (a scale that does
+    not change under ``Q -> cQ``), and rotates the trailing block so that
+    the newly reached directions come first.  The recursion ends when a
+    step keeps nothing or the whole space is reached: O(d^3) per step and
+    no ``d x d^2`` Kalman matrix, whose columns ``A^k B`` grow or shrink
+    geometrically and drown the rank in roundoff.
+
+    The first ``A21`` block is weighted by ``B``: it is the part of ``AB``
+    outside ``range(B)``.  The eigenvector of a kept eigenvalue ``lam`` is
+    known only to about ``eps * lam_max / lam``; unweighted, that error
+    passes the cut when ``lam`` is small and leads the recursion into
+    directions that Q does not drive.
+    """
     A = np.asarray(A, dtype=float)
-    blocks = [np.asarray(B, dtype=float)]
-    for _ in range(A.shape[0] - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
+    S = np.asarray(Q, dtype=float)
+    lam, U = np.linalg.eigh(0.5 * (S + S.T))
+    lam, U = lam[::-1], U[:, ::-1]
+    steps = [(lam, _cut(lam, rank_tol))]
+    r = int(_rank_cut(lam, rank_tol).sum())
+    cut = rank_tol * math.hypot(1.0, float(np.linalg.norm(A)))
+    T = U.T @ A @ U
+    block = T[r:, :r] * np.sqrt(lam[:r] / lam[:r].sum())
+    while 0 < r < len(T):
+        V, s, _ = np.linalg.svd(block)
+        steps.append((s, cut))
+        T, r = V.T @ T[r:, r:] @ V, int((s > cut).sum())
+        block = T[r:, :r]
+    return steps
 
 
 def controllability_rank(A, Q, rank_tol=DEFAULT.rank_tol):
-    """Rank of the Kalman matrix built from the PSD square root of Q."""
-    C = controllability_matrix(A, psd_sqrt(Q))
-    s = np.linalg.svd(C, compute_uv=False)
-    return int(_rank_cut(s, rank_tol).sum())
+    """Rank of the controllable pair ``(A, Q^(1/2))``, the dimension of the
+    span of ``B, AB, ..., A^(d-1) B``, from the orthogonal staircase
+    (see :func:`_staircase`)."""
+    return sum(int((values > cut).sum())
+               for values, cut in _staircase(A, Q, rank_tol))
 
 
 def strong_feller_check(model, t):
     """Whether the transition kernel at time t has a density (full-rank Q_t).
 
     Two independent criteria are evaluated: the eigenvalue rank of the
-    computed ``Q_t``, and the rank of the Kalman controllability matrix of
-    ``(A, Q^(1/2))``, which equals ``rank(Q_t)`` for every ``t > 0``.
+    computed ``Q_t``, and the controllability rank of ``(A, Q^(1/2))``,
+    which equals ``rank(Q_t)`` for every ``t > 0``.
 
     Raises
     ------
     CriteriaDisagree
         If the two ranks differ: one of the computations cannot be
         trusted, and guessing would silently corrupt downstream results.
+        The message names, for each criterion, the smallest kept and the
+        largest dropped value, each against its cut.
     """
     t = float(t)
     if t <= 0:
         raise InputError("strong_feller_check needs t > 0, got %g" % t)
-    r_gram = rank_psd(gramian_t(model, t), model.tol.rank_tol)
+    Qt = gramian_t(model, t)
+    r_gram = rank_psd(Qt, model.tol.rank_tol)
     r_kalman = controllability_rank(model.A, model.Q, model.tol.rank_tol)
     if r_gram != r_kalman:
+        lam = np.linalg.eigvalsh(Qt)
         raise CriteriaDisagree(
-            "rank(Q_t) = %d but the controllability rank is %d at t=%g"
-            % (r_gram, r_kalman, t))
+            "rank(Q_t) = %d but the controllability rank is %d at t=%g; "
+            "Q_t eigenvalues: %s; staircase: %s"
+            % (r_gram, r_kalman, t,
+               _rank_gap([(lam, _cut(lam, model.tol.rank_tol))]),
+               _rank_gap(_staircase(model.A, model.Q, model.tol.rank_tol))))
     return r_gram == model.dim
 
 

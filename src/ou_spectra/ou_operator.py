@@ -297,6 +297,9 @@ class ChaosDecomposition:
         whitened coordinates from `factor`.  Its degree-n columns span the
         n-th layer and match the occupation-number indexing of symmetric
         tensor powers, which is what level-by-level transports need.
+    occupation_hermite_inv : ndarray
+        ``Phi^-1``, formed once here and shared with every transport back
+        to monomial coordinates.
     projections : tuple of ndarray
         ``projections[n]`` projects onto the degree-n layer, in monomial
         coordinates: ``Phi[:, n-block] Phi^-1[n-block, :]``.
@@ -306,6 +309,7 @@ class ChaosDecomposition:
     Q_inf: np.ndarray
     factor: object
     occupation_hermite: np.ndarray
+    occupation_hermite_inv: np.ndarray
     projections: tuple
 
     def project(self, n, f):
@@ -365,6 +369,7 @@ def chaos_decomposition(model, basis):
         Q_inf=Qi,
         factor=factor,
         occupation_hermite=Phi,
+        occupation_hermite_inv=Phi_inv,
         projections=tuple(projections),
     )
 
@@ -422,8 +427,7 @@ def verify_second_quantization(model, t, N, tol=1e-8):
     B = smu_matrix(model, chaos.factor, t)
     blocks = [sym_power(B.T, n) for n in range(N + 1)]
     lift = scipy.linalg.block_diag(*blocks)
-    Phi = chaos.occupation_hermite
-    P_lift = Phi @ lift @ np.linalg.solve(Phi, np.eye(basis.dim))
+    P_lift = chaos.occupation_hermite @ lift @ chaos.occupation_hermite_inv
     r_ab = float(np.abs(P_gen - P_meh).max())
     r_ac = float(np.abs(P_gen - P_lift).max())
     r_bc = float(np.abs(P_meh - P_lift).max())

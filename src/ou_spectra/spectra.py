@@ -41,15 +41,22 @@ def _as_complex_array(points):
 def _single_linkage_merge(pts, radius):
     """Merge points at mutual distance <= radius (single linkage).
 
-    Returns one centroid per cluster.  Points are swept in order of real
-    part, so only pairs whose real parts differ by at most the radius are
-    compared; this is exact because |z - w| >= |Re z - Re w|.
+    Returns one centroid per cluster, clusters in the order of their
+    leftmost point.  Points are sorted by real part, so only pairs whose
+    real parts differ by at most the radius are compared; this is exact
+    because |z - w| >= |Re z - Re w|.  The pairs ``(i, i - k)`` are tested
+    in numpy one offset ``k`` at a time, a row leaving as soon as its real
+    parts differ by more than the radius (they only grow with ``k``), so
+    memory stays O(n); only the pairs that pass are joined.  A singleton
+    comes out as ``0j + z``, which is what ``np.mean`` of one point gives
+    (it turns a signed zero into +0).
     """
     n = len(pts)
     if n <= 1:
         return pts.copy()
     order = np.argsort(pts.real, kind="stable")
     spts = pts[order]
+    re = spts.real
     parent = list(range(n))
 
     def find(i):
@@ -60,20 +67,23 @@ def _single_linkage_merge(pts, radius):
             parent[i], i = root, parent[i]
         return root
 
-    lo = 0
-    for i in range(n):
-        while spts[i].real - spts[lo].real > radius:
-            lo += 1
-        for j in range(lo, i):
-            if abs(spts[i] - spts[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(spts[i])
-    return np.array([np.mean(members) for members in clusters.values()],
-                    dtype=complex)
+    i, k = np.arange(1, n), 1
+    while i.size:
+        i = i[re[i] - re[i - k] <= radius]
+        j = i - k
+        hit = np.abs(spts[i] - spts[j]) <= radius
+        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                # the smaller index is the root: a root is its leftmost point
+                parent[max(ra, rb)] = min(ra, rb)
+        k += 1
+        i = i[i >= k]
+    root = np.array([find(k) for k in range(n)])
+    out = 0j + spts
+    for r in np.flatnonzero(np.bincount(root, minlength=n) > 1):
+        out[r] = np.mean(spts[root == r])
+    return out[root == np.arange(n)]
 
 
 class SpectrumSet:

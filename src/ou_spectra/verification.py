@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from . import gramian as _gr
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .gramian import (
     OUModel,
-    controllability_rank,
     flow,
     gramian_t,
     invertibility_equivalence_report,
@@ -137,6 +135,10 @@ def _q_inf(model):
 
 
 def _quadrature_gramian(model, t):
+    # Imported here: scipy.integrate pulls in scipy.optimize, sparse,
+    # spatial and special, which no other command needs at start-up.
+    import scipy.integrate
+
     def integrand(s):
         E = scipy.linalg.expm(s * model.A)
         return E @ model.Q @ E.T

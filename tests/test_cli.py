@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,49 @@ def test_analyze_solves_lyapunov_once(tmp_path, monkeypatch):
                      "--t-grid", "0.1:5.0:0.1", "--out", out]) == 0
     assert json.loads(open(out).read())["t_grid"]["count"] == 50
     assert calls == [(2, 2)]
+
+
+def test_analyze_one_point_at_d128(tmp_path):
+    from ou_spectra.verification import random_stable_model
+    model = random_stable_model(np.random.default_rng(128), d=128,
+                                kind="complex")
+    path = _write(tmp_path / "big.json", {
+        "A": model.A.tolist(), "Q": model.Q.tolist(), "name": "big"})
+    out = str(tmp_path / "big_report.json")
+    assert cli.main(["analyze", path, "--t-grid", "1.0:1.0:1.0",
+                     "--out", out]) == 0
+    report = json.loads(open(out).read())
+    assert report["gramian"]["strong_feller"] is True
+    assert report["rkhs_rank"] == 128
+
+
+def test_exit_2_names_rank_gap(tmp_path, capsys):
+    # single-input chain on 8 of 16 coordinates: Q_t at t = 1 resolves
+    # only 5 of the 8 reachable directions
+    A = -2.0 * np.eye(16)
+    A[:8, :8] = -np.eye(8) + np.eye(8, k=-1)
+    Q = np.zeros((16, 16))
+    Q[0, 0] = 1.0
+    path = _write(tmp_path / "chain.json", {"A": A.tolist(), "Q": Q.tolist()})
+    assert cli.main(["analyze", path, "--t-grid", "1.0:1.0:1.0",
+                     "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert "controllability rank is 8" in err
+    assert err.count("largest dropped") == 2
+
+
+def test_import_leaves_quadrature_modules_unloaded():
+    # scipy.integrate (and the scipy.optimize it pulls in) is only needed
+    # by the quadrature oracle of verify, not at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, ou_spectra.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_analyze_deterministic_output(tmp_path):

@@ -17,6 +17,7 @@ Bartels-Stewart route used by gramian_inf.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,6 @@ from ou_spectra.errors import (
 from ou_spectra.gramian import (
     OUModel,
     contractivity_constant,
-    controllability_matrix,
     controllability_rank,
     flow,
     gramian_inf,
@@ -370,15 +370,28 @@ def test_contractivity_requires_positive_t():
 # strong Feller / rank diagnostics
 # ---------------------------------------------------------------------------
 
+# Stays as the oracle for the controllability staircase: the rank of the
+# Kalman block row [B, AB, ..., A^(d-1) B] by one SVD.  Its columns grow or
+# shrink like powers of A, so it is only trustworthy at small d.
+def controllability_matrix(A, B):
+    """Kalman block row ``[B, AB, ..., A^(d-1) B]``."""
+    A = np.asarray(A, dtype=float)
+    blocks = [np.asarray(B, dtype=float)]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
 @pytest.mark.parametrize("rank_tol", [0.25, 2.0**-30])
 def test_rank_cut_drops_value_at_threshold(rank_tol):
-    # A value exactly at rank_tol * max is dropped by all four cuts, and
+    # A value exactly at rank_tol * max is dropped by all five cuts, and
     # the next float above it is kept: the comparison is strict.
     for tiny, want in ((rank_tol, 1), (np.nextafter(rank_tol, 1.0), 2)):
         Q = np.diag([1.0, tiny])
         assert np.array_equal(np.linalg.eigvalsh(Q), [tiny, 1.0])
         assert rkhs_factor(Q, rank_tol).rank == want
         assert rank_psd(Q, rank_tol) == want
+        assert controllability_rank(np.zeros((2, 2)), Q, rank_tol) == want
         # mass off the kept range makes the supremum infinite
         ratio = quadratic_form_ratio_sup(np.eye(2), Q, rank_tol)
         assert (ratio == math.inf) == (want == 1)
@@ -408,6 +421,152 @@ def test_strong_feller_disagreement_raises(monkeypatch):
     monkeypatch.setattr(gr, "controllability_rank", lambda *a, **k: 0)
     with pytest.raises(CriteriaDisagree):
         strong_feller_check(OSCILLATOR, 1.0)
+
+
+def _chain(d, c):
+    """-1 on the diagonal and +1 on the subdiagonal of the first c
+    coordinates, -2 elsewhere: e_1 reaches exactly the first c."""
+    A = -2.0 * np.eye(d)
+    for i in range(c):
+        A[i, i] = -1.0
+        if i:
+            A[i, i - 1] = 1.0
+    return A
+
+
+def _kalman_oracle_rank(A, Q, rank_tol=1e-10):
+    B = rkhs_factor(Q, rank_tol).factor
+    s = np.linalg.svd(controllability_matrix(A, B), compute_uv=False)
+    return int((s > rank_tol * s.max(initial=0.0)).sum())
+
+
+def _block_uncontrollable(rng, kind, Q11, d):
+    """(A, Q): A block upper triangular with a leading block the size of
+    Q11, Q driving only that block, both in a random orthogonal basis, so
+    the controllable subspace has the dimension of Q11 when Q11 reaches
+    all of its block."""
+    k = len(Q11)
+    A = np.zeros((d, d))
+    A[:k, :k] = random_stable_model(rng, d=k, kind=kind).A
+    A[k:, k:] = random_stable_model(rng, d=d - k, kind=kind).A
+    A[:k, k:] = rng.standard_normal((k, d - k))
+    Q = np.zeros((d, d))
+    Q[:k, :k] = Q11
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return V @ A @ V.T, V @ Q @ V.T
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "defective"])
+def test_staircase_matches_kalman_oracle_small_d(kind):
+    # the Kalman SVD of the rank-cut factor agrees, and Q -> cQ changes
+    # nothing
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for d in range(1, 7):
+            A = random_stable_model(rng, d=d, kind=kind).A
+            for k in range(1, d + 1):
+                G = rng.standard_normal((d, k))
+                Q = G @ G.T
+                r = controllability_rank(A, Q)
+                assert r == _kalman_oracle_rank(A, Q)
+                for c in (1e-6, 1e6):
+                    assert controllability_rank(A, c * Q) == r
+
+
+@pytest.mark.parametrize("d", [5, 6, 16, 32])
+def test_staircase_single_input_defective_chain(d):
+    # A lower bidiagonal Jordan block with a nonzero subdiagonal is reached
+    # from any input with a nonzero first entry.  The Kalman SVD drops a
+    # direction on some of these already at d = 5, which is why it is only
+    # an oracle at small d.
+    rng = np.random.default_rng(d)
+    A = random_stable_model(rng, d=d, kind="defective").A
+    v = rng.standard_normal(d)
+    assert controllability_rank(A, np.outer(v, v)) == d
+
+
+@pytest.mark.parametrize("d", [4, 8, 16, 32])
+def test_staircase_block_uncontrollable_known_rank(d):
+    for k in sorted({1, d // 4, d // 2, d - 1}):
+        for kind in ("real", "complex", "defective"):
+            rng = np.random.default_rng([d, k])
+            Q11 = random_stable_model(rng, d=k).Q
+            A, Q = _block_uncontrollable(rng, kind, Q11, d)
+            assert controllability_rank(A, Q) == k
+            for c in (1e-6, 1e6):
+                assert controllability_rank(A, c * Q) == k
+            if k <= 4:
+                v = rng.standard_normal(k)
+                A, Q = _block_uncontrollable(rng, kind, np.outer(v, v), d)
+                assert controllability_rank(A, Q) == k
+    # the single-input chain, in place and in a random orthogonal basis
+    V, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    A = _chain(d, d // 2)
+    Q = np.zeros((d, d))
+    Q[0, 0] = 1.0
+    assert controllability_rank(A, Q) == d // 2
+    assert controllability_rank(V @ A @ V.T, V @ Q @ V.T) == d // 2
+
+
+@pytest.mark.parametrize("d", [16, 32])
+def test_staircase_weak_kept_directions_do_not_leak(d):
+    # Q drives half the space with eigenvalues graded down to 1e-7 of the
+    # largest.  The eigenvector of a kept eigenvalue lam is known only to
+    # about eps * lam_max / lam, so an unweighted first A21 block lets that
+    # roundoff pass the cut and climb into the undriven block; weighted by
+    # the factor it stays below.  The limit moves, it does not vanish: at
+    # 1e-8 about half of such models still over-count.
+    k = d // 2
+    for kind in ("real", "complex", "defective"):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, d])
+            W, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            Q11 = (W * np.logspace(0, -7, k)) @ W.T
+            A, Q = _block_uncontrollable(rng, kind, Q11, d)
+            assert controllability_rank(A, Q) == k
+
+
+def test_staircase_later_cut_scales_with_the_pair():
+    # e_1 drives e_2 through A[1, 0] = c, and the second step keeps c only
+    # above rank_tol * ||[B, A]||_F = 0.25 * hypot(1, c), i.e. c > 0.258,
+    # whatever the size of Q
+    for c, want in ((0.22, 1), (0.3, 2)):
+        A = np.array([[0.0, 0.0], [c, 0.0]])
+        for q in (1e-6, 1.0, 1e6):
+            assert controllability_rank(A, np.diag([q, 0.0]), 0.25) == want
+
+
+@pytest.mark.parametrize("d", [48, 64, 128])
+def test_staircase_full_rank_at_large_d(d):
+    rng = np.random.default_rng(d)
+    for kind in ("real", "complex", "defective"):
+        m = random_stable_model(rng, d=d, kind=kind)
+        assert controllability_rank(m.A, m.Q) == d
+
+
+def test_criteria_disagree_names_rank_gap():
+    # The Gramian of a single-input chain decays geometrically: Q_t keeps
+    # only 5 of the 8 reachable directions at t = 1, both Kalman routes
+    # keep 8, and the message says where each cut fell.
+    d = 16
+    A = _chain(d, 8)
+    Q = np.zeros((d, d))
+    Q[0, 0] = 1.0
+    assert _kalman_oracle_rank(A, Q) == controllability_rank(A, Q) == 8
+    with pytest.raises(CriteriaDisagree) as info:
+        strong_feller_check(validate(A, Q), 1.0)
+    msg = str(info.value)
+    assert "rank(Q_t) = 5 but the controllability rank is 8" in msg
+    num = r"([-+0-9.e]+)"
+    gaps = re.findall(r"smallest kept %s \(cut %s\), largest dropped %s "
+                      r"\(cut %s\)" % (num, num, num, num), msg)
+    assert len(gaps) == 2
+    (kept, kcut, dropped, dcut), stair = [[float(x) for x in g]
+                                          for g in gaps]
+    assert kept > kcut == dcut > dropped
+    assert_allclose([kept, dropped, kcut], [1.5e-8, 3.7e-11, 4.9e-11],
+                    rtol=0.05)
+    assert stair[0] > stair[1] and stair[2] <= stair[3]
 
 
 def test_gramian_report_branches():

@@ -323,6 +323,8 @@ def test_chaos_layers_mu_orthogonal():
     G = moment_gram(b, chaos.Q_inf)
     O = chaos.occupation_hermite
     assert_allclose(O.T @ G @ O, np.eye(b.dim), atol=1e-10)
+    # so the stored inverse is the G-adjoint of the family
+    assert_allclose(chaos.occupation_hermite_inv, O.T @ G, atol=1e-10)
     for P in chaos.projections:
         assert_allclose(G @ P, P.T @ G, atol=1e-10)
 

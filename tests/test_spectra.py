@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ou_spectra import spectra
 from ou_spectra.errors import EmptySet, EnumCap, InputError, NonStableInput
 from ou_spectra.spectra import (
     LatticeWindow,
@@ -40,6 +41,64 @@ def test_clustering_merges_close_points():
     s = SpectrumSet(CLUSTER_IN, cluster_radius=1e-7)
     assert_allclose(sorted(s.points.real), CLUSTER_OUT, atol=1e-8)
     assert len(s) == 2
+
+
+def _single_linkage_loop(pts, radius):
+    """The pairwise sweep that the numpy merge replaced, kept as its
+    reference: same pair tests, same union order, same centroids."""
+    n = len(pts)
+    if n <= 1:
+        return pts.copy()
+    order = np.argsort(pts.real, kind="stable")
+    spts = pts[order]
+    parent = list(range(n))
+
+    def find(i):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    lo = 0
+    for i in range(n):
+        while spts[i].real - spts[lo].real > radius:
+            lo += 1
+        for j in range(lo, i):
+            if abs(spts[i] - spts[j]) <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(spts[i])
+    return np.array([np.mean(members) for members in clusters.values()],
+                    dtype=complex)
+
+
+def test_single_linkage_matches_loop_reference():
+    rng = np.random.default_rng(0)
+    cases = [np.array([-0.0 - 0.0j, 0.0 + 0.0j, -0.0 + 1.0j, 1.0 - 0.0j]),
+             np.array([2.0 + 0.0j]), np.array([], dtype=complex)]
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        centers = rng.standard_normal(int(rng.integers(1, 8))) \
+            + 1j * rng.standard_normal(1)
+        pts = rng.choice(centers, n) + 1e-8 * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        # exact repeats, conjugates, signed zeros and chains of near points
+        pts[: n // 4] = pts[n // 4: 2 * (n // 4)]
+        pts[-2:] = np.conj(pts[:2])
+        pts[::7] = complex(-0.0, -0.0)
+        pts[3::11] = complex(rng.standard_normal(), -0.0)
+        pts[1::9] = 0.6e-7 * np.arange(len(pts[1::9]))
+        cases.append(pts)
+    for pts in cases:
+        for radius in (0.0, 1e-7, 1e-8, 0.5):
+            got = spectra._single_linkage_merge(pts, radius)
+            want = _single_linkage_loop(pts, radius)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_points_sorted_and_read_only():
