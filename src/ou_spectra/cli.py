@@ -10,14 +10,19 @@ Exit codes: 0 success, 1 input or validation error, 2 numerical hypothesis
 failure (unstable drift, eigensolver breakdown, degenerate measure where a
 nondegenerate one is required), 3 invariant or match failure.  Human
 summaries go to stdout, machine reports to JSON/CSV files written
-atomically (temp file, then rename).  The environment variable
-``OU_SPECTRA_TOL_PROFILE`` (strict | default | loose) selects the
-tolerance preset; a model file may override individual fields.
+atomically (temp file, then rename).  A report section that holds a
+result object (``GramianReport``, ``InvertibilityReport``,
+``SpectrumSet``, ``MatchReport``, ``CheckResult``) is that result's
+dataclass fields, by name, encoded by :func:`_to_jsonable`.  The
+environment variable ``OU_SPECTRA_TOL_PROFILE`` (strict | default |
+loose) selects the tolerance preset; a model file may override individual
+fields.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -153,7 +158,14 @@ def parse_t_grid(text):
 
 def _to_jsonable(obj):
     """Recursively convert to JSON-safe values; non-finite floats become
-    string sentinels so every numeric entry in a report is finite."""
+    string sentinels so every numeric entry in a report is finite.
+
+    This is the one writer of the report format: a result dataclass
+    instance encodes as its fields by name, each converted by the same
+    rules."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -253,11 +265,11 @@ def cmd_analyze(args):
         "model": {"name": model.name, "A": model.A, "Q": model.Q},
         "t_grid": {"start": float(grid[0]), "stop": float(grid[-1]),
                    "count": len(grid)},
-        "gramian": gram.to_dict(),
+        "gramian": gram,
         "rkhs_rank": factor.rank,
         "lyapunov_residual": lyap,
         "splitting_residual_t1": split,
-        "invertibility": invertibility_equivalence_report(model).to_dict(),
+        "invertibility": invertibility_equivalence_report(model),
         "curve_csv": csv_path,
         "curve_first": {"t": rows[0][0], "smu_norm": rows[0][1],
                         "K": rows[0][2]},
@@ -314,9 +326,9 @@ def cmd_spectrum(args):
         "model": {"name": model.name, "A": model.A, "Q": model.Q},
         "degree": N,
         "window": {"re_min": re_min, "im_max": im_max, "max_terms": N},
-        "predicted": predicted.to_json_dict(),
-        "computed": computed.to_json_dict(),
-        "match": match.to_dict(),
+        "predicted": predicted,
+        "computed": computed,
+        "match": match,
         "predicted_csv": pred_csv,
         "computed_csv": comp_csv,
         "passed": match.passed,
@@ -401,9 +413,9 @@ def cmd_fock(args):
         "T": T,
         "levels": N,
         "operator_norm": float(np.linalg.norm(T, 2)),
-        "sym_spectrum": sym_spec.to_json_dict(),
-        "tensor_spectrum": full_spec.to_json_dict(),
-        "predicted": predicted.to_json_dict(),
+        "sym_spectrum": sym_spec,
+        "tensor_spectrum": full_spec,
+        "predicted": predicted,
         "hausdorff": distances,
     }
     write_json_report(out_path, report)

@@ -488,7 +488,13 @@ def strong_feller_check(model, t):
     t = float(t)
     if t <= 0:
         raise InputError("strong_feller_check needs t > 0, got %g" % t)
-    Qt = gramian_t(model, t)
+    return _checked_rank(model, gramian_t(model, t), t) == model.dim
+
+
+def _checked_rank(model, Qt, t):
+    """``rank(Q_t)`` of the Gramian ``Qt`` at horizon ``t > 0``, after
+    checking it against the controllability rank (see
+    :func:`strong_feller_check`, which documents the raise)."""
     r_gram = rank_psd(Qt, model.tol.rank_tol)
     r_kalman = controllability_rank(model.A, model.Q, model.tol.rank_tol)
     if r_gram != r_kalman:
@@ -499,7 +505,7 @@ def strong_feller_check(model, t):
             % (r_gram, r_kalman, t,
                _rank_gap([(lam, _cut(lam, model.tol.rank_tol))]),
                _rank_gap(_staircase(model.A, model.Q, model.tol.rank_tol))))
-    return r_gram == model.dim
+    return r_gram
 
 
 @dataclass(frozen=True)
@@ -516,19 +522,6 @@ class GramianReport:
     rank_Q_inf: int | None
     q_inf_invertible: bool
 
-    def to_dict(self):
-        return {
-            "t": self.t,
-            "spectral_abscissa": self.spectral_abscissa,
-            "stable": self.stable,
-            "Q_t": self.Q_t.tolist(),
-            "rank_Q_t": self.rank_Q_t,
-            "strong_feller": self.strong_feller,
-            "Q_inf": None if self.Q_inf is None else self.Q_inf.tolist(),
-            "rank_Q_inf": self.rank_Q_inf,
-            "q_inf_invertible": self.q_inf_invertible,
-        }
-
 
 def gramian_report(model, t):
     """Gramian facts at horizon t: ranks, stability, smoothing.
@@ -543,8 +536,11 @@ def gramian_report(model, t):
     alpha = spectral_abscissa(model.A)
     stable = alpha < -model.tol.stab_tol
     Qt = gramian_t(model, t)
-    rank_t = rank_psd(Qt, model.tol.rank_tol)
-    feller = strong_feller_check(model, t) if t > 0 else False
+    if t > 0:
+        rank_t = _checked_rank(model, Qt, t)
+        feller = rank_t == model.dim
+    else:
+        rank_t, feller = rank_psd(Qt, model.tol.rank_tol), False
     if stable:
         Qi = gramian_inf(model)
         rank_i = rank_psd(Qi, model.tol.rank_tol)
@@ -574,16 +570,6 @@ class InvertibilityReport:
     q_t_invertible: dict
     equivalent: bool | None
     note: str
-
-    def to_dict(self):
-        return {
-            "stable": self.stable,
-            "q_inf_invertible": self.q_inf_invertible,
-            "q_t_invertible": {repr(k): v for k, v in
-                               self.q_t_invertible.items()},
-            "equivalent": self.equivalent,
-            "note": self.note,
-        }
 
 
 def invertibility_equivalence_report(model, t_grid=(0.1, 1.0, 5.0)):

@@ -266,8 +266,6 @@ def mehler_matrix(model, t, basis):
     t = float(t)
     if t < 0:
         raise InputError("mehler_matrix needs t >= 0, got %g" % t)
-    if t == 0.0:
-        return np.eye(basis.dim)
     if basis.d != model.dim:
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
@@ -392,18 +390,6 @@ class SecondQuantizationReport:
     max_residual: float
     passed: bool
 
-    def to_dict(self):
-        return {
-            "t": self.t,
-            "N": self.N,
-            "tol": self.tol,
-            "residual_generator_vs_mehler": self.residual_generator_vs_mehler,
-            "residual_generator_vs_lift": self.residual_generator_vs_lift,
-            "residual_mehler_vs_lift": self.residual_mehler_vs_lift,
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-        }
-
 
 def verify_second_quantization(model, t, N, tol=1e-8):
     """Compute the transition matrix three ways and compare.
@@ -459,19 +445,6 @@ class PathStats:
     dt: float
     effective_t: float
     seed: int
-
-    def to_dict(self):
-        return {
-            "mean": self.mean.tolist(),
-            "cov": self.cov.tolist(),
-            "stderr_mean": self.stderr_mean.tolist(),
-            "stderr_cov": self.stderr_cov.tolist(),
-            "n_paths": self.n_paths,
-            "steps": self.steps,
-            "dt": self.dt,
-            "effective_t": self.effective_t,
-            "seed": self.seed,
-        }
 
 
 def simulate_paths(model, x0, t, dt, n_paths, seed):

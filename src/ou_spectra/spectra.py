@@ -17,7 +17,6 @@ points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from collections import deque
@@ -86,6 +85,7 @@ def _single_linkage_merge(pts, radius):
     return out[root == np.arange(n)]
 
 
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class SpectrumSet:
     """A finite set of complex spectrum points with a clustering radius.
 
@@ -95,7 +95,8 @@ class SpectrumSet:
     read-only.
     """
 
-    __slots__ = ("points", "cluster_radius")
+    points: np.ndarray
+    cluster_radius: float
 
     def __init__(self, points, cluster_radius=DEFAULT_CLUSTER_RADIUS):
         if cluster_radius < 0:
@@ -109,9 +110,6 @@ class SpectrumSet:
         merged.flags.writeable = False
         object.__setattr__(self, "points", merged)
         object.__setattr__(self, "cluster_radius", float(cluster_radius))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectrumSet is immutable")
 
     def __len__(self):
         return len(self.points)
@@ -136,16 +134,6 @@ class SpectrumSet:
         keep = (self.points.real >= re_min - r) & (
             np.abs(self.points.imag) <= im_max + r)
         return SpectrumSet(self.points[keep], self.cluster_radius)
-
-    def to_json_dict(self):
-        return {
-            "cluster_radius": self.cluster_radius,
-            "points": [{"re": float(z.real), "im": float(z.imag)}
-                       for z in self.points],
-        }
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
 
     @classmethod
     def from_json_dict(cls, data):
@@ -302,19 +290,6 @@ class MatchReport:
     unmatched_computed: tuple
     unmatched_predicted: tuple
     passed: bool
-
-    def to_dict(self):
-        as_pairs = lambda zs: [{"re": float(z.real), "im": float(z.imag)}
-                               for z in zs]
-        return {
-            "tol": self.tol,
-            "hausdorff": self.hausdorff,
-            "n_computed": self.n_computed,
-            "n_predicted": self.n_predicted,
-            "unmatched_computed": as_pairs(self.unmatched_computed),
-            "unmatched_predicted": as_pairs(self.unmatched_predicted),
-            "passed": self.passed,
-        }
 
 
 def match_report(computed, predicted, tol):

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, InputError, NotContraction, SizeCap
-from .spectra import DEFAULT_CLUSTER_RADIUS, SpectrumSet, eig
+from .spectra import SpectrumSet, eig
 
 __all__ = [
     "multi_indices", "sym_dim", "embedding", "tensor_power",
@@ -338,14 +338,13 @@ class FockTruncation:
         """The full block-diagonal matrix on the truncated algebra."""
         return scipy.linalg.block_diag(*self.levels)
 
-    def spectrum(self, cluster_radius=DEFAULT_CLUSTER_RADIUS):
+    def spectrum(self):
         """Union of the block spectra (always contains 1, from the
         vacuum)."""
-        pts = np.concatenate([eig(block, cluster_radius).points
-                              for block in self.levels])
-        return SpectrumSet(pts, cluster_radius)
+        return SpectrumSet(np.concatenate([eig(block).points
+                                           for block in self.levels]))
 
-    def embedded_spectrum(self, cluster_radius=DEFAULT_CLUSTER_RADIUS):
+    def embedded_spectrum(self):
         """Spectrum of the truncation viewed inside the full algebra.
 
         Extending by zero on every discarded level adds the point 0; with
@@ -354,23 +353,23 @@ class FockTruncation:
         points of modulus at most ``norm(T)**(N+1)``, all within that
         distance of 0).
         """
-        return self.spectrum(cluster_radius).union([0.0 + 0.0j])
+        return self.spectrum().union([0.0 + 0.0j])
 
 
 def second_quantization(T, N, *, symmetric=True, cap=DEFAULT_SIZE_CAP,
-                        contraction_tol=1e-12, allow_noncontraction=False):
+                        allow_noncontraction=False):
     """All (symmetric) tensor powers of T up to level N, as one truncation.
 
-    T must be a contraction (operator norm at most ``1 + contraction_tol``)
-    unless ``allow_noncontraction`` is set; without the contraction
-    property the discarded levels are not small and the truncation does not
-    approximate anything.
+    T must be a contraction (operator norm at most ``1 + 1e-12``) unless
+    ``allow_noncontraction`` is set; without the contraction property the
+    discarded levels are not small and the truncation does not approximate
+    anything.
     """
     T = _square(T, "second_quantization argument")
     if N < 0:
         raise InputError("second_quantization needs N >= 0")
     norm = float(np.linalg.norm(T, 2))
-    if norm > 1.0 + contraction_tol and not allow_noncontraction:
+    if norm > 1.0 + 1e-12 and not allow_noncontraction:
         raise NotContraction(
             "operator norm %.12g exceeds 1; pass allow_noncontraction=True "
             "to lift anyway" % norm)

@@ -106,15 +106,6 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 def _check(name, residual, tolerance, detail=""):
     residual = float(residual)
@@ -216,9 +207,10 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
     d = model.dim
 
     # -- horizon Gramian versus an independent quadrature oracle ---------
+    grams = {t: gramian_t(model, t) for t in t_grid}
     resid = 0.0
     for t in t_grid:
-        Qt = gramian_t(model, t)
+        Qt = grams[t]
         oracle = _quadrature_gramian(model, t)
         resid = max(resid, np.abs(Qt - oracle).max()
                     / (1.0 + np.abs(Qt).max()))
@@ -227,7 +219,6 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
     # -- PSD and monotonicity of the Gramian family ----------------------
     psd_floor = 0.0
     mono_floor = 0.0
-    grams = {t: gramian_t(model, t) for t in t_grid}
     scale = max(max(np.abs(g).max() for g in grams.values()), 1.0)
     for t in t_grid:
         psd_floor = max(psd_floor, -np.linalg.eigvalsh(grams[t])[0])
@@ -285,12 +276,12 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
                       detail="rank=%d" % factor.rank))
 
     # -- restricted flow: contraction, semigroup law, norm identity ------
-    worst_norm = max(smu_norm(model, factor, t) for t in t_grid)
+    norms = {t: smu_norm(model, factor, t) for t in t_grid}
+    worst_norm = max(norms.values())
     out.append(_check("restricted_flow_contraction", worst_norm - 1.0, 1e-10))
     if feller:
-        strict = max(smu_norm(model, factor, t) for t in t_grid)
         out.append(_check("restricted_flow_strict_contraction",
-                          strict - 1.0, -1e-15,
+                          worst_norm - 1.0, -1e-15,
                           detail="norm must stay below 1"))
 
     semi = np.abs(smu_matrix(model, factor, 0.3) @
@@ -300,11 +291,10 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
 
     ident = 0.0
     for t in t_grid:
-        K = _gr.quadratic_form_ratio_sup(Qi, gramian_t(model, t),
-                                         model.tol.rank_tol)
+        K = _gr.quadratic_form_ratio_sup(Qi, grams[t], model.tol.rank_tol)
         if not math.isfinite(K) or K <= 0:
             continue
-        lhs = smu_norm(model, factor, t) ** 2
+        lhs = norms[t] ** 2
         rhs = 1.0 - 1.0 / K
         ident = max(ident, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
     out.append(_check("norm_identity_vs_rayleigh_quotient", ident, 1e-6))
@@ -423,14 +413,8 @@ def _eigenvector_degree_check(model, basis, L, window):
     return _check(name, worst, 1e-8, detail="%d eigenvalues tested" % tested)
 
 
-def contraction_suite(T, *, levels=3, seed=0, prefix="", spectral=True):
-    """Tensor-algebra invariants for one contraction matrix.
-
-    ``spectral=False`` skips the eigenvalue-set comparisons; callers do
-    that for matrices whose eigenproblem is ill-conditioned (a defective
-    matrix that is not triangular), where eigensolver output is meaningless
-    at these tolerances.
-    """
+def contraction_suite(T, *, levels=3, seed=0, prefix=""):
+    """Tensor-algebra invariants for one contraction matrix."""
     rng = np.random.default_rng(seed)
     T = np.asarray(T, dtype=float)
     d = T.shape[0]
@@ -502,41 +486,40 @@ def contraction_suite(T, *, levels=3, seed=0, prefix="", spectral=True):
     out.append(_check(prefix + "dgamma_fd_error_linear_in_h",
                       errs[1] / max(errs[0], 1e-300), 0.2))
 
-    if spectral:
-        base = eig(T)
-        spec_resid = 0.0
+    base = eig(T)
+    spec_resid = 0.0
+    for n in range(1, levels + 1):
+        prods = product_set(base, n)
+        spec_resid = max(
+            spec_resid,
+            hausdorff(eig(tensor_power(T, n)), prods),
+            hausdorff(eig(sym_power(T, n)), prods))
+    out.append(_check(prefix + "tensor_sym_product_spectra", spec_resid,
+                      1e-7))
+
+    if np.all(base.points.real < 0):
+        dg_resid = 0.0
         for n in range(1, levels + 1):
-            prods = product_set(base, n)
-            spec_resid = max(
-                spec_resid,
-                hausdorff(eig(tensor_power(T, n)), prods),
-                hausdorff(eig(sym_power(T, n)), prods))
-        out.append(_check(prefix + "tensor_sym_product_spectra", spec_resid,
-                          1e-7))
+            sums = SpectrumSet(
+                [sum(c) for c in
+                 combinations_with_replacement(base.points, n)])
+            dg_resid = max(dg_resid, hausdorff(eig(dgamma(T, n)), sums))
+        out.append(_check(prefix + "dgamma_sum_spectrum", dg_resid, 1e-7))
 
-        if np.all(base.points.real < 0):
-            dg_resid = 0.0
-            for n in range(1, levels + 1):
-                sums = SpectrumSet(
-                    [sum(c) for c in
-                     combinations_with_replacement(base.points, n)])
-                dg_resid = max(dg_resid, hausdorff(eig(dgamma(T, n)), sums))
-            out.append(_check(prefix + "dgamma_sum_spectrum", dg_resid, 1e-7))
-
-        if tnorm < 1:
-            trunc = second_quantization(T, levels)
-            spec = trunc.spectrum()
-            pred = SpectrumSet([1.0 + 0.0j])
-            for n in range(1, levels + 1):
-                pred = pred.union(product_set(base, n))
-            out.append(_check(prefix + "second_quantization_spectrum",
-                              hausdorff(spec, pred), 1e-7))
-            bigger = second_quantization(T, levels + 1)
-            out.append(_check(
-                prefix + "truncation_stability",
-                hausdorff(trunc.embedded_spectrum(),
-                          bigger.embedded_spectrum()),
-                tnorm ** (levels + 1) + 1e-9))
+    if tnorm < 1:
+        trunc = second_quantization(T, levels)
+        spec = trunc.spectrum()
+        pred = SpectrumSet([1.0 + 0.0j])
+        for n in range(1, levels + 1):
+            pred = pred.union(product_set(base, n))
+        out.append(_check(prefix + "second_quantization_spectrum",
+                          hausdorff(spec, pred), 1e-7))
+        bigger = second_quantization(T, levels + 1)
+        out.append(_check(
+            prefix + "truncation_stability",
+            hausdorff(trunc.embedded_spectrum(),
+                      bigger.embedded_spectrum()),
+            tnorm ** (levels + 1) + 1e-9))
     return out
 
 
@@ -566,10 +549,9 @@ def spectra_suite(seed=0):
     closure = 0.0
     pts = lat.points
     for u in pts:
-        for v in pts:
-            w = u + v
-            if w.real >= window.re_min and abs(w.imag) <= window.im_max:
-                closure = max(closure, np.abs(pts - w).min())
+        w = u + pts
+        w = w[(w.real >= window.re_min) & (np.abs(w.imag) <= window.im_max)]
+        closure = np.abs(pts - w[:, None]).min(axis=1).max(initial=closure)
     out.append(_check("lattice_additive_closure", closure, 1e-9))
 
     big = lattice_spectrum(SpectrumSet(z), LatticeWindow(
@@ -651,15 +633,16 @@ def random_suite(seed, count, *, degree=3, levels=3):
 
 
 def summarize(checks):
-    """JSON-ready digest: every check, the failures, and the untested
-    theory notes."""
+    """Digest of a suite run: every check, the failures, and the untested
+    theory notes.  The checks stay :class:`CheckResult` objects; the
+    report writer encodes each as its fields."""
     failures = [c for c in checks if not c.passed]
     return {
         "schema": 1,
-        "checks": [c.to_dict() for c in checks],
+        "checks": list(checks),
         "n_checks": len(checks),
         "n_failed": len(failures),
         "all_passed": not failures,
-        "failures": [c.to_dict() for c in failures],
+        "failures": failures,
         "untested_theory": list(UNTESTED_THEORY),
     }

@@ -1,5 +1,6 @@
 """End-to-end CLI contract: exit codes, report files, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -132,6 +133,114 @@ def test_to_jsonable_array_fast_path_same_text():
     got = json.dumps(cli._to_jsonable(report), indent=2, sort_keys=True)
     assert got == want
     assert '"inf"' in got and '"nan"' in got and '"-inf"' in got
+
+
+# The hand-written serializers the result classes carried before the
+# encoder learned to write dataclasses.  They stay here as the reference
+# for the report format: encoding a result must give the bytes these
+# dicts gave.
+def _pairs(zs):
+    return [{"re": float(z.real), "im": float(z.imag)} for z in zs]
+
+
+_REFERENCE = {
+    "GramianReport": lambda r: {
+        "t": r.t,
+        "spectral_abscissa": r.spectral_abscissa,
+        "stable": r.stable,
+        "Q_t": r.Q_t.tolist(),
+        "rank_Q_t": r.rank_Q_t,
+        "strong_feller": r.strong_feller,
+        "Q_inf": None if r.Q_inf is None else r.Q_inf.tolist(),
+        "rank_Q_inf": r.rank_Q_inf,
+        "q_inf_invertible": r.q_inf_invertible,
+    },
+    "InvertibilityReport": lambda r: {
+        "stable": r.stable,
+        "q_inf_invertible": r.q_inf_invertible,
+        "q_t_invertible": {repr(k): v for k, v in r.q_t_invertible.items()},
+        "equivalent": r.equivalent,
+        "note": r.note,
+    },
+    "MatchReport": lambda r: {
+        "tol": r.tol,
+        "hausdorff": r.hausdorff,
+        "n_computed": r.n_computed,
+        "n_predicted": r.n_predicted,
+        "unmatched_computed": _pairs(r.unmatched_computed),
+        "unmatched_predicted": _pairs(r.unmatched_predicted),
+        "passed": r.passed,
+    },
+    "SpectrumSet": lambda s: {
+        "cluster_radius": s.cluster_radius,
+        "points": _pairs(s.points),
+    },
+    "CheckResult": lambda c: {
+        "name": c.name,
+        "passed": bool(c.passed),
+        "residual": c.residual,
+        "tolerance": c.tolerance,
+        "detail": c.detail,
+    },
+    "SecondQuantizationReport": lambda r: {
+        "t": r.t,
+        "N": r.N,
+        "tol": r.tol,
+        "residual_generator_vs_mehler": r.residual_generator_vs_mehler,
+        "residual_generator_vs_lift": r.residual_generator_vs_lift,
+        "residual_mehler_vs_lift": r.residual_mehler_vs_lift,
+        "max_residual": r.max_residual,
+        "passed": r.passed,
+    },
+    "PathStats": lambda p: {
+        "mean": p.mean.tolist(),
+        "cov": p.cov.tolist(),
+        "stderr_mean": p.stderr_mean.tolist(),
+        "stderr_cov": p.stderr_cov.tolist(),
+        "n_paths": p.n_paths,
+        "steps": p.steps,
+        "dt": p.dt,
+        "effective_t": p.effective_t,
+        "seed": p.seed,
+    },
+}
+
+
+def _results():
+    from ou_spectra.ou_operator import simulate_paths, \
+        verify_second_quantization
+    from ou_spectra.spectra import SpectrumSet, match_report
+    from ou_spectra.verification import CheckResult
+    stable = cli.load_model("hypoelliptic_2d")
+    degenerate = cli.load_model("degenerate_2d")
+    unstable = gramian.validate([[1.0, 0.0], [0.0, -1.0]], np.eye(2))
+    computed = SpectrumSet([0.0, -1.0, -7.0 + 0.5j])
+    return [
+        gramian.gramian_report(stable, 1.0),
+        gramian.gramian_report(degenerate, 1.0),
+        gramian.gramian_report(unstable, 0.5),
+        gramian.invertibility_equivalence_report(stable),
+        gramian.invertibility_equivalence_report(unstable),
+        match_report(computed, SpectrumSet([0.0, -1.0, -2.0]), 1e-6),
+        CheckResult("strong_feller_rank_agreement", False, math.inf, 0.0,
+                    "rank(Q_t) = 1"),
+        computed,
+        verify_second_quantization(stable, 0.5, 2),
+        simulate_paths(stable, [1.0, 0.0], 1.0, 0.1, 20, seed=3),
+    ]
+
+
+def test_result_dataclasses_encode_as_their_fields():
+    results = _results()
+    assert {type(r).__name__ for r in results} == set(_REFERENCE)
+    assert any(r.unmatched_computed for r in results
+               if type(r).__name__ == "MatchReport")
+    for r in results:
+        encoded = cli._to_jsonable(r)
+        assert list(encoded) == [f.name for f in dataclasses.fields(r)]
+        want = json.dumps(cli._to_jsonable(_REFERENCE[type(r).__name__](r)),
+                          indent=2, sort_keys=True)
+        assert json.dumps(encoded, indent=2, sort_keys=True) == want
 
 
 # ---------------------------------------------------------------------------

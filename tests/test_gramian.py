@@ -26,6 +26,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from ou_spectra.cli import _to_jsonable
 from ou_spectra.config import DEFAULT
 from ou_spectra.errors import (
     AsymmetricQ,
@@ -423,6 +424,24 @@ def test_strong_feller_disagreement_raises(monkeypatch):
         strong_feller_check(OSCILLATOR, 1.0)
 
 
+def test_gramian_report_computes_q_t_once(monkeypatch):
+    import ou_spectra.gramian as gr
+    calls = []
+    real = gr.gramian_t
+
+    def counting(model, t):
+        calls.append(t)
+        return real(model, t)
+
+    monkeypatch.setattr(gr, "gramian_t", counting)
+    rep = gramian_report(OSCILLATOR, 1.0)
+    assert calls == [1.0]
+    assert rep.rank_Q_t == 2 and rep.strong_feller
+    monkeypatch.setattr(gr, "controllability_rank", lambda *a, **k: 0)
+    with pytest.raises(CriteriaDisagree):
+        gramian_report(OSCILLATOR, 1.0)
+
+
 def _chain(d, c):
     """-1 on the diagonal and +1 on the subdiagonal of the first c
     coordinates, -2 elsewhere: e_1 reaches exactly the first c."""
@@ -585,7 +604,7 @@ def test_gramian_report_branches():
     assert rep.Q_inf is None
     assert rep.rank_Q_inf is None
 
-    d = gramian_report(OSCILLATOR, 1.0).to_dict()
+    d = _to_jsonable(gramian_report(OSCILLATOR, 1.0))
     assert d["strong_feller"] is True
 
 

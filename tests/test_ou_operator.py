@@ -22,6 +22,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from ou_spectra import ou_operator
+from ou_spectra.cli import _to_jsonable
 from ou_spectra.errors import (
     DegenerateMeasure,
     DimensionMismatch,
@@ -269,6 +270,14 @@ def test_mehler_identity_and_errors():
         mehler_apply(CLASSICAL, -1.0, f)
 
 
+def test_mehler_matrix_at_zero_checks_the_basis():
+    with pytest.raises(DimensionMismatch):
+        mehler_matrix(OSCILLATOR, 0.0, poly_basis(3, 2))
+    for model in (CLASSICAL, JORDAN, OSCILLATOR):
+        b = poly_basis(model.dim, 6)
+        assert np.array_equal(mehler_matrix(model, 0.0, b), np.eye(b.dim))
+
+
 def test_mehler_semigroup_law():
     for model in (CLASSICAL, JORDAN, OSCILLATOR, DEGENERATE):
         b = poly_basis(model.dim, 3)
@@ -377,7 +386,7 @@ def test_verify_second_quantization_passes():
     rep = verify_second_quantization(OSCILLATOR, 0.8, 3)
     assert rep.passed
     assert rep.max_residual <= 1e-10
-    d = rep.to_dict()
+    d = _to_jsonable(rep)
     assert d["passed"] is True
 
 
@@ -386,7 +395,7 @@ def test_verify_second_quantization_degree_8_in_three_dims():
     # 3**8 = 6561, above the default size cap
     model = random_stable_model(np.random.default_rng(3), d=3, kind="real")
     rep = verify_second_quantization(model, 1.0, 8)
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
     assert rep.max_residual <= 1e-8
 
 

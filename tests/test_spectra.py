@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ou_spectra import spectra
+from ou_spectra.cli import _to_jsonable
 from ou_spectra.errors import EmptySet, EnumCap, InputError, NonStableInput
 from ou_spectra.spectra import (
     LatticeWindow,
@@ -224,9 +225,21 @@ def test_match_report_pass_and_fail():
     assert any(abs(z - (-7.0)) < 1e-9 for z in rep.unmatched_computed)
 
 
+def test_spectrum_set_is_immutable():
+    s = SpectrumSet([1.0 + 2.0j, -0.5])
+    with pytest.raises(AttributeError):
+        s.points = np.zeros(2, dtype=complex)
+    # a name that is not a field: slots leave no room for it, and the
+    # frozen check of Python 3.10 and 3.11 raises TypeError on its way there
+    with pytest.raises((AttributeError, TypeError)):
+        s.extra = 1
+    with pytest.raises(ValueError):
+        s.points[0] = 0.0
+
+
 def test_json_round_trip():
     s = SpectrumSet([1.0 + 2.0j, -0.5])
-    d = s.to_json_dict()
+    d = _to_jsonable(s)
     back = SpectrumSet.from_json_dict(d)
     assert_allclose(back.points, s.points)
 

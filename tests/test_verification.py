@@ -88,6 +88,46 @@ def test_spectra_suite():
     assert not _failures(spectra_suite(0))
 
 
+def test_model_suite_reuses_gramians_and_norms(monkeypatch):
+    calls = {"gramian_t": [], "smu_norm": []}
+    for name in calls:
+        real = getattr(verification, name)
+
+        def counting(*args, _real=real, _log=calls[name]):
+            _log.append(args[-1])
+            return _real(*args)
+
+        monkeypatch.setattr(verification, name, counting)
+    grid = (0.2, 0.4, 0.6, 0.8)
+    assert not _failures(model_suite(OSCILLATOR, t_grid=grid))
+    assert [t for t in calls["gramian_t"] if t in grid] == list(grid)
+    assert calls["smu_norm"] == list(grid)
+
+
+def test_spectra_suite_closure_matches_pair_loop(monkeypatch):
+    seen = []
+    real = verification.lattice_spectrum
+
+    def recording(base, window):
+        seen.append((real(base, window), window))
+        return seen[-1][0]
+
+    monkeypatch.setattr(verification, "lattice_spectrum", recording)
+    for seed in range(3):
+        seen.clear()
+        checks = {c.name: c for c in spectra_suite(seed)}
+        lat, window = seen[0]
+        # the pair loop the suite used before it went through numpy
+        closure = 0.0
+        pts = lat.points
+        for u in pts:
+            for v in pts:
+                w = u + v
+                if w.real >= window.re_min and abs(w.imag) <= window.im_max:
+                    closure = max(closure, np.abs(pts - w).min())
+        assert checks["lattice_additive_closure"].residual == float(closure)
+
+
 def test_random_model_kinds():
     rng = np.random.default_rng(0)
     kinds = set()
