@@ -14,13 +14,19 @@ kernel ``S(M)`` of ``tensor_fock`` (the matrix of ``f -> f(M x)``, one
 with the exponential of a heat operator ``Delta_Q = 1/2 Tr(Q D^2)``, which
 lowers the degree by two, so its exponential is a finite sum:
 
-    P(t) = S(exp(tA)) exp(Delta_(Q_t))               (Mehler formula),
-    Phi  = S(W) exp(Delta_(-I)) diag(alpha!)^(-1/2)  (Hermite chaos),
+    P(t)   = S(exp(tA)) exp(Delta_(Q_t))               (Mehler formula),
+    Phi    = S(W) exp(Delta_(-I)) diag(alpha!)^(-1/2)   (Hermite chaos),
+    Phi^-1 = diag(alpha!)^(1/2) exp(Delta_(+I)) S(W^-1),
 
-with ``W`` the whitening of the invariant covariance.  The columns of
-``Phi`` are the normalized Hermite products ``He_alpha(W x) / sqrt(alpha!)``
-indexed like the occupation basis of symmetric tensor powers, and the
-projection onto the n-th chaos layer is ``Phi[:, n] Phi^-1[n, :]``.
+with ``W`` the whitening of the invariant covariance.  All three are built
+one degree block at a time: ``S(M)`` is block diagonal, and the heat
+series is a product of :func:`~ou_spectra.tensor_fock.heat_block` sweeps,
+so no dense power of the heat operator and no dense substitution matmul is
+formed, and ``Phi`` is never inverted.  The columns of ``Phi`` are the
+normalized Hermite products ``He_alpha(W x) / sqrt(alpha!)`` indexed like
+the occupation basis of symmetric tensor powers.  The projection onto the
+n-th chaos layer is ``Phi[:, n] Phi^-1[n, :]``; it is kept as that factor
+pair, and products of projections are taken through the pairs.
 
 The path sampler is deliberately crude (Euler-Maruyama): it is a
 statistical cross-check of the exact formulas above, not a production
@@ -30,7 +36,7 @@ integrator, and its step bias is O(dt).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, factorial, prod, sqrt
 
@@ -138,31 +144,6 @@ class Polynomial:
                 total += c * prod(xi ** a for xi, a in zip(x, alpha))
         return total
 
-    def to_json_dict(self):
-        out = {}
-        for alpha, c in zip(self.basis.monomials, self.coeffs):
-            if c != 0:
-                if np.iscomplexobj(self.coeffs):
-                    raise InputError(
-                        "only real polynomials serialize to JSON")
-                out[",".join(str(a) for a in alpha)] = float(c)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data, basis=None):
-        parsed = {tuple(int(s) for s in key.split(",")): float(val)
-                  for key, val in data.items()}
-        if basis is None:
-            if not parsed:
-                raise InputError("cannot infer a basis from an empty "
-                                 "polynomial; pass one explicitly")
-            d = len(next(iter(parsed)))
-            basis = poly_basis(d, max(sum(a) for a in parsed))
-        coeffs = np.zeros(basis.dim)
-        for alpha, val in parsed.items():
-            coeffs[basis.position(alpha)] = val
-        return cls(basis=basis, coeffs=coeffs)
-
 
 def monomial(basis, alpha, coeff=1.0):
     """The single-term polynomial ``coeff * x^alpha``."""
@@ -230,20 +211,49 @@ def _heat_matrix(Q, basis):
     return H
 
 
-def _heat_exp(Q, basis):
-    """``exp(1/2 Tr(Q D^2))`` on the monomials.  The heat operator lowers
-    the degree by two, so the series stops after ``N // 2`` terms."""
-    H = _heat_matrix(Q, basis)
-    term = total = np.eye(basis.dim)
-    for k in range(1, basis.N // 2 + 1):
-        term = term @ H / k
-        total = total + term
-    return total
+def _graded(Q, basis, left=None, right=None):
+    """``diag(left) exp(1/2 Tr(Q D^2)) diag(right)`` on the monomials, one
+    degree block at a time; `left` and `right` are per-degree blocks (the
+    identity when omitted), such as ``substitution_levels``.
+
+    The heat operator lowers the degree by two, so its exponential is the
+    finite series ``I + H + H^2/2 + ...`` and its block from degree
+    ``m + 2k`` to degree m is the product ``H_(m+2) ... H_(m+2k) / k!`` of
+    heat blocks, taken from the left.  Every other block of the result is
+    zero: it is block upper triangular in the graded order, and a degree
+    block only meets degree blocks of its own parity.
+    """
+    N = basis.N
+    heat = {n: heat_block(Q, n) for n in range(2, N + 1)}
+    blocks = [b for b in (left, right) if b is not None]
+    out = np.zeros((basis.dim, basis.dim),
+                   dtype=np.result_type(Q, float, *(b[-1] for b in blocks)))
+    for m in range(N + 1):
+        rows = basis.degree_slice(m)
+        term = None  # the identity
+        for k, n in enumerate(range(m, N + 1, 2)):
+            if k:
+                term = heat[n] if term is None else term @ heat[n] / k
+            block = term
+            if left is not None:
+                block = left[m] if block is None else left[m] @ block
+            if right is not None:
+                block = right[n] if block is None else block @ right[n]
+            out[rows, basis.degree_slice(n)] = \
+                np.eye(rows.stop - rows.start) if block is None else block
+    return out
 
 
-def _substitution(M, basis):
-    """The substitution ``f -> f(M x)`` on all degrees of `basis`."""
-    return scipy.linalg.block_diag(*substitution_levels(M, basis.N))
+def _graded_product(X, Y, basis):
+    """``X @ Y`` for two matrices of the block pattern of :func:`_graded`,
+    summing only the block products that can be nonzero."""
+    out = np.zeros((basis.dim, basis.dim), dtype=np.result_type(X, Y))
+    for k in range(basis.N + 1):
+        cols = basis.degree_slice(k)
+        for n in range(k, -1, -2):
+            mid = basis.degree_slice(n)
+            out[:mid.stop, cols] += X[:mid.stop, mid] @ Y[mid, cols]
+    return out
 
 
 # --- exact transition action ------------------------------------------------
@@ -270,8 +280,8 @@ def mehler_matrix(model, t, basis):
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
-    return _substitution(flow(model, t), basis) \
-        @ _heat_exp(gramian_t(model, t), basis)
+    return _graded(gramian_t(model, t), basis,
+                   left=list(substitution_levels(flow(model, t), basis.N)))
 
 
 # --- chaos decomposition ----------------------------------------------------
@@ -280,6 +290,14 @@ def mehler_matrix(model, t, basis):
 class ChaosDecomposition:
     """Orthogonal layers of the polynomial space under the invariant
     measure.
+
+    The n-th layer is kept as its factor pair, the degree-n columns of
+    ``Phi`` and the degree-n rows of ``Phi^-1`` (:meth:`layer`); its
+    projection ``Phi[:, n] Phi^-1[n, :]`` is a dense ``dim x dim`` matrix
+    and is formed only on demand (:meth:`projection`).  Products of
+    projections are taken through the pairs,
+    ``P_n P_m - delta_nm P_n = Phi[:, n] (Phi^-1[n, :] Phi[:, m] -
+    delta_nm I) Phi^-1[m, :]`` (:meth:`layer_deviation`).
 
     Attributes
     ----------
@@ -296,11 +314,12 @@ class ChaosDecomposition:
         n-th layer and match the occupation-number indexing of symmetric
         tensor powers, which is what level-by-level transports need.
     occupation_hermite_inv : ndarray
-        ``Phi^-1``, formed once here and shared with every transport back
-        to monomial coordinates.
-    projections : tuple of ndarray
-        ``projections[n]`` projects onto the degree-n layer, in monomial
-        coordinates: ``Phi[:, n-block] Phi^-1[n-block, :]``.
+        ``Phi^-1`` in closed form, ``diag(sqrt(alpha!)) exp(Delta_(+I))
+        S(W^-1)``, with no inversion; shared with every transport back to
+        monomial coordinates.
+
+    Both matrices are block upper triangular in the graded order, and a
+    degree block meets only degree blocks of its own parity.
     """
 
     basis: PolyBasis
@@ -308,15 +327,67 @@ class ChaosDecomposition:
     factor: object
     occupation_hermite: np.ndarray
     occupation_hermite_inv: np.ndarray
-    projections: tuple
+
+    def layer(self, n):
+        """The factor pair ``(Phi[:, n], Phi^-1[n, :])`` of the n-th layer
+        projection, as views."""
+        sel = self.basis.degree_slice(n)
+        return self.occupation_hermite[:, sel], \
+            self.occupation_hermite_inv[sel, :]
+
+    def projection(self, n):
+        """The n-th layer projection as a dense matrix in monomial
+        coordinates, built on demand from its factor pair."""
+        Phi_n, Psi_n = self.layer(n)
+        return Phi_n @ Psi_n
 
     def project(self, n, f):
         """Apply the n-th layer projection to a Polynomial (or raw
         coefficient vector)."""
-        P = self.projections[n]
+        Phi_n, Psi_n = self.layer(n)
         if isinstance(f, Polynomial):
-            return Polynomial(basis=f.basis, coeffs=P @ f.coeffs)
-        return P @ np.asarray(f)
+            return Polynomial(basis=f.basis, coeffs=Phi_n @ (Psi_n @ f.coeffs))
+        return Phi_n @ (Psi_n @ np.asarray(f))
+
+    def layer_deviation(self, n, m):
+        """Largest entry of ``P_n P_m - delta_nm P_n`` in monomial
+        coordinates, from the factor pairs.  ``Phi^-1[n, :]`` vanishes on
+        degrees below n and ``Phi[:, m]`` on degrees above m, so the product
+        is zero for n > m and is formed on those ranges only."""
+        if n > m:
+            return 0.0
+        sn, sm = self.basis.degree_slice(n), self.basis.degree_slice(m)
+        Phi, Psi = self.occupation_hermite, self.occupation_hermite_inv
+        inner = Psi[sn, sn.start:sm.stop] @ Phi[sn.start:sm.stop, sm]
+        if n == m:
+            inner -= np.eye(inner.shape[0])
+        dev = Phi[:sn.stop, sn] @ inner @ Psi[sm, sm.start:]
+        return float(np.abs(dev).max())
+
+    def lift(self, blocks=None):
+        """``sum_n Phi[:, n] blocks[n] Phi^-1[n, :]``: the operator acting
+        as ``blocks[n]`` on the n-th layer, in monomial coordinates.  With
+        no blocks it is the sum of the layer projections, which resolves
+        the identity."""
+        X = self.occupation_hermite
+        if blocks is not None:
+            X = np.zeros(X.shape, dtype=np.result_type(X, *blocks))
+            for n, block in enumerate(blocks):
+                sel = self.basis.degree_slice(n)
+                X[:sel.stop, sel] = \
+                    self.occupation_hermite[:sel.stop, sel] @ block
+        return _graded_product(X, self.occupation_hermite_inv, self.basis)
+
+    def leading(self, N):
+        """The same family on the degrees <= N.  ``Phi`` and ``Phi^-1``
+        are block upper triangular in the graded order, so their leading
+        blocks are the family and its inverse on the smaller basis."""
+        basis = poly_basis(self.basis.d, N)
+        k = basis.dim
+        return replace(self, basis=basis,
+                       occupation_hermite=self.occupation_hermite[:k, :k],
+                       occupation_hermite_inv=
+                       self.occupation_hermite_inv[:k, :k])
 
 
 def chaos_decomposition(model, basis):
@@ -324,10 +395,12 @@ def chaos_decomposition(model, basis):
 
     ``He_alpha = exp(-1/2 Tr(D^2)) xi^alpha`` in the whitened coordinates
     ``xi = W x``, so the family is ``Phi = S(W) exp(Delta_(-I))
-    diag(alpha!)^(-1/2)``; it is block upper triangular in graded order
-    and the layer projections follow from one inverse.  A warning is
-    issued when the covariance is ill-conditioned (eigenvalue ratio beyond
-    1e12).
+    diag(alpha!)^(-1/2)``.  Each factor has a closed-form inverse, so
+    ``Phi^-1 = diag(alpha!)^(1/2) exp(Delta_(+I)) S(W^-1)`` with ``W^-1``
+    the RKHS ``factor``; the order of the factors matters, since the heat
+    operator and the substitution do not commute.  Only the d x d factor
+    is inverted, never ``Phi``.  A warning is issued
+    when the covariance is ill-conditioned (eigenvalue ratio beyond 1e12).
 
     Raises
     ------
@@ -355,20 +428,21 @@ def chaos_decomposition(model, basis):
     factor = rkhs_factor(Qi, model.tol.rank_tol)
     norms = np.sqrt([prod(factorial(a) for a in alpha)
                      for alpha in basis.monomials])
-    Phi = _substitution(factor.inv_sqrt, basis) \
-        @ _heat_exp(-np.eye(basis.d), basis) / norms
-    Phi_inv = np.linalg.inv(Phi)
-    projections = []
-    for n in range(basis.N + 1):
-        sel = basis.degree_slice(n)
-        projections.append(Phi[:, sel] @ Phi_inv[sel, :])
+    # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
+    # two agree only to roundoff times sqrt(cond Q_inf), and that gap,
+    # magnified by the Hermite coefficients, would keep S(W^-1) S(W) from
+    # the identity by more than the chaos checks allow.
+    eye = np.eye(basis.d)
+    Phi = _graded(-eye, basis, left=list(substitution_levels(
+        np.linalg.inv(factor.factor), basis.N))) / norms
+    Phi_inv = norms[:, None] * _graded(eye, basis, right=list(
+        substitution_levels(factor.factor, basis.N)))
     return ChaosDecomposition(
         basis=basis,
         Q_inf=Qi,
         factor=factor,
         occupation_hermite=Phi,
         occupation_hermite_inv=Phi_inv,
-        projections=tuple(projections),
     )
 
 
@@ -405,22 +479,27 @@ def verify_second_quantization(model, t, N, tol=1e-8):
     if t < 0:
         raise InputError("verify_second_quantization needs t >= 0")
     basis = poly_basis(model.dim, N)
+    return _three_way(model, t, mehler_matrix(model, t, basis),
+                      chaos_decomposition(model, basis), tol)
+
+
+def _three_way(model, t, P_meh, chaos, tol):
+    """:func:`verify_second_quantization` on a Mehler matrix and a chaos
+    family already built on one basis, so a caller that holds them does
+    not build them again."""
+    basis = chaos.basis
     # Shares no code with (b) and (c), which both rest on the substitution
     # kernel; that kernel is pinned to the Kronecker route by the tests.
     P_gen = scipy.linalg.expm(t * assemble_L(model, basis))
-    P_meh = mehler_matrix(model, t, basis)
-    chaos = chaos_decomposition(model, basis)
     B = smu_matrix(model, chaos.factor, t)
-    blocks = [sym_power(B.T, n) for n in range(N + 1)]
-    lift = scipy.linalg.block_diag(*blocks)
-    P_lift = chaos.occupation_hermite @ lift @ chaos.occupation_hermite_inv
+    P_lift = chaos.lift([sym_power(B.T, n) for n in range(basis.N + 1)])
     r_ab = float(np.abs(P_gen - P_meh).max())
     r_ac = float(np.abs(P_gen - P_lift).max())
     r_bc = float(np.abs(P_meh - P_lift).max())
     worst = max(r_ab, r_ac, r_bc)
     return SecondQuantizationReport(
         t=t,
-        N=N,
+        N=basis.N,
         tol=float(tol),
         residual_generator_vs_mehler=r_ab,
         residual_generator_vs_lift=r_ac,

@@ -43,20 +43,29 @@ def _single_linkage_merge(pts, radius):
     Returns one centroid per cluster, clusters in the order of their
     leftmost point.  Points are sorted by real part, so only pairs whose
     real parts differ by at most the radius are compared; this is exact
-    because |z - w| >= |Re z - Re w|.  The pairs ``(i, i - k)`` are tested
-    in numpy one offset ``k`` at a time, a row leaving as soon as its real
-    parts differ by more than the radius (they only grow with ``k``), so
-    memory stays O(n); only the pairs that pass are joined.  A singleton
-    comes out as ``0j + z``, which is what ``np.mean`` of one point gives
-    (it turns a signed zero into +0).
+    because |z - w| >= |Re z - Re w|.  Exactly equal points always share a
+    cluster, so the sweep runs over the distinct values only, each standing
+    for its copies.  Their pairs ``(i, i - k)`` are tested in numpy one
+    offset ``k`` at a time, a row leaving as soon as its real parts differ
+    by more than the radius (they only grow with ``k``), so memory stays
+    O(n); only the pairs that pass are joined.  Each centroid is the mean
+    over all members, in sorted order.  A singleton comes out as
+    ``0j + z``, which is what ``np.mean`` of one point gives (it turns a
+    signed zero into +0).
     """
     n = len(pts)
     if n <= 1:
         return pts.copy()
-    order = np.argsort(pts.real, kind="stable")
-    spts = pts[order]
-    re = spts.real
-    parent = list(range(n))
+    spts = pts[np.argsort(pts.real, kind="stable")]
+    # Each copy of a value starts joined to its leftmost copy, which sorts
+    # first in the stable (real, imaginary) order.
+    by_value = np.lexsort((spts.imag, spts.real))
+    values = spts[by_value]
+    first = np.concatenate(([True], values[1:] != values[:-1]))
+    rep = by_value[first]
+    parent = np.empty(n, dtype=np.intp)
+    parent[by_value] = rep[np.cumsum(first) - 1]
+    parent = parent.tolist()
 
     def find(i):
         root = i
@@ -66,12 +75,14 @@ def _single_linkage_merge(pts, radius):
             parent[i], i = root, parent[i]
         return root
 
-    i, k = np.arange(1, n), 1
+    upts = values[first]
+    re = upts.real
+    i, k = np.arange(1, len(upts)), 1
     while i.size:
         i = i[re[i] - re[i - k] <= radius]
         j = i - k
-        hit = np.abs(spts[i] - spts[j]) <= radius
-        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
+        hit = np.abs(upts[i] - upts[j]) <= radius
+        for a, b in zip(rep[i[hit]].tolist(), rep[j[hit]].tolist()):
             ra, rb = find(a), find(b)
             if ra != rb:
                 # the smaller index is the root: a root is its leftmost point
@@ -134,11 +145,6 @@ class SpectrumSet:
         keep = (self.points.real >= re_min - r) & (
             np.abs(self.points.imag) <= im_max + r)
         return SpectrumSet(self.points[keep], self.cluster_radius)
-
-    @classmethod
-    def from_json_dict(cls, data):
-        pts = [complex(p["re"], p["im"]) for p in data["points"]]
-        return cls(pts, data.get("cluster_radius", DEFAULT_CLUSTER_RADIUS))
 
 
 def eig(matrix, cluster_radius=DEFAULT_CLUSTER_RADIUS):

@@ -46,12 +46,12 @@ from .gramian import (
 )
 from .ou_operator import (
     Polynomial,
+    _three_way,
     assemble_L,
     chaos_decomposition,
     mehler_matrix,
     poly_basis,
     poly_mul,
-    verify_second_quantization,
 )
 from .spectra import (
     LatticeWindow,
@@ -322,26 +322,28 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
         out.append(_skip("chaos_checks", str(exc)))
         return out
 
-    eye = np.eye(basis.dim)
+    # Each layer stays a factor pair; the projections and their products
+    # are never formed as dense matrices (see ChaosDecomposition).
     out.append(_check("chaos_resolution_of_identity",
-                      np.abs(sum(chaos.projections) - eye).max(), 1e-10))
-    ortho = 0.0
-    idem = 0.0
-    for n, Pn in enumerate(chaos.projections):
-        idem = max(idem, np.abs(Pn @ Pn - Pn).max())
-        for m in range(n + 1, len(chaos.projections)):
-            ortho = max(ortho, np.abs(Pn @ chaos.projections[m]).max())
+                      np.abs(chaos.lift() - np.eye(basis.dim)).max(), 1e-10))
+    idem = max(chaos.layer_deviation(n, n) for n in range(degree + 1))
+    # layers of different parity are orthogonal exactly: their pair
+    # products have no term
+    ortho = max((chaos.layer_deviation(n, m) for n in range(degree + 1)
+                 for m in range(n + 2, degree + 1, 2)), default=0.0)
     out.append(_check("chaos_projections_idempotent", idem, 1e-10))
     out.append(_check("chaos_projections_orthogonal", ortho, 1e-10))
 
-    inv = np.abs(chaos.projections[0] @ (P[1.0] - eye)).max()
+    Phi_0, Psi_0 = chaos.layer(0)
+    inv = np.abs(Phi_0 @ (Psi_0 @ P[1.0] - Psi_0)).max()
     out.append(_check("invariant_measure_fixed_mean", inv, 1e-10))
 
     out.append(_check("chaos_covariance_permanent",
                       _chaos_covariance_residual(model, chaos, rng), 1e-9))
 
-    rep = verify_second_quantization(model, 1.0, min(levels, degree),
-                                     tol=1e-8)
+    N = min(levels, degree)
+    k = poly_basis(d, N).dim
+    rep = _three_way(model, 1.0, P[1.0][:k, :k], chaos.leading(N), 1e-8)
     out.append(_check("second_quantization_three_way", rep.max_residual,
                       rep.tol, detail="t=1, N=%d" % rep.N))
 
@@ -365,7 +367,8 @@ def _chaos_covariance_residual(model, chaos, rng):
     # those degrees is the whole inner product needed.
     low = poly_basis(model.dim, 2)
     G = moment_gram(low, chaos.Q_inf)
-    I2 = chaos.projections[2][:low.dim, :low.dim]
+    Phi_2, Psi_2 = chaos.layer(2)
+    I2 = Phi_2[:low.dim] @ Psi_2[:, :low.dim]
     Qi_inv = np.linalg.inv(chaos.Q_inf)
 
     def linear(v):
@@ -390,24 +393,21 @@ def _eigenvector_degree_check(model, basis, L, window):
     """Eigenvalues realized by a unique sum of n drift eigenvalues must
     have eigenvectors supported in degrees <= n."""
     name = "eigenvector_degree_support"
-    depths = list(_lattice_walk(eig(model.A), window))
+    lattice, depth = (np.array(col) for col in
+                      zip(*_lattice_walk(eig(model.A), window)))
     vals, vecs = np.linalg.eig(L)
     sep = 1e-5
-    worst = 0.0
-    tested = 0
-    for idx, lam in enumerate(vals):
-        others = np.abs(np.delete(vals, idx) - lam)
-        if others.size and others.min() < sep:
-            continue
-        near = [(v, n) for v, n in depths if abs(v - lam) <= 1e-6]
-        if len(near) != 1:
-            continue
-        n = near[0][1]
-        v = vecs[:, idx]
-        hi = basis.degree_slice(n).stop
-        tail = np.abs(v[hi:]).max() if hi < basis.dim else 0.0
-        worst = max(worst, tail / np.abs(v).max())
-        tested += 1
+    gaps = np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    near = np.abs(vals[:, None] - lattice[None, :]) <= 1e-6
+    keep = (gaps.min(axis=1) >= sep) & (near.sum(axis=1) == 1)
+    tested = int(keep.sum())
+    n = depth[near[keep].argmax(axis=1)]
+    deg = np.array([sum(alpha) for alpha in basis.monomials])
+    mags = np.abs(vecs[:, keep])
+    tail = np.where(deg[:, None] > n[None, :], mags, 0.0).max(axis=0,
+                                                              initial=0.0)
+    worst = float(np.max(tail / mags.max(axis=0), initial=0.0))
     if tested == 0:
         return _skip(name, "no isolated, uniquely represented eigenvalues")
     return _check(name, worst, 1e-8, detail="%d eigenvalues tested" % tested)

@@ -316,13 +316,15 @@ def test_exit_2_names_rank_gap(tmp_path, capsys):
 
 def test_import_leaves_quadrature_modules_unloaded():
     # scipy.integrate (and the scipy.optimize it pulls in) is only needed
-    # by the quadrature oracle of verify, not at start-up
+    # by the quadrature oracle of verify, not at start-up; scipy.sparse is
+    # needed by neither, and importing it would add to every start-up
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, ou_spectra.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+            "('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
+            "if m in sys.modules))")
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert run.stdout.strip() == "[]"

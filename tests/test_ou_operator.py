@@ -14,12 +14,13 @@ Hand oracles used below:
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy
 from numpy.testing import assert_allclose
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from ou_spectra import ou_operator
 from ou_spectra.cli import _to_jsonable
@@ -29,7 +30,13 @@ from ou_spectra.errors import (
     InputError,
     InvalidStep,
 )
-from ou_spectra.gramian import gramian_inf, gramian_t, rkhs_factor, validate
+from ou_spectra.gramian import (
+    flow,
+    gramian_inf,
+    gramian_t,
+    rkhs_factor,
+    validate,
+)
 from ou_spectra.ou_operator import (
     Polynomial,
     assemble_L,
@@ -43,6 +50,7 @@ from ou_spectra.ou_operator import (
     simulate_paths,
     verify_second_quantization,
 )
+from ou_spectra.tensor_fock import substitution_levels, sym_power
 from ou_spectra.verification import (
     MomentTable,
     moment_gram,
@@ -114,17 +122,37 @@ def test_poly_mul_overflow():
         poly_mul(f, f, basis=b)
 
 
+def _polynomial_to_json(f):
+    """Nonzero coefficients keyed by comma-joined exponents."""
+    return {",".join(str(a) for a in alpha): float(c)
+            for alpha, c in zip(f.basis.monomials, f.coeffs) if c != 0}
+
+
+def _polynomial_from_json(data, basis=None):
+    """Inverse of `_polynomial_to_json`; infers the smallest basis when
+    none is given."""
+    parsed = {tuple(int(s) for s in key.split(",")): float(val)
+              for key, val in data.items()}
+    if basis is None:
+        d = len(next(iter(parsed)))
+        basis = poly_basis(d, max(sum(a) for a in parsed))
+    coeffs = np.zeros(basis.dim)
+    for alpha, val in parsed.items():
+        coeffs[basis.position(alpha)] = val
+    return Polynomial(basis=basis, coeffs=coeffs)
+
+
 def test_polynomial_json_round_trip():
     b = poly_basis(2, 3)
     c = np.zeros(b.dim)
     c[b.position((2, 1))] = 1.5
     c[b.position((0, 0))] = -2.0
     f = Polynomial(basis=b, coeffs=c)
-    data = json.loads(json.dumps(f.to_json_dict()))
-    g = Polynomial.from_json_dict(data, basis=b)
+    data = json.loads(json.dumps(_polynomial_to_json(f)))
+    g = _polynomial_from_json(data, basis=b)
     assert_allclose(g.coeffs, f.coeffs, atol=0)
     # basis inference from the dict alone
-    h = Polynomial.from_json_dict(data)
+    h = _polynomial_from_json(data)
     assert h.basis.N == 3
     assert_allclose(h([0.5, 2.0]), f([0.5, 2.0]), atol=1e-15)
 
@@ -316,11 +344,12 @@ def test_chaos_projections_resolve_identity():
     for model in (CLASSICAL, JORDAN, OSCILLATOR):
         b = poly_basis(model.dim, 3)
         chaos = chaos_decomposition(model, b)
-        total = sum(chaos.projections)
+        projections = [chaos.projection(n) for n in range(b.N + 1)]
+        total = sum(projections)
         assert_allclose(total, np.eye(b.dim), atol=1e-10)
-        for i, P in enumerate(chaos.projections):
+        for i, P in enumerate(projections):
             assert_allclose(P @ P, P, atol=1e-10)
-            for Pother in chaos.projections[i + 1:]:
+            for Pother in projections[i + 1:]:
                 assert_allclose(P @ Pother, 0.0, atol=1e-10)
 
 
@@ -334,7 +363,8 @@ def test_chaos_layers_mu_orthogonal():
     assert_allclose(O.T @ G @ O, np.eye(b.dim), atol=1e-10)
     # so the stored inverse is the G-adjoint of the family
     assert_allclose(chaos.occupation_hermite_inv, O.T @ G, atol=1e-10)
-    for P in chaos.projections:
+    for n in range(b.N + 1):
+        P = chaos.projection(n)
         assert_allclose(G @ P, P.T @ G, atol=1e-10)
 
 
@@ -376,6 +406,110 @@ def test_gram_is_moment_matrix():
             assert_allclose(G[i, j], want, atol=1e-12)
     O = chaos.occupation_hermite
     assert_allclose(O.T @ G @ O, np.eye(b.dim), atol=1e-10)
+
+
+# The three models of the closed-form inverse: defective, complex and real
+# drifts at the (d, N) shapes of the polynomial benchmark.
+ORACLE_MODELS = ((1, 3, 7, "defective"), (2, 4, 6, "complex"),
+                 (3, 8, 4, "real"))
+
+
+def _oracle_chaos(seed, d, N, kind):
+    model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
+    return model, chaos_decomposition(model, poly_basis(d, N))
+
+
+def _dense_heat_exp(Q, basis):
+    """``exp(1/2 Tr(Q D^2))`` as the dense sum of matrix powers."""
+    H = ou_operator._heat_matrix(Q, basis)
+    term = total = np.eye(basis.dim)
+    for k in range(1, basis.N // 2 + 1):
+        term = term @ H / k
+        total = total + term
+    return total
+
+
+def _dense_substitution(M, basis):
+    return block_diag(*substitution_levels(M, basis.N))
+
+
+@pytest.mark.parametrize("seed,d,N,kind", ORACLE_MODELS)
+def test_chaos_inverse_closed_form_matches_inv(seed, d, N, kind):
+    # np.linalg.inv stays as the oracle of the closed form: it shares
+    # nothing with the heat series and the substitution that build Phi^-1.
+    _, chaos = _oracle_chaos(seed, d, N, kind)
+    Phi, Psi = chaos.occupation_hermite, chaos.occupation_hermite_inv
+    inv = np.linalg.inv(Phi)
+    assert np.abs(Psi - inv).max() <= 1e-13 * np.abs(inv).max()
+    # the closed form is a left inverse at least as exact as inv itself
+    eye = np.eye(Phi.shape[0])
+    assert np.abs(Psi @ Phi - eye).max() <= np.abs(inv @ Phi - eye).max()
+
+
+@pytest.mark.parametrize("seed,d,N,kind", ORACLE_MODELS)
+def test_graded_blocks_match_dense_route(seed, d, N, kind):
+    # The dense block_diag(S) @ heat-series product is the route the graded
+    # blocks replaced; it stays here as their oracle.
+    model, chaos = _oracle_chaos(seed, d, N, kind)
+    b = chaos.basis
+    P = mehler_matrix(model, 0.7, b)
+    dense = _dense_substitution(flow(model, 0.7), b) \
+        @ _dense_heat_exp(gramian_t(model, 0.7), b)
+    assert np.abs(P - dense).max() <= 1e-13 * np.abs(dense).max()
+    norms = np.sqrt([math.prod(math.factorial(a) for a in alpha)
+                     for alpha in b.monomials])
+    W_inv = chaos.factor.factor
+    Phi = _dense_substitution(np.linalg.inv(W_inv), b) \
+        @ _dense_heat_exp(-np.eye(d), b) / norms
+    Psi = norms[:, None] * _dense_heat_exp(np.eye(d), b) \
+        @ _dense_substitution(W_inv, b)
+    for got, want in ((chaos.occupation_hermite, Phi),
+                      (chaos.occupation_hermite_inv, Psi)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_factor_pair_checks_match_dense_projection_products():
+    # The dense projections and their products are what the factor pairs
+    # replaced; they stay here as the oracle.  The inverse is perturbed on
+    # its block pattern so that the deviations are far above roundoff.
+    _, chaos = _oracle_chaos(2, 4, 6, "complex")
+    b = chaos.basis
+    deg = np.array([sum(alpha) for alpha in b.monomials])
+    pattern = (deg[:, None] <= deg[None, :]) \
+        & ((deg[None, :] - deg[:, None]) % 2 == 0)
+    noise = np.random.default_rng(0).standard_normal((b.dim, b.dim))
+    crooked = replace(chaos, occupation_hermite_inv=(
+        chaos.occupation_hermite_inv + 1e-6 * noise * pattern))
+    P = [crooked.projection(n) for n in range(b.N + 1)]
+    eye = np.eye(b.dim)
+    for n in range(b.N + 1):
+        for m in range(b.N + 1):
+            want = np.abs(P[n] @ P[m] - (n == m) * P[n]).max()
+            got = crooked.layer_deviation(n, m)
+            assert abs(got - want) <= 1e-8 * max(want, 1e-300), (n, m)
+    assert np.abs((crooked.lift() - eye) - (sum(P) - eye)).max() \
+        <= 1e-10 * np.abs(sum(P)).max()
+    blocks = [sym_power(np.diag(np.arange(1.0, b.d + 1)), n)
+              for n in range(b.N + 1)]
+    want = crooked.occupation_hermite @ block_diag(*blocks) \
+        @ crooked.occupation_hermite_inv
+    assert np.abs(crooked.lift(blocks) - want).max() \
+        <= 1e-12 * np.abs(want).max()
+    f = np.random.default_rng(1).standard_normal(b.dim)
+    assert_allclose(crooked.project(3, f), P[3] @ f, rtol=1e-12,
+                    atol=1e-12 * np.abs(P[3] @ f).max())
+
+
+def test_chaos_leading_blocks_are_the_smaller_family():
+    # the family and its inverse are block upper triangular in the graded
+    # order, so the degree <= N blocks are the family on the smaller basis
+    model, chaos = _oracle_chaos(2, 4, 6, "complex")
+    small = chaos_decomposition(model, poly_basis(4, 3))
+    lead = chaos.leading(3)
+    assert lead.basis == small.basis
+    assert np.array_equal(lead.occupation_hermite, small.occupation_hermite)
+    assert np.array_equal(lead.occupation_hermite_inv,
+                          small.occupation_hermite_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ou_spectra.gramian import validate
+from ou_spectra.ou_operator import verify_second_quantization
 from ou_spectra import verification
 from ou_spectra.verification import (
     UNTESTED_THEORY,
@@ -35,6 +36,17 @@ def test_model_suite_bundled_all_pass():
         checks = model_suite(model)
         assert not _failures(checks), \
             [(c.name, c.residual) for c in _failures(checks)]
+
+
+def test_model_suite_three_way_shares_leading_blocks():
+    # with levels < degree the three-way check reads the leading blocks of
+    # the suite's own Mehler matrix and chaos family, and matches the
+    # stand-alone check built on the smaller basis exactly
+    checks = {c.name: c for c in model_suite(OSCILLATOR, degree=4, levels=2)}
+    three = checks["second_quantization_three_way"]
+    assert three.passed and three.detail == "t=1, N=2"
+    rep = verify_second_quantization(OSCILLATOR, 1.0, 2)
+    assert three.residual == rep.max_residual
 
 
 def test_model_suite_unstable_skips_steady_state():
