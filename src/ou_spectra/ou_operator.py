@@ -22,7 +22,8 @@ with ``W`` the whitening of the invariant covariance.  All three are built
 one degree block at a time: ``S(M)`` is block diagonal, and the heat
 series is a product of :func:`~ou_spectra.tensor_fock.heat_block` sweeps,
 so no dense power of the heat operator and no dense substitution matmul is
-formed, and ``Phi`` is never inverted.  The columns of ``Phi`` are the
+formed.  ``Phi`` is never inverted: the closed form of ``Phi^-1`` gets one
+Newton step against ``Phi``.  The columns of ``Phi`` are the
 normalized Hermite products ``He_alpha(W x) / sqrt(alpha!)`` indexed like
 the occupation basis of symmetric tensor powers.  The projection onto the
 n-th chaos layer is ``Phi[:, n] Phi^-1[n, :]``; it is kept as that factor
@@ -244,18 +245,6 @@ def _graded(Q, basis, left=None, right=None):
     return out
 
 
-def _graded_product(X, Y, basis):
-    """``X @ Y`` for two matrices of the block pattern of :func:`_graded`,
-    summing only the block products that can be nonzero."""
-    out = np.zeros((basis.dim, basis.dim), dtype=np.result_type(X, Y))
-    for k in range(basis.N + 1):
-        cols = basis.degree_slice(k)
-        for n in range(k, -1, -2):
-            mid = basis.degree_slice(n)
-            out[:mid.stop, cols] += X[:mid.stop, mid] @ Y[mid, cols]
-    return out
-
-
 # --- exact transition action ------------------------------------------------
 
 def mehler_apply(model, t, f):
@@ -314,9 +303,9 @@ class ChaosDecomposition:
         n-th layer and match the occupation-number indexing of symmetric
         tensor powers, which is what level-by-level transports need.
     occupation_hermite_inv : ndarray
-        ``Phi^-1`` in closed form, ``diag(sqrt(alpha!)) exp(Delta_(+I))
-        S(W^-1)``, with no inversion; shared with every transport back to
-        monomial coordinates.
+        ``Phi^-1`` from its closed form ``diag(sqrt(alpha!))
+        exp(Delta_(+I)) S(W^-1)`` and one Newton step, with no inversion;
+        shared with every transport back to monomial coordinates.
 
     Both matrices are block upper triangular in the graded order, and a
     degree block meets only degree blocks of its own parity.
@@ -351,37 +340,34 @@ class ChaosDecomposition:
 
     def layer_deviation(self, n, m):
         """Largest entry of ``P_n P_m - delta_nm P_n`` in monomial
-        coordinates, from the factor pairs.  ``Phi^-1[n, :]`` vanishes on
-        degrees below n and ``Phi[:, m]`` on degrees above m, so the product
-        is zero for n > m and is formed on those ranges only."""
-        if n > m:
-            return 0.0
-        sn, sm = self.basis.degree_slice(n), self.basis.degree_slice(m)
-        Phi, Psi = self.occupation_hermite, self.occupation_hermite_inv
-        inner = Psi[sn, sn.start:sm.stop] @ Phi[sn.start:sm.stop, sm]
+        coordinates, from the factor pairs."""
+        Phi_n, Psi_n = self.layer(n)
+        Phi_m, Psi_m = self.layer(m)
+        inner = Psi_n @ Phi_m
         if n == m:
             inner -= np.eye(inner.shape[0])
-        dev = Phi[:sn.stop, sn] @ inner @ Psi[sm, sm.start:]
-        return float(np.abs(dev).max())
+        return float(np.abs(Phi_n @ inner @ Psi_m).max())
 
     def lift(self, blocks=None):
         """``sum_n Phi[:, n] blocks[n] Phi^-1[n, :]``: the operator acting
         as ``blocks[n]`` on the n-th layer, in monomial coordinates.  With
         no blocks it is the sum of the layer projections, which resolves
-        the identity."""
-        X = self.occupation_hermite
+        the identity.  The blocks are applied to ``Phi^-1`` first: on
+        defective drifts, whose lifts reach 1e4, that order leaves about
+        half the roundoff of ``(Phi blocks) Phi^-1``."""
+        Y = self.occupation_hermite_inv
         if blocks is not None:
-            X = np.zeros(X.shape, dtype=np.result_type(X, *blocks))
+            Y = np.zeros(Y.shape, dtype=np.result_type(Y, *blocks))
             for n, block in enumerate(blocks):
                 sel = self.basis.degree_slice(n)
-                X[:sel.stop, sel] = \
-                    self.occupation_hermite[:sel.stop, sel] @ block
-        return _graded_product(X, self.occupation_hermite_inv, self.basis)
+                Y[sel] = block @ self.occupation_hermite_inv[sel]
+        return self.occupation_hermite @ Y
 
     def leading(self, N):
         """The same family on the degrees <= N.  ``Phi`` and ``Phi^-1``
         are block upper triangular in the graded order, so their leading
-        blocks are the family and its inverse on the smaller basis."""
+        blocks are the family and its inverse on the smaller basis (the
+        inverse to roundoff: its Newton step sums in another order)."""
         basis = poly_basis(self.basis.d, N)
         k = basis.dim
         return replace(self, basis=basis,
@@ -399,7 +385,9 @@ def chaos_decomposition(model, basis):
     ``Phi^-1 = diag(alpha!)^(1/2) exp(Delta_(+I)) S(W^-1)`` with ``W^-1``
     the RKHS ``factor``; the order of the factors matters, since the heat
     operator and the substitution do not commute.  Only the d x d factor
-    is inverted, never ``Phi``.  A warning is issued
+    is inverted, never ``Phi``.  The closed form carries the roundoff of
+    its own products, so one Newton step ``Phi^-1 + Phi^-1 (I - Phi
+    Phi^-1)`` squares its residual against ``Phi``.  A warning is issued
     when the covariance is ill-conditioned (eigenvalue ratio beyond 1e12).
 
     Raises
@@ -437,6 +425,7 @@ def chaos_decomposition(model, basis):
         np.linalg.inv(factor.factor), basis.N))) / norms
     Phi_inv = norms[:, None] * _graded(eye, basis, right=list(
         substitution_levels(factor.factor, basis.N)))
+    Phi_inv += Phi_inv @ (np.eye(basis.dim) - Phi @ Phi_inv)
     return ChaosDecomposition(
         basis=basis,
         Q_inf=Qi,

@@ -41,12 +41,14 @@ def test_model_suite_bundled_all_pass():
 def test_model_suite_three_way_shares_leading_blocks():
     # with levels < degree the three-way check reads the leading blocks of
     # the suite's own Mehler matrix and chaos family, and matches the
-    # stand-alone check built on the smaller basis exactly
+    # stand-alone check built on the smaller basis to roundoff (the leading
+    # blocks of the inverse are summed in another order)
     checks = {c.name: c for c in model_suite(OSCILLATOR, degree=4, levels=2)}
     three = checks["second_quantization_three_way"]
     assert three.passed and three.detail == "t=1, N=2"
     rep = verify_second_quantization(OSCILLATOR, 1.0, 2)
-    assert three.residual == rep.max_residual
+    assert rep.passed
+    assert abs(three.residual - rep.max_residual) <= 1e-13
 
 
 def test_model_suite_unstable_skips_steady_state():
