@@ -51,10 +51,11 @@ from .gramian import (
     spectral_abscissa,
     validate,
 )
-from .ou_operator import assemble_L, poly_basis
+from .ou_operator import _by_parity, assemble_L, poly_basis
 from .spectra import (
     LatticeWindow,
     SpectrumSet,
+    _eigvals,
     eig,
     hausdorff,
     lattice_spectrum,
@@ -311,7 +312,9 @@ def cmd_spectrum(args):
     window = LatticeWindow(re_min=re_min, im_max=im_max, max_terms=N)
 
     predicted = lattice_spectrum(drift_eigs, window)
-    galerkin = eig(assemble_L(model, poly_basis(model.dim, N)))
+    basis = poly_basis(model.dim, N)
+    galerkin = SpectrumSet(_by_parity(assemble_L(model, basis), basis,
+                                      _eigvals))
     computed = galerkin.restricted(re_min=re_min, im_max=im_max)
     match = match_report(computed, predicted, args.tol)
 

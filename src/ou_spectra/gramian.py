@@ -583,10 +583,16 @@ def invertibility_equivalence_report(model, t_grid=(0.1, 1.0, 5.0)):
     """
     if len(t_grid) == 0 or any(float(t) <= 0 for t in t_grid):
         raise InputError("t_grid must be nonempty with positive entries")
+    return _invertibility_report(
+        model, {float(t): gramian_t(model, float(t)) for t in t_grid})
+
+
+def _invertibility_report(model, grams):
+    """:func:`invertibility_equivalence_report` on the Gramians ``grams``
+    (horizon to ``Q_t``) already formed by the caller."""
     stable = is_stable(model)
-    per_t = {float(t): rank_psd(gramian_t(model, float(t)),
-                                model.tol.rank_tol) == model.dim
-             for t in t_grid}
+    per_t = {t: rank_psd(Qt, model.tol.rank_tol) == model.dim
+             for t, Qt in grams.items()}
     if stable:
         inv = rank_psd(gramian_inf(model), model.tol.rank_tol) == model.dim
         equivalent = all(v == inv for v in per_t.values())

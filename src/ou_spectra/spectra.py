@@ -159,13 +159,21 @@ def eig(matrix, cluster_radius=DEFAULT_CLUSTER_RADIUS):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError("eig expects a square matrix, got shape %r"
                          % (M.shape,))
+    return SpectrumSet(_eigvals(M), cluster_radius)
+
+
+def _eigvals(M, vectors=False):
+    """``np.linalg.eigvals(M)``, or with `vectors` the pair ``(w, V)`` of
+    ``np.linalg.eig(M)``, raising :class:`EigFailure` where the QR
+    iteration fails or an eigenvalue is not finite."""
     try:
-        w = np.linalg.eigvals(M)
+        out = np.linalg.eig(M) if vectors else np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigFailure("eigenvalue computation failed: %s" % exc) from exc
+    w = out[0] if vectors else out
     if not np.all(np.isfinite(w.view(float))):
         raise EigFailure("eigenvalue computation returned non-finite values")
-    return SpectrumSet(w, cluster_radius)
+    return tuple(out) if vectors else out
 
 
 def product_set(base, n, cap=DEFAULT_ENUM_CAP):

@@ -389,6 +389,26 @@ def test_spectrum_rejects_eigenvalue_at_rank_threshold(monkeypatch, capsys):
     assert "rank 1 < 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("broken", ["raise", "nan"])
+def test_spectrum_galerkin_eig_failure_exits_2(tmp_path, monkeypatch, capsys,
+                                               broken):
+    # only the parity blocks of L are larger than the 2x2 drift
+    real = np.linalg.eigvals
+
+    def eigvals(M):
+        if M.shape[0] <= 2:
+            return real(M)
+        if broken == "raise":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return np.full(M.shape[0], np.nan)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    out = str(tmp_path / "spec.json")
+    assert cli.main(["spectrum", "jordan_omega1", "--out", out]) == 2
+    assert "eigenvalue computation" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_spectrum_explicit_window(tmp_path):
     out = str(tmp_path / "spec.json")
     code = cli.main(["spectrum", "classical_1d", "--degree", "5",

@@ -50,6 +50,7 @@ from ou_spectra.ou_operator import (
     simulate_paths,
     verify_second_quantization,
 )
+from ou_spectra.spectra import SpectrumSet, _eigvals, hausdorff
 from ou_spectra.tensor_fock import substitution_levels, sym_power
 from ou_spectra.verification import (
     MomentTable,
@@ -521,6 +522,83 @@ def test_chaos_leading_blocks_are_the_smaller_family():
     want = small.occupation_hermite_inv
     assert np.abs(lead.occupation_hermite_inv - want).max() \
         <= 1e-13 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# degree parity: Gamma(-I) commutes with L
+# ---------------------------------------------------------------------------
+
+def _cross_parity(basis):
+    """Mask of the (row, column) pairs whose degrees differ in parity."""
+    par = np.array([sum(alpha) % 2 for alpha in basis.monomials])
+    return par[:, None] != par[None, :]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
+def test_parity_zeros_across_classes(N):
+    models = [CLASSICAL, JORDAN, OSCILLATOR] + [
+        random_stable_model(np.random.default_rng(s), d=d, kind=k)
+        for s, d, _, k in ORACLE_MODELS]
+    for model in models:
+        b = poly_basis(model.dim, N)
+        cross = _cross_parity(b)
+        classes = ou_operator._parity_classes(b.d, b.N)
+        assert sorted(np.concatenate(classes).tolist()) == list(range(b.dim))
+        assert len(classes) == (1 if N == 0 else 2)
+        chaos = chaos_decomposition(model, b)
+        for M in (assemble_L(model, b), mehler_matrix(model, 0.7, b),
+                  chaos.occupation_hermite, chaos.occupation_hermite_inv):
+            assert np.all(M[cross] == 0.0)
+        P = ou_operator._by_parity(assemble_L(model, b), b, expm)
+        assert np.all(P[cross] == 0.0)
+
+
+# the diagonalizable models on which the dense exponential and eigensolver
+# are accurate, so they can stand as the oracle of the split kernels
+DIAGONALIZABLE = ((2, 3, 6, "real"), (2, 4, 5, "complex"),
+                  (3, 8, 3, "real"), (4, 6, 4, "complex"))
+
+
+@pytest.mark.parametrize("seed,d,N,kind", DIAGONALIZABLE)
+def test_split_expm_matches_dense(seed, d, N, kind):
+    # The dense scipy.linalg.expm of the whole L is the kernel the parity
+    # split replaced; it stays here as its oracle.
+    model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
+    b = poly_basis(d, N)
+    for t in (0.3, 1.0):
+        tL = t * assemble_L(model, b)
+        dense = expm(tL)
+        split = ou_operator._by_parity(tL, b, expm)
+        assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("seed,d,N,kind", DIAGONALIZABLE)
+def test_split_eig_matches_dense(seed, d, N, kind):
+    # The dense eigvals of the whole L stays as the oracle of the split.
+    model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
+    b = poly_basis(d, N)
+    L = assemble_L(model, b)
+    vals, vecs = ou_operator._by_parity(
+        L, b, lambda M: _eigvals(M, vectors=True))
+    assert vals.shape == (b.dim,) and vecs.shape == (b.dim, b.dim)
+    # eigenpair k sits at position k, so its vector lives on k's class
+    assert np.all(vecs[_cross_parity(b)] == 0.0)
+    assert hausdorff(SpectrumSet(vals),
+                     SpectrumSet(np.linalg.eigvals(L))) <= 1e-10
+    assert hausdorff(SpectrumSet(ou_operator._by_parity(L, b, _eigvals)),
+                     SpectrumSet(vals)) <= 1e-10
+    # each eigenvalue keeps its own eigenvector
+    assert np.abs(L @ vecs - vecs * vals).max() <= 1e-12 * np.abs(L).max()
+
+
+def test_by_parity_refuses_a_cross_parity_entry():
+    b = poly_basis(2, 3)
+    even, odd = ou_operator._parity_classes(b.d, b.N)
+    for i, j in ((even[1], odd[0]), (odd[-1], even[0])):
+        L = assemble_L(OSCILLATOR, b)
+        L[i, j] = 1e-300
+        with pytest.raises(InputError, match="even and odd"):
+            ou_operator._by_parity(L, b, expm)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,50 @@ def test_model_suite_reuses_gramians_and_norms(monkeypatch):
     assert calls["smu_norm"] == list(grid)
 
 
+def test_model_suite_forms_each_horizon_once(monkeypatch):
+    # Q_0.1 and Q_1 serve the quadrature check, the rank criteria and the
+    # splitting identity; each is formed once
+    from ou_spectra import gramian
+    calls = []
+    for module in (verification, gramian):
+        real = module.gramian_t
+
+        def counting(model, t, _real=real):
+            calls.append(float(t))
+            return _real(model, t)
+
+        monkeypatch.setattr(module, "gramian_t", counting)
+    assert not _failures(model_suite(OSCILLATOR))
+    assert sorted(calls) == [0.1, 0.5, 1.0, 2.0, 5.0]
+
+
+def _quadrature_gramian(model, t):
+    """One ``quad_vec`` per horizon: the reference of the stacked call."""
+    import scipy.integrate
+    import scipy.linalg
+
+    def integrand(s):
+        E = scipy.linalg.expm(s * model.A)
+        return E @ model.Q @ E.T
+    val, _ = scipy.integrate.quad_vec(integrand, 0.0, t,
+                                      epsabs=1e-12, epsrel=1e-12)
+    return val
+
+
+@pytest.mark.parametrize("seed,d,kind", [(0, 1, "real"), (1, 2, "complex"),
+                                         (2, 3, "defective"),
+                                         (3, 6, "complex"),
+                                         (4, 8, "defective")])
+def test_quadrature_horizons_in_one_call_match_per_horizon(seed, d, kind):
+    model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
+    grid = (0.1, 0.5, 1.0, 2.0)
+    got = verification._quadrature_gramians(model, grid)
+    assert list(got) == list(grid)
+    for t in grid:
+        want = _quadrature_gramian(model, t)
+        assert np.abs(got[t] - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_spectra_suite_closure_matches_pair_loop(monkeypatch):
     seen = []
     real = verification.lattice_spectrum
