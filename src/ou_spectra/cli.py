@@ -15,8 +15,9 @@ result object (``GramianReport``, ``InvertibilityReport``,
 ``SpectrumSet``, ``MatchReport``, ``CheckResult``) is that result's
 dataclass fields, by name, encoded by :func:`_to_jsonable`.  The
 environment variable ``OU_SPECTRA_TOL_PROFILE`` (strict | default |
-loose) selects the tolerance preset; a model file may override individual
-fields.
+loose) selects the tolerance preset, and ``verify --tol`` overrides it,
+for a model file and for ``--random`` alike; a model file may override
+individual fields.
 """
 
 from __future__ import annotations
@@ -91,6 +92,16 @@ def bundled_model_path(name):
     return str(path)
 
 
+def _tolerances(profile=None):
+    """The named tolerance profile, or else the one that
+    ``OU_SPECTRA_TOL_PROFILE`` selects; an unknown name is an input
+    error."""
+    try:
+        return config.from_profile(profile) if profile else config.from_env()
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def load_model(path, tol=None):
     """Read a model JSON file (or a bundled model name) into an OUModel.
 
@@ -112,10 +123,7 @@ def load_model(path, tol=None):
         raise InputError('model file %s must be a JSON object with keys '
                          '"A" and "Q"' % path)
     if tol is None:
-        try:
-            tol = config.from_env()
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        tol = _tolerances()
     overrides = data.get("tolerances", {})
     if overrides:
         try:
@@ -349,7 +357,7 @@ def cmd_verify(args):
         raise InputError(
             "verify needs exactly one of a model path or --random SEED "
             "COUNT")
-    tol = config.from_profile(args.tol) if args.tol else None
+    tol = _tolerances(args.tol)
     if args.model is not None:
         model = load_model(args.model, tol)
         checks = verification.model_suite(
@@ -358,7 +366,7 @@ def cmd_verify(args):
     else:
         seed, count = (int(v) for v in args.random)
         checks = verification.random_suite(
-            seed, count, degree=args.degree, levels=args.levels)
+            seed, count, degree=args.degree, levels=args.levels, tol=tol)
         subject = "%d random models (seed %d)" % (count, seed)
     summary = verification.summarize(checks)
     summary["command"] = "verify"

@@ -49,6 +49,7 @@ from .errors import (
     RangeNotInvariant,
     Unstable,
 )
+from .spectra import _eigvals
 
 __all__ = [
     "OUModel", "validate", "spectral_abscissa", "is_stable", "flow",
@@ -189,14 +190,9 @@ def validate(A, Q, name="", tol=None):
 
 
 def spectral_abscissa(A):
-    """Largest real part of the eigenvalues of A."""
-    try:
-        w = np.linalg.eigvals(np.asarray(A, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure("eigenvalue computation failed: %s" % exc) from exc
-    if not np.all(np.isfinite(w.view(float))):
-        raise EigFailure("eigenvalue computation returned non-finite values")
-    return float(w.real.max())
+    """Largest real part of the eigenvalues of A (``EigFailure`` as in
+    :func:`~ou_spectra.spectra.eig`)."""
+    return float(_eigvals(np.asarray(A, dtype=float)).real.max())
 
 
 def is_stable(model):
@@ -288,10 +284,6 @@ class RKHSFactor:
     basis: np.ndarray
     inv_sqrt: np.ndarray
     eigenvalues: np.ndarray
-
-    def projector(self):
-        """Euclidean orthogonal projector onto the range."""
-        return self.basis @ self.basis.T
 
 
 def rkhs_factor(Q_inf, rank_tol=DEFAULT.rank_tol):
@@ -572,19 +564,17 @@ class InvertibilityReport:
     note: str
 
 
-def invertibility_equivalence_report(model, t_grid=(0.1, 1.0, 5.0)):
+def invertibility_equivalence_report(model):
     """Check that ``Q_inf`` and all ``Q_t`` agree on invertibility.
 
     The rank of ``Q_t`` is constant over ``t > 0`` (it equals the Kalman
     rank), so for a stable drift invertibility of ``Q_inf`` must match the
-    verdict at every grid point.  A mismatch is reported with
-    ``equivalent=False``, never hidden; for an unstable drift the
-    equivalence is vacuous and ``equivalent`` is None.
+    verdict at every point of the grid ``t = 0.1, 1, 5``.  A mismatch is
+    reported with ``equivalent=False``, never hidden; for an unstable
+    drift the equivalence is vacuous and ``equivalent`` is None.
     """
-    if len(t_grid) == 0 or any(float(t) <= 0 for t in t_grid):
-        raise InputError("t_grid must be nonempty with positive entries")
     return _invertibility_report(
-        model, {float(t): gramian_t(model, float(t)) for t in t_grid})
+        model, {t: gramian_t(model, t) for t in (0.1, 1.0, 5.0)})
 
 
 def _invertibility_report(model, grams):

@@ -48,7 +48,6 @@ from functools import lru_cache
 from math import comb, factorial, prod, sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateMeasure,
@@ -57,6 +56,7 @@ from .errors import (
     InvalidStep,
 )
 from .gramian import (
+    _expm,
     _rank_cut,
     flow,
     gramian_inf,
@@ -345,9 +345,9 @@ class ChaosDecomposition:
 
     The n-th layer is kept as its factor pair, the degree-n columns of
     ``Phi`` and the degree-n rows of ``Phi^-1`` (:meth:`layer`); its
-    projection ``Phi[:, n] Phi^-1[n, :]`` is a dense ``dim x dim`` matrix
-    and is formed only on demand (:meth:`projection`).  Products of
-    projections are taken through the pairs,
+    projection ``Phi[:, n] Phi^-1[n, :]`` would be a dense ``dim x dim``
+    matrix and is never formed.  Products of projections are taken
+    through the pairs,
     ``P_n P_m - delta_nm P_n = Phi[:, n] (Phi^-1[n, :] Phi[:, m] -
     delta_nm I) Phi^-1[m, :]`` (:meth:`layer_deviation`).
 
@@ -386,20 +386,6 @@ class ChaosDecomposition:
         sel = self.basis.degree_slice(n)
         return self.occupation_hermite[:, sel], \
             self.occupation_hermite_inv[sel, :]
-
-    def projection(self, n):
-        """The n-th layer projection as a dense matrix in monomial
-        coordinates, built on demand from its factor pair."""
-        Phi_n, Psi_n = self.layer(n)
-        return Phi_n @ Psi_n
-
-    def project(self, n, f):
-        """Apply the n-th layer projection to a Polynomial (or raw
-        coefficient vector)."""
-        Phi_n, Psi_n = self.layer(n)
-        if isinstance(f, Polynomial):
-            return Polynomial(basis=f.basis, coeffs=Phi_n @ (Psi_n @ f.coeffs))
-        return Phi_n @ (Psi_n @ np.asarray(f))
 
     def layer_deviation(self, n, m):
         """Largest entry of ``P_n P_m - delta_nm P_n`` in monomial
@@ -517,7 +503,11 @@ class SecondQuantizationReport:
     passed: bool
 
 
-def verify_second_quantization(model, t, N, tol=1e-8):
+#: Entrywise bound on the pairwise deviations of the three-way check.
+THREE_WAY_TOL = 1e-8
+
+
+def verify_second_quantization(model, t, N):
     """Compute the transition matrix three ways and compare.
 
     (a) ``expm(t L)`` with L the Galerkin matrix, on its even-degree and
@@ -525,41 +515,42 @@ def verify_second_quantization(model, t, N, tol=1e-8):
     substitution applied to every monomial; (c) the block-diagonal lift
     acting as the n-th symmetric power of the adjoint restricted flow on
     the n-th chaos layer, conjugated back to monomial coordinates by the
-    occupation-indexed Hermite family.  All three must agree entrywise;
-    the largest pairwise deviation is reported.
+    occupation-indexed Hermite family.  All three must agree entrywise
+    within ``THREE_WAY_TOL``; the largest pairwise deviation is reported,
+    NaN if any deviation is NaN.
     """
     t = float(t)
     if t < 0:
         raise InputError("verify_second_quantization needs t >= 0")
     basis = poly_basis(model.dim, N)
     return _three_way(model, t, mehler_matrix(model, t, basis),
-                      chaos_decomposition(model, basis), tol)
+                      chaos_decomposition(model, basis))
 
 
-def _three_way(model, t, P_meh, chaos, tol):
+def _three_way(model, t, P_meh, chaos):
     """:func:`verify_second_quantization` on a Mehler matrix and a chaos
     family already built on one basis, so a caller that holds them does
     not build them again."""
     basis = chaos.basis
     # Shares no code with (b) and (c), which both rest on the substitution
     # kernel; that kernel is pinned to the Kronecker route by the tests.
-    P_gen = _by_parity(t * assemble_L(model, basis), basis,
-                       scipy.linalg.expm)
+    P_gen = _by_parity(t * assemble_L(model, basis), basis, _expm)
     B = smu_matrix(model, chaos.factor, t)
     P_lift = chaos.lift([sym_power(B.T, n) for n in range(basis.N + 1)])
     r_ab = float(np.abs(P_gen - P_meh).max())
     r_ac = float(np.abs(P_gen - P_lift).max())
     r_bc = float(np.abs(P_meh - P_lift).max())
-    worst = max(r_ab, r_ac, r_bc)
+    # np.max, not max: max(r_ab, nan) keeps r_ab.
+    worst = float(np.max([r_ab, r_ac, r_bc]))
     return SecondQuantizationReport(
         t=t,
         N=basis.N,
-        tol=float(tol),
+        tol=THREE_WAY_TOL,
         residual_generator_vs_mehler=r_ab,
         residual_generator_vs_lift=r_ac,
         residual_mehler_vs_lift=r_bc,
         max_residual=worst,
-        passed=worst <= tol,
+        passed=worst <= THREE_WAY_TOL,
     )
 
 

@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import EigFailure, EmptySet, EnumCap, InputError, NonStableInput
 
+#: Radius at which every spectrum set merges its points.
 DEFAULT_CLUSTER_RADIUS = 1e-7
 
-#: Default cap on the number of enumerated points in product sets.
+#: Cap on the number of enumerated points in product sets.
 DEFAULT_ENUM_CAP = 200_000
 
 
@@ -98,29 +99,28 @@ def _single_linkage_merge(pts, radius):
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)
 class SpectrumSet:
-    """A finite set of complex spectrum points with a clustering radius.
+    """A finite set of complex spectrum points.
 
-    On construction, points at mutual distance within ``cluster_radius`` are
-    merged by single linkage and replaced by their centroid; the survivors
-    are stored sorted by (real, imaginary) part.  The resulting array is
-    read-only.
+    On construction, points at mutual distance within
+    ``DEFAULT_CLUSTER_RADIUS`` are merged by single linkage and replaced
+    by their centroid; the survivors are stored sorted by (real,
+    imaginary) part.  The resulting array is read-only.  The radius is
+    kept as the field ``cluster_radius``, so reports state it.
     """
 
     points: np.ndarray
     cluster_radius: float
 
-    def __init__(self, points, cluster_radius=DEFAULT_CLUSTER_RADIUS):
-        if cluster_radius < 0:
-            raise InputError("cluster_radius must be nonnegative")
+    def __init__(self, points):
         pts = _as_complex_array(points)
         if not np.all(np.isfinite(pts.view(float))):
             raise InputError("spectrum points must be finite")
-        merged = _single_linkage_merge(pts, cluster_radius)
+        merged = _single_linkage_merge(pts, DEFAULT_CLUSTER_RADIUS)
         order = np.lexsort((merged.imag, merged.real))
         merged = merged[order]
         merged.flags.writeable = False
         object.__setattr__(self, "points", merged)
-        object.__setattr__(self, "cluster_radius", float(cluster_radius))
+        object.__setattr__(self, "cluster_radius", DEFAULT_CLUSTER_RADIUS)
 
     def __len__(self):
         return len(self.points)
@@ -133,10 +133,10 @@ class SpectrumSet:
             len(self.points), self.cluster_radius)
 
     def union(self, other):
-        """Union with another set (or iterable), re-clustered at this radius."""
+        """Union with another set (or iterable), re-clustered."""
         other_pts = other.points if isinstance(other, SpectrumSet) else other
         return SpectrumSet(np.concatenate([
-            self.points, _as_complex_array(other_pts)]), self.cluster_radius)
+            self.points, _as_complex_array(other_pts)]))
 
     def restricted(self, re_min=-np.inf, im_max=np.inf):
         """Points with ``Re >= re_min`` and ``|Im| <= im_max`` (small slack
@@ -144,10 +144,10 @@ class SpectrumSet:
         r = self.cluster_radius
         keep = (self.points.real >= re_min - r) & (
             np.abs(self.points.imag) <= im_max + r)
-        return SpectrumSet(self.points[keep], self.cluster_radius)
+        return SpectrumSet(self.points[keep])
 
 
-def eig(matrix, cluster_radius=DEFAULT_CLUSTER_RADIUS):
+def eig(matrix):
     """Eigenvalues of a dense matrix as a :class:`SpectrumSet`.
 
     Raises
@@ -159,7 +159,7 @@ def eig(matrix, cluster_radius=DEFAULT_CLUSTER_RADIUS):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError("eig expects a square matrix, got shape %r"
                          % (M.shape,))
-    return SpectrumSet(_eigvals(M), cluster_radius)
+    return SpectrumSet(_eigvals(M))
 
 
 def _eigvals(M, vectors=False):
@@ -176,12 +176,13 @@ def _eigvals(M, vectors=False):
     return tuple(out) if vectors else out
 
 
-def product_set(base, n, cap=DEFAULT_ENUM_CAP):
+def product_set(base, n):
     """All products of exactly `n` points of `base`, drawn with repetition.
 
     This is the spectrum of the n-fold (symmetric) tensor power of an
     operator whose spectrum is `base`.  The number of combinations
-    ``C(m + n - 1, n)`` is checked against `cap` before enumerating.
+    ``C(m + n - 1, n)`` is checked against ``DEFAULT_ENUM_CAP`` before
+    enumerating.
     """
     if not isinstance(base, SpectrumSet):
         base = SpectrumSet(base)
@@ -191,12 +192,12 @@ def product_set(base, n, cap=DEFAULT_ENUM_CAP):
     if m == 0:
         raise EmptySet("product_set of an empty spectrum")
     count = comb(m + n - 1, n)
-    if count > cap:
-        raise EnumCap(
-            "product_set would enumerate %d points (cap %d)" % (count, cap))
+    if count > DEFAULT_ENUM_CAP:
+        raise EnumCap("product_set would enumerate %d points (cap %d)"
+                      % (count, DEFAULT_ENUM_CAP))
     prods = [np.prod(combo) for combo in
              combinations_with_replacement(base.points, n)]
-    return SpectrumSet(prods, base.cluster_radius)
+    return SpectrumSet(prods)
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def lattice_spectrum(base, window):
     values = np.array([val for val, _ in _lattice_walk(base, window)],
                       dtype=complex)
     keep = np.abs(values.imag) <= window.im_max + base.cluster_radius
-    return SpectrumSet(values[keep], base.cluster_radius)
+    return SpectrumSet(values[keep])
 
 
 def _lattice_walk(base, window):

@@ -47,7 +47,6 @@ from itertools import product as _iter_product
 from math import comb, factorial, prod
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InputError, NotContraction, SizeCap
 from .spectra import SpectrumSet, eig
@@ -91,10 +90,10 @@ def _position_table(d, n):
     return {alpha: i for i, alpha in enumerate(multi_indices(d, n))}
 
 
-def _check_cap(side, cap, what):
-    if side > cap:
+def _check_cap(side, what):
+    if side > DEFAULT_SIZE_CAP:
         raise SizeCap("%s would have side %d, above the cap %d"
-                      % (what, side, cap))
+                      % (what, side, DEFAULT_SIZE_CAP))
 
 
 def _readonly(a):
@@ -126,11 +125,11 @@ def _embedding_cached(d, n):
 
 # The Kronecker route (embedding, tensor_power, dgamma) stays as the
 # independent oracle that the tests pin sym_power against.
-def embedding(d, n, cap=DEFAULT_SIZE_CAP):
+def embedding(d, n):
     """Isometry from level n (occupation coordinates) into the plain n-fold
     tensor power, as a ``(d**n, sym_dim(d, n))`` matrix with orthonormal
     columns."""
-    _check_cap(d ** n, cap, "embedding of level %d" % n)
+    _check_cap(d ** n, "embedding of level %d" % n)
     return _embedding_cached(d, n)
 
 
@@ -142,13 +141,13 @@ def _square(T, name):
     return T
 
 
-def tensor_power(T, n, cap=DEFAULT_SIZE_CAP):
+def tensor_power(T, n):
     """Plain n-fold Kronecker power of T (n = 0 gives the 1x1 identity)."""
     T = _square(T, "tensor_power argument")
     if n < 0:
         raise InputError("tensor_power needs n >= 0")
     d = T.shape[0]
-    _check_cap(d ** n, cap, "tensor power %d" % n)
+    _check_cap(d ** n, "tensor power %d" % n)
     out = np.eye(1, dtype=T.dtype)
     for _ in range(n):
         out = np.kron(out, T)
@@ -239,7 +238,7 @@ def heat_block(Q, n):
     return block
 
 
-def sym_power(T, n, cap=DEFAULT_SIZE_CAP):
+def sym_power(T, n):
     """Restriction of the n-fold tensor power to the symmetric subspace,
     in occupation coordinates.
 
@@ -251,13 +250,13 @@ def sym_power(T, n, cap=DEFAULT_SIZE_CAP):
     if n < 0:
         raise InputError("sym_power needs n >= 0")
     d = T.shape[0]
-    _check_cap(sym_dim(d, n), cap, "symmetric power %d" % n)
+    _check_cap(sym_dim(d, n), "symmetric power %d" % n)
     D = np.sqrt([prod(factorial(a) for a in alpha)
                  for alpha in multi_indices(d, n)])
     return D[:, None] * substitution_block(T.T, n) / D[None, :]
 
 
-def creation(h, n, cap=DEFAULT_SIZE_CAP):
+def creation(h, n):
     """Creation by the vector h, mapping level n to level n + 1.
 
     Sends ``e_alpha`` to ``sum_i h_i sqrt(alpha_i + 1) e_(alpha+delta_i)``.
@@ -268,7 +267,7 @@ def creation(h, n, cap=DEFAULT_SIZE_CAP):
     d = h.shape[0]
     if d < 1:
         raise DimensionMismatch("creation needs a nonempty vector")
-    _check_cap(sym_dim(d, n + 1), cap, "creation target level %d" % (n + 1))
+    _check_cap(sym_dim(d, n + 1), "creation target level %d" % (n + 1))
     _, _, up, alpha = _substitution_tables(d, n + 1)
     C = np.zeros((sym_dim(d, n + 1), len(alpha)),
                  dtype=np.result_type(h, float))
@@ -276,7 +275,7 @@ def creation(h, n, cap=DEFAULT_SIZE_CAP):
     return C
 
 
-def annihilation(h, n, cap=DEFAULT_SIZE_CAP):
+def annihilation(h, n):
     """Annihilation by the vector h, mapping level n to level n - 1.
 
     Defined as the adjoint of :func:`creation`, taken literally: the
@@ -285,10 +284,10 @@ def annihilation(h, n, cap=DEFAULT_SIZE_CAP):
     """
     if n < 1:
         raise InputError("annihilation needs a level n >= 1")
-    return creation(h, n - 1, cap).conj().T.copy()
+    return creation(h, n - 1).conj().T.copy()
 
 
-def dgamma(M, n, cap=DEFAULT_SIZE_CAP):
+def dgamma(M, n):
     """Derivation (number-operator style lift) of M on level n:
     the compression of ``sum_j I (x)...(x) M (x)...(x) I``.
 
@@ -301,7 +300,7 @@ def dgamma(M, n, cap=DEFAULT_SIZE_CAP):
     d = M.shape[0]
     if n == 0:
         return np.zeros((1, 1), dtype=M.dtype)
-    _check_cap(d ** n, cap, "dgamma on level %d" % n)
+    _check_cap(d ** n, "dgamma on level %d" % n)
     eye = np.eye(d, dtype=M.dtype)
     total = np.zeros((d ** n, d ** n), dtype=M.dtype)
     for j in range(n):
@@ -309,7 +308,7 @@ def dgamma(M, n, cap=DEFAULT_SIZE_CAP):
         for k in range(n):
             term = np.kron(term, M if k == j else eye)
         total += term
-    J = embedding(d, n, cap)
+    J = embedding(d, n)
     return J.T @ total @ J
 
 
@@ -319,7 +318,8 @@ class FockTruncation:
 
     ``levels[n]`` is the block acting on level n (symmetric occupation
     coordinates when ``symmetric``, plain tensor coordinates otherwise);
-    ``levels[0]`` is the 1x1 identity block of the vacuum.
+    ``levels[0]`` is the 1x1 identity block of the vacuum.  The full
+    matrix on the truncated algebra is ``scipy.linalg.block_diag(*levels)``.
     """
 
     base_dim: int
@@ -333,10 +333,6 @@ class FockTruncation:
     @property
     def dim(self):
         return sum(block.shape[0] for block in self.levels)
-
-    def matrix(self):
-        """The full block-diagonal matrix on the truncated algebra."""
-        return scipy.linalg.block_diag(*self.levels)
 
     def spectrum(self):
         """Union of the block spectra (always contains 1, from the
@@ -356,7 +352,7 @@ class FockTruncation:
         return self.spectrum().union([0.0 + 0.0j])
 
 
-def second_quantization(T, N, *, symmetric=True, cap=DEFAULT_SIZE_CAP,
+def second_quantization(T, N, *, symmetric=True,
                         allow_noncontraction=False):
     """All (symmetric) tensor powers of T up to level N, as one truncation.
 
@@ -374,6 +370,6 @@ def second_quantization(T, N, *, symmetric=True, cap=DEFAULT_SIZE_CAP,
             "operator norm %.12g exceeds 1; pass allow_noncontraction=True "
             "to lift anyway" % norm)
     build = sym_power if symmetric else tensor_power
-    levels = tuple(build(T, n, cap) for n in range(N + 1))
+    levels = tuple(build(T, n) for n in range(N + 1))
     return FockTruncation(base_dim=T.shape[0], symmetric=symmetric,
                           levels=levels)

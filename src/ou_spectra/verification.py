@@ -26,7 +26,6 @@ import numpy as np
 import scipy.linalg
 
 from . import gramian as _gr
-from .config import DEFAULT
 from .errors import (
     CriteriaDisagree,
     DegenerateMeasure,
@@ -112,6 +111,13 @@ def _check(name, residual, tolerance, detail=""):
     return CheckResult(name=name, passed=residual <= tolerance,
                        residual=residual, tolerance=float(tolerance),
                        detail=detail)
+
+
+def _worst(values, floor=-math.inf):
+    """The largest of `values` and `floor`, NaN if any is NaN.  Python's
+    ``max(acc, x)`` keeps ``acc`` when ``x`` is NaN, so a NaN residual
+    would pass its check."""
+    return float(np.max([floor, *values]))
 
 
 def _skip(name, detail):
@@ -205,42 +211,36 @@ def moment_gram(basis, Sigma):
     return G
 
 
-def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
-                seed=0):
+#: Horizons of the Gramian checks in :func:`model_suite`.
+T_GRID = (0.1, 0.5, 1.0, 2.0)
+
+
+def model_suite(model, *, degree=3, levels=3, seed=0):
     """All model-applicable invariants, as a list of check results."""
     rng = np.random.default_rng(seed)
     out = []
-    t_grid = tuple(float(t) for t in t_grid)
     d = model.dim
 
     # -- horizon Gramian versus an independent quadrature oracle ---------
-    if not t_grid or min(t_grid) <= 0:
-        raise InputError("t_grid must be nonempty with positive entries")
-    grams = {t: gramian_t(model, t) for t in t_grid}
-    oracle = _quadrature_gramians(model, t_grid)
-    resid = 0.0
-    for t in t_grid:
-        Qt = grams[t]
-        resid = max(resid, np.abs(Qt - oracle[t]).max()
-                    / (1.0 + np.abs(Qt).max()))
+    grams = {t: gramian_t(model, t) for t in T_GRID}
+    oracle = _quadrature_gramians(model, T_GRID)
+    resid = _worst((np.abs(grams[t] - oracle[t]).max()
+                    / (1.0 + np.abs(grams[t]).max()) for t in T_GRID), 0.0)
     out.append(_check("gramian_t_quadrature_agreement", resid, 1e-8))
 
     # -- PSD and monotonicity of the Gramian family ----------------------
-    psd_floor = 0.0
-    mono_floor = 0.0
-    scale = max(max(np.abs(g).max() for g in grams.values()), 1.0)
-    for t in t_grid:
-        psd_floor = max(psd_floor, -np.linalg.eigvalsh(grams[t])[0])
-    for s, t in zip(t_grid, t_grid[1:]):
-        mono_floor = max(
-            mono_floor, -np.linalg.eigvalsh(grams[t] - grams[s])[0])
+    scale = _worst((np.abs(g).max() for g in grams.values()), 1.0)
+    psd_floor = _worst((-np.linalg.eigvalsh(grams[t])[0] for t in T_GRID),
+                       0.0)
+    mono_floor = _worst((-np.linalg.eigvalsh(grams[t] - grams[s])[0]
+                         for s, t in zip(T_GRID, T_GRID[1:])), 0.0)
     out.append(_check("gramian_t_psd", psd_floor, 1e-10 * scale))
     out.append(_check("gramian_monotone_in_t", mono_floor, 1e-10 * scale))
 
     # -- rank criteria must agree ----------------------------------------
     try:
-        feller = _gr._checked_rank(model, grams[t_grid[0]],
-                                   t_grid[0]) == model.dim
+        feller = _gr._checked_rank(model, grams[T_GRID[0]],
+                                   T_GRID[0]) == model.dim
         out.append(_check("strong_feller_rank_agreement", 0.0, 0.0,
                           detail="strong_feller=%s" % feller))
     except CriteriaDisagree as exc:
@@ -249,7 +249,7 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
                                math.inf, 0.0, str(exc)))
 
     inv_rep = _gr._invertibility_report(
-        model, {t: grams[t] for t in t_grid[:3]})
+        model, {t: grams[t] for t in T_GRID[:3]})
     if inv_rep.equivalent is None:
         out.append(_skip("invertibility_equivalence", inv_rep.note))
     else:
@@ -265,18 +265,19 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
     # -- steady-state identities ------------------------------------------
     Qi = _q_inf(model)
     lyap = np.abs(model.A @ Qi + Qi @ model.A.T + model.Q).max()
-    out.append(_check("lyapunov_residual", lyap,
-                      1e-10 * (1.0 + np.abs(model.Q).max())))
+    out.append(_check("lyapunov_residual", lyap, model.tol.lyap_tol
+                      * (1.0 + np.abs(model.Q).max())))
 
-    split = 0.0
-    for t in (0.1, 1.0, 5.0):
+    def split_residual(t):
         F = flow(model, t)
         Qt = grams[t] if t in grams else gramian_t(model, t)
-        split = max(split, np.linalg.norm(Qi - Qt - F @ Qi @ F.T, 2))
+        return np.linalg.norm(Qi - Qt - F @ Qi @ F.T, 2)
+
+    split = _worst(map(split_residual, (0.1, 1.0, 5.0)), 0.0)
     out.append(_check("splitting_identity", split,
                       1e-8 * max(np.linalg.norm(Qi, 2), 1e-300)))
 
-    mono_inf = max(-np.linalg.eigvalsh(Qi - grams[t])[0] for t in t_grid)
+    mono_inf = _worst(-np.linalg.eigvalsh(Qi - grams[t])[0] for t in T_GRID)
     out.append(_check("gramian_dominated_by_steady_state", mono_inf,
                       1e-10 * scale))
 
@@ -287,8 +288,8 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
                       detail="rank=%d" % factor.rank))
 
     # -- restricted flow: contraction, semigroup law, norm identity ------
-    norms = {t: smu_norm(model, factor, t) for t in t_grid}
-    worst_norm = max(norms.values())
+    norms = {t: smu_norm(model, factor, t) for t in T_GRID}
+    worst_norm = _worst(norms.values())
     out.append(_check("restricted_flow_contraction", worst_norm - 1.0, 1e-10))
     if feller:
         out.append(_check("restricted_flow_strict_contraction",
@@ -300,14 +301,15 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
                   smu_matrix(model, factor, 1.0)).max()
     out.append(_check("restricted_flow_semigroup_law", semi, 1e-8))
 
-    ident = 0.0
-    for t in t_grid:
+    def ident_residual(t):
         K = _gr.quadratic_form_ratio_sup(Qi, grams[t], model.tol.rank_tol)
         if not math.isfinite(K) or K <= 0:
-            continue
+            return 0.0
         lhs = norms[t] ** 2
         rhs = 1.0 - 1.0 / K
-        ident = max(ident, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
+
+    ident = _worst(map(ident_residual, T_GRID), 0.0)
     out.append(_check("norm_identity_vs_rayleigh_quotient", ident, 1e-6))
 
     # -- generator-level identities ---------------------------------------
@@ -340,11 +342,11 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
     # are never formed as dense matrices (see ChaosDecomposition).
     out.append(_check("chaos_resolution_of_identity",
                       np.abs(chaos.lift() - np.eye(basis.dim)).max(), 1e-10))
-    idem = max(chaos.layer_deviation(n, n) for n in range(degree + 1))
+    idem = _worst(chaos.layer_deviation(n, n) for n in range(degree + 1))
     # layers of different parity are orthogonal exactly: their pair
     # products have no term
-    ortho = max((chaos.layer_deviation(n, m) for n in range(degree + 1)
-                 for m in range(n + 2, degree + 1, 2)), default=0.0)
+    ortho = _worst((chaos.layer_deviation(n, m) for n in range(degree + 1)
+                    for m in range(n + 2, degree + 1, 2)), 0.0)
     out.append(_check("chaos_projections_idempotent", idem, 1e-10))
     out.append(_check("chaos_projections_orthogonal", ortho, 1e-10))
 
@@ -357,7 +359,7 @@ def model_suite(model, *, degree=3, levels=3, t_grid=(0.1, 0.5, 1.0, 2.0),
 
     N = min(levels, degree)
     k = poly_basis(d, N).dim
-    rep = _three_way(model, 1.0, P[1.0][:k, :k], chaos.leading(N), 1e-8)
+    rep = _three_way(model, 1.0, P[1.0][:k, :k], chaos.leading(N))
     out.append(_check("second_quantization_three_way", rep.max_residual,
                       rep.tol, detail="t=1, N=%d" % rep.N))
 
@@ -390,8 +392,7 @@ def _chaos_covariance_residual(model, chaos, rng):
         c[low.degree_slice(1)] = Qi_inv @ v
         return Polynomial(basis=low, coeffs=c)
 
-    worst = 0.0
-    for _ in range(3):
+    def pairing_residual():
         h = rng.standard_normal((2, model.dim))
         k = rng.standard_normal((2, model.dim))
         f, g = (poly_mul(linear(pair[0]), linear(pair[1])).coeffs
@@ -399,8 +400,9 @@ def _chaos_covariance_residual(model, chaos, rng):
         lhs = float((I2 @ f) @ G @ (I2 @ g))
         ip = lambda a, b: float(a @ Qi_inv @ b)
         rhs = ip(h[0], k[0]) * ip(h[1], k[1]) + ip(h[0], k[1]) * ip(h[1], k[0])
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    return worst
+        return abs(lhs - rhs) / max(abs(rhs), 1.0)
+
+    return _worst((pairing_residual() for _ in range(3)), 0.0)
 
 
 def _eigenvector_degree_check(model, basis, vals, vecs, window):
@@ -434,55 +436,52 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
     out = []
     tnorm = np.linalg.norm(T, 2)
 
-    norm_resid = 0.0
-    sym_resid = 0.0
-    for n in range(1, levels + 1):
-        norm_resid = max(norm_resid, abs(
-            np.linalg.norm(tensor_power(T, n), 2) - tnorm ** n))
-        sym_resid = max(sym_resid, abs(
-            np.linalg.norm(sym_power(T, n), 2) - tnorm ** n))
+    norm_resid = _worst((abs(np.linalg.norm(tensor_power(T, n), 2)
+                             - tnorm ** n) for n in range(1, levels + 1)), 0.0)
+    sym_resid = _worst((abs(np.linalg.norm(sym_power(T, n), 2) - tnorm ** n)
+                        for n in range(1, levels + 1)), 0.0)
     out.append(_check(prefix + "tensor_norm_law", norm_resid, 1e-10))
     out.append(_check(prefix + "sym_norm_law", sym_resid, 1e-8))
 
     S = random_contraction(rng, d=d, kind="diagonalizable")
     snorm = np.linalg.norm(S, 2)
-    tele = 0.0
-    for n in range(1, levels + 1):
+
+    def tele_excess(n):
         diff = np.linalg.norm(tensor_power(T, n) - tensor_power(S, n), 2)
         bound = np.linalg.norm(T - S, 2) * sum(
             snorm ** j * tnorm ** (n - 1 - j) for j in range(n))
-        tele = max(tele, diff - bound)
+        return diff - bound
+
+    tele = _worst(map(tele_excess, range(1, levels + 1)), 0.0)
     out.append(_check(prefix + "telescoping_bound", tele, 1e-10))
 
-    homo = 0.0
-    for n in range(1, levels + 1):
-        homo = max(homo, np.abs(
-            sym_power(T @ S, n) - sym_power(T, n) @ sym_power(S, n)).max())
+    homo = _worst((np.abs(sym_power(T @ S, n)
+                          - sym_power(T, n) @ sym_power(S, n)).max()
+                   for n in range(1, levels + 1)), 0.0)
     out.append(_check(prefix + "sym_power_homomorphism", homo, 1e-10))
 
-    emb = max(np.abs(embedding(d, n).T @ embedding(d, n)
-                     - np.eye(sym_dim(d, n))).max()
-              for n in range(levels + 1))
+    emb = _worst(np.abs(embedding(d, n).T @ embedding(d, n)
+                        - np.eye(sym_dim(d, n))).max()
+                 for n in range(levels + 1))
     out.append(_check(prefix + "embedding_isometry", emb, 1e-12))
 
-    comm = 0.0
-    lower = 0.0
-    dual = 0.0
+    comm, dual, lower = [], [], []
     for n in range(0, 4):
         h = rng.standard_normal(d)
         up = annihilation(h, n + 1) @ creation(h, n)
         down = creation(h, n - 1) @ annihilation(h, n) if n >= 1 \
             else np.zeros_like(up)
-        comm = max(comm, np.abs(
-            up - down - (h @ h) * np.eye(up.shape[0])).max())
-        dual = max(dual, np.abs(
-            annihilation(h, n + 1) - creation(h, n).T).max())
+        comm.append(np.abs(up - down - (h @ h) * np.eye(up.shape[0])).max())
+        dual.append(np.abs(annihilation(h, n + 1) - creation(h, n).T).max())
         g = rng.standard_normal(creation(h, n).shape[1])
-        lower = max(lower, np.linalg.norm(g) * np.linalg.norm(h)
-                    - np.linalg.norm(creation(h, n) @ g))
-    out.append(_check(prefix + "ladder_commutation", comm, 1e-12))
-    out.append(_check(prefix + "ladder_duality_exact", dual, 0.0))
-    out.append(_check(prefix + "ladder_lower_bound", lower, 1e-12))
+        lower.append(np.linalg.norm(g) * np.linalg.norm(h)
+                     - np.linalg.norm(creation(h, n) @ g))
+    out.append(_check(prefix + "ladder_commutation", _worst(comm, 0.0),
+                      1e-12))
+    out.append(_check(prefix + "ladder_duality_exact", _worst(dual, 0.0),
+                      0.0))
+    out.append(_check(prefix + "ladder_lower_bound", _worst(lower, 0.0),
+                      1e-12))
 
     M = rng.standard_normal((d, d))
     side = sym_dim(d, 2)
@@ -500,23 +499,19 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
                       errs[1] / max(errs[0], 1e-300), 0.2))
 
     base = eig(T)
-    spec_resid = 0.0
+    spec_resid = []
     for n in range(1, levels + 1):
         prods = product_set(base, n)
-        spec_resid = max(
-            spec_resid,
-            hausdorff(eig(tensor_power(T, n)), prods),
-            hausdorff(eig(sym_power(T, n)), prods))
+        spec_resid += [hausdorff(eig(tensor_power(T, n)), prods),
+                       hausdorff(eig(sym_power(T, n)), prods)]
+    spec_resid = _worst(spec_resid, 0.0)
     out.append(_check(prefix + "tensor_sym_product_spectra", spec_resid,
                       1e-7))
 
     if np.all(base.points.real < 0):
-        dg_resid = 0.0
-        for n in range(1, levels + 1):
-            sums = SpectrumSet(
-                [sum(c) for c in
-                 combinations_with_replacement(base.points, n)])
-            dg_resid = max(dg_resid, hausdorff(eig(dgamma(T, n)), sums))
+        dg_resid = _worst((hausdorff(eig(dgamma(T, n)), SpectrumSet(
+            [sum(c) for c in combinations_with_replacement(base.points, n)]))
+            for n in range(1, levels + 1)), 0.0)
         out.append(_check(prefix + "dgamma_sum_spectrum", dg_resid, 1e-7))
 
     if tnorm < 1:
@@ -541,16 +536,16 @@ def spectra_suite(seed=0):
     rng = np.random.default_rng(seed)
     out = []
 
-    tri = 0.0
-    sym = 0.0
+    sym, tri = [], []
     for _ in range(5):
         a, b, c = (SpectrumSet(rng.standard_normal(4)
                                + 1j * rng.standard_normal(4))
                    for _ in range(3))
-        sym = max(sym, abs(hausdorff(a, b) - hausdorff(b, a)))
-        tri = max(tri, hausdorff(a, c) - hausdorff(a, b) - hausdorff(b, c))
-    out.append(_check("hausdorff_symmetry", sym, 0.0))
-    out.append(_check("hausdorff_triangle_inequality", tri, 1e-12))
+        sym.append(abs(hausdorff(a, b) - hausdorff(b, a)))
+        tri.append(hausdorff(a, c) - hausdorff(a, b) - hausdorff(b, c))
+    out.append(_check("hausdorff_symmetry", _worst(sym, 0.0), 0.0))
+    out.append(_check("hausdorff_triangle_inequality", _worst(tri, 0.0),
+                      1e-12))
 
     z = -0.5 - rng.random(2) - 1j * rng.standard_normal(2)
     z = np.concatenate([z, z.conj()])
@@ -569,7 +564,7 @@ def spectra_suite(seed=0):
 
     big = lattice_spectrum(SpectrumSet(z), LatticeWindow(
         re_min=-6.0, im_max=12.0, max_terms=16))
-    missing = max(np.abs(big.points - u).min() for u in pts)
+    missing = _worst(np.abs(big.points - u).min() for u in pts)
     out.append(_check("lattice_window_monotone", missing, 1e-9))
     return out
 
@@ -626,13 +621,14 @@ def random_contraction(rng, d=2, kind=None, norm=None):
     return T * (target / max(np.linalg.norm(T, 2), 1e-12))
 
 
-def random_suite(seed, count, *, degree=3, levels=3):
-    """Model suites on `count` random stable models plus algebra suites on
+def random_suite(seed, count, *, degree=3, levels=3, tol=None):
+    """Model suites on `count` random stable models, validated with the
+    tolerances `tol` (``DEFAULT`` when omitted), plus algebra suites on
     random contractions, with per-item derived seeds."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
-        model = random_stable_model(rng, d=2)
+        model = random_stable_model(rng, d=2, tol=tol)
         out.extend(model_suite(model, degree=degree, levels=levels,
                                seed=int(rng.integers(2 ** 31))))
     for i in range(max(count // 2, 1)):

@@ -499,6 +499,45 @@ def test_exit_2_on_numerical_hypothesis(tmp_path, capsys):
     assert "hypothesis" in err
 
 
+def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
+                                                   capsys):
+    # at degree 3 over d = 2 the odd-degree block of L has side 6; every
+    # other exponential of verify is at most 4 x 4 or a stack of 2 x 2
+    import scipy.linalg
+    real = scipy.linalg.expm
+
+    def expm(M):
+        if M.ndim == 2 and M.shape[0] > 4:
+            return np.full(M.shape, np.nan)
+        return real(M)
+
+    monkeypatch.setattr(scipy.linalg, "expm", expm)
+    out = str(tmp_path / "v.json")
+    assert cli.main(["verify", "jordan_omega1", "--out", out]) == 2
+    assert "matrix exponential" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def _lyapunov_tolerances(path):
+    report = json.loads(open(path).read())
+    return [c["tolerance"] for c in report["checks"]
+            if c["name"] == "lyapunov_residual"]
+
+
+def test_verify_random_takes_the_tolerance_profile(tmp_path, monkeypatch):
+    out = str(tmp_path / "v.json")
+    argv = ["verify", "--random", "1", "1", "--out", out]
+    assert cli.main(argv) == 0
+    (default,) = _lyapunov_tolerances(out)
+    assert cli.main(argv + ["--tol", "strict"]) == 0
+    (strict,) = _lyapunov_tolerances(out)
+    monkeypatch.setenv("OU_SPECTRA_TOL_PROFILE", "loose")
+    assert cli.main(argv) == 0
+    (loose,) = _lyapunov_tolerances(out)
+    assert math.isclose(strict, 1e-2 * default)
+    assert math.isclose(loose, 1e2 * default)
+
+
 def test_exit_3_on_failed_suite(tmp_path, monkeypatch, capsys):
     from ou_spectra import verification
     real = verification._q_inf

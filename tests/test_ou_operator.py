@@ -51,7 +51,7 @@ from ou_spectra.ou_operator import (
     verify_second_quantization,
 )
 from ou_spectra.spectra import SpectrumSet, _eigvals, hausdorff
-from ou_spectra.tensor_fock import substitution_levels, sym_power
+from ou_spectra.tensor_fock import substitution_levels, sym_dim, sym_power
 from ou_spectra.verification import (
     MomentTable,
     moment_gram,
@@ -328,24 +328,32 @@ def test_mehler_matches_expm_of_galerkin():
 # chaos decomposition
 # ---------------------------------------------------------------------------
 
+def _projection(chaos, n):
+    """The n-th layer projection as a dense matrix, from its factor
+    pair."""
+    Phi_n, Psi_n = chaos.layer(n)
+    return Phi_n @ Psi_n
+
+
 def test_chaos_classical_hermite():
     # orthonormal degree-2 polynomial for N(0, 1/2) is (2x^2 - 1)/sqrt(2);
     # the projection of x^2 onto layer 2 is x^2 - 1/2
     b = poly_basis(1, 4)
     chaos = chaos_decomposition(CLASSICAL, b)
     f = monomial(b, (2,))
-    proj = chaos.project(2, f)
+    Phi_2, Psi_2 = chaos.layer(2)
+    proj = Phi_2 @ (Psi_2 @ f.coeffs)
     want = np.zeros(b.dim)
     want[b.position((2,))] = 1.0
     want[b.position((0,))] = -0.5
-    assert_allclose(proj.coeffs, want, atol=1e-12)
+    assert_allclose(proj, want, atol=1e-12)
 
 
 def test_chaos_projections_resolve_identity():
     for model in (CLASSICAL, JORDAN, OSCILLATOR):
         b = poly_basis(model.dim, 3)
         chaos = chaos_decomposition(model, b)
-        projections = [chaos.projection(n) for n in range(b.N + 1)]
+        projections = [_projection(chaos, n) for n in range(b.N + 1)]
         total = sum(projections)
         assert_allclose(total, np.eye(b.dim), atol=1e-10)
         for i, P in enumerate(projections):
@@ -365,7 +373,7 @@ def test_chaos_layers_mu_orthogonal():
     # so the stored inverse is the G-adjoint of the family
     assert_allclose(chaos.occupation_hermite_inv, O.T @ G, atol=1e-10)
     for n in range(b.N + 1):
-        P = chaos.projection(n)
+        P = _projection(chaos, n)
         assert_allclose(G @ P, P.T @ G, atol=1e-10)
 
 
@@ -489,7 +497,7 @@ def test_factor_pair_checks_match_dense_projection_products():
     noise = np.random.default_rng(0).standard_normal((b.dim, b.dim))
     crooked = replace(chaos, occupation_hermite_inv=(
         chaos.occupation_hermite_inv + 1e-6 * noise * pattern))
-    P = [crooked.projection(n) for n in range(b.N + 1)]
+    P = [_projection(crooked, n) for n in range(b.N + 1)]
     eye = np.eye(b.dim)
     for n in range(b.N + 1):
         for m in range(b.N + 1):
@@ -505,7 +513,8 @@ def test_factor_pair_checks_match_dense_projection_products():
     assert np.abs(crooked.lift(blocks) - want).max() \
         <= 1e-12 * np.abs(want).max()
     f = np.random.default_rng(1).standard_normal(b.dim)
-    assert_allclose(crooked.project(3, f), P[3] @ f, rtol=1e-12,
+    Phi_3, Psi_3 = crooked.layer(3)
+    assert_allclose(Phi_3 @ (Psi_3 @ f), P[3] @ f, rtol=1e-12,
                     atol=1e-12 * np.abs(P[3] @ f).max())
 
 
@@ -633,6 +642,19 @@ def test_verify_second_quantization_detects_corruption(monkeypatch):
 
     monkeypatch.setattr(op, "mehler_matrix", crooked)
     rep = op.verify_second_quantization(CLASSICAL, 0.5, 3)
+    assert not rep.passed
+
+
+def test_verify_second_quantization_fails_on_a_nan_lift(monkeypatch):
+    # Python's max(r_ab, nan, nan) is r_ab: the worst residual must be
+    # taken so that a NaN lift fails
+    monkeypatch.setattr(ou_operator, "sym_power",
+                        lambda T, n: np.full((sym_dim(len(T), n),) * 2,
+                                             np.nan))
+    rep = verify_second_quantization(OSCILLATOR, 1.0, 3)
+    assert rep.residual_generator_vs_mehler <= 1e-12
+    assert math.isnan(rep.residual_generator_vs_lift)
+    assert math.isnan(rep.max_residual)
     assert not rep.passed
 
 

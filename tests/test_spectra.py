@@ -39,7 +39,8 @@ HAUSDORFF_ORACLE = 2.0
 
 
 def test_clustering_merges_close_points():
-    s = SpectrumSet(CLUSTER_IN, cluster_radius=1e-7)
+    # the fixed clustering radius is 1e-7
+    s = SpectrumSet(CLUSTER_IN)
     assert_allclose(sorted(s.points.real), CLUSTER_OUT, atol=1e-8)
     assert len(s) == 2
 
@@ -157,9 +158,10 @@ def test_product_set_rejects_n_zero():
 
 
 def test_product_set_cap():
+    # C(45, 6) = 8,145,060 products, above DEFAULT_ENUM_CAP = 200,000
     base = SpectrumSet(np.linspace(1, 2, 40))
     with pytest.raises(EnumCap):
-        product_set(base, 6, cap=1000)
+        product_set(base, 6)
 
 
 def test_lattice_hand_oracle():
@@ -240,8 +242,8 @@ def test_spectrum_set_is_immutable():
 def _spectrum_from_json(data):
     """Reads back a spectrum set as the report writer encodes it."""
     pts = [complex(p["re"], p["im"]) for p in data["points"]]
-    return SpectrumSet(pts, data.get("cluster_radius",
-                                     spectra.DEFAULT_CLUSTER_RADIUS))
+    assert data["cluster_radius"] == spectra.DEFAULT_CLUSTER_RADIUS
+    return SpectrumSet(pts)
 
 
 def test_json_round_trip():

@@ -15,11 +15,12 @@ graded ordering (2,0) > (1,1) > (0,2):
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from ou_spectra.errors import InputError, NotContraction, SizeCap
 from ou_spectra.spectra import SpectrumSet, eig, hausdorff, product_set
@@ -178,10 +179,18 @@ def test_sym_power_beyond_kronecker_cap():
 
 
 def test_size_cap():
-    with pytest.raises(SizeCap):
-        tensor_power(np.eye(2), 10, cap=100)
-    with pytest.raises(SizeCap):
-        sym_power(np.eye(2), 10, cap=10)
+    # sides 2**13 = 8192 and sym_dim(2, 4096) = 4097, both above
+    # DEFAULT_SIZE_CAP = 4096; the guard fires before anything is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap):
+            tensor_power(np.eye(2), 13)
+        with pytest.raises(SizeCap):
+            sym_power(np.eye(2), 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +332,7 @@ def test_second_quantization_block_structure():
     fock = second_quantization(T, 2)
     assert fock.N == 2
     assert fock.dim == 1 + 2 + 3
-    M = fock.matrix()
+    M = block_diag(*fock.levels)
     assert_allclose(M[0, 0], 1.0, atol=0)
     assert_allclose(M[1:3, 1:3], T, atol=0)
     assert_allclose(M[3:, 3:], sym_power(T, 2), atol=0)

@@ -112,10 +112,24 @@ def test_model_suite_reuses_gramians_and_norms(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(verification, name, counting)
-    grid = (0.2, 0.4, 0.6, 0.8)
-    assert not _failures(model_suite(OSCILLATOR, t_grid=grid))
+    grid = verification.T_GRID
+    assert grid == (0.1, 0.5, 1.0, 2.0)
+    assert not _failures(model_suite(OSCILLATOR))
     assert [t for t in calls["gramian_t"] if t in grid] == list(grid)
     assert calls["smu_norm"] == list(grid)
+
+
+def test_nan_quadrature_oracle_fails_its_check(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: the running maximum must propagate
+    # NaN so that a NaN oracle fails
+    monkeypatch.setattr(
+        verification, "_quadrature_gramians",
+        lambda model, grid: {t: np.full((model.dim,) * 2, np.nan)
+                             for t in grid})
+    checks = {c.name: c for c in model_suite(OSCILLATOR)}
+    check = checks["gramian_t_quadrature_agreement"]
+    assert np.isnan(check.residual)
+    assert not check.passed
 
 
 def test_model_suite_forms_each_horizon_once(monkeypatch):
