@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -503,10 +504,15 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    # Built once per process: the help text scans the bundled models.
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, factorial, prod, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .errors import (
 )
 from .gramian import (
     _expm,
-    _rank_cut,
     flow,
     gramian_inf,
     gramian_t,
@@ -65,8 +64,8 @@ from .gramian import (
     rkhs_factor,
     smu_matrix,
 )
-from .tensor_fock import (derivation_block, heat_block, multi_indices,
-                          substitution_levels, sym_power)
+from .tensor_fock import (_sqrt_factorials, derivation_block, heat_block,
+                          multi_indices, substitution_levels, sym_power)
 
 __all__ = [
     "PolyBasis", "poly_basis", "Polynomial", "poly_mul",
@@ -451,20 +450,22 @@ def chaos_decomposition(model, basis):
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
     Qi = gramian_inf(model)
-    lam = np.linalg.eigvalsh(Qi)
-    if not _rank_cut(lam, model.tol.rank_tol).all():
+    # One eigendecomposition decides both: the factor keeps the eigenvalues
+    # above the rank cut, in descending order.
+    factor = rkhs_factor(Qi, model.tol.rank_tol)
+    if factor.rank < basis.d:
         raise DegenerateMeasure(
             "invariant covariance is singular (eigenvalues %s); polynomials "
             "in kernel directions have no square-integrable normalization"
-            % np.array2string(lam, precision=3))
-    if lam[-1] / lam[0] > 1e12:
+            % np.array2string(np.linalg.eigvalsh(Qi), precision=3))
+    ratio = factor.eigenvalues[0] / factor.eigenvalues[-1]
+    if ratio > 1e12:
         warnings.warn(
             "invariant covariance is ill-conditioned (ratio %.3e); "
-            "the chaos family may lose digits" % (lam[-1] / lam[0]),
+            "the chaos family may lose digits" % ratio,
             RuntimeWarning, stacklevel=2)
-    factor = rkhs_factor(Qi, model.tol.rank_tol)
-    norms = np.sqrt([prod(factorial(a) for a in alpha)
-                     for alpha in basis.monomials])
+    norms = np.concatenate([_sqrt_factorials(basis.d, n)
+                            for n in range(basis.N + 1)])
     # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
     # two agree only to roundoff times sqrt(cond Q_inf), and that gap,
     # magnified by the Hermite coefficients, would keep S(W^-1) S(W) from
@@ -523,18 +524,19 @@ def verify_second_quantization(model, t, N):
     if t < 0:
         raise InputError("verify_second_quantization needs t >= 0")
     basis = poly_basis(model.dim, N)
-    return _three_way(model, t, mehler_matrix(model, t, basis),
+    return _three_way(model, t, assemble_L(model, basis),
+                      mehler_matrix(model, t, basis),
                       chaos_decomposition(model, basis))
 
 
-def _three_way(model, t, P_meh, chaos):
-    """:func:`verify_second_quantization` on a Mehler matrix and a chaos
-    family already built on one basis, so a caller that holds them does
-    not build them again."""
+def _three_way(model, t, L, P_meh, chaos):
+    """:func:`verify_second_quantization` on a Galerkin matrix, a Mehler
+    matrix and a chaos family already built on one basis, so a caller that
+    holds them does not build them again."""
     basis = chaos.basis
     # Shares no code with (b) and (c), which both rest on the substitution
     # kernel; that kernel is pinned to the Kronecker route by the tests.
-    P_gen = _by_parity(t * assemble_L(model, basis), basis, _expm)
+    P_gen = _by_parity(t * L, basis, _expm)
     B = smu_matrix(model, chaos.factor, t)
     P_lift = chaos.lift([sym_power(B.T, n) for n in range(basis.N + 1)])
     r_ab = float(np.abs(P_gen - P_meh).max())

@@ -133,6 +133,14 @@ def embedding(d, n):
     return _embedding_cached(d, n)
 
 
+@lru_cache(maxsize=None)
+def _sqrt_factorials(d, n):
+    """The diagonal of ``D_n = diag(sqrt(alpha!))`` over ``multi_indices(d,
+    n)``, read-only."""
+    return _readonly(np.sqrt([prod(factorial(a) for a in alpha)
+                              for alpha in multi_indices(d, n)]))
+
+
 def _square(T, name):
     T = np.asarray(T)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -251,8 +259,7 @@ def sym_power(T, n):
         raise InputError("sym_power needs n >= 0")
     d = T.shape[0]
     _check_cap(sym_dim(d, n), "symmetric power %d" % n)
-    D = np.sqrt([prod(factorial(a) for a in alpha)
-                 for alpha in multi_indices(d, n)])
+    D = _sqrt_factorials(d, n)
     return D[:, None] * substitution_block(T.T, n) / D[None, :]
 
 

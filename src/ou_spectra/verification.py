@@ -7,6 +7,12 @@ Checks that do not apply to a model (no steady state for an unstable drift,
 no chaos layers for a singular invariant covariance) are skipped with a
 note rather than silently passed.
 
+The horizon Gramians are checked against an independent oracle, an
+adaptive Gauss-Kronrod 21 quadrature of ``int_0^t exp(sA) Q exp(sA') ds``
+written out in numpy (:func:`_adaptive_gk21`, the rule and stopping rules
+of ``scipy.integrate.quad_vec``), so that ``verify`` does not import
+``scipy.integrate``; the tests pin it to ``quad_vec``.
+
 The module also hosts the random generators for stable models and strict
 contractions used by the property tests, so the CLI's ``--random`` mode and
 the test suite draw from the same distributions.  Defective (Jordan-type)
@@ -18,8 +24,9 @@ which would drown every tight spectral tolerance in this suite.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -62,11 +69,11 @@ from .spectra import (
     product_set,
 )
 from .tensor_fock import (
+    FockTruncation,
     annihilation,
     creation,
     dgamma,
     embedding,
-    second_quantization,
     sym_dim,
     sym_power,
     tensor_power,
@@ -131,24 +138,126 @@ def _q_inf(model):
     return _gr.gramian_inf(model)
 
 
+# Gauss-Kronrod 21 on [-1, 1] (QUADPACK: Piessens, de Doncker-Kapenga,
+# Ueberhuber & Kahaner, 1983), as tabulated in scipy.integrate.quad_vec:
+# the 21 Kronrod nodes, their weights, and the weights of the 10-point
+# Gauss rule on the odd-indexed nodes.
+_GK21_NODES = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003)
+_GK21_KRONROD = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192)
+_GK10_GAUSS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332)
+
+#: Tolerance of the quadrature oracle, absolute and relative, in the 2-norm.
+_QUAD_EPS = 1e-12
+#: Panels the oracle may hold before it stops refining.
+_QUAD_PANEL_CAP = 10000
+#: Panels refined per sweep at most.
+_QUAD_SWEEP = 128
+
+
+def _gk21_panel(integrand, a, b):
+    """Kronrod estimate of the integral over [a, b], and its QUADPACK error
+    estimate and rounding-error floor in the 2-norm.  `integrand` takes
+    the 21 nodes at once and returns their values stacked on axis 0."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fv = integrand(np.array([c + h * x for x in _GK21_NODES]))
+    s_k = s_k_abs = s_g = s_k_dabs = 0.0
+    for v, f in zip(_GK21_KRONROD, fv):
+        s_k += v * f
+        s_k_abs += v * abs(f)
+    for w, f in zip(_GK10_GAUSS, fv[1::2]):
+        s_g += w * f
+    y0 = s_k / 2.0
+    for v, f in zip(_GK21_KRONROD, fv):
+        s_k_dabs += v * abs(f - y0)
+    err = float(np.linalg.norm((s_k - s_g) * h))
+    dabs = float(np.linalg.norm(s_k_dabs * h))
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    round_err = float(np.linalg.norm(50 * np.finfo(float).eps * h * s_k_abs))
+    if round_err > np.finfo(float).tiny:
+        err = max(err, round_err)
+    return h * s_k, err, round_err
+
+
+def _adaptive_gk21(integrand):
+    """Globally adaptive Gauss-Kronrod 21 over [0, 1], the bisection
+    scheme of ``scipy.integrate.quad_vec`` at ``epsabs = epsrel =
+    _QUAD_EPS``, norm ``'2'``: each sweep bisects the panels of largest
+    error until their errors cover the excess over ``tol/8``; it stops when
+    the total error is below ``tol/8`` (a sweep leaves at least two
+    panels), or below the accumulated rounding error, or at the panel
+    cap.  A non-finite error estimate returns NaN."""
+    total, error, rounding = _gk21_panel(integrand, 0.0, 1.0)
+    # (-error, a, b, integral): the heap pops the largest error first; the
+    # panels are disjoint, so ties never reach the integral.
+    panels = [(-error, 0.0, 1.0, total.copy())]
+    tol = max(_QUAD_EPS, _QUAD_EPS * np.linalg.norm(total))
+    while len(panels) < _QUAD_PANEL_CAP:
+        sweep, err_sum = [], 0
+        while panels and len(sweep) < _QUAD_SWEEP and not (
+                sweep and err_sum > error - tol / 8):
+            sweep.append(heapq.heappop(panels))
+            err_sum -= sweep[-1][0]
+        for neg_err, a, b, old in sweep:
+            c = 0.5 * (a + b)
+            s1, err1, round1 = _gk21_panel(integrand, a, c)
+            s2, err2, round2 = _gk21_panel(integrand, c, b)
+            total += s1 + s2 - old
+            error += err1 + err2 + neg_err
+            rounding += round1 + round2
+            heapq.heappush(panels, (-err1, a, c, s1))
+            heapq.heappush(panels, (-err2, c, b, s2))
+        tol = max(_QUAD_EPS, _QUAD_EPS * np.linalg.norm(total))
+        if error < tol / 8 or error < rounding:
+            break
+        if not (math.isfinite(error) and math.isfinite(rounding)):
+            return np.full_like(total, np.nan)
+    return total
+
+
 def _quadrature_gramians(model, t_grid):
     """``Q_t = int_0^t exp(sA) Q exp(sA') ds`` at every horizon of
-    `t_grid`, by one adaptive quadrature: with ``s = u t`` all horizons
-    share ``u`` in [0, 1], and each node takes one batched exponential of
-    the stacked ``u t A``.  Independent of the Van Loan block exponential
-    of ``gramian_t``, which it checks."""
-    # Imported here: scipy.integrate pulls in scipy.optimize, sparse,
-    # spatial and special, which no other command needs at start-up.
-    import scipy.integrate
-
+    `t_grid`, by one adaptive quadrature (:func:`_adaptive_gk21`): with
+    ``s = u t`` all horizons share ``u`` in [0, 1], and each panel takes
+    one stacked exponential of ``u t A`` over its 21 nodes and all
+    horizons.  Independent of the Van Loan block exponential of
+    ``gramian_t``, which it checks.  The rule is written out here rather
+    than taken from ``scipy.integrate``, whose import loads
+    ``scipy.optimize``, ``sparse``, ``spatial`` and ``special``: about
+    21 MB and 0.2 s in every process that runs ``verify``."""
     ts = np.array(t_grid)[:, None, None]
 
     def integrand(u):
-        E = scipy.linalg.expm(u * ts * model.A)
-        return ts * (E @ model.Q @ E.swapaxes(1, 2))
-    val, _ = scipy.integrate.quad_vec(integrand, 0.0, 1.0,
-                                      epsabs=1e-12, epsrel=1e-12)
-    return dict(zip(t_grid, val))
+        E = scipy.linalg.expm((u[:, None, None, None] * ts) * model.A)
+        return ts * (E @ model.Q @ E.swapaxes(-1, -2))
+    return dict(zip(t_grid, _adaptive_gk21(integrand)))
 
 
 # Stays as the oracle for the chaos layers: the L2(mu) inner product from
@@ -322,8 +431,9 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # One eigendecomposition, per parity block: its values are matched to
     # the lattice and its vectors checked for degree support.
     vals, vecs = _by_parity(L, basis, lambda M: _eigvals(M, vectors=True))
-    window = _covering_window(eig(model.A).points, degree)
-    predicted = lattice_spectrum(eig(model.A), window)
+    drift = eig(model.A)
+    window = _covering_window(drift.points, degree)
+    predicted = lattice_spectrum(drift, window)
     out.append(_check("galerkin_spectrum_lattice_match",
                       hausdorff(SpectrumSet(vals), predicted), 1e-6,
                       detail="degree=%d" % degree))
@@ -357,13 +467,16 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     out.append(_check("chaos_covariance_permanent",
                       _chaos_covariance_residual(model, chaos, rng), 1e-9))
 
+    # L, P(t) and the chaos family are block upper triangular in the
+    # graded order, so their leading blocks are the same objects on the
+    # degrees <= N.
     N = min(levels, degree)
     k = poly_basis(d, N).dim
-    rep = _three_way(model, 1.0, P[1.0][:k, :k], chaos.leading(N))
+    rep = _three_way(model, 1.0, L[:k, :k], P[1.0][:k, :k], chaos.leading(N))
     out.append(_check("second_quantization_three_way", rep.max_residual,
                       rep.tol, detail="t=1, N=%d" % rep.N))
 
-    out.append(_eigenvector_degree_check(model, basis, vals, vecs, window))
+    out.append(_eigenvector_degree_check(drift, basis, vals, vecs, window))
     return out
 
 
@@ -405,12 +518,13 @@ def _chaos_covariance_residual(model, chaos, rng):
     return _worst((pairing_residual() for _ in range(3)), 0.0)
 
 
-def _eigenvector_degree_check(model, basis, vals, vecs, window):
-    """Eigenvalues realized by a unique sum of n drift eigenvalues must
-    have eigenvectors supported in degrees <= n."""
+def _eigenvector_degree_check(drift, basis, vals, vecs, window):
+    """Eigenvalues realized by a unique sum of n eigenvalues of the drift
+    (the spectrum `drift`) must have eigenvectors supported in degrees
+    <= n."""
     name = "eigenvector_degree_support"
     lattice, depth = (np.array(col) for col in
-                      zip(*_lattice_walk(eig(model.A), window)))
+                      zip(*_lattice_walk(drift, window)))
     sep = 1e-5
     gaps = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(gaps, np.inf)
@@ -435,11 +549,16 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
     d = T.shape[0]
     out = []
     tnorm = np.linalg.norm(T, 2)
+    # Each power of T, and each product set of its spectrum, is built once
+    # and serves every check below.
+    ns = range(1, levels + 1)
+    tens = {n: tensor_power(T, n) for n in ns}
+    syms = {n: sym_power(T, n) for n in range(levels + 1)}
 
-    norm_resid = _worst((abs(np.linalg.norm(tensor_power(T, n), 2)
-                             - tnorm ** n) for n in range(1, levels + 1)), 0.0)
-    sym_resid = _worst((abs(np.linalg.norm(sym_power(T, n), 2) - tnorm ** n)
-                        for n in range(1, levels + 1)), 0.0)
+    norm_resid = _worst((abs(np.linalg.norm(tens[n], 2) - tnorm ** n)
+                         for n in ns), 0.0)
+    sym_resid = _worst((abs(np.linalg.norm(syms[n], 2) - tnorm ** n)
+                        for n in ns), 0.0)
     out.append(_check(prefix + "tensor_norm_law", norm_resid, 1e-10))
     out.append(_check(prefix + "sym_norm_law", sym_resid, 1e-8))
 
@@ -447,17 +566,16 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
     snorm = np.linalg.norm(S, 2)
 
     def tele_excess(n):
-        diff = np.linalg.norm(tensor_power(T, n) - tensor_power(S, n), 2)
+        diff = np.linalg.norm(tens[n] - tensor_power(S, n), 2)
         bound = np.linalg.norm(T - S, 2) * sum(
             snorm ** j * tnorm ** (n - 1 - j) for j in range(n))
         return diff - bound
 
-    tele = _worst(map(tele_excess, range(1, levels + 1)), 0.0)
+    tele = _worst(map(tele_excess, ns), 0.0)
     out.append(_check(prefix + "telescoping_bound", tele, 1e-10))
 
-    homo = _worst((np.abs(sym_power(T @ S, n)
-                          - sym_power(T, n) @ sym_power(S, n)).max()
-                   for n in range(1, levels + 1)), 0.0)
+    homo = _worst((np.abs(sym_power(T @ S, n) - syms[n] @ sym_power(S, n))
+                   .max() for n in ns), 0.0)
     out.append(_check(prefix + "sym_power_homomorphism", homo, 1e-10))
 
     emb = _worst(np.abs(embedding(d, n).T @ embedding(d, n)
@@ -468,14 +586,15 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
     comm, dual, lower = [], [], []
     for n in range(0, 4):
         h = rng.standard_normal(d)
-        up = annihilation(h, n + 1) @ creation(h, n)
+        C, C_adj = creation(h, n), annihilation(h, n + 1)
+        up = C_adj @ C
         down = creation(h, n - 1) @ annihilation(h, n) if n >= 1 \
             else np.zeros_like(up)
         comm.append(np.abs(up - down - (h @ h) * np.eye(up.shape[0])).max())
-        dual.append(np.abs(annihilation(h, n + 1) - creation(h, n).T).max())
-        g = rng.standard_normal(creation(h, n).shape[1])
+        dual.append(np.abs(C_adj - C.T).max())
+        g = rng.standard_normal(C.shape[1])
         lower.append(np.linalg.norm(g) * np.linalg.norm(h)
-                     - np.linalg.norm(creation(h, n) @ g))
+                     - np.linalg.norm(C @ g))
     out.append(_check(prefix + "ladder_commutation", _worst(comm, 0.0),
                       1e-12))
     out.append(_check(prefix + "ladder_duality_exact", _worst(dual, 0.0),
@@ -499,30 +618,30 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
                       errs[1] / max(errs[0], 1e-300), 0.2))
 
     base = eig(T)
-    spec_resid = []
-    for n in range(1, levels + 1):
-        prods = product_set(base, n)
-        spec_resid += [hausdorff(eig(tensor_power(T, n)), prods),
-                       hausdorff(eig(sym_power(T, n)), prods)]
-    spec_resid = _worst(spec_resid, 0.0)
+    prods = {n: product_set(base, n) for n in ns}
+    spec_resid = _worst((hausdorff(eig(power[n]), prods[n])
+                         for n in ns for power in (tens, syms)), 0.0)
     out.append(_check(prefix + "tensor_sym_product_spectra", spec_resid,
                       1e-7))
 
     if np.all(base.points.real < 0):
         dg_resid = _worst((hausdorff(eig(dgamma(T, n)), SpectrumSet(
             [sum(c) for c in combinations_with_replacement(base.points, n)]))
-            for n in range(1, levels + 1)), 0.0)
+            for n in ns), 0.0)
         out.append(_check(prefix + "dgamma_sum_spectrum", dg_resid, 1e-7))
 
     if tnorm < 1:
-        trunc = second_quantization(T, levels)
+        # second_quantization(T, levels), from the powers built above
+        trunc = FockTruncation(base_dim=d, symmetric=True,
+                               levels=tuple(syms.values()))
         spec = trunc.spectrum()
         pred = SpectrumSet([1.0 + 0.0j])
-        for n in range(1, levels + 1):
-            pred = pred.union(product_set(base, n))
+        for n in ns:
+            pred = pred.union(prods[n])
         out.append(_check(prefix + "second_quantization_spectrum",
                           hausdorff(spec, pred), 1e-7))
-        bigger = second_quantization(T, levels + 1)
+        bigger = replace(trunc, levels=trunc.levels
+                         + (sym_power(T, levels + 1),))
         out.append(_check(
             prefix + "truncation_stability",
             hausdorff(trunc.embedded_spectrum(),

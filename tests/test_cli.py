@@ -314,20 +314,50 @@ def test_exit_2_names_rank_gap(tmp_path, capsys):
     assert err.count("largest dropped") == 2
 
 
-def test_import_leaves_quadrature_modules_unloaded():
-    # scipy.integrate (and the scipy.optimize it pulls in) is only needed
-    # by the quadrature oracle of verify, not at start-up; scipy.sparse is
-    # needed by neither, and importing it would add to every start-up
+def test_import_leaves_quadrature_modules_unloaded(tmp_path):
+    # verify's quadrature oracle is a Gauss-Kronrod rule in numpy, so
+    # neither the import nor verify needs scipy.integrate, nor the
+    # scipy.optimize, sparse, spatial and special that its import pulls
+    # in; loading them would add about 21 MB and 0.2 s to every process
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, ou_spectra.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
-            "if m in sys.modules))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert run.stdout.strip() == "[]"
+    out = ["--out", str(tmp_path / "report.json")]
+    for argv in (None, ["verify", "--random", "1", "1"] + out,
+                 ["verify", "hypoelliptic_2d"] + out):
+        call = "" if argv is None else \
+            "assert ou_spectra.cli.main(%r) == 0; " % argv
+        code = ("import sys, ou_spectra.cli; %sprint(sorted(m for m in "
+                "('scipy.integrate', 'scipy.optimize', 'scipy.sparse', "
+                "'scipy.spatial', 'scipy.special') if m in sys.modules), "
+                "file=sys.stderr)" % call)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert run.stderr.strip() == "[]", argv
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # the parser (whose help text scans the bundled models) is cached;
+    # a usage mistake still exits 1 with the same usage text every time
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "classical_1d", "--bogus-flag"])
+        assert exc.value.code == 1
+        errors.append(capsys.readouterr().err)
+    assert cli.main(["verify"]) == 1
+    capsys.readouterr()
+    assert built == [1]
+    assert errors[0] == errors[1] == (
+        "usage: ou-spectra [-h] {analyze,spectrum,verify,fock} ...\n"
+        "error: unrecognized arguments: --bogus-flag\n")
+    cli._parser.cache_clear()
 
 
 def test_analyze_deterministic_output(tmp_path):

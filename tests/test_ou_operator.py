@@ -383,6 +383,36 @@ def test_chaos_rejects_degenerate():
         chaos_decomposition(DEGENERATE, b)
 
 
+def test_chaos_decides_degeneracy_and_conditioning_from_one_eigh(
+        monkeypatch):
+    model = random_stable_model(np.random.default_rng(3), d=3,
+                                kind="complex")
+    gramian_inf(model)  # cached on the model
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    chaos_decomposition(model, poly_basis(3, 3))
+    assert calls == ["eigh"]
+
+
+def test_chaos_warns_on_an_ill_conditioned_measure(monkeypatch):
+    # the conditioning bound 1e12 is only reachable below the default
+    # rank cut
+    from ou_spectra.config import DEFAULT
+    model = validate(-np.eye(2), np.eye(2), name="ill",
+                     tol=DEFAULT.with_overrides({"rank_tol": 1e-14}))
+    monkeypatch.setattr(ou_operator, "gramian_inf",
+                        lambda m: np.diag([1.0, 1e-13]))
+    with pytest.warns(RuntimeWarning, match="ratio 1.000e\\+13"):
+        chaos_decomposition(model, poly_basis(2, 2))
+
+
 def test_chaos_rejects_eigenvalue_at_rank_threshold(monkeypatch):
     # an eigenvalue exactly at rank_tol * max is cut by the relative rank
     # cut, so the measure is degenerate; the next float above it is kept

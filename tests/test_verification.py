@@ -149,6 +149,65 @@ def test_model_suite_forms_each_horizon_once(monkeypatch):
     assert sorted(calls) == [0.1, 0.5, 1.0, 2.0, 5.0]
 
 
+def _count_calls(monkeypatch, module, name, key=lambda *args: args[-1]):
+    """Wrap ``module.name`` and return the list of ``key(*args)`` of its
+    calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(key(*args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_model_suite_assembles_L_and_the_drift_spectrum_once(monkeypatch):
+    # the three-way check reads the leading block of the suite's own L
+    from ou_spectra import ou_operator
+    assembled = [_count_calls(monkeypatch, module, "assemble_L",
+                              key=lambda model, basis: basis.N)
+                 for module in (verification, ou_operator)]
+    spectra = _count_calls(monkeypatch, verification, "eig",
+                           key=lambda M: M.shape)
+    assert not _failures(model_suite(OSCILLATOR, degree=3, levels=3))
+    assert assembled == [[3], []]
+    assert spectra == [(2, 2)]
+
+
+def test_leading_block_of_L_is_L_on_the_smaller_basis():
+    from ou_spectra.ou_operator import assemble_L, poly_basis
+    for seed, (d, N) in enumerate([(2, 5), (3, 4), (4, 3)]):
+        for kind in ("real", "complex", "defective"):
+            model = random_stable_model(np.random.default_rng(seed), d=d,
+                                        kind=kind)
+            L = assemble_L(model, poly_basis(d, N))
+            for n in range(N):
+                small = assemble_L(model, poly_basis(d, n))
+                k = small.shape[0]
+                assert np.array_equal(L[:k, :k], small)
+
+
+def test_contraction_suite_builds_each_object_once(monkeypatch):
+    T = random_contraction(np.random.default_rng(5), d=2, kind="defective")
+
+    def key(*args):
+        return (np.asarray(args[0]).tobytes(), args[1])
+
+    counts = {name: _count_calls(monkeypatch, verification, name, key)
+              for name in ("tensor_power", "sym_power", "creation",
+                           "annihilation", "product_set")}
+    checks = contraction_suite(T, levels=3)
+    assert not _failures(checks)
+    assert "second_quantization_spectrum" in {c.name for c in checks}
+    for name, calls in counts.items():
+        assert calls and len(set(calls)) == len(calls), name
+    levels_of_T = sorted(n for b, n in counts["sym_power"]
+                         if b == T.tobytes())
+    assert levels_of_T == [0, 1, 2, 3, 4]
+
+
 def _quadrature_gramian(model, t):
     """One ``quad_vec`` per horizon: the reference of the stacked call."""
     import scipy.integrate
@@ -174,6 +233,131 @@ def test_quadrature_horizons_in_one_call_match_per_horizon(seed, d, kind):
     for t in grid:
         want = _quadrature_gramian(model, t)
         assert np.abs(got[t] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _stacked_quad_vec(model, grid):
+    """``quad_vec`` on the stacked integrand of ``_quadrature_gramians``:
+    the reference of its built-in Gauss-Kronrod rule, which copies the
+    nodes, weights, error estimate and stopping rules of ``quad_vec``."""
+    import scipy.integrate
+    import scipy.linalg
+
+    ts = np.array(grid)[:, None, None]
+
+    def integrand(u):
+        E = scipy.linalg.expm(u * ts * model.A)
+        return ts * (E @ model.Q @ E.swapaxes(1, 2))
+    val, _ = scipy.integrate.quad_vec(integrand, 0.0, 1.0,
+                                      epsabs=1e-12, epsrel=1e-12)
+    return dict(zip(grid, val))
+
+
+def _counting_expm(monkeypatch, fake=None):
+    """Replace the exponential that ``verification`` calls (only its
+    quadrature does, in ``model_suite``) and count the calls: one per
+    panel."""
+    import scipy.linalg
+    from types import SimpleNamespace
+
+    calls = []
+
+    def expm(M):
+        calls.append(M.shape)
+        return scipy.linalg.expm(M) if fake is None else fake(M)
+    monkeypatch.setattr(verification, "scipy",
+                        SimpleNamespace(linalg=SimpleNamespace(expm=expm)))
+    return calls
+
+
+def _singular(u):
+    # algebraic singularities at 0 and a peak at 0.3
+    u = np.asarray(u)[..., None]
+    return np.concatenate([np.sqrt(u), u * np.sqrt(u),
+                           1.0 / (1e-3 + (u - 0.3) * (u - 0.3))], axis=-1)
+
+
+def _three_peaks(u):
+    # peaks of equal height: a sweep bisects several panels at once
+    u = np.asarray(u)[..., None]
+    return sum(1.0 / (1e-4 + (u - c) * (u - c)) for c in (0.2, 0.5, 0.8)) \
+        * np.ones(2)
+
+
+def _cancelling(u):
+    # integral 0 under roundoff 1e4: the rounding-error stop ends it
+    return 1e4 * (np.asarray(u)[..., None] - 0.5) * np.ones(3)
+
+
+@pytest.mark.parametrize("f", [_singular, _three_peaks, _cancelling])
+def test_adaptive_rule_refines_like_quad_vec(f):
+    # the same panels, bisected in the same sweeps, summed in the same
+    # order: on elementwise arithmetic the two agree bit for bit
+    import scipy.integrate
+    want, _, info = scipy.integrate.quad_vec(f, 0.0, 1.0, epsabs=1e-12,
+                                             epsrel=1e-12, full_output=True)
+    calls = []
+    got = verification._adaptive_gk21(lambda u: calls.append(u) or f(u))
+    # each bisection adds one panel and evaluates two
+    assert len(calls) == 2 * len(info.intervals) - 1
+    assert np.array_equal(got, want)
+
+
+def test_quadrature_rule_matches_closed_form_diagonal():
+    # A = diag(a): Q_t[i, j] = Q[i, j] (exp((a_i + a_j) t) - 1)/(a_i + a_j)
+    a = np.array([-0.3, -1.2, -2.5, -4.0])
+    R = np.random.default_rng(0).standard_normal((4, 4))
+    Q = R @ R.T + 0.1 * np.eye(4)
+    model = validate(np.diag(a), Q, name="diagonal")
+    got = verification._quadrature_gramians(model, verification.T_GRID)
+    s = a[:, None] + a[None, :]
+    for t in verification.T_GRID:
+        want = Q * np.expm1(s * t) / s
+        assert np.abs(got[t] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed,d,kind", [(0, 2, "real"), (1, 3, "complex"),
+                                         (2, 8, "defective"),
+                                         (3, 16, "complex")])
+def test_quadrature_rule_matches_quad_vec(seed, d, kind, monkeypatch):
+    model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
+    want = _stacked_quad_vec(model, verification.T_GRID)
+    calls = _counting_expm(monkeypatch)
+    got = verification._quadrature_gramians(model, verification.T_GRID)
+    # three panels: [0, 1] and its two halves, 21 nodes x 4 horizons each
+    assert calls == [(21, 4, d, d)] * 3
+    for t in verification.T_GRID:
+        assert np.abs(got[t] - want[t]).max() \
+            <= 1e-15 * np.abs(want[t]).max()
+
+
+def test_quadrature_rule_subdivides_a_stiff_model(monkeypatch):
+    # |2 A| = 50.6: the integrand at t = 2 falls by e^-50 across [0, 1]
+    model = validate([[-25.0, 4.0], [0.0, -0.5]], np.eye(2), name="stiff")
+    want = _stacked_quad_vec(model, verification.T_GRID)
+    calls = _counting_expm(monkeypatch)
+    got = verification._quadrature_gramians(model, verification.T_GRID)
+    assert len(calls) > 3
+    for t in verification.T_GRID:
+        scale = np.abs(want[t]).max()
+        assert np.abs(got[t] - want[t]).max() <= 1e-15 * scale
+        assert np.abs(got[t] - _quadrature_gramian(model, t)).max() \
+            <= 1e-13 * scale
+        van_loan = verification.gramian_t(model, t)
+        assert np.abs(got[t] - van_loan).max() <= 1e-12 * scale
+
+
+def test_nan_integrand_returns_nan_and_fails_its_check(monkeypatch):
+    calls = _counting_expm(monkeypatch,
+                           fake=lambda M: np.full(M.shape, np.nan))
+    got = verification._quadrature_gramians(OSCILLATOR, verification.T_GRID)
+    assert all(np.isnan(g).all() for g in got.values())
+    # the first sweep already stops: no refinement of a NaN panel
+    assert len(calls) == 3
+    checks = {c.name: c for c in model_suite(OSCILLATOR)}
+    check = checks["gramian_t_quadrature_agreement"]
+    assert np.isnan(check.residual)
+    assert not check.passed
+    assert len(calls) == 6
 
 
 def test_spectra_suite_closure_matches_pair_loop(monkeypatch):
