@@ -36,13 +36,10 @@ from .gramian import (
 )
 from .ou_operator import (
     ChaosDecomposition,
-    Polynomial,
     assemble_L,
     chaos_decomposition,
-    mehler_apply,
     mehler_matrix,
     poly_basis,
-    simulate_paths,
     verify_second_quantization,
 )
 from .spectra import (
@@ -76,7 +73,6 @@ __all__ = [
     "NumericalError",
     "OUModel",
     "OUSpectraError",
-    "Polynomial",
     "SpectrumSet",
     "Tolerances",
     "Unstable",
@@ -96,13 +92,11 @@ __all__ = [
     "hausdorff",
     "lattice_spectrum",
     "match_report",
-    "mehler_apply",
     "mehler_matrix",
     "poly_basis",
     "product_set",
     "rkhs_factor",
     "second_quantization",
-    "simulate_paths",
     "smu_matrix",
     "smu_norm",
     "strong_feller_check",

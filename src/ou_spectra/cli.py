@@ -401,6 +401,8 @@ def cmd_fock(args):
                          % (args.matrix, exc)) from None
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise InputError("matrix must be square, got shape %r" % (T.shape,))
+    if not np.all(np.isfinite(T)):
+        raise InputError("matrix must have finite entries")
     N = args.levels
     sym = second_quantization(
         T, N, symmetric=True, allow_noncontraction=args.allow_noncontraction)

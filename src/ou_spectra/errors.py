@@ -54,11 +54,6 @@ class EmptySet(InputError):
     spectrum."""
 
 
-class InvalidStep(InputError):
-    """Simulation parameters are out of range (nonpositive step, step larger
-    than the horizon, no paths)."""
-
-
 # --- numerical failures ---------------------------------------------------
 
 class EigFailure(NumericalError):

@@ -55,7 +55,7 @@ __all__ = [
     "OUModel", "validate", "spectral_abscissa", "is_stable", "flow",
     "gramian_t", "gramian_inf", "RKHSFactor", "rkhs_factor", "smu_matrix",
     "smu_norm", "quadratic_form_ratio_sup", "contractivity_constant",
-    "psd_sqrt", "rank_psd", "controllability_rank",
+    "rank_psd", "controllability_rank",
     "strong_feller_check", "GramianReport", "gramian_report",
     "InvertibilityReport", "invertibility_equivalence_report",
 ]
@@ -392,17 +392,6 @@ def contractivity_constant(model, t):
     Qt = gramian_t(model, t)
     Qi = gramian_inf(model)
     return quadratic_form_ratio_sup(Qi, Qt, model.tol.rank_tol)
-
-
-def psd_sqrt(M):
-    """Symmetric PSD square root via the spectral decomposition.
-
-    Negative eigenvalues (roundoff) are clipped to zero.
-    """
-    S = np.asarray(M, dtype=float)
-    lam, U = np.linalg.eigh(0.5 * (S + S.T))
-    lam = np.clip(lam, 0.0, None)
-    return (U * np.sqrt(lam)) @ U.T
 
 
 def rank_psd(M, rank_tol=DEFAULT.rank_tol):

@@ -1,5 +1,5 @@
 """The generator on polynomial cores: Galerkin matrix, exact transition
-action, chaos projections, and a path sampler.
+action and chaos projections.
 
 Everything here exploits one structural fact: because the drift is linear,
 polynomials of total degree at most N form an invariant subspace of both the
@@ -34,33 +34,22 @@ normalized Hermite products ``He_alpha(W x) / sqrt(alpha!)`` indexed like
 the occupation basis of symmetric tensor powers.  The projection onto the
 n-th chaos layer is ``Phi[:, n] Phi^-1[n, :]``; it is kept as that factor
 pair, and products of projections are taken through the pairs.
-
-The path sampler is deliberately crude (Euler-Maruyama): it is a
-statistical cross-check of the exact formulas above, not a production
-integrator, and its step bias is O(dt).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, prod, sqrt
+from math import comb
 
 import numpy as np
 
-from .errors import (
-    DegenerateMeasure,
-    DimensionMismatch,
-    InputError,
-    InvalidStep,
-)
+from .errors import DegenerateMeasure, DimensionMismatch, InputError
 from .gramian import (
     _expm,
     flow,
     gramian_inf,
     gramian_t,
-    psd_sqrt,
     rkhs_factor,
     smu_matrix,
 )
@@ -68,11 +57,9 @@ from .tensor_fock import (_sqrt_factorials, derivation_block, heat_block,
                           multi_indices, substitution_levels, sym_power)
 
 __all__ = [
-    "PolyBasis", "poly_basis", "Polynomial", "poly_mul",
-    "assemble_L", "mehler_apply", "mehler_matrix", "ChaosDecomposition",
-    "chaos_decomposition", "SecondQuantizationReport",
-    "verify_second_quantization", "PathStats", "simulate_paths",
-    "euler_mean_cov",
+    "PolyBasis", "poly_basis", "assemble_L", "mehler_matrix",
+    "ChaosDecomposition", "chaos_decomposition", "SecondQuantizationReport",
+    "verify_second_quantization",
 ]
 
 
@@ -95,6 +82,11 @@ class PolyBasis:
     def dim(self):
         return len(self.monomials)
 
+    @property
+    def degrees(self):
+        """Total degree of each monomial, as a read-only integer array."""
+        return _poly_degrees(self.d, self.N)
+
     def position(self, alpha):
         return _poly_position_table(self.d, self.N)[tuple(alpha)]
 
@@ -102,6 +94,14 @@ class PolyBasis:
         """Slice of coordinates of total degree exactly n."""
         start = sum(comb(self.d + k - 1, k) for k in range(n))
         return slice(start, start + comb(self.d + n - 1, n))
+
+
+@lru_cache(maxsize=None)
+def _poly_degrees(d, N):
+    deg = np.repeat(np.arange(N + 1),
+                    [comb(d + n - 1, n) for n in range(N + 1)])
+    deg.flags.writeable = False
+    return deg
 
 
 @lru_cache(maxsize=None)
@@ -117,68 +117,6 @@ def poly_basis(d, N):
                       for alpha in multi_indices(d, n))
     assert len(monomials) == comb(d + N, N)
     return PolyBasis(d=d, N=N, monomials=monomials)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficient vector over a :class:`PolyBasis`."""
-
-    basis: PolyBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs)
-        if c.shape != (self.basis.dim,):
-            raise DimensionMismatch(
-                "coefficient vector has length %d, basis has dimension %d"
-                % (c.size, self.basis.dim))
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    def degree(self):
-        nz = np.nonzero(self.coeffs)[0]
-        if nz.size == 0:
-            return 0
-        return sum(self.basis.monomials[nz[-1]])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        total = 0.0 * self.coeffs[0]
-        for alpha, c in zip(self.basis.monomials, self.coeffs):
-            if c != 0:
-                total += c * prod(xi ** a for xi, a in zip(x, alpha))
-        return total
-
-
-def monomial(basis, alpha, coeff=1.0):
-    """The single-term polynomial ``coeff * x^alpha``."""
-    c = np.zeros(basis.dim, dtype=type(coeff) if not isinstance(
-        coeff, int) else float)
-    c[basis.position(alpha)] = coeff
-    return Polynomial(basis=basis, coeffs=c)
-
-
-def poly_mul(f, g, basis=None):
-    """Product of two polynomials, in `basis` (default: f's basis).
-
-    Raises ``InputError`` when the product degree does not fit.
-    """
-    basis = f.basis if basis is None else basis
-    out = np.zeros(basis.dim, dtype=np.result_type(f.coeffs, g.coeffs))
-    for alpha, ca in zip(f.basis.monomials, f.coeffs):
-        if ca == 0:
-            continue
-        for beta, cb in zip(g.basis.monomials, g.coeffs):
-            if cb == 0:
-                continue
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            if sum(gamma) > basis.N:
-                raise InputError(
-                    "product has degree %d, basis holds %d"
-                    % (sum(gamma), basis.N))
-            out[basis.position(gamma)] += ca * cb
-    return Polynomial(basis=basis, coeffs=out)
 
 
 # --- the Galerkin matrix ----------------------------------------------------
@@ -223,8 +161,7 @@ def _parity_classes(d, N):
     """Positions of the even-degree and of the odd-degree monomials of
     ``poly_basis(d, N)``, each in graded order; an empty class is
     dropped (degree 0 has no odd monomials)."""
-    deg = np.repeat(np.arange(N + 1),
-                    [comb(d + n - 1, n) for n in range(N + 1)])
+    deg = _poly_degrees(d, N)
     classes = []
     for parity in (0, 1):
         idx = np.flatnonzero(deg % 2 == parity)
@@ -308,14 +245,6 @@ def _graded(Q, basis, left=None, right=None):
 
 
 # --- exact transition action ------------------------------------------------
-
-def mehler_apply(model, t, f):
-    """Exact transition action on a polynomial: ``mehler_matrix`` applied
-    to its coefficients.  The result is again a polynomial of no higher
-    degree on the same basis; ``t = 0`` is the identity."""
-    P = mehler_matrix(model, t, f.basis)
-    return Polynomial(basis=f.basis, coeffs=P @ f.coeffs)
-
 
 def mehler_matrix(model, t, basis):
     """Matrix of the transition action ``P(t) f(x) = E f(exp(tA) x + G)``,
@@ -435,8 +364,7 @@ def chaos_decomposition(model, basis):
     operator and the substitution do not commute.  Only the d x d factor
     is inverted, never ``Phi``.  The closed form carries the roundoff of
     its own products, so one Newton step ``Phi^-1 + Phi^-1 (I - Phi
-    Phi^-1)`` squares its residual against ``Phi``.  A warning is issued
-    when the covariance is ill-conditioned (eigenvalue ratio beyond 1e12).
+    Phi^-1)`` squares its residual against ``Phi``.
 
     Raises
     ------
@@ -458,12 +386,6 @@ def chaos_decomposition(model, basis):
             "invariant covariance is singular (eigenvalues %s); polynomials "
             "in kernel directions have no square-integrable normalization"
             % np.array2string(np.linalg.eigvalsh(Qi), precision=3))
-    ratio = factor.eigenvalues[0] / factor.eigenvalues[-1]
-    if ratio > 1e12:
-        warnings.warn(
-            "invariant covariance is ill-conditioned (ratio %.3e); "
-            "the chaos family may lose digits" % ratio,
-            RuntimeWarning, stacklevel=2)
     norms = np.concatenate([_sqrt_factorials(basis.d, n)
                             for n in range(basis.N + 1)])
     # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
@@ -554,92 +476,3 @@ def _three_way(model, t, L, P_meh, chaos):
         max_residual=worst,
         passed=worst <= THREE_WAY_TOL,
     )
-
-
-# --- sampling cross-check ---------------------------------------------------
-
-@dataclass(frozen=True)
-class PathStats:
-    """Empirical moments of an Euler-Maruyama ensemble at the horizon."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    stderr_mean: np.ndarray
-    stderr_cov: np.ndarray
-    n_paths: int
-    steps: int
-    dt: float
-    effective_t: float
-    seed: int
-
-
-def simulate_paths(model, x0, t, dt, n_paths, seed):
-    """Euler-Maruyama ensemble started at x0, summarized at time t.
-
-    The number of steps is ``round(t / dt)``; the exact horizon actually
-    integrated is reported as ``effective_t``.  Increments use a seeded
-    generator, so results are reproducible bit for bit.  Standard errors
-    are the usual Gaussian ones (for the covariance,
-    ``sqrt((C_ii C_jj + C_ij^2) / n)``).
-    """
-    t, dt = float(t), float(dt)
-    if dt <= 0:
-        raise InvalidStep("dt must be positive, got %g" % dt)
-    if t <= 0 or dt >= t:
-        raise InvalidStep("need 0 < dt < t, got dt=%g, t=%g" % (dt, t))
-    if n_paths < 1:
-        raise InvalidStep("n_paths must be at least 1, got %d" % n_paths)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape != (model.dim,):
-        raise DimensionMismatch(
-            "x0 has length %d, model has dimension %d"
-            % (x0.size, model.dim))
-    steps = max(int(round(t / dt)), 1)
-    rng = np.random.default_rng(seed)
-    X = np.tile(x0, (n_paths, 1))
-    noise = psd_sqrt(model.Q) * sqrt(dt)
-    At = model.A.T
-    for _ in range(steps):
-        X = X + (X @ At) * dt + rng.standard_normal(X.shape) @ noise
-    mean = X.mean(axis=0)
-    if n_paths > 1:
-        cov = np.atleast_2d(np.cov(X.T, ddof=1))
-    else:
-        cov = np.zeros((model.dim, model.dim))
-    var = np.clip(np.diag(cov), 0.0, None)
-    stderr_mean = np.sqrt(var / n_paths)
-    stderr_cov = np.sqrt(
-        (np.outer(var, var) + cov ** 2) / max(n_paths - 1, 1))
-    return PathStats(
-        mean=mean,
-        cov=cov,
-        stderr_mean=stderr_mean,
-        stderr_cov=stderr_cov,
-        n_paths=int(n_paths),
-        steps=steps,
-        dt=dt,
-        effective_t=steps * dt,
-        seed=int(seed),
-    )
-
-
-def euler_mean_cov(model, x0, t, dt):
-    """Exact mean and covariance of the Euler-Maruyama scheme itself.
-
-    Iterates ``m -> (I + dt A) m`` and ``C -> (I + dt A) C (I + dt A)' +
-    dt Q`` for ``round(t / dt)`` steps.  The difference between this
-    covariance and the true one quantifies the O(dt) discretization bias
-    separately from Monte-Carlo noise.
-    """
-    t, dt = float(t), float(dt)
-    if dt <= 0 or dt >= t:
-        raise InvalidStep("need 0 < dt < t, got dt=%g, t=%g" % (dt, t))
-    steps = max(int(round(t / dt)), 1)
-    d = model.dim
-    F = np.eye(d) + dt * model.A
-    m = np.asarray(x0, dtype=float).ravel().copy()
-    C = np.zeros((d, d))
-    for _ in range(steps):
-        m = F @ m
-        C = F @ C @ F.T + dt * model.Q
-    return m, C, steps * dt

@@ -49,14 +49,12 @@ from .gramian import (
     validate,
 )
 from .ou_operator import (
-    Polynomial,
     _by_parity,
     _three_way,
     assemble_L,
     chaos_decomposition,
     mehler_matrix,
     poly_basis,
-    poly_mul,
 )
 from .spectra import (
     LatticeWindow,
@@ -70,6 +68,7 @@ from .spectra import (
 )
 from .tensor_fock import (
     FockTruncation,
+    _substitution_tables,
     annihilation,
     creation,
     dgamma,
@@ -424,7 +423,7 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # -- generator-level identities ---------------------------------------
     basis = poly_basis(d, degree)
     L = assemble_L(model, basis)
-    deg = np.array([sum(alpha) for alpha in basis.monomials])
+    deg = basis.degrees
     tri = np.abs(L[deg[:, None] > deg[None, :]]).max(initial=0.0)
     out.append(_check("galerkin_block_triangular", tri, 0.0))
 
@@ -500,15 +499,10 @@ def _chaos_covariance_residual(model, chaos, rng):
     I2 = Phi_2[:low.dim] @ Psi_2[:, :low.dim]
     Qi_inv = np.linalg.inv(chaos.Q_inf)
 
-    def linear(v):
-        c = np.zeros(low.dim)
-        c[low.degree_slice(1)] = Qi_inv @ v
-        return Polynomial(basis=low, coeffs=c)
-
     def pairing_residual():
         h = rng.standard_normal((2, model.dim))
         k = rng.standard_normal((2, model.dim))
-        f, g = (poly_mul(linear(pair[0]), linear(pair[1])).coeffs
+        f, g = (_linear_product(low, Qi_inv @ pair[0], Qi_inv @ pair[1])
                 for pair in (h, k))
         lhs = float((I2 @ f) @ G @ (I2 @ g))
         ip = lambda a, b: float(a @ Qi_inv @ b)
@@ -516,6 +510,19 @@ def _chaos_covariance_residual(model, chaos, rng):
         return abs(lhs - rhs) / max(abs(rhs), 1.0)
 
     return _worst((pairing_residual() for _ in range(3)), 0.0)
+
+
+def _linear_product(basis, a, b):
+    """Coefficients of ``<a, x> <b, x>`` on `basis` (degree at least 2).
+
+    Term ``a_i b_j`` lands on the monomial ``e_i + e_j`` through the
+    ``up`` table of the substitution kernel; ``np.add.at`` sums the
+    terms in row-major ``(i, j)`` order, one term at a time.
+    """
+    _, _, up, _ = _substitution_tables(basis.d, 2)
+    c = np.zeros(basis.dim)
+    np.add.at(c[basis.degree_slice(2)], up, np.outer(a, b))
+    return c
 
 
 def _eigenvector_degree_check(drift, basis, vals, vecs, window):
@@ -532,7 +539,7 @@ def _eigenvector_degree_check(drift, basis, vals, vecs, window):
     keep = (gaps.min(axis=1) >= sep) & (near.sum(axis=1) == 1)
     tested = int(keep.sum())
     n = depth[near[keep].argmax(axis=1)]
-    deg = np.array([sum(alpha) for alpha in basis.monomials])
+    deg = basis.degrees
     mags = np.abs(vecs[:, keep])
     tail = np.where(deg[:, None] > n[None, :], mags, 0.0).max(axis=0,
                                                               initial=0.0)

@@ -26,9 +26,7 @@ from ou_spectra.gramian import (
 )
 from ou_spectra.ou_operator import (
     assemble_L,
-    euler_mean_cov,
     poly_basis,
-    simulate_paths,
     verify_second_quantization,
 )
 from ou_spectra.spectra import (
@@ -47,6 +45,8 @@ from ou_spectra.tensor_fock import (
     tensor_power,
 )
 from ou_spectra.verification import random_contraction, random_stable_model
+
+from euler_maruyama import euler_mean_cov, simulate_paths
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical_1d")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],

@@ -192,23 +192,11 @@ _REFERENCE = {
         "max_residual": r.max_residual,
         "passed": r.passed,
     },
-    "PathStats": lambda p: {
-        "mean": p.mean.tolist(),
-        "cov": p.cov.tolist(),
-        "stderr_mean": p.stderr_mean.tolist(),
-        "stderr_cov": p.stderr_cov.tolist(),
-        "n_paths": p.n_paths,
-        "steps": p.steps,
-        "dt": p.dt,
-        "effective_t": p.effective_t,
-        "seed": p.seed,
-    },
 }
 
 
 def _results():
-    from ou_spectra.ou_operator import simulate_paths, \
-        verify_second_quantization
+    from ou_spectra.ou_operator import verify_second_quantization
     from ou_spectra.spectra import SpectrumSet, match_report
     from ou_spectra.verification import CheckResult
     stable = cli.load_model("hypoelliptic_2d")
@@ -226,7 +214,6 @@ def _results():
                     "rank(Q_t) = 1"),
         computed,
         verify_second_quantization(stable, 0.5, 2),
-        simulate_paths(stable, [1.0, 0.0], 1.0, 0.1, 20, seed=3),
     ]
 
 
@@ -510,6 +497,19 @@ def test_exit_1_on_input_errors(tmp_path, capsys):
     assert cli.main(["fock", "--matrix", big]) == 1
     assert cli.main(["verify"]) == 1  # neither model nor --random
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_fock_rejects_a_nonfinite_matrix(tmp_path, capsys, entry):
+    # Python's json reads NaN and Infinity; the matrix must be refused as
+    # input, not reach the SVD of its operator norm and raise from there
+    path = tmp_path / "T.json"
+    path.write_text('{"T": [[%s, 0.1], [0.0, 0.3]]}' % entry)
+    out = tmp_path / "fock.json"
+    assert cli.main(["fock", "--matrix", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: matrix must have finite entries\n"
+    assert not out.exists()
 
 
 def test_exit_1_on_usage_error(capsys):

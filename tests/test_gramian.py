@@ -48,7 +48,6 @@ from ou_spectra.gramian import (
     gramian_t,
     invertibility_equivalence_report,
     is_stable,
-    psd_sqrt,
     quadratic_form_ratio_sup,
     rank_psd,
     rkhs_factor,
@@ -59,6 +58,8 @@ from ou_spectra.gramian import (
     validate,
 )
 from ou_spectra.verification import random_stable_model
+
+from euler_maruyama import psd_sqrt
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],

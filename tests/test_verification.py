@@ -1,11 +1,14 @@
 """The named-check suites: they pass on honest inputs and, just as
 important, they fail when fed corrupted numerics (negative control)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import sympy
 
 from ou_spectra.gramian import validate
-from ou_spectra.ou_operator import verify_second_quantization
+from ou_spectra.ou_operator import poly_basis, verify_second_quantization
 from ou_spectra import verification
 from ou_spectra.verification import (
     UNTESTED_THEORY,
@@ -75,6 +78,46 @@ def test_model_suite_negative_control(monkeypatch):
     assert len(bad) >= 2
     names = {c.name for c in bad}
     assert "lyapunov_residual" in names or "splitting_identity" in names
+
+
+def test_chaos_covariance_negative_control(monkeypatch):
+    # the degree-2 rows of Phi^-1 scaled by 1 + 1e-3 scale the second
+    # layer projection, so the pairing identity must fail; the other chaos
+    # checks see the honest family
+    real = verification._chaos_covariance_residual
+
+    def crooked(model, chaos, rng):
+        Psi = chaos.occupation_hermite_inv.copy()
+        Psi[chaos.basis.degree_slice(2)] *= 1.0 + 1e-3
+        return real(model, replace(chaos, occupation_hermite_inv=Psi), rng)
+
+    for model in (CLASSICAL, JORDAN, OSCILLATOR):
+        honest = {c.name: c for c in model_suite(model)}
+        assert honest["chaos_covariance_permanent"].passed
+        with monkeypatch.context() as m:
+            m.setattr(verification, "_chaos_covariance_residual", crooked)
+            checks = model_suite(model)
+        assert [c.name for c in _failures(checks)] == \
+            ["chaos_covariance_permanent"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_linear_form_product_matches_sympy(d):
+    # integer coefficients keep every product exact, so the two must agree
+    # bit for bit
+    rng = np.random.default_rng(40 + d)
+    basis = poly_basis(d, 3)
+    xs = sympy.symbols("x0:%d" % d)
+    for _ in range(5):
+        a, b = rng.integers(-9, 10, size=(2, d))
+        want = np.zeros(basis.dim)
+        form = lambda v: sum(int(v_i) * x for v_i, x in zip(v, xs))
+        expanded = sympy.Poly(sympy.expand(form(a) * form(b)), *xs)
+        for monom, coeff in expanded.terms():
+            want[basis.position(monom)] = int(coeff)
+        got = verification._linear_product(basis, a.astype(float),
+                                           b.astype(float))
+        assert np.array_equal(got, want)
 
 
 def test_contraction_suite_passes_fixed_and_jordan():
