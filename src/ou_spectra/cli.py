@@ -47,8 +47,6 @@ from .gramian import (
     gramian_t,
     invertibility_equivalence_report,
     is_stable,
-    rank_psd,
-    rkhs_factor,
     smu_norm,
     spectral_abscissa,
     validate,
@@ -202,16 +200,22 @@ def _to_jsonable(obj):
 
 
 def _atomic_write_text(path, text):
+    """Write through a temp file in the target's directory, then rename;
+    an ``OSError`` (say, a missing directory) is an input error."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError("cannot write %s: %s"
+                         % (path, exc.strerror or exc)) from None
 
 
 def write_json_report(path, report):
@@ -242,18 +246,17 @@ def cmd_analyze(args):
     out_path = _default_out(args, ".analyze.json")
     csv_path = os.path.splitext(out_path)[0] + ".curve.csv"
 
-    alpha = spectral_abscissa(model.A)
+    alpha = spectral_abscissa(model)
     if not is_stable(model):
         raise Unstable(
             "analysis needs a stable drift; spectral abscissa is %.6g"
             % alpha)
     report_t = float(grid[-1])
     gram = gramian_report(model, report_t)
-    factor = rkhs_factor(gram.Q_inf, model.tol.rank_tol)
 
     rows = []
     for t in grid:
-        rows.append((float(t), smu_norm(model, factor, float(t)),
+        rows.append((float(t), smu_norm(model, float(t)),
                      contractivity_constant(model, float(t))))
     _write_csv(csv_path, rows, header=("t", "smu_norm", "K"))
 
@@ -276,7 +279,7 @@ def cmd_analyze(args):
         "t_grid": {"start": float(grid[0]), "stop": float(grid[-1]),
                    "count": len(grid)},
         "gramian": gram,
-        "rkhs_rank": factor.rank,
+        "rkhs_rank": model.invariant_factor.rank,
         "lyapunov_residual": lyap,
         "splitting_residual_t1": split,
         "invertibility": invertibility_equivalence_report(model),
@@ -303,9 +306,8 @@ def cmd_spectrum(args):
     if not is_stable(model):
         raise Unstable(
             "spectral prediction needs a stable drift (abscissa %.6g); "
-            "hypothesis failed: stability" % spectral_abscissa(model.A))
-    q_inf = _gramian_mod.gramian_inf(model)
-    rank = rank_psd(q_inf, model.tol.rank_tol)
+            "hypothesis failed: stability" % spectral_abscissa(model))
+    rank = model.invariant_factor.rank
     if rank < model.dim:
         raise DegenerateMeasure(
             "spectral prediction needs an invertible steady-state "
@@ -313,14 +315,13 @@ def cmd_spectrum(args):
             % (rank, model.dim))
 
     N = args.degree
-    drift_eigs = eig(model.A)
-    re_min = args.re_min if args.re_min is not None else \
-        N * float(drift_eigs.points.real.min()) - 1e-6
-    im_auto = max(N * float(np.abs(drift_eigs.points.imag).max()), 1e-6)
-    im_max = args.im_max if args.im_max is not None else im_auto + 1e-6
+    drift = SpectrumSet(model.drift_eigenvalues)
+    cover = verification._covering_window(drift.points, N)
+    re_min = cover.re_min if args.re_min is None else args.re_min
+    im_max = cover.im_max if args.im_max is None else args.im_max
     window = LatticeWindow(re_min=re_min, im_max=im_max, max_terms=N)
 
-    predicted = lattice_spectrum(drift_eigs, window)
+    predicted = lattice_spectrum(drift, window)
     basis = poly_basis(model.dim, N)
     galerkin = SpectrumSet(_by_parity(assemble_L(model, basis), basis,
                                       _eigvals))

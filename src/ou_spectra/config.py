@@ -100,6 +100,7 @@ def from_profile(name):
             % (name, ", ".join(sorted(PROFILES)))) from None
 
 
-def from_env(default="default"):
-    """Resolve tolerances from the ``OU_SPECTRA_TOL_PROFILE`` variable."""
-    return from_profile(os.environ.get(_ENV_VAR, default))
+def from_env():
+    """Resolve tolerances from the ``OU_SPECTRA_TOL_PROFILE`` variable,
+    the ``default`` profile when it is unset."""
+    return from_profile(os.environ.get(_ENV_VAR, "default"))

@@ -21,10 +21,13 @@ by ``norm^2 = 1 - 1/K(t)``.
 
 Numerical choices: ``Q_t`` comes from one block matrix exponential (exact up
 to expm accuracy, no quadrature grid), ``Q_inf`` from the Schur-based
-Bartels-Stewart solver, O(d^3), computed at most once per model and cached
-on it, the controllability rank from the orthogonal staircase, O(d^3) per
-step, and all rank decisions use one relative threshold from
-:class:`~ou_spectra.config.Tolerances`.
+Bartels-Stewart solver, O(d^3), the controllability rank from the
+orthogonal staircase, O(d^3) per step, and all rank decisions use one
+relative threshold from :class:`~ou_spectra.config.Tolerances`.
+
+The drift eigenvalues, ``Q_inf`` and its rank-cut factor are derived at
+most once per model and cached on it (:class:`OUModel`); every caller
+reads them there, so the rank of ``Q_inf`` is decided in one place.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ __all__ = [
 ]
 
 
-def _readonly(a):
-    a = np.array(a, dtype=float)
+def _readonly(a, dtype=float):
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -100,9 +103,12 @@ class OUModel:
     """A validated drift-diffusion pair with its tolerance settings.
 
     Construct through :func:`validate`; the dataclass itself only
-    normalizes dtypes and freezes the arrays.  The steady-state covariance
-    is derived from the frozen fields once, on first use, and shared by
-    every caller of :func:`gramian_inf`.
+    normalizes dtypes and freezes the arrays.  The drift eigenvalues
+    (:attr:`drift_eigenvalues`), the steady-state covariance
+    (:func:`gramian_inf`) and its factor (:attr:`invariant_factor`) are
+    derived from the frozen fields once, on first use, and cached on the
+    instance, read-only; a raise is not cached.  A model made by
+    ``dataclasses.replace`` derives its own.
     """
 
     A: np.ndarray
@@ -119,9 +125,21 @@ class OUModel:
         return self.A.shape[0]
 
     @functools.cached_property
+    def drift_eigenvalues(self):
+        """Eigenvalues of A (``EigFailure`` as in
+        :func:`~ou_spectra.spectra.eig`)."""
+        return _readonly(_eigvals(self.A), complex)
+
+    @functools.cached_property
+    def invariant_factor(self):
+        """:func:`rkhs_factor` of ``Q_inf`` at ``tol.rank_tol``, the one
+        rank decision on ``Q_inf`` (raises as :func:`gramian_inf`)."""
+        return rkhs_factor(self._q_inf, self.tol.rank_tol)
+
+    @functools.cached_property
     def _q_inf(self):
         # A raise is not cached, so Unstable and EigFailure recur per call.
-        alpha = spectral_abscissa(self.A)
+        alpha = spectral_abscissa(self)
         if alpha >= -self.tol.stab_tol:
             raise Unstable(
                 "no steady-state covariance: spectral abscissa %.6g is not "
@@ -189,15 +207,14 @@ def validate(A, Q, name="", tol=None):
     return OUModel(A=A, Q=Qs, name=name, tol=tol)
 
 
-def spectral_abscissa(A):
-    """Largest real part of the eigenvalues of A (``EigFailure`` as in
-    :func:`~ou_spectra.spectra.eig`)."""
-    return float(_eigvals(np.asarray(A, dtype=float)).real.max())
+def spectral_abscissa(model):
+    """Largest real part of the drift eigenvalues."""
+    return float(model.drift_eigenvalues.real.max())
 
 
 def is_stable(model):
     """True when the spectral abscissa clears the stability margin."""
-    return spectral_abscissa(model.A) < -model.tol.stab_tol
+    return spectral_abscissa(model) < -model.tol.stab_tol
 
 
 def _expm(M):
@@ -244,8 +261,8 @@ def gramian_inf(model):
     ``A``, then a triangular Sylvester solve; O(d^3) time, O(d^2) memory);
     the result is symmetrized and its residual in the equation is checked
     against ``lyap_tol * (1 + max|Q|)``.  The checked result is cached on
-    the model, so every call for one model returns the same read-only
-    array; a model made by ``dataclasses.replace`` gets its own solve.
+    the model (:class:`OUModel`), so every call for one model returns the
+    same read-only array.
 
     Raises
     ------
@@ -275,15 +292,12 @@ class RKHSFactor:
         Orthonormal (Euclidean) eigenvectors spanning the range.
     inv_sqrt : (r, d) ndarray
         Pseudo-inverse of ``factor``; maps a vector to its coordinates.
-    eigenvalues : (r,) ndarray
-        Kept eigenvalues, descending.
     """
 
     rank: int
     factor: np.ndarray
     basis: np.ndarray
     inv_sqrt: np.ndarray
-    eigenvalues: np.ndarray
 
 
 def rkhs_factor(Q_inf, rank_tol=DEFAULT.rank_tol):
@@ -306,17 +320,17 @@ def rkhs_factor(Q_inf, rank_tol=DEFAULT.rank_tol):
         factor=_readonly(U_k * sq),
         basis=_readonly(U_k),
         inv_sqrt=_readonly((U_k / sq).T if lam_k.size else U_k.T),
-        eigenvalues=_readonly(lam_k),
     )
 
 
-def smu_matrix(model, factor, t):
+def smu_matrix(model, t):
     """The flow restricted to the kernel space, in factor coordinates.
 
     Returns the ``r x r`` matrix ``B(t) = pinv(R) exp(tA) R`` where ``R``
-    is ``factor.factor``.  Before compressing, the residual of
-    ``exp(tA) R`` outside ``range(R)`` is checked: the restriction only
-    means anything if the flow maps the space into itself.
+    is ``model.invariant_factor.factor``.  Before compressing, the
+    residual of ``exp(tA) R`` outside ``range(R)`` is checked: the
+    restriction only means anything if the flow maps the space into
+    itself.
 
     Raises
     ------
@@ -327,6 +341,7 @@ def smu_matrix(model, factor, t):
     t = float(t)
     if t < 0:
         raise InputError("smu_matrix needs t >= 0, got %g" % t)
+    factor = model.invariant_factor
     if factor.rank == 0:
         return np.zeros((0, 0))
     R = factor.factor
@@ -341,9 +356,9 @@ def smu_matrix(model, factor, t):
     return factor.inv_sqrt @ img
 
 
-def smu_norm(model, factor, t):
+def smu_norm(model, t):
     """Operator norm of :func:`smu_matrix` (0 for a rank-0 factor)."""
-    B = smu_matrix(model, factor, t)
+    B = smu_matrix(model, t)
     if B.size == 0:
         return 0.0
     return float(np.linalg.norm(B, 2))
@@ -514,7 +529,7 @@ def gramian_report(model, t):
     t = float(t)
     if t < 0:
         raise InputError("gramian_report needs t >= 0, got %g" % t)
-    alpha = spectral_abscissa(model.A)
+    alpha = spectral_abscissa(model)
     stable = alpha < -model.tol.stab_tol
     Qt = gramian_t(model, t)
     if t > 0:
@@ -524,7 +539,7 @@ def gramian_report(model, t):
         rank_t, feller = rank_psd(Qt, model.tol.rank_tol), False
     if stable:
         Qi = gramian_inf(model)
-        rank_i = rank_psd(Qi, model.tol.rank_tol)
+        rank_i = model.invariant_factor.rank
         invertible = rank_i == model.dim
     else:
         Qi, rank_i, invertible = None, None, False
@@ -573,7 +588,7 @@ def _invertibility_report(model, grams):
     per_t = {t: rank_psd(Qt, model.tol.rank_tol) == model.dim
              for t, Qt in grams.items()}
     if stable:
-        inv = rank_psd(gramian_inf(model), model.tol.rank_tol) == model.dim
+        inv = model.invariant_factor.rank == model.dim
         equivalent = all(v == inv for v in per_t.values())
         note = "" if equivalent else (
             "invertibility of Q_inf disagrees with Q_t on the grid; "

@@ -45,14 +45,7 @@ from math import comb
 import numpy as np
 
 from .errors import DegenerateMeasure, DimensionMismatch, InputError
-from .gramian import (
-    _expm,
-    flow,
-    gramian_inf,
-    gramian_t,
-    rkhs_factor,
-    smu_matrix,
-)
+from .gramian import _expm, flow, gramian_inf, gramian_t, smu_matrix
 from .tensor_fock import (_sqrt_factorials, derivation_block, heat_block,
                           multi_indices, substitution_levels, sym_power)
 
@@ -282,17 +275,14 @@ class ChaosDecomposition:
     Attributes
     ----------
     basis : PolyBasis
-    Q_inf : ndarray
-        Covariance of the invariant measure.
-    factor : RKHSFactor
-        The kernel-space coordinates all layers are expressed in.
     occupation_hermite : ndarray
         The product-form orthonormal family ``Phi``: column for
         multi-index alpha holds the monomial coefficients of
         ``prod_i He_(alpha_i)(xi_i) / sqrt(alpha!)`` where ``xi`` are the
-        whitened coordinates from `factor`.  Its degree-n columns span the
-        n-th layer and match the occupation-number indexing of symmetric
-        tensor powers, which is what level-by-level transports need.
+        whitened coordinates from ``model.invariant_factor``.  Its
+        degree-n columns span the n-th layer and match the
+        occupation-number indexing of symmetric tensor powers, which is
+        what level-by-level transports need.
     occupation_hermite_inv : ndarray
         ``Phi^-1`` from its closed form ``diag(sqrt(alpha!))
         exp(Delta_(+I)) S(W^-1)`` and one Newton step, with no inversion;
@@ -303,8 +293,6 @@ class ChaosDecomposition:
     """
 
     basis: PolyBasis
-    Q_inf: np.ndarray
-    factor: object
     occupation_hermite: np.ndarray
     occupation_hermite_inv: np.ndarray
 
@@ -360,11 +348,12 @@ def chaos_decomposition(model, basis):
     ``xi = W x``, so the family is ``Phi = S(W) exp(Delta_(-I))
     diag(alpha!)^(-1/2)``.  Each factor has a closed-form inverse, so
     ``Phi^-1 = diag(alpha!)^(1/2) exp(Delta_(+I)) S(W^-1)`` with ``W^-1``
-    the RKHS ``factor``; the order of the factors matters, since the heat
-    operator and the substitution do not commute.  Only the d x d factor
-    is inverted, never ``Phi``.  The closed form carries the roundoff of
-    its own products, so one Newton step ``Phi^-1 + Phi^-1 (I - Phi
-    Phi^-1)`` squares its residual against ``Phi``.
+    the factor of ``model.invariant_factor``; the order of the factors
+    matters, since the heat operator and the substitution do not commute.
+    Only the d x d factor is inverted, never ``Phi``.  The closed form
+    carries the roundoff of its own products, so one Newton step
+    ``Phi^-1 + Phi^-1 (I - Phi Phi^-1)`` squares its residual against
+    ``Phi``.
 
     Raises
     ------
@@ -377,15 +366,13 @@ def chaos_decomposition(model, basis):
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
-    Qi = gramian_inf(model)
-    # One eigendecomposition decides both: the factor keeps the eigenvalues
-    # above the rank cut, in descending order.
-    factor = rkhs_factor(Qi, model.tol.rank_tol)
+    factor = model.invariant_factor
     if factor.rank < basis.d:
         raise DegenerateMeasure(
             "invariant covariance is singular (eigenvalues %s); polynomials "
             "in kernel directions have no square-integrable normalization"
-            % np.array2string(np.linalg.eigvalsh(Qi), precision=3))
+            % np.array2string(np.linalg.eigvalsh(gramian_inf(model)),
+                              precision=3))
     norms = np.concatenate([_sqrt_factorials(basis.d, n)
                             for n in range(basis.N + 1)])
     # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
@@ -400,8 +387,6 @@ def chaos_decomposition(model, basis):
     Phi_inv += Phi_inv @ (np.eye(basis.dim) - Phi @ Phi_inv)
     return ChaosDecomposition(
         basis=basis,
-        Q_inf=Qi,
-        factor=factor,
         occupation_hermite=Phi,
         occupation_hermite_inv=Phi_inv,
     )
@@ -459,7 +444,7 @@ def _three_way(model, t, L, P_meh, chaos):
     # Shares no code with (b) and (c), which both rest on the substitution
     # kernel; that kernel is pinned to the Kronecker route by the tests.
     P_gen = _by_parity(t * L, basis, _expm)
-    B = smu_matrix(model, chaos.factor, t)
+    B = smu_matrix(model, t)
     P_lift = chaos.lift([sym_power(B.T, n) for n in range(basis.N + 1)])
     r_ab = float(np.abs(P_gen - P_meh).max())
     r_ac = float(np.abs(P_gen - P_lift).max())

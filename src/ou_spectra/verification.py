@@ -11,7 +11,9 @@ The horizon Gramians are checked against an independent oracle, an
 adaptive Gauss-Kronrod 21 quadrature of ``int_0^t exp(sA) Q exp(sA') ds``
 written out in numpy (:func:`_adaptive_gk21`, the rule and stopping rules
 of ``scipy.integrate.quad_vec``), so that ``verify`` does not import
-``scipy.integrate``; the tests pin it to ``quad_vec``.
+``scipy.integrate``; the tests pin it to ``quad_vec``.  The second chaos
+layer is checked in the ``L^2(mu)`` inner product of quadratics, in
+closed form from ``Q_inf`` alone (:func:`_quadratic_inner`).
 
 The module also hosts the random generators for stable models and strict
 contractions used by the property tests, so the CLI's ``--random`` mode and
@@ -33,17 +35,11 @@ import numpy as np
 import scipy.linalg
 
 from . import gramian as _gr
-from .errors import (
-    CriteriaDisagree,
-    DegenerateMeasure,
-    DimensionMismatch,
-    InputError,
-)
+from .errors import CriteriaDisagree, DegenerateMeasure
 from .gramian import (
     OUModel,
     flow,
     gramian_t,
-    rkhs_factor,
     smu_matrix,
     smu_norm,
     validate,
@@ -79,8 +75,7 @@ from .tensor_fock import (
 )
 
 __all__ = [
-    "CheckResult", "UNTESTED_THEORY", "MomentTable", "moment_gram",
-    "model_suite", "contraction_suite",
+    "CheckResult", "UNTESTED_THEORY", "model_suite", "contraction_suite",
     "spectra_suite", "random_suite", "summarize", "random_stable_model",
     "random_contraction",
 ]
@@ -259,66 +254,6 @@ def _quadrature_gramians(model, t_grid):
     return dict(zip(t_grid, _adaptive_gk21(integrand)))
 
 
-# Stays as the oracle for the chaos layers: the L2(mu) inner product from
-# Gaussian moments alone, without the Hermite construction.
-class MomentTable:
-    """Memoized moments ``E[x^alpha]`` for ``x ~ N(0, Sigma)``.
-
-    Uses the pairing recursion
-    ``E[x^a] = sum_j Sigma[i, j] (a - e_i)_j E[x^(a - e_i - e_j)]``
-    (integration by parts against the Gaussian), which is exact up to
-    float arithmetic and costs one dictionary lookup per reduction.
-    """
-
-    def __init__(self, Sigma):
-        S = np.asarray(Sigma, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise DimensionMismatch("covariance must be square")
-        self.Sigma = 0.5 * (S + S.T)
-        self._cache = {}
-
-    def __call__(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if any(a < 0 for a in alpha):
-            raise InputError("multi-index entries must be nonnegative")
-        if sum(alpha) % 2 == 1:
-            return 0.0
-        return self._moment(alpha)
-
-    def _moment(self, alpha):
-        total_deg = sum(alpha)
-        if total_deg == 0:
-            return 1.0
-        cached = self._cache.get(alpha)
-        if cached is not None:
-            return cached
-        i = next(k for k, a in enumerate(alpha) if a > 0)
-        reduced = list(alpha)
-        reduced[i] -= 1
-        total = 0.0
-        for j, count in enumerate(reduced):
-            if count == 0 or self.Sigma[i, j] == 0:
-                continue
-            nxt = list(reduced)
-            nxt[j] -= 1
-            total += self.Sigma[i, j] * count * self._moment(tuple(nxt))
-        self._cache[alpha] = total
-        return total
-
-
-def moment_gram(basis, Sigma):
-    """Monomial Gram matrix ``E[x^a x^b]`` for ``x ~ N(0, Sigma)`` on
-    `basis`."""
-    moments = MomentTable(Sigma)
-    G = np.empty((basis.dim, basis.dim))
-    for i, alpha in enumerate(basis.monomials):
-        for j in range(i, basis.dim):
-            beta = basis.monomials[j]
-            G[i, j] = G[j, i] = moments(
-                tuple(a + b for a, b in zip(alpha, beta)))
-    return G
-
-
 #: Horizons of the Gramian checks in :func:`model_suite`.
 T_GRID = (0.1, 0.5, 1.0, 2.0)
 
@@ -389,14 +324,14 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     out.append(_check("gramian_dominated_by_steady_state", mono_inf,
                       1e-10 * scale))
 
-    factor = rkhs_factor(Qi, model.tol.rank_tol)
+    factor = model.invariant_factor
     fact_resid = np.abs(Qi - factor.factor @ factor.factor.T).max()
     out.append(_check("rkhs_factorization", fact_resid,
                       1e-10 * (1.0 + np.abs(Qi).max()),
                       detail="rank=%d" % factor.rank))
 
     # -- restricted flow: contraction, semigroup law, norm identity ------
-    norms = {t: smu_norm(model, factor, t) for t in T_GRID}
+    norms = {t: smu_norm(model, t) for t in T_GRID}
     worst_norm = _worst(norms.values())
     out.append(_check("restricted_flow_contraction", worst_norm - 1.0, 1e-10))
     if feller:
@@ -404,9 +339,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
                           worst_norm - 1.0, -1e-15,
                           detail="norm must stay below 1"))
 
-    semi = np.abs(smu_matrix(model, factor, 0.3) @
-                  smu_matrix(model, factor, 0.7) -
-                  smu_matrix(model, factor, 1.0)).max()
+    semi = np.abs(smu_matrix(model, 0.3) @ smu_matrix(model, 0.7) -
+                  smu_matrix(model, 1.0)).max()
     out.append(_check("restricted_flow_semigroup_law", semi, 1e-8))
 
     def ident_residual(t):
@@ -430,7 +364,7 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # One eigendecomposition, per parity block: its values are matched to
     # the lattice and its vectors checked for degree support.
     vals, vecs = _by_parity(L, basis, lambda M: _eigvals(M, vectors=True))
-    drift = eig(model.A)
+    drift = SpectrumSet(model.drift_eigenvalues)
     window = _covering_window(drift.points, degree)
     predicted = lattice_spectrum(drift, window)
     out.append(_check("galerkin_spectrum_lattice_match",
@@ -479,9 +413,16 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     return out
 
 
-def _covering_window(points, n_terms, slack=1e-6):
-    re_min = n_terms * float(points.real.min()) - slack
-    im_max = max(n_terms * float(np.abs(points.imag).max()), slack)
+#: Margin of :func:`_covering_window` beyond the extreme sums.
+_WINDOW_SLACK = 1e-6
+
+
+def _covering_window(points, n_terms):
+    """A lattice window holding every sum of at most `n_terms` of
+    `points`, with a margin of ``_WINDOW_SLACK`` on each cut."""
+    re_min = n_terms * float(points.real.min()) - _WINDOW_SLACK
+    im_max = max(n_terms * float(np.abs(points.imag).max()),
+                 _WINDOW_SLACK) + _WINDOW_SLACK
     return LatticeWindow(re_min=re_min, im_max=im_max, max_terms=n_terms)
 
 
@@ -491,25 +432,47 @@ def _chaos_covariance_residual(model, chaos, rng):
     phi_k1 phi_k2 equals the permanent of the kernel-space Gram matrix."""
     if chaos.basis.N < 2:
         return 0.0
-    # I_2 keeps a quadratic supported in degrees <= 2, so the Gram block of
-    # those degrees is the whole inner product needed.
+    # I_2 keeps a quadratic supported in degrees <= 2, whose inner product
+    # comes from Q_inf alone, without the Hermite family.
     low = poly_basis(model.dim, 2)
-    G = moment_gram(low, chaos.Q_inf)
+    Qi = _gr.gramian_inf(model)
     Phi_2, Psi_2 = chaos.layer(2)
     I2 = Phi_2[:low.dim] @ Psi_2[:, :low.dim]
-    Qi_inv = np.linalg.inv(chaos.Q_inf)
+    Qi_inv = np.linalg.inv(Qi)
 
     def pairing_residual():
         h = rng.standard_normal((2, model.dim))
         k = rng.standard_normal((2, model.dim))
         f, g = (_linear_product(low, Qi_inv @ pair[0], Qi_inv @ pair[1])
                 for pair in (h, k))
-        lhs = float((I2 @ f) @ G @ (I2 @ g))
+        lhs = _quadratic_inner(Qi, I2 @ f, I2 @ g)
         ip = lambda a, b: float(a @ Qi_inv @ b)
         rhs = ip(h[0], k[0]) * ip(h[1], k[1]) + ip(h[0], k[1]) * ip(h[1], k[0])
         return abs(lhs - rhs) / max(abs(rhs), 1.0)
 
     return _worst((pairing_residual() for _ in range(3)), 0.0)
+
+
+def _quadratic_inner(Sigma, p, q):
+    """``E[p(x) q(x)]`` for ``x ~ N(0, Sigma)`` and coefficient vectors `p`,
+    `q` on ``poly_basis(d, 2)``, in closed form by Isserlis' theorem.
+
+    With ``p = c + <b, x> + <x, M x>``, ``q = c2 + <b2, x> + <x, M2 x>``,
+    ``E[p q] = (c + tr M Sigma)(c2 + tr M2 Sigma) + <b, Sigma b2>
+    + 2 tr(M Sigma M2 Sigma)``; the ``up`` table puts each degree-2
+    coefficient at ``(i, j)`` and ``(j, i)`` of ``C``, so
+    ``M = (C + diag C) / 2``.  It never uses the Hermite family.
+    """
+    low = poly_basis(len(Sigma), 2)
+    _, _, up, _ = _substitution_tables(low.d, 2)
+
+    def parts(coeffs):
+        C = coeffs[low.degree_slice(2)][up]
+        MS = 0.5 * (C + np.diag(np.diag(C))) @ Sigma
+        return coeffs[0] + np.trace(MS), coeffs[low.degree_slice(1)], MS
+
+    (c, b, MS), (c2, b2, MS2) = parts(p), parts(q)
+    return float(c * c2 + b @ Sigma @ b2 + 2.0 * np.trace(MS @ MS2))
 
 
 def _linear_product(basis, a, b):

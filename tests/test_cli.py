@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from ou_spectra import cli, gramian
+from ou_spectra import cli, config, gramian
 from ou_spectra.errors import InputError
 
 
@@ -398,12 +398,17 @@ def test_spectrum_rotation_drift_is_numerical_failure(tmp_path, capsys):
     assert "stab" in capsys.readouterr().err
 
 
-def test_spectrum_rejects_eigenvalue_at_rank_threshold(monkeypatch, capsys):
-    # Q_inf with an eigenvalue exactly at rank_tol * max has rank 1
-    monkeypatch.setattr(gramian, "gramian_inf",
-                        lambda m: np.diag([1.0, m.tol.rank_tol]))
-    assert cli.main(["spectrum", "jordan_omega1"]) == 2
-    assert "rank 1 < 2" in capsys.readouterr().err
+def test_spectrum_rejects_eigenvalue_at_rank_threshold(tmp_path, capsys):
+    # With A = -I/2, Q_inf = Q = diag(1, tiny) exactly: an eigenvalue at
+    # rank_tol * max gives rank 1, the next float above it rank 2
+    rank_tol = config.DEFAULT.rank_tol
+    out = str(tmp_path / "spec.json")
+    for tiny, code in ((rank_tol, 2), (np.nextafter(rank_tol, 1.0), 0)):
+        path = _write(tmp_path / "m.json", {
+            "A": [[-0.5, 0.0], [0.0, -0.5]], "Q": [[1.0, 0.0], [0.0, tiny]]})
+        assert cli.main(["spectrum", path, "--out", out]) == code
+        err = capsys.readouterr().err
+        assert ("rank 1 < 2" in err) == (code == 2)
 
 
 @pytest.mark.parametrize("broken", ["raise", "nan"])
@@ -585,6 +590,42 @@ def test_allow_noncontraction_flag(tmp_path):
     out = str(tmp_path / "fock.json")
     assert cli.main(["fock", "--matrix", big, "--allow-noncontraction",
                      "--out", out]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "classical_1d"], ["spectrum", "classical_1d"],
+    ["verify", "classical_1d"], ["fock", "--matrix", "T.json"]])
+def test_out_into_missing_directory_exits_1(tmp_path, monkeypatch, capsys,
+                                           argv):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "T.json", {"T": [[0.5]]})
+    out = str(tmp_path / "missing" / "x.json")
+    assert cli.main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["T.json"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "verify"])
+def test_each_command_derives_the_model_frame_once(tmp_path, monkeypatch,
+                                                   command):
+    # one eigvals of the drift and one eigh of Q_inf per command, and no
+    # eigvalsh of Q_inf: its rank is decided once, by the invariant factor
+    model = cli.load_model("hypoelliptic_2d")
+    A, Qi = model.A, gramian.gramian_inf(model)
+    calls = []
+    for name in ("eigvals", "eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(M, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.array(M)))
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    out = str(tmp_path / "r.json")
+    assert cli.main([command, "hypoelliptic_2d", "--out", out]) == 0
+    assert [n for n, M in calls if np.array_equal(M, A)] == ["eigvals"]
+    assert [n for n, M in calls if np.array_equal(M, Qi)] == ["eigh"]
 
 
 def test_no_temp_files_left_behind(tmp_path):

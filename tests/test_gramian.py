@@ -120,10 +120,10 @@ def test_model_immutable():
 
 def test_stability_predicates():
     assert is_stable(CLASSICAL)
-    assert spectral_abscissa(CLASSICAL.A) == -1.0
+    assert spectral_abscissa(CLASSICAL) == -1.0
     assert not is_stable(validate([[0.5]], [[1.0]]))
     # oscillator eigenvalues are (-1 +- i sqrt(3))/2
-    assert_allclose(spectral_abscissa(OSCILLATOR.A), -0.5, atol=1e-12)
+    assert_allclose(spectral_abscissa(OSCILLATOR), -0.5, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +220,14 @@ def test_gramian_inf_cached_read_only():
     with pytest.raises(ValueError):
         q_inf[0, 0] = 1.0
     assert_allclose(gramian_inf(m), JORDAN_Q_INF, atol=1e-14)
+    # the drift eigenvalues and the invariant factor are cached the same way
+    w, fac = m.drift_eigenvalues, m.invariant_factor
+    assert m.drift_eigenvalues is w and m.invariant_factor is fac
+    assert not w.flags.writeable and not fac.factor.flags.writeable
+    assert_allclose(w, [-1.0, -1.0], atol=0)
+    want = rkhs_factor(q_inf, m.tol.rank_tol)
+    assert fac.rank == want.rank == 2
+    assert np.array_equal(fac.factor, want.factor)
 
 
 def test_gramian_inf_failures_are_not_cached(monkeypatch):
@@ -228,6 +236,9 @@ def test_gramian_inf_failures_are_not_cached(monkeypatch):
     for _ in range(3):
         with pytest.raises(Unstable):
             gramian_inf(unstable)
+        with pytest.raises(Unstable):
+            unstable.invariant_factor
+    assert "invariant_factor" not in vars(unstable)
 
     calls = []
     real = gr.solve_continuous_lyapunov
@@ -267,6 +278,7 @@ def test_gramian_inf_replaced_model_solves_again(monkeypatch):
     assert second is not first
     assert gramian_inf(loose) is second
     assert_allclose(second, first, atol=0)
+    assert loose.invariant_factor is not m.invariant_factor
 
 
 def test_splitting_identity():
@@ -299,17 +311,14 @@ def test_rkhs_rank_degenerate():
 
 
 def test_smu_norm_classical_exact():
-    fac = rkhs_factor(gramian_inf(CLASSICAL), 1e-10)
     for t in (0.1, 1.0, 2.0):
-        assert_allclose(smu_norm(CLASSICAL, fac, t), math.exp(-t),
-                        atol=1e-13)
+        assert_allclose(smu_norm(CLASSICAL, t), math.exp(-t), atol=1e-13)
 
 
 def test_smu_norm_jordan_formula():
-    fac = rkhs_factor(gramian_inf(JORDAN), 1e-10)
     for t in (0.25, 1.0, 3.0):
         want = math.exp(-t) * (t + math.sqrt(t * t + 1.0))
-        assert_allclose(smu_norm(JORDAN, fac, t), want, atol=1e-12)
+        assert_allclose(smu_norm(JORDAN, t), want, atol=1e-12)
 
 
 def test_smu_is_contraction_on_random_models():
@@ -318,25 +327,26 @@ def test_smu_is_contraction_on_random_models():
         a = rng.standard_normal((3, 3)) - 3.0 * np.eye(3)
         r = rng.standard_normal((3, 3))
         m = validate(a, r @ r.T)
-        fac = rkhs_factor(gramian_inf(m), m.tol.rank_tol)
         for t in (0.1, 1.0):
-            assert smu_norm(m, fac, t) <= 1.0 + 1e-10
+            assert smu_norm(m, t) <= 1.0 + 1e-10
 
 
 def test_smu_semigroup_property():
-    fac = rkhs_factor(gramian_inf(JORDAN), 1e-10)
-    b1 = smu_matrix(JORDAN, fac, 0.3)
-    b2 = smu_matrix(JORDAN, fac, 0.7)
-    b3 = smu_matrix(JORDAN, fac, 1.0)
+    b1 = smu_matrix(JORDAN, 0.3)
+    b2 = smu_matrix(JORDAN, 0.7)
+    b3 = smu_matrix(JORDAN, 1.0)
     assert_allclose(b1 @ b2, b3, atol=1e-12)
 
 
 def test_smu_range_leak_detected():
     # a factor from an unrelated rank-1 covariance is not flow-invariant
-    # for the oscillator (rotation mixes the coordinates)
-    bad_fac = rkhs_factor(np.diag([1.0, 0.0]), 1e-10)
+    # for the oscillator (rotation mixes the coordinates); it is put in
+    # the cache of a fresh copy of the model
+    model = dataclasses.replace(OSCILLATOR)
+    model.__dict__["invariant_factor"] = rkhs_factor(np.diag([1.0, 0.0]),
+                                                     1e-10)
     with pytest.raises(RangeNotInvariant):
-        smu_matrix(OSCILLATOR, bad_fac, 1.0)
+        smu_matrix(model, 1.0)
 
 
 def test_contractivity_constant_classical():
@@ -349,10 +359,9 @@ def test_contractivity_constant_classical():
 def test_norm_identity():
     # ||S_mu(t)||^2 = 1 - 1/K(t) whenever K is finite
     for model in (CLASSICAL, JORDAN, OSCILLATOR):
-        fac = rkhs_factor(gramian_inf(model), model.tol.rank_tol)
         for t in (0.3, 1.0):
             k = contractivity_constant(model, t)
-            n = smu_norm(model, fac, t)
+            n = smu_norm(model, t)
             assert math.isfinite(k)
             assert_allclose(n * n, 1.0 - 1.0 / k, rtol=1e-9)
 

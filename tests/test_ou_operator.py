@@ -6,7 +6,8 @@ Hand oracles used below:
 * classical model (A=-1, Q=1, d=1): L x^n = n(n-1)/2 x^(n-2) - n x^n,
   P(t) x^2 = e^{-2t} x^2 + Q_t, invariant variance 1/2, orthonormal layer
   polynomials proportional to He_n(x sqrt 2);
-* Gaussian moments for Sigma = [[2,1],[1,3]] by Wick pairing:
+* Gaussian moments for Sigma = [[2,1],[1,3]] by Wick pairing, which pin
+  the moment-generating-function oracle of ``gaussian_moments``:
   E[x^2]=2, E[xy]=1, E[y^2]=3, E[x^4]=12, E[x^3 y]=6, E[x^2 y^2]=8,
   E[x y^3]=9, E[y^4]=27 (e.g. E[x^2y^2] = 2*3 + 2*1^2 = 8);
 * the Euler scheme for the classical model has exact variance
@@ -25,12 +26,12 @@ from scipy.linalg import block_diag, expm
 
 from ou_spectra import ou_operator
 from ou_spectra.cli import _to_jsonable
+from ou_spectra.config import DEFAULT
 from ou_spectra.errors import DegenerateMeasure, DimensionMismatch, InputError
 from ou_spectra.gramian import (
     flow,
     gramian_inf,
     gramian_t,
-    rkhs_factor,
     validate,
 )
 from ou_spectra.ou_operator import (
@@ -42,13 +43,10 @@ from ou_spectra.ou_operator import (
 )
 from ou_spectra.spectra import SpectrumSet, _eigvals, hausdorff
 from ou_spectra.tensor_fock import substitution_levels, sym_dim, sym_power
-from ou_spectra.verification import (
-    MomentTable,
-    moment_gram,
-    random_stable_model,
-)
+from ou_spectra.verification import random_stable_model
 
 from euler_maruyama import InvalidStep, euler_mean_cov, simulate_paths
+from gaussian_moments import mgf_gram
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],
@@ -131,17 +129,15 @@ def test_polynomial_json_round_trip():
 # Gaussian moments
 # ---------------------------------------------------------------------------
 
-def test_moment_table_wick_oracle():
-    mt = MomentTable(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    for alpha, want in WICK_ORACLE.items():
-        assert_allclose(mt(alpha), want, atol=1e-12)
-
-
-def test_moment_table_1d_double_factorial():
-    sigma2 = 0.7
-    mt = MomentTable(np.array([[sigma2]]))
-    assert_allclose(mt((6,)), 15.0 * sigma2 ** 3, atol=1e-12)
-    assert mt((5,)) == 0.0
+def test_mgf_gram_wick_oracle():
+    # E[x^a x^b] on the degree-2 basis reaches every moment of degree <= 4
+    b = poly_basis(2, 2)
+    G = mgf_gram(b, np.array([[2.0, 1.0], [1.0, 3.0]]))
+    for i, alpha in enumerate(b.monomials):
+        for j, beta in enumerate(b.monomials):
+            gamma = tuple(p + q for p, q in zip(alpha, beta))
+            if gamma in WICK_ORACLE:
+                assert G[i, j] == WICK_ORACLE[gamma]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +330,7 @@ def test_chaos_layers_mu_orthogonal():
     # product, and each layer projection is self-adjoint in it
     b = poly_basis(2, 3)
     chaos = chaos_decomposition(JORDAN, b)
-    G = moment_gram(b, chaos.Q_inf)
+    G = mgf_gram(b, gramian_inf(JORDAN))
     O = chaos.occupation_hermite
     assert_allclose(O.T @ G @ O, np.eye(b.dim), atol=1e-10)
     # so the stored inverse is the G-adjoint of the family
@@ -368,22 +364,22 @@ def test_chaos_decides_degeneracy_and_conditioning_from_one_eigh(
     assert calls == ["eigh"]
 
 
-def test_chaos_rejects_eigenvalue_at_rank_threshold(monkeypatch):
+def test_chaos_rejects_eigenvalue_at_rank_threshold():
     # an eigenvalue exactly at rank_tol * max is cut by the relative rank
-    # cut, so the measure is degenerate; the next float above it is kept
-    model = validate(-np.eye(2), np.eye(2), name="threshold")
-    rank_tol = model.tol.rank_tol
+    # cut, so the measure is degenerate; the next float above it is kept.
+    # With A = -I/2, Q_inf = Q exactly.
+    rank_tol = DEFAULT.rank_tol
     b = poly_basis(2, 2)
     for tiny, degenerate in ((rank_tol, True),
                              (np.nextafter(rank_tol, 1.0), False)):
-        Qi = np.diag([1.0, tiny])
-        assert np.array_equal(np.linalg.eigvalsh(Qi), [tiny, 1.0])
-        monkeypatch.setattr(ou_operator, "gramian_inf", lambda m: Qi)
+        model = validate(-0.5 * np.eye(2), np.diag([1.0, tiny]))
+        assert np.array_equal(gramian_inf(model), np.diag([1.0, tiny]))
         if degenerate:
             with pytest.raises(DegenerateMeasure):
                 chaos_decomposition(model, b)
         else:
-            assert chaos_decomposition(model, b).factor.rank == 2
+            chaos_decomposition(model, b)
+            assert model.invariant_factor.rank == 2
 
 
 def test_gram_is_moment_matrix():
@@ -391,7 +387,7 @@ def test_gram_is_moment_matrix():
     # chaos family is orthonormal in that Gram matrix
     b = poly_basis(1, 3)
     chaos = chaos_decomposition(CLASSICAL, b)
-    G = moment_gram(b, chaos.Q_inf)
+    G = mgf_gram(b, gramian_inf(CLASSICAL))
     for i, a in enumerate(b.monomials):
         for j, bb in enumerate(b.monomials):
             m = a[0] + bb[0]
@@ -459,7 +455,7 @@ def test_graded_blocks_match_dense_route(seed, d, N, kind):
     assert np.abs(P - dense).max() <= 1e-13 * np.abs(dense).max()
     norms = np.sqrt([math.prod(math.factorial(a) for a in alpha)
                      for alpha in b.monomials])
-    W_inv = chaos.factor.factor
+    W_inv = model.invariant_factor.factor
     Phi = _dense_substitution(np.linalg.inv(W_inv), b) \
         @ _dense_heat_exp(-np.eye(d), b) / norms
     Psi = norms[:, None] * _dense_heat_exp(np.eye(d), b) \

@@ -21,6 +21,8 @@ from ou_spectra.verification import (
     summarize,
 )
 
+from gaussian_moments import mgf_gram
+
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],
                   [[0.0, 0.0], [0.0, 1.0]], name="jordan")
@@ -120,6 +122,22 @@ def test_linear_form_product_matches_sympy(d):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadratic_inner_matches_mgf_moments(d):
+    # the Isserlis closed form against sympy's expansion of the moment
+    # generating function, on random quadratics and a random covariance
+    rng = np.random.default_rng(50 + d)
+    R = rng.standard_normal((d, d))
+    Sigma = R @ R.T + 0.1 * np.eye(d)
+    low = poly_basis(d, 2)
+    G = mgf_gram(low, Sigma)
+    for _ in range(5):
+        p, q = rng.standard_normal((2, low.dim))
+        want = p @ G @ q
+        got = verification._quadratic_inner(Sigma, p, q)
+        assert abs(got - want) <= 1e-13 * (np.abs(p) @ np.abs(G) @ np.abs(q))
+
+
 def test_contraction_suite_passes_fixed_and_jordan():
     T = np.array([[0.5, 0.3], [0.0, -0.4]])
     assert not _failures(contraction_suite(T))
@@ -207,16 +225,20 @@ def _count_calls(monkeypatch, module, name, key=lambda *args: args[-1]):
 
 
 def test_model_suite_assembles_L_and_the_drift_spectrum_once(monkeypatch):
-    # the three-way check reads the leading block of the suite's own L
-    from ou_spectra import ou_operator
+    # the three-way check reads the leading block of the suite's own L,
+    # and the drift spectrum is the model's own, computed once
+    from ou_spectra import gramian, ou_operator
     assembled = [_count_calls(monkeypatch, module, "assemble_L",
                               key=lambda model, basis: basis.N)
                  for module in (verification, ou_operator)]
-    spectra = _count_calls(monkeypatch, verification, "eig",
-                           key=lambda M: M.shape)
-    assert not _failures(model_suite(OSCILLATOR, degree=3, levels=3))
+    spectra = [_count_calls(monkeypatch, module, name,
+                            key=lambda M: M.shape)
+               for module, name in ((gramian, "_eigvals"),
+                                    (verification, "eig"))]
+    model = replace(OSCILLATOR)
+    assert not _failures(model_suite(model, degree=3, levels=3))
     assert assembled == [[3], []]
-    assert spectra == [(2, 2)]
+    assert spectra == [[(2, 2)], []]
 
 
 def test_leading_block_of_L_is_L_on_the_smaller_basis():
