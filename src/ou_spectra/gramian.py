@@ -82,6 +82,16 @@ def _rank_cut(values, rank_tol):
     return values > _cut(values, rank_tol)
 
 
+def _psd_split(M, rank_tol):
+    """The one rank decision on a symmetric PSD matrix: the eigenvalues of
+    the symmetrized ``M`` in descending order, their eigenvectors, and the
+    :func:`_rank_cut` mask of the kept ones."""
+    M = np.asarray(M, dtype=float)
+    lam, U = np.linalg.eigh(0.5 * (M + M.T))
+    lam, U = lam[::-1], U[:, ::-1]
+    return lam, U, _rank_cut(lam, rank_tol)
+
+
 def _rank_gap(steps):
     """The closest calls of a series of ``(values, cut)`` rank decisions:
     the smallest kept and the largest dropped value, each with its cut,
@@ -148,7 +158,7 @@ class OUModel:
         X = 0.5 * (X + X.T)
         resid = float(np.abs(self.A @ X + X @ self.A.T + self.Q).max())
         allowed = self.tol.lyap_tol * (1.0 + float(np.abs(self.Q).max()))
-        if resid > allowed:
+        if not resid <= allowed:  # a NaN residual is refused too
             raise EigFailure(
                 "steady-state covariance residual %.3e exceeds %.3e; the "
                 "Bartels-Stewart solve is unreliable for this model"
@@ -269,7 +279,7 @@ def gramian_inf(model):
     Unstable
         If the spectral abscissa is not below ``-stab_tol``.
     EigFailure
-        If the residual exceeds the guard.
+        If the residual exceeds the guard or is NaN.
     """
     return model._q_inf
 
@@ -307,11 +317,7 @@ def rkhs_factor(Q_inf, rank_tol=DEFAULT.rank_tol):
     as zero; the kept eigenpairs (sorted descending, deterministic up to
     column signs) define the factor.
     """
-    S = np.asarray(Q_inf, dtype=float)
-    S = 0.5 * (S + S.T)
-    lam, U = np.linalg.eigh(S)
-    lam, U = lam[::-1], U[:, ::-1]
-    keep = _rank_cut(lam, rank_tol)
+    lam, U, keep = _psd_split(Q_inf, rank_tol)
     lam_k = lam[keep]
     U_k = U[:, keep]
     sq = np.sqrt(lam_k)
@@ -374,10 +380,7 @@ def quadratic_form_ratio_sup(P, R, rank_tol=DEFAULT.rank_tol):
     range.
     """
     P = np.asarray(P, dtype=float)
-    R = np.asarray(R, dtype=float)
-    lam, V = np.linalg.eigh(0.5 * (R + R.T))
-    lam, V = lam[::-1], V[:, ::-1]
-    keep = _rank_cut(lam, rank_tol)
+    lam, V, keep = _psd_split(R, rank_tol)
     pscale = max(1.0, float(np.abs(P).max(initial=0.0)))
     if not keep.all():
         W = V[:, ~keep]
@@ -410,9 +413,9 @@ def contractivity_constant(model, t):
 
 
 def rank_psd(M, rank_tol=DEFAULT.rank_tol):
-    """Numerical rank of a symmetric PSD matrix by relative eigenvalue cut."""
-    lam = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return int(_rank_cut(lam, rank_tol).sum())
+    """Numerical rank of a symmetric PSD matrix by relative eigenvalue cut
+    (:func:`_psd_split`)."""
+    return int(_psd_split(M, rank_tol)[2].sum())
 
 
 def _staircase(A, Q, rank_tol):
@@ -424,13 +427,13 @@ def _staircase(A, Q, rank_tol):
     number of values strictly above their cut.
 
     The first step is the eigendecomposition of Q: it keeps the eigenvalues
-    above ``rank_tol`` times the largest, the decision of :func:`rank_psd`
-    and :func:`rkhs_factor`, and rotates A into that eigenbasis, kept
-    directions first.  Each later step takes the SVD of the block ``A21``
-    that maps the directions reached so far into the rest, keeps its
-    singular values above ``rank_tol * ||[B, A]||_F`` (a scale that does
-    not change under ``Q -> cQ``), and rotates the trailing block so that
-    the newly reached directions come first.  The recursion ends when a
+    above ``rank_tol`` times the largest, the split :func:`_psd_split` of
+    :func:`rank_psd` and :func:`rkhs_factor`, and rotates A into that
+    eigenbasis, kept directions first.  Each later step takes the SVD of
+    the block ``A21`` that maps the directions reached so far into the
+    rest, keeps its singular values above ``rank_tol * ||[B, A]||_F`` (a
+    scale that does not change under ``Q -> cQ``), and rotates the
+    trailing block so that the newly reached directions come first.  The recursion ends when a
     step keeps nothing or the whole space is reached: O(d^3) per step and
     no ``d x d^2`` Kalman matrix, whose columns ``A^k B`` grow or shrink
     geometrically and drown the rank in roundoff.
@@ -442,11 +445,9 @@ def _staircase(A, Q, rank_tol):
     directions that Q does not drive.
     """
     A = np.asarray(A, dtype=float)
-    S = np.asarray(Q, dtype=float)
-    lam, U = np.linalg.eigh(0.5 * (S + S.T))
-    lam, U = lam[::-1], U[:, ::-1]
+    lam, U, keep = _psd_split(Q, rank_tol)
     steps = [(lam, _cut(lam, rank_tol))]
-    r = int(_rank_cut(lam, rank_tol).sum())
+    r = int(keep.sum())
     cut = rank_tol * math.hypot(1.0, float(np.linalg.norm(A)))
     T = U.T @ A @ U
     block = T[r:, :r] * np.sqrt(lam[:r] / lam[:r].sum())
@@ -491,10 +492,10 @@ def _checked_rank(model, Qt, t):
     """``rank(Q_t)`` of the Gramian ``Qt`` at horizon ``t > 0``, after
     checking it against the controllability rank (see
     :func:`strong_feller_check`, which documents the raise)."""
-    r_gram = rank_psd(Qt, model.tol.rank_tol)
+    lam, _, keep = _psd_split(Qt, model.tol.rank_tol)
+    r_gram = int(keep.sum())
     r_kalman = controllability_rank(model.A, model.Q, model.tol.rank_tol)
     if r_gram != r_kalman:
-        lam = np.linalg.eigvalsh(Qt)
         raise CriteriaDisagree(
             "rank(Q_t) = %d but the controllability rank is %d at t=%g; "
             "Q_t eigenvalues: %s; staircase: %s"

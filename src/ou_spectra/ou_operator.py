@@ -133,20 +133,15 @@ def assemble_L(model, basis):
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
+    # Every block is added in place onto the zeros: L is the only
+    # dim x dim array held.
     L = np.zeros((basis.dim, basis.dim))
     for n in range(basis.N + 1):
         sel = basis.degree_slice(n)
-        L[sel, sel] = derivation_block(model.A, n)
-    return L + _heat_matrix(model.Q, basis)
-
-
-def _heat_matrix(Q, basis):
-    """Matrix of ``f -> 1/2 Tr(Q D^2 f)`` on the monomials: the diffusion
-    half of :func:`assemble_L`, which lowers the degree by two."""
-    H = np.zeros((basis.dim, basis.dim))
-    for n in range(2, basis.N + 1):
-        H[basis.degree_slice(n - 2), basis.degree_slice(n)] = heat_block(Q, n)
-    return H
+        L[sel, sel] += derivation_block(model.A, n)
+        if n >= 2:
+            L[basis.degree_slice(n - 2), sel] += heat_block(model.Q, n)
+    return L
 
 
 @lru_cache(maxsize=None)

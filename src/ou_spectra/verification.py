@@ -8,12 +8,11 @@ no chaos layers for a singular invariant covariance) are skipped with a
 note rather than silently passed.
 
 The horizon Gramians are checked against an independent oracle, an
-adaptive Gauss-Kronrod 21 quadrature of ``int_0^t exp(sA) Q exp(sA') ds``
-written out in numpy (:func:`_adaptive_gk21`, the rule and stopping rules
-of ``scipy.integrate.quad_vec``), so that ``verify`` does not import
-``scipy.integrate``; the tests pin it to ``quad_vec``.  The second chaos
-layer is checked in the ``L^2(mu)`` inner product of quadratics, in
-closed form from ``Q_inf`` alone (:func:`_quadratic_inner`).
+adaptive Gauss-Legendre quadrature of ``int_0^t exp(sA) Q exp(sA') ds``
+written out in numpy (:func:`_adaptive_gauss`), so that ``verify`` does
+not import ``scipy.integrate``; the tests hold it to ``quad_vec``.  The
+second chaos layer is checked in the ``L^2(mu)`` inner product of
+quadratics, in closed form from ``Q_inf`` alone (:func:`_quadratic_inner`).
 
 The module also hosts the random generators for stable models and strict
 contractions used by the property tests, so the CLI's ``--random`` mode and
@@ -26,7 +25,6 @@ which would drown every tight spectral tolerance in this suite.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
@@ -132,115 +130,54 @@ def _q_inf(model):
     return _gr.gramian_inf(model)
 
 
-# Gauss-Kronrod 21 on [-1, 1] (QUADPACK: Piessens, de Doncker-Kapenga,
-# Ueberhuber & Kahaner, 1983), as tabulated in scipy.integrate.quad_vec:
-# the 21 Kronrod nodes, their weights, and the weights of the 10-point
-# Gauss rule on the odd-indexed nodes.
-_GK21_NODES = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
-    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
-    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
-    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
-    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003)
-_GK21_KRONROD = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
-    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
-    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
-    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
-    0.032558162307964727478818972459390, 0.011694638867371874278064396062192)
-_GK10_GAUSS = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
-    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
-    0.149451349150580593145776339657697, 0.066671344308688137593568809893332)
-
-#: Tolerance of the quadrature oracle, absolute and relative, in the 2-norm.
-_QUAD_EPS = 1e-12
-#: Panels the oracle may hold before it stops refining.
-_QUAD_PANEL_CAP = 10000
-#: Panels refined per sweep at most.
-_QUAD_SWEEP = 128
+#: Nodes and weights of the 16-point Gauss-Legendre panel on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: Relative tolerance of the quadrature oracle, in the 2-norm.
+_QUAD_EPS = 1e-14
+#: Panel evaluations the oracle may spend in total.
+_QUAD_BUDGET = 200
 
 
-def _gk21_panel(integrand, a, b):
-    """Kronrod estimate of the integral over [a, b], and its QUADPACK error
-    estimate and rounding-error floor in the 2-norm.  `integrand` takes
-    the 21 nodes at once and returns their values stacked on axis 0."""
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fv = integrand(np.array([c + h * x for x in _GK21_NODES]))
-    s_k = s_k_abs = s_g = s_k_dabs = 0.0
-    for v, f in zip(_GK21_KRONROD, fv):
-        s_k += v * f
-        s_k_abs += v * abs(f)
-    for w, f in zip(_GK10_GAUSS, fv[1::2]):
-        s_g += w * f
-    y0 = s_k / 2.0
-    for v, f in zip(_GK21_KRONROD, fv):
-        s_k_dabs += v * abs(f - y0)
-    err = float(np.linalg.norm((s_k - s_g) * h))
-    dabs = float(np.linalg.norm(s_k_dabs * h))
-    if dabs != 0 and err != 0:
-        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
-    round_err = float(np.linalg.norm(50 * np.finfo(float).eps * h * s_k_abs))
-    if round_err > np.finfo(float).tiny:
-        err = max(err, round_err)
-    return h * s_k, err, round_err
-
-
-def _adaptive_gk21(integrand):
-    """Globally adaptive Gauss-Kronrod 21 over [0, 1], the bisection
-    scheme of ``scipy.integrate.quad_vec`` at ``epsabs = epsrel =
-    _QUAD_EPS``, norm ``'2'``: each sweep bisects the panels of largest
-    error until their errors cover the excess over ``tol/8``; it stops when
-    the total error is below ``tol/8`` (a sweep leaves at least two
-    panels), or below the accumulated rounding error, or at the panel
-    cap.  A non-finite error estimate returns NaN."""
-    total, error, rounding = _gk21_panel(integrand, 0.0, 1.0)
-    # (-error, a, b, integral): the heap pops the largest error first; the
-    # panels are disjoint, so ties never reach the integral.
-    panels = [(-error, 0.0, 1.0, total.copy())]
-    tol = max(_QUAD_EPS, _QUAD_EPS * np.linalg.norm(total))
-    while len(panels) < _QUAD_PANEL_CAP:
-        sweep, err_sum = [], 0
-        while panels and len(sweep) < _QUAD_SWEEP and not (
-                sweep and err_sum > error - tol / 8):
-            sweep.append(heapq.heappop(panels))
-            err_sum -= sweep[-1][0]
-        for neg_err, a, b, old in sweep:
-            c = 0.5 * (a + b)
-            s1, err1, round1 = _gk21_panel(integrand, a, c)
-            s2, err2, round2 = _gk21_panel(integrand, c, b)
-            total += s1 + s2 - old
-            error += err1 + err2 + neg_err
-            rounding += round1 + round2
-            heapq.heappush(panels, (-err1, a, c, s1))
-            heapq.heappush(panels, (-err2, c, b, s2))
-        tol = max(_QUAD_EPS, _QUAD_EPS * np.linalg.norm(total))
-        if error < tol / 8 or error < rounding:
-            break
-        if not (math.isfinite(error) and math.isfinite(rounding)):
-            return np.full_like(total, np.nan)
+def _adaptive_gauss(integrand):
+    """Adaptive Gauss-Legendre quadrature over [0, 1] (Gander & Gautschi,
+    BIT 40, 2000).  A panel ``[a, b]`` with estimate ``S`` is accepted as
+    the sum of its halves' estimates when ``|left + right - S|_2`` is at
+    most ``_QUAD_EPS (b - a)`` times the norm of the one-panel estimate
+    over [0, 1]; otherwise each half is refined in turn.  Once
+    ``_QUAD_BUDGET`` panel evaluations are spent, the panels still open
+    keep their own estimates.  A non-finite estimate returns NaN.
+    `integrand` takes the nodes of a panel at once and returns their
+    values stacked on axis 0."""
+    def panel(a, b):
+        h = 0.5 * (b - a)
+        fv = integrand(a + h * (_GL_NODES + 1.0))
+        return h * np.tensordot(_GL_WEIGHTS, fv, axes=1)
+    whole = panel(0.0, 1.0)
+    tol = _QUAD_EPS * np.linalg.norm(whole)
+    total, evals, stack = np.zeros_like(whole), 1, [(0.0, 1.0, whole)]
+    while stack:
+        a, b, est = stack.pop()
+        if evals + 2 > _QUAD_BUDGET:
+            total += est
+            continue
+        c = 0.5 * (a + b)
+        left, right = panel(a, c), panel(c, b)
+        evals += 2
+        err = np.linalg.norm(left + right - est)
+        if not math.isfinite(err):
+            return np.full_like(whole, np.nan)
+        if err <= tol * (b - a):
+            total += left + right
+        else:
+            stack += [(c, b, right), (a, c, left)]
     return total
 
 
 def _quadrature_gramians(model, t_grid):
     """``Q_t = int_0^t exp(sA) Q exp(sA') ds`` at every horizon of
-    `t_grid`, by one adaptive quadrature (:func:`_adaptive_gk21`): with
+    `t_grid`, by one adaptive quadrature (:func:`_adaptive_gauss`): with
     ``s = u t`` all horizons share ``u`` in [0, 1], and each panel takes
-    one stacked exponential of ``u t A`` over its 21 nodes and all
+    one stacked exponential of ``u t A`` over its 16 nodes and all
     horizons.  Independent of the Van Loan block exponential of
     ``gramian_t``, which it checks.  The rule is written out here rather
     than taken from ``scipy.integrate``, whose import loads
@@ -251,7 +188,7 @@ def _quadrature_gramians(model, t_grid):
     def integrand(u):
         E = scipy.linalg.expm((u[:, None, None, None] * ts) * model.A)
         return ts * (E @ model.Q @ E.swapaxes(-1, -2))
-    return dict(zip(t_grid, _adaptive_gk21(integrand)))
+    return dict(zip(t_grid, _adaptive_gauss(integrand)))
 
 
 #: Horizons of the Gramian checks in :func:`model_suite`.

@@ -272,6 +272,19 @@ def test_analyze_solves_lyapunov_once(tmp_path, monkeypatch):
     assert calls == [(2, 2)]
 
 
+def test_analyze_exits_2_on_a_nan_lyapunov_solve(tmp_path, monkeypatch,
+                                                 capsys):
+    import ou_spectra.gramian as gr
+    monkeypatch.setattr(gr, "solve_continuous_lyapunov",
+                        lambda a, q: np.full(a.shape, np.nan))
+    out = str(tmp_path / "h.json")
+    assert cli.main(["analyze", "hypoelliptic_2d", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "Bartels-Stewart" in err[0]
+    assert not os.path.exists(out)
+
+
 def test_analyze_one_point_at_d128(tmp_path):
     from ou_spectra.verification import random_stable_model
     model = random_stable_model(np.random.default_rng(128), d=128,
@@ -302,7 +315,7 @@ def test_exit_2_names_rank_gap(tmp_path, capsys):
 
 
 def test_import_leaves_quadrature_modules_unloaded(tmp_path):
-    # verify's quadrature oracle is a Gauss-Kronrod rule in numpy, so
+    # verify's quadrature oracle is a Gauss-Legendre rule in numpy, so
     # neither the import nor verify needs scipy.integrate, nor the
     # scipy.optimize, sparse, spatial and special that its import pulls
     # in; loading them would add about 21 MB and 0.2 s to every process

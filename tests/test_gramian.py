@@ -257,6 +257,19 @@ def test_gramian_inf_failures_are_not_cached(monkeypatch):
     assert_allclose(gramian_inf(m), [[0.5]], atol=1e-14)
 
 
+def test_gramian_inf_refuses_a_nan_solve(monkeypatch):
+    # every comparison with NaN is false: a NaN residual must still be
+    # refused, and nothing cached
+    import ou_spectra.gramian as gr
+    monkeypatch.setattr(gr, "solve_continuous_lyapunov",
+                        lambda a, q: np.full(a.shape, np.nan))
+    m = validate([[-1.0, 1.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 1.0]])
+    for _ in range(2):
+        with pytest.raises(EigFailure, match="residual nan"):
+            gramian_inf(m)
+    assert "_q_inf" not in vars(m)
+
+
 def test_gramian_inf_replaced_model_solves_again(monkeypatch):
     import ou_spectra.gramian as gr
     calls = []
@@ -413,6 +426,23 @@ def test_rank_cut_drops_value_at_threshold(rank_tol):
                           [1.0, rank_tol])
     assert controllability_rank(np.zeros((2, 2)), Q, rank_tol) == 1
     assert controllability_rank(np.zeros((2, 2)), np.eye(2), rank_tol) == 2
+
+
+def test_rank_cuts_agree_next_to_the_cut():
+    # an eigenvalue within 5e-7 relative of the cut: the eigvalsh and eigh
+    # drivers of LAPACK round it differently, and on this seed their two
+    # cuts gave ranks 3 and 2; the four rank routines share one split
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    lam = [1.0, 0.3, 1e-10 * (1 + rng.uniform(-5e-7, 5e-7)), 0.0]
+    M = (U * lam) @ U.T
+    r = rank_psd(M, 1e-10)
+    assert rkhs_factor(M, 1e-10).rank == r
+    assert controllability_rank(np.zeros((4, 4)), M, 1e-10) == r
+    # the direction next to the cut is inside the range iff it is kept
+    u = U[:, 2:3]
+    ratio = quadratic_form_ratio_sup(u @ u.T, M, 1e-10)
+    assert (ratio < math.inf) == (r == 3)
 
 
 def test_rank_and_controllability():

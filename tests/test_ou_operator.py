@@ -42,7 +42,8 @@ from ou_spectra.ou_operator import (
     verify_second_quantization,
 )
 from ou_spectra.spectra import SpectrumSet, _eigvals, hausdorff
-from ou_spectra.tensor_fock import substitution_levels, sym_dim, sym_power
+from ou_spectra.tensor_fock import (heat_block, substitution_levels, sym_dim,
+                                   sym_power)
 from ou_spectra.verification import random_stable_model
 
 from euler_maruyama import InvalidStep, euler_mean_cov, simulate_paths
@@ -411,7 +412,9 @@ def _oracle_chaos(seed, d, N, kind):
 
 def _dense_heat_exp(Q, basis):
     """``exp(1/2 Tr(Q D^2))`` as the dense sum of matrix powers."""
-    H = ou_operator._heat_matrix(Q, basis)
+    H = np.zeros((basis.dim, basis.dim))
+    for n in range(2, basis.N + 1):
+        H[basis.degree_slice(n - 2), basis.degree_slice(n)] = heat_block(Q, n)
     term = total = np.eye(basis.dim)
     for k in range(1, basis.N // 2 + 1):
         term = term @ H / k
