@@ -306,7 +306,8 @@ class ChaosDecomposition:
         inner = Psi_n @ Phi_m
         if n == m:
             inner -= np.eye(inner.shape[0])
-        return float(np.abs(Phi_n @ inner @ Psi_m).max())
+        dev = Phi_n @ inner @ Psi_m
+        return float(np.abs(dev, out=dev).max())
 
     def lift(self, blocks=None):
         """``sum_n Phi[:, n] blocks[n] Phi^-1[n, :]``: the operator acting
@@ -361,13 +362,8 @@ def chaos_decomposition(model, basis):
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
+    _require_nondegenerate(model)
     factor = model.invariant_factor
-    if factor.rank < basis.d:
-        raise DegenerateMeasure(
-            "invariant covariance is singular (eigenvalues %s); polynomials "
-            "in kernel directions have no square-integrable normalization"
-            % np.array2string(np.linalg.eigvalsh(gramian_inf(model)),
-                              precision=3))
     norms = np.concatenate([_sqrt_factorials(basis.d, n)
                             for n in range(basis.N + 1)])
     # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
@@ -376,15 +372,32 @@ def chaos_decomposition(model, basis):
     # the identity by more than the chaos checks allow.
     eye = np.eye(basis.d)
     Phi = _graded(-eye, basis, left=list(substitution_levels(
-        np.linalg.inv(factor.factor), basis.N))) / norms
-    Phi_inv = norms[:, None] * _graded(eye, basis, right=list(
+        np.linalg.inv(factor.factor), basis.N)))
+    Phi /= norms
+    Phi_inv = _graded(eye, basis, right=list(
         substitution_levels(factor.factor, basis.N)))
-    Phi_inv += Phi_inv @ (np.eye(basis.dim) - Phi @ Phi_inv)
+    Phi_inv *= norms[:, None]
+    # I - Phi Phi^-1, formed in the product's own buffer.
+    step = Phi @ Phi_inv
+    np.negative(step, out=step)
+    step[np.diag_indices(basis.dim)] += 1.0
+    Phi_inv += Phi_inv @ step
     return ChaosDecomposition(
         basis=basis,
         occupation_hermite=Phi,
         occupation_hermite_inv=Phi_inv,
     )
+
+
+def _require_nondegenerate(model):
+    """Raise :class:`DegenerateMeasure` unless ``Q_inf`` has full rank
+    (see :func:`chaos_decomposition`)."""
+    if model.invariant_factor.rank < model.dim:
+        raise DegenerateMeasure(
+            "invariant covariance is singular (eigenvalues %s); polynomials "
+            "in kernel directions have no square-integrable normalization"
+            % np.array2string(np.linalg.eigvalsh(gramian_inf(model)),
+                              precision=3))
 
 
 # --- three-way consistency --------------------------------------------------
@@ -414,36 +427,55 @@ def verify_second_quantization(model, t, N):
     """Compute the transition matrix three ways and compare.
 
     (a) ``expm(t L)`` with L the Galerkin matrix, on its even-degree and
-    odd-degree blocks (:func:`_by_parity`); (b) the exact Gaussian
+    odd-degree blocks (:func:`_generator_exp`); (b) the exact Gaussian
     substitution applied to every monomial; (c) the block-diagonal lift
     acting as the n-th symmetric power of the adjoint restricted flow on
     the n-th chaos layer, conjugated back to monomial coordinates by the
     occupation-indexed Hermite family.  All three must agree entrywise
     within ``THREE_WAY_TOL``; the largest pairwise deviation is reported,
-    NaN if any deviation is NaN.
+    NaN if any deviation is NaN.  L is dropped once (a) is formed, and a
+    singular ``Q_inf`` is refused before any of them is built.
     """
     t = float(t)
     if t < 0:
         raise InputError("verify_second_quantization needs t >= 0")
     basis = poly_basis(model.dim, N)
-    return _three_way(model, t, assemble_L(model, basis),
-                      mehler_matrix(model, t, basis),
+    _require_nondegenerate(model)
+    P_gen = _generator_exp(assemble_L(model, basis), basis, t)
+    return _three_way(model, t, P_gen, mehler_matrix(model, t, basis),
                       chaos_decomposition(model, basis))
 
 
-def _three_way(model, t, L, P_meh, chaos):
-    """:func:`verify_second_quantization` on a Galerkin matrix, a Mehler
-    matrix and a chaos family already built on one basis, so a caller that
-    holds them does not build them again."""
+def _generator_exp(L, basis, t):
+    """``exp(t L)`` for a Galerkin matrix `L` on `basis`, on its parity
+    blocks (:func:`_by_parity`); each block is a copy, scaled by `t` in
+    place, so ``t L`` is never formed whole.
+
+    It shares no code with (b) and (c) of :func:`verify_second_quantization`,
+    which both rest on the substitution kernel; that kernel is pinned to
+    the Kronecker route by the tests.
+    """
+    def kernel(block):
+        block *= t
+        return _expm(block)
+
+    return _by_parity(L, basis, kernel)
+
+
+def _three_way(model, t, P_gen, P_meh, chaos):
+    """:func:`verify_second_quantization` on ``exp(t L)``, a Mehler matrix
+    and a chaos family already built on one basis, so a caller that holds
+    them does not build them again.  The three deviations are formed in
+    one buffer."""
     basis = chaos.basis
-    # Shares no code with (b) and (c), which both rest on the substitution
-    # kernel; that kernel is pinned to the Kronecker route by the tests.
-    P_gen = _by_parity(t * L, basis, _expm)
     B = smu_matrix(model, t)
     P_lift = chaos.lift([sym_power(B.T, n) for n in range(basis.N + 1)])
-    r_ab = float(np.abs(P_gen - P_meh).max())
-    r_ac = float(np.abs(P_gen - P_lift).max())
-    r_bc = float(np.abs(P_meh - P_lift).max())
+    diff = P_gen - P_meh
+    r_ab = float(np.abs(diff, out=diff).max())
+    np.subtract(P_gen, P_lift, out=diff)
+    r_ac = float(np.abs(diff, out=diff).max())
+    np.subtract(P_meh, P_lift, out=diff)
+    r_bc = float(np.abs(diff, out=diff).max())
     # np.max, not max: max(r_ab, nan) keeps r_ab.
     worst = float(np.max([r_ab, r_ac, r_bc]))
     return SecondQuantizationReport(

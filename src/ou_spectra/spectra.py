@@ -32,6 +32,10 @@ DEFAULT_CLUSTER_RADIUS = 1e-7
 #: Cap on the number of enumerated points in product sets.
 DEFAULT_ENUM_CAP = 200_000
 
+#: Entries in one row block of a pairwise table (:func:`_row_blocks`):
+#: 2**16 complex differences are 1 MB.
+_BLOCK_ENTRIES = 1 << 16
+
 
 def _as_complex_array(points):
     pts = np.asarray(list(points), dtype=complex).ravel()
@@ -277,11 +281,27 @@ def _lattice_walk(base, window):
             queue.append((nxt, nval))
 
 
+def _row_blocks(n_rows, row_len):
+    """Slices of consecutive rows of an ``n_rows x row_len`` table, each
+    block holding at most ``_BLOCK_ENTRIES`` entries (and at least one
+    row), so a pairwise table is never held whole."""
+    step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
+
 def _nearest_distances(pa, pb):
     """Distance from each point of `pa` to the nearest point of `pb`, and
-    from each point of `pb` to the nearest point of `pa`."""
-    dist = np.abs(pa[:, None] - pb[None, :])
-    return dist.min(axis=1), dist.min(axis=0)
+    from each point of `pb` to the nearest point of `pa`.
+
+    The distance table is taken in row blocks (:func:`_row_blocks`); a
+    minimum is exact, so the result does not depend on the blocking."""
+    near_a = np.empty(len(pa))
+    near_b = np.full(len(pb), np.inf)
+    for rows in _row_blocks(len(pa), len(pb)):
+        dist = np.abs(pa[rows, None] - pb[None, :])
+        near_a[rows] = dist.min(axis=1)
+        np.minimum(near_b, dist.min(axis=0), out=near_b)
+    return near_a, near_b
 
 
 def hausdorff(a, b):

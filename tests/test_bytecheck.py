@@ -1,0 +1,82 @@
+"""The report byte check, ``tools/bytecheck.py``: its diff logic on one
+bundled model, run through the checkout and through ``git archive HEAD``."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location(
+        "bytecheck", ROOT / "tools" / "bytecheck.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bytecheck = _load()
+
+
+def test_bytecheck_reports_each_difference_on_a_bundled_model(tmp_path):
+    try:
+        root = bytecheck.checkout_root()
+    except (RuntimeError, OSError):
+        root = None
+    if root is None or root.resolve() != ROOT:
+        pytest.skip("not inside a git checkout of this repository")
+    base = bytecheck.archive(root, "HEAD", tmp_path / "base")
+    assert (base / "src" / "ou_spectra" / "cli.py").is_file()
+    argvs = bytecheck.bundled_argvs(["jordan_omega1"])
+    assert [a[0] for a in argvs] == ["analyze", "spectrum", "verify"]
+    base_records = bytecheck.run_tree(base, None, argvs, tmp_path / "b")
+    head = bytecheck.run_tree(root, None, argvs, tmp_path / "h")
+    assert [r["argv"] for r in base_records] == argvs
+    assert [r["rc"] for r in head] == [0, 0, 0]
+    assert sorted(head[0]["files"]) == ["jordan_omega1.analyze.curve.csv",
+                                        "jordan_omega1.analyze.json"]
+    # a tree differs from HEAD only where it changed the program
+    for argv, found in bytecheck.compare(base_records, head):
+        assert argv in argvs and found
+
+    changed = copy.deepcopy(head)
+    analyze, spectrum, verify = changed
+    report = json.loads(analyze["files"]["jordan_omega1.analyze.json"])
+    report["rkhs_rank"] = 3
+    del report["checks"]["contraction_ok"]
+    report["extra"] = [1]
+    analyze["files"]["jordan_omega1.analyze.json"] = json.dumps(report)
+    csv = analyze["files"]["jordan_omega1.analyze.curve.csv"].splitlines()
+    csv[2] = "0.2,0.5,1.0"
+    analyze["files"]["jordan_omega1.analyze.curve.csv"] = "\n".join(csv)
+    spectrum["rc"] = 3
+    spectrum["files"].pop("jordan_omega1.spectrum.computed.csv")
+    verify["stdout"] += "one more line\n"
+
+    found = dict((tuple(argv), diffs) for argv, diffs in
+                 bytecheck.compare(head, changed))
+    assert found.pop(tuple(argvs[0])) == [
+        ("jordan_omega1.analyze.curve.csv",
+         "line 3: %r -> '0.2,0.5,1.0'" % head[0]["files"][
+             "jordan_omega1.analyze.curve.csv"].splitlines()[2]),
+        ("jordan_omega1.analyze.json checks.contraction_ok",
+         "removed (was true)"),
+        ("jordan_omega1.analyze.json extra", "added ([1])"),
+        ("jordan_omega1.analyze.json rkhs_rank", "2 -> 3"),
+    ]
+    assert found.pop(tuple(argvs[1])) == [
+        ("exit code", "0 -> 3"),
+        ("jordan_omega1.spectrum.computed.csv", "not written"),
+    ]
+    assert found.pop(tuple(argvs[2])) == [("stdout", "%d lines -> %d lines"
+                                           % (len(head[2]["stdout"]
+                                                  .splitlines()),
+                                              len(head[2]["stdout"]
+                                                  .splitlines()) + 1))]
+    assert not found
+    assert bytecheck._kind(argvs[0], "x.json checks[3].residual",
+                           "1 -> 2") == "analyze checks[].residual changed"

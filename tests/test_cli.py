@@ -244,6 +244,11 @@ def test_analyze_writes_report_and_curve(tmp_path, capsys):
     assert report["passed"] is True
     assert report["rkhs_rank"] == 2
     assert report["gramian"]["strong_feller"] is True
+    # the Lyapunov residual is reported, not checked: OUModel refuses a
+    # Q_inf above the bound with exit 2
+    assert set(report["checks"]) == {"splitting_identity_ok",
+                                     "contraction_ok"}
+    assert 0.0 <= report["lyapunov_residual"] <= 1e-10
     csv_path = report["curve_csv"]
     lines = open(csv_path).read().strip().splitlines()
     assert lines[0] == "t,smu_norm,K"
@@ -534,6 +539,49 @@ def test_exit_1_on_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "classical_1d", "--bogus-flag"])
     assert exc.value.code == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--random", "1", "0"],
+     "argument --random: COUNT must be >= 1 (got 0)"),
+    (["verify", "--random", "1", "-1"],
+     "argument --random: COUNT must be >= 1 (got -1)"),
+    (["verify", "--random", "-1", "1"],
+     "argument --random: SEED must be >= 0 (got -1)"),
+    (["verify", "--random", "x", "1"],
+     "argument --random: invalid int value: 'x'"),
+    (["verify", "classical_1d", "--degree", "0"],
+     "argument --degree: must be >= 1 (got 0)"),
+    (["verify", "classical_1d", "--levels", "-1"],
+     "argument --levels: must be >= 0 (got -1)"),
+    (["spectrum", "classical_1d", "--degree", "-2"],
+     "argument --degree: must be >= 1 (got -2)"),
+    (["fock", "--matrix", "T.json", "--levels", "-1"],
+     "argument --levels: must be >= 0 (got -1)"),
+])
+def test_out_of_range_counts_are_refused_by_the_parser(tmp_path, capsys,
+                                                        argv, message):
+    # refused before any model is read or report written: exit 1 with a
+    # line that names the flag
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: " + message
+    assert not out.exists()
+
+
+def test_smallest_counts_are_accepted(tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    assert cli.main(["verify", "classical_1d", "--degree", "1",
+                     "--levels", "0", "--out", out]) == 0
+    assert cli.main(["verify", "--random", "0", "1", "--out", out]) == 0
+    assert json.loads(open(out).read())["subject"] == \
+        "1 random models (seed 0)"
+    T = _write(tmp_path / "T.json", {"T": [[0.5]]})
+    assert cli.main(["fock", "--matrix", T, "--levels", "0",
+                     "--out", out]) == 0
     capsys.readouterr()
 
 

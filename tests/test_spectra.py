@@ -212,6 +212,42 @@ def test_hausdorff_symmetric_random():
         assert hausdorff(a, b) >= 0.0
 
 
+@pytest.mark.parametrize("n,m,entries", [(7, 5, 1 << 16), (300, 400, 1 << 16),
+                                          (300, 400, 1000), (50, 3, 1)])
+def test_nearest_distances_in_blocks_equal_the_dense_table(monkeypatch, n, m,
+                                                           entries):
+    # minima are exact, so any blocking gives the dense table's bits; the
+    # sets repeat points, within and across, so ties and zeros are hit
+    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(n + m)
+    pool = np.round(rng.standard_normal(40) + 1j * rng.standard_normal(40), 1)
+    pa, pb = rng.choice(pool, n), rng.choice(pool, m)
+    dense = np.abs(pa[:, None] - pb[None, :])
+    near_a, near_b = spectra._nearest_distances(pa, pb)
+    assert near_a.tobytes() == dense.min(axis=1).tobytes()
+    assert near_b.tobytes() == dense.min(axis=0).tobytes()
+    assert np.any(near_a == 0.0) and np.any(near_b == 0.0)
+
+
+def test_nearest_distances_never_hold_the_table():
+    # the dense 20000 x 20000 table would be 6.4 GB of complex differences
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    pa = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+    pb = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+    tracemalloc.start()
+    try:
+        near_a, near_b = spectra._nearest_distances(pa, pb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, peak
+    assert near_a[:3].tobytes() == \
+        np.abs(pa[:3, None] - pb[None, :]).min(axis=1).tobytes()
+    assert near_b[-3:].tobytes() == \
+        np.abs(pa[:, None] - pb[None, -3:]).min(axis=0).tobytes()
+
+
 def test_match_report_pass_and_fail():
     a = SpectrumSet([0.0, -1.0])
     b = SpectrumSet([1e-9, -1.0 + 1e-9])

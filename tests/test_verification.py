@@ -66,6 +66,77 @@ def test_model_suite_unstable_skips_steady_state():
     assert all("lyapunov" not in n for n in names)
 
 
+GRAMIAN_CHECKS = ["gramian_t_quadrature_agreement", "gramian_t_psd",
+                  "gramian_monotone_in_t", "strong_feller_rank_agreement",
+                  "invertibility_equivalence"]
+STEADY_CHECKS = ["lyapunov_residual", "splitting_identity",
+                 "gramian_dominated_by_steady_state", "rkhs_factorization",
+                 "restricted_flow_contraction"]
+GENERATOR_CHECKS = ["restricted_flow_semigroup_law",
+                    "norm_identity_vs_rayleigh_quotient",
+                    "galerkin_block_triangular",
+                    "galerkin_spectrum_lattice_match",
+                    "transition_semigroup_law"]
+
+
+def test_model_suite_check_order():
+    # the report lists the checks in this order; the eigenvector check is
+    # formed right after the eigensolve but stays last
+    unstable = validate([[0.3]], [[1.0]], name="unstable")
+    assert [c.name for c in model_suite(unstable)] == \
+        GRAMIAN_CHECKS + ["steady_state_checks"]
+    assert [c.name for c in model_suite(DEGENERATE)] == \
+        GRAMIAN_CHECKS + STEADY_CHECKS + GENERATOR_CHECKS + ["chaos_checks"]
+    assert [c.name for c in model_suite(OSCILLATOR)] == \
+        GRAMIAN_CHECKS + STEADY_CHECKS + [
+            "restricted_flow_strict_contraction"] + GENERATOR_CHECKS + [
+            "chaos_resolution_of_identity", "chaos_projections_idempotent",
+            "chaos_projections_orthogonal", "invariant_measure_fixed_mean",
+            "chaos_covariance_permanent", "second_quantization_three_way",
+            "eigenvector_degree_support"]
+
+
+def test_model_suite_degenerate_measure_takes_no_exponential(monkeypatch):
+    # a singular Q_inf ends the suite at the chaos layers: neither exp(L)
+    # nor the eigenvector check is formed for it
+    def refuse(*args):
+        raise AssertionError("formed for a degenerate measure")
+
+    monkeypatch.setattr(verification, "_generator_exp", refuse)
+    monkeypatch.setattr(verification, "_eigenvector_degree_check", refuse)
+    checks = model_suite(DEGENERATE, degree=4)
+    assert checks[-1].name == "chaos_checks"
+    assert not _failures(checks)
+
+
+#: Peak of traced allocations, in dense dim x dim float arrays, that the
+#: suites may hold at (d, N) = (8, 4); they held 13.0-14.0 and 9.5-10.0
+#: before each array was dropped after its last reader, and 6.5 after.
+WORKING_SET_ARRAYS = 8
+
+
+def _peak_arrays(run, dim):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * dim * dim)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "defective"])
+def test_working_set_at_d8_n4(kind):
+    model = random_stable_model(np.random.default_rng(5), d=8, kind=kind)
+    dim = poly_basis(8, 4).dim
+    suite = _peak_arrays(lambda: model_suite(model, degree=4, levels=4), dim)
+    three = _peak_arrays(lambda: verify_second_quantization(model, 1.0, 4),
+                         dim)
+    assert suite <= WORKING_SET_ARRAYS, suite
+    assert three <= WORKING_SET_ARRAYS, three
+
+
 def test_model_suite_negative_control(monkeypatch):
     # corrupt the steady-state covariance: many checks must notice
     real = verification._q_inf

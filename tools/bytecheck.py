@@ -1,0 +1,306 @@
+"""Byte check of command-line reports against another revision.
+
+    python3 tools/bytecheck.py --base HEAD~ [--seeds 1 2 3]
+
+Run from anywhere inside a git checkout.  The base revision is unpacked
+with ``git archive`` into a temporary directory; the other tree is the
+checkout's working tree.  The inputs of each benchmark workload and seed
+are written once, by the checkout's ``bench/inputs.py`` (run as a script,
+which only reads it), and every item argv of the workload (screens
+included) and every ceiling-probe argv is run through both trees; so are
+``analyze``, ``spectrum`` and ``verify`` on each bundled model.  Each tree
+runs in its own process, which calls ``ou_spectra.cli.main`` on one argv
+at a time with one BLAS thread, and records the exit code, stdout, stderr
+and every report and CSV file the call wrote.
+
+Every argv whose record differs is printed with its differences: exit
+code, stdout, stderr, each changed, added or removed JSON field (with both
+values), and the first differing CSV line.  The exit status is 0 when
+every record is byte-identical, 1 otherwise.  Roundoff digits differ
+between BLAS builds, so compare two trees on one machine and never
+against stored digests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+WORKLOADS = ("cli_small", "verify_poly", "analyze_large")
+COMMANDS = ("analyze", "spectrum", "verify")
+#: Fixed before numpy loads in a worker, as in the benchmark.
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+
+
+# --- trees and inputs --------------------------------------------------------
+
+def checkout_root():
+    """Top of the git checkout holding this file."""
+    done = subprocess.run(["git", "rev-parse", "--show-toplevel"],
+                          cwd=Path(__file__).resolve().parent,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError("not inside a git checkout: "
+                           + done.stderr.strip())
+    return Path(done.stdout.strip())
+
+
+def archive(root, rev, dest):
+    """Unpack ``git archive rev`` of the checkout at `root` into `dest`."""
+    done = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root,
+                          capture_output=True)
+    if done.returncode != 0:
+        raise RuntimeError("git archive %s failed: %s"
+                           % (rev, done.stderr.decode().strip()))
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
+        # the "data" filter (Python >= 3.10.12) refuses links out of dest
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return Path(dest)
+
+
+def generate_inputs(root, workload, seed, out_dir):
+    """Write a workload's inputs with the checkout's ``bench/inputs.py``
+    and return the argvs to run: item argvs and screens, then the
+    ceiling-probe argvs, each once, in order."""
+    subprocess.run(
+        [sys.executable, str(root / "bench" / "inputs.py"), "--workload",
+         workload, "--seed", str(seed), "--out", str(out_dir)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src"), **THREAD_ENV),
+        check=True, capture_output=True)
+    with open(Path(out_dir) / "manifest.json") as fh:
+        manifest = json.load(fh)
+    argvs = []
+    for group in manifest["items"]:
+        for candidate in group:
+            if "screen" in candidate:
+                argvs.append(candidate["screen"])
+            argvs.extend(candidate["argvs"])
+    for ladder in ("ceiling_d", "ceiling_d_defective"):
+        argvs.extend(step["argv"] for step in manifest["probes"][ladder])
+    return _unique(argvs)
+
+
+def bundled_argvs(names):
+    """``analyze``, ``spectrum`` and ``verify`` on each bundled model, with
+    the reports under ``out/``."""
+    return [[command, name, "--out", "out/%s.%s.json" % (name, command)]
+            for name in names for command in COMMANDS]
+
+
+def _unique(argvs):
+    seen, out = set(), []
+    for argv in argvs:
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            out.append(list(argv))
+    return out
+
+
+# --- running one tree --------------------------------------------------------
+
+def run_tree(tree, input_dir, argvs, work):
+    """Run `argvs` through the package under ``tree/src`` in one fresh
+    process, in a private copy of `input_dir`; return one record per
+    argv (see :func:`_worker`)."""
+    work = Path(work)
+    cwd = work / "inputs"
+    if input_dir is None:
+        cwd.mkdir(parents=True)
+    else:
+        shutil.copytree(input_dir, cwd)
+    request, result = work / "argvs.json", work / "records.json"
+    request.write_text(json.dumps(argvs))
+    src = Path(tree).resolve() / "src"
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--worker",
+         str(src), str(request), str(result)],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src), **THREAD_ENV),
+        capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError("worker on %s failed:\n%s" % (src, done.stderr))
+    return json.loads(result.read_text())
+
+
+def _worker(src, request, result):
+    """Call ``cli.main`` on each argv of `request` (a JSON list) from the
+    current directory and write one record per argv to `result`: the exit
+    code (or the uncaught exception), stdout, stderr, and the text of every
+    file the call left under ``out/``, which is emptied before each call."""
+    sys.path.insert(0, src)
+    from ou_spectra import cli
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise RuntimeError("imported ou_spectra from %s, not from %s"
+                           % (cli.__file__, src))
+    with open(request) as fh:
+        argvs = json.load(fh)
+    records = []
+    for argv in argvs:
+        shutil.rmtree("out", ignore_errors=True)
+        os.mkdir("out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                rc = cli.main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
+            except Exception as exc:  # a traceback is an outcome too
+                rc = "exception %s: %s" % (type(exc).__name__, exc)
+        files = {}
+        for name in sorted(os.listdir("out")):
+            with open(os.path.join("out", name)) as fh:
+                files[name] = fh.read()
+        records.append({"argv": argv, "rc": rc, "stdout": stdout.getvalue(),
+                        "stderr": stderr.getvalue(), "files": files})
+    with open(result, "w") as fh:
+        json.dump(records, fh)
+
+
+# --- differences -------------------------------------------------------------
+
+def diff_json(base, head, path=""):
+    """``(path, change)`` for each field that differs between two parsed
+    JSON values; `change` is ``base -> head``, ``removed (was base)`` or
+    ``added (head)``."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        out = []
+        for key in sorted(set(base) | set(head)):
+            sub = "%s.%s" % (path, key) if path else key
+            if key not in head:
+                out.append((sub, "removed (was %s)" % json.dumps(base[key])))
+            elif key not in base:
+                out.append((sub, "added (%s)" % json.dumps(head[key])))
+            else:
+                out += diff_json(base[key], head[key], sub)
+        return out
+    if isinstance(base, list) and isinstance(head, list) \
+            and len(base) == len(head):
+        out = []
+        for k, (b, h) in enumerate(zip(base, head)):
+            out += diff_json(b, h, "%s[%d]" % (path, k))
+        return out
+    if json.dumps(base) == json.dumps(head):
+        return []
+    return [(path or "(root)", "%s -> %s" % (json.dumps(base),
+                                             json.dumps(head)))]
+
+
+def _diff_text(base, head):
+    if base == head:
+        return []
+    b_lines, h_lines = base.splitlines(), head.splitlines()
+    for k, (b, h) in enumerate(zip(b_lines, h_lines)):
+        if b != h:
+            return ["line %d: %r -> %r" % (k + 1, b, h)]
+    return ["%d lines -> %d lines" % (len(b_lines), len(h_lines))]
+
+
+def diff_records(base, head):
+    """``(where, change)`` for every difference between two records of one
+    argv; `where` is ``exit code``, ``stdout``, ``stderr``, a file name,
+    or a file name and a JSON field."""
+    out = []
+    if base["rc"] != head["rc"]:
+        out.append(("exit code", "%s -> %s" % (base["rc"], head["rc"])))
+    for stream in ("stdout", "stderr"):
+        out += [(stream, c) for c in _diff_text(base[stream], head[stream])]
+    b_files, h_files = base["files"], head["files"]
+    for name in sorted(set(b_files) | set(h_files)):
+        if name not in h_files:
+            out.append((name, "not written"))
+        elif name not in b_files:
+            out.append((name, "newly written"))
+        elif name.endswith(".json"):
+            out += [("%s %s" % (name, field), change)
+                    for field, change in diff_json(
+                        json.loads(b_files[name]), json.loads(h_files[name]))]
+        else:
+            out += [(name, c) for c in _diff_text(b_files[name],
+                                                  h_files[name])]
+    return out
+
+
+def compare(base_records, head_records):
+    """``(argv, differences)`` for each argv whose records differ."""
+    out = []
+    for b, h in zip(base_records, head_records, strict=True):
+        if b["argv"] != h["argv"]:
+            raise ValueError("records of different argvs: %r, %r"
+                             % (b["argv"], h["argv"]))
+        found = diff_records(b, h)
+        if found:
+            out.append((b["argv"], found))
+    return out
+
+
+def _kind(argv, where, change):
+    """The tally key of one difference: the command, the place with list
+    indices dropped, and removed/added/changed."""
+    place = re.sub(r"\[\d+\]", "[]", where.split(" ", 1)[-1])
+    verb = change.split(" ", 1)[0]
+    return "%s %s %s" % (argv[0], place,
+                         verb if verb in ("removed", "added") else "changed")
+
+
+# --- command line ------------------------------------------------------------
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True,
+                        help="git revision to compare the working tree with")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+
+    root = checkout_root()
+    sys.path.insert(0, str(root / "src"))
+    from ou_spectra.cli import list_bundled
+    sets = [("bundled", None, bundled_argvs(list_bundled()))]
+    total, differing, tally = 0, 0, Counter()
+    with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
+        tmp = Path(tmp)
+        base = archive(root, args.base, tmp / "base")
+        for workload in WORKLOADS:
+            for seed in args.seeds:
+                inputs = tmp / ("%s-s%d" % (workload, seed))
+                sets.append(("%s seed %d" % (workload, seed), inputs,
+                             generate_inputs(root, workload, seed, inputs)))
+        for label, input_dir, argvs in sets:
+            work = tmp / "run" / label.replace(" ", "-")
+            records = [run_tree(tree, input_dir, argvs, work / side)
+                       for side, tree in (("base", base), ("head", root))]
+            diffs = compare(*records)
+            total += len(argvs)
+            differing += len(diffs)
+            print("%s: %d argvs, %d differ" % (label, len(argvs),
+                                                len(diffs)))
+            for call, found in diffs:
+                print("  %s" % " ".join(call))
+                for where, change in found:
+                    print("    %s: %s" % (where, change))
+                    tally[_kind(call, where, change)] += 1
+    print("%d argvs against %s, %d differ" % (total, args.base, differing))
+    for kind, count in sorted(tally.items()):
+        print("  %5d  %s" % (count, kind))
+    return 0 if differing == 0 else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        _worker(*sys.argv[2:5])
+    else:
+        sys.exit(main())
