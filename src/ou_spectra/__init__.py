@@ -38,6 +38,7 @@ from .ou_operator import (
     ChaosDecomposition,
     assemble_L,
     chaos_decomposition,
+    galerkin_blocks,
     mehler_matrix,
     poly_basis,
     verify_second_quantization,
@@ -86,6 +87,7 @@ __all__ = [
     "flow",
     "from_env",
     "from_profile",
+    "galerkin_blocks",
     "gramian_inf",
     "gramian_report",
     "gramian_t",

@@ -51,7 +51,7 @@ from .gramian import (
     spectral_abscissa,
     validate,
 )
-from .ou_operator import _by_parity, assemble_L, poly_basis
+from .ou_operator import galerkin_blocks, poly_basis
 from .spectra import (
     LatticeWindow,
     SpectrumSet,
@@ -323,8 +323,8 @@ def cmd_spectrum(args):
 
     predicted = lattice_spectrum(drift, window)
     basis = poly_basis(model.dim, N)
-    galerkin = SpectrumSet(_by_parity(assemble_L(model, basis), basis,
-                                      _eigvals))
+    galerkin = SpectrumSet(np.concatenate(
+        [_eigvals(block) for block in galerkin_blocks(model, basis)]))
     computed = galerkin.restricted(re_min=re_min, im_max=im_max)
     match = match_report(computed, predicted, args.tol)
 
@@ -445,11 +445,11 @@ def cmd_fock(args):
 # --- parser ------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    # Usage mistakes are input errors (exit 1), not numerical ones.
+    # Usage mistakes are input errors, not numerical ones: after the usage
+    # line, main prints the message and returns exit 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        print("error: %s" % message, file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise InputError(message)
 
 
 def _int_at_least(low):

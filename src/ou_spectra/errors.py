@@ -66,13 +66,9 @@ class ExpmFailure(NumericalError):
 
 
 class Unstable(NumericalError):
-    """Spectral abscissa of the drift is not negative, so no invariant
-    measure exists."""
-
-
-class NonStableInput(NumericalError):
-    """A lattice enumeration was asked for eigenvalues with nonnegative real
-    part, which would not terminate."""
+    """A point that must lie in the open left half plane does not: the
+    drift's spectral abscissa (no invariant measure exists) or a lattice
+    walk's base point (the walk would not terminate)."""
 
 
 class RangeNotInvariant(NumericalError):

@@ -247,7 +247,9 @@ def gramian_t(model, t):
     ``[[F, G], [0, H]]``, one has ``F = exp(tA)`` and
     ``G = exp(tA) * integral_0^t exp(-sA) Q exp(-sA') ds``, hence
     ``Q_t = G F.T`` after the change of variable ``s -> t - s``.  No
-    quadrature grid is involved.  ``t = 0`` returns the zero matrix.
+    quadrature grid is involved.  ``t = 0`` returns the zero matrix.  A
+    non-finite ``Q_t`` raises :class:`ExpmFailure`, with no overflow
+    warning: ``G F.T`` can overflow while both factors are finite.
     """
     t = float(t)
     if t < 0:
@@ -259,9 +261,14 @@ def gramian_t(model, t):
     H[:d, :d] = model.A
     H[:d, d:] = model.Q
     H[d:, d:] = -model.A.T
-    E = _expm(t * H)
-    Qt = E[:d, d:] @ E[:d, :d].T
-    return 0.5 * (Qt + Qt.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _expm(t * H)
+        Qt = E[:d, d:] @ E[:d, :d].T
+        Qt = 0.5 * (Qt + Qt.T)
+    if not np.all(np.isfinite(Qt)):
+        raise ExpmFailure("Q_t is not finite at t=%g: the growth of "
+                          "exp(tA) overflows float64" % t)
+    return Qt
 
 
 def gramian_inf(model):

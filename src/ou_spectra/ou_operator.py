@@ -9,10 +9,10 @@ error), block upper triangular in graded order, and its eigenvalues are
 honest eigenvalues of L.  It also never couples even degrees to odd ones:
 the reflection ``x -> -x`` is the second quantization ``Gamma(-I)``, which
 acts as ``(-1)^n`` on degree n and commutes with every ``Gamma(T)``, with
-L and with ``exp(tL)``.  So the dense kernels on L (its exponential and its
-eigendecomposition) run on the even-degree and the odd-degree principal
-blocks alone (:func:`_by_parity`), at ``n_even^3 + n_odd^3`` instead of
-``dim^3``.
+L and with ``exp(tL)``.  So L is built as its even-degree and odd-degree
+principal blocks (:func:`galerkin_blocks`), and its exponential and
+eigendecomposition run on those, at ``n_even^3 + n_odd^3`` instead of
+``dim^3``; the whole L (:func:`assemble_L`) is the tests' dense oracle.
 
 The transition action and the chaos family are both the substitution
 kernel ``S(M)`` of ``tensor_fock`` (the matrix of ``f -> f(M x)``, one
@@ -50,9 +50,9 @@ from .tensor_fock import (_sqrt_factorials, derivation_block, heat_block,
                           multi_indices, substitution_levels, sym_power)
 
 __all__ = [
-    "PolyBasis", "poly_basis", "assemble_L", "mehler_matrix",
-    "ChaosDecomposition", "chaos_decomposition", "SecondQuantizationReport",
-    "verify_second_quantization",
+    "PolyBasis", "poly_basis", "assemble_L", "galerkin_blocks",
+    "mehler_matrix", "ChaosDecomposition", "chaos_decomposition",
+    "SecondQuantizationReport", "verify_second_quantization",
 ]
 
 
@@ -80,6 +80,13 @@ class PolyBasis:
         """Total degree of each monomial, as a read-only integer array."""
         return _poly_degrees(self.d, self.N)
 
+    @property
+    def parity_classes(self):
+        """Positions of the even-degree and of the odd-degree monomials,
+        each in graded order, as read-only integer arrays; an empty class
+        is dropped (degree 0 has no odd monomials)."""
+        return _parity_classes(self.d, self.N)
+
     def position(self, alpha):
         return _poly_position_table(self.d, self.N)[tuple(alpha)]
 
@@ -95,6 +102,15 @@ def _poly_degrees(d, N):
                     [comb(d + n - 1, n) for n in range(N + 1)])
     deg.flags.writeable = False
     return deg
+
+
+@lru_cache(maxsize=None)
+def _parity_classes(d, N):
+    deg = _poly_degrees(d, N)
+    classes = tuple(np.flatnonzero(deg % 2 == p) for p in range(min(2, N + 1)))
+    for idx in classes:
+        idx.flags.writeable = False
+    return classes
 
 
 @lru_cache(maxsize=None)
@@ -127,76 +143,46 @@ def assemble_L(model, basis):
     making the matrix block upper triangular in the graded order; that
     structure is exact, not a numerical accident, and is asserted by the
     tests.  Both terms change the degree by an even number, so no entry
-    couples an even degree to an odd one (see :func:`_by_parity`).
+    couples an even degree to an odd one: the commands build only the two
+    parity blocks (:func:`galerkin_blocks`), of which this is the oracle.
     """
+    _require_basis(model, basis)
+    return _galerkin(model, range(basis.N + 1))
+
+
+def galerkin_blocks(model, basis):
+    """The principal blocks of :func:`assemble_L` on the even-degree and
+    on the odd-degree monomials (``basis.parity_classes``), bit for bit,
+    written straight from the degree blocks; degree 0 has only the even
+    block."""
+    _require_basis(model, basis)
+    return tuple(_galerkin(model, range(parity, basis.N + 1, 2))
+                 for parity in range(len(basis.parity_classes)))
+
+
+def _galerkin(model, degrees):
+    """The Galerkin matrix on the monomials of the increasing total
+    `degrees`, in graded order: a ``derivation_block`` on each degree and
+    a ``heat_block`` from each degree n to n - 2 when both are held."""
+    sel, start = {}, 0
+    for n in degrees:
+        sel[n] = slice(start, start + comb(model.dim + n - 1, n))
+        start = sel[n].stop
+    # Every block is added in place onto the zeros: the result is the
+    # only square array held.
+    M = np.zeros((start, start))
+    for n, cols in sel.items():
+        M[cols, cols] += derivation_block(model.A, n)
+        if n - 2 in sel:
+            M[sel[n - 2], cols] += heat_block(model.Q, n)
+    return M
+
+
+def _require_basis(model, basis):
     if basis.d != model.dim:
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
             % (basis.d, model.dim))
-    # Every block is added in place onto the zeros: L is the only
-    # dim x dim array held.
-    L = np.zeros((basis.dim, basis.dim))
-    for n in range(basis.N + 1):
-        sel = basis.degree_slice(n)
-        L[sel, sel] += derivation_block(model.A, n)
-        if n >= 2:
-            L[basis.degree_slice(n - 2), sel] += heat_block(model.Q, n)
-    return L
-
-
-@lru_cache(maxsize=None)
-def _parity_classes(d, N):
-    """Positions of the even-degree and of the odd-degree monomials of
-    ``poly_basis(d, N)``, each in graded order; an empty class is
-    dropped (degree 0 has no odd monomials)."""
-    deg = _poly_degrees(d, N)
-    classes = []
-    for parity in (0, 1):
-        idx = np.flatnonzero(deg % 2 == parity)
-        idx.flags.writeable = False
-        if idx.size:
-            classes.append(idx)
-    return tuple(classes)
-
-
-def _by_parity(M, basis, kernel):
-    """``kernel(M)`` for a matrix that commutes with ``Gamma(-I)``, run on
-    the even-degree and the odd-degree principal blocks of `M` alone.
-
-    The sign ``(-1)^n`` on degree n is the second quantization of ``-I``,
-    so L and ``t L`` have no entry between the two parity classes, and
-    neither do their exponential and eigenvectors.  Each output of
-    `kernel` (a matrix, a vector, or a tuple of them, such as the pair of
-    ``np.linalg.eig``) is written back at its class's positions: a matrix
-    into the principal block, with exact zeros across the classes, and a
-    vector into the class's entries, so eigenvalue ``w[k]`` keeps its
-    eigenvector ``V[:, k]``.
-
-    Raises
-    ------
-    InputError
-        If `M` has a nonzero entry between an even and an odd degree:
-        the split would drop it.
-    """
-    classes = _parity_classes(basis.d, basis.N)
-    if len(classes) == 2:
-        even, odd = classes
-        if np.any(M[np.ix_(even, odd)]) or np.any(M[np.ix_(odd, even)]):
-            raise InputError(
-                "matrix couples even and odd degrees, so it does not "
-                "commute with Gamma(-I) and cannot be split by parity")
-    parts = [kernel(M[np.ix_(idx, idx)]) for idx in classes]
-    if isinstance(parts[0], tuple):
-        return tuple(_scatter(blocks, classes, basis.dim)
-                     for blocks in zip(*parts))
-    return _scatter(parts, classes, basis.dim)
-
-
-def _scatter(blocks, classes, dim):
-    out = np.zeros((dim,) * blocks[0].ndim, dtype=np.result_type(*blocks))
-    for idx, block in zip(classes, blocks):
-        out[np.ix_(*(idx,) * block.ndim)] = block
-    return out
 
 
 def _graded(Q, basis, left=None, right=None):
@@ -244,10 +230,7 @@ def mehler_matrix(model, t, basis):
     t = float(t)
     if t < 0:
         raise InputError("mehler_matrix needs t >= 0, got %g" % t)
-    if basis.d != model.dim:
-        raise DimensionMismatch(
-            "basis is over %d variables, model has dimension %d"
-            % (basis.d, model.dim))
+    _require_basis(model, basis)
     return _graded(gramian_t(model, t), basis,
                    left=list(substitution_levels(flow(model, t), basis.N)))
 
@@ -358,10 +341,7 @@ def chaos_decomposition(model, basis):
         necessarily contains kernel directions, along which no L2 inner
         product exists.  Analyze a reduced model on the range instead.
     """
-    if basis.d != model.dim:
-        raise DimensionMismatch(
-            "basis is over %d variables, model has dimension %d"
-            % (basis.d, model.dim))
+    _require_basis(model, basis)
     _require_nondegenerate(model)
     factor = model.invariant_factor
     norms = np.concatenate([_sqrt_factorials(basis.d, n)
@@ -433,33 +413,38 @@ def verify_second_quantization(model, t, N):
     the n-th chaos layer, conjugated back to monomial coordinates by the
     occupation-indexed Hermite family.  All three must agree entrywise
     within ``THREE_WAY_TOL``; the largest pairwise deviation is reported,
-    NaN if any deviation is NaN.  L is dropped once (a) is formed, and a
-    singular ``Q_inf`` is refused before any of them is built.
+    NaN if any deviation is NaN.  L's blocks are dropped once (a) is
+    formed, and a singular ``Q_inf`` is refused before any of them is built.
     """
     t = float(t)
     if t < 0:
         raise InputError("verify_second_quantization needs t >= 0")
     basis = poly_basis(model.dim, N)
     _require_nondegenerate(model)
-    P_gen = _generator_exp(assemble_L(model, basis), basis, t)
+    P_gen = _generator_exp(galerkin_blocks(model, basis), basis, t)
     return _three_way(model, t, P_gen, mehler_matrix(model, t, basis),
                       chaos_decomposition(model, basis))
 
 
-def _generator_exp(L, basis, t):
-    """``exp(t L)`` for a Galerkin matrix `L` on `basis`, on its parity
-    blocks (:func:`_by_parity`); each block is a copy, scaled by `t` in
-    place, so ``t L`` is never formed whole.
+def _generator_exp(blocks, basis, t):
+    """``exp(t L)`` on `basis` from the parity blocks of L
+    (:func:`galerkin_blocks`) on `basis` or a larger one, whose leading
+    sub-blocks are those on `basis` (L is block upper triangular).  Each
+    exponential is written at its class's positions, with exact zeros
+    between the classes; the result is allocated after the exponentials,
+    so it is not held alongside their work arrays.
 
     It shares no code with (b) and (c) of :func:`verify_second_quantization`,
     which both rest on the substitution kernel; that kernel is pinned to
     the Kronecker route by the tests.
     """
-    def kernel(block):
-        block *= t
-        return _expm(block)
-
-    return _by_parity(L, basis, kernel)
+    classes = basis.parity_classes
+    exps = [_expm(t * block[:len(idx), :len(idx)])
+            for idx, block in zip(classes, blocks)]
+    P = np.zeros((basis.dim, basis.dim))
+    for idx, E in zip(classes, exps):
+        P[np.ix_(idx, idx)] = E
+    return P
 
 
 def _three_way(model, t, P_gen, P_meh, chaos):

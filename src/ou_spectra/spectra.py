@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import EigFailure, EmptySet, EnumCap, InputError, NonStableInput
+from .errors import EigFailure, EmptySet, EnumCap, InputError, Unstable
 
 #: Radius at which every spectrum set merges its points.
 DEFAULT_CLUSTER_RADIUS = 1e-7
@@ -244,7 +244,7 @@ def lattice_spectrum(base, window):
     if len(z) == 0:
         raise EmptySet("lattice_spectrum of an empty spectrum")
     if np.any(z.real >= 0):
-        raise NonStableInput(
+        raise Unstable(
             "lattice_spectrum needs all points in the open left half plane; "
             "max real part is %g" % z.real.max())
     values = np.array([val for val, _ in _lattice_walk(base, window)],

@@ -35,7 +35,6 @@ import scipy.linalg
 from . import gramian as _gr
 from .errors import CriteriaDisagree, DegenerateMeasure
 from .gramian import (
-    OUModel,
     flow,
     gramian_t,
     smu_matrix,
@@ -43,11 +42,10 @@ from .gramian import (
     validate,
 )
 from .ou_operator import (
-    _by_parity,
     _generator_exp,
     _three_way,
-    assemble_L,
     chaos_decomposition,
+    galerkin_blocks,
     mehler_matrix,
     poly_basis,
 )
@@ -294,19 +292,21 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     out.append(_check("norm_identity_vs_rayleigh_quotient", ident, 1e-6))
 
     # -- generator-level identities ---------------------------------------
-    # Each dim x dim array is dropped after its last reader: L once its
-    # spectrum and exp(L) are taken, the eigenvectors once their check is
-    # formed (it is appended last), and the Mehler matrices at t = 0.3 and
-    # 0.7 once their product is.
+    # L is held as its two parity blocks.  Each square array is dropped
+    # after its last reader: the blocks once their spectrum and exp(L) are
+    # taken, the eigenvectors once their check is formed (it is appended
+    # last), and the Mehler matrices at t = 0.3 and 0.7 once their product is.
     basis = poly_basis(d, degree)
-    L = assemble_L(model, basis)
-    deg = basis.degrees
-    tri = np.abs(L[deg[:, None] > deg[None, :]]).max(initial=0.0)
+    blocks = galerkin_blocks(model, basis)
+    degs = [basis.degrees[idx] for idx in basis.parity_classes]
+    tri = _worst((np.abs(B[g[:, None] > g[None, :]]).max(initial=0.0)
+                  for B, g in zip(blocks, degs)), 0.0)
     out.append(_check("galerkin_block_triangular", tri, 0.0))
 
-    # One eigendecomposition, per parity block: its values are matched to
-    # the lattice and its vectors checked for degree support.
-    vals, vecs = _by_parity(L, basis, lambda M: _eigvals(M, vectors=True))
+    # One eigendecomposition per block: its values are matched to the
+    # lattice and its vectors checked for degree support.
+    eigs = [_eigvals(B, vectors=True) for B in blocks]
+    vals = np.concatenate([w for w, _ in eigs])
     drift = SpectrumSet(model.drift_eigenvalues)
     window = _covering_window(drift.points, degree)
     predicted = lattice_spectrum(drift, window)
@@ -318,9 +318,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # eigenvector and three-way checks, so neither is formed for it.
     degenerate = factor.rank < d
     if not degenerate:
-        eigvec_check = _eigenvector_degree_check(drift, basis, vals, vecs,
-                                                 window)
-    del vecs
+        eigvec_check = _eigenvector_degree_check(drift, basis, eigs, window)
+    del eigs
 
     # L, P(t) and the chaos family are block upper triangular in the
     # graded order, so their leading blocks are the same objects on the
@@ -329,8 +328,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     leading = poly_basis(d, N)
     k = leading.dim
     if not degenerate:
-        P_gen = _generator_exp(L[:k, :k], leading, 1.0)
-    del L
+        P_gen = _generator_exp(blocks, leading, 1.0)
+    del blocks
 
     semi = mehler_matrix(model, 0.3, basis) @ mehler_matrix(model, 0.7,
                                                             basis)
@@ -451,16 +450,19 @@ def _linear_product(basis, a, b):
     return c
 
 
-def _eigenvector_degree_check(drift, basis, vals, vecs, window):
+def _eigenvector_degree_check(drift, basis, eigs, window):
     """Eigenvalues realized by a unique sum of n eigenvalues of the drift
     (the spectrum `drift`) must have eigenvectors supported in degrees
-    <= n.
+    <= n.  `eigs` holds the pair ``(w, V)`` of ``np.linalg.eig`` on each
+    parity block of L, in the order of ``basis.parity_classes``; an
+    eigenvalue is isolated against both blocks.
 
     The eigenvalue gaps, the lattice proximity table and the eigenvector
     moduli are taken in blocks (:func:`~ou_spectra.spectra._row_blocks`);
     every reduction over them is a minimum, a maximum or a count, so the
     result does not depend on the blocking."""
     name = "eigenvector_degree_support"
+    vals = np.concatenate([w for w, _ in eigs])
     lattice, depth = (np.array(col) for col in
                       zip(*_lattice_walk(drift, window)))
     sep = 1e-5
@@ -478,13 +480,19 @@ def _eigenvector_degree_check(drift, basis, vals, vecs, window):
     if tested == 0:
         return _skip(name, "no isolated, uniquely represented eigenvalues")
     n = depth[nearest[cols]]
-    deg = basis.degrees
     ratio = np.empty(tested)
-    for block in _row_blocks(tested, basis.dim):
-        mags = np.abs(vecs[:, cols[block]])
-        tail = np.where(deg[:, None] > n[None, block], mags, 0.0).max(
-            axis=0, initial=0.0)
-        ratio[block] = tail / mags.max(axis=0)
+    lo = 0
+    for idx, (w, V) in zip(basis.parity_classes, eigs):
+        deg = basis.degrees[idx]
+        # the tested columns of this block, as a range of `cols`
+        first, stop = np.searchsorted(cols, (lo, lo + len(w)))
+        for block in _row_blocks(stop - first, len(idx)):
+            pick = slice(first + block.start, first + block.stop)
+            mags = np.abs(V[:, cols[pick] - lo])
+            tail = np.where(deg[:, None] > n[None, pick], mags, 0.0).max(
+                axis=0, initial=0.0)
+            ratio[pick] = tail / mags.max(axis=0)
+        lo += len(w)
     return _check(name, float(np.max(ratio, initial=0.0)), 1e-8,
                   detail="%d eigenvalues tested" % tested)
 

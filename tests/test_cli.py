@@ -352,9 +352,7 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     cli._parser.cache_clear()
     errors = []
     for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["analyze", "classical_1d", "--bogus-flag"])
-        assert exc.value.code == 1
+        assert cli.main(["analyze", "classical_1d", "--bogus-flag"]) == 1
         errors.append(capsys.readouterr().err)
     assert cli.main(["verify"]) == 1
     capsys.readouterr()
@@ -536,10 +534,12 @@ def test_fock_rejects_a_nonfinite_matrix(tmp_path, capsys, entry):
 
 
 def test_exit_1_on_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["analyze", "classical_1d", "--bogus-flag"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+    # a parser refusal returns exit 1 like any other input error: the
+    # usage line, then one error line
+    assert cli.main(["analyze", "classical_1d", "--bogus-flag"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: ")
+    assert err[-1] == "error: unrecognized arguments: --bogus-flag"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -565,9 +565,7 @@ def test_out_of_range_counts_are_refused_by_the_parser(tmp_path, capsys,
     # refused before any model is read or report written: exit 1 with a
     # line that names the flag
     out = tmp_path / "r.json"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--out", str(out)])
-    assert exc.value.code == 1
+    assert cli.main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error: " + message
     assert not out.exists()
 
@@ -612,6 +610,27 @@ def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
     assert cli.main(["verify", "jordan_omega1", "--out", out]) == 2
     assert "matrix exponential" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_verify_exits_2_when_q_t_overflows(tmp_path):
+    # A = 200: Q_t is 9.4e257 at t = 1.5 and overflows at t = 2, on
+    # verify's Gramian grid, while the block exponential is still finite;
+    # run in a process of its own, so that stderr is exactly what a shell
+    # sees, without a numpy overflow warning
+    model = _write(tmp_path / "fast.json", {"A": [[200]], "Q": [[1]]})
+    out = tmp_path / "v.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run(
+        [sys.executable, "-m", "ou_spectra.cli", "verify", model,
+         "--out", str(out)], env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [
+        "error: Q_t is not finite at t=2: the growth of exp(tA) overflows "
+        "float64"]
+    assert not out.exists()
 
 
 def _lyapunov_tolerances(path):

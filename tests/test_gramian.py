@@ -19,6 +19,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from ou_spectra.errors import (
     CriteriaDisagree,
     DimensionMismatch,
     EigFailure,
+    ExpmFailure,
     InputError,
     NotPSD,
     RangeNotInvariant,
@@ -140,6 +142,19 @@ def test_gramian_t_zero_and_negative():
     assert_allclose(gramian_t(JORDAN, 0.0), np.zeros((2, 2)), atol=0)
     with pytest.raises(InputError):
         gramian_t(JORDAN, -0.5)
+
+
+def test_gramian_t_refuses_an_overflowing_product():
+    # for A = 200 the block exponential is finite at t = 2 (its entries
+    # are near e^400), but Q_t = G F' is near e^800 and overflows; the
+    # refusal names Q_t and t, and no overflow warning is left behind
+    fast = validate([[200.0]], [[1.0]], name="fast")
+    want = math.expm1(2 * 200.0 * 1.5) / (2 * 200.0)
+    assert_allclose(gramian_t(fast, 1.5), [[want]], rtol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExpmFailure, match=r"^Q_t .* at t=2:"):
+            gramian_t(fast, 2.0)
 
 
 def test_gramian_t_matches_quadrature_oracle():

@@ -37,6 +37,7 @@ from ou_spectra.gramian import (
 from ou_spectra.ou_operator import (
     assemble_L,
     chaos_decomposition,
+    galerkin_blocks,
     mehler_matrix,
     poly_basis,
     verify_second_quantization,
@@ -527,23 +528,43 @@ def _cross_parity(basis):
     return par[:, None] != par[None, :]
 
 
-@pytest.mark.parametrize("N", [0, 1, 2, 5])
-def test_parity_zeros_across_classes(N):
-    models = [CLASSICAL, JORDAN, OSCILLATOR] + [
+def _parity_models():
+    return [CLASSICAL, JORDAN, OSCILLATOR] + [
         random_stable_model(np.random.default_rng(s), d=d, kind=k)
         for s, d, _, k in ORACLE_MODELS]
-    for model in models:
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
+def test_parity_zeros_across_classes(N):
+    for model in _parity_models():
         b = poly_basis(model.dim, N)
         cross = _cross_parity(b)
-        classes = ou_operator._parity_classes(b.d, b.N)
+        classes = b.parity_classes
         assert sorted(np.concatenate(classes).tolist()) == list(range(b.dim))
         assert len(classes) == (1 if N == 0 else 2)
         chaos = chaos_decomposition(model, b)
         for M in (assemble_L(model, b), mehler_matrix(model, 0.7, b),
                   chaos.occupation_hermite, chaos.occupation_hermite_inv):
             assert np.all(M[cross] == 0.0)
-        P = ou_operator._by_parity(assemble_L(model, b), b, expm)
+        P = ou_operator._generator_exp(galerkin_blocks(model, b), b, 1.0)
         assert np.all(P[cross] == 0.0)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
+def test_galerkin_blocks_are_principal_blocks_of_L(N):
+    # each block is written from the degree blocks directly, and is bit
+    # for bit the block of the whole L on its class
+    for model in _parity_models():
+        b = poly_basis(model.dim, N)
+        L = assemble_L(model, b)
+        blocks = galerkin_blocks(model, b)
+        assert len(blocks) == len(b.parity_classes)
+        for idx, block in zip(b.parity_classes, blocks):
+            want = L[np.ix_(idx, idx)]
+            assert block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
+    with pytest.raises(DimensionMismatch):
+        galerkin_blocks(OSCILLATOR, poly_basis(3, N))
 
 
 # the diagonalizable models on which the dense exponential and eigensolver
@@ -558,10 +579,11 @@ def test_split_expm_matches_dense(seed, d, N, kind):
     # split replaced; it stays here as its oracle.
     model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
     b = poly_basis(d, N)
+    L = assemble_L(model, b)
+    blocks = galerkin_blocks(model, b)
     for t in (0.3, 1.0):
-        tL = t * assemble_L(model, b)
-        dense = expm(tL)
-        split = ou_operator._by_parity(tL, b, expm)
+        dense = expm(t * L)
+        split = ou_operator._generator_exp(blocks, b, t)
         assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -571,27 +593,21 @@ def test_split_eig_matches_dense(seed, d, N, kind):
     model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
     b = poly_basis(d, N)
     L = assemble_L(model, b)
-    vals, vecs = ou_operator._by_parity(
-        L, b, lambda M: _eigvals(M, vectors=True))
-    assert vals.shape == (b.dim,) and vecs.shape == (b.dim, b.dim)
-    # eigenpair k sits at position k, so its vector lives on k's class
-    assert np.all(vecs[_cross_parity(b)] == 0.0)
+    blocks = galerkin_blocks(model, b)
+    vals = []
+    for idx, block in zip(b.parity_classes, blocks):
+        w, V = _eigvals(block, vectors=True)
+        # each eigenvalue keeps its own eigenvector, which is one of the
+        # whole L once put on the block's class
+        vecs = np.zeros((b.dim, len(w)), dtype=V.dtype)
+        vecs[idx] = V
+        assert np.abs(L @ vecs - vecs * w).max() <= 1e-12 * np.abs(L).max()
+        vals.append(w)
+    vals = np.concatenate(vals)
     assert hausdorff(SpectrumSet(vals),
                      SpectrumSet(np.linalg.eigvals(L))) <= 1e-10
-    assert hausdorff(SpectrumSet(ou_operator._by_parity(L, b, _eigvals)),
-                     SpectrumSet(vals)) <= 1e-10
-    # each eigenvalue keeps its own eigenvector
-    assert np.abs(L @ vecs - vecs * vals).max() <= 1e-12 * np.abs(L).max()
-
-
-def test_by_parity_refuses_a_cross_parity_entry():
-    b = poly_basis(2, 3)
-    even, odd = ou_operator._parity_classes(b.d, b.N)
-    for i, j in ((even[1], odd[0]), (odd[-1], even[0])):
-        L = assemble_L(OSCILLATOR, b)
-        L[i, j] = 1e-300
-        with pytest.raises(InputError, match="even and odd"):
-            ou_operator._by_parity(L, b, expm)
+    values_only = np.concatenate([_eigvals(block) for block in blocks])
+    assert hausdorff(SpectrumSet(values_only), SpectrumSet(vals)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

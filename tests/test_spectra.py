@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from ou_spectra import spectra
 from ou_spectra.cli import _to_jsonable
-from ou_spectra.errors import EmptySet, EnumCap, InputError, NonStableInput
+from ou_spectra.errors import EmptySet, EnumCap, InputError, Unstable
 from ou_spectra.spectra import (
     LatticeWindow,
     SpectrumSet,
@@ -182,7 +182,7 @@ def test_lattice_conjugate_pair_real_sums():
 
 
 def test_lattice_rejects_unstable_base():
-    with pytest.raises(NonStableInput):
+    with pytest.raises(Unstable):
         lattice_spectrum(SpectrumSet([0.5, -1.0]),
                          LatticeWindow(re_min=-2.0, im_max=1.0, max_terms=2))
 

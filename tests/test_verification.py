@@ -297,19 +297,22 @@ def _count_calls(monkeypatch, module, name, key=lambda *args: args[-1]):
 
 
 def test_model_suite_assembles_L_and_the_drift_spectrum_once(monkeypatch):
-    # the three-way check reads the leading block of the suite's own L,
-    # and the drift spectrum is the model's own, computed once
+    # the three-way check reads the leading blocks of the suite's own
+    # parity blocks of L, no dense L is built, and the drift spectrum is
+    # the model's own, computed once
     from ou_spectra import gramian, ou_operator
-    assembled = [_count_calls(monkeypatch, module, "assemble_L",
-                              key=lambda model, basis: basis.N)
-                 for module in (verification, ou_operator)]
+    assembled = [_count_calls(monkeypatch, verification, "galerkin_blocks",
+                              key=lambda model, basis: basis.N)]
+    dense = _count_calls(monkeypatch, ou_operator, "assemble_L",
+                         key=lambda model, basis: basis.N)
     spectra = [_count_calls(monkeypatch, module, name,
                             key=lambda M: M.shape)
                for module, name in ((gramian, "_eigvals"),
                                     (verification, "eig"))]
     model = replace(OSCILLATOR)
     assert not _failures(model_suite(model, degree=3, levels=3))
-    assert assembled == [[3], []]
+    assert assembled == [[3]]
+    assert dense == []
     assert spectra == [[(2, 2)], []]
 
 

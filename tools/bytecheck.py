@@ -157,8 +157,6 @@ def _worker(src, request, result):
                 contextlib.redirect_stderr(stderr):
             try:
                 rc = cli.main(list(argv))
-            except SystemExit as exc:
-                rc = exc.code
             except Exception as exc:  # a traceback is an outcome too
                 rc = "exception %s: %s" % (type(exc).__name__, exc)
         files = {}
