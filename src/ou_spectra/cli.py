@@ -35,20 +35,15 @@ from importlib import resources
 import numpy as np
 
 from . import config
-from .errors import (
-    DegenerateMeasure,
-    InputError,
-    NumericalError,
-    Unstable,
-)
+from .errors import InputError, NumericalError
 from .gramian import (
     contractivity_constant,
+    gramian_inf,
     gramian_report,
     gramian_t,
     invertibility_equivalence_report,
-    is_stable,
+    nondegenerate_factor,
     smu_norm,
-    spectral_abscissa,
     validate,
 )
 from .ou_operator import galerkin_blocks, poly_basis
@@ -64,7 +59,6 @@ from .spectra import (
 )
 from .tensor_fock import second_quantization
 from . import verification
-from . import gramian as _gramian_mod
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -246,11 +240,8 @@ def cmd_analyze(args):
     out_path = _default_out(args, ".analyze.json")
     csv_path = os.path.splitext(out_path)[0] + ".curve.csv"
 
-    alpha = spectral_abscissa(model)
-    if not is_stable(model):
-        raise Unstable(
-            "analysis needs a stable drift; spectral abscissa is %.6g"
-            % alpha)
+    # Q_inf comes first: an unstable drift is refused there (exit 2).
+    Qi = gramian_inf(model)
     report_t = float(grid[-1])
     gram = gramian_report(model, report_t)
 
@@ -260,17 +251,17 @@ def cmd_analyze(args):
                      contractivity_constant(model, float(t))))
     _write_csv(csv_path, rows, header=("t", "smu_norm", "K"))
 
-    lyap = float(np.abs(model.A @ gram.Q_inf + gram.Q_inf @ model.A.T
-                        + model.Q).max())
-    F1 = _gramian_mod.flow(model, 1.0)
-    split = float(np.linalg.norm(
-        gram.Q_inf - gramian_t(model, 1.0) - F1 @ gram.Q_inf @ F1.T, 2))
+    lyap = float(np.abs(model.A @ Qi + Qi @ model.A.T + model.Q).max())
+    split = verification.splitting_residual(model, Qi, 1.0,
+                                            gramian_t(model, 1.0))
     # The Lyapunov residual is reported, not checked: OUModel refuses a
-    # Q_inf whose residual exceeds the same bound (exit 2).
+    # Q_inf whose residual exceeds the same bound (exit 2).  The other two
+    # are held to verify's bounds.
     checks = {
-        "splitting_identity_ok": split <= 1e-8
-        * max(float(np.linalg.norm(gram.Q_inf, 2)), 1e-300),
-        "contraction_ok": all(r[1] <= 1.0 + 1e-10 for r in rows),
+        "splitting_identity_ok":
+            split <= verification.splitting_tolerance(Qi),
+        "contraction_ok": all(r[1] - 1.0 <= verification.CONTRACTION_TOL
+                              for r in rows),
     }
     report = {
         "schema": 1,
@@ -293,7 +284,8 @@ def cmd_analyze(args):
     }
     write_json_report(out_path, report)
     print("model %s: abscissa %.6g, rank(Q_inf)=%d, strong_feller=%s"
-          % (model.name, alpha, gram.rank_Q_inf, gram.strong_feller))
+          % (model.name, gram.spectral_abscissa, gram.rank_Q_inf,
+             gram.strong_feller))
     print("curve over %d points -> %s" % (len(rows), csv_path))
     print("report -> %s (%s)" % (out_path,
                                  "pass" if report["passed"] else "FAIL"))
@@ -303,20 +295,12 @@ def cmd_analyze(args):
 def cmd_spectrum(args):
     model = load_model(args.model)
     out_path = _default_out(args, ".spectrum.json")
-    if not is_stable(model):
-        raise Unstable(
-            "spectral prediction needs a stable drift (abscissa %.6g); "
-            "hypothesis failed: stability" % spectral_abscissa(model))
-    rank = model.invariant_factor.rank
-    if rank < model.dim:
-        raise DegenerateMeasure(
-            "spectral prediction needs an invertible steady-state "
-            "covariance; hypothesis failed: nondegeneracy (rank %d < %d)"
-            % (rank, model.dim))
+    # Refuses an unstable drift or a singular Q_inf (exit 2).
+    nondegenerate_factor(model)
 
     N = args.degree
     drift = SpectrumSet(model.drift_eigenvalues)
-    cover = verification._covering_window(drift.points, N)
+    cover = LatticeWindow.covering(drift.points, N)
     re_min = cover.re_min if args.re_min is None else args.re_min
     im_max = cover.im_max if args.im_max is None else args.im_max
     window = LatticeWindow(re_min=re_min, im_max=im_max, max_terms=N)
@@ -509,7 +493,8 @@ def build_parser():
                    help="window floor for Re (default: cover all sums)")
     p.add_argument("--im-max", type=float, default=None,
                    help="window cap for |Im| (default: cover all sums)")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float,
+                   default=verification.LATTICE_MATCH_TOL,
                    help="match tolerance (default %(default)s)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)

@@ -27,7 +27,9 @@ relative threshold from :class:`~ou_spectra.config.Tolerances`.
 
 The drift eigenvalues, ``Q_inf`` and its rank-cut factor are derived at
 most once per model and cached on it (:class:`OUModel`); every caller
-reads them there, so the rank of ``Q_inf`` is decided in one place.
+reads them there, so the rank of ``Q_inf`` is decided in one place, and
+an unstable drift (:func:`gramian_inf`) and a singular ``Q_inf``
+(:func:`nondegenerate_factor`) are each refused in one place.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     AsymmetricQ,
     CriteriaDisagree,
+    DegenerateMeasure,
     DimensionMismatch,
     EigFailure,
     ExpmFailure,
@@ -56,7 +59,8 @@ from .spectra import _eigvals
 
 __all__ = [
     "OUModel", "validate", "spectral_abscissa", "is_stable", "flow",
-    "gramian_t", "gramian_inf", "RKHSFactor", "rkhs_factor", "smu_matrix",
+    "gramian_t", "gramian_inf", "RKHSFactor", "rkhs_factor",
+    "nondegenerate_factor", "smu_matrix",
     "smu_norm", "quadratic_form_ratio_sup", "contractivity_constant",
     "rank_psd", "controllability_rank",
     "strong_feller_check", "GramianReport", "gramian_report",
@@ -76,20 +80,15 @@ def _cut(values, rank_tol):
     return rank_tol * float(np.max(values, initial=0.0))
 
 
-def _rank_cut(values, rank_tol):
-    """Mask of the values strictly above ``rank_tol`` times the largest;
-    nothing is kept when the largest is not positive."""
-    return values > _cut(values, rank_tol)
-
-
 def _psd_split(M, rank_tol):
     """The one rank decision on a symmetric PSD matrix: the eigenvalues of
     the symmetrized ``M`` in descending order, their eigenvectors, and the
-    :func:`_rank_cut` mask of the kept ones."""
+    mask of the kept ones, those strictly above the :func:`_cut` (nothing
+    is kept when the largest is not positive)."""
     M = np.asarray(M, dtype=float)
     lam, U = np.linalg.eigh(0.5 * (M + M.T))
     lam, U = lam[::-1], U[:, ::-1]
-    return lam, U, _rank_cut(lam, rank_tol)
+    return lam, U, lam > _cut(lam, rank_tol)
 
 
 def _rank_gap(steps):
@@ -149,11 +148,12 @@ class OUModel:
     @functools.cached_property
     def _q_inf(self):
         # A raise is not cached, so Unstable and EigFailure recur per call.
-        alpha = spectral_abscissa(self)
-        if alpha >= -self.tol.stab_tol:
+        # This is the package's one refusal of an unstable drift.
+        if not is_stable(self):
             raise Unstable(
                 "no steady-state covariance: spectral abscissa %.6g is not "
-                "below the stability margin -%g" % (alpha, self.tol.stab_tol))
+                "below the stability margin -%g; hypothesis failed: "
+                "stability" % (spectral_abscissa(self), self.tol.stab_tol))
         X = solve_continuous_lyapunov(self.A, -self.Q)
         X = 0.5 * (X + X.T)
         resid = float(np.abs(self.A @ X + X @ self.A.T + self.Q).max())
@@ -227,16 +227,19 @@ def is_stable(model):
     return spectral_abscissa(model) < -model.tol.stab_tol
 
 
-def _expm(M):
-    E = scipy.linalg.expm(M)
+def _expm(M, t, what):
+    """``exp(tM)``, refused if not finite, naming ``t`` and `what` M is."""
+    E = scipy.linalg.expm(t * M)
     if not np.all(np.isfinite(E)):
-        raise ExpmFailure("matrix exponential produced non-finite values")
+        raise ExpmFailure(
+            "matrix exponential exp(tM) produced non-finite values at t=%g, "
+            "for M = %s" % (t, what))
     return E
 
 
 def flow(model, t):
     """The propagator ``exp(tA)``."""
-    return _expm(float(t) * model.A)
+    return _expm(model.A, float(t), "the drift A")
 
 
 def gramian_t(model, t):
@@ -262,7 +265,7 @@ def gramian_t(model, t):
     H[:d, d:] = model.Q
     H[d:, d:] = -model.A.T
     with np.errstate(over="ignore", invalid="ignore"):
-        E = _expm(t * H)
+        E = _expm(H, t, "Q_t's Van Loan block matrix [[A, Q], [0, -A']]")
         Qt = E[:d, d:] @ E[:d, :d].T
         Qt = 0.5 * (Qt + Qt.T)
     if not np.all(np.isfinite(Qt)):
@@ -284,7 +287,8 @@ def gramian_inf(model):
     Raises
     ------
     Unstable
-        If the spectral abscissa is not below ``-stab_tol``.
+        If the spectral abscissa is not below ``-stab_tol``; the
+        package's one refusal of an unstable drift.
     EigFailure
         If the residual exceeds the guard or is NaN.
     """
@@ -309,12 +313,15 @@ class RKHSFactor:
         Orthonormal (Euclidean) eigenvectors spanning the range.
     inv_sqrt : (r, d) ndarray
         Pseudo-inverse of ``factor``; maps a vector to its coordinates.
+    eigenvalues : (d,) ndarray
+        All eigenvalues of the covariance, descending: the rank cut's.
     """
 
     rank: int
     factor: np.ndarray
     basis: np.ndarray
     inv_sqrt: np.ndarray
+    eigenvalues: np.ndarray
 
 
 def rkhs_factor(Q_inf, rank_tol=DEFAULT.rank_tol):
@@ -333,7 +340,24 @@ def rkhs_factor(Q_inf, rank_tol=DEFAULT.rank_tol):
         factor=_readonly(U_k * sq),
         basis=_readonly(U_k),
         inv_sqrt=_readonly((U_k / sq).T if lam_k.size else U_k.T),
+        eigenvalues=_readonly(lam),
     )
+
+
+def nondegenerate_factor(model):
+    """``model.invariant_factor`` if ``Q_inf`` has full rank, or else the
+    package's one :class:`DegenerateMeasure`, naming the rank and the rank
+    gap of the cut: a polynomial in a kernel direction has no
+    square-integrable normalization, so the chaos frame cannot span."""
+    factor = model.invariant_factor
+    if factor.rank < model.dim:
+        lam = factor.eigenvalues
+        raise DegenerateMeasure(
+            "invariant covariance Q_inf has rank %d < %d, %s; hypothesis "
+            "failed: nondegeneracy"
+            % (factor.rank, model.dim,
+               _rank_gap([(lam, _cut(lam, model.tol.rank_tol))])))
+    return factor
 
 
 def smu_matrix(model, t):
@@ -537,8 +561,7 @@ def gramian_report(model, t):
     t = float(t)
     if t < 0:
         raise InputError("gramian_report needs t >= 0, got %g" % t)
-    alpha = spectral_abscissa(model)
-    stable = alpha < -model.tol.stab_tol
+    stable = is_stable(model)
     Qt = gramian_t(model, t)
     if t > 0:
         rank_t = _checked_rank(model, Qt, t)
@@ -553,7 +576,7 @@ def gramian_report(model, t):
         Qi, rank_i, invertible = None, None, False
     return GramianReport(
         t=t,
-        spectral_abscissa=alpha,
+        spectral_abscissa=spectral_abscissa(model),
         stable=stable,
         Q_t=Qt,
         rank_Q_t=rank_t,

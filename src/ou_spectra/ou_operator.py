@@ -44,10 +44,12 @@ from math import comb
 
 import numpy as np
 
-from .errors import DegenerateMeasure, DimensionMismatch, InputError
-from .gramian import _expm, flow, gramian_inf, gramian_t, smu_matrix
-from .tensor_fock import (_sqrt_factorials, derivation_block, heat_block,
-                          multi_indices, substitution_levels, sym_power)
+from .errors import DimensionMismatch, InputError
+from .gramian import (_expm, flow, gramian_t, nondegenerate_factor,
+                      smu_matrix)
+from .tensor_fock import (_position_table, _sqrt_factorials,
+                          derivation_block, heat_block, multi_indices,
+                          substitution_levels, sym_power)
 
 __all__ = [
     "PolyBasis", "poly_basis", "assemble_L", "galerkin_blocks",
@@ -88,7 +90,12 @@ class PolyBasis:
         return _parity_classes(self.d, self.N)
 
     def position(self, alpha):
-        return _poly_position_table(self.d, self.N)[tuple(alpha)]
+        """Index of the monomial `alpha` (``KeyError`` if not held)."""
+        alpha = tuple(alpha)
+        n = sum(alpha)
+        if n > self.N:
+            raise KeyError(alpha)
+        return self.degree_slice(n).start + _position_table(self.d, n)[alpha]
 
     def degree_slice(self, n):
         """Slice of coordinates of total degree exactly n."""
@@ -111,11 +118,6 @@ def _parity_classes(d, N):
     for idx in classes:
         idx.flags.writeable = False
     return classes
-
-
-@lru_cache(maxsize=None)
-def _poly_position_table(d, N):
-    return {alpha: i for i, alpha in enumerate(poly_basis(d, N).monomials)}
 
 
 @lru_cache(maxsize=None)
@@ -337,13 +339,10 @@ def chaos_decomposition(model, basis):
     Raises
     ------
     DegenerateMeasure
-        When ``Q_inf`` is singular: a full polynomial basis in d variables
-        necessarily contains kernel directions, along which no L2 inner
-        product exists.  Analyze a reduced model on the range instead.
+        For a singular ``Q_inf`` (see ``gramian.nondegenerate_factor``).
     """
     _require_basis(model, basis)
-    _require_nondegenerate(model)
-    factor = model.invariant_factor
+    factor = nondegenerate_factor(model)
     norms = np.concatenate([_sqrt_factorials(basis.d, n)
                             for n in range(basis.N + 1)])
     # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
@@ -367,17 +366,6 @@ def chaos_decomposition(model, basis):
         occupation_hermite=Phi,
         occupation_hermite_inv=Phi_inv,
     )
-
-
-def _require_nondegenerate(model):
-    """Raise :class:`DegenerateMeasure` unless ``Q_inf`` has full rank
-    (see :func:`chaos_decomposition`)."""
-    if model.invariant_factor.rank < model.dim:
-        raise DegenerateMeasure(
-            "invariant covariance is singular (eigenvalues %s); polynomials "
-            "in kernel directions have no square-integrable normalization"
-            % np.array2string(np.linalg.eigvalsh(gramian_inf(model)),
-                              precision=3))
 
 
 # --- three-way consistency --------------------------------------------------
@@ -420,7 +408,7 @@ def verify_second_quantization(model, t, N):
     if t < 0:
         raise InputError("verify_second_quantization needs t >= 0")
     basis = poly_basis(model.dim, N)
-    _require_nondegenerate(model)
+    nondegenerate_factor(model)
     P_gen = _generator_exp(galerkin_blocks(model, basis), basis, t)
     return _three_way(model, t, P_gen, mehler_matrix(model, t, basis),
                       chaos_decomposition(model, basis))
@@ -439,8 +427,9 @@ def _generator_exp(blocks, basis, t):
     the Kronecker route by the tests.
     """
     classes = basis.parity_classes
-    exps = [_expm(t * block[:len(idx), :len(idx)])
-            for idx, block in zip(classes, blocks)]
+    exps = [_expm(block[:len(idx), :len(idx)], t,
+                  "the %s-degree block of L" % parity)
+            for idx, block, parity in zip(classes, blocks, ("even", "odd"))]
     P = np.zeros((basis.dim, basis.dim))
     for idx, E in zip(classes, exps):
         P[np.ix_(idx, idx)] = E

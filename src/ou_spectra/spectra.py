@@ -32,6 +32,9 @@ DEFAULT_CLUSTER_RADIUS = 1e-7
 #: Cap on the number of enumerated points in product sets.
 DEFAULT_ENUM_CAP = 200_000
 
+#: Margin of :meth:`LatticeWindow.covering` beyond the extreme sums.
+_WINDOW_SLACK = 1e-6
+
 #: Entries in one row block of a pairwise table (:func:`_row_blocks`):
 #: 2**16 complex differences are 1 MB.
 _BLOCK_ENTRIES = 1 << 16
@@ -224,6 +227,15 @@ class LatticeWindow:
             raise InputError("im_max must be positive (got %g)" % self.im_max)
         if self.max_terms < 1:
             raise InputError("max_terms must be >= 1")
+
+    @classmethod
+    def covering(cls, points, n_terms):
+        """The window holding every sum of at most `n_terms` of `points`,
+        with a margin of ``_WINDOW_SLACK`` on each cut."""
+        re_min = n_terms * float(points.real.min()) - _WINDOW_SLACK
+        im_max = max(n_terms * float(np.abs(points.imag).max()),
+                     _WINDOW_SLACK) + _WINDOW_SLACK
+        return cls(re_min=re_min, im_max=im_max, max_terms=n_terms)
 
 
 def lattice_spectrum(base, window):

@@ -37,6 +37,7 @@ from .errors import CriteriaDisagree, DegenerateMeasure
 from .gramian import (
     flow,
     gramian_t,
+    nondegenerate_factor,
     smu_matrix,
     smu_norm,
     validate,
@@ -63,8 +64,6 @@ from .spectra import (
 from .tensor_fock import (
     FockTruncation,
     _substitution_tables,
-    annihilation,
-    creation,
     dgamma,
     embedding,
     sym_dim,
@@ -73,9 +72,10 @@ from .tensor_fock import (
 )
 
 __all__ = [
-    "CheckResult", "UNTESTED_THEORY", "model_suite", "contraction_suite",
-    "spectra_suite", "random_suite", "summarize", "random_stable_model",
-    "random_contraction",
+    "CheckResult", "UNTESTED_THEORY", "SPLITTING_TOL", "CONTRACTION_TOL",
+    "LATTICE_MATCH_TOL", "splitting_residual", "splitting_tolerance",
+    "model_suite", "contraction_suite", "spectra_suite", "random_suite",
+    "summarize", "random_stable_model", "random_contraction",
 ]
 
 #: Claims from the underlying theory that desk-scale computation cannot
@@ -194,6 +194,26 @@ def _quadrature_gramians(model, t_grid):
 #: Horizons of the Gramian checks in :func:`model_suite`.
 T_GRID = (0.1, 0.5, 1.0, 2.0)
 
+# Bounds that ``analyze`` and ``spectrum`` share with the suite.
+#: The splitting identity's, relative to ``||Q_inf||_2``.
+SPLITTING_TOL = 1e-8
+#: The restricted flow's, on ``||S_mu(t)|| - 1``.
+CONTRACTION_TOL = 1e-10
+#: The Galerkin spectrum's Hausdorff distance to the lattice.
+LATTICE_MATCH_TOL = 1e-6
+
+
+def splitting_residual(model, Qi, t, Qt):
+    """``||Q_inf - Q_t - exp(tA) Q_inf exp(tA')||_2`` for the steady-state
+    covariance `Qi` and the horizon Gramian `Qt` at `t`."""
+    F = flow(model, t)
+    return float(np.linalg.norm(Qi - Qt - F @ Qi @ F.T, 2))
+
+
+def splitting_tolerance(Qi):
+    """The splitting identity's bound, ``SPLITTING_TOL * ||Q_inf||_2``."""
+    return SPLITTING_TOL * max(float(np.linalg.norm(Qi, 2)), 1e-300)
+
 
 def model_suite(model, *, degree=3, levels=3, seed=0):
     """All model-applicable invariants, as a list of check results."""
@@ -248,14 +268,10 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     out.append(_check("lyapunov_residual", lyap, model.tol.lyap_tol
                       * (1.0 + np.abs(model.Q).max())))
 
-    def split_residual(t):
-        F = flow(model, t)
-        Qt = grams[t] if t in grams else gramian_t(model, t)
-        return np.linalg.norm(Qi - Qt - F @ Qi @ F.T, 2)
-
-    split = _worst(map(split_residual, (0.1, 1.0, 5.0)), 0.0)
-    out.append(_check("splitting_identity", split,
-                      1e-8 * max(np.linalg.norm(Qi, 2), 1e-300)))
+    split = _worst((splitting_residual(
+        model, Qi, t, grams[t] if t in grams else gramian_t(model, t))
+        for t in (0.1, 1.0, 5.0)), 0.0)
+    out.append(_check("splitting_identity", split, splitting_tolerance(Qi)))
 
     mono_inf = _worst(-np.linalg.eigvalsh(Qi - grams[t])[0] for t in T_GRID)
     out.append(_check("gramian_dominated_by_steady_state", mono_inf,
@@ -270,7 +286,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # -- restricted flow: contraction, semigroup law, norm identity ------
     norms = {t: smu_norm(model, t) for t in T_GRID}
     worst_norm = _worst(norms.values())
-    out.append(_check("restricted_flow_contraction", worst_norm - 1.0, 1e-10))
+    out.append(_check("restricted_flow_contraction", worst_norm - 1.0,
+                      CONTRACTION_TOL))
     if feller:
         out.append(_check("restricted_flow_strict_contraction",
                           worst_norm - 1.0, -1e-15,
@@ -308,16 +325,21 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     eigs = [_eigvals(B, vectors=True) for B in blocks]
     vals = np.concatenate([w for w, _ in eigs])
     drift = SpectrumSet(model.drift_eigenvalues)
-    window = _covering_window(drift.points, degree)
+    window = LatticeWindow.covering(drift.points, degree)
     predicted = lattice_spectrum(drift, window)
     out.append(_check("galerkin_spectrum_lattice_match",
-                      hausdorff(SpectrumSet(vals), predicted), 1e-6,
-                      detail="degree=%d" % degree))
+                      hausdorff(SpectrumSet(vals), predicted),
+                      LATTICE_MATCH_TOL, detail="degree=%d" % degree))
 
     # A singular Q_inf ends the suite at the chaos layers, before the
-    # eigenvector and three-way checks, so neither is formed for it.
-    degenerate = factor.rank < d
-    if not degenerate:
+    # eigenvector and three-way checks, so neither is formed for it; the
+    # skip is decided here, once, and reported in the chaos checks' place.
+    try:
+        nondegenerate_factor(model)
+        chaos_skip = None
+    except DegenerateMeasure as exc:
+        chaos_skip = _skip("chaos_checks", str(exc))
+    if chaos_skip is None:
         eigvec_check = _eigenvector_degree_check(drift, basis, eigs, window)
     del eigs
 
@@ -327,7 +349,7 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     N = min(levels, degree)
     leading = poly_basis(d, N)
     k = leading.dim
-    if not degenerate:
+    if chaos_skip is None:
         P_gen = _generator_exp(blocks, leading, 1.0)
     del blocks
 
@@ -339,12 +361,11 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
                       np.abs(semi, out=semi).max(), 1e-9))
     del semi
 
-    try:
-        chaos = chaos_decomposition(model, basis)
-    except DegenerateMeasure as exc:
-        out.append(_skip("chaos_checks", str(exc)))
+    if chaos_skip is not None:
+        out.append(chaos_skip)
         return out
 
+    chaos = chaos_decomposition(model, basis)
     # Each layer stays a factor pair; the projections and their products
     # are never formed as dense matrices (see ChaosDecomposition).
     resolution = chaos.lift()
@@ -373,19 +394,6 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
 
     out.append(eigvec_check)
     return out
-
-
-#: Margin of :func:`_covering_window` beyond the extreme sums.
-_WINDOW_SLACK = 1e-6
-
-
-def _covering_window(points, n_terms):
-    """A lattice window holding every sum of at most `n_terms` of
-    `points`, with a margin of ``_WINDOW_SLACK`` on each cut."""
-    re_min = n_terms * float(points.real.min()) - _WINDOW_SLACK
-    im_max = max(n_terms * float(np.abs(points.imag).max()),
-                 _WINDOW_SLACK) + _WINDOW_SLACK
-    return LatticeWindow(re_min=re_min, im_max=im_max, max_terms=n_terms)
 
 
 def _chaos_covariance_residual(model, chaos, rng):
@@ -472,7 +480,8 @@ def _eigenvector_degree_check(drift, basis, eigs, window):
         gaps = np.abs(vals[rows, None] - vals[None, :])
         own = np.arange(rows.start, rows.stop)
         gaps[own - rows.start, own] = np.inf
-        near = np.abs(vals[rows, None] - lattice[None, :]) <= 1e-6
+        near = (np.abs(vals[rows, None] - lattice[None, :])
+                <= LATTICE_MATCH_TOL)
         keep[rows] = (gaps.min(axis=1) >= sep) & (near.sum(axis=1) == 1)
         nearest[rows] = near.argmax(axis=1)
     cols = np.flatnonzero(keep)
@@ -537,25 +546,6 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
                         - np.eye(sym_dim(d, n))).max()
                  for n in range(levels + 1))
     out.append(_check(prefix + "embedding_isometry", emb, 1e-12))
-
-    comm, dual, lower = [], [], []
-    for n in range(0, 4):
-        h = rng.standard_normal(d)
-        C, C_adj = creation(h, n), annihilation(h, n + 1)
-        up = C_adj @ C
-        down = creation(h, n - 1) @ annihilation(h, n) if n >= 1 \
-            else np.zeros_like(up)
-        comm.append(np.abs(up - down - (h @ h) * np.eye(up.shape[0])).max())
-        dual.append(np.abs(C_adj - C.T).max())
-        g = rng.standard_normal(C.shape[1])
-        lower.append(np.linalg.norm(g) * np.linalg.norm(h)
-                     - np.linalg.norm(C @ g))
-    out.append(_check(prefix + "ladder_commutation", _worst(comm, 0.0),
-                      1e-12))
-    out.append(_check(prefix + "ladder_duality_exact", _worst(dual, 0.0),
-                      0.0))
-    out.append(_check(prefix + "ladder_lower_bound", _worst(lower, 0.0),
-                      1e-12))
 
     M = rng.standard_normal((d, d))
     side = sym_dim(d, 2)

@@ -1,6 +1,8 @@
 """End-to-end CLI contract: exit codes, report files, determinism."""
 
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -10,8 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from ou_spectra import cli, config, gramian
-from ou_spectra.errors import InputError
+from ou_spectra import cli, config, gramian, verification
+from ou_spectra.errors import DegenerateMeasure, InputError, Unstable
+from ou_spectra.ou_operator import (chaos_decomposition, poly_basis,
+                                    verify_second_quantization)
 
 
 def _write(path, payload):
@@ -608,8 +612,66 @@ def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
     monkeypatch.setattr(scipy.linalg, "expm", expm)
     out = str(tmp_path / "v.json")
     assert cli.main(["verify", "jordan_omega1", "--out", out]) == 2
-    assert "matrix exponential" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "matrix exponential" in err
+    assert err.endswith("at t=1, for M = the odd-degree block of L\n")
     assert not os.path.exists(out)
+
+
+def test_one_message_per_hypothesis(tmp_path, capsys):
+    # stability and nondegeneracy are each refused in one place, so every
+    # route that needs one of them reports the same text
+    out = str(tmp_path / "r.json")
+    unstable = _write(tmp_path / "u.json", {"A": [[1.0]], "Q": [[1.0]]})
+    errs = []
+    for command in ("analyze", "spectrum"):
+        assert cli.main([command, unstable, "--out", out]) == 2
+        errs.append(capsys.readouterr().err)
+    with pytest.raises(Unstable) as exc:
+        verify_second_quantization(cli.load_model(unstable), 1.0, 2)
+    assert errs == ["error: %s\n" % exc.value] * 2
+    assert str(exc.value).endswith("hypothesis failed: stability")
+
+    assert cli.main(["spectrum", "degenerate_2d", "--out", out]) == 2
+    err = capsys.readouterr().err
+    degenerate = cli.load_model("degenerate_2d")
+    with pytest.raises(DegenerateMeasure) as exc:
+        chaos_decomposition(degenerate, poly_basis(2, 2))
+    assert err == "error: %s\n" % exc.value
+    (skip,) = [c for c in verification.model_suite(degenerate)
+               if c.name == "chaos_checks"]
+    assert skip.detail == "skipped: %s" % exc.value
+    assert str(exc.value).startswith(
+        "invariant covariance Q_inf has rank 1 < 2, smallest kept 0.5 ")
+    assert str(exc.value).endswith("hypothesis failed: nondegeneracy")
+
+
+def test_analyze_names_the_overflowing_block_exponential(tmp_path, capsys):
+    # A = -400 is stable and Q_t is finite, but Q_t's Van Loan block
+    # matrix carries exp(400 t), which overflows at the report horizon
+    stiff = _write(tmp_path / "stiff.json", {"A": [[-400.0]], "Q": [[1.0]]})
+    assert cli.main(["analyze", stiff,
+                     "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: matrix exponential exp(tM) produced non-finite "
+                   "values at t=5, for M = Q_t's Van Loan block matrix "
+                   "[[A, Q], [0, -A']]\n")
+
+
+def test_bench_trace_targets_resolve():
+    # the benchmark's tracer wraps each of these names by attribute, so a
+    # renamed or deleted one breaks every traced run; read from the file,
+    # without importing the benchmark
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACE_TARGETS"]]
+    assert targets
+    for module, names in targets.items():
+        mod = importlib.import_module("ou_spectra." + module)
+        assert [n for n in names if not hasattr(mod, n)] == [], module
 
 
 def test_verify_exits_2_when_q_t_overflows(tmp_path):

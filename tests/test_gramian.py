@@ -157,6 +157,12 @@ def test_gramian_t_refuses_an_overflowing_product():
             gramian_t(fast, 2.0)
 
 
+def test_flow_refusal_names_the_drift_and_t():
+    with np.errstate(over="ignore"), pytest.raises(
+            ExpmFailure, match=r"at t=1, for M = the drift A$"):
+        flow(validate([[800.0]], [[1.0]]), 1.0)
+
+
 def test_gramian_t_matches_quadrature_oracle():
     rng = np.random.default_rng(42)
     models = [CLASSICAL, JORDAN, OSCILLATOR, DEGENERATE]

@@ -342,6 +342,14 @@ def test_chaos_layers_mu_orthogonal():
         assert_allclose(G @ P, P.T @ G, atol=1e-10)
 
 
+@pytest.mark.parametrize("d, N", [(1, 4), (2, 3), (3, 4), (4, 2)])
+def test_position_indexes_the_monomials(d, N):
+    b = poly_basis(d, N)
+    assert [b.position(alpha) for alpha in b.monomials] == list(range(b.dim))
+    with pytest.raises(KeyError):
+        b.position((N + 1,) + (0,) * (d - 1))
+
+
 def test_chaos_rejects_degenerate():
     b = poly_basis(2, 2)
     with pytest.raises(DegenerateMeasure):
