@@ -20,8 +20,9 @@ whose norm is tied to the generalized Rayleigh quotient
 by ``norm^2 = 1 - 1/K(t)``.
 
 Numerical choices: ``Q_t`` comes from one block matrix exponential (exact up
-to expm accuracy, no quadrature grid), ``Q_inf`` from the Schur-based
-Bartels-Stewart solver, O(d^3), the controllability rank from the
+to expm accuracy, no quadrature grid), ``Q_inf`` from squared Smith
+iteration on a Cayley transform of A, O(d^3) per doubling (both kernels in
+numpy, :mod:`ou_spectra._linalg`), the controllability rank from the
 orthogonal staircase, O(d^3) per step, and all rank decisions use one
 relative threshold from :class:`~ou_spectra.config.Tolerances`.
 
@@ -39,9 +40,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import solve_continuous_lyapunov
 
+from ._linalg import expm, lyapunov
 from .config import DEFAULT, Tolerances
 from .errors import (
     AsymmetricQ,
@@ -154,14 +154,14 @@ class OUModel:
                 "no steady-state covariance: spectral abscissa %.6g is not "
                 "below the stability margin -%g; hypothesis failed: "
                 "stability" % (spectral_abscissa(self), self.tol.stab_tol))
-        X = solve_continuous_lyapunov(self.A, -self.Q)
+        X = lyapunov(self.A, self.Q, self.drift_eigenvalues)
         X = 0.5 * (X + X.T)
         resid = float(np.abs(self.A @ X + X @ self.A.T + self.Q).max())
         allowed = self.tol.lyap_tol * (1.0 + float(np.abs(self.Q).max()))
         if not resid <= allowed:  # a NaN residual is refused too
             raise EigFailure(
                 "steady-state covariance residual %.3e exceeds %.3e; the "
-                "Bartels-Stewart solve is unreliable for this model"
+                "Lyapunov solve is unreliable for this model"
                 % (resid, allowed))
         return _readonly(X)
 
@@ -229,7 +229,7 @@ def is_stable(model):
 
 def _expm(M, t, what):
     """``exp(tM)``, refused if not finite, naming ``t`` and `what` M is."""
-    E = scipy.linalg.expm(t * M)
+    E = expm(t * M)
     if not np.all(np.isfinite(E)):
         raise ExpmFailure(
             "matrix exponential exp(tM) produced non-finite values at t=%g, "
@@ -277,10 +277,12 @@ def gramian_t(model, t):
 def gramian_inf(model):
     """Steady-state covariance ``Q_inf`` for a stable drift.
 
-    Solves ``A X + X A' + Q = 0`` by Bartels-Stewart (real Schur form of
-    ``A``, then a triangular Sylvester solve; O(d^3) time, O(d^2) memory);
-    the result is symmetrized and its residual in the equation is checked
-    against ``lyap_tol * (1 + max|Q|)``.  The checked result is cached on
+    Solves ``A X + X A' + Q = 0`` by squared Smith iteration on a Cayley
+    transform of ``A`` shifted from the drift eigenvalues
+    (:func:`~ou_spectra._linalg.lyapunov`; matrix products, O(d^3) time
+    per doubling, O(d^2) memory); the result is symmetrized and its
+    residual in the equation is checked against
+    ``lyap_tol * (1 + max|Q|)``.  The checked result is cached on
     the model (:class:`OUModel`), so every call for one model returns the
     same read-only array.
 
@@ -614,21 +616,22 @@ def invertibility_equivalence_report(model):
 
 def _invertibility_report(model, grams):
     """:func:`invertibility_equivalence_report` on the Gramians ``grams``
-    (horizon to ``Q_t``) already formed by the caller."""
-    stable = is_stable(model)
+    (horizon to ``Q_t``) already formed by the caller.  For an unstable
+    drift the note is the message of :func:`gramian_inf`'s refusal."""
     per_t = {t: rank_psd(Qt, model.tol.rank_tol) == model.dim
              for t, Qt in grams.items()}
-    if stable:
+    try:
         inv = model.invariant_factor.rank == model.dim
-        equivalent = all(v == inv for v in per_t.values())
-        note = "" if equivalent else (
-            "invertibility of Q_inf disagrees with Q_t on the grid; "
-            "rank decisions near the tolerance threshold are suspect")
-    else:
-        inv, equivalent = None, None
-        note = "drift is not stable; no steady-state covariance exists"
+    except Unstable as exc:
+        return InvertibilityReport(
+            stable=False, q_inf_invertible=None, q_t_invertible=per_t,
+            equivalent=None, note=str(exc))
+    equivalent = all(v == inv for v in per_t.values())
+    note = "" if equivalent else (
+        "invertibility of Q_inf disagrees with Q_t on the grid; "
+        "rank decisions near the tolerance threshold are suspect")
     return InvertibilityReport(
-        stable=stable,
+        stable=True,
         q_inf_invertible=inv,
         q_t_invertible=per_t,
         equivalent=equivalent,

@@ -267,13 +267,13 @@ def test_analyze_writes_report_and_curve(tmp_path, capsys):
 def test_analyze_solves_lyapunov_once(tmp_path, monkeypatch):
     import ou_spectra.gramian as gr
     calls = []
-    real = gr.solve_continuous_lyapunov
+    real = gr.lyapunov
 
-    def counting(a, q):
+    def counting(a, q, eigenvalues):
         calls.append(a.shape)
-        return real(a, q)
+        return real(a, q, eigenvalues)
 
-    monkeypatch.setattr(gr, "solve_continuous_lyapunov", counting)
+    monkeypatch.setattr(gr, "lyapunov", counting)
     out = str(tmp_path / "h.json")
     assert cli.main(["analyze", "hypoelliptic_2d",
                      "--t-grid", "0.1:5.0:0.1", "--out", out]) == 0
@@ -284,13 +284,13 @@ def test_analyze_solves_lyapunov_once(tmp_path, monkeypatch):
 def test_analyze_exits_2_on_a_nan_lyapunov_solve(tmp_path, monkeypatch,
                                                  capsys):
     import ou_spectra.gramian as gr
-    monkeypatch.setattr(gr, "solve_continuous_lyapunov",
-                        lambda a, q: np.full(a.shape, np.nan))
+    monkeypatch.setattr(gr, "lyapunov",
+                        lambda a, q, eigenvalues: np.full(a.shape, np.nan))
     out = str(tmp_path / "h.json")
     assert cli.main(["analyze", "hypoelliptic_2d", "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
-    assert "Bartels-Stewart" in err[0]
+    assert "Lyapunov solve is unreliable" in err[0]
     assert not os.path.exists(out)
 
 
@@ -324,26 +324,34 @@ def test_exit_2_names_rank_gap(tmp_path, capsys):
 
 
 def test_import_leaves_quadrature_modules_unloaded(tmp_path):
-    # verify's quadrature oracle is a Gauss-Legendre rule in numpy, so
-    # neither the import nor verify needs scipy.integrate, nor the
-    # scipy.optimize, sparse, spatial and special that its import pulls
-    # in; loading them would add about 21 MB and 0.2 s to every process
+    # the dense kernels and verify's quadrature oracle are written in
+    # numpy, so neither the import nor any command loads scipy, whose
+    # linalg alone adds about 28 MB and 0.2 s to every process; one
+    # process runs the four commands in turn and lists the scipy modules
+    # loaded after the import and after each command
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    matrix = _write(tmp_path / "T.json", {"T": [[0.5, 0.2], [0.0, -0.3]]})
     out = ["--out", str(tmp_path / "report.json")]
-    for argv in (None, ["verify", "--random", "1", "1"] + out,
-                 ["verify", "hypoelliptic_2d"] + out):
-        call = "" if argv is None else \
-            "assert ou_spectra.cli.main(%r) == 0; " % argv
-        code = ("import sys, ou_spectra.cli; %sprint(sorted(m for m in "
-                "('scipy.integrate', 'scipy.optimize', 'scipy.sparse', "
-                "'scipy.spatial', 'scipy.special') if m in sys.modules), "
-                "file=sys.stderr)" % call)
-        run = subprocess.run([sys.executable, "-c", code], env=env,
-                             check=True, capture_output=True, text=True)
-        assert run.stderr.strip() == "[]", argv
+    argvs = [["verify", "--random", "1", "1"] + out,
+             ["verify", "hypoelliptic_2d"] + out,
+             ["analyze", "jordan_omega1"] + out,
+             ["spectrum", "classical_1d", "--degree", "8"] + out,
+             ["fock", "--matrix", matrix] + out]
+    code = ("import json, sys, ou_spectra.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "seen = [loaded()]\n"
+            "for argv in %r:\n"
+            "    assert ou_spectra.cli.main(argv) == 0, argv\n"
+            "    seen.append(loaded())\n"
+            "print(json.dumps(seen), file=sys.stderr)\n" % argvs)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         check=True, capture_output=True, text=True)
+    assert json.loads(run.stderr) == [[]] * (1 + len(argvs))
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -601,15 +609,14 @@ def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
                                                    capsys):
     # at degree 3 over d = 2 the odd-degree block of L has side 6; every
     # other exponential of verify is at most 4 x 4 or a stack of 2 x 2
-    import scipy.linalg
-    real = scipy.linalg.expm
+    real = gramian.expm
 
     def expm(M):
         if M.ndim == 2 and M.shape[0] > 4:
             return np.full(M.shape, np.nan)
         return real(M)
 
-    monkeypatch.setattr(scipy.linalg, "expm", expm)
+    monkeypatch.setattr(gramian, "expm", expm)
     out = str(tmp_path / "v.json")
     assert cli.main(["verify", "jordan_omega1", "--out", out]) == 2
     err = capsys.readouterr().err
@@ -631,6 +638,14 @@ def test_one_message_per_hypothesis(tmp_path, capsys):
         verify_second_quantization(cli.load_model(unstable), 1.0, 2)
     assert errs == ["error: %s\n" % exc.value] * 2
     assert str(exc.value).endswith("hypothesis failed: stability")
+    # verify skips the checks that need a steady state, with that message
+    assert cli.main(["verify", unstable, "--out", out]) == 0
+    capsys.readouterr()
+    skips = {c["name"]: c["detail"] for c in json.loads(open(out).read())
+             ["checks"] if c["detail"].startswith("skipped: ")}
+    assert skips == dict.fromkeys(
+        ("invertibility_equivalence", "steady_state_checks"),
+        "skipped: %s" % exc.value)
 
     assert cli.main(["spectrum", "degenerate_2d", "--out", out]) == 2
     err = capsys.readouterr().err

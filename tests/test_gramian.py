@@ -12,7 +12,7 @@ The closed forms used as oracles:
 The quadrature oracle integrates e^{sA} Q e^{sA'} directly with quad_vec,
 independent of the block-exponential route used by gramian_t; the Kronecker
 oracle solves the vectorized steady-state equation, independent of the
-Bartels-Stewart route used by gramian_inf.
+squared Smith route used by gramian_inf.
 """
 
 import dataclasses
@@ -86,8 +86,8 @@ def quadrature_gramian(model, t):
 def kronecker_lyapunov(A, Q):
     """Independent oracle for Q_inf: dense LU on the d^2 x d^2 system
     ``(kron(A, I) + kron(I, A)) vec(X) = -vec(Q)``.  O(d^6) time and O(d^4)
-    memory, so it stays here, as a cross-check of the Schur-based solver,
-    and not in the library."""
+    memory, so it stays here, as a cross-check of the Smith solver, and not
+    in the library."""
     d = A.shape[0]
     eye = np.eye(d)
     lhs = np.kron(A, eye) + np.kron(eye, A)
@@ -262,19 +262,19 @@ def test_gramian_inf_failures_are_not_cached(monkeypatch):
     assert "invariant_factor" not in vars(unstable)
 
     calls = []
-    real = gr.solve_continuous_lyapunov
+    real = gr.lyapunov
 
-    def off_by_one(a, q):
+    def off_by_one(a, q, eigenvalues):
         calls.append(1)
-        return real(a, q) + 1.0
+        return real(a, q, eigenvalues) + 1.0
 
     m = validate([[-1.0]], [[1.0]])
-    monkeypatch.setattr(gr, "solve_continuous_lyapunov", off_by_one)
+    monkeypatch.setattr(gr, "lyapunov", off_by_one)
     for _ in range(2):
-        with pytest.raises(EigFailure, match="Bartels-Stewart"):
+        with pytest.raises(EigFailure, match="Lyapunov solve is unreliable"):
             gramian_inf(m)
     assert len(calls) == 2
-    monkeypatch.setattr(gr, "solve_continuous_lyapunov", real)
+    monkeypatch.setattr(gr, "lyapunov", real)
     assert_allclose(gramian_inf(m), [[0.5]], atol=1e-14)
 
 
@@ -282,8 +282,8 @@ def test_gramian_inf_refuses_a_nan_solve(monkeypatch):
     # every comparison with NaN is false: a NaN residual must still be
     # refused, and nothing cached
     import ou_spectra.gramian as gr
-    monkeypatch.setattr(gr, "solve_continuous_lyapunov",
-                        lambda a, q: np.full(a.shape, np.nan))
+    monkeypatch.setattr(gr, "lyapunov",
+                        lambda a, q, eigenvalues: np.full(a.shape, np.nan))
     m = validate([[-1.0, 1.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 1.0]])
     for _ in range(2):
         with pytest.raises(EigFailure, match="residual nan"):
@@ -294,13 +294,13 @@ def test_gramian_inf_refuses_a_nan_solve(monkeypatch):
 def test_gramian_inf_replaced_model_solves_again(monkeypatch):
     import ou_spectra.gramian as gr
     calls = []
-    real = gr.solve_continuous_lyapunov
+    real = gr.lyapunov
 
-    def counting(a, q):
+    def counting(a, q, eigenvalues):
         calls.append(1)
-        return real(a, q)
+        return real(a, q, eigenvalues)
 
-    monkeypatch.setattr(gr, "solve_continuous_lyapunov", counting)
+    monkeypatch.setattr(gr, "lyapunov", counting)
     m = validate([[-1.0, 1.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 1.0]])
     first = gramian_inf(m)
     gramian_inf(m)
