@@ -50,56 +50,53 @@ _PARTS = {m: _parts(b) for m, b in _PADE.items()}
 #: error series, ``(2m)! (2m + 1)! / (m!)^2``.
 _LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
                         // math.factorial(m) ** 2) for m in _THETA}
-#: Entries of a power stack whose norms are taken in one pass.
-_ONE_PASS = 2 ** 16
-#: The powers of A scaled with it, held in the first four buffers of
+#: Entries per input, its stack included, up to which :func:`_norms`
+#: takes one pass and :class:`_AbsPowers` steps by ``|M|^2``.  Measured
+#: on a 2-core VM with one BLAS thread: at n <= 6, where a numpy call's
+#: overhead is the cost, these take 14 and 6 of about 50 microseconds off
+#: an exponential; at n = 16-128 both ways time alike; at n = 920 the
+#: norms slot by slot hold 9 input-sized arrays at the peak instead of 14,
+#: and steps by ``|M|`` save one product (33 of 430 ms).
+_SMALL = 64 * 64
+#: The powers of M scaled with it, held in the first four buffers of
 #: :func:`expm`.
 _POWERS = np.array([1.0, 2.0, 4.0, 6.0])[:, None]
-#: Largest side at which a product costs less than the dozen products
-#: with a vector it saves in :class:`_AbsPowers`.
-_SQUARE_SIDE = 64
 #: Doublings the Lyapunov solve may take: 2**64 terms of its series.
 _SMITH_STEPS = 64
 
 
 def _norms(P):
-    """The largest infinity-norm over the matrices of each ``P[k]``, which
-    is the largest 1-norm of their transposes.  A small stack takes one
-    pass; a large one goes slot by slot, so no second copy of it is
-    held."""
-    if P.size <= _ONE_PASS:
-        return np.abs(P).sum(axis=-1).reshape(len(P), -1).max(axis=1).tolist()
-    return [float(np.abs(X).sum(axis=-1).max()) for X in P]
+    """The largest 1-norm over the matrices of each ``P[k]``, in one pass
+    over a small stack and slot by slot over a large one."""
+    if P[0].size <= _SMALL:
+        return np.abs(P).sum(axis=-2).reshape(len(P), -1).max(axis=1).tolist()
+    return [float(np.abs(X).sum(axis=-2).max()) for X in P]
 
 
 class _AbsPowers:
     """``|| |M|^(2m+1) ||_1 / ||M||_1`` in units of ``norm^(2m)``, the
-    most over a stack ``A = M'`` (each matrix transposed) whose largest
-    1-norm of ``M`` is ``norm``, for degrees m asked for in increasing
-    order.  With ``G = |A| / norm`` (which cannot overflow), the column
-    sums of ``|M|^(k+1)`` are the vector ``G^k G 1``: one chain of products
-    with a vector, O(n^2) each, taken only as far as asked.  Up to side
-    ``_SQUARE_SIDE`` the chain steps by ``G^2``, which costs one product
-    and halves the calls.  ``G`` and ``G^2`` are held in ``work``."""
+    most over a stack whose largest 1-norm is ``norm``, for degrees m
+    asked for in increasing order.  With ``G = |M| / norm`` (which cannot
+    overflow), the column sums of ``|M|^(k+1)`` are the row vector
+    ``1' G G^k``: one chain of products with a vector, O(n^2) each, taken
+    only as far as asked, in steps of ``G^2`` on a small input.  ``G``
+    and ``G^2`` are held in ``work``."""
 
-    def __init__(self, A, norm, work):
-        G = np.abs(A, out=work[0])
+    def __init__(self, M, norm, work):
+        G = np.abs(M, out=work[0])
         G /= norm
-        self.v = G.sum(axis=-1)
+        self.v = G.sum(axis=-2, keepdims=True)
         # each matrix's 1-norm over norm, the largest of its column sums
         self.own = np.maximum(self.v.max(axis=-1), 1e-300)
-        if A.shape[-1] <= _SQUARE_SIDE:
-            step, self.by = np.matmul(G, G, out=work[1]), 2
+        if M.size <= _SMALL:
+            self.step, self.by = np.matmul(G, G, out=work[1]), 2
         else:
-            step, self.by = G, 1
-        # a bound dot costs less per call than matmul, where it applies
-        self.apply = step.dot if step.ndim == 2 else (
-            lambda v: (step @ v[..., None])[..., 0])
+            self.step, self.by = G, 1
         self.k = 0
 
     def ratio(self, m):
         while self.k < 2 * m:
-            self.v = self.apply(self.v)
+            self.v = self.v @ self.step
             self.k += self.by
         return float((self.v.max(axis=-1) / self.own).max())
 
@@ -108,7 +105,6 @@ def _degree_and_scaling(B, work):
     """The Pade degree m and the scaling ``2^-s`` of Al-Mohy & Higham's
     Algorithm 5.1 for ``M`` from the powers ``B`` of :func:`_scaled_pade`,
     or None if a norm is not finite; ``work`` is two free slots."""
-    A = B[0]
     norm, _, n4, n6, n8, n10 = _norms(B)
     if not math.isfinite(norm + n4 + n6 + n8 + n10):
         return None
@@ -124,7 +120,7 @@ def _degree_and_scaling(B, work):
         log2_bound = 2 * m * (math.log2(max(norm, 1e-300)) - s) - _LOG2_C[m]
         if log2_bound <= -53:
             return 0
-        powers = powers or _AbsPowers(A, norm, work)
+        powers = powers or _AbsPowers(B[0], norm, work)
         ratio = powers.ratio(m)
         if ratio == 0.0:
             return 0
@@ -169,13 +165,11 @@ def expm(M):
 def _scaled_pade(M):
     """:func:`expm` of a stack of side at least 2."""
     dtype = complex if np.iscomplexobj(M) else float
-    # The approximant is formed for A = M', so that V - U and V + U of M
-    # reach LAPACK in its column-major order without a reordering copy.
-    # B holds A, A^2, A^4, A^6, A^8 and A^4 A^6, then the high parts in
-    # the last two slots; C holds the low parts, then V - U and V + U.
+    # B holds A = M, A^2, A^4, A^6, A^8 and A^4 A^6, then the high parts
+    # in the last two slots; C holds the low parts, then V - U and V + U.
     B = np.empty((6,) + M.shape, dtype=dtype)
     C = np.empty((2,) + M.shape, dtype=dtype)
-    B[0] = M.swapaxes(-1, -2)
+    B[0] = M
     A = B[0]
     np.matmul(A, A, out=B[1])
     np.matmul(B[1], B[1], out=B[2])
@@ -199,7 +193,7 @@ def _scaled_pade(M):
     np.subtract(C[1], U, out=C[0])
     C[1] += U
     del A, B, U
-    X = np.linalg.solve(C[0].swapaxes(-1, -2), C[1].swapaxes(-1, -2))
+    X = np.linalg.solve(C[0], C[1])
     del C
     for _ in range(s):
         X = X @ X
