@@ -451,6 +451,20 @@ def _int_at_least(low):
     return parse
 
 
+def _match_tol(text):
+    """An argparse type for ``spectrum --tol``: a finite float >= 0.  A
+    refusal names the flag and exits 1 through :meth:`_Parser.error`."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number >= 0 (got %s)" % text)
+    return value
+
+
+# argparse calls a value that float() refuses "invalid float value".
+_match_tol.__name__ = "float"
+
+
 class _SeedCount(argparse.Action):
     """``--random SEED COUNT``: a seed >= 0 and at least one model."""
 
@@ -493,7 +507,7 @@ def build_parser():
                    help="window floor for Re (default: cover all sums)")
     p.add_argument("--im-max", type=float, default=None,
                    help="window cap for |Im| (default: cover all sums)")
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=_match_tol,
                    default=verification.LATTICE_MATCH_TOL,
                    help="match tolerance (default %(default)s)")
     p.add_argument("--out", default=None)

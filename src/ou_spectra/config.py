@@ -11,6 +11,8 @@ variable and individual fields can be overridden per model file.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -66,13 +68,23 @@ class Tolerances:
         overrides : dict
             Mapping from field name to new value.  Unknown keys raise
             ``ValueError`` so that typos in model files do not silently
-            leave a default in place.
+            leave a default in place; so do a non-dict and a value that is
+            not a finite real number >= 0 (``bool`` included), naming its
+            field.
         """
+        if not isinstance(overrides, dict):
+            raise ValueError("tolerance overrides must be a JSON object, "
+                             "got %r" % (overrides,))
         valid = {f.name for f in dataclasses.fields(self)}
         unknown = set(overrides) - valid
         if unknown:
             raise ValueError(
                 "unknown tolerance field(s): %s" % ", ".join(sorted(unknown)))
+        for name, value in overrides.items():
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError("tolerance %s must be a finite number >= 0 "
+                                 "(got %r)" % (name, value))
         return dataclasses.replace(self, **overrides)
 
 

@@ -7,20 +7,17 @@ single-linkage clustering at a fixed radius and stored sorted, so two sets
 describing the same spectrum compare equal under the Hausdorff metric at
 roundoff scale.
 
-The lattice walk (:func:`lattice_spectrum`) enumerates all sums
-``sum_j k_j * z_j`` with nonnegative integer counts ``k_j`` inside a window.
-It prunes on the real part only: for spectra in the open left half plane the
-real part is monotone along the walk while the imaginary part is not
-(conjugate pairs cancel), so pruning on the imaginary part would lose valid
-points.
+One kernel (:func:`_multisets`) enumerates the multisets of a point set:
+their sums make the lattice of :func:`lattice_spectrum`, their products
+:func:`product_set`.  The lattice walk prunes on the real part only: in the
+open left half plane the real part is monotone along the walk while the
+imaginary part is not (conjugate pairs cancel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from collections import deque
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -202,9 +199,40 @@ def product_set(base, n):
     if count > DEFAULT_ENUM_CAP:
         raise EnumCap("product_set would enumerate %d points (cap %d)"
                       % (count, DEFAULT_ENUM_CAP))
-    prods = [np.prod(combo) for combo in
-             combinations_with_replacement(base.points, n)]
-    return SpectrumSet(prods)
+    prods, sizes = _multisets(base.points, n, product=True)
+    return SpectrumSet(prods[sizes == n])
+
+
+def _times(a, b):
+    """``a * b`` entrywise, formed as the scalar complex product forms it:
+    numpy's vector loop fuses multiply-adds, which round differently."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _multisets(points, max_size, product=False, floor=-np.inf):
+    """Values and sizes of the multisets of at most `max_size` `points`, as
+    index sequences ``i_1 <= ... <= i_k`` by size, then lexicographically.
+    A value is its prefix's plus ``points[i_k]`` (from 0), or with
+    `product` times it (from 1).  A sum with real part below `floor` goes
+    with all its extensions: points in the open left half plane lower it."""
+    combine = _times if product else np.add
+    vals, last = np.array([complex(product)]), np.zeros(1, dtype=np.intp)
+    levels = [vals]
+    while len(vals) and len(levels) <= max_size:
+        reps = len(points) - last
+        parent = np.repeat(np.arange(len(vals)), reps)
+        # the children of a parent append the indices last, ..., m - 1
+        last = np.arange(len(parent)) - np.repeat(
+            np.cumsum(reps) - reps - last, reps)
+        vals = combine(vals[parent], points[last])
+        keep = ~(vals.real < floor)
+        vals, last = vals[keep], last[keep]
+        levels.append(vals)
+    sizes = np.repeat(np.arange(len(levels)), [len(v) for v in levels])
+    return np.concatenate(levels), sizes
 
 
 @dataclass(frozen=True)
@@ -239,17 +267,18 @@ class LatticeWindow:
 
 
 def lattice_spectrum(base, window):
-    """All sums ``sum_j k_j * z_j`` over nonnegative integer count vectors,
-    restricted to the window.
+    """The lattice sums inside `window` (:func:`_lattice_walk`)."""
+    return SpectrumSet(_lattice_walk(base, window)[0])
 
-    `base` must lie in the open left half plane (otherwise the walk would
-    not terminate); the empty sum contributes 0, which is always inside the
-    window.  The walk over count vectors prunes a branch only when its real
-    part has already left the window, never on the imaginary part, and the
-    imaginary cut is applied as a final filter.  Count vectors whose total
-    exceeds ``window.max_terms`` are not expanded; with a valid window the
-    real-part pruning terminates the walk well before a reasonable cap.
-    """
+
+def _lattice_walk(base, window):
+    """Values and sizes ``sum_j k_j`` of the sums ``sum_j k_j * z_j`` of
+    `base` inside `window`, over counts ``k_j >= 0``.  `base` must lie in
+    the open left half plane, or the walk would not end.  A sum is pruned
+    only when its real part has left the window, never on the imaginary
+    part, whose cut is a final filter; sums of more than
+    ``window.max_terms`` points are not formed (with a valid window the
+    real-part pruning ends the walk well before that cap)."""
     if not isinstance(base, SpectrumSet):
         base = SpectrumSet(base)
     z = base.points
@@ -259,38 +288,10 @@ def lattice_spectrum(base, window):
         raise Unstable(
             "lattice_spectrum needs all points in the open left half plane; "
             "max real part is %g" % z.real.max())
-    values = np.array([val for val, _ in _lattice_walk(base, window)],
-                      dtype=complex)
-    keep = np.abs(values.imag) <= window.im_max + base.cluster_radius
-    return SpectrumSet(values[keep])
-
-
-def _lattice_walk(base, window):
-    """Breadth-first walk over count vectors: yields ``(value, total
-    count)`` for every sum inside the real-part cut of the window, once
-    per count vector.  The imaginary cut is left to the caller."""
-    z = base.points
-    m = len(z)
-    start = (0,) * m
-    seen = {start}
-    queue = deque([(start, 0.0 + 0.0j)])
-    while queue:
-        counts, val = queue.popleft()
-        depth = sum(counts)
-        yield val, depth
-        if depth >= window.max_terms:
-            continue
-        for j in range(m):
-            nxt = counts[:j] + (counts[j] + 1,) + counts[j + 1:]
-            if nxt in seen:
-                continue
-            nval = val + z[j]
-            # Adding further points only decreases the real part, so a
-            # branch below re_min can be cut for good.
-            if nval.real < window.re_min - base.cluster_radius:
-                continue
-            seen.add(nxt)
-            queue.append((nxt, nval))
+    r = base.cluster_radius
+    values, sizes = _multisets(z, window.max_terms, floor=window.re_min - r)
+    keep = np.abs(values.imag) <= window.im_max + r
+    return values[keep], sizes[keep]
 
 
 def _row_blocks(n_rows, row_len):

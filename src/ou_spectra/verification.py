@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from .spectra import (
     SpectrumSet,
     _eigvals,
     _lattice_walk,
+    _multisets,
     _row_blocks,
     eig,
     hausdorff,
@@ -319,15 +319,14 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
                   for B, g in zip(blocks, degs)), 0.0)
     out.append(_check("galerkin_block_triangular", tri, 0.0))
 
-    # One eigendecomposition per block: its values are matched to the
-    # lattice and its vectors checked for degree support.
+    # One eigendecomposition per block and one lattice walk: the values
+    # are matched to the lattice and the vectors checked for degree support.
     eigs = [_eigvals(B, vectors=True) for B in blocks]
     vals = np.concatenate([w for w, _ in eigs])
     drift = SpectrumSet(model.drift_eigenvalues)
-    window = LatticeWindow.covering(drift.points, degree)
-    predicted = lattice_spectrum(drift, window)
+    walk = _lattice_walk(drift, LatticeWindow.covering(drift.points, degree))
     out.append(_check("galerkin_spectrum_lattice_match",
-                      hausdorff(SpectrumSet(vals), predicted),
+                      hausdorff(SpectrumSet(vals), SpectrumSet(walk[0])),
                       LATTICE_MATCH_TOL, detail="degree=%d" % degree))
 
     # A singular Q_inf ends the suite at the chaos layers, before the
@@ -339,7 +338,7 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     except DegenerateMeasure as exc:
         chaos_skip = _skip("chaos_checks", str(exc))
     if chaos_skip is None:
-        eigvec_check = _eigenvector_degree_check(drift, basis, eigs, window)
+        eigvec_check = _eigenvector_degree_check(walk, basis, eigs)
     del eigs
 
     # L, P(t) and the chaos family are block upper triangular in the
@@ -457,12 +456,12 @@ def _linear_product(basis, a, b):
     return c
 
 
-def _eigenvector_degree_check(drift, basis, eigs, window):
+def _eigenvector_degree_check(walk, basis, eigs):
     """Eigenvalues realized by a unique sum of n eigenvalues of the drift
-    (the spectrum `drift`) must have eigenvectors supported in degrees
-    <= n.  `eigs` holds the pair ``(w, V)`` of ``np.linalg.eig`` on each
-    parity block of L, in the order of ``basis.parity_classes``; an
-    eigenvalue is isolated against both blocks.
+    (the values and sizes `walk` of its lattice) must have eigenvectors
+    supported in degrees <= n.  `eigs` holds the pair ``(w, V)`` of
+    ``np.linalg.eig`` on each parity block of L, in the order of
+    ``basis.parity_classes``; an eigenvalue is isolated against both blocks.
 
     The eigenvalue gaps, the lattice proximity table and the eigenvector
     moduli are taken in blocks (:func:`~ou_spectra.spectra._row_blocks`);
@@ -470,8 +469,7 @@ def _eigenvector_degree_check(drift, basis, eigs, window):
     result does not depend on the blocking."""
     name = "eigenvector_degree_support"
     vals = np.concatenate([w for w, _ in eigs])
-    lattice, depth = (np.array(col) for col in
-                      zip(*_lattice_walk(drift, window)))
+    lattice, depth = walk
     sep = 1e-5
     keep = np.empty(len(vals), dtype=bool)
     nearest = np.empty(len(vals), dtype=np.intp)
@@ -569,9 +567,9 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
                       1e-7))
 
     if np.all(base.points.real < 0):
+        sums, sizes = _multisets(base.points, levels)
         dg_resid = _worst((hausdorff(eig(dgamma(T, n)), SpectrumSet(
-            [sum(c) for c in combinations_with_replacement(base.points, n)]))
-            for n in ns), 0.0)
+            sums[sizes == n])) for n in ns), 0.0)
         out.append(_check(prefix + "dgamma_sum_spectrum", dg_resid, 1e-7))
 
     if tnorm < 1:

@@ -63,6 +63,32 @@ def test_removed_tolerance_field_is_rejected(tmp_path, capsys):
     assert "cluster_radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "verify"])
+@pytest.mark.parametrize("A,field,value", [
+    ([[-2.0]], "rank_tol", "abc"),
+    ([[-2.0]], "rank_tol", None),
+    ([[-2.0]], "rank_tol", [1]),
+    ([[-2.0]], "rank_tol", True),
+    ([[-2.0]], "psd_tol", float("nan")),
+    ([[-2.0]], "lyap_tol", float("inf")),
+    # a negative margin would let this unstable drift past the guard
+    ([[0.5]], "stab_tol", -1),
+])
+def test_bad_tolerance_values_are_refused(tmp_path, capsys, command, A,
+                                          field, value):
+    # refused where the model file is read: exit 1, one line naming the
+    # field, no report
+    path = _write(tmp_path / "m.json",
+                  {"A": A, "Q": [[1.0]], "tolerances": {field: value}})
+    out = tmp_path / "r.json"
+    assert cli.main([command, path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: bad tolerance overrides in ")
+    assert "tolerance %s must be a finite number >= 0" % field in err[0]
+    assert not out.exists()
+
+
 def test_load_model_missing_and_malformed(tmp_path):
     with pytest.raises(InputError):
         cli.load_model(str(tmp_path / "absent.json"))
@@ -72,6 +98,9 @@ def test_load_model_missing_and_malformed(tmp_path):
         cli.load_model(str(bad))
     with pytest.raises(InputError):
         cli.load_model(_write(tmp_path / "noq.json", {"A": [[-1.0]]}))
+    with pytest.raises(InputError):
+        cli.load_model(_write(tmp_path / "list.json", {
+            "A": [[-1.0]], "Q": [[1.0]], "tolerances": ["rank_tol"]}))
 
 
 def test_env_profile_scales_tolerances(monkeypatch):
@@ -571,6 +600,15 @@ def test_exit_1_on_usage_error(capsys):
      "argument --degree: must be >= 1 (got -2)"),
     (["fock", "--matrix", "T.json", "--levels", "-1"],
      "argument --levels: must be >= 0 (got -1)"),
+    # a usage error, not a FAIL report (exit 3) or a vacuous pass
+    (["spectrum", "classical_1d", "--tol", "nan"],
+     "argument --tol: must be a finite number >= 0 (got nan)"),
+    (["spectrum", "classical_1d", "--tol", "-1"],
+     "argument --tol: must be a finite number >= 0 (got -1)"),
+    (["spectrum", "classical_1d", "--tol", "inf"],
+     "argument --tol: must be a finite number >= 0 (got inf)"),
+    (["spectrum", "classical_1d", "--tol", "x"],
+     "argument --tol: invalid float value: 'x'"),
 ])
 def test_out_of_range_counts_are_refused_by_the_parser(tmp_path, capsys,
                                                         argv, message):

@@ -50,6 +50,9 @@ def test_with_overrides():
     assert tol.sym_tol == config.DEFAULT.sym_tol
     with pytest.raises(ValueError):
         config.DEFAULT.with_overrides({"rank_toll": 1e-5})
+    # zero and an integer are valid values; the boundary is >= 0
+    assert config.DEFAULT.with_overrides({"stab_tol": 0}).stab_tol == 0
+    assert config.DEFAULT.with_overrides({"inv_tol": 1}).inv_tol == 1
 
 
 def test_tolerances_frozen():

@@ -1,5 +1,8 @@
 """Spectrum-set container, lattice enumeration, and Hausdorff matching."""
 
+from collections import deque
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -194,6 +197,88 @@ def test_lattice_window_validation():
         LatticeWindow(re_min=-1.0, im_max=-1.0, max_terms=2)
     with pytest.raises(InputError):
         LatticeWindow(re_min=-1.0, im_max=1.0, max_terms=0)
+
+
+def _bfs_lattice_walk(z, window, radius):
+    """The breadth-first walk over count vectors that the level-order
+    kernel replaced, kept as its reference: the value and total count of
+    every sum inside the real-part cut, once per count vector."""
+    start = (0,) * len(z)
+    seen, queue, out = {start}, deque([(start, 0.0 + 0.0j)]), []
+    while queue:
+        counts, val = queue.popleft()
+        out.append((val, sum(counts)))
+        if sum(counts) >= window.max_terms:
+            continue
+        for j in range(len(z)):
+            nxt = counts[:j] + (counts[j] + 1,) + counts[j + 1:]
+            if nxt in seen:
+                continue
+            nval = val + z[j]
+            if nval.real < window.re_min - radius:
+                continue
+            seen.add(nxt)
+            queue.append((nxt, nval))
+    values, sizes = zip(*out)
+    return np.array(values, dtype=complex), np.array(sizes)
+
+
+def _random_points(rng):
+    """One to five points in the open left half plane: real ones and
+    conjugate pairs, as the drift spectra of real matrices come."""
+    pts, m = [], rng.integers(1, 6)
+    while len(pts) < m:
+        re = -0.05 - 2.0 * rng.random()
+        if rng.random() < 0.5:
+            pts.append(complex(re, 0.0))
+        else:
+            im = 3.0 * rng.random()
+            pts += [complex(re, im), complex(re, -im)]
+    return SpectrumSet(pts)
+
+
+@pytest.mark.parametrize("max_terms", range(1, 7))
+def test_multisets_walk_equals_the_bfs_bitwise(max_terms):
+    # values, sizes and their order, under covering and pruning windows
+    rng = np.random.default_rng(max_terms)
+    r = spectra.DEFAULT_CLUSTER_RADIUS
+    for _ in range(50):
+        base = _random_points(rng)
+        cover = LatticeWindow.covering(base.points, max_terms)
+        pruning = LatticeWindow(re_min=rng.uniform(0.2, 0.9) * cover.re_min,
+                                im_max=rng.uniform(0.1, 1.0) * cover.im_max,
+                                max_terms=max_terms)
+        for window in (cover, pruning):
+            want, depth = _bfs_lattice_walk(base.points, window, r)
+            got, sizes = spectra._multisets(base.points, max_terms,
+                                            floor=window.re_min - r)
+            assert got.tobytes() == want.tobytes()
+            assert sizes.tobytes() == depth.tobytes()
+            keep = np.abs(want.imag) <= window.im_max + r
+            walk = spectra._lattice_walk(base, window)
+            assert walk[0].tobytes() == want[keep].tobytes()
+            assert walk[1].tobytes() == depth[keep].tobytes()
+            assert lattice_spectrum(base, window).points.tobytes() == \
+                SpectrumSet(want[keep]).points.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_product_set_and_sums_equal_combinations_bitwise(n):
+    # the products and sums each draw once formed, combination by
+    # combination, in combinations_with_replacement order
+    rng = np.random.default_rng(10 + n)
+    for _ in range(60):
+        base = eig(rng.standard_normal((4, 4))) if rng.random() < 0.5 \
+            else _random_points(rng)
+        combos = list(combinations_with_replacement(base.points, n))
+        prods = np.array([np.prod(c) for c in combos])
+        sums = np.array([sum(c) for c in combos])
+        got, sizes = spectra._multisets(base.points, n, product=True)
+        assert got[sizes == n].tobytes() == prods.tobytes()
+        got, sizes = spectra._multisets(base.points, n)
+        assert got[sizes == n].tobytes() == sums.tobytes()
+        assert product_set(base, n).points.tobytes() == \
+            SpectrumSet(prods).points.tobytes()
 
 
 def test_hausdorff_hand_oracle():

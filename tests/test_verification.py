@@ -316,6 +316,19 @@ def test_model_suite_assembles_L_and_the_drift_spectrum_once(monkeypatch):
     assert spectra == [[(2, 2)], []]
 
 
+def test_model_suite_walks_the_lattice_once(monkeypatch):
+    # the lattice match and the eigenvector check read one walk; the
+    # wrapper sits in both modules, since the suite binds the name itself
+    from ou_spectra import spectra
+    calls = _count_calls(monkeypatch, spectra, "_lattice_walk")
+    monkeypatch.setattr(verification, "_lattice_walk",
+                        spectra._lattice_walk)
+    checks = {c.name: c for c in model_suite(OSCILLATOR, degree=3)}
+    assert checks["galerkin_spectrum_lattice_match"].passed
+    assert checks["eigenvector_degree_support"].detail.endswith("tested")
+    assert len(calls) == 1
+
+
 def test_leading_block_of_L_is_L_on_the_smaller_basis():
     from ou_spectra.ou_operator import assemble_L, poly_basis
     for seed, (d, N) in enumerate([(2, 5), (3, 4), (4, 3)]):
