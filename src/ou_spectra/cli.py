@@ -13,7 +13,7 @@ summaries go to stdout, machine reports to JSON/CSV files written
 atomically (temp file, then rename).  A report section that holds a
 result object (``GramianReport``, ``InvertibilityReport``,
 ``SpectrumSet``, ``MatchReport``, ``CheckResult``) is that result's
-dataclass fields, by name, encoded by :func:`_to_jsonable`.  The
+dataclass fields, by name, written by :func:`_json_text`.  The
 environment variable ``OU_SPECTRA_TOL_PROFILE`` (strict | default |
 loose) selects the tolerance preset, and ``verify --tol`` overrides it,
 for a model file and for ``--random`` alike; a model file may override
@@ -31,6 +31,7 @@ import sys
 import tempfile
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -158,39 +159,54 @@ def parse_t_grid(text):
 
 # --- report plumbing ---------------------------------------------------------
 
-def _to_jsonable(obj):
-    """Recursively convert to JSON-safe values; non-finite floats become
-    string sentinels so every numeric entry in a report is finite.
-
-    This is the one writer of the report format: a result dataclass
-    instance encodes as its fields by name, each converted by the same
-    rules."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        # tolist() already yields the same ints, bools and finite floats;
-        # only non-finite or complex entries need the element path.
-        if obj.dtype.kind in "biu" or (
-                obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            return obj.tolist()
-        return _to_jsonable(obj.tolist())
+def _json_text(obj, nl="\n"):
+    """`obj` as ``json.dumps(indent=2, sort_keys=True)`` writes it on a
+    line that `nl` starts, once a result dataclass is its fields by name, an
+    array its nested lists, a complex number ``{"re", "im"}``, a dict key
+    its ``str`` and a non-finite float the string of its repr.  This is the
+    one writer of the report format."""
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return repr(int(obj))
     if isinstance(obj, (float, np.floating)):
         val = float(obj)
-        if not math.isfinite(val):
-            return repr(val)
-        return val
+        return repr(val) if math.isfinite(val) else '"%r"' % val
+    inner = nl + "  "
+    if isinstance(obj, np.ndarray):
+        # finite numbers a row at a time, by join or one % over tolist()
+        if obj.ndim == 0 or obj.dtype.kind not in "iufc" \
+                or not np.isfinite(obj).all():
+            return _json_text(obj.tolist(), nl)
+        if obj.ndim > 1:
+            return _block("[]", [_json_text(row, inner) for row in obj], nl)
+        if obj.dtype.kind != "c":
+            return _block("[]", list(map(repr, obj.tolist())), nl)
+        entry = '{%s  "im": %%r,%s  "re": %%r%s}' % (inner, inner, inner)
+        parts = np.stack((obj.imag, obj.real), axis=-1).ravel().tolist()
+        return _block("[]", [entry] * len(obj), nl) % tuple(parts)
     if isinstance(obj, complex):
-        return {"re": _to_jsonable(obj.real), "im": _to_jsonable(obj.imag)}
-    return obj
+        obj = {"re": obj.real, "im": obj.imag}
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}
+        return _block("{}", ["%s: %s" % (_quote(k), _json_text(obj[k], inner))
+                             for k in sorted(obj)], nl)
+    if isinstance(obj, (list, tuple)):
+        return _block("[]", [_json_text(v, inner) for v in obj], nl)
+    return json.dumps(obj)
+
+
+def _block(brackets, items, nl):
+    """`items` one to a line, a level in from `nl`, between `brackets`,
+    which stay empty when there are none."""
+    if not items:
+        return brackets
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
 
 def _atomic_write_text(path, text):
@@ -213,9 +229,7 @@ def _atomic_write_text(path, text):
 
 
 def write_json_report(path, report):
-    _atomic_write_text(
-        path, json.dumps(_to_jsonable(report), indent=2, sort_keys=True)
-        + "\n")
+    _atomic_write_text(path, _json_text(report) + "\n")
 
 
 def _write_csv(path, rows, header):

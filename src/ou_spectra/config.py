@@ -68,9 +68,10 @@ class Tolerances:
         overrides : dict
             Mapping from field name to new value.  Unknown keys raise
             ``ValueError`` so that typos in model files do not silently
-            leave a default in place; so do a non-dict and a value that is
-            not a finite real number >= 0 (``bool`` included), naming its
-            field.
+            leave a default in place; so do a non-dict, a value that is
+            not a finite real number >= 0 (``bool`` included), and a
+            ``rank_tol`` of 1 or more, which no direction passes, naming
+            the field.
         """
         if not isinstance(overrides, dict):
             raise ValueError("tolerance overrides must be a JSON object, "
@@ -85,6 +86,9 @@ class Tolerances:
                     or not math.isfinite(value) or value < 0):
                 raise ValueError("tolerance %s must be a finite number >= 0 "
                                  "(got %r)" % (name, value))
+        if overrides.get("rank_tol", 0) >= 1:
+            raise ValueError("tolerance rank_tol must be below 1 (got %r)"
+                             % overrides["rank_tol"])
         return dataclasses.replace(self, **overrides)
 
 

@@ -38,67 +38,75 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _as_complex_array(points):
-    pts = np.asarray(list(points), dtype=complex).ravel()
-    return pts
+    pts = points if isinstance(points, np.ndarray) else list(points)
+    return np.asarray(pts, dtype=complex).ravel()
 
 
 def _single_linkage_merge(pts, radius):
     """Merge points at mutual distance <= radius (single linkage).
 
     Returns one centroid per cluster, clusters in the order of their
-    leftmost point.  Points are sorted by real part, so only pairs whose
-    real parts differ by at most the radius are compared; this is exact
-    because |z - w| >= |Re z - Re w|.  Exactly equal points always share a
-    cluster, so the sweep runs over the distinct values only, each standing
-    for its copies.  Their pairs ``(i, i - k)`` are tested in numpy one
-    offset ``k`` at a time, a row leaving as soon as its real parts differ
-    by more than the radius (they only grow with ``k``), so memory stays
-    O(n); only the pairs that pass are joined.  Each centroid is the mean
-    over all members, in sorted order.  A singleton comes out as
-    ``0j + z``, which is what ``np.mean`` of one point gives (it turns a
-    signed zero into +0).
+    first point by value, (real, imaginary) part.  In that order exactly
+    equal points are adjacent: they always share a cluster, and the sweep
+    runs over the distinct values only.  Their pairs ``(i, i - k)`` are
+    tested in numpy one offset ``k`` at a time, a row leaving as soon as
+    its real parts differ by more than the radius (they only grow with
+    ``k``; this is exact because |z - w| >= |Re z - Re w|), so memory
+    stays O(n); the pairs that pass are joined by :func:`_join`.  A
+    singleton comes out as ``0j + z``, which is what ``np.mean`` of one
+    point gives (it turns a signed zero into +0); any other centroid is
+    the mean over its members in the stable real-part order of `pts`.
     """
     n = len(pts)
     if n <= 1:
         return pts.copy()
-    spts = pts[np.argsort(pts.real, kind="stable")]
-    # Each copy of a value starts joined to its leftmost copy, which sorts
-    # first in the stable (real, imaginary) order.
-    by_value = np.lexsort((spts.imag, spts.real))
-    values = spts[by_value]
-    first = np.concatenate(([True], values[1:] != values[:-1]))
-    rep = by_value[first]
-    parent = np.empty(n, dtype=np.intp)
-    parent[by_value] = rep[np.cumsum(first) - 1]
-    parent = parent.tolist()
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
+    by_value = np.lexsort((pts.imag, pts.real))
+    values = pts[by_value]
+    new = np.concatenate(([True], values[1:] != values[:-1]))
+    first = new.nonzero()[0]
+    # each copy is labelled by its first copy, the smallest index
+    root = None if len(first) == n else np.maximum.accumulate(
+        np.where(new, np.arange(n), 0))
     upts = values[first]
     re = upts.real
-    i, k = np.arange(1, len(upts)), 1
+    i, k = (re[1:] - re[:-1] <= radius).nonzero()[0] + 1, 1
     while i.size:
-        i = i[re[i] - re[i - k] <= radius]
-        j = i - k
-        hit = np.abs(upts[i] - upts[j]) <= radius
-        for a, b in zip(rep[i[hit]].tolist(), rep[j[hit]].tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # the smaller index is the root: a root is its leftmost point
-                parent[max(ra, rb)] = min(ra, rb)
+        hit = i[np.abs(upts[i] - upts[i - k]) <= radius]
+        if hit.size:
+            root = _join(np.arange(n) if root is None else root,
+                         first[hit - k], first[hit])
         k += 1
         i = i[i >= k]
-    root = np.array([find(k) for k in range(n)])
-    out = 0j + spts
-    for r in np.flatnonzero(np.bincount(root, minlength=n) > 1):
-        out[r] = np.mean(spts[root == r])
-    return out[root == np.arange(n)]
+        i = i[re[i] - re[i - k] <= radius]
+    if root is None:
+        return 0j + values
+    head = np.flatnonzero(root == np.arange(n))
+    size = np.bincount(root)[head]
+    label = root[np.argsort(by_value)]
+    order = np.argsort(pts.real, kind="stable")
+    # members grouped by cluster, in heads' order, each in real-part order
+    members = pts[order][np.argsort(label[order], kind="stable")]
+    start = np.cumsum(size) - size
+    out = 0j + values[head]
+    for c in np.flatnonzero(size > 1):
+        out[c] = members[start[c]:start[c] + size[c]].mean()
+    return out
+
+
+def _join(root, a, b):
+    """`root`, each point's label the smallest index in its cluster, after
+    joining each pair ``(a[k], b[k])``: joined clusters take the smaller
+    label, and pointer jumping carries it to every member."""
+    ra, rb = root[a], root[b]
+    while (ra != rb).any():
+        low = np.minimum(ra, rb)
+        np.minimum.at(root, ra, low)
+        np.minimum.at(root, rb, low)
+        jumped = root[root]
+        while (jumped != root).any():
+            root, jumped = jumped, jumped[jumped]
+        ra, rb = root[a], root[b]
+    return root
 
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)
@@ -117,7 +125,7 @@ class SpectrumSet:
 
     def __init__(self, points):
         pts = _as_complex_array(points)
-        if not np.all(np.isfinite(pts.view(float))):
+        if not np.isfinite(pts.view(float)).all():
             raise InputError("spectrum points must be finite")
         merged = _single_linkage_merge(pts, DEFAULT_CLUSTER_RADIUS)
         order = np.lexsort((merged.imag, merged.real))

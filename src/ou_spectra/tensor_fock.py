@@ -326,7 +326,7 @@ class FockTruncation:
     ``levels[n]`` is the block acting on level n (symmetric occupation
     coordinates when ``symmetric``, plain tensor coordinates otherwise);
     ``levels[0]`` is the 1x1 identity block of the vacuum.  The full
-    matrix on the truncated algebra is ``scipy.linalg.block_diag(*levels)``.
+    matrix on the truncated algebra has these blocks on its diagonal.
     """
 
     base_dim: int

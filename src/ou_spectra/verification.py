@@ -55,6 +55,7 @@ from .spectra import (
     _eigvals,
     _lattice_walk,
     _multisets,
+    _nearest_distances,
     _row_blocks,
     eig,
     hausdorff,
@@ -615,17 +616,18 @@ def spectra_suite(seed=0):
     zero_gap = np.abs(lat.points).min()
     out.append(_check("lattice_contains_zero", zero_gap, 1e-12))
 
+    # sums u + v over a row block of points u, each to its nearest point
     closure = 0.0
     pts = lat.points
-    for u in pts:
-        w = u + pts
+    for rows in _row_blocks(len(pts), len(pts) ** 2):
+        w = (pts[rows, None] + pts).ravel()
         w = w[(w.real >= window.re_min) & (np.abs(w.imag) <= window.im_max)]
         closure = np.abs(pts - w[:, None]).min(axis=1).max(initial=closure)
     out.append(_check("lattice_additive_closure", closure, 1e-9))
 
     big = lattice_spectrum(SpectrumSet(z), LatticeWindow(
         re_min=-6.0, im_max=12.0, max_terms=16))
-    missing = _worst(np.abs(big.points - u).min() for u in pts)
+    missing = _nearest_distances(pts, big.points)[0].max()
     out.append(_check("lattice_window_monotone", missing, 1e-9))
     return out
 

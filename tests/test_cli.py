@@ -17,6 +17,8 @@ from ou_spectra.errors import DegenerateMeasure, InputError, Unstable
 from ou_spectra.ou_operator import (chaos_decomposition, poly_basis,
                                     verify_second_quantization)
 
+from report_reference import report_text, to_jsonable
+
 
 def _write(path, payload):
     path.write_text(json.dumps(payload))
@@ -89,6 +91,23 @@ def test_bad_tolerance_values_are_refused(tmp_path, capsys, command, A,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("rank_tol", [1.0, 2, 1e300])
+def test_rank_tol_of_one_or_more_is_refused(tmp_path, capsys, command,
+                                            rank_tol):
+    # verify ended in a ValueError traceback on this file: the cut kept no
+    # direction of Q_inf, so the restricted flow was 0 x 0
+    path = _write(tmp_path / "m.json", {
+        "A": [[-1.0, 0.0], [0.0, -1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]],
+        "tolerances": {"rank_tol": rank_tol}})
+    out = tmp_path / "r.json"
+    assert cli.main([command, path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: bad tolerance overrides in %s: tolerance rank_tol "
+                   "must be below 1 (got %r)" % (path, rank_tol)]
+    assert not out.exists()
+
+
 def test_load_model_missing_and_malformed(tmp_path):
     with pytest.raises(InputError):
         cli.load_model(str(tmp_path / "absent.json"))
@@ -124,28 +143,22 @@ def test_parse_t_grid():
             cli.parse_t_grid(bad)
 
 
-def test_to_jsonable_replaces_nonfinite():
-    out = cli._to_jsonable({"k": math.inf, "v": [1.0, math.nan],
-                            "z": 1.0 + 2.0j})
+def _written(tmp_path, report):
+    """The text write_json_report writes for `report`."""
+    path = tmp_path / "report.json"
+    cli.write_json_report(str(path), report)
+    return path.read_text()
+
+
+def test_writer_replaces_nonfinite(tmp_path):
+    out = json.loads(_written(tmp_path, {"k": math.inf, "v": [1.0, math.nan],
+                                         "z": 1.0 + 2.0j}))
     assert out["k"] == "inf"
     assert out["v"][1] == "nan"
     assert out["z"] == {"re": 1.0, "im": 2.0}
-    json.dumps(out)  # must be serializable
 
 
-def _lists_only(obj):
-    """Replace every ndarray by its tolist(), so that _to_jsonable walks
-    the entries one at a time (the reference path)."""
-    if isinstance(obj, dict):
-        return {k: _lists_only(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_lists_only(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
-def test_to_jsonable_array_fast_path_same_text():
+def test_writer_matches_reference_on_arrays_and_scalars(tmp_path):
     rng = np.random.default_rng(5)
     report = {
         "float": rng.standard_normal((3, 4)) * 1e7,
@@ -156,15 +169,20 @@ def test_to_jsonable_array_fast_path_same_text():
         "bool": np.array([True, False]),
         "nonfinite": np.array([[1.0, np.inf], [-np.inf, np.nan]]),
         "complex": np.array([1.0 + 2.0j, np.inf * 1j]),
+        "finite_complex": rng.standard_normal(5) + 1j * np.array(
+            [0.0, -0.0, 1e-300, -2.5, 1e300]),
+        "complex_rows": np.array([[1 + 1j, -0.0j], [2.5 - 1j, 3j]]),
         "scalar": np.float64(2.5),
+        "scalars": (np.int8(-3), np.bool_(False), np.complex128(1 - 2j),
+                    np.float32(0.1), None, "é\n"),
         "zero_d": np.array(7.25),
         "empty": np.zeros((0, 3)),
-        "nested": [np.eye(2), {"k": np.array([np.nan])}],
+        "empty_rows": np.zeros((2, 0)),
+        "nested": [np.eye(2), {"k": np.array([np.nan])}, [], {}],
+        3: "a non-str key", 0.5: {"t": True},
     }
-    want = json.dumps(cli._to_jsonable(_lists_only(report)), indent=2,
-                      sort_keys=True)
-    got = json.dumps(cli._to_jsonable(report), indent=2, sort_keys=True)
-    assert got == want
+    got = _written(tmp_path, report)
+    assert got == report_text(report)
     assert '"inf"' in got and '"nan"' in got and '"-inf"' in got
 
 
@@ -250,17 +268,38 @@ def _results():
     ]
 
 
-def test_result_dataclasses_encode_as_their_fields():
+def test_result_dataclasses_encode_as_their_fields(tmp_path):
     results = _results()
     assert {type(r).__name__ for r in results} == set(_REFERENCE)
     assert any(r.unmatched_computed for r in results
                if type(r).__name__ == "MatchReport")
     for r in results:
-        encoded = cli._to_jsonable(r)
-        assert list(encoded) == [f.name for f in dataclasses.fields(r)]
-        want = json.dumps(cli._to_jsonable(_REFERENCE[type(r).__name__](r)),
-                          indent=2, sort_keys=True)
-        assert json.dumps(encoded, indent=2, sort_keys=True) == want
+        assert list(to_jsonable(r)) == [f.name for f in dataclasses.fields(r)]
+        got = _written(tmp_path, r)
+        assert got == report_text(r)
+        assert got == report_text(_REFERENCE[type(r).__name__](r))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "jordan_omega1", "--t-grid", "0.5:1.5:0.5"],
+    ["spectrum", "hypoelliptic_2d", "--degree", "4"],
+    ["verify", "degenerate_2d"],
+    ["fock", "--matrix", "T.json", "--levels", "3"],
+])
+def test_each_command_writes_the_reference_text(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "T.json", {"T": [[0.5, 0.2], [-0.1, 0.3]]})
+    reports = []
+    real = cli.write_json_report
+
+    def spy(path, report):
+        reports.append(report)
+        real(path, report)
+    monkeypatch.setattr(cli, "write_json_report", spy)
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert len(reports) == 1
+    assert out.read_text() == report_text(reports[0])
 
 
 # ---------------------------------------------------------------------------

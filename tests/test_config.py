@@ -55,6 +55,14 @@ def test_with_overrides():
     assert config.DEFAULT.with_overrides({"inv_tol": 1}).inv_tol == 1
 
 
+@pytest.mark.parametrize("value", [1, 1.0, 2, 1e300])
+def test_rank_tol_of_one_or_more_is_refused(value):
+    # a relative cut at 1 or more keeps no direction
+    with pytest.raises(ValueError, match="tolerance rank_tol must be below 1"):
+        config.DEFAULT.with_overrides({"rank_tol": value})
+    assert config.DEFAULT.with_overrides({"rank_tol": 0.5}).rank_tol == 0.5
+
+
 def test_tolerances_frozen():
     with pytest.raises(Exception):
         config.DEFAULT.sym_tol = 1.0

@@ -27,7 +27,6 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from ou_spectra.cli import _to_jsonable
 from ou_spectra.config import DEFAULT
 from ou_spectra.errors import (
     AsymmetricQ,
@@ -62,6 +61,7 @@ from ou_spectra.gramian import (
 from ou_spectra.verification import random_stable_model
 
 from euler_maruyama import psd_sqrt
+from report_reference import to_jsonable
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],
@@ -665,7 +665,7 @@ def test_gramian_report_branches():
     assert rep.Q_inf is None
     assert rep.rank_Q_inf is None
 
-    d = _to_jsonable(gramian_report(OSCILLATOR, 1.0))
+    d = to_jsonable(gramian_report(OSCILLATOR, 1.0))
     assert d["strong_feller"] is True
 
 

@@ -25,7 +25,6 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, expm
 
 from ou_spectra import ou_operator
-from ou_spectra.cli import _to_jsonable
 from ou_spectra.config import DEFAULT
 from ou_spectra.errors import DegenerateMeasure, DimensionMismatch, InputError
 from ou_spectra.gramian import (
@@ -49,6 +48,7 @@ from ou_spectra.verification import random_stable_model
 
 from euler_maruyama import InvalidStep, euler_mean_cov, simulate_paths
 from gaussian_moments import mgf_gram
+from report_reference import to_jsonable
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],
@@ -626,7 +626,7 @@ def test_verify_second_quantization_passes():
     rep = verify_second_quantization(OSCILLATOR, 0.8, 3)
     assert rep.passed
     assert rep.max_residual <= 1e-10
-    d = _to_jsonable(rep)
+    d = to_jsonable(rep)
     assert d["passed"] is True
 
 

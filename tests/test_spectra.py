@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ou_spectra import spectra
-from ou_spectra.cli import _to_jsonable
 from ou_spectra.errors import EmptySet, EnumCap, InputError, Unstable
 from ou_spectra.spectra import (
     LatticeWindow,
@@ -19,6 +18,8 @@ from ou_spectra.spectra import (
     match_report,
     product_set,
 )
+
+from report_reference import to_jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -82,28 +83,106 @@ def _single_linkage_loop(pts, radius):
                     dtype=complex)
 
 
-def test_single_linkage_matches_loop_reference():
+def _by_value(pts):
+    return pts[np.lexsort((pts.imag, pts.real))]
+
+
+def _clustering_cases():
     rng = np.random.default_rng(0)
-    cases = [np.array([-0.0 - 0.0j, 0.0 + 0.0j, -0.0 + 1.0j, 1.0 - 0.0j]),
-             np.array([2.0 + 0.0j]), np.array([], dtype=complex)]
-    for _ in range(300):
-        n = int(rng.integers(2, 60))
+    r = spectra.DEFAULT_CLUSTER_RADIUS
+    step = 0.9 * r * np.arange(12)
+    z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    cases = {
+        "signed_zeros": np.array([-0.0 - 0.0j, 0.0 + 0.0j, -0.0 + 1.0j,
+                                  1.0 - 0.0j]),
+        "one_point": np.array([2.0 + 0.0j]),
+        "empty": np.array([], dtype=complex),
+        "all_distinct": z,
+        "conjugate_pairs": np.concatenate([z, z.conj(), [-1 + 0.4e-7j,
+                                                         -1 - 0.4e-7j]]),
+        "shared_real_part": np.array([-1 + 1j, -1 + 0j, -1 - 1j,
+                                      -3 + 0.6e-7j, -3 + 0j, -3 - 0.6e-7j]),
+        "chains_at_0.9_radius": np.concatenate([
+            -2 + step, 2j + 1j * step[::-1], 5 + (1 + 1j) / np.sqrt(2) * step,
+            step[::3] - 7]),
+        "exact_copies": np.repeat(z[:3], [1, 4, 9]),
+        "chain_with_copies": np.repeat(-2 + step, 3),
+        # real parts exactly one radius apart, at 1e-7 and at 0.5
+        "spaced_at_radius": np.array([0.0, r, 0.5, 1.0, 1.5 + 1j, 3.0]),
+    }
+    for k in range(3):
+        # more than 64 points around few centres: exact repeats, conjugates,
+        # signed zeros and chains of near points
+        n = int(rng.integers(65, 120))
         centers = rng.standard_normal(int(rng.integers(1, 8))) \
             + 1j * rng.standard_normal(1)
         pts = rng.choice(centers, n) + 1e-8 * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        # exact repeats, conjugates, signed zeros and chains of near points
         pts[: n // 4] = pts[n // 4: 2 * (n // 4)]
         pts[-2:] = np.conj(pts[:2])
         pts[::7] = complex(-0.0, -0.0)
         pts[3::11] = complex(rng.standard_normal(), -0.0)
         pts[1::9] = 0.6e-7 * np.arange(len(pts[1::9]))
-        cases.append(pts)
-    for pts in cases:
-        for radius in (0.0, 1e-7, 1e-8, 0.5):
-            got = spectra._single_linkage_merge(pts, radius)
-            want = _single_linkage_loop(pts, radius)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        cases["over_64_points_%d" % k] = pts
+    return cases
+
+
+def test_single_linkage_matches_loop_reference():
+    # the merge returns its clusters in value order, the loop in real-part
+    # order, so both are compared sorted by value, as SpectrumSet stores
+    for name, pts in _clustering_cases().items():
+        want = _by_value(_single_linkage_loop(
+            pts, spectra.DEFAULT_CLUSTER_RADIUS))
+        got = SpectrumSet(pts).points
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+        for radius in (0.0, 1e-8, 0.5):
+            got = _by_value(spectra._single_linkage_merge(pts, radius))
+            want = _by_value(_single_linkage_loop(pts, radius))
+            assert got.tobytes() == want.tobytes(), (name, radius)
+
+
+def _components_loop(n, edges):
+    """Smallest index in each point's component, by repeated relaxation."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    return label
+
+
+def test_join_labels_each_point_by_its_smallest_cluster_member():
+    # joined in two rounds, as the merge joins one offset at a time: the
+    # second round starts from labels that point past its own pairs
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        first, second = (rng.integers(0, n, (int(rng.integers(0, n)), 2))
+                         for _ in range(2))
+        root = spectra._join(np.arange(n), first[:, 0], first[:, 1])
+        assert root.tolist() == _components_loop(n, first.tolist())
+        root = spectra._join(root, second[:, 0], second[:, 1])
+        assert root.tolist() == _components_loop(
+            n, first.tolist() + second.tolist())
+
+
+def test_single_linkage_matches_loop_reference_on_random_sets():
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        spread = rng.choice([0.0, 1e-9, 1e-8, 5e-8])
+        centers = rng.standard_normal(int(rng.integers(1, 8))) \
+            + 1j * rng.standard_normal(int(rng.integers(1, 3)))[0]
+        pts = rng.choice(centers, n) + spread * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        pts[-1] = np.conj(pts[0])
+        want = _single_linkage_loop(pts, spectra.DEFAULT_CLUSTER_RADIUS)
+        assert SpectrumSet(pts).points.tobytes() == _by_value(want).tobytes()
 
 
 def test_points_sorted_and_read_only():
@@ -369,7 +448,7 @@ def _spectrum_from_json(data):
 
 def test_json_round_trip():
     s = SpectrumSet([1.0 + 2.0j, -0.5])
-    d = _to_jsonable(s)
+    d = to_jsonable(s)
     back = _spectrum_from_json(d)
     assert_allclose(back.points, s.points)
 
