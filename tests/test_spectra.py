@@ -87,6 +87,21 @@ def _by_value(pts):
     return pts[np.lexsort((pts.imag, pts.real))]
 
 
+def _adversarial_set(rng, n):
+    """`n` points around few centres: exact repeats, conjugates, signed
+    zeros and chains of near points."""
+    centers = rng.standard_normal(int(rng.integers(1, 8))) \
+        + 1j * rng.standard_normal(1)
+    pts = rng.choice(centers, n) + 1e-8 * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    pts[: n // 4] = pts[n // 4: 2 * (n // 4)]
+    pts[-2:] = np.conj(pts[:2])
+    pts[::7] = complex(-0.0, -0.0)
+    pts[3::11] = complex(rng.standard_normal(), -0.0)
+    pts[1::9] = 0.6e-7 * np.arange(len(pts[1::9]))
+    return pts
+
+
 def _clustering_cases():
     rng = np.random.default_rng(0)
     r = spectra.DEFAULT_CLUSTER_RADIUS
@@ -111,19 +126,12 @@ def _clustering_cases():
         "spaced_at_radius": np.array([0.0, r, 0.5, 1.0, 1.5 + 1j, 3.0]),
     }
     for k in range(3):
-        # more than 64 points around few centres: exact repeats, conjugates,
-        # signed zeros and chains of near points
-        n = int(rng.integers(65, 120))
-        centers = rng.standard_normal(int(rng.integers(1, 8))) \
-            + 1j * rng.standard_normal(1)
-        pts = rng.choice(centers, n) + 1e-8 * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        pts[: n // 4] = pts[n // 4: 2 * (n // 4)]
-        pts[-2:] = np.conj(pts[:2])
-        pts[::7] = complex(-0.0, -0.0)
-        pts[3::11] = complex(rng.standard_normal(), -0.0)
-        pts[1::9] = 0.6e-7 * np.arange(len(pts[1::9]))
-        cases["over_64_points_%d" % k] = pts
+        cases["over_64_points_%d" % k] = _adversarial_set(
+            rng, int(rng.integers(65, 120)))
+    sweep = np.random.default_rng(0)
+    for k in range(300):
+        cases["adversarial_%d" % k] = _adversarial_set(
+            sweep, int(sweep.integers(2, 60)))
     return cases
 
 
@@ -136,9 +144,10 @@ def test_single_linkage_matches_loop_reference():
         got = SpectrumSet(pts).points
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
-        for radius in (0.0, 1e-8, 0.5):
+        for radius in (0.0, 1e-7, 1e-8, 0.5):
             got = _by_value(spectra._single_linkage_merge(pts, radius))
             want = _by_value(_single_linkage_loop(pts, radius))
+            assert got.dtype == want.dtype, (name, radius)
             assert got.tobytes() == want.tobytes(), (name, radius)
 
 
