@@ -38,13 +38,12 @@ import numpy as np
 from . import config
 from .errors import InputError, NumericalError
 from .gramian import (
-    contractivity_constant,
+    _curve,
     gramian_inf,
     gramian_report,
     gramian_t,
     invertibility_equivalence_report,
     nondegenerate_factor,
-    smu_norm,
     validate,
 )
 from .ou_operator import galerkin_blocks, poly_basis
@@ -259,10 +258,8 @@ def cmd_analyze(args):
     report_t = float(grid[-1])
     gram = gramian_report(model, report_t)
 
-    rows = []
-    for t in grid:
-        rows.append((float(t), smu_norm(model, float(t)),
-                     contractivity_constant(model, float(t))))
+    rows = list(zip(grid.tolist(), *_curve(
+        model, grid, lambda t: gramian_t(model, t))))
     _write_csv(csv_path, rows, header=("t", "smu_norm", "K"))
 
     lyap = float(np.abs(model.A @ Qi + Qi @ model.A.T + model.Q).max())
@@ -377,6 +374,8 @@ def cmd_verify(args):
         status = "PASS" if c.passed else "FAIL"
         line = "%s %-40s residual %.3e (tol %.3e)" % (
             status, c.name, c.residual, c.tolerance)
+        if c.detail.startswith(verification.SKIPPED):
+            line = "SKIP %-40s" % c.name
         if c.detail:
             line += "  [%s]" % c.detail
         print(line)

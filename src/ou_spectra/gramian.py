@@ -75,20 +75,20 @@ def _readonly(a, dtype=float):
 
 
 def _cut(values, rank_tol):
-    """The rank cut of a set of values: ``rank_tol`` times the largest, or
-    zero when the largest is not positive."""
-    return rank_tol * float(np.max(values, initial=0.0))
+    """The rank cut of a set of values (of each row of a stack): ``rank_tol``
+    times the largest, or zero when the largest is not positive."""
+    return rank_tol * np.max(values, axis=-1, initial=0.0)
 
 
 def _psd_split(M, rank_tol):
-    """The one rank decision on a symmetric PSD matrix: the eigenvalues of
-    the symmetrized ``M`` in descending order, their eigenvectors, and the
-    mask of the kept ones, those strictly above the :func:`_cut` (nothing
-    is kept when the largest is not positive)."""
+    """The one rank decision on a symmetric PSD matrix, or on each of a
+    stack: the eigenvalues of the symmetrized ``M`` in descending order,
+    their eigenvectors, and the mask of the kept ones, those strictly above
+    the :func:`_cut` (nothing is kept when the largest is not positive)."""
     M = np.asarray(M, dtype=float)
-    lam, U = np.linalg.eigh(0.5 * (M + M.T))
-    lam, U = lam[::-1], U[:, ::-1]
-    return lam, U, lam > _cut(lam, rank_tol)
+    lam, U = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
+    lam, U = lam[..., ::-1], U[..., ::-1]
+    return lam, U, lam > _cut(lam, rank_tol)[..., None]
 
 
 def _rank_gap(steps):
@@ -362,6 +362,76 @@ def nondegenerate_factor(model):
     return factor
 
 
+#: Bytes per stack of ``d x d`` horizon matrices in :func:`_curve`: 50
+#: horizons stack whole up to d = 32, 4 at d = 128, one from d = 182 on.
+_STACK_BYTES = 1 << 19
+
+
+def _curve(model, ts, gram=None, P=None):
+    """``||S_mu(t)||`` at each horizon of `ts` and, given ``gram(t) = Q_t``,
+    ``K(t)`` of `P` (default ``Q_inf``) over it: two lists, the second
+    empty without `gram`.  Each horizon makes its own exponentials,
+    :func:`flow` then `gram`; the rest is one numpy call per stack, bitwise
+    the one-horizon result.  The refusal is the first in horizon order:
+    the flow's, the leak's, then `gram`'s."""
+    factor, d = model.invariant_factor, model.dim
+    step = max(1, _STACK_BYTES // (8 * d * d))
+    norms, ks = [], []
+    for i in range(0, len(ts), step):
+        chunk, F, grams = [float(t) for t in ts[i:i + step]], [], []
+        try:
+            for t in chunk:  # a rank-0 factor needs no flow
+                F.append(flow(model, t) if factor.rank else np.zeros((d, d)))
+                if gram is not None:
+                    grams.append(gram(t))
+        except ExpmFailure:
+            _restricted(model, chunk, F)  # a leak before it comes first
+            raise
+        norms += np.linalg.norm(_restricted(model, chunk, F), 2,
+                                axis=(-2, -1)).tolist()
+        if gram is not None:
+            ks += _ratio_sups(gramian_inf(model) if P is None else P,
+                              np.array(grams), model.tol.rank_tol).tolist()
+    return norms, ks
+
+
+def _restricted(model, ts, F):
+    """:func:`smu_matrix` from the flows `F` at horizons `ts`, stacked."""
+    factor = model.invariant_factor
+    img = np.reshape(F, (-1, model.dim, model.dim)) @ factor.factor
+    leak = img - factor.basis @ (factor.basis.T @ img)
+    resid, size = np.linalg.norm(np.stack((leak, img)), 2, axis=(-2, -1))
+    for t, r, allowed in zip(ts, resid, model.tol.inv_tol * (1.0 + size)):
+        if r > allowed:
+            raise RangeNotInvariant(
+                "exp(tA) moves the kernel space out of itself at t=%g: "
+                "residual %.3e exceeds %.3e" % (t, r, allowed))
+    return factor.inv_sqrt @ img
+
+
+def _ratio_sups(P, Rs, rank_tol):
+    """:func:`quadratic_form_ratio_sup` of `P` over each of the stack `Rs`:
+    one rank split, then one compression per rank."""
+    P = np.asarray(P, dtype=float)
+    lam, V, keep = _psd_split(Rs, rank_tol)
+    out, ranks = np.zeros(len(Rs)), keep.sum(axis=1)
+    for r in set(ranks.tolist()):  # a kept set is a prefix of the order
+        rows, mask = ranks == r, np.arange(keep.shape[1]) < r
+        if r:
+            inv_sq = 1.0 / np.sqrt(lam[rows][:, mask])
+            X = V[rows][..., mask] * inv_sq[:, None]
+            M = np.swapaxes(X, -1, -2) @ P @ X
+            top = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
+            out[rows] = np.maximum(top[:, -1], 0.0)
+        if not mask.all():
+            W = V[rows][..., ~mask]
+            outside = np.abs(np.swapaxes(W, -1, -2) @ P @ W).max(
+                axis=(-2, -1), initial=0.0)
+            out[rows] = np.where(outside > rank_tol * max(
+                1.0, float(np.abs(P).max(initial=0.0))), math.inf, out[rows])
+    return out
+
+
 def smu_matrix(model, t):
     """The flow restricted to the kernel space, in factor coordinates.
 
@@ -380,27 +450,17 @@ def smu_matrix(model, t):
     t = float(t)
     if t < 0:
         raise InputError("smu_matrix needs t >= 0, got %g" % t)
-    factor = model.invariant_factor
-    if factor.rank == 0:
-        return np.zeros((0, 0))
-    R = factor.factor
-    img = flow(model, t) @ R
-    leak = img - factor.basis @ (factor.basis.T @ img)
-    resid = float(np.linalg.norm(leak, 2))
-    allowed = model.tol.inv_tol * (1.0 + float(np.linalg.norm(img, 2)))
-    if resid > allowed:
-        raise RangeNotInvariant(
-            "exp(tA) moves the kernel space out of itself at t=%g: "
-            "residual %.3e exceeds %.3e" % (t, resid, allowed))
-    return factor.inv_sqrt @ img
+    factor = model.invariant_factor  # rank 0: no flow, and B(t) is 0 x 0
+    F = flow(model, t) if factor.rank else np.zeros((model.dim,) * 2)
+    return _restricted(model, [t], [F])[0]
 
 
 def smu_norm(model, t):
-    """Operator norm of :func:`smu_matrix` (0 for a rank-0 factor)."""
-    B = smu_matrix(model, t)
-    if B.size == 0:
-        return 0.0
-    return float(np.linalg.norm(B, 2))
+    """Operator norm of :func:`smu_matrix` (0 for a rank-0 factor), the
+    one-horizon :func:`_curve`."""
+    if float(t) < 0:
+        raise InputError("smu_matrix needs t >= 0, got %g" % t)
+    return _curve(model, [t])[0][0]
 
 
 def quadratic_form_ratio_sup(P, R, rank_tol=DEFAULT.rank_tol):
@@ -412,21 +472,7 @@ def quadratic_form_ratio_sup(P, R, rank_tol=DEFAULT.rank_tol):
     largest eigenvalue of the compression of P by ``R^(-1/2)`` on the
     range.
     """
-    P = np.asarray(P, dtype=float)
-    lam, V, keep = _psd_split(R, rank_tol)
-    pscale = max(1.0, float(np.abs(P).max(initial=0.0)))
-    if not keep.all():
-        W = V[:, ~keep]
-        outside = float(np.abs(W.T @ P @ W).max(initial=0.0))
-        if outside > rank_tol * pscale:
-            return math.inf
-    if not keep.any():
-        return 0.0
-    Vk = V[:, keep]
-    inv_sq = 1.0 / np.sqrt(lam[keep])
-    M = (Vk * inv_sq).T @ P @ (Vk * inv_sq)
-    M = 0.5 * (M + M.T)
-    return float(max(np.linalg.eigvalsh(M)[-1], 0.0))
+    return float(_ratio_sups(P, np.asarray(R, dtype=float)[None], rank_tol)[0])
 
 
 def contractivity_constant(model, t):

@@ -59,7 +59,7 @@ def _single_linkage_merge(pts, radius):
     """
     n = len(pts)
     if n <= 1:
-        return pts.copy()
+        return 0j + pts
     by_value = np.lexsort((pts.imag, pts.real))
     values = pts[by_value]
     new = np.concatenate(([True], values[1:] != values[:-1]))

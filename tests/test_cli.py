@@ -349,6 +349,47 @@ def test_analyze_solves_lyapunov_once(tmp_path, monkeypatch):
     assert calls == [(2, 2)]
 
 
+def _analyze_calls(tmp_path, monkeypatch, grid):
+    """Calls of the numpy.linalg SVD and eigensolvers, and of the flow and
+    Q_t, in one ``analyze hypoelliptic_2d`` over `grid`."""
+    import numpy.linalg._linalg as la
+    counts = dict.fromkeys(("svd", "eigh", "eigvalsh", "flow",
+                            "gramian_t"), 0)
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as patch:
+        # np.linalg.norm reaches svd through the private module
+        for name in ("svd", "eigh", "eigvalsh"):
+            wrapped = counting(name, getattr(la, name))
+            patch.setattr(la, name, wrapped)
+            patch.setattr(np.linalg, name, wrapped)
+        for name in ("flow", "gramian_t"):
+            wrapped = counting(name, getattr(gramian, name))
+            for module in (gramian, cli, verification):
+                if hasattr(module, name):
+                    patch.setattr(module, name, wrapped)
+        out = str(tmp_path / "h.json")
+        assert cli.main(["analyze", "hypoelliptic_2d", "--t-grid", grid,
+                         "--out", out]) == 0
+    return counts
+
+
+def test_analyze_curve_solves_once_per_grid(tmp_path, monkeypatch):
+    # the curve's SVD norms, rank splits and compressions take one call per
+    # stack of horizons, while each horizon makes its own flow and Q_t
+    short = _analyze_calls(tmp_path, monkeypatch, "0.1:1.0:0.1")
+    full = _analyze_calls(tmp_path, monkeypatch, "0.1:5.0:0.1")
+    for name in ("svd", "eigh", "eigvalsh"):
+        assert full[name] == short[name] > 0, name
+    assert full["flow"] - short["flow"] == 40
+    assert full["gramian_t"] - short["gramian_t"] == 40
+
+
 def test_analyze_exits_2_on_a_nan_lyapunov_solve(tmp_path, monkeypatch,
                                                  capsys):
     import ou_spectra.gramian as gr
@@ -736,6 +777,27 @@ def test_one_message_per_hypothesis(tmp_path, capsys):
     assert str(exc.value).startswith(
         "invariant covariance Q_inf has rank 1 < 2, smallest kept 0.5 ")
     assert str(exc.value).endswith("hypothesis failed: nondegeneracy")
+
+
+def test_verify_prints_skipped_checks_as_skip(tmp_path, capsys):
+    # a skipped check is no pass: stdout says SKIP, the report is unchanged
+    out = str(tmp_path / "v.json")
+    unstable = _write(tmp_path / "u.json", {"A": [[1.0]], "Q": [[1.0]]})
+    for model, names in (("degenerate_2d", ["chaos_checks"]),
+                         (unstable, ["invertibility_equivalence",
+                                     "steady_state_checks"])):
+        assert cli.main(["verify", model, "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skips = [c for c in json.loads(open(out).read())["checks"]
+                 if c["detail"].startswith(verification.SKIPPED)]
+        assert [c["name"] for c in skips] == names
+        for c in skips:
+            assert (c["passed"], c["residual"], c["tolerance"]) == (
+                True, 0.0, 0.0)
+            assert "SKIP %-40s  [%s]" % (c["name"], c["detail"]) in lines
+        assert not [line for line in lines
+                    if line.startswith("PASS") and "skipped" in line]
+        assert sum(line.startswith("SKIP") for line in lines) == len(names)
 
 
 def test_analyze_names_the_overflowing_block_exponential(tmp_path, capsys):

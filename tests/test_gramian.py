@@ -27,6 +27,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from ou_spectra import cli, gramian
 from ou_spectra.config import DEFAULT
 from ou_spectra.errors import (
     AsymmetricQ,
@@ -36,6 +37,7 @@ from ou_spectra.errors import (
     ExpmFailure,
     InputError,
     NotPSD,
+    NumericalError,
     RangeNotInvariant,
     Unstable,
 )
@@ -61,6 +63,7 @@ from ou_spectra.gramian import (
 from ou_spectra.verification import random_stable_model
 
 from euler_maruyama import psd_sqrt
+import curve_reference
 from report_reference import to_jsonable
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
@@ -409,6 +412,167 @@ def test_quadratic_form_ratio_inf_sentinel():
 def test_contractivity_requires_positive_t():
     with pytest.raises(InputError):
         contractivity_constant(CLASSICAL, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked curve kernel against the per-horizon loop
+# ---------------------------------------------------------------------------
+
+GRID = np.arange(1, 51) * 0.1
+
+
+def _kernel_curve(model, ts):
+    return gramian._curve(model, ts, lambda t: gramian.gramian_t(model, t))
+
+
+def _assert_same_curve(model, ts):
+    try:
+        want = curve_reference.curve(model, ts)
+    except NumericalError as exc:
+        with pytest.raises(type(exc)) as info:
+            _kernel_curve(model, ts)
+        assert str(info.value) == str(exc)
+        return False
+    got = [np.array(x) for x in _kernel_curve(model, ts)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    return True
+
+
+@pytest.mark.parametrize("name", ["classical_1d", "degenerate_2d",
+                                  "hypoelliptic_2d", "jordan_omega1"])
+def test_curve_matches_the_loop_on_bundled_models(name):
+    model = cli.load_model(name)
+    _assert_same_curve(model, cli.parse_t_grid("0.1:5.0:0.1"))
+    if name == "degenerate_2d":  # Q_inf and Q_t keep rank 1 of 2
+        assert model.invariant_factor.rank == 1
+
+
+def test_curve_matches_the_loop_where_the_rank_of_q_t_changes():
+    # below t ~ 5e-5 the hypoelliptic Q_t keeps rank 1 and K is infinite:
+    # one stack holds both rank splits
+    model = cli.load_model("hypoelliptic_2d")
+    ts = [1e-6, 1e-4, 3e-5, 1e-3, 1.0]
+    assert _assert_same_curve(model, ts)
+    K = _kernel_curve(model, ts)[1]
+    assert np.isinf(K).tolist() == [True, False, True, False, False]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 32])
+@pytest.mark.parametrize("kind", ["real", "complex", "defective"])
+def test_curve_matches_the_loop_on_random_models(d, kind):
+    # two draws each; where the Lyapunov guard refuses one (defective,
+    # d = 32, seed 32: ROADMAP item 19), the kernel must refuse it alike
+    done = [_assert_same_curve(random_stable_model(
+        np.random.default_rng(seed), d=d, kind=kind), GRID)
+        for seed in (0, d)]
+    assert done[0]
+
+
+def test_one_horizon_calls_match_the_loop():
+    for model in (CLASSICAL, JORDAN, OSCILLATOR, DEGENERATE):
+        _assert_same_curve(model, [2.5])
+        for t in (0.1, 2.5):
+            Qt = gramian_t(model, t)
+            want = curve_reference.ratio_sup(gramian_inf(model), Qt, 1e-10)
+            assert smu_norm(model, t) == curve_reference.smu_norm(model, t)
+            assert (smu_matrix(model, t).tobytes()
+                    == curve_reference.smu_matrix(model, t).tobytes())
+            assert contractivity_constant(model, t) == want
+            assert quadratic_form_ratio_sup(gramian_inf(model), Qt,
+                                            1e-10) == want
+
+
+def test_ratio_sup_matches_the_loop_on_hand_built_pairs():
+    # an R that is symmetrized before its split, a P of zeros, a negative
+    # P (the sup is floored at 0), an R of rank 0, mass outside range(R),
+    # and a compression on a rank-2 range
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((3, 3))
+    skew = 1e-3 * (G - G.T)
+    cases = [(G @ G.T, G @ G.T + skew), (-np.zeros((3, 3)), np.eye(3)),
+             (-np.eye(3), np.eye(3)),
+             (np.eye(3), np.zeros((3, 3))), (np.eye(3), np.diag([1, 1, 0.0])),
+             (np.diag([1, 1, 0.0]), np.diag([2, 1, 0.0]) + skew)]
+    for P, R in cases:
+        got = quadratic_form_ratio_sup(P, R, 1e-10)
+        want = curve_reference.ratio_sup(P, R, 1e-10)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (P, R)
+    assert quadratic_form_ratio_sup(-np.eye(3), np.eye(3), 1e-10) == 0.0
+
+
+def test_curve_of_a_rank_0_factor_makes_no_flow(monkeypatch):
+    # Q = 0: Q_inf = 0 keeps no direction, so every norm and K is 0
+    model = validate([[-1.0, 0.0], [0.0, -2.0]], np.zeros((2, 2)))
+    monkeypatch.setattr(gramian, "flow", None)
+    assert _kernel_curve(model, GRID[:3]) == ([0.0] * 3, [0.0] * 3)
+    assert smu_matrix(model, 1.0).shape == (0, 0)
+    assert smu_norm(model, 1.0) == 0.0
+
+
+def test_curve_spans_several_stacks(monkeypatch):
+    model = random_stable_model(np.random.default_rng(5), d=3, kind="real")
+    sizes = []
+    real = gramian._ratio_sups
+
+    def counting(P, Rs, rank_tol):
+        sizes.append(len(Rs))
+        return real(P, Rs, rank_tol)
+
+    monkeypatch.setattr(gramian, "_ratio_sups", counting)
+    _kernel_curve(model, GRID)
+    assert sizes == [50]  # a d <= 32 grid stacks whole
+    sizes.clear()
+    monkeypatch.setattr(gramian, "_STACK_BYTES", 3 * 8 * 3 * 3)
+    _assert_same_curve(model, GRID)
+    assert sizes == [3] * 16 + [2]
+
+
+def _refusal(fn):
+    """The type and text of what ``fn()`` raises."""
+    with pytest.raises((ExpmFailure, RangeNotInvariant)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("leak_at, nan_at, which", [
+    (1.0, None, None),          # a leak alone
+    (None, 1.5, "flow"),        # the flow's exponential alone
+    (None, 1.5, "gram"),        # the Van Loan block's alone
+    (1.5, 1.5, "gram"),         # the leak comes before Q_t
+    (1.5, 1.5, "flow"),         # the flow comes before its leak
+    (1.6, 1.5, "gram"),         # an earlier Q_t comes before a later leak
+    (1.5, 1.6, "flow"),         # an earlier leak comes before a later flow
+])
+@pytest.mark.parametrize("stack", [None, 4])
+def test_curve_refuses_at_the_loops_first_horizon(monkeypatch, leak_at,
+                                                    nan_at, which, stack):
+    # DEGENERATE keeps only e2: a flow with an e2 -> e1 entry leaks
+    real_flow, real_expm = gramian.flow, gramian._expm
+    d = DEGENERATE.dim
+
+    def leaking_flow(model, t):
+        F = real_flow(model, t)
+        if leak_at is not None and t >= leak_at - 1e-12:
+            F = F.copy()
+            F[0, 1] += 0.5
+        return F
+
+    def failing_expm(M, t, what):
+        size = d if which == "flow" else 2 * d
+        if nan_at is not None and t >= nan_at - 1e-12 and len(M) == size:
+            M = M * np.nan
+        return real_expm(M, t, what)
+
+    monkeypatch.setattr(gramian, "flow", leaking_flow)
+    monkeypatch.setattr(gramian, "_expm", failing_expm)
+    if stack is not None:
+        monkeypatch.setattr(gramian, "_STACK_BYTES", stack * 8 * d * d)
+    want = _refusal(lambda: curve_reference.curve(DEGENERATE, GRID))
+    assert _refusal(lambda: _kernel_curve(DEGENERATE, GRID)) == want
+    first = min(t for t in (leak_at, nan_at) if t is not None)
+    assert ("t=%g" % first) in want[1]
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,19 @@ def test_single_linkage_matches_loop_reference_on_random_sets():
         assert SpectrumSet(pts).points.tobytes() == _by_value(want).tobytes()
 
 
+def test_a_signed_zero_is_plus_zero_in_sets_of_any_size():
+    # a singleton is 0j + z, whatever the size of the set it sits in, so
+    # a one-point spectrum and a larger one write the same 0.0
+    z = complex(-0.0, -0.0)
+    plus = np.array([0j]).tobytes()
+    assert SpectrumSet([z]).points.tobytes() == plus
+    assert SpectrumSet([z, 5.0]).points[:1].tobytes() == plus
+    for pts in ([z], [z, 5.0]):
+        merged = spectra._single_linkage_merge(np.array(pts), 1e-7)
+        assert merged[:1].tobytes() == plus
+    assert SpectrumSet([]).points.dtype == np.complex128
+
+
 def test_points_sorted_and_read_only():
     s = SpectrumSet([1.0 + 1.0j, -2.0, 1.0 - 1.0j, 0.5])
     re = s.points.real

@@ -10,7 +10,7 @@ import sympy
 
 from ou_spectra.gramian import validate
 from ou_spectra.ou_operator import poly_basis, verify_second_quantization
-from ou_spectra import verification
+from ou_spectra import gramian, verification
 from ou_spectra.verification import (
     UNTESTED_THEORY,
     contraction_suite,
@@ -236,20 +236,24 @@ def test_spectra_suite():
 
 
 def test_model_suite_reuses_gramians_and_norms(monkeypatch):
-    calls = {"gramian_t": [], "smu_norm": []}
-    for name in calls:
-        real = getattr(verification, name)
+    # each horizon's Q_t is formed once, by the suite or by the curve
+    # kernel, and the norms and K(t) of the grid come from one curve call
+    calls = {"gramian_t": [], "_curve": []}
+    for module, name, pos in ((verification, "gramian_t", -1),
+                              (gramian, "gramian_t", -1),
+                              (gramian, "_curve", 1)):
+        real = getattr(module, name)
 
-        def counting(*args, _real=real, _log=calls[name]):
-            _log.append(args[-1])
+        def counting(*args, _real=real, _log=calls[name], _pos=pos):
+            _log.append(args[_pos])
             return _real(*args)
 
-        monkeypatch.setattr(verification, name, counting)
+        monkeypatch.setattr(module, name, counting)
     grid = verification.T_GRID
     assert grid == (0.1, 0.5, 1.0, 2.0)
     assert not _failures(model_suite(OSCILLATOR))
     assert [t for t in calls["gramian_t"] if t in grid] == list(grid)
-    assert calls["smu_norm"] == list(grid)
+    assert calls["_curve"] == [grid]
 
 
 def test_nan_quadrature_oracle_fails_its_check(monkeypatch):
@@ -268,7 +272,6 @@ def test_nan_quadrature_oracle_fails_its_check(monkeypatch):
 def test_model_suite_forms_each_horizon_once(monkeypatch):
     # Q_0.1 and Q_1 serve the quadrature check, the rank criteria and the
     # splitting identity; each is formed once
-    from ou_spectra import gramian
     calls = []
     for module in (verification, gramian):
         real = module.gramian_t
@@ -300,7 +303,7 @@ def test_model_suite_assembles_L_and_the_drift_spectrum_once(monkeypatch):
     # the three-way check reads the leading blocks of the suite's own
     # parity blocks of L, no dense L is built, and the drift spectrum is
     # the model's own, computed once
-    from ou_spectra import gramian, ou_operator
+    from ou_spectra import ou_operator
     assembled = [_count_calls(monkeypatch, verification, "galerkin_blocks",
                               key=lambda model, basis: basis.N)]
     dense = _count_calls(monkeypatch, ou_operator, "assemble_L",
