@@ -57,13 +57,16 @@ from .spectra import (
     match_report,
     product_set,
 )
-from .tensor_fock import second_quantization
+from .tensor_fock import _square, second_quantization
 from . import verification
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_SUITE = 3
+
+#: Most horizons an ``analyze --t-grid`` may hold.
+T_GRID_MAX_POINTS = 10 ** 5
 
 
 # --- model files -------------------------------------------------------------
@@ -95,6 +98,16 @@ def _tolerances(profile=None):
         raise InputError(str(exc)) from None
 
 
+def _read_json(path, what):
+    """The JSON value in the `what` file `path`, or an input error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSON or text decoding
+        raise InputError("cannot read %s file %s: %s"
+                         % (what, path, exc)) from None
+
+
 def load_model(path, tol=None):
     """Read a model JSON file (or a bundled model name) into an OUModel.
 
@@ -106,12 +119,7 @@ def load_model(path, tol=None):
             path = bundled_model_path(path)
         except InputError:
             raise InputError("model file not found: %s" % path) from None
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError("cannot read model file %s: %s" % (path, exc)) \
-            from None
+    data = _read_json(path, "model")
     if not isinstance(data, dict) or "A" not in data or "Q" not in data:
         raise InputError('model file %s must be a JSON object with keys '
                          '"A" and "Q"' % path)
@@ -146,9 +154,15 @@ def parse_t_grid(text):
     except ValueError:
         raise InputError("t-grid entries must be numbers, got %r"
                          % text) from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InputError("t-grid entries must be finite, got %r" % text)
     if start <= 0 or step <= 0 or stop < start:
         raise InputError("t-grid needs 0 < start <= stop and step > 0")
-    count = int(math.floor((stop - start) / step + 1e-12))
+    span = (stop - start) / step + 1e-12
+    if not span < T_GRID_MAX_POINTS:
+        raise InputError("t-grid %r has more than %d points"
+                         % (text, T_GRID_MAX_POINTS))
+    count = int(math.floor(span))
     grid = [start + k * step for k in range(count + 1)]
     if abs(grid[-1] - stop) > 1e-12 * max(1.0, abs(stop)) \
             and grid[-1] + step <= stop + 1e-12 * max(1.0, abs(stop)):
@@ -385,20 +399,14 @@ def cmd_verify(args):
 
 
 def cmd_fock(args):
-    try:
-        with open(args.matrix) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError("cannot read matrix file %s: %s"
-                         % (args.matrix, exc)) from None
+    data = _read_json(args.matrix, "matrix")
     raw = data["T"] if isinstance(data, dict) and "T" in data else data
     try:
         T = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError("matrix file %s does not parse: %s"
                          % (args.matrix, exc)) from None
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise InputError("matrix must be square, got shape %r" % (T.shape,))
+    _square(T, "matrix")
     if not np.all(np.isfinite(T)):
         raise InputError("matrix must have finite entries")
     N = args.levels

@@ -55,7 +55,7 @@ from .errors import (
     RangeNotInvariant,
     Unstable,
 )
-from .spectra import _eigvals
+from .spectra import _eigvals, _row_blocks
 
 __all__ = [
     "OUModel", "validate", "spectral_abscissa", "is_stable", "flow",
@@ -362,23 +362,18 @@ def nondegenerate_factor(model):
     return factor
 
 
-#: Bytes per stack of ``d x d`` horizon matrices in :func:`_curve`: 50
-#: horizons stack whole up to d = 32, 4 at d = 128, one from d = 182 on.
-_STACK_BYTES = 1 << 19
-
-
 def _curve(model, ts, gram=None, P=None):
     """``||S_mu(t)||`` at each horizon of `ts` and, given ``gram(t) = Q_t``,
     ``K(t)`` of `P` (default ``Q_inf``) over it: two lists, the second
     empty without `gram`.  Each horizon makes its own exponentials,
-    :func:`flow` then `gram`; the rest is one numpy call per stack, bitwise
-    the one-horizon result.  The refusal is the first in horizon order:
-    the flow's, the leak's, then `gram`'s."""
+    :func:`flow` then `gram`; the rest is one numpy call per stack (a row
+    block of :func:`~ou_spectra.spectra._row_blocks`), bitwise the
+    one-horizon result.  The refusal is the first in horizon order: the
+    flow's, the leak's, then `gram`'s."""
     factor, d = model.invariant_factor, model.dim
-    step = max(1, _STACK_BYTES // (8 * d * d))
     norms, ks = [], []
-    for i in range(0, len(ts), step):
-        chunk, F, grams = [float(t) for t in ts[i:i + step]], [], []
+    for rows in _row_blocks(len(ts), d * d):
+        chunk, F, grams = [float(t) for t in ts[rows]], [], []
         try:
             for t in chunk:  # a rank-0 factor needs no flow
                 F.append(flow(model, t) if factor.rank else np.zeros((d, d)))

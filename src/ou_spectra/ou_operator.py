@@ -15,8 +15,8 @@ eigendecomposition run on those, at ``n_even^3 + n_odd^3`` instead of
 ``dim^3``; the whole L (:func:`assemble_L`) is the tests' dense oracle.
 
 The transition action and the chaos family are both the substitution
-kernel ``S(M)`` of ``tensor_fock`` (the matrix of ``f -> f(M x)``, one
-:func:`~ou_spectra.tensor_fock.substitution_block` per degree) composed
+kernel ``S(M)`` of ``tensor_fock`` (the matrix of ``f -> f(M x)``, its
+blocks from :func:`~ou_spectra.tensor_fock.substitution_levels`) composed
 with the exponential of a heat operator ``Delta_Q = 1/2 Tr(Q D^2)``, which
 lowers the degree by two, so its exponential is a finite sum:
 

@@ -37,7 +37,10 @@ _WINDOW_SLACK = 1e-6
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _as_complex_array(points):
+def _points(points):
+    """The points of a :class:`SpectrumSet` or any iterable, flat complex."""
+    if isinstance(points, SpectrumSet):
+        return points.points
     pts = points if isinstance(points, np.ndarray) else list(points)
     return np.asarray(pts, dtype=complex).ravel()
 
@@ -124,7 +127,7 @@ class SpectrumSet:
     cluster_radius: float
 
     def __init__(self, points):
-        pts = _as_complex_array(points)
+        pts = _points(points)
         if not np.isfinite(pts.view(float)).all():
             raise InputError("spectrum points must be finite")
         merged = _single_linkage_merge(pts, DEFAULT_CLUSTER_RADIUS)
@@ -146,9 +149,7 @@ class SpectrumSet:
 
     def union(self, other):
         """Union with another set (or iterable), re-clustered."""
-        other_pts = other.points if isinstance(other, SpectrumSet) else other
-        return SpectrumSet(np.concatenate([
-            self.points, _as_complex_array(other_pts)]))
+        return SpectrumSet(np.concatenate([self.points, _points(other)]))
 
     def restricted(self, re_min=-np.inf, im_max=np.inf):
         """Points with ``Re >= re_min`` and ``|Im| <= im_max`` (small slack
@@ -327,8 +328,7 @@ def _nearest_distances(pa, pb):
 
 def hausdorff(a, b):
     """Hausdorff distance between two nonempty spectrum sets."""
-    pa = a.points if isinstance(a, SpectrumSet) else _as_complex_array(a)
-    pb = b.points if isinstance(b, SpectrumSet) else _as_complex_array(b)
+    pa, pb = _points(a), _points(b)
     if len(pa) == 0 or len(pb) == 0:
         raise EmptySet("hausdorff distance needs two nonempty sets")
     near_a, near_b = _nearest_distances(pa, pb)
@@ -355,10 +355,7 @@ def match_report(computed, predicted, tol):
     The report passes when the Hausdorff distance is at most `tol`
     (equivalently, when both unmatched lists are empty).
     """
-    pc = computed.points if isinstance(computed, SpectrumSet) \
-        else _as_complex_array(computed)
-    pp = predicted.points if isinstance(predicted, SpectrumSet) \
-        else _as_complex_array(predicted)
+    pc, pp = _points(computed), _points(predicted)
     if len(pc) == 0 or len(pp) == 0:
         raise EmptySet("match_report needs two nonempty sets")
     near_c, near_p = _nearest_distances(pc, pp)

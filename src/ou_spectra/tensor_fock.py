@@ -12,15 +12,15 @@ polynomials of degree n, and the symmetric power of T into the substitution
 One index kernel, the cached table ``up[beta, j] = pos(beta + e_j)`` from
 level n - 1 to level n with the multi-indices beta beside it, builds every
 graded operator as a numpy scatter, with no ``d**n`` intermediate: the
-substitution ``x^alpha -> (M x)^alpha`` (:func:`substitution_block`), the
-derivation ``f -> <M x, grad f>`` (:func:`derivation_block`), the heat
+substitution ``S_n(M): x^alpha -> (M x)^alpha`` (:func:`substitution_levels`),
+the derivation ``f -> <M x, grad f>`` (:func:`derivation_block`), the heat
 operator ``1/2 Tr(Q D^2)`` (:func:`heat_block`, degree n to n - 2) and the
 ladder operators (``creation(h)`` sends ``e_alpha`` to ``sum_i h_i
 sqrt(alpha_i + 1) e_(alpha + delta_i)``; ``annihilation`` is its conjugate
 transpose, so the adjoint relation holds exactly).  With ``D_n =
 diag(sqrt(alpha!))``,
 
-    sym_power(T, n)  =  D_n substitution_block(T', n) D_n^-1.
+    sym_power(T, n)  =  D_n S_n(T') D_n^-1.
 
 The same kernel gives the polynomial side of the package (Galerkin
 generator, Mehler matrix, Hermite chaos) in ``ou_operator``.  The
@@ -53,7 +53,7 @@ from .spectra import SpectrumSet, eig
 
 __all__ = [
     "multi_indices", "sym_dim", "embedding", "tensor_power",
-    "substitution_levels", "substitution_block", "derivation_block",
+    "substitution_levels", "derivation_block",
     "heat_block", "sym_power", "creation", "annihilation", "dgamma",
     "FockTruncation", "second_quantization",
 ]
@@ -182,7 +182,8 @@ def _substitution_tables(d, n):
 
 
 def substitution_levels(M, N):
-    """The blocks ``substitution_block(M, n)`` for n = 0..N, in order.
+    """The degree-n blocks ``S_n(M)`` for n = 0..N, in order: column alpha
+    holds the monomial coefficients of ``(M x)^alpha``.
 
     Level n comes from level n - 1 through
     ``(M x)^alpha = (M x)^(alpha - e_i) * sum_j M[i, j] x_j`` with i the
@@ -202,19 +203,9 @@ def substitution_levels(M, N):
         yield block
 
 
-def substitution_block(M, n):
-    """Degree-n block of ``x^alpha -> (M x)^alpha``, in ``multi_indices(d,
-    n)`` order: column alpha holds the monomial coefficients of
-    ``(M x)^alpha``."""
-    if n < 0:
-        raise InputError("substitution_block needs n >= 0")
-    *_, block = substitution_levels(M, n)
-    return block
-
-
 def derivation_block(M, n):
-    """Degree-n block of ``f -> <M x, grad f>``, the generator of
-    ``substitution_block(expm(t M), n)``.  With ``alpha = beta + e_i``,
+    """Degree-n block of ``f -> <M x, grad f>``, the generator of the
+    substitution ``S_n(expm(t M))``.  With ``alpha = beta + e_i``,
     ``(M x)_i d_i x^alpha = sum_j M[i, j] (beta_i + 1) x^(beta + e_j)``."""
     M = _square(M, "derivation argument")
     if n < 0:
@@ -250,7 +241,7 @@ def sym_power(T, n):
     """Restriction of the n-fold tensor power to the symmetric subspace,
     in occupation coordinates.
 
-    Built as ``D_n substitution_block(T', n) D_n^-1`` with
+    Built as ``D_n S_n(T') D_n^-1`` (:func:`substitution_levels`) with
     ``D_n = diag(sqrt(alpha!))``, so the cap applies to the symmetric
     dimension only.
     """
@@ -260,7 +251,8 @@ def sym_power(T, n):
     d = T.shape[0]
     _check_cap(sym_dim(d, n), "symmetric power %d" % n)
     D = _sqrt_factorials(d, n)
-    return D[:, None] * substitution_block(T.T, n) / D[None, :]
+    block = list(substitution_levels(T.T, n))[-1]  # lower levels freed
+    return D[:, None] * block / D[None, :]
 
 
 def creation(h, n):
@@ -308,13 +300,9 @@ def dgamma(M, n):
     if n == 0:
         return np.zeros((1, 1), dtype=M.dtype)
     _check_cap(d ** n, "dgamma on level %d" % n)
-    eye = np.eye(d, dtype=M.dtype)
-    total = np.zeros((d ** n, d ** n), dtype=M.dtype)
-    for j in range(n):
-        term = np.eye(1, dtype=M.dtype)
-        for k in range(n):
-            term = np.kron(term, M if k == j else eye)
-        total += term
+    total = sum(np.kron(np.kron(np.eye(d ** j, dtype=M.dtype), M),
+                        np.eye(d ** (n - 1 - j), dtype=M.dtype))
+                for j in range(n))
     J = embedding(d, n)
     return J.T @ total @ J
 

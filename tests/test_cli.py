@@ -141,6 +141,74 @@ def test_parse_t_grid():
     for bad in ("1:2", "a:b:c", "0:1:0.1", "1:0.5:0.1", "1:2:-1"):
         with pytest.raises(InputError):
             cli.parse_t_grid(bad)
+    most = cli.T_GRID_MAX_POINTS
+    assert len(cli.parse_t_grid("1:%d:1" % most)) == most
+    with pytest.raises(InputError, match="has more than %d points" % most):
+        cli.parse_t_grid("1:%d:1" % (most + 1))
+    # (0.3001 - 0.3) / 1e-5 rounds below 10 by more than 1e-12, so the
+    # floor drops the endpoint and the append puts it back
+    assert math.floor((0.3001 - 0.3) / 1e-5 + 1e-12) == 9
+    g = cli.parse_t_grid("0.3:0.3001:1e-5")
+    assert len(g) == 11 and g[-1] == (0.3 + 9 * 1e-5) + 1e-5
+    assert abs(g[-1] - 0.3001) <= 1e-12
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("nan:1:1", "t-grid entries must be finite, got 'nan:1:1'"),
+    ("0.1:1:nan", "t-grid entries must be finite, got '0.1:1:nan'"),
+    ("0.1:inf:1", "t-grid entries must be finite, got '0.1:inf:1'"),
+    ("0.1:5:1e-9", "t-grid '0.1:5:1e-9' has more than 100000 points"),
+])
+def test_analyze_refuses_a_nonfinite_or_oversized_t_grid(
+        tmp_path, monkeypatch, capsys, grid, message):
+    # refused from the three numbers, before any grid is built: a range in
+    # the module would raise here
+    def no_grid(*args):
+        raise AssertionError("a t-grid was built: range%r" % (args,))
+
+    monkeypatch.setattr(cli, "range", no_grid, raising=False)
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "classical_1d", "--t-grid", grid,
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+def _message(fn):
+    """The text of the exception that ``fn()`` raises."""
+    with pytest.raises(Exception) as info:
+        fn()
+    return str(info.value)
+
+
+def _undecodable(path):
+    """`path` holding bytes that are not text, and the text of the error
+    that reading it as JSON raises."""
+    path.write_bytes(b"\xff\xfe{}")
+    with open(path) as fh:
+        return str(path), _message(lambda: json.load(fh))
+
+
+def test_model_file_refusals_exit_1_with_one_line(tmp_path, capsys):
+    malformed = tmp_path / "bad.json"
+    malformed.write_text("{not json")
+    binary, why = _undecodable(tmp_path / "binary.json")
+    words = _write(tmp_path / "words.json", {"A": [["x"]], "Q": [[1.0]]})
+    nonfinite = tmp_path / "nan.json"
+    nonfinite.write_text('{"A": [[NaN]], "Q": [[1.0]]}')
+    cases = [
+        (binary, "cannot read model file %s: %s" % (binary, why)),
+        (malformed, "cannot read model file %s: %s" % (
+            malformed, _message(lambda: json.loads("{not json")))),
+        (words, "model file %s does not parse to matrices: %s" % (
+            words, _message(lambda: np.asarray([["x"]], dtype=float)))),
+        (nonfinite, "model matrices must have finite entries"),
+    ]
+    for path, message in cases:
+        out = tmp_path / "r.json"
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
 
 
 def _written(tmp_path, report):
@@ -654,6 +722,31 @@ def test_fock_rejects_a_nonfinite_matrix(tmp_path, capsys, entry):
     assert not out.exists()
 
 
+def test_fock_refusals_exit_1_with_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    malformed = tmp_path / "bad.json"
+    malformed.write_text("[[0.5,")
+    ragged = _write(tmp_path / "ragged.json", {"T": [[0.5, 0.1], [0.2]]})
+    wide = _write(tmp_path / "wide.json", [[0.5, 0.1, 0.0], [0.2, 0.3, 0.0]])
+    binary, why = _undecodable(tmp_path / "binary.json")
+    cases = [
+        (binary, "cannot read matrix file %s: %s" % (binary, why)),
+        (missing, "cannot read matrix file %s: %s" % (
+            missing, _message(lambda: open(missing)))),
+        (malformed, "cannot read matrix file %s: %s" % (
+            malformed, _message(lambda: json.loads("[[0.5,")))),
+        (ragged, "matrix file %s does not parse: %s" % (ragged, _message(
+            lambda: np.asarray([[0.5, 0.1], [0.2]], dtype=float)))),
+        (wide, "matrix must be square, got shape (2, 3)"),
+    ]
+    for path, message in cases:
+        out = tmp_path / "fock.json"
+        assert cli.main(["fock", "--matrix", str(path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
+
+
 def test_exit_1_on_usage_error(capsys):
     # a parser refusal returns exit 1 like any other input error: the
     # usage line, then one error line
@@ -777,6 +870,25 @@ def test_one_message_per_hypothesis(tmp_path, capsys):
     assert str(exc.value).startswith(
         "invariant covariance Q_inf has rank 1 < 2, smallest kept 0.5 ")
     assert str(exc.value).endswith("hypothesis failed: nondegeneracy")
+
+
+def test_verify_fails_on_disagreeing_rank_criteria(tmp_path, monkeypatch,
+                                                  capsys):
+    # the disagreement is a failed check, not a refusal: the suite runs on,
+    # without the strict-contraction check that needs the Feller verdict
+    monkeypatch.setattr(gramian, "controllability_rank", lambda *a, **k: 0)
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "classical_1d", "--out", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS")] == [
+        lines[3], "22 checks, 1 failed -> %s" % out]
+    assert lines[3].startswith(
+        "FAIL strong_feller_rank_agreement             residual inf "
+        "(tol 0.000e+00)  [rank(Q_t) = 1 but the controllability rank is 0 "
+        "at t=0.1; Q_t eigenvalues: ")
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert "restricted_flow_contraction" in names
+    assert "restricted_flow_strict_contraction" not in names
 
 
 def test_verify_prints_skipped_checks_as_skip(tmp_path, capsys):

@@ -27,7 +27,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from ou_spectra import cli, gramian
+from ou_spectra import cli, gramian, spectra
 from ou_spectra.config import DEFAULT
 from ou_spectra.errors import (
     AsymmetricQ,
@@ -110,6 +110,10 @@ def test_validate_rejects_bad_input():
         validate(-np.eye(2), [[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(NotPSD):
         validate([[-1.0]], [[-0.5]])
+    for A, Q in (([[np.nan]], [[1.0]]), ([[-1.0]], [[np.inf]])):
+        with pytest.raises(InputError) as info:
+            validate(A, Q)
+        assert str(info.value) == "model matrices must have finite entries"
 
 
 def test_validate_symmetrizes_roundoff():
@@ -524,7 +528,7 @@ def test_curve_spans_several_stacks(monkeypatch):
     _kernel_curve(model, GRID)
     assert sizes == [50]  # a d <= 32 grid stacks whole
     sizes.clear()
-    monkeypatch.setattr(gramian, "_STACK_BYTES", 3 * 8 * 3 * 3)
+    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 3 * 3 * 3)
     _assert_same_curve(model, GRID)
     assert sizes == [3] * 16 + [2]
 
@@ -568,7 +572,7 @@ def test_curve_refuses_at_the_loops_first_horizon(monkeypatch, leak_at,
     monkeypatch.setattr(gramian, "flow", leaking_flow)
     monkeypatch.setattr(gramian, "_expm", failing_expm)
     if stack is not None:
-        monkeypatch.setattr(gramian, "_STACK_BYTES", stack * 8 * d * d)
+        monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", stack * d * d)
     want = _refusal(lambda: curve_reference.curve(DEGENERATE, GRID))
     assert _refusal(lambda: _kernel_curve(DEGENERATE, GRID)) == want
     first = min(t for t in (leak_at, nan_at) if t is not None)
@@ -665,6 +669,20 @@ def test_gramian_report_computes_q_t_once(monkeypatch):
     monkeypatch.setattr(gr, "controllability_rank", lambda *a, **k: 0)
     with pytest.raises(CriteriaDisagree):
         gramian_report(OSCILLATOR, 1.0)
+
+
+def test_gramian_report_at_t_0(monkeypatch):
+    # Q_0 = 0: rank 0 and no strong Feller property, by convention; the
+    # rank cross-check needs t > 0 and is not run
+    def no_cross_check(*args):
+        raise AssertionError("rank cross-check at t = 0")
+
+    monkeypatch.setattr(gramian, "_checked_rank", no_cross_check)
+    rep = gramian_report(OSCILLATOR, 0.0)
+    assert rep.t == 0.0 and np.array_equal(rep.Q_t, np.zeros((2, 2)))
+    assert rep.rank_Q_t == 0 and rep.strong_feller is False
+    assert rep.rank_Q_inf == 2 and rep.q_inf_invertible
+    assert_allclose(rep.Q_inf, OSCILLATOR_Q_INF, atol=1e-14)
 
 
 def _chain(d, c):

@@ -229,6 +229,13 @@ def test_spectrum_set_empty_and_len():
     assert len(SpectrumSet([1.0, 2.0, 3.0])) == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_spectrum_set_refuses_nonfinite_points(bad):
+    with pytest.raises(InputError) as info:
+        SpectrumSet([1.0, bad])
+    assert str(info.value) == "spectrum points must be finite"
+
+
 def test_union_reclusters():
     a = SpectrumSet([0.0])
     b = SpectrumSet([1e-9, 5.0])

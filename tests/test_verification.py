@@ -10,7 +10,7 @@ import sympy
 
 from ou_spectra.gramian import validate
 from ou_spectra.ou_operator import poly_basis, verify_second_quantization
-from ou_spectra import gramian, verification
+from ou_spectra import gramian, tensor_fock, verification
 from ou_spectra.verification import (
     UNTESTED_THEORY,
     contraction_suite,
@@ -231,6 +231,34 @@ def test_contraction_suite_negative_control():
     assert not _failures(checks)
 
 
+def test_dgamma_sum_spectrum_runs_on_every_contraction(monkeypatch):
+    # sigma(dGamma_n(T)) is the set of n-fold sums of eigenvalues of T,
+    # whatever their sign: the check runs on eigenvalues of both signs, on
+    # both kinds of contraction, and fails for a perturbed dgamma
+    rng = np.random.default_rng(3)
+    Ts = [np.array([[0.5, 0.3], [0.0, -0.4]]),
+          np.array([[0.4, 0.5], [0.0, 0.4]])]
+    Ts += [random_contraction(rng, d=3, kind=kind)
+           for kind in ("diagonalizable", "defective")]
+
+    def dgamma_check(T):
+        return next(c for c in contraction_suite(T)
+                    if c.name == "dgamma_sum_spectrum")
+
+    assert all(dgamma_check(T).passed for T in Ts)
+    real = verification.dgamma
+
+    def shifted(M, n):
+        G = real(M, n)
+        return G + 1e-5 * np.eye(len(G))
+
+    monkeypatch.setattr(verification, "dgamma", shifted)
+    for T in Ts:
+        check = dgamma_check(T)
+        assert not check.passed
+        assert abs(check.residual - 1e-5) <= 1e-9
+
+
 def test_spectra_suite():
     assert not _failures(spectra_suite(0))
 
@@ -351,11 +379,17 @@ def test_contraction_suite_builds_each_object_once(monkeypatch):
     def key(*args):
         return (np.asarray(args[0]).tobytes(), args[1])
 
+    # the lifts of T are built in tensor_fock (by second_quantization),
+    # the powers of the other matrices in verification
     counts = {name: _count_calls(monkeypatch, verification, name, key)
               for name in ("tensor_power", "sym_power", "product_set")}
+    lifts = {name: _count_calls(monkeypatch, tensor_fock, name, key)
+             for name in ("tensor_power", "sym_power")}
     checks = contraction_suite(T, levels=3)
     assert not _failures(checks)
     assert "second_quantization_spectrum" in {c.name for c in checks}
+    for name, calls in lifts.items():
+        counts[name] += calls
     for name, calls in counts.items():
         assert calls and len(set(calls)) == len(calls), name
     levels_of_T = sorted(n for b, n in counts["sym_power"]
