@@ -12,7 +12,7 @@ quantizations, the polynomial Galerkin matrix of L, and numerical
 cross-checks between all of these routes.
 """
 
-from .config import Tolerances, from_env, from_profile
+from .config import Tolerances
 from .errors import (
     InputError,
     NotContraction,
@@ -30,7 +30,6 @@ from .gramian import (
     gramian_t,
     rkhs_factor,
     smu_matrix,
-    smu_norm,
     strong_feller_check,
     validate,
 )
@@ -54,8 +53,6 @@ from .spectra import (
 )
 from .tensor_fock import (
     FockTruncation,
-    annihilation,
-    creation,
     dgamma,
     second_quantization,
     sym_power,
@@ -77,16 +74,12 @@ __all__ = [
     "SpectrumSet",
     "Tolerances",
     "Unstable",
-    "annihilation",
     "assemble_L",
     "chaos_decomposition",
     "contractivity_constant",
-    "creation",
     "dgamma",
     "eig",
     "flow",
-    "from_env",
-    "from_profile",
     "galerkin_blocks",
     "gramian_inf",
     "gramian_report",
@@ -100,7 +93,6 @@ __all__ = [
     "rkhs_factor",
     "second_quantization",
     "smu_matrix",
-    "smu_norm",
     "strong_feller_check",
     "sym_power",
     "tensor_power",

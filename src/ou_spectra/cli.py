@@ -13,11 +13,10 @@ summaries go to stdout, machine reports to JSON/CSV files written
 atomically (temp file, then rename).  A report section that holds a
 result object (``GramianReport``, ``InvertibilityReport``,
 ``SpectrumSet``, ``MatchReport``, ``CheckResult``) is that result's
-dataclass fields, by name, written by :func:`_json_text`.  The
-environment variable ``OU_SPECTRA_TOL_PROFILE`` (strict | default |
-loose) selects the tolerance preset, and ``verify --tol`` overrides it,
-for a model file and for ``--random`` alike; a model file may override
-individual fields.
+dataclass fields, by name, written by :func:`_json_text`.  Every model
+is held to :data:`~ou_spectra.config.DEFAULT` tolerances, with the fields
+that its file's ``"tolerances"`` object overrides; ``verify --random``
+runs at the defaults.
 """
 
 from __future__ import annotations
@@ -88,16 +87,6 @@ def bundled_model_path(name):
     return str(path)
 
 
-def _tolerances(profile=None):
-    """The named tolerance profile, or else the one that
-    ``OU_SPECTRA_TOL_PROFILE`` selects; an unknown name is an input
-    error."""
-    try:
-        return config.from_profile(profile) if profile else config.from_env()
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
 def _read_json(path, what):
     """The JSON value in the `what` file `path`, or an input error."""
     try:
@@ -108,7 +97,7 @@ def _read_json(path, what):
                          % (what, path, exc)) from None
 
 
-def load_model(path, tol=None):
+def load_model(path):
     """Read a model JSON file (or a bundled model name) into an OUModel.
 
     The file must contain row-major nested arrays under "A" and "Q";
@@ -123,8 +112,7 @@ def load_model(path, tol=None):
     if not isinstance(data, dict) or "A" not in data or "Q" not in data:
         raise InputError('model file %s must be a JSON object with keys '
                          '"A" and "Q"' % path)
-    if tol is None:
-        tol = _tolerances()
+    tol = config.DEFAULT
     overrides = data.get("tolerances", {})
     if overrides:
         try:
@@ -368,16 +356,15 @@ def cmd_verify(args):
         raise InputError(
             "verify needs exactly one of a model path or --random SEED "
             "COUNT")
-    tol = _tolerances(args.tol)
     if args.model is not None:
-        model = load_model(args.model, tol)
+        model = load_model(args.model)
         checks = verification.model_suite(
             model, degree=args.degree, levels=args.levels)
         subject = "model %s" % model.name
     else:
         seed, count = args.random
         checks = verification.random_suite(
-            seed, count, degree=args.degree, levels=args.levels, tol=tol)
+            seed, count, degree=args.degree, levels=args.levels)
         subject = "%d random models (seed %d)" % (count, seed)
     summary = verification.summarize(checks)
     summary["command"] = "verify"
@@ -541,8 +528,6 @@ def build_parser():
                    help="verify random stable models instead")
     p.add_argument("--degree", type=_int_at_least(1), default=3)
     p.add_argument("--levels", type=_int_at_least(0), default=3)
-    p.add_argument("--tol", choices=sorted(config.PROFILES), default=None,
-                   help="tolerance profile (overrides the environment)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -2,10 +2,9 @@
 
 Every residual or rank decision in the package goes through a
 :class:`Tolerances` instance so that a single object documents what "equal",
-"symmetric", "stable" and "low rank" mean numerically.  Three named profiles
-scale the default residual tolerances down (``strict``) or up (``loose``);
-the profile can be selected with the ``OU_SPECTRA_TOL_PROFILE`` environment
-variable and individual fields can be overridden per model file.
+"symmetric", "stable" and "low rank" mean numerically.  A model file's
+``"tolerances"`` object overrides individual fields of :data:`DEFAULT`
+(:meth:`Tolerances.with_overrides`); that is the one way to change them.
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-import os
 from dataclasses import dataclass
-
-_ENV_VAR = "OU_SPECTRA_TOL_PROFILE"
 
 
 @dataclass(frozen=True)
@@ -52,14 +48,6 @@ class Tolerances:
     inv_tol: float = 1e-8
     stab_tol: float = 1e-8
 
-    def scaled(self, factor):
-        """Return a copy with every tolerance multiplied by `factor`."""
-        updates = {
-            f.name: getattr(self, f.name) * factor
-            for f in dataclasses.fields(self)
-        }
-        return dataclasses.replace(self, **updates)
-
     def with_overrides(self, overrides):
         """Return a copy with the given field values replaced.
 
@@ -93,30 +81,3 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
-
-#: Named profiles: ``strict`` tightens every tolerance 100x, ``loose``
-#: relaxes 100x.  ``default`` is the documented baseline.
-PROFILES = {
-    "strict": DEFAULT.scaled(1e-2),
-    "default": DEFAULT,
-    "loose": DEFAULT.scaled(1e2),
-}
-
-
-def from_profile(name):
-    """Look up a named tolerance profile.
-
-    Raises ``ValueError`` for unknown names, listing the valid ones.
-    """
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            "unknown tolerance profile %r (expected one of %s)"
-            % (name, ", ".join(sorted(PROFILES)))) from None
-
-
-def from_env():
-    """Resolve tolerances from the ``OU_SPECTRA_TOL_PROFILE`` variable,
-    the ``default`` profile when it is unset."""
-    return from_profile(os.environ.get(_ENV_VAR, "default"))

@@ -41,7 +41,8 @@ class NotContraction(InputError):
 
 
 class SizeCap(InputError):
-    """A requested tensor construction would exceed the configured size cap."""
+    """A requested tensor construction would exceed the configured size cap
+    or the float range."""
 
 
 class EnumCap(InputError):

@@ -60,8 +60,7 @@ from .spectra import _eigvals, _row_blocks
 __all__ = [
     "OUModel", "validate", "spectral_abscissa", "is_stable", "flow",
     "gramian_t", "gramian_inf", "RKHSFactor", "rkhs_factor",
-    "nondegenerate_factor", "smu_matrix",
-    "smu_norm", "quadratic_form_ratio_sup", "contractivity_constant",
+    "nondegenerate_factor", "smu_matrix", "contractivity_constant",
     "rank_psd", "controllability_rank",
     "strong_feller_check", "GramianReport", "gramian_report",
     "InvertibilityReport", "invertibility_equivalence_report",
@@ -405,8 +404,10 @@ def _restricted(model, ts, F):
 
 
 def _ratio_sups(P, Rs, rank_tol):
-    """:func:`quadratic_form_ratio_sup` of `P` over each of the stack `Rs`:
-    one rank split, then one compression per rank."""
+    """Supremum of ``<Px, x> / <Rx, x>`` over the range of each ``R`` of
+    the stack `Rs` (symmetric PSD): ``math.inf`` where `P` has mass outside
+    ``range(R)``, else the top eigenvalue of `P` compressed by
+    ``R^(-1/2)``.  One rank split, then one compression per rank."""
     P = np.asarray(P, dtype=float)
     lam, V, keep = _psd_split(Rs, rank_tol)
     out, ranks = np.zeros(len(Rs)), keep.sum(axis=1)
@@ -450,26 +451,6 @@ def smu_matrix(model, t):
     return _restricted(model, [t], [F])[0]
 
 
-def smu_norm(model, t):
-    """Operator norm of :func:`smu_matrix` (0 for a rank-0 factor), the
-    one-horizon :func:`_curve`."""
-    if float(t) < 0:
-        raise InputError("smu_matrix needs t >= 0, got %g" % t)
-    return _curve(model, [t])[0][0]
-
-
-def quadratic_form_ratio_sup(P, R, rank_tol=DEFAULT.rank_tol):
-    """Supremum of ``<Px, x> / <Rx, x>`` over the range of R.
-
-    Both arguments must be symmetric PSD.  When P has mass outside
-    ``range(R)`` the supremum is infinite and ``math.inf`` is returned
-    (the caller decides whether that is an error).  Otherwise this is the
-    largest eigenvalue of the compression of P by ``R^(-1/2)`` on the
-    range.
-    """
-    return float(_ratio_sups(P, np.asarray(R, dtype=float)[None], rank_tol)[0])
-
-
 def contractivity_constant(model, t):
     """The generalized Rayleigh quotient ``K(t)`` of (Q_inf, Q_t).
 
@@ -483,7 +464,7 @@ def contractivity_constant(model, t):
         raise InputError("contractivity_constant needs t > 0, got %g" % t)
     Qt = gramian_t(model, t)
     Qi = gramian_inf(model)
-    return quadratic_form_ratio_sup(Qi, Qt, model.tol.rank_tol)
+    return float(_ratio_sups(Qi, Qt[None], model.tol.rank_tol)[0])
 
 
 def rank_psd(M, rank_tol=DEFAULT.rank_tol):

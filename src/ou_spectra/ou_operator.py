@@ -47,9 +47,8 @@ import numpy as np
 from .errors import DimensionMismatch, InputError
 from .gramian import (_expm, flow, gramian_t, nondegenerate_factor,
                       smu_matrix)
-from .tensor_fock import (_position_table, _sqrt_factorials,
-                          derivation_block, heat_block, multi_indices,
-                          substitution_levels, sym_power)
+from .tensor_fock import (_sqrt_factorials, derivation_block, heat_block,
+                          multi_indices, substitution_levels, sym_power)
 
 __all__ = [
     "PolyBasis", "poly_basis", "assemble_L", "galerkin_blocks",
@@ -88,14 +87,6 @@ class PolyBasis:
         each in graded order, as read-only integer arrays; an empty class
         is dropped (degree 0 has no odd monomials)."""
         return _parity_classes(self.d, self.N)
-
-    def position(self, alpha):
-        """Index of the monomial `alpha` (``KeyError`` if not held)."""
-        alpha = tuple(alpha)
-        n = sum(alpha)
-        if n > self.N:
-            raise KeyError(alpha)
-        return self.degree_slice(n).start + _position_table(self.d, n)[alpha]
 
     def degree_slice(self, n):
         """Slice of coordinates of total degree exactly n."""

@@ -1,5 +1,5 @@
-"""Symmetric tensor powers, ladder operators, and truncated second
-quantization over a finite-dimensional base space.
+"""Symmetric tensor powers and truncated second quantization over a
+finite-dimensional base space.
 
 Level n of the symmetric tensor algebra over ``R^d`` is coordinatized by
 occupation vectors: multi-indices ``alpha`` with ``|alpha| = n``, where the
@@ -14,11 +14,8 @@ level n - 1 to level n with the multi-indices beta beside it, builds every
 graded operator as a numpy scatter, with no ``d**n`` intermediate: the
 substitution ``S_n(M): x^alpha -> (M x)^alpha`` (:func:`substitution_levels`),
 the derivation ``f -> <M x, grad f>`` (:func:`derivation_block`), the heat
-operator ``1/2 Tr(Q D^2)`` (:func:`heat_block`, degree n to n - 2) and the
-ladder operators (``creation(h)`` sends ``e_alpha`` to ``sum_i h_i
-sqrt(alpha_i + 1) e_(alpha + delta_i)``; ``annihilation`` is its conjugate
-transpose, so the adjoint relation holds exactly).  With ``D_n =
-diag(sqrt(alpha!))``,
+operator ``1/2 Tr(Q D^2)`` (:func:`heat_block`, degree n to n - 2).  With
+``D_n = diag(sqrt(alpha!))``,
 
     sym_power(T, n)  =  D_n S_n(T') D_n^-1.
 
@@ -54,7 +51,7 @@ from .spectra import SpectrumSet, eig
 __all__ = [
     "multi_indices", "sym_dim", "embedding", "tensor_power",
     "substitution_levels", "derivation_block",
-    "heat_block", "sym_power", "creation", "annihilation", "dgamma",
+    "heat_block", "sym_power", "dgamma",
     "FockTruncation", "second_quantization",
 ]
 
@@ -136,9 +133,15 @@ def embedding(d, n):
 @lru_cache(maxsize=None)
 def _sqrt_factorials(d, n):
     """The diagonal of ``D_n = diag(sqrt(alpha!))`` over ``multi_indices(d,
-    n)``, read-only."""
-    return _readonly(np.sqrt([prod(factorial(a) for a in alpha)
-                              for alpha in multi_indices(d, n)]))
+    n)``, read-only.  Each ``alpha!`` is rounded to a float as numpy
+    rounds an int64 below 2^63; one past the float range is refused."""
+    try:
+        facts = [float(prod(factorial(a) for a in alpha))
+                 for alpha in multi_indices(d, n)]
+    except OverflowError:
+        raise SizeCap("level %d over R^%d holds an alpha! beyond the float "
+                      "range" % (n, d)) from None
+    return _readonly(np.sqrt(facts))
 
 
 def _square(T, name):
@@ -255,37 +258,6 @@ def sym_power(T, n):
     return D[:, None] * block / D[None, :]
 
 
-def creation(h, n):
-    """Creation by the vector h, mapping level n to level n + 1.
-
-    Sends ``e_alpha`` to ``sum_i h_i sqrt(alpha_i + 1) e_(alpha+delta_i)``.
-    """
-    h = np.asarray(h).ravel()
-    if n < 0:
-        raise InputError("creation needs a level n >= 0")
-    d = h.shape[0]
-    if d < 1:
-        raise DimensionMismatch("creation needs a nonempty vector")
-    _check_cap(sym_dim(d, n + 1), "creation target level %d" % (n + 1))
-    _, _, up, alpha = _substitution_tables(d, n + 1)
-    C = np.zeros((sym_dim(d, n + 1), len(alpha)),
-                 dtype=np.result_type(h, float))
-    C[up, np.arange(len(alpha))[:, None]] = h * np.sqrt(alpha + 1.0)
-    return C
-
-
-def annihilation(h, n):
-    """Annihilation by the vector h, mapping level n to level n - 1.
-
-    Defined as the adjoint of :func:`creation`, taken literally: the
-    returned matrix is the conjugate transpose of ``creation(h, n - 1)``,
-    so the duality holds exactly by construction.
-    """
-    if n < 1:
-        raise InputError("annihilation needs a level n >= 1")
-    return creation(h, n - 1).conj().T.copy()
-
-
 def dgamma(M, n):
     """Derivation (number-operator style lift) of M on level n:
     the compression of ``sum_j I (x)...(x) M (x)...(x) I``.
@@ -320,14 +292,6 @@ class FockTruncation:
     base_dim: int
     symmetric: bool
     levels: tuple
-
-    @property
-    def N(self):
-        return len(self.levels) - 1
-
-    @property
-    def dim(self):
-        return sum(block.shape[0] for block in self.levels)
 
     def spectrum(self):
         """Union of the block spectra (always contains 1, from the

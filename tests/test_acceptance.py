@@ -14,13 +14,13 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from ou_spectra.cli import load_model
+from ou_spectra import gramian
 from ou_spectra.gramian import (
     flow,
     gramian_inf,
     gramian_report,
     gramian_t,
     invertibility_equivalence_report,
-    smu_norm,
     validate,
 )
 from ou_spectra.ou_operator import (
@@ -36,8 +36,6 @@ from ou_spectra.spectra import (
     product_set,
 )
 from ou_spectra.tensor_fock import (
-    annihilation,
-    creation,
     second_quantization,
     sym_dim,
     sym_power,
@@ -46,6 +44,7 @@ from ou_spectra.tensor_fock import (
 from ou_spectra.verification import random_contraction, random_stable_model
 
 from euler_maruyama import euler_mean_cov, simulate_paths
+from occupation import annihilation, creation
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical_1d")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],
@@ -61,7 +60,7 @@ def test_01_restricted_semigroup_norm_closed_form():
     # 50 grid points in (0, 5], absolute tolerance 1e-8
     worst = 0.0
     for t in np.linspace(0.1, 5.0, 50):
-        got = smu_norm(JORDAN, float(t))
+        got = gramian._curve(JORDAN, [float(t)])[0][0]
         want = math.exp(-t) * (t + math.sqrt(t * t + 1.0))
         worst = max(worst, abs(got - want))
     assert worst <= 1e-8, "worst deviation %.3e" % worst

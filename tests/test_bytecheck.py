@@ -80,3 +80,37 @@ def test_bytecheck_reports_each_difference_on_a_bundled_model(tmp_path):
     assert not found
     assert bytecheck._kind(argvs[0], "x.json checks[3].residual",
                            "1 -> 2") == "analyze checks[].residual changed"
+
+
+def _record(rc, report):
+    return {"argv": ["verify", "m"], "rc": rc, "stdout": "", "stderr": "",
+            "files": {"v.json": json.dumps(report)}}
+
+
+def test_drift_of_a_roundoff_only_difference():
+    # residuals move in their last digits; no check changes its verdict
+    base = {"checks": [{"passed": True, "residual": 1.0e-16},
+                       {"passed": True, "residual": 2.0e-12}],
+            "all_passed": True, "n_checks": 2}
+    head = copy.deepcopy(base)
+    head["checks"][0]["residual"] = 1.5e-16
+    head["checks"][1]["residual"] = 2.0e-12 * (1 + 2 ** -50)
+    moved, verdict = bytecheck.drift(_record(0, base), _record(0, head))
+    assert moved == {"v.json checks[].residual": 0.5e-16 / 1.5e-16}
+    assert verdict is False
+    assert bytecheck.drift(_record(0, base), _record(0, base)) == ({}, False)
+
+
+def test_drift_of_a_verdict_change():
+    # one residual crosses its tolerance: a passed field and the exit code
+    # move, each of which alone counts as a verdict
+    base = {"checks": [{"passed": True, "residual": 1e-9, "tolerance": 1e-8}],
+            "all_passed": True}
+    head = copy.deepcopy(base)
+    head["checks"][0].update(passed=False, residual=4e-8)
+    head["all_passed"] = False
+    moved, verdict = bytecheck.drift(_record(0, base), _record(3, head))
+    assert moved == {"v.json checks[].residual": (4e-8 - 1e-9) / 4e-8}
+    assert verdict is True
+    assert bytecheck.drift(_record(0, base), _record(0, head))[1] is True
+    assert bytecheck.drift(_record(0, base), _record(3, base)) == ({}, True)

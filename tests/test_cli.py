@@ -122,13 +122,32 @@ def test_load_model_missing_and_malformed(tmp_path):
             "A": [[-1.0]], "Q": [[1.0]], "tolerances": ["rank_tol"]}))
 
 
-def test_env_profile_scales_tolerances(monkeypatch):
-    monkeypatch.setenv("OU_SPECTRA_TOL_PROFILE", "loose")
-    m = cli.load_model("classical_1d")
-    assert math.isclose(m.tol.sym_tol, 1e-8)
-    monkeypatch.setenv("OU_SPECTRA_TOL_PROFILE", "bogus")
-    with pytest.raises(InputError):
-        cli.load_model("classical_1d")
+def test_tolerance_profile_variable_is_ignored(tmp_path, monkeypatch,
+                                               capsys):
+    # the tolerance profiles are gone: a model file's "tolerances" object
+    # is the one way to change a bound, and the old variable changes no
+    # byte of a report
+    argv = ["verify", "classical_1d", "--degree", "2", "--levels", "2",
+            "--out"]
+    assert cli.main(argv + [str(tmp_path / "plain.json")]) == 0
+    for profile in ("loose", "bogus"):
+        monkeypatch.setenv("OU_SPECTRA_TOL_PROFILE", profile)
+        assert cli.load_model("classical_1d").tol is config.DEFAULT
+        out = tmp_path / (profile + ".json")
+        assert cli.main(argv + [str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "plain.json").read_bytes()
+    capsys.readouterr()
+
+
+def test_verify_refuses_the_tol_option(tmp_path, capsys):
+    # verify takes no --tol: a usage error, exit 1, one usage line
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "classical_1d", "--tol", "strict",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("usage: ")
+    assert err[1] == "error: unrecognized arguments: --tol strict"
+    assert not out.exists()
 
 
 def test_parse_t_grid():
@@ -658,9 +677,6 @@ def test_verify_model_and_random(tmp_path, capsys):
     report = json.loads(open(out).read())
     assert report["n_checks"] > 50
 
-    assert cli.main(["verify", "classical_1d", "--tol", "loose",
-                     "--out", out]) == 0
-
 
 def test_fock_subcommand(tmp_path):
     mat = _write(tmp_path / "T.json", {"T": [[0.5, 0.3], [0.0, -0.4]]})
@@ -694,6 +710,26 @@ def test_fock_scalar_and_diagonal_oracles(tmp_path):
     got = sorted(p["re"] for p in report["sym_spectrum"]["points"])
     want = sorted([1.0, 0.5, 1 / 3, 0.25, 1 / 6, 1 / 9])
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_fock_past_level_20(tmp_path, capsys):
+    # alpha! passes 2^63 at level 21: a 1x1 T runs (to level 170, where
+    # 170! is the last factorial below the float range); a 2x2 T meets
+    # the tensor size cap, as at levels 13 to 20
+    out = tmp_path / "fock.json"
+    half = _write(tmp_path / "half.json", {"T": [[0.5]]})
+    assert cli.main(["fock", "--matrix", half, "--levels", "21",
+                     "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["hausdorff"]["sym_vs_predicted"] == 0.0
+    assert cli.main(["fock", "--matrix", half, "--levels", "171",
+                     "--out", str(out)]) == 1
+    tri = _write(tmp_path / "tri.json", {"T": [[0.5, 0.1], [0.0, 0.3]]})
+    assert cli.main(["fock", "--matrix", tri, "--levels", "21",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: level 171 over R^1 holds an alpha! beyond the float range",
+        "error: tensor power 13 would have side 8192, above the cap 4096"]
 
 
 # ---------------------------------------------------------------------------
@@ -959,26 +995,6 @@ def test_verify_exits_2_when_q_t_overflows(tmp_path):
         "error: Q_t is not finite at t=2: the growth of exp(tA) overflows "
         "float64"]
     assert not out.exists()
-
-
-def _lyapunov_tolerances(path):
-    report = json.loads(open(path).read())
-    return [c["tolerance"] for c in report["checks"]
-            if c["name"] == "lyapunov_residual"]
-
-
-def test_verify_random_takes_the_tolerance_profile(tmp_path, monkeypatch):
-    out = str(tmp_path / "v.json")
-    argv = ["verify", "--random", "1", "1", "--out", out]
-    assert cli.main(argv) == 0
-    (default,) = _lyapunov_tolerances(out)
-    assert cli.main(argv + ["--tol", "strict"]) == 0
-    (strict,) = _lyapunov_tolerances(out)
-    monkeypatch.setenv("OU_SPECTRA_TOL_PROFILE", "loose")
-    assert cli.main(argv) == 0
-    (loose,) = _lyapunov_tolerances(out)
-    assert math.isclose(strict, 1e-2 * default)
-    assert math.isclose(loose, 1e2 * default)
 
 
 def test_exit_3_on_failed_suite(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,4 @@
-"""Tolerance presets and the error taxonomy."""
-
-import math
+"""Tolerance defaults and overrides, and the error taxonomy."""
 
 import pytest
 
@@ -19,29 +17,8 @@ def test_default_values():
     assert tol.sym_tol == 1e-10
     assert tol.rank_tol == 1e-10
     assert tensor_fock.DEFAULT_SIZE_CAP == 4096
-
-
-def test_scaled_touches_floats_only():
-    tol = config.DEFAULT.scaled(10.0)
-    assert math.isclose(tol.sym_tol, 1e-9)
-    assert math.isclose(tol.stab_tol, 1e-7)
     # the memory guard is a module constant, not a tolerance
     assert not hasattr(tol, "size_cap")
-
-
-def test_profiles():
-    assert config.from_profile("default") is config.DEFAULT
-    assert math.isclose(config.from_profile("strict").sym_tol, 1e-12)
-    assert math.isclose(config.from_profile("loose").sym_tol, 1e-8)
-    with pytest.raises(ValueError):
-        config.from_profile("nope")
-
-
-def test_from_env(monkeypatch):
-    monkeypatch.delenv("OU_SPECTRA_TOL_PROFILE", raising=False)
-    assert config.from_env() is config.DEFAULT
-    monkeypatch.setenv("OU_SPECTRA_TOL_PROFILE", "strict")
-    assert config.from_env() is config.PROFILES["strict"]
 
 
 def test_with_overrides():

@@ -51,11 +51,9 @@ from ou_spectra.gramian import (
     gramian_t,
     invertibility_equivalence_report,
     is_stable,
-    quadratic_form_ratio_sup,
     rank_psd,
     rkhs_factor,
     smu_matrix,
-    smu_norm,
     spectral_abscissa,
     strong_feller_check,
     validate,
@@ -65,6 +63,18 @@ from ou_spectra.verification import random_stable_model
 from euler_maruyama import psd_sqrt
 import curve_reference
 from report_reference import to_jsonable
+
+
+def smu_norm(model, t):
+    # ||S_mu(t)||, the curve kernel on one horizon
+    return gramian._curve(model, [t])[0][0]
+
+
+def ratio_sup(P, R, rank_tol):
+    # sup <Px, x> / <Rx, x> over range(R), the stacked kernel on one R
+    return float(gramian._ratio_sups(P, np.asarray(R, dtype=float)[None],
+                                     rank_tol)[0])
+
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],
@@ -409,7 +419,7 @@ def test_norm_identity():
 
 def test_quadratic_form_ratio_inf_sentinel():
     # mass outside range(R) -> sup is infinite
-    val = quadratic_form_ratio_sup(np.eye(2), np.diag([1.0, 0.0]), 1e-10)
+    val = ratio_sup(np.eye(2), np.diag([1.0, 0.0]), 1e-10)
     assert val == math.inf
 
 
@@ -484,8 +494,7 @@ def test_one_horizon_calls_match_the_loop():
             assert (smu_matrix(model, t).tobytes()
                     == curve_reference.smu_matrix(model, t).tobytes())
             assert contractivity_constant(model, t) == want
-            assert quadratic_form_ratio_sup(gramian_inf(model), Qt,
-                                            1e-10) == want
+            assert ratio_sup(gramian_inf(model), Qt, 1e-10) == want
 
 
 def test_ratio_sup_matches_the_loop_on_hand_built_pairs():
@@ -500,10 +509,10 @@ def test_ratio_sup_matches_the_loop_on_hand_built_pairs():
              (np.eye(3), np.zeros((3, 3))), (np.eye(3), np.diag([1, 1, 0.0])),
              (np.diag([1, 1, 0.0]), np.diag([2, 1, 0.0]) + skew)]
     for P, R in cases:
-        got = quadratic_form_ratio_sup(P, R, 1e-10)
+        got = ratio_sup(P, R, 1e-10)
         want = curve_reference.ratio_sup(P, R, 1e-10)
         assert np.array(got).tobytes() == np.array(want).tobytes(), (P, R)
-    assert quadratic_form_ratio_sup(-np.eye(3), np.eye(3), 1e-10) == 0.0
+    assert ratio_sup(-np.eye(3), np.eye(3), 1e-10) == 0.0
 
 
 def test_curve_of_a_rank_0_factor_makes_no_flow(monkeypatch):
@@ -606,7 +615,7 @@ def test_rank_cut_drops_value_at_threshold(rank_tol):
         assert rank_psd(Q, rank_tol) == want
         assert controllability_rank(np.zeros((2, 2)), Q, rank_tol) == want
         # mass off the kept range makes the supremum infinite
-        ratio = quadratic_form_ratio_sup(np.eye(2), Q, rank_tol)
+        ratio = ratio_sup(np.eye(2), Q, rank_tol)
         assert (ratio == math.inf) == (want == 1)
     # Kalman matrix [B, 0B] with B = psd_sqrt(diag(1, rank_tol^2))
     Q = np.diag([1.0, rank_tol ** 2])
@@ -630,7 +639,7 @@ def test_rank_cuts_agree_next_to_the_cut():
     assert controllability_rank(np.zeros((4, 4)), M, 1e-10) == r
     # the direction next to the cut is inside the range iff it is kept
     u = U[:, 2:3]
-    ratio = quadratic_form_ratio_sup(u @ u.T, M, 1e-10)
+    ratio = ratio_sup(u @ u.T, M, 1e-10)
     assert (ratio < math.inf) == (r == 3)
 
 

@@ -48,6 +48,7 @@ from ou_spectra.verification import random_stable_model
 
 from euler_maruyama import InvalidStep, euler_mean_cov, simulate_paths
 from gaussian_moments import mgf_gram
+from occupation import position
 from report_reference import to_jsonable
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
@@ -89,7 +90,7 @@ def test_poly_basis_degrees():
 def _monomial(basis, alpha):
     """Coefficient vector of ``x^alpha``."""
     c = np.zeros(basis.dim)
-    c[basis.position(alpha)] = 1.0
+    c[position(basis, alpha)] = 1.0
     return c
 
 
@@ -109,15 +110,15 @@ def _polynomial_from_json(data, basis=None):
         basis = poly_basis(d, max(sum(a) for a in parsed))
     coeffs = np.zeros(basis.dim)
     for alpha, val in parsed.items():
-        coeffs[basis.position(alpha)] = val
+        coeffs[position(basis, alpha)] = val
     return basis, coeffs
 
 
 def test_polynomial_json_round_trip():
     b = poly_basis(2, 3)
     c = np.zeros(b.dim)
-    c[b.position((2, 1))] = 1.5
-    c[b.position((0, 0))] = -2.0
+    c[position(b, (2, 1))] = 1.5
+    c[position(b, (0, 0))] = -2.0
     data = json.loads(json.dumps(_polynomial_to_json(b, c)))
     _, g = _polynomial_from_json(data, basis=b)
     assert_allclose(g, c, atol=0)
@@ -151,11 +152,11 @@ def test_assemble_L_classical_columns():
     b = poly_basis(1, 5)
     L = assemble_L(CLASSICAL, b)
     for n in range(6):
-        col = L[:, b.position((n,))]
+        col = L[:, position(b, (n,))]
         want = np.zeros(b.dim)
-        want[b.position((n,))] = -n
+        want[position(b, (n,))] = -n
         if n >= 2:
-            want[b.position((n - 2,))] = n * (n - 1) / 2.0
+            want[position(b, (n - 2,))] = n * (n - 1) / 2.0
         assert_allclose(col, want, atol=0)
 
 
@@ -166,12 +167,12 @@ def test_assemble_L_drift_hand_oracle():
     b = poly_basis(2, 2)
     L = assemble_L(m, b)
     want = np.zeros(b.dim)
-    want[b.position((0, 1))] = 1.0
-    assert_allclose(L[:, b.position((1, 0))], want, atol=0)
-    assert_allclose(L[:, b.position((0, 1))], 0.0, atol=0)
+    want[position(b, (0, 1))] = 1.0
+    assert_allclose(L[:, position(b, (1, 0))], want, atol=0)
+    assert_allclose(L[:, position(b, (0, 1))], 0.0, atol=0)
     want = np.zeros(b.dim)
-    want[b.position((0, 2))] = 1.0
-    assert_allclose(L[:, b.position((1, 1))], want, atol=0)
+    want[position(b, (0, 2))] = 1.0
+    assert_allclose(L[:, position(b, (1, 1))], want, atol=0)
 
 
 def _sympy_generator(model, basis):
@@ -188,7 +189,7 @@ def _sympy_generator(model, basis):
                                      (0.5 * model.Q[i, j],
                                       sympy.diff(f_i, xs[j]))):
                     for monom, coeff in sympy.Poly(term, *xs).terms():
-                        L[basis.position(monom), col] += weight * int(coeff)
+                        L[position(basis, monom), col] += weight * int(coeff)
     return L
 
 
@@ -236,8 +237,8 @@ def test_mehler_classical_squares():
         g = mehler_matrix(CLASSICAL, t, b) @ f
         qt = gramian_t(CLASSICAL, t)[0, 0]
         # P(t) x^2 = e^{-2t} x^2 + Q_t
-        assert_allclose(g[b.position((2,))], math.exp(-2 * t), atol=1e-12)
-        assert_allclose(g[b.position((0,))], qt, atol=1e-12)
+        assert_allclose(g[position(b, (2,))], math.exp(-2 * t), atol=1e-12)
+        assert_allclose(g[position(b, (0,))], qt, atol=1e-12)
 
 
 def test_mehler_cross_term_jordan():
@@ -249,10 +250,10 @@ def test_mehler_cross_term_jordan():
     F = expm(t * JORDAN.A)
     qt = gramian_t(JORDAN, t)
     want = np.zeros(b.dim)
-    want[b.position((0, 0))] = qt[0, 1]
-    want[b.position((2, 0))] = F[0, 0] * F[1, 0]
-    want[b.position((1, 1))] = F[0, 0] * F[1, 1] + F[0, 1] * F[1, 0]
-    want[b.position((0, 2))] = F[0, 1] * F[1, 1]
+    want[position(b, (0, 0))] = qt[0, 1]
+    want[position(b, (2, 0))] = F[0, 0] * F[1, 0]
+    want[position(b, (1, 1))] = F[0, 0] * F[1, 1] + F[0, 1] * F[1, 0]
+    want[position(b, (0, 2))] = F[0, 1] * F[1, 1]
     assert_allclose(g, want, atol=1e-13)
 
 
@@ -309,8 +310,8 @@ def test_chaos_classical_hermite():
     Phi_2, Psi_2 = chaos.layer(2)
     proj = Phi_2 @ (Psi_2 @ f)
     want = np.zeros(b.dim)
-    want[b.position((2,))] = 1.0
-    want[b.position((0,))] = -0.5
+    want[position(b, (2,))] = 1.0
+    want[position(b, (0,))] = -0.5
     assert_allclose(proj, want, atol=1e-12)
 
 
@@ -345,9 +346,9 @@ def test_chaos_layers_mu_orthogonal():
 @pytest.mark.parametrize("d, N", [(1, 4), (2, 3), (3, 4), (4, 2)])
 def test_position_indexes_the_monomials(d, N):
     b = poly_basis(d, N)
-    assert [b.position(alpha) for alpha in b.monomials] == list(range(b.dim))
+    assert [position(b, alpha) for alpha in b.monomials] == list(range(b.dim))
     with pytest.raises(KeyError):
-        b.position((N + 1,) + (0,) * (d - 1))
+        position(b, (N + 1,) + (0,) * (d - 1))
 
 
 def test_chaos_rejects_degenerate():

@@ -17,6 +17,7 @@ graded ordering (2,0) > (1,1) > (0,2):
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -26,9 +27,8 @@ from ou_spectra.errors import InputError, NotContraction, SizeCap
 from ou_spectra.spectra import SpectrumSet, eig, hausdorff, product_set
 from ou_spectra.tensor_fock import (
     FockTruncation,
+    _sqrt_factorials,
     _substitution_tables,
-    annihilation,
-    creation,
     derivation_block,
     dgamma,
     embedding,
@@ -38,6 +38,8 @@ from ou_spectra.tensor_fock import (
     sym_power,
     tensor_power,
 )
+
+from occupation import annihilation, creation
 
 SQ2 = math.sqrt(2.0)
 
@@ -193,6 +195,31 @@ def test_size_cap():
     assert peak < 1 << 20
 
 
+def test_sqrt_factorials_keep_the_int64_bits():
+    # every alpha! below 2^63 (levels <= 20) gives the bits of the root of
+    # numpy's int64 array, as the diagonal was built before
+    for d in (1, 2, 3):
+        for n in range(21):
+            old = np.sqrt([math.prod(math.factorial(a) for a in alpha)
+                           for alpha in multi_indices(d, n)])
+            assert old.dtype == np.float64
+            assert _sqrt_factorials(d, n).tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("n", [21, 100])
+def test_sqrt_factorials_past_int64_agree_with_mpmath(n):
+    (got,) = _sqrt_factorials(1, n)
+    with mpmath.workdps(60):
+        want = float(mpmath.sqrt(math.factorial(n)))
+    assert abs(got - want) <= math.ulp(want)
+
+
+def test_sqrt_factorials_refuse_an_alpha_beyond_the_float_range():
+    assert math.isfinite(_sqrt_factorials(1, 170)[0])
+    with pytest.raises(SizeCap, match="level 171 over R\\^1"):
+        _sqrt_factorials(1, 171)
+
+
 # ---------------------------------------------------------------------------
 # ladder operators
 # ---------------------------------------------------------------------------
@@ -328,11 +355,16 @@ def test_dgamma_spectrum_is_eigenvalue_sums():
 # truncated second quantization
 # ---------------------------------------------------------------------------
 
+def _side(fock):
+    # the side of the block-diagonal matrix on the truncated algebra
+    return sum(block.shape[0] for block in fock.levels)
+
+
 def test_second_quantization_block_structure():
     T = np.array([[0.5, 0.1], [0.0, 0.3]])
     fock = second_quantization(T, 2)
-    assert fock.N == 2
-    assert fock.dim == 1 + 2 + 3
+    assert len(fock.levels) - 1 == 2
+    assert _side(fock) == 1 + 2 + 3
     M = block_diag(*fock.levels)
     assert_allclose(M[0, 0], 1.0, atol=0)
     assert_allclose(M[1:3, 1:3], T, atol=0)
@@ -376,7 +408,7 @@ def test_non_contraction_rejected():
         second_quantization(2.0 * np.eye(2), 2)
     fock = second_quantization(2.0 * np.eye(2), 2,
                                allow_noncontraction=True)
-    assert fock.dim == 6
+    assert _side(fock) == 6
 
 
 def test_tensor_fock_matches_sym_on_spectrum():
@@ -385,7 +417,7 @@ def test_tensor_fock_matches_sym_on_spectrum():
     T = 0.7 * A / np.linalg.norm(A, 2)
     sym = second_quantization(T, 2, symmetric=True)
     full = second_quantization(T, 2, symmetric=False)
-    assert full.dim == 1 + 3 + 9
+    assert _side(full) == 1 + 3 + 9
     assert hausdorff(sym.spectrum(), full.spectrum()) <= 1e-10
 
 

@@ -22,7 +22,11 @@ from ou_spectra.verification import (
     summarize,
 )
 
+from ou_spectra.spectra import SpectrumSet, eig, hausdorff, product_set
+from ou_spectra.tensor_fock import second_quantization
+
 from gaussian_moments import mgf_gram
+from occupation import position
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
 JORDAN = validate([[-1.0, 1.0], [0.0, -1.0]],
@@ -188,7 +192,7 @@ def test_linear_form_product_matches_sympy(d):
         form = lambda v: sum(int(v_i) * x for v_i, x in zip(v, xs))
         expanded = sympy.Poly(sympy.expand(form(a) * form(b)), *xs)
         for monom, coeff in expanded.terms():
-            want[basis.position(monom)] = int(coeff)
+            want[position(basis, monom)] = int(coeff)
         got = verification._linear_product(basis, a.astype(float),
                                            b.astype(float))
         assert np.array_equal(got, want)
@@ -395,6 +399,45 @@ def test_contraction_suite_builds_each_object_once(monkeypatch):
     levels_of_T = sorted(n for b, n in counts["sym_power"]
                          if b == T.tobytes())
     assert levels_of_T == [0, 1, 2, 3, 4]
+
+
+def _spectral_residuals(T, levels):
+    """The three spectral checks of ``contraction_suite`` as the
+    FockTruncation methods make them: each symmetric level decomposed by
+    ``spectrum`` and again by ``embedded_spectrum``."""
+    base = eig(T)
+    prods = [product_set(base, n) for n in range(1, levels + 1)]
+    trunc, bigger = (second_quantization(T, top, allow_noncontraction=True)
+                     for top in (levels, levels + 1))
+    tens = second_quantization(T, levels, symmetric=False).levels
+    pred = SpectrumSet([1.0 + 0.0j])
+    for p in prods:
+        pred = pred.union(p)
+    return {
+        "tensor_sym_product_spectra": max(
+            hausdorff(eig(power[n]), prods[n - 1])
+            for n in range(1, levels + 1) for power in (tens, trunc.levels)),
+        "second_quantization_spectrum": hausdorff(trunc.spectrum(), pred),
+        "truncation_stability": hausdorff(trunc.embedded_spectrum(),
+                                          bigger.embedded_spectrum()),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diagonalizable", "defective"])
+def test_contraction_suite_takes_each_spectrum_once(monkeypatch, kind):
+    # T, its three tensor powers, its five symmetric levels and its three
+    # dGamma lifts: one eig each, the symmetric levels shared by the
+    # product, truncation and stability checks, with the same bits
+    T = random_contraction(np.random.default_rng(5), d=2, kind=kind)
+    want = _spectral_residuals(T, 3)
+    shapes = _count_calls(monkeypatch, verification, "eig",
+                          key=lambda M: M.shape)
+    checks = {c.name: c for c in contraction_suite(T, levels=3)}
+    assert sorted(shapes) == sorted(
+        [(2, 2)] + [(2, 2), (4, 4), (8, 8)]
+        + [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)] + [(2, 2), (3, 3), (4, 4)])
+    for name, residual in want.items():
+        assert checks[name].residual == residual, name
 
 
 def _quadrature_gramian(model, t):

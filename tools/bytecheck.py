@@ -15,7 +15,10 @@ and every report and CSV file the call wrote.
 
 Every argv whose record differs is printed with its differences: exit
 code, stdout, stderr, each changed, added or removed JSON field (with both
-values), and the first differing CSV line.  The exit status is 0 when
+values), and the first differing CSV line.  Below them come how far the
+numbers moved, as the largest relative change of each changed numeric
+JSON field (list indices dropped), and whether a verdict moved: the exit
+code or a ``passed`` field.  The exit status is 0 when
 every record is byte-identical, 1 otherwise.  Roundoff digits differ
 between BLAS builds, so compare two trees on one machine and never
 against stored digests.
@@ -171,31 +174,72 @@ def _worker(src, request, result):
 
 # --- differences -------------------------------------------------------------
 
-def diff_json(base, head, path=""):
-    """``(path, change)`` for each field that differs between two parsed
-    JSON values; `change` is ``base -> head``, ``removed (was base)`` or
-    ``added (head)``."""
+_MISSING = object()
+
+
+def _changed_leaves(base, head, path=""):
+    """``(path, base value, head value)`` for each field that differs
+    between two parsed JSON values, down to the first level where they
+    stop having the same shape; a side without the field holds
+    ``_MISSING``."""
     if isinstance(base, dict) and isinstance(head, dict):
         out = []
         for key in sorted(set(base) | set(head)):
-            sub = "%s.%s" % (path, key) if path else key
-            if key not in head:
-                out.append((sub, "removed (was %s)" % json.dumps(base[key])))
-            elif key not in base:
-                out.append((sub, "added (%s)" % json.dumps(head[key])))
-            else:
-                out += diff_json(base[key], head[key], sub)
+            out += _changed_leaves(base.get(key, _MISSING),
+                                   head.get(key, _MISSING),
+                                   "%s.%s" % (path, key) if path else key)
         return out
     if isinstance(base, list) and isinstance(head, list) \
             and len(base) == len(head):
         out = []
         for k, (b, h) in enumerate(zip(base, head)):
-            out += diff_json(b, h, "%s[%d]" % (path, k))
+            out += _changed_leaves(b, h, "%s[%d]" % (path, k))
         return out
-    if json.dumps(base) == json.dumps(head):
+    if _MISSING not in (base, head) and json.dumps(base) == json.dumps(head):
         return []
-    return [(path or "(root)", "%s -> %s" % (json.dumps(base),
-                                             json.dumps(head)))]
+    return [(path or "(root)", base, head)]
+
+
+def diff_json(base, head):
+    """``(path, change)`` for each field that differs between two parsed
+    JSON values; `change` is ``base -> head``, ``removed (was base)`` or
+    ``added (head)``."""
+    out = []
+    for path, b, h in _changed_leaves(base, head):
+        if h is _MISSING:
+            out.append((path, "removed (was %s)" % json.dumps(b)))
+        elif b is _MISSING:
+            out.append((path, "added (%s)" % json.dumps(h)))
+        else:
+            out.append((path, "%s -> %s" % (json.dumps(b), json.dumps(h))))
+    return out
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def drift(base, head):
+    """How far the numbers of two records of one argv moved: a dict from
+    each changed numeric JSON field (file name and path, list indices
+    dropped) to its largest relative change ``|h - b| / max(|b|, |h|)``,
+    and whether a verdict moved (the exit code, or a field named
+    ``passed`` or ending in ``_passed``)."""
+    moved = {}
+    verdict = base["rc"] != head["rc"]
+    b_files, h_files = base["files"], head["files"]
+    for name in sorted(set(b_files) & set(h_files)):
+        if not name.endswith(".json"):
+            continue
+        for path, b, h in _changed_leaves(json.loads(b_files[name]),
+                                          json.loads(h_files[name])):
+            key = path.rsplit(".", 1)[-1]
+            verdict |= key == "passed" or key.endswith("_passed")
+            if _is_number(b) and _is_number(h):
+                place = "%s %s" % (name, re.sub(r"\[\d+\]", "[]", path))
+                rel = abs(h - b) / max(abs(b), abs(h)) if h != b else 0.0
+                moved[place] = max(moved.get(place, 0.0), rel)
+    return moved, verdict
 
 
 def _diff_text(base, head):
@@ -286,11 +330,17 @@ def main(argv=None):
             differing += len(diffs)
             print("%s: %d argvs, %d differ" % (label, len(argvs),
                                                 len(diffs)))
+            record_pair = dict(zip(map(tuple, argvs), zip(*records)))
             for call, found in diffs:
                 print("  %s" % " ".join(call))
                 for where, change in found:
                     print("    %s: %s" % (where, change))
                     tally[_kind(call, where, change)] += 1
+                moved, verdict = drift(*record_pair[tuple(call)])
+                for place, rel in sorted(moved.items()):
+                    print("    largest relative change %.3g: %s"
+                          % (rel, place))
+                print("    verdict moved: %s" % ("yes" if verdict else "no"))
     print("%d argvs against %s, %d differ" % (total, args.base, differing))
     for kind, count in sorted(tally.items()):
         print("  %5d  %s" % (count, kind))
