@@ -397,11 +397,13 @@ def cmd_fock(args):
     if not np.all(np.isfinite(T)):
         raise InputError("matrix must have finite entries")
     N = args.levels
-    sym = second_quantization(
-        T, N, symmetric=True, allow_noncontraction=args.allow_noncontraction)
-    full = second_quantization(
-        T, N, symmetric=False,
-        allow_noncontraction=args.allow_noncontraction)
+    # Each truncation runs all its guards before it builds a level.  The
+    # tensor cap refuses first when d > 1, as d**n >= sym_dim(d, n); when
+    # d = 1 only the symmetric route's alpha! guard can refuse.
+    lifts = {s: second_quantization(
+        T, N, symmetric=s, allow_noncontraction=args.allow_noncontraction)
+        for s in ((False, True) if len(T) > 1 else (True, False))}
+    sym, full = lifts[True], lifts[False]
     base = eig(T)
     predicted = SpectrumSet([1.0 + 0.0j])
     for n in range(1, N + 1):

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iter_product
+from itertools import accumulate, product as _iter_product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -318,17 +318,27 @@ def second_quantization(T, N, *, symmetric=True,
     T must be a contraction (operator norm at most ``1 + 1e-12``) unless
     ``allow_noncontraction`` is set; without the contraction property the
     discarded levels are not small and the truncation does not approximate
-    anything.
+    anything.  All guards run, level by level, before the first level is
+    built; one sweep (as in :func:`sym_power`) or one Kronecker chain follows.
     """
     T = _square(T, "second_quantization argument")
     if N < 0:
         raise InputError("second_quantization needs N >= 0")
-    norm = float(np.linalg.norm(T, 2))
-    if norm > 1.0 + 1e-12 and not allow_noncontraction:
+    norm = 0.0 if allow_noncontraction else float(np.linalg.norm(T, 2))
+    if norm > 1.0 + 1e-12:
         raise NotContraction(
             "operator norm %.12g exceeds 1; pass allow_noncontraction=True "
             "to lift anyway" % norm)
-    build = sym_power if symmetric else tensor_power
-    levels = tuple(build(T, n) for n in range(N + 1))
-    return FockTruncation(base_dim=T.shape[0], symmetric=symmetric,
-                          levels=levels)
+    d = T.shape[0]
+    scales = []
+    for n in range(N + 1):
+        _check_cap(sym_dim(d, n) if symmetric else d ** n, "%s power %d"
+                   % ("symmetric" if symmetric else "tensor", n))
+        scales.append(_sqrt_factorials(d, n) if symmetric else None)
+    if symmetric:
+        levels = tuple(D[:, None] * block / D[None, :] for D, block
+                       in zip(scales, substitution_levels(T.T, N)))
+    else:
+        levels = tuple(accumulate(range(N), lambda out, _: np.kron(out, T),
+                                  initial=np.eye(1, dtype=T.dtype)))
+    return FockTruncation(base_dim=d, symmetric=symmetric, levels=levels)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -678,6 +679,45 @@ def test_verify_model_and_random(tmp_path, capsys):
     assert report["n_checks"] > 50
 
 
+def test_verify_random_reports_the_model_and_contraction_suites(tmp_path,
+                                                               capsys):
+    # one model suite and one contraction suite: the spectra self-tests
+    # of the package's helpers are tier-1 tests, not report entries
+    out = str(tmp_path / "v.json")
+    assert cli.main(["verify", "--random", "3", "1", "--out", out]) == 0
+    report = json.loads(open(out).read())
+    rng = np.random.default_rng(3)
+    model = verification.random_stable_model(rng, d=2)
+    want = [c.name for c in verification.model_suite(
+        model, seed=int(rng.integers(2 ** 31)))]
+    T = verification.random_contraction(rng, d=2, kind="diagonalizable")
+    want += [c.name for c in verification.contraction_suite(
+        T, seed=int(rng.integers(2 ** 31)), prefix="contraction_0_")]
+    assert [c["name"] for c in report["checks"]] == want
+    assert report["n_checks"] == len(want) == 34
+    stdout = capsys.readouterr().out
+    for check in verification.spectra_suite(0):
+        assert check.name not in stdout
+
+
+@pytest.mark.parametrize("A,Q", [
+    ([[-1.0]], [[0.0]]),
+    ([[-1.0, 0.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    ([[-1.0]], [[5e-324]]),
+])
+def test_verify_on_zero_noise_writes_its_report(tmp_path, capsys, A, Q):
+    # a rank-0 factor has 0x0 restricted flows; the suite runs through
+    # them to its chaos SKIP, as a rank-1 factor does.  The subnormal Q
+    # exits 3 on the strong Feller rank agreement (ROADMAP item 22).
+    path = _write(tmp_path / "zero.json", {"A": A, "Q": Q})
+    out = tmp_path / "zero.out.json"
+    assert cli.main(["verify", path, "--out", str(out)]) in (0, 3)
+    report = json.loads(out.read_text())
+    names = {c["name"] for c in report["checks"]}
+    assert {"restricted_flow_semigroup_law", "chaos_checks"} <= names
+    assert "SKIP chaos_checks" in capsys.readouterr().out
+
+
 def test_fock_subcommand(tmp_path):
     mat = _write(tmp_path / "T.json", {"T": [[0.5, 0.3], [0.0, -0.4]]})
     out = str(tmp_path / "fock.json")
@@ -730,6 +770,36 @@ def test_fock_past_level_20(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: level 171 over R^1 holds an alpha! beyond the float range",
         "error: tensor power 13 would have side 8192, above the cap 4096"]
+
+
+@pytest.mark.parametrize("T,levels,message", [
+    ([[0.5, 0.1], [0.0, 0.3]], "13",
+     "tensor power 13 would have side 8192, above the cap 4096"),
+    ([[0.5, 0.1], [0.0, 0.3]], "200",
+     "tensor power 13 would have side 8192, above the cap 4096"),
+    ([[0.5]], "1000000",
+     "level 171 over R^1 holds an alpha! beyond the float range"),
+])
+def test_fock_refuses_before_it_builds_a_level(tmp_path, capsys, T, levels,
+                                               message):
+    # each truncation's guards run before its first level, and the route
+    # that refuses first is built first: over R^2 the tensor route, whose
+    # 4096^2 level 12 is never built and whose level 13 is named rather
+    # than the symmetric alpha! overflow at level 171; over R^1 the
+    # symmetric route, before a million 1x1 tensor levels
+    path = _write(tmp_path / "T.json", {"T": T})
+    out = tmp_path / "fock.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["fock", "--matrix", path, "--levels", levels,
+                         "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert peak < 1 << 20
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

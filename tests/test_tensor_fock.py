@@ -426,3 +426,47 @@ def test_second_quantization_input_checks():
         second_quantization(np.ones((2, 3)), 2)
     with pytest.raises(InputError):
         second_quantization(np.eye(2), -1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("complex_T", [False, True])
+def test_second_quantization_levels_are_the_single_powers(d, complex_T):
+    # one substitution sweep (or one Kronecker chain) gives each level
+    # with the bits of sym_power (or tensor_power) at that level alone
+    rng = np.random.default_rng(d)
+    T = rng.standard_normal((d, d))
+    if complex_T:
+        T = T + 1j * rng.standard_normal((d, d))
+    for N in range(6):
+        for symmetric, power in ((True, sym_power), (False, tensor_power)):
+            levels = second_quantization(T, N, symmetric=symmetric,
+                                         allow_noncontraction=True).levels
+            assert len(levels) == N + 1
+            for n, block in enumerate(levels):
+                want = power(T, n)
+                assert block.dtype == want.dtype
+                assert block.shape == want.shape
+                assert block.tobytes() == want.tobytes(), (N, n, symmetric)
+
+
+@pytest.mark.parametrize("T,N,symmetric,message", [
+    (0.5 * np.eye(2), 13, False,
+     "tensor power 13 would have side 8192, above the cap 4096"),
+    (0.5 * np.eye(2), 200, False,
+     "tensor power 13 would have side 8192, above the cap 4096"),
+    (0.5 * np.eye(1), 171, True,
+     "level 171 over R^1 holds an alpha! beyond the float range"),
+])
+def test_refused_truncation_builds_no_level(T, N, symmetric, message):
+    # every level's guard runs before the first level is built: the levels
+    # below the refused one (4096^2 doubles at level 12 of the tensor
+    # route) are never allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap) as info:
+            second_quantization(T, N, symmetric=symmetric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 1 << 20

@@ -267,6 +267,20 @@ def test_spectra_suite():
     assert not _failures(spectra_suite(0))
 
 
+#: The self-tests of the Hausdorff and lattice helpers, which ``verify
+#: --random`` does not run: they check the package, not a model.
+SPECTRA_CHECKS = ("hausdorff_symmetry", "hausdorff_triangle_inequality",
+                  "lattice_contains_zero", "lattice_additive_closure",
+                  "lattice_window_monotone")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spectra_self_checks_pass(seed):
+    checks = spectra_suite(seed)
+    assert tuple(c.name for c in checks) == SPECTRA_CHECKS
+    assert not _failures(checks)
+
+
 def test_model_suite_reuses_gramians_and_norms(monkeypatch):
     # each horizon's Q_t is formed once, by the suite or by the curve
     # kernel, and the norms and K(t) of the grid come from one curve call
@@ -323,9 +337,9 @@ def _count_calls(monkeypatch, module, name, key=lambda *args: args[-1]):
     calls = []
     real = getattr(module, name)
 
-    def counting(*args):
-        calls.append(key(*args))
-        return real(*args)
+    def counting(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -383,22 +397,30 @@ def test_contraction_suite_builds_each_object_once(monkeypatch):
     def key(*args):
         return (np.asarray(args[0]).tobytes(), args[1])
 
-    # the lifts of T are built in tensor_fock (by second_quantization),
-    # the powers of the other matrices in verification
-    counts = {name: _count_calls(monkeypatch, verification, name, key)
-              for name in ("tensor_power", "sym_power", "product_set")}
-    lifts = {name: _count_calls(monkeypatch, tensor_fock, name, key)
-             for name in ("tensor_power", "sym_power")}
+    # the lifts of T, S and T @ S come from one truncation each, the
+    # symmetric squares of the other matrices from sym_power; a symmetric
+    # truncation and a sym_power each take one substitution sweep
+    truncations = _count_calls(
+        monkeypatch, verification, "second_quantization",
+        key=lambda M, N, symmetric=True, **_: key(M, N) + (symmetric,))
+    powers = _count_calls(monkeypatch, verification, "sym_power", key)
+    products = _count_calls(monkeypatch, verification, "product_set", key)
+    sweeps = _count_calls(monkeypatch, tensor_fock, "substitution_levels",
+                          key)
     checks = contraction_suite(T, levels=3)
     assert not _failures(checks)
     assert "second_quantization_spectrum" in {c.name for c in checks}
-    for name, calls in lifts.items():
-        counts[name] += calls
-    for name, calls in counts.items():
-        assert calls and len(set(calls)) == len(calls), name
-    levels_of_T = sorted(n for b, n in counts["sym_power"]
-                         if b == T.tobytes())
-    assert levels_of_T == [0, 1, 2, 3, 4]
+    for calls in (truncations, powers, products, sweeps):
+        assert calls and len(set(calls)) == len(calls)
+    # no (matrix, level) lift is built twice, on either route
+    lifts = [(M, n, symmetric) for M, N, symmetric in truncations
+             for n in range(N + 1)] + [(M, n, True) for M, n in powers]
+    assert len(set(lifts)) == len(lifts)
+    assert len({M for M, _, _ in truncations}) == 3
+    # T's symmetric levels 0-4 come from one sweep of T'
+    assert [N for M, N, symmetric in truncations
+            if M == T.tobytes() and symmetric] == [4]
+    assert [N for M, N in sweeps if M == T.T.tobytes()] == [4]
 
 
 def _spectral_residuals(T, levels):
@@ -660,6 +682,25 @@ def test_random_suite_aggregates():
     assert summary["n_failed"] == 0
     assert summary["n_checks"] == len(checks)
     assert len(summary["untested_theory"]) == len(UNTESTED_THEORY)
+
+
+@pytest.mark.parametrize("seed,count", [(0, 1), (7, 2), (123, 3)])
+def test_random_suite_is_the_model_and_contraction_suites(seed, count):
+    # the same draws as the two suites called directly: the spectra
+    # self-tests' seed was the last draw, so no earlier one moved
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(count):
+        model = random_stable_model(rng, d=2)
+        want += model_suite(model, seed=int(rng.integers(2 ** 31)))
+    for i in range(max(count // 2, 1)):
+        kind = "defective" if i % 2 else "diagonalizable"
+        T = random_contraction(rng, d=2, kind=kind)
+        want += contraction_suite(T, seed=int(rng.integers(2 ** 31)),
+                                  prefix="contraction_%d_" % i)
+    got = random_suite(seed, count)
+    assert got == want
+    assert not {c.name for c in got} & set(SPECTRA_CHECKS)
 
 
 def test_summarize_reports_failures(monkeypatch):
