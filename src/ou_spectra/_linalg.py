@@ -217,13 +217,13 @@ def lyapunov(A, Q, eigenvalues):
     the residual.  Matrix products and one inverse, O(d^3) per step.
     """
     lam = np.asarray(eigenvalues)
-    p = math.sqrt(float(np.abs(lam.real).min() * np.abs(lam).max()))
     eye = np.eye(len(A))
-    R = np.linalg.inv(A - p * eye)
-    X = (2.0 * p) * (R @ Q @ R.T)
-    F = (2.0 * p) * R + eye
     eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
+        p = math.sqrt(float(np.abs(lam.real).min() * np.abs(lam).max()))
+        R = np.linalg.inv(A - p * eye)
+        X = (2.0 * p) * (R @ Q @ R.T)
+        F = (2.0 * p) * R + eye
         for _ in range(_SMITH_STEPS):
             step = F @ X @ F.T
             X += step

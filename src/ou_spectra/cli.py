@@ -50,13 +50,14 @@ from .spectra import (
     LatticeWindow,
     SpectrumSet,
     _eigvals,
+    _square,
     eig,
     hausdorff,
     lattice_spectrum,
     match_report,
     product_set,
 )
-from .tensor_fock import _square, second_quantization
+from .tensor_fock import second_quantization
 from . import verification
 
 EXIT_OK = 0
@@ -77,16 +78,6 @@ def list_bundled():
                   if p.name.endswith(".json"))
 
 
-def bundled_model_path(name):
-    """Filesystem path of a bundled model (usable as a CLI argument)."""
-    path = resources.files(__package__) / "models" / (name + ".json")
-    if not path.is_file():
-        raise InputError(
-            "no bundled model %r (available: %s)"
-            % (name, ", ".join(list_bundled())))
-    return str(path)
-
-
 def _read_json(path, what):
     """The JSON value in the `what` file `path`, or an input error."""
     try:
@@ -104,10 +95,10 @@ def load_model(path):
     optional keys "name" and "tolerances" (field -> value overrides).
     """
     if not os.path.exists(path):
-        try:
-            path = bundled_model_path(path)
-        except InputError:
-            raise InputError("model file not found: %s" % path) from None
+        bundled = resources.files(__package__) / "models" / (path + ".json")
+        if not bundled.is_file():
+            raise InputError("model file not found: %s" % path)
+        path = str(bundled)
     data = _read_json(path, "model")
     if not isinstance(data, dict) or "A" not in data or "Q" not in data:
         raise InputError('model file %s must be a JSON object with keys '

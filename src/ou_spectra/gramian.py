@@ -226,6 +226,16 @@ def is_stable(model):
     return spectral_abscissa(model) < -model.tol.stab_tol
 
 
+def _horizon(t, what, positive=False):
+    """`t` as a float, or an :class:`InputError` naming the function `what`
+    unless it is finite and at least 0 (above 0 when `positive`)."""
+    t = float(t)
+    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
+        raise InputError("%s needs a finite t %s 0, got %g"
+                         % (what, ">" if positive else ">=", t))
+    return t
+
+
 def _expm(M, t, what):
     """``exp(tM)``, refused if not finite, naming ``t`` and `what` M is."""
     E = expm(t * M)
@@ -253,9 +263,7 @@ def gramian_t(model, t):
     non-finite ``Q_t`` raises :class:`ExpmFailure`, with no overflow
     warning: ``G F.T`` can overflow while both factors are finite.
     """
-    t = float(t)
-    if t < 0:
-        raise InputError("gramian_t needs t >= 0, got %g" % t)
+    t = _horizon(t, "gramian_t")
     d = model.dim
     if t == 0.0:
         return np.zeros((d, d))
@@ -443,9 +451,7 @@ def smu_matrix(model, t):
         If ``exp(tA)`` leaks out of the range beyond
         ``inv_tol * (1 + norm of the image)``.
     """
-    t = float(t)
-    if t < 0:
-        raise InputError("smu_matrix needs t >= 0, got %g" % t)
+    t = _horizon(t, "smu_matrix")
     factor = model.invariant_factor  # rank 0: no flow, and B(t) is 0 x 0
     F = flow(model, t) if factor.rank else np.zeros((model.dim,) * 2)
     return _restricted(model, [t], [F])[0]
@@ -459,9 +465,7 @@ def contractivity_constant(model, t):
     ``range(Q_t)``, which cannot happen for a valid stable model but is the
     honest answer for hand-built covariance pairs.
     """
-    t = float(t)
-    if t <= 0:
-        raise InputError("contractivity_constant needs t > 0, got %g" % t)
+    t = _horizon(t, "contractivity_constant", positive=True)
     Qt = gramian_t(model, t)
     Qi = gramian_inf(model)
     return float(_ratio_sups(Qi, Qt[None], model.tol.rank_tol)[0])
@@ -537,9 +541,7 @@ def strong_feller_check(model, t):
         The message names, for each criterion, the smallest kept and the
         largest dropped value, each against its cut.
     """
-    t = float(t)
-    if t <= 0:
-        raise InputError("strong_feller_check needs t > 0, got %g" % t)
+    t = _horizon(t, "strong_feller_check", positive=True)
     return _checked_rank(model, gramian_t(model, t), t) == model.dim
 
 
@@ -582,9 +584,7 @@ def gramian_report(model, t):
     ``t = 0`` the kernel is a point mass, so ``strong_feller`` is False by
     convention and the rank cross-check (which needs ``t > 0``) is skipped.
     """
-    t = float(t)
-    if t < 0:
-        raise InputError("gramian_report needs t >= 0, got %g" % t)
+    t = _horizon(t, "gramian_report")
     stable = is_stable(model)
     Qt = gramian_t(model, t)
     if t > 0:
@@ -623,23 +623,18 @@ class InvertibilityReport:
     note: str
 
 
-def invertibility_equivalence_report(model):
+def invertibility_equivalence_report(model, grams=None):
     """Check that ``Q_inf`` and all ``Q_t`` agree on invertibility.
 
     The rank of ``Q_t`` is constant over ``t > 0`` (it equals the Kalman
     rank), so for a stable drift invertibility of ``Q_inf`` must match the
-    verdict at every point of the grid ``t = 0.1, 1, 5``.  A mismatch is
-    reported with ``equivalent=False``, never hidden; for an unstable
-    drift the equivalence is vacuous and ``equivalent`` is None.
+    verdict of each ``Q_t`` in `grams` (horizon to ``Q_t``; by default
+    ``t = 0.1, 1, 5``).  A mismatch is reported with ``equivalent=False``,
+    never hidden; for an unstable drift the equivalence is vacuous,
+    ``equivalent`` is None and the note is :func:`gramian_inf`'s refusal.
     """
-    return _invertibility_report(
-        model, {t: gramian_t(model, t) for t in (0.1, 1.0, 5.0)})
-
-
-def _invertibility_report(model, grams):
-    """:func:`invertibility_equivalence_report` on the Gramians ``grams``
-    (horizon to ``Q_t``) already formed by the caller.  For an unstable
-    drift the note is the message of :func:`gramian_inf`'s refusal."""
+    if grams is None:
+        grams = {t: gramian_t(model, t) for t in (0.1, 1.0, 5.0)}
     per_t = {t: rank_psd(Qt, model.tol.rank_tol) == model.dim
              for t, Qt in grams.items()}
     try:

@@ -45,10 +45,11 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, InputError
-from .gramian import (_expm, flow, gramian_t, nondegenerate_factor,
+from .gramian import (_expm, _horizon, flow, gramian_t, nondegenerate_factor,
                       smu_matrix)
-from .tensor_fock import (_sqrt_factorials, derivation_block, heat_block,
-                          multi_indices, substitution_levels, sym_power)
+from .tensor_fock import (_readonly, _sqrt_factorials, derivation_block,
+                          heat_block, multi_indices, substitution_levels,
+                          sym_power)
 
 __all__ = [
     "PolyBasis", "poly_basis", "assemble_L", "galerkin_blocks",
@@ -96,19 +97,15 @@ class PolyBasis:
 
 @lru_cache(maxsize=None)
 def _poly_degrees(d, N):
-    deg = np.repeat(np.arange(N + 1),
-                    [comb(d + n - 1, n) for n in range(N + 1)])
-    deg.flags.writeable = False
-    return deg
+    return _readonly(np.repeat(np.arange(N + 1),
+                               [comb(d + n - 1, n) for n in range(N + 1)]))
 
 
 @lru_cache(maxsize=None)
 def _parity_classes(d, N):
     deg = _poly_degrees(d, N)
-    classes = tuple(np.flatnonzero(deg % 2 == p) for p in range(min(2, N + 1)))
-    for idx in classes:
-        idx.flags.writeable = False
-    return classes
+    return tuple(_readonly(np.flatnonzero(deg % 2 == p))
+                 for p in range(min(2, N + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -220,9 +217,7 @@ def mehler_matrix(model, t, basis):
     Averaging over G is the heat operator ``exp(1/2 Tr(Q_t D^2))``; the
     substitution ``x -> exp(tA) x`` follows it.
     """
-    t = float(t)
-    if t < 0:
-        raise InputError("mehler_matrix needs t >= 0, got %g" % t)
+    t = _horizon(t, "mehler_matrix")
     _require_basis(model, basis)
     return _graded(gramian_t(model, t), basis,
                    left=list(substitution_levels(flow(model, t), basis.N)))
@@ -395,9 +390,7 @@ def verify_second_quantization(model, t, N):
     NaN if any deviation is NaN.  L's blocks are dropped once (a) is
     formed, and a singular ``Q_inf`` is refused before any of them is built.
     """
-    t = float(t)
-    if t < 0:
-        raise InputError("verify_second_quantization needs t >= 0")
+    t = _horizon(t, "verify_second_quantization")
     basis = poly_basis(model.dim, N)
     nondegenerate_factor(model)
     P_gen = _generator_exp(galerkin_blocks(model, basis), basis, t)

@@ -21,7 +21,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import EigFailure, EmptySet, EnumCap, InputError, Unstable
+from .errors import (DimensionMismatch, EigFailure, EmptySet, EnumCap,
+                     InputError, Unstable)
 
 #: Radius at which every spectrum set merges its points.
 DEFAULT_CLUSTER_RADIUS = 1e-7
@@ -160,19 +161,26 @@ class SpectrumSet:
         return SpectrumSet(self.points[keep])
 
 
+def _square(M, name):
+    """`M` as an array, or a :class:`DimensionMismatch` naming it."""
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch("%s must be square, got shape %r"
+                                % (name, M.shape))
+    return M
+
+
 def eig(matrix):
     """Eigenvalues of a dense matrix as a :class:`SpectrumSet`.
 
     Raises
     ------
+    DimensionMismatch
+        If the matrix is not square.
     EigFailure
         If the QR iteration fails to converge or produces non-finite values.
     """
-    M = np.asarray(matrix)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError("eig expects a square matrix, got shape %r"
-                         % (M.shape,))
-    return SpectrumSet(_eigvals(M))
+    return SpectrumSet(_eigvals(_square(matrix, "eig argument")))
 
 
 def _eigvals(M, vectors=False):

@@ -45,8 +45,8 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NotContraction, SizeCap
-from .spectra import SpectrumSet, eig
+from .errors import InputError, NotContraction, SizeCap
+from .spectra import SpectrumSet, _square, eig
 
 __all__ = [
     "multi_indices", "sym_dim", "embedding", "tensor_power",
@@ -144,25 +144,11 @@ def _sqrt_factorials(d, n):
     return _readonly(np.sqrt(facts))
 
 
-def _square(T, name):
-    T = np.asarray(T)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise DimensionMismatch("%s must be square, got shape %r"
-                                % (name, T.shape))
-    return T
-
-
 def tensor_power(T, n):
-    """Plain n-fold Kronecker power of T (n = 0 gives the 1x1 identity)."""
-    T = _square(T, "tensor_power argument")
-    if n < 0:
-        raise InputError("tensor_power needs n >= 0")
-    d = T.shape[0]
-    _check_cap(d ** n, "tensor power %d" % n)
-    out = np.eye(1, dtype=T.dtype)
-    for _ in range(n):
-        out = np.kron(out, T)
-    return out
+    """Plain n-fold Kronecker power of T (n = 0 gives the 1x1 identity):
+    the top level of the tensor :func:`second_quantization`."""
+    return second_quantization(T, n, symmetric=False,
+                               allow_noncontraction=True).levels[-1]
 
 
 @lru_cache(maxsize=None)
@@ -242,20 +228,12 @@ def heat_block(Q, n):
 
 def sym_power(T, n):
     """Restriction of the n-fold tensor power to the symmetric subspace,
-    in occupation coordinates.
-
-    Built as ``D_n S_n(T') D_n^-1`` (:func:`substitution_levels`) with
-    ``D_n = diag(sqrt(alpha!))``, so the cap applies to the symmetric
+    in occupation coordinates: the top level of the symmetric
+    :func:`second_quantization`, so the cap applies to the symmetric
     dimension only.
     """
-    T = _square(T, "sym_power argument")
-    if n < 0:
-        raise InputError("sym_power needs n >= 0")
-    d = T.shape[0]
-    _check_cap(sym_dim(d, n), "symmetric power %d" % n)
-    D = _sqrt_factorials(d, n)
-    block = list(substitution_levels(T.T, n))[-1]  # lower levels freed
-    return D[:, None] * block / D[None, :]
+    return second_quantization(T, n, symmetric=True,
+                               allow_noncontraction=True).levels[-1]
 
 
 def dgamma(M, n):
@@ -318,8 +296,9 @@ def second_quantization(T, N, *, symmetric=True,
     T must be a contraction (operator norm at most ``1 + 1e-12``) unless
     ``allow_noncontraction`` is set; without the contraction property the
     discarded levels are not small and the truncation does not approximate
-    anything.  All guards run, level by level, before the first level is
-    built; one sweep (as in :func:`sym_power`) or one Kronecker chain follows.
+    anything.  Every size cap runs before the first ``alpha!`` guard, and
+    every guard before the first level; one sweep (:func:`substitution_levels`)
+    or one Kronecker chain then builds the levels.
     """
     T = _square(T, "second_quantization argument")
     if N < 0:
@@ -330,12 +309,13 @@ def second_quantization(T, N, *, symmetric=True,
             "operator norm %.12g exceeds 1; pass allow_noncontraction=True "
             "to lift anyway" % norm)
     d = T.shape[0]
-    scales = []
-    for n in range(N + 1):
+    # A side above 1 grows by at least one a level and a side of at most 1
+    # passes the cap, so no level beyond the cap is the first one refused.
+    for n in range(min(N, DEFAULT_SIZE_CAP) + 1):
         _check_cap(sym_dim(d, n) if symmetric else d ** n, "%s power %d"
                    % ("symmetric" if symmetric else "tensor", n))
-        scales.append(_sqrt_factorials(d, n) if symmetric else None)
     if symmetric:
+        scales = [_sqrt_factorials(d, n) for n in range(N + 1)]
         levels = tuple(D[:, None] * block / D[None, :] for D, block
                        in zip(scales, substitution_levels(T.T, N)))
     else:

@@ -253,7 +253,7 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
         out.append(CheckResult("strong_feller_rank_agreement", False,
                                math.inf, 0.0, str(exc)))
 
-    inv_rep = _gr._invertibility_report(
+    inv_rep = _gr.invertibility_equivalence_report(
         model, {t: grams[t] for t in T_GRID[:3]})
     if inv_rep.equivalent is None:
         out.append(_skip("invertibility_equivalence", inv_rep.note))

@@ -58,6 +58,8 @@ from ou_spectra.gramian import (
     strong_feller_check,
     validate,
 )
+from ou_spectra.ou_operator import (mehler_matrix, poly_basis,
+                                    verify_second_quantization)
 from ou_spectra.verification import random_stable_model
 
 from euler_maruyama import psd_sqrt
@@ -159,6 +161,34 @@ def test_gramian_t_zero_and_negative():
     assert_allclose(gramian_t(JORDAN, 0.0), np.zeros((2, 2)), atol=0)
     with pytest.raises(InputError):
         gramian_t(JORDAN, -0.5)
+
+
+HORIZON_GUARDS = [
+    ("gramian_t", gramian_t, False),
+    ("smu_matrix", smu_matrix, False),
+    ("contractivity_constant", contractivity_constant, True),
+    ("strong_feller_check", strong_feller_check, True),
+    ("gramian_report", gramian_report, False),
+    ("mehler_matrix",
+     lambda model, t: mehler_matrix(model, t, poly_basis(2, 2)), False),
+    ("verify_second_quantization",
+     lambda model, t: verify_second_quantization(model, t, 2), False),
+]
+
+
+@pytest.mark.parametrize("name,call,positive", HORIZON_GUARDS,
+                         ids=[g[0] for g in HORIZON_GUARDS])
+def test_horizon_guards_refuse_bad_t_as_input(name, call, positive):
+    # a NaN or infinite horizon is bad input, refused before any
+    # exponential is formed
+    bad = [math.nan, math.inf, -math.inf, -1.0] + ([0.0] if positive else [])
+    for t in bad:
+        with pytest.raises(InputError) as info:
+            call(JORDAN, t)
+        want = "%s needs a finite t %s 0, got %g" % (
+            name, ">" if positive else ">=", t)
+        assert str(info.value) == want
+    call(JORDAN, 0.5 if positive else 0.0)
 
 
 def test_gramian_t_refuses_an_overflowing_product():

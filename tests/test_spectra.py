@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ou_spectra import spectra
-from ou_spectra.errors import EmptySet, EnumCap, InputError, Unstable
+from ou_spectra.errors import (DimensionMismatch, EmptySet, EnumCap,
+                               InputError, Unstable)
 from ou_spectra.spectra import (
     LatticeWindow,
     SpectrumSet,
@@ -255,6 +256,15 @@ def test_eig_matches_numpy_on_diagonal():
     s = eig(D)
     assert_allclose(sorted(s.points.real), [-3.5, -2.0, -1.0], atol=0)
     assert_allclose(s.points.imag, 0.0, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+def test_eig_refuses_a_non_square_matrix(shape):
+    # the square check that tensor_fock and fock share
+    with pytest.raises(DimensionMismatch) as info:
+        eig(np.zeros(shape))
+    assert str(info.value) == \
+        "eig argument must be square, got shape %r" % (shape,)
 
 
 def test_product_set_hand_oracle():

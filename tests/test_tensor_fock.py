@@ -195,6 +195,21 @@ def test_size_cap():
     assert peak < 1 << 20
 
 
+def test_every_size_cap_runs_before_any_alpha_guard():
+    # levels 0..5000 are capped first: level 4096 is refused before the
+    # alpha! diagonal of any level is formed and cached
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap) as info:
+            second_quantization(np.eye(2), 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == \
+        "symmetric power 4096 would have side 4097, above the cap 4096"
+    assert peak < 1 << 20
+
+
 def test_sqrt_factorials_keep_the_int64_bits():
     # every alpha! below 2^63 (levels <= 20) gives the bits of the root of
     # numpy's int64 array, as the diagonal was built before
@@ -455,6 +470,8 @@ def test_second_quantization_levels_are_the_single_powers(d, complex_T):
     (0.5 * np.eye(2), 200, False,
      "tensor power 13 would have side 8192, above the cap 4096"),
     (0.5 * np.eye(1), 171, True,
+     "level 171 over R^1 holds an alpha! beyond the float range"),
+    (0.5 * np.eye(1), 10 ** 9, True,
      "level 171 over R^1 holds an alpha! beyond the float range"),
 ])
 def test_refused_truncation_builds_no_level(T, N, symmetric, message):

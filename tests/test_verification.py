@@ -48,6 +48,24 @@ def test_model_suite_bundled_all_pass():
             [(c.name, c.residual) for c in _failures(checks)]
 
 
+@pytest.mark.parametrize("model", [CLASSICAL, JORDAN, DEGENERATE,
+                                   validate([[0.5]], [[1.0]])],
+                         ids=["classical", "jordan", "degenerate", "unstable"])
+def test_model_suite_invertibility_entry_is_the_report(model):
+    # the suite reads the library report on the Gramians it already holds
+    grams = {t: gramian.gramian_t(model, t) for t in verification.T_GRID[:3]}
+    rep = gramian.invertibility_equivalence_report(model, grams)
+    (entry,) = [c for c in model_suite(model)
+                if c.name == "invertibility_equivalence"]
+    if rep.equivalent is None:
+        assert entry == verification._skip("invertibility_equivalence",
+                                           rep.note)
+    else:
+        assert entry == verification._check(
+            "invertibility_equivalence",
+            0.0 if rep.equivalent else math.inf, 0.0, detail=rep.note)
+
+
 def test_model_suite_three_way_shares_leading_blocks():
     # with levels < degree the three-way check reads the leading blocks of
     # the suite's own Mehler matrix and chaos family, and matches the
