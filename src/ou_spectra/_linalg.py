@@ -1,5 +1,6 @@
 """The package's two dense kernels, in numpy alone: the matrix exponential
-(:func:`expm`) and the Lyapunov solve (:func:`lyapunov`).
+(:func:`expm`, and :func:`expm_each` for a stack) and the Lyapunov solve
+(:func:`lyapunov`).
 
 Every Gramian, flow and transition matrix rests on them.  They are not
 taken from ``scipy.linalg``, whose import costs every process about 28 MB
@@ -8,6 +9,16 @@ form for its diagonal and superdiagonal: on the upper-triangular parity
 blocks of the Galerkin generator of a defective drift that misses
 ``exp(L)`` by 27.8 where its largest entry is 1.7e3.  The tests hold both
 kernels to ``scipy.linalg`` and to ``mpmath``.
+
+The two exponentials keep different contracts on a stack.
+:func:`expm_each` gives each matrix the bits :func:`expm` gives it alone,
+and a NaN only where that matrix fails; it serves the flows and Gramians
+of a horizon grid, whose refusal names the first failing horizon.
+:func:`expm` takes one Pade degree and one scaling for the whole stack,
+the largest any matrix needs, and a NaN anywhere makes all of it NaN; it
+serves the quadrature oracle of :mod:`~ou_spectra.verification`, whose
+64-matrix panels then take one Pade step each: 0.5-1.1 ms per oracle at
+d = 2-8, against 1.3-2.1 ms plan by plan (2-core VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -51,13 +62,23 @@ _PARTS = {m: _parts(b) for m, b in _PADE.items()}
 _LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
                         // math.factorial(m) ** 2) for m in _THETA}
 #: Entries per input, its stack included, up to which :func:`_norms`
-#: takes one pass and :class:`_AbsPowers` steps by ``|M|^2``.  Measured
-#: on a 2-core VM with one BLAS thread: at n <= 6, where a numpy call's
+#: takes one pass and :class:`_AbsPowers` steps by ``|M|^2``, and the
+#: most entries :func:`expm_each` groups in one slice.  Measured on a
+#: 2-core VM with one BLAS thread: at n <= 6, where a numpy call's
 #: overhead is the cost, these take 14 and 6 of about 50 microseconds off
 #: an exponential; at n = 16-128 both ways time alike; at n = 920 the
 #: norms slot by slot hold 9 input-sized arrays at the peak instead of 14,
 #: and steps by ``|M|`` save one product (33 of 430 ms).
 _SMALL = 64 * 64
+#: The largest side :func:`expm_each` groups by plan; above it, each
+#: matrix takes its own :func:`expm`.  Grouped over one-by-one time on
+#: the 50 flows of a random drift at t = 0.1-5 (2-core VM, one BLAS
+#: thread) was 0.25, 0.27 and 0.33 at n = 2, 4 and 8, then 0.45, 0.73,
+#: 0.63, 1.01 and 0.96 at n = 16, 24, 32, 48 and 64.  Every matrix of
+#: ``analyze`` at d >= 16 is above the cut: a faster ``analyze`` there
+#: stops the benchmark's pacer (ROADMAP item 8), so a cut of 16-32 waits
+#: on that fix.
+_EACH_SIDE = 8
 #: The powers of M scaled with it, held in the first four buffers of
 #: :func:`expm`.
 _POWERS = np.array([1.0, 2.0, 4.0, 6.0])[:, None]
@@ -74,58 +95,84 @@ def _norms(P):
 
 
 class _AbsPowers:
-    """``|| |M|^(2m+1) ||_1 / ||M||_1`` in units of ``norm^(2m)``, the
-    most over a stack whose largest 1-norm is ``norm``, for degrees m
-    asked for in increasing order.  With ``G = |M| / norm`` (which cannot
-    overflow), the column sums of ``|M|^(k+1)`` are the row vector
-    ``1' G G^k``: one chain of products with a vector, O(n^2) each, taken
-    only as far as asked, in steps of ``G^2`` on a small input.  ``G``
-    and ``G^2`` are held in ``work``."""
+    """``|| |M|^(2m+1) ||_1 / ||M||_1`` in units of ``norm^(2m)`` of each
+    matrix of a stack ``M``, for degrees m asked for in any order: an
+    array of shape ``(..., 1)``.  ``norm`` is the stack's largest 1-norm,
+    or each matrix's own, of shape ``(..., 1, 1)``.  With
+    ``G = |M| / norm`` (which cannot overflow), the column sums of
+    ``|M|^(k+1)`` are the row vector ``1' G G^k``: one chain of products
+    with a vector, O(n^2) each, started on the first ask and taken only
+    as far as asked, in steps of ``G^2`` on a small input.  ``G`` and
+    ``G^2`` are held in ``work``."""
 
     def __init__(self, M, norm, work):
-        G = np.abs(M, out=work[0])
-        G /= norm
-        self.v = G.sum(axis=-2, keepdims=True)
-        # each matrix's 1-norm over norm, the largest of its column sums
-        self.own = np.maximum(self.v.max(axis=-1), 1e-300)
-        if M.size <= _SMALL:
-            self.step, self.by = np.matmul(G, G, out=work[1]), 2
-        else:
-            self.step, self.by = G, 1
-        self.k = 0
+        self.start, self.ratios = (M, norm, work), {}
 
-    def ratio(self, m):
+    def __call__(self, m):
+        if self.start:
+            M, norm, work = self.start
+            self.start = None
+            G = np.abs(M, out=work[0])
+            G /= norm
+            self.v = G.sum(axis=-2, keepdims=True)
+            # each matrix's 1-norm over norm, the largest of its column sums
+            self.own = np.maximum(self.v.max(axis=-1), 1e-300)
+            if M.size <= _SMALL:
+                self.step, self.by = np.matmul(G, G, out=work[1]), 2
+            else:
+                self.step, self.by = G, 1
+            self.k = 0
         while self.k < 2 * m:
             self.v = self.v @ self.step
             self.k += self.by
-        return float((self.v.max(axis=-1) / self.own).max())
+            if self.k % 2 == 0:
+                self.ratios[self.k // 2] = self.v.max(axis=-1) / self.own
+        return self.ratios[m]
 
 
-def _degree_and_scaling(B, work):
+def _plan(B, work):
+    """:func:`expm`'s one plan (:func:`_degree_and_scaling`) for the whole
+    stack whose powers are ``B`` (:func:`_powers`); ``work`` is two free
+    slots."""
+    norms = _norms(B)
+    powers = _AbsPowers(B[0], norms[0], work)
+    return _degree_and_scaling(norms, lambda m: float(powers(m).max()))
+
+
+def _plans(B, work):
+    """:func:`expm_each`'s plan of each matrix of the stack ``(k, n, n)``
+    whose powers are ``B``, each the plan :func:`_plan` makes for that
+    matrix alone: the norms and the powers of ``|M|`` are taken for the
+    whole stack, each over its own matrix, and only the choice is made
+    matrix by matrix."""
+    norms = np.abs(B).sum(axis=-2).max(axis=-1)
+    powers = _AbsPowers(B[0], norms[0][:, None, None], work)
+    return [_degree_and_scaling(own, lambda m, i=i: float(powers(m)[i, 0]))
+            for i, own in enumerate(norms.T.tolist())]
+
+
+def _degree_and_scaling(norms, ratio):
     """The Pade degree m and the scaling ``2^-s`` of Al-Mohy & Higham's
-    Algorithm 5.1 for ``M`` from the powers ``B`` of :func:`_scaled_pade`,
-    or None if a norm is not finite; ``work`` is two free slots."""
-    norm, _, n4, n6, n8, n10 = _norms(B)
+    Algorithm 5.1 for ``M``, from the 1-norms of the powers of
+    :func:`_powers` and from ``ratio(m)``, the bound of :class:`_AbsPowers`
+    for ``M``, or None if a norm is not finite."""
+    norm, _, n4, n6, n8, n10 = norms
     if not math.isfinite(norm + n4 + n6 + n8 + n10):
         return None
     d4, d6, d8, d10 = n4 ** 0.25, n6 ** (1 / 6), n8 ** 0.125, n10 ** 0.1
-    powers = None
 
     def ell(m, s=0):
         # The extra squarings ell(2^-s M, m): how far the truncation bound
         # |c_{2m+1}| || |M|^(2m+1) ||_1 / ||M||_1 of 2^-s M sits above unit
         # roundoff, in steps of 2m binary orders.  The bound is at most
         # |c_{2m+1}| ||M||_1^(2m), so a small norm needs no power of |M|.
-        nonlocal powers
         log2_bound = 2 * m * (math.log2(max(norm, 1e-300)) - s) - _LOG2_C[m]
         if log2_bound <= -53:
             return 0
-        powers = powers or _AbsPowers(B[0], norm, work)
-        ratio = powers.ratio(m)
-        if ratio == 0.0:
+        r = ratio(m)
+        if r == 0.0:
             return 0
-        return max(math.ceil((math.log2(ratio) + log2_bound + 53) / (2 * m)),
-                   0)
+        return max(math.ceil((math.log2(r) + log2_bound + 53) / (2 * m)), 0)
 
     if max(d4, d6) <= _THETA[3] and ell(3) == 0:
         return 3, 0
@@ -147,26 +194,82 @@ def expm(M):
 
     The Pade degree m and the scaling ``2^-s`` come from exact 1-norms of
     ``M`` and of its powers 4, 6, 8 and 10; one degree and one scaling
-    serve the whole stack, the largest any of its matrices needs.
-    ``r_m(2^-s M)`` is then squared s times, with no shortcut for
-    triangular input.  The powers and the parts of the approximant live
-    in eight buffers of the input's size, updated in place, and six of
-    them are dropped before the solve; each stage is one stacked
-    operation, so a small matrix costs few calls.  A non-finite input, or
-    one whose powers overflow, gives NaN.
+    serve the whole stack, the largest any of its matrices needs, so a
+    stack's results need not be the bits of its matrices taken alone (see
+    :func:`expm_each`).  ``r_m(2^-s M)`` is then squared s times, with no
+    shortcut for triangular input.  The powers and the parts of the
+    approximant live in eight buffers of the input's size, updated in
+    place, and six of them are dropped before the solve; each stage is
+    one stacked operation, so a small matrix costs few calls.  A
+    non-finite input, or one whose powers overflow, gives NaN, over the
+    whole stack.
     """
     M = np.asarray(M)
     if M.shape[-1] <= 1:
         return np.exp(M.astype(np.result_type(M, 1.0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _scaled_pade(M)
+        buffers = _powers(M)
+        chosen = _plan(buffers[0], buffers[1].real)
+        if chosen is None:
+            return np.full_like(buffers[0][0], np.nan)
+        return _pade(buffers, *chosen)
 
 
-def _scaled_pade(M):
-    """:func:`expm` of a stack of side at least 2."""
+def expm_each(M):
+    """:func:`expm` of each matrix of a stack ``(..., n, n)``, each result
+    ``tobytes``-equal to :func:`expm` of that matrix alone; a matrix that
+    is not finite, or whose powers overflow, gives NaN in its own slot.
+
+    Up to side ``_EACH_SIDE``, in slices of at most ``_SMALL`` entries,
+    the powers are formed once per slice, each matrix gets its own Pade
+    degree and scaling, and the matrices that share a plan take one Pade
+    step together; every step is the per-matrix arithmetic of
+    :func:`expm`, run on a stack.  Above that side each matrix takes its
+    own :func:`expm`.
+    """
+    M = np.asarray(M)
+    n = M.shape[-1]
+    if n <= 1:  # expm is elementwise here
+        return expm(M)
+    stack = M.reshape(-1, n, n)
+    out = np.empty(stack.shape,
+                   dtype=complex if np.iscomplexobj(M) else float)
+    if n > _EACH_SIDE:
+        for i, X in enumerate(stack):
+            out[i] = expm(X)
+    else:
+        step = _SMALL // (n * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, len(stack), step):
+                out[i:i + step] = _grouped_pade(stack[i:i + step])
+    return out.reshape(M.shape)
+
+
+def _grouped_pade(M):
+    """:func:`expm_each` of a stack of side 2 to ``_EACH_SIDE``."""
+    buffers = _powers(M)
+    B = buffers[0]
+    plans = {}  # (m, s), or None for a non-finite norm, to its matrices
+    for i, plan in enumerate(_plans(B, buffers[1].real)):
+        plans.setdefault(plan, []).append(i)
+    if len(plans) == 1 and None not in plans:
+        return _pade(buffers, *next(iter(plans)))
+    X = np.full_like(B[0], np.nan)
+    for plan, rows in plans.items():
+        if plan is not None:
+            # a fancy-indexed slice is not C-contiguous; _pade scales it
+            # in place through reshape, which would act on a copy
+            X[rows] = _pade([np.ascontiguousarray(B[:, rows]),
+                             np.empty((2, len(rows)) + M.shape[1:], B.dtype)],
+                            *plan)
+    return X
+
+
+def _powers(M):
+    """The buffers ``[B, C]`` of a stack ``M`` of side at least 2: ``B``
+    holds ``A = M, A^2, A^4, A^6, A^8`` and ``A^4 A^6``, formed here, and
+    ``C`` is two free slots of the same shape."""
     dtype = complex if np.iscomplexobj(M) else float
-    # B holds A = M, A^2, A^4, A^6, A^8 and A^4 A^6, then the high parts
-    # in the last two slots; C holds the low parts, then V - U and V + U.
     B = np.empty((6,) + M.shape, dtype=dtype)
     C = np.empty((2,) + M.shape, dtype=dtype)
     B[0] = M
@@ -175,10 +278,18 @@ def _scaled_pade(M):
     np.matmul(B[1], B[1], out=B[2])
     np.matmul(B[1], B[2], out=B[3])
     np.matmul(B[2], B[2:4], out=B[4:])
-    chosen = _degree_and_scaling(B, C.real)
-    if chosen is None:
-        return np.full_like(A, np.nan)
-    m, s = chosen
+    return [B, C]
+
+
+def _pade(buffers, m, s):
+    """``r_m(2^-s M)`` squared s times, from the C-contiguous buffers
+    ``[B, C]`` of :func:`_powers`.  It empties the list, so that ``B`` is
+    freed before the solve, and overwrites both: ``B`` takes the scaled
+    powers, then the high parts in its last two slots; ``C`` the low
+    parts, then ``V - U`` and ``V + U``."""
+    B, C = buffers
+    buffers.clear()
+    A = B[0]
     if s:
         B[:4].reshape(4, -1)[...] *= 0.5 ** (s * _POWERS)
     high, low, units = _PARTS[m]

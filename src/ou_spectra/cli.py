@@ -38,6 +38,7 @@ from . import config
 from .errors import InputError, NumericalError
 from .gramian import (
     _curve,
+    _gramians,
     gramian_inf,
     gramian_report,
     gramian_t,
@@ -252,7 +253,7 @@ def cmd_analyze(args):
     gram = gramian_report(model, report_t)
 
     rows = list(zip(grid.tolist(), *_curve(
-        model, grid, lambda t: gramian_t(model, t))))
+        model, grid, lambda ts: _gramians(model, ts))))
     _write_csv(csv_path, rows, header=("t", "smu_norm", "K"))
 
     lyap = float(np.abs(model.A @ Qi + Qi @ model.A.T + model.Q).max())

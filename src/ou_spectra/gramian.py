@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import expm, lyapunov
+from ._linalg import expm, expm_each, lyapunov
 from .config import DEFAULT, Tolerances
 from .errors import (
     AsymmetricQ,
@@ -236,19 +236,82 @@ def _horizon(t, what, positive=False):
     return t
 
 
+def _expm_failure(t, what):
+    """The refusal of a non-finite ``exp(tM)``, naming `t` and `what` M
+    is."""
+    return ExpmFailure(
+        "matrix exponential exp(tM) produced non-finite values at t=%g, "
+        "for M = %s" % (t, what))
+
+
 def _expm(M, t, what):
     """``exp(tM)``, refused if not finite, naming ``t`` and `what` M is."""
     E = expm(t * M)
     if not np.all(np.isfinite(E)):
-        raise ExpmFailure(
-            "matrix exponential exp(tM) produced non-finite values at t=%g, "
-            "for M = %s" % (t, what))
+        raise _expm_failure(t, what)
     return E
 
 
+def _expm_stack(M, ts):
+    """``exp(tM)`` at each horizon of the array `ts`, stacked, each the
+    bits of ``expm(t * M)`` (:func:`~ou_spectra._linalg.expm_each`)."""
+    return expm_each(ts[:, None, None] * M)
+
+
+def _finite_prefix(E, ts, what):
+    """The matrices of the stack `E` (at horizons `ts`) before the first
+    one with a non-finite entry, and the refusal naming that horizon and
+    `what` was exponentiated, None if every matrix is finite."""
+    finite = np.isfinite(E).all(axis=(-2, -1))
+    if finite.all():
+        return E, None
+    first = int(finite.argmin())
+    return E[:first], _expm_failure(ts[first], what)
+
+
+def _flows(model, ts):
+    """``exp(tA)`` at each horizon of the array `ts`, stacked, as
+    :func:`_finite_prefix` returns it.  A horizon of any sign is valid; a
+    non-finite one is refused as input, before any exponential."""
+    if not np.isfinite(ts).all():
+        raise InputError("flow needs a finite t, got %g"
+                         % ts[~np.isfinite(ts)][0])
+    return _finite_prefix(_expm_stack(model.A, ts), ts, "the drift A")
+
+
+def _gramians(model, ts):
+    """``Q_t`` at each horizon of the array `ts` (finite, at least 0),
+    stacked: :func:`gramian_t`, which is its one-horizon case, documents
+    the method.  The refusal of the first horizon that has one is raised,
+    its exponential's before its product's."""
+    d = model.dim
+    H = np.zeros((2 * d, 2 * d))
+    H[:d, :d] = model.A
+    H[:d, d:] = model.Q
+    H[d:, d:] = -model.A.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, refusal = _finite_prefix(
+            _expm_stack(H, ts), ts,
+            "Q_t's Van Loan block matrix [[A, Q], [0, -A']]")
+        Qt = E[:, :d, d:] @ np.swapaxes(E[:, :d, :d], -1, -2)
+        Qt = 0.5 * (Qt + np.swapaxes(Qt, -1, -2))
+    Qt[ts[:len(Qt)] == 0.0] = 0.0
+    finite = np.isfinite(Qt).all(axis=(-2, -1))
+    if not finite.all():
+        raise ExpmFailure("Q_t is not finite at t=%g: the growth of "
+                          "exp(tA) overflows float64"
+                          % ts[int(finite.argmin())])
+    if refusal is not None:
+        raise refusal
+    return Qt
+
+
 def flow(model, t):
-    """The propagator ``exp(tA)``."""
-    return _expm(model.A, float(t), "the drift A")
+    """The propagator ``exp(tA)``, for a finite ``t`` of any sign."""
+    F, refusal = _flows(model, np.array([float(t)]))
+    if refusal is not None:
+        raise refusal
+    return F[0]
 
 
 def gramian_t(model, t):
@@ -263,22 +326,7 @@ def gramian_t(model, t):
     non-finite ``Q_t`` raises :class:`ExpmFailure`, with no overflow
     warning: ``G F.T`` can overflow while both factors are finite.
     """
-    t = _horizon(t, "gramian_t")
-    d = model.dim
-    if t == 0.0:
-        return np.zeros((d, d))
-    H = np.zeros((2 * d, 2 * d))
-    H[:d, :d] = model.A
-    H[:d, d:] = model.Q
-    H[d:, d:] = -model.A.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = _expm(H, t, "Q_t's Van Loan block matrix [[A, Q], [0, -A']]")
-        Qt = E[:d, d:] @ E[:d, :d].T
-        Qt = 0.5 * (Qt + Qt.T)
-    if not np.all(np.isfinite(Qt)):
-        raise ExpmFailure("Q_t is not finite at t=%g: the growth of "
-                          "exp(tA) overflows float64" % t)
-    return Qt
+    return _gramians(model, np.array([_horizon(t, "gramian_t")]))[0]
 
 
 def gramian_inf(model):
@@ -370,45 +418,52 @@ def nondegenerate_factor(model):
 
 
 def _curve(model, ts, gram=None, P=None):
-    """``||S_mu(t)||`` at each horizon of `ts` and, given ``gram(t) = Q_t``,
-    ``K(t)`` of `P` (default ``Q_inf``) over it: two lists, the second
-    empty without `gram`.  Each horizon makes its own exponentials,
-    :func:`flow` then `gram`; the rest is one numpy call per stack (a row
-    block of :func:`~ou_spectra.spectra._row_blocks`), bitwise the
-    one-horizon result.  The refusal is the first in horizon order: the
-    flow's, the leak's, then `gram`'s."""
+    """``||S_mu(t)||`` at each horizon of `ts` and, given ``gram(ts)``, the
+    stack of ``Q_t`` at the horizons of an array, ``K(t)`` of `P` (default
+    ``Q_inf``) over it: two lists, the second empty without `gram`.  The
+    horizons go in row blocks of :func:`~ou_spectra.spectra._row_blocks`:
+    each block's flows are one stacked exponential (:func:`_flows`), its
+    Gramians one call of `gram`, and the rest one numpy call per block,
+    bitwise the one-horizon result.  The refusal is the first in horizon
+    order, and at one horizon the flow's, then the leak's, then `gram`'s:
+    `gram` is asked only for the horizons before the first flow or leak
+    refusal, and raises its own first."""
     factor, d = model.invariant_factor, model.dim
+    ts = np.asarray(ts, dtype=float)
     norms, ks = [], []
     for rows in _row_blocks(len(ts), d * d):
-        chunk, F, grams = [float(t) for t in ts[rows]], [], []
-        try:
-            for t in chunk:  # a rank-0 factor needs no flow
-                F.append(flow(model, t) if factor.rank else np.zeros((d, d)))
-                if gram is not None:
-                    grams.append(gram(t))
-        except ExpmFailure:
-            _restricted(model, chunk, F)  # a leak before it comes first
-            raise
-        norms += np.linalg.norm(_restricted(model, chunk, F), 2,
-                                axis=(-2, -1)).tolist()
+        chunk = ts[rows]
+        if factor.rank:
+            F, refusal = _flows(model, chunk)
+        else:  # a rank-0 factor needs no flow
+            F, refusal = np.zeros((len(chunk), d, d)), None
+        S, leak = _restricted(model, chunk, F)
+        if gram is not None:
+            grams = gram(chunk[:len(S)])
+        if leak or refusal:
+            raise leak or refusal
+        norms += np.linalg.norm(S, 2, axis=(-2, -1)).tolist()
         if gram is not None:
             ks += _ratio_sups(gramian_inf(model) if P is None else P,
-                              np.array(grams), model.tol.rank_tol).tolist()
+                              grams, model.tol.rank_tol).tolist()
     return norms, ks
 
 
 def _restricted(model, ts, F):
-    """:func:`smu_matrix` from the flows `F` at horizons `ts`, stacked."""
+    """:func:`smu_matrix` from the stack of flows `F` at horizons `ts`, up
+    to the first flow that moves the kernel space out of itself, and that
+    flow's refusal (None if none does)."""
     factor = model.invariant_factor
-    img = np.reshape(F, (-1, model.dim, model.dim)) @ factor.factor
+    img = F @ factor.factor
     leak = img - factor.basis @ (factor.basis.T @ img)
     resid, size = np.linalg.norm(np.stack((leak, img)), 2, axis=(-2, -1))
-    for t, r, allowed in zip(ts, resid, model.tol.inv_tol * (1.0 + size)):
+    for k, (t, r, allowed) in enumerate(
+            zip(ts, resid, model.tol.inv_tol * (1.0 + size))):
         if r > allowed:
-            raise RangeNotInvariant(
+            return factor.inv_sqrt @ img[:k], RangeNotInvariant(
                 "exp(tA) moves the kernel space out of itself at t=%g: "
                 "residual %.3e exceeds %.3e" % (t, r, allowed))
-    return factor.inv_sqrt @ img
+    return factor.inv_sqrt @ img, None
 
 
 def _ratio_sups(P, Rs, rank_tol):
@@ -454,7 +509,10 @@ def smu_matrix(model, t):
     t = _horizon(t, "smu_matrix")
     factor = model.invariant_factor  # rank 0: no flow, and B(t) is 0 x 0
     F = flow(model, t) if factor.rank else np.zeros((model.dim,) * 2)
-    return _restricted(model, [t], [F])[0]
+    S, leak = _restricted(model, [t], F[None])
+    if leak:
+        raise leak
+    return S[0]
 
 
 def contractivity_constant(model, t):

@@ -36,6 +36,7 @@ from . import gramian as _gr
 from ._linalg import expm
 from .errors import CriteriaDisagree, DegenerateMeasure, Unstable
 from .gramian import (
+    _gramians,
     flow,
     gramian_t,
     nondegenerate_factor,
@@ -227,7 +228,7 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     d = model.dim
 
     # -- horizon Gramian versus an independent quadrature oracle ---------
-    grams = {t: gramian_t(model, t) for t in T_GRID}
+    grams = dict(zip(T_GRID, _gramians(model, np.array(T_GRID))))
     oracle = _quadrature_gramians(model, T_GRID)
     resid = _worst((np.abs(grams[t] - oracle[t]).max()
                     / (1.0 + np.abs(grams[t]).max()) for t in T_GRID), 0.0)
@@ -288,7 +289,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
                       detail="rank=%d" % factor.rank))
 
     # -- restricted flow: contraction, semigroup law, norm identity ------
-    norms, ks = _gr._curve(model, T_GRID, grams.get, Qi)
+    norms, ks = _gr._curve(model, T_GRID,
+                           lambda ts: np.array([grams[t] for t in ts]), Qi)
     worst_norm = _worst(norms)
     out.append(_check("restricted_flow_contraction", worst_norm - 1.0,
                       CONTRACTION_TOL))

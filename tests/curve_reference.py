@@ -2,9 +2,13 @@
 time: the loop that ``gramian._curve`` replaced, kept as its reference.
 
 Every numpy call here is the one the stacked kernel makes on a stack, on
-one ``d x d`` matrix, so the two agree to the last bit; the tests hold
-them ``tobytes``-equal.  Flows and Gramians are read through the
-``gramian`` module, so a test that patches them there patches both.
+one ``d x d`` matrix, and each flow and ``Q_t`` here is its own
+exponential, which ``_linalg.expm_each`` matches bit for bit on the
+kernel's stacks; the tests hold the two ``tobytes``-equal.  Flows and
+Gramians are read through ``gramian.flow`` and ``gramian.gramian_t``,
+the one-horizon cases of the stacked kernels ``gramian._flows`` and
+``gramian._gramians``, so a test that patches a stacked kernel there
+patches both.
 """
 
 from __future__ import annotations

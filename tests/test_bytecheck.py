@@ -114,3 +114,20 @@ def test_drift_of_a_verdict_change():
     assert verdict is True
     assert bytecheck.drift(_record(0, base), _record(0, head))[1] is True
     assert bytecheck.drift(_record(0, base), _record(3, base)) == ({}, True)
+
+
+def test_refusal_contract_models_are_run_as_files(tmp_path):
+    # the refusal-contract models go through each command as model files;
+    # on fast_drift, verify's refusal names the first failing horizon of
+    # the stacked T_GRID Gramians, t=2
+    from test_refusal_contract import MODELS
+    argvs = bytecheck.refusal_argvs(MODELS, tmp_path / "in")
+    assert len(argvs) == 3 * len(MODELS) == 48
+    assert sorted(p.name for p in (tmp_path / "in").iterdir()) \
+        == sorted(name + ".json" for name in MODELS)
+    fast = [a for a in argvs if a[1] == "fast_drift.json"]
+    records = bytecheck.run_tree(ROOT, tmp_path / "in", fast,
+                                 tmp_path / "run")
+    assert [r["rc"] for r in records] == [2, 0, 2]
+    assert records[2]["stderr"].count("\n") == 1
+    assert "at t=2," in records[2]["stderr"]

@@ -438,11 +438,13 @@ def test_analyze_solves_lyapunov_once(tmp_path, monkeypatch):
 
 
 def _analyze_calls(tmp_path, monkeypatch, grid):
-    """Calls of the numpy.linalg SVD and eigensolvers, and of the flow and
-    Q_t, in one ``analyze hypoelliptic_2d`` over `grid`."""
+    """Calls of the numpy.linalg SVD and eigensolvers, of the flow and Q_t,
+    and the ``(side, count)`` of each stacked exponential, in one
+    ``analyze hypoelliptic_2d`` over `grid`."""
     import numpy.linalg._linalg as la
     counts = dict.fromkeys(("svd", "eigh", "eigvalsh", "flow",
                             "gramian_t"), 0)
+    counts["stacks"] = []
 
     def counting(name, real):
         def call(*args, **kwargs):
@@ -461,6 +463,12 @@ def _analyze_calls(tmp_path, monkeypatch, grid):
             for module in (gramian, cli, verification):
                 if hasattr(module, name):
                     patch.setattr(module, name, wrapped)
+        real_each = gramian.expm_each
+
+        def each(M):
+            counts["stacks"].append((M.shape[-1], len(M)))
+            return real_each(M)
+        patch.setattr(gramian, "expm_each", each)
         out = str(tmp_path / "h.json")
         assert cli.main(["analyze", "hypoelliptic_2d", "--t-grid", grid,
                          "--out", out]) == 0
@@ -469,13 +477,17 @@ def _analyze_calls(tmp_path, monkeypatch, grid):
 
 def test_analyze_curve_solves_once_per_grid(tmp_path, monkeypatch):
     # the curve's SVD norms, rank splits and compressions take one call per
-    # stack of horizons, while each horizon makes its own flow and Q_t
+    # stack of horizons, and so do its flows and its Van Loan Gramians:
+    # one stacked exponential each, of the whole grid
     short = _analyze_calls(tmp_path, monkeypatch, "0.1:1.0:0.1")
     full = _analyze_calls(tmp_path, monkeypatch, "0.1:5.0:0.1")
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in ("svd", "eigh", "eigvalsh", "flow", "gramian_t"):
         assert full[name] == short[name] > 0, name
-    assert full["flow"] - short["flow"] == 40
-    assert full["gramian_t"] - short["gramian_t"] == 40
+    assert [k for _, k in full["stacks"]].count(1) == full["flow"] \
+        + full["gramian_t"]
+    assert sorted(s for s in short["stacks"] if s[1] > 1) == [(2, 10), (4, 10)]
+    assert full["stacks"] == [(n, 50 if k == 10 else k)
+                              for n, k in short["stacks"]]
 
 
 def test_analyze_exits_2_on_a_nan_lyapunov_solve(tmp_path, monkeypatch,

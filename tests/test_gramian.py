@@ -164,6 +164,7 @@ def test_gramian_t_zero_and_negative():
 
 
 HORIZON_GUARDS = [
+    ("flow", flow, None),  # any sign
     ("gramian_t", gramian_t, False),
     ("smu_matrix", smu_matrix, False),
     ("contractivity_constant", contractivity_constant, True),
@@ -180,9 +181,16 @@ HORIZON_GUARDS = [
                          ids=[g[0] for g in HORIZON_GUARDS])
 def test_horizon_guards_refuse_bad_t_as_input(name, call, positive):
     # a NaN or infinite horizon is bad input, refused before any
-    # exponential is formed
-    bad = [math.nan, math.inf, -math.inf, -1.0] + ([0.0] if positive else [])
-    for t in bad:
+    # exponential is formed; flow takes a t of any sign
+    bad = [math.nan, math.inf, -math.inf]
+    if positive is None:
+        for t in bad:
+            with pytest.raises(InputError) as info:
+                call(JORDAN, t)
+            assert str(info.value) == "%s needs a finite t, got %g" % (name, t)
+        call(JORDAN, -1.0)
+        return
+    for t in bad + [-1.0] + ([0.0] if positive else []):
         with pytest.raises(InputError) as info:
             call(JORDAN, t)
         want = "%s needs a finite t %s 0, got %g" % (
@@ -466,7 +474,7 @@ GRID = np.arange(1, 51) * 0.1
 
 
 def _kernel_curve(model, ts):
-    return gramian._curve(model, ts, lambda t: gramian.gramian_t(model, t))
+    return gramian._curve(model, ts, lambda ts: gramian._gramians(model, ts))
 
 
 def _assert_same_curve(model, ts):
@@ -548,7 +556,7 @@ def test_ratio_sup_matches_the_loop_on_hand_built_pairs():
 def test_curve_of_a_rank_0_factor_makes_no_flow(monkeypatch):
     # Q = 0: Q_inf = 0 keeps no direction, so every norm and K is 0
     model = validate([[-1.0, 0.0], [0.0, -2.0]], np.zeros((2, 2)))
-    monkeypatch.setattr(gramian, "flow", None)
+    monkeypatch.setattr(gramian, "_flows", None)
     assert _kernel_curve(model, GRID[:3]) == ([0.0] * 3, [0.0] * 3)
     assert smu_matrix(model, 1.0).shape == (0, 0)
     assert smu_norm(model, 1.0) == 0.0
@@ -591,25 +599,27 @@ def _refusal(fn):
 @pytest.mark.parametrize("stack", [None, 4])
 def test_curve_refuses_at_the_loops_first_horizon(monkeypatch, leak_at,
                                                     nan_at, which, stack):
-    # DEGENERATE keeps only e2: a flow with an e2 -> e1 entry leaks
-    real_flow, real_expm = gramian.flow, gramian._expm
+    # DEGENERATE keeps only e2: a flow with an e2 -> e1 entry leaks.  The
+    # faults go into the stacked kernels, which the reference reaches
+    # through flow and gramian_t, one horizon at a time.
+    real_flows, real_expm = gramian._flows, gramian._expm_stack
     d = DEGENERATE.dim
 
-    def leaking_flow(model, t):
-        F = real_flow(model, t)
-        if leak_at is not None and t >= leak_at - 1e-12:
+    def leaking_flows(model, ts):
+        F, refusal = real_flows(model, ts)
+        if leak_at is not None:
             F = F.copy()
-            F[0, 1] += 0.5
-        return F
+            F[ts[:len(F)] >= leak_at - 1e-12, 0, 1] += 0.5
+        return F, refusal
 
-    def failing_expm(M, t, what):
-        size = d if which == "flow" else 2 * d
-        if nan_at is not None and t >= nan_at - 1e-12 and len(M) == size:
-            M = M * np.nan
-        return real_expm(M, t, what)
+    def failing_expm(M, ts):
+        E = real_expm(M, ts)
+        if nan_at is not None and len(M) == (d if which == "flow" else 2 * d):
+            E[ts >= nan_at - 1e-12] = np.nan
+        return E
 
-    monkeypatch.setattr(gramian, "flow", leaking_flow)
-    monkeypatch.setattr(gramian, "_expm", failing_expm)
+    monkeypatch.setattr(gramian, "_flows", leaking_flows)
+    monkeypatch.setattr(gramian, "_expm_stack", failing_expm)
     if stack is not None:
         monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", stack * d * d)
     want = _refusal(lambda: curve_reference.curve(DEGENERATE, GRID))

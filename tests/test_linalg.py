@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ou_spectra._linalg import expm, lyapunov
+from ou_spectra import _linalg
+from ou_spectra._linalg import expm, expm_each, lyapunov
 from ou_spectra.errors import EigFailure
 from ou_spectra.gramian import gramian_inf
 from ou_spectra.ou_operator import (galerkin_blocks, poly_basis,
@@ -63,6 +64,80 @@ def test_expm_of_a_nonfinite_matrix_is_nan():
     for bad in (np.nan, np.inf):
         M = np.array([[-1.0, bad], [0.0, -2.0]])
         assert np.isnan(expm(M)).all()
+
+
+#: Horizons whose exponentials of a drift take every Pade degree and
+#: scalings up to 2^-3 and beyond.
+EACH_HORIZONS = np.geomspace(1e-6, 50.0, 120)
+
+
+def _plans_seen(monkeypatch):
+    """The (m, s) of every plan made from here on."""
+    seen = set()
+    real = _linalg._degree_and_scaling
+
+    def recording(B, work):
+        plan = real(B, work)
+        seen.add(plan)
+        return plan
+
+    monkeypatch.setattr(_linalg, "_degree_and_scaling", recording)
+    return seen
+
+
+def _assert_each_is_alone(S):
+    got = expm_each(S)
+    assert got.shape == S.shape and got.dtype == expm(S[0]).dtype
+    for X, M in zip(got, S):
+        assert X.tobytes() == expm(M).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+@pytest.mark.parametrize("kind", ["real", "complex", "defective"])
+def test_expm_each_is_expm_of_each_matrix_alone(monkeypatch, n, kind):
+    # n = 12 is above the side cut and takes one expm per matrix; at
+    # n = 8 the 120 horizons span two slices of _SMALL entries
+    seen = _plans_seen(monkeypatch)
+    model = random_stable_model(np.random.default_rng(n), d=n,
+                                kind="real" if kind == "complex" else kind)
+    A = model.A
+    if kind == "complex":
+        A = A + 1j * np.random.default_rng(n).standard_normal((n, n))
+    S = EACH_HORIZONS[:, None, None] * A
+    _assert_each_is_alone(S)
+    assert (expm_each(S.reshape((4, 30, n, n))).tobytes()
+            == expm_each(S).tobytes())
+    if n > 1:
+        assert {m for m, _ in seen} == {3, 5, 7, 9, 13}, seen
+        assert {s for _, s in seen} >= {0, 1, 2, 3}, seen
+
+
+def test_expm_each_scales_a_group_that_is_not_the_whole_slice(monkeypatch):
+    # two matrices with two plans, the second scaled: each group is a
+    # fancy-indexed slice of the powers, scaled in place after it is made
+    # contiguous (a scaling dropped there misses by about 1e-3)
+    seen = _plans_seen(monkeypatch)
+    M = random_stable_model(np.random.default_rng(3), d=3).A
+    S = np.array([1e-3 * M, 20.0 * M])
+    _assert_each_is_alone(S)
+    assert len(seen) == 2 and max(s for _, s in seen) > 0
+    assert np.abs(expm_each(S)[1] - scipy.linalg.expm(S[1])).max() \
+        <= 1e-12 * np.abs(scipy.linalg.expm(S[1])).max()
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_expm_each_gives_nan_only_where_a_matrix_fails(n):
+    # a non-finite matrix and one whose powers overflow each give NaN in
+    # their own slot; expm's one shared plan gives NaN everywhere, which
+    # would hide the first failing horizon of a grid
+    A = random_stable_model(np.random.default_rng(n), d=n).A
+    S = np.array([0.5 * A, A * np.nan, 2.0 * A, 1e200 * A, 3.0 * A])
+    got = expm_each(S)
+    assert np.isnan(got[[1, 3]]).all()
+    for k in (0, 2, 4):
+        assert got[k].tobytes() == expm(S[k]).tobytes()
+        assert np.isfinite(got[k]).all()
+    assert np.isnan(expm(S)).all()
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "defective"])

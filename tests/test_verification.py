@@ -303,12 +303,14 @@ def test_model_suite_reuses_gramians_and_norms(monkeypatch):
     # each horizon's Q_t is formed once, by the suite or by the curve
     # kernel, and the norms and K(t) of the grid come from one curve call
     calls = {"gramian_t": [], "_curve": []}
-    for module, name, pos in ((verification, "gramian_t", -1),
-                              (gramian, "gramian_t", -1),
-                              (gramian, "_curve", 1)):
+    for module, name, log, pos in (
+            (verification, "_gramians", "gramian_t", -1),
+            (verification, "gramian_t", "gramian_t", -1),
+            (gramian, "gramian_t", "gramian_t", -1),
+            (gramian, "_curve", "_curve", 1)):
         real = getattr(module, name)
 
-        def counting(*args, _real=real, _log=calls[name], _pos=pos):
+        def counting(*args, _real=real, _log=calls[log], _pos=pos):
             _log.append(args[_pos])
             return _real(*args)
 
@@ -316,7 +318,8 @@ def test_model_suite_reuses_gramians_and_norms(monkeypatch):
     grid = verification.T_GRID
     assert grid == (0.1, 0.5, 1.0, 2.0)
     assert not _failures(model_suite(OSCILLATOR))
-    assert [t for t in calls["gramian_t"] if t in grid] == list(grid)
+    horizons = np.hstack(calls["gramian_t"]).tolist()
+    assert [t for t in horizons if t in grid] == list(grid)
     assert calls["_curve"] == [grid]
 
 
@@ -335,18 +338,20 @@ def test_nan_quadrature_oracle_fails_its_check(monkeypatch):
 
 def test_model_suite_forms_each_horizon_once(monkeypatch):
     # Q_0.1 and Q_1 serve the quadrature check, the rank criteria and the
-    # splitting identity; each is formed once
+    # splitting identity; each is formed once, the T_GRID family in one
+    # stacked call and Q_5 by gramian_t, whose one-horizon case it is
     calls = []
-    for module in (verification, gramian):
-        real = module.gramian_t
+    for module, name in ((verification, "_gramians"),
+                         (verification, "gramian_t"), (gramian, "gramian_t")):
+        real = getattr(module, name)
 
-        def counting(model, t, _real=real):
-            calls.append(float(t))
-            return _real(model, t)
+        def counting(model, ts, _real=real):
+            calls.append(np.atleast_1d(ts).tolist())
+            return _real(model, ts)
 
-        monkeypatch.setattr(module, "gramian_t", counting)
+        monkeypatch.setattr(module, name, counting)
     assert not _failures(model_suite(OSCILLATOR))
-    assert sorted(calls) == [0.1, 0.5, 1.0, 2.0, 5.0]
+    assert sorted(calls) == [[0.1, 0.5, 1.0, 2.0], [5.0]]
 
 
 def _count_calls(monkeypatch, module, name, key=lambda *args: args[-1]):

@@ -8,7 +8,10 @@ checkout's working tree.  The inputs of each benchmark workload and seed
 are written once, by the checkout's ``bench/inputs.py`` (run as a script,
 which only reads it), and every item argv of the workload (screens
 included) and every ceiling-probe argv is run through both trees; so are
-``analyze``, ``spectrum`` and ``verify`` on each bundled model.  Each tree
+``analyze``, ``spectrum`` and ``verify`` on each bundled model and on each
+model file of the refusal-contract test (``MODELS`` of
+``tests/test_refusal_contract.py``), so that refusal lines are checked
+too.  Each tree
 runs in its own process, which calls ``ou_spectra.cli.main`` on one argv
 at a time with one BLAS thread, and records the exit code, stdout, stderr
 and every report and CSV file the call wrote.
@@ -103,6 +106,18 @@ def bundled_argvs(names):
     the reports under ``out/``."""
     return [[command, name, "--out", "out/%s.%s.json" % (name, command)]
             for name in names for command in COMMANDS]
+
+
+def refusal_argvs(models, out_dir):
+    """Write each model of `models` (name to the JSON of a model file) to
+    ``out_dir/<name>.json`` and return ``analyze``, ``spectrum`` and
+    ``verify`` on each, with the reports under ``out/``."""
+    out_dir.mkdir(parents=True)
+    for name, model in models.items():
+        (out_dir / (name + ".json")).write_text(json.dumps(model))
+    return [[command, name + ".json", "--out",
+             "out/%s.%s.json" % (name, command)]
+            for name in sorted(models) for command in COMMANDS]
 
 
 def _unique(argvs):
@@ -309,13 +324,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     root = checkout_root()
-    sys.path.insert(0, str(root / "src"))
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
     from ou_spectra.cli import list_bundled
+    from test_refusal_contract import MODELS
     sets = [("bundled", None, bundled_argvs(list_bundled()))]
     total, differing, tally = 0, 0, Counter()
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
         tmp = Path(tmp)
         base = archive(root, args.base, tmp / "base")
+        refusal = tmp / "refusal"
+        sets.append(("refusal contract", refusal,
+                     refusal_argvs(MODELS, refusal)))
         for workload in WORKLOADS:
             for seed in args.seeds:
                 inputs = tmp / ("%s-s%d" % (workload, seed))
