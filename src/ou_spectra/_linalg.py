@@ -323,11 +323,16 @@ def lyapunov(A, Q, eigenvalues):
     ``F <- F^2``, and X is symmetrized after each step, so roundoff builds
     no antisymmetric part.  The shift ``p = sqrt(min |Re lambda| max
     |lambda|)`` balances the contraction of ``F`` between the slowest and
-    the largest eigenvalue.  The doubling stops once an increment is below
-    the roundoff of X, or after ``_SMITH_STEPS`` steps; the caller checks
-    the residual.  Matrix products and one inverse, O(d^3) per step.
+    the largest eigenvalue.  ``A``, ``Q`` and the eigenvalues are first
+    divided by ``c = 2^floor(log2 max|A|)``: X solves the scaled equation
+    too, a power of two rounds nothing, and the shift's product cannot
+    overflow however large the drift.  The doubling stops once an
+    increment is below the roundoff of X, or after ``_SMITH_STEPS`` steps;
+    the caller checks the residual.  Matrix products and one inverse,
+    O(d^3) per step.
     """
-    lam = np.asarray(eigenvalues)
+    c = math.ldexp(1.0, math.frexp(float(np.abs(A).max()))[1] - 1)
+    A, Q, lam = A / c, Q / c, np.asarray(eigenvalues) / c
     eye = np.eye(len(A))
     eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):

@@ -706,7 +706,7 @@ def test_verify_random_reports_the_model_and_contraction_suites(tmp_path,
     want += [c.name for c in verification.contraction_suite(
         T, seed=int(rng.integers(2 ** 31)), prefix="contraction_0_")]
     assert [c["name"] for c in report["checks"]] == want
-    assert report["n_checks"] == len(want) == 34
+    assert report["n_checks"] == len(want) == 30
     stdout = capsys.readouterr().out
     for check in verification.spectra_suite(0):
         assert check.name not in stdout
@@ -999,7 +999,7 @@ def test_verify_fails_on_disagreeing_rank_criteria(tmp_path, monkeypatch,
     assert cli.main(["verify", "classical_1d", "--out", str(out)]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.startswith("PASS")] == [
-        lines[3], "22 checks, 1 failed -> %s" % out]
+        lines[3], "21 checks, 1 failed -> %s" % out]
     assert lines[3].startswith(
         "FAIL strong_feller_rank_agreement             residual inf "
         "(tol 0.000e+00)  [rank(Q_t) = 1 but the controllability rank is 0 "

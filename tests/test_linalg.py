@@ -16,7 +16,7 @@ import scipy.linalg
 from ou_spectra import _linalg
 from ou_spectra._linalg import expm, expm_each, lyapunov
 from ou_spectra.errors import EigFailure
-from ou_spectra.gramian import gramian_inf
+from ou_spectra.gramian import gramian_inf, validate
 from ou_spectra.ou_operator import (galerkin_blocks, poly_basis,
                                     verify_second_quantization)
 from ou_spectra.verification import random_stable_model
@@ -64,6 +64,17 @@ def test_expm_of_a_nonfinite_matrix_is_nan():
     for bad in (np.nan, np.inf):
         M = np.array([[-1.0, bad], [0.0, -2.0]])
         assert np.isnan(expm(M)).all()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 25: M @ M leaves an "
+                   "off-diagonal of 6.4e234 where the exact entry is 0, so "
+                   "the plan is (13, 98) and 98 squarings of 1 - eps give 0")
+def test_expm_of_a_large_norm_triangular_matrix_is_its_closed_form():
+    # exp([[a, b], [0, c]]) = [[e^a, b (e^c - e^a) / (c - a)], [0, e^c]]
+    M = 5.0 * np.array([[-1.0, 1e250], [0.0, 1.0]])
+    want = np.array([[np.exp(-5.0), 1e250 * np.sinh(5.0)],
+                     [0.0, np.exp(5.0)]])
+    np.testing.assert_allclose(expm(M), want, rtol=1e-12, atol=0)
 
 
 #: Horizons whose exponentials of a drift take every Pade degree and
@@ -170,3 +181,23 @@ def test_lyapunov_guard_verdict_matches_scipy_on_defective_drifts(d):
         except EigFailure:
             got = False
         assert got == want, seed
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "defective"])
+def test_lyapunov_is_bitwise_invariant_under_power_of_two_scaling(kind):
+    # the solve divides out 2^floor(log2 max|A|) first, so scaling A, Q
+    # and the eigenvalues by a power of two changes no bit of X
+    for d in (1, 2, 5):
+        m = random_stable_model(np.random.default_rng(d), d=d, kind=kind)
+        X = lyapunov(m.A, m.Q, m.drift_eigenvalues)
+        for k in (-900, -7, 3, 900):
+            c = 2.0 ** k
+            got = lyapunov(c * m.A, c * m.Q, c * m.drift_eigenvalues)
+            assert got.tobytes() == X.tobytes(), (d, k)
+
+
+def test_gramian_inf_of_a_huge_drift_is_representable():
+    # Q_inf = 1 / (2 * 1e300): the shift's product min|Re l| max|l| would
+    # overflow without the scale taken out
+    X = gramian_inf(validate([[-1e300]], [[1.0]]))
+    assert abs(X[0, 0] - 5e-301) <= 1e-15 * 5e-301

@@ -25,6 +25,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, expm
 
 from ou_spectra import ou_operator
+from ou_spectra.cli import load_model
 from ou_spectra.config import DEFAULT
 from ou_spectra.errors import DegenerateMeasure, DimensionMismatch, InputError
 from ou_spectra.gramian import (
@@ -574,6 +575,26 @@ def test_galerkin_blocks_are_principal_blocks_of_L(N):
             assert block.tobytes() == want.tobytes()
     with pytest.raises(DimensionMismatch):
         galerkin_blocks(OSCILLATOR, poly_basis(3, N))
+
+
+#: The model files shipped with the package, by the names the CLI takes.
+BUNDLED = ("classical_1d", "degenerate_2d", "hypoelliptic_2d",
+           "jordan_omega1")
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_galerkin_blocks_are_exactly_zero_below_the_degree_diagonal(N):
+    # L raises no degree: the drift keeps a monomial's degree and the heat
+    # term lowers it by two, so no entry maps a degree into a higher one
+    models = [load_model(name) for name in BUNDLED] + [
+        random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
+        for seed, d in enumerate((2, 3))
+        for kind in ("real", "complex", "defective")]
+    for model in models:
+        b = poly_basis(model.dim, N)
+        for idx, block in zip(b.parity_classes, galerkin_blocks(model, b)):
+            g = b.degrees[idx]
+            assert not block[g[:, None] > g[None, :]].any(), model.name
 
 
 # the diagonalizable models on which the dense exponential and eigensolver

@@ -96,7 +96,6 @@ STEADY_CHECKS = ["lyapunov_residual", "splitting_identity",
                  "restricted_flow_contraction"]
 GENERATOR_CHECKS = ["restricted_flow_semigroup_law",
                     "norm_identity_vs_rayleigh_quotient",
-                    "galerkin_block_triangular",
                     "galerkin_spectrum_lattice_match",
                     "transition_semigroup_law"]
 
@@ -420,24 +419,22 @@ def test_contraction_suite_builds_each_object_once(monkeypatch):
     def key(*args):
         return (np.asarray(args[0]).tobytes(), args[1])
 
-    # the lifts of T, S and T @ S come from one truncation each, the
-    # symmetric squares of the other matrices from sym_power; a symmetric
-    # truncation and a sym_power each take one substitution sweep
+    # the lifts of T, S and T @ S come from one truncation each; a
+    # symmetric truncation takes one substitution sweep
     truncations = _count_calls(
         monkeypatch, verification, "second_quantization",
         key=lambda M, N, symmetric=True, **_: key(M, N) + (symmetric,))
-    powers = _count_calls(monkeypatch, verification, "sym_power", key)
     products = _count_calls(monkeypatch, verification, "product_set", key)
     sweeps = _count_calls(monkeypatch, tensor_fock, "substitution_levels",
                           key)
     checks = contraction_suite(T, levels=3)
     assert not _failures(checks)
     assert "second_quantization_spectrum" in {c.name for c in checks}
-    for calls in (truncations, powers, products, sweeps):
+    for calls in (truncations, products, sweeps):
         assert calls and len(set(calls)) == len(calls)
-    # no (matrix, level) lift is built twice, on either route
+    # no (matrix, level) lift is built twice
     lifts = [(M, n, symmetric) for M, N, symmetric in truncations
-             for n in range(N + 1)] + [(M, n, True) for M, n in powers]
+             for n in range(N + 1)]
     assert len(set(lifts)) == len(lifts)
     assert len({M for M, _, _ in truncations}) == 3
     # T's symmetric levels 0-4 come from one sweep of T'
