@@ -33,7 +33,12 @@ Newton step against ``Phi``.  The columns of ``Phi`` are the
 normalized Hermite products ``He_alpha(W x) / sqrt(alpha!)`` indexed like
 the occupation basis of symmetric tensor powers.  The projection onto the
 n-th chaos layer is ``Phi[:, n] Phi^-1[n, :]``; it is kept as that factor
-pair, and products of projections are taken through the pairs.
+pair, and an operator acting on each layer is lifted through the pairs.
+The frame is held to the measure by the tier-1 tests (``Phi' G Phi = I``
+in the Gaussian moment Gram matrix ``G``); that the projections resolve
+the identity and are idempotent and orthogonal follows from
+``Phi^-1 Phi = I`` alone, which the Newton step gives any invertible
+``Phi``.
 """
 
 from __future__ import annotations
@@ -233,10 +238,8 @@ class ChaosDecomposition:
     The n-th layer is kept as its factor pair, the degree-n columns of
     ``Phi`` and the degree-n rows of ``Phi^-1`` (:meth:`layer`); its
     projection ``Phi[:, n] Phi^-1[n, :]`` would be a dense ``dim x dim``
-    matrix and is never formed.  Products of projections are taken
-    through the pairs,
-    ``P_n P_m - delta_nm P_n = Phi[:, n] (Phi^-1[n, :] Phi[:, m] -
-    delta_nm I) Phi^-1[m, :]`` (:meth:`layer_deviation`).
+    matrix and is never formed.  An operator acting on each layer is
+    lifted through the pairs (:meth:`lift`).
 
     Attributes
     ----------
@@ -269,30 +272,17 @@ class ChaosDecomposition:
         return self.occupation_hermite[:, sel], \
             self.occupation_hermite_inv[sel, :]
 
-    def layer_deviation(self, n, m):
-        """Largest entry of ``P_n P_m - delta_nm P_n`` in monomial
-        coordinates, from the factor pairs."""
-        Phi_n, Psi_n = self.layer(n)
-        Phi_m, Psi_m = self.layer(m)
-        inner = Psi_n @ Phi_m
-        if n == m:
-            inner -= np.eye(inner.shape[0])
-        dev = Phi_n @ inner @ Psi_m
-        return float(np.abs(dev, out=dev).max())
-
-    def lift(self, blocks=None):
+    def lift(self, blocks):
         """``sum_n Phi[:, n] blocks[n] Phi^-1[n, :]``: the operator acting
-        as ``blocks[n]`` on the n-th layer, in monomial coordinates.  With
-        no blocks it is the sum of the layer projections, which resolves
-        the identity.  The blocks are applied to ``Phi^-1`` first: on
-        defective drifts, whose lifts reach 1e4, that order leaves about
-        half the roundoff of ``(Phi blocks) Phi^-1``."""
-        Y = self.occupation_hermite_inv
-        if blocks is not None:
-            Y = np.zeros(Y.shape, dtype=np.result_type(Y, *blocks))
-            for n, block in enumerate(blocks):
-                sel = self.basis.degree_slice(n)
-                Y[sel] = block @ self.occupation_hermite_inv[sel]
+        as ``blocks[n]`` on the n-th layer, in monomial coordinates.  The
+        blocks are applied to ``Phi^-1`` first: on defective drifts, whose
+        lifts reach 1e4, that order leaves about half the roundoff of
+        ``(Phi blocks) Phi^-1``."""
+        Psi = self.occupation_hermite_inv
+        Y = np.zeros(Psi.shape, dtype=np.result_type(Psi, *blocks))
+        for n, block in enumerate(blocks):
+            sel = self.basis.degree_slice(n)
+            Y[sel] = block @ Psi[sel]
         return self.occupation_hermite @ Y
 
     def leading(self, N):
@@ -334,7 +324,7 @@ def chaos_decomposition(model, basis):
     # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
     # two agree only to roundoff times sqrt(cond Q_inf), and that gap,
     # magnified by the Hermite coefficients, would keep S(W^-1) S(W) from
-    # the identity by more than the chaos checks allow.
+    # the identity by more than the frame's 1e-10 bound allows.
     eye = np.eye(basis.d)
     Phi = _graded(-eye, basis, left=list(substitution_levels(
         np.linalg.inv(factor.factor), basis.N)))

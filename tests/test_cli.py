@@ -688,7 +688,31 @@ def test_verify_model_and_random(tmp_path, capsys):
 
     assert cli.main(["verify", "--random", "5", "2", "--out", out]) == 0
     report = json.loads(open(out).read())
-    assert report["n_checks"] > 50
+    # two model suites of 18 checks and one contraction suite of 8
+    assert report["n_checks"] == 2 * 18 + 8
+
+
+def test_verify_classical_at_degree_14_passes(tmp_path, capsys):
+    # the chaos projection checks, which read only Phi^-1 Phi - I and
+    # failed here on the conditioning of the monomial frame, are gone
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "classical_1d", "--degree", "14",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n_failed"] == 0
+    capsys.readouterr()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5: invariant_measure_fixed_mean holds an absolute 1e-10 "
+    "in monomial coordinates, and reads 3.61e-7 at degree 20"))
+def test_verify_classical_at_degree_20_passes(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    code = cli.main(["verify", "classical_1d", "--degree", "20",
+                     "--out", str(out)])
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert [c["name"] for c in report["failures"]] == []
+    assert code == 0
 
 
 def test_verify_random_reports_the_model_and_contraction_suites(tmp_path,
@@ -706,7 +730,7 @@ def test_verify_random_reports_the_model_and_contraction_suites(tmp_path,
     want += [c.name for c in verification.contraction_suite(
         T, seed=int(rng.integers(2 ** 31)), prefix="contraction_0_")]
     assert [c["name"] for c in report["checks"]] == want
-    assert report["n_checks"] == len(want) == 30
+    assert report["n_checks"] == len(want) == 26
     stdout = capsys.readouterr().out
     for check in verification.spectra_suite(0):
         assert check.name not in stdout
@@ -999,7 +1023,7 @@ def test_verify_fails_on_disagreeing_rank_criteria(tmp_path, monkeypatch,
     assert cli.main(["verify", "classical_1d", "--out", str(out)]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.startswith("PASS")] == [
-        lines[3], "21 checks, 1 failed -> %s" % out]
+        lines[3], "17 checks, 1 failed -> %s" % out]
     assert lines[3].startswith(
         "FAIL strong_feller_rank_agreement             residual inf "
         "(tol 0.000e+00)  [rank(Q_t) = 1 but the controllability rank is 0 "

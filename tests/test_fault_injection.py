@@ -1,12 +1,14 @@
-"""Fault injection on ``contraction_suite``: each check it runs fails when
-one route it reads returns a wrong number (ROADMAP item 27).
+"""Fault injection on ``contraction_suite`` and ``model_suite``: each check
+they run fails when one route it reads returns a wrong number (ROADMAP
+item 27).
 
 A passing check is evidence only if a wrong number in one of its routes
 would make it fail (mutation analysis; DeMillo, Lipton & Sayward, IEEE
 Computer 11(4), 1978).  Each witness plants one fault in a route that the
-suite calls through the ``verification`` module -- the lifts of
-``second_quantization``, ``product_set`` or ``dgamma`` -- never in the
-check code, and pins the exact set of checks that then fail.
+suite calls through the ``verification`` or ``gramian`` module -- for the
+contraction suite the lifts of ``second_quantization``, ``product_set`` or
+``dgamma`` -- never in the check code, and pins the exact set of checks
+that then fail.
 
 The second contraction S of ``random_contraction`` feeds only
 ``telescoping_bound`` and ``sym_power_homomorphism``, and both hold for
@@ -21,7 +23,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ou_spectra import verification
+from ou_spectra import gramian, ou_operator, verification
+from ou_spectra.cli import load_model
+from ou_spectra.gramian import validate
 from ou_spectra.spectra import SpectrumSet
 from ou_spectra.tensor_fock import multi_indices
 
@@ -153,3 +157,205 @@ def test_a_shifted_product_set_flips_both_product_checks(monkeypatch, kind):
     monkeypatch.setattr(verification, "product_set", _shifted_product_set)
     assert _failed(CONTRACTIONS[kind]) == {
         "tensor_sym_product_spectra", "second_quantization_spectrum"}
+
+
+# --- model_suite -------------------------------------------------------------
+
+#: Models whose checks all pass unfaulted, at degree 3.  Each is built
+#: afresh per run: a model caches its Q_inf and factor on first use, so a
+#: shared one would keep a faulted value, or dodge the fault.
+MODELS = {
+    "hypoelliptic_2d": lambda: load_model("hypoelliptic_2d"),
+    "jordan_omega1": lambda: load_model("jordan_omega1"),
+    "complex_3": lambda: verification.random_stable_model(
+        np.random.default_rng(3), d=3, kind="complex"),
+    "defective_3": lambda: verification.random_stable_model(
+        np.random.default_rng(3), d=3, kind="defective"),
+}
+
+
+def _around(module, name, fault):
+    """The route `name` of `module` replaced by ``fault(real, *args)``."""
+    real = getattr(module, name)
+    return module, name, lambda *args, **kwargs: fault(real, *args,
+                                                       **kwargs)
+
+
+def _scaled(factor):
+    return lambda real, *args, **kwargs: real(*args, **kwargs) * factor
+
+
+def _gramians_indefinite(real, model, ts):
+    # every Q_t less the same multiple of I, just past the smallest
+    # eigenvalue of the first: the differences are untouched
+    G = real(model, ts)
+    shift = np.linalg.eigvalsh(G[0])[0] + 1e-9 * np.abs(G).max()
+    return G - shift * np.eye(model.dim)
+
+
+def _gramians_reversed(real, model, ts):
+    return real(model, ts)[::-1]
+
+
+def _q_inf_nudged(real, model):
+    # below the splitting identity's bound, above the factorization's
+    Qi = real(model)
+    return Qi + 1e-9 * np.abs(Qi).max() * np.eye(model.dim)
+
+
+def _norms_to(top):
+    # the norm curve rescaled so that its largest value is `top`
+    def fault(real, *args, **kwargs):
+        norms, ks = real(*args, **kwargs)
+        return [n * top / max(norms) for n in norms], ks
+    return fault
+
+
+def _blocks_shifted(real, model, basis):
+    return tuple(B + 1e-3 * np.eye(len(B)) for B in real(model, basis))
+
+
+def _mehler_at_squared_time(real, model, t, basis):
+    # P(1) is right, P(0.3) P(0.7) = P(0.09) P(0.49) is not
+    return real(model, t * t, basis)
+
+
+def _mehler_of_more_noise(real, model, t, basis):
+    # a true semigroup, of a model whose invariant measure is wider
+    return real(validate(model.A, 1.01 * model.Q), t, basis)
+
+
+def _second_layer_scaled(real, model, basis):
+    chaos = real(model, basis)
+    Psi = chaos.occupation_hermite_inv.copy()
+    Psi[chaos.basis.degree_slice(2)] *= 1.0 + 1e-3
+    return replace(chaos, occupation_hermite_inv=Psi)
+
+
+def _eigenvectors_spread(real, M, vectors=False):
+    # the eigenvalues are right; every eigenvector gains mass in every
+    # degree
+    w, V = real(M, vectors=vectors)
+    return w, V + 1e-6 * np.abs(V).max()
+
+
+def _wrong_measure(scale, shear=0.0):
+    """The chaos frame of a wrong invariant measure: the factor of
+    ``Q_inf`` scaled by `scale`, its last column moved by `shear` times
+    its first."""
+    def fault(real, model):
+        factor = real(model)
+        S = np.eye(model.dim)
+        S[0, -1] += shear
+        return replace(factor, factor=factor.factor @ S * scale)
+    return fault
+
+
+ALL_CHAOS = {"invariant_measure_fixed_mean", "chaos_covariance_permanent",
+             "second_quantization_three_way"}
+
+#: For each check: a witness (the module, the route and its faulty
+#: stand-in) and every check that the fault flips, the same on every model.
+MODEL_WITNESSES = {
+    "gramian_t_quadrature_agreement": (
+        _around(verification, "_gramians", _scaled(1.0 + 1e-7)),
+        {"gramian_t_quadrature_agreement", "splitting_identity"}),
+    "gramian_t_psd": (
+        _around(verification, "_gramians", _gramians_indefinite),
+        {"gramian_t_psd", "gramian_t_quadrature_agreement",
+         "strong_feller_rank_agreement", "invertibility_equivalence",
+         "splitting_identity", "norm_identity_vs_rayleigh_quotient"}),
+    "gramian_monotone_in_t": (
+        _around(verification, "_gramians", _gramians_reversed),
+        {"gramian_monotone_in_t", "gramian_t_quadrature_agreement",
+         "splitting_identity", "norm_identity_vs_rayleigh_quotient"}),
+    "strong_feller_rank_agreement": (
+        _around(gramian, "controllability_rank", lambda real, *a, **k: 0),
+        {"strong_feller_rank_agreement"}),
+    "invertibility_equivalence": (
+        _around(gramian, "rank_psd",
+                lambda real, *a, **k: real(*a, **k) - 1),
+        {"invertibility_equivalence"}),
+    "splitting_identity": (
+        _around(verification, "flow", _scaled(1.0 + 1e-6)),
+        {"splitting_identity"}),
+    "gramian_dominated_by_steady_state": (
+        _around(verification, "_q_inf", _scaled(0.5)),
+        {"gramian_dominated_by_steady_state", "splitting_identity",
+         "rkhs_factorization", "norm_identity_vs_rayleigh_quotient"}),
+    "rkhs_factorization": (
+        _around(verification, "_q_inf", _q_inf_nudged),
+        {"rkhs_factorization"}),
+    "restricted_flow_contraction": (
+        _around(gramian, "_curve", _norms_to(1.0 + 1e-6)),
+        {"restricted_flow_contraction", "restricted_flow_strict_contraction",
+         "norm_identity_vs_rayleigh_quotient"}),
+    "restricted_flow_strict_contraction": (
+        _around(gramian, "_curve", _norms_to(1.0)),
+        {"restricted_flow_strict_contraction",
+         "norm_identity_vs_rayleigh_quotient"}),
+    "restricted_flow_semigroup_law": (
+        _around(verification, "smu_matrix", _scaled(1.0 + 1e-6)),
+        {"restricted_flow_semigroup_law"}),
+    "norm_identity_vs_rayleigh_quotient": (
+        _around(gramian, "_ratio_sups", _scaled(1.001)),
+        {"norm_identity_vs_rayleigh_quotient"}),
+    "galerkin_spectrum_lattice_match": (
+        _around(verification, "galerkin_blocks", _blocks_shifted),
+        {"galerkin_spectrum_lattice_match", "second_quantization_three_way"}),
+    "transition_semigroup_law": (
+        _around(verification, "mehler_matrix", _mehler_at_squared_time),
+        {"transition_semigroup_law"}),
+    "invariant_measure_fixed_mean": (
+        _around(verification, "mehler_matrix", _mehler_of_more_noise),
+        {"invariant_measure_fixed_mean", "second_quantization_three_way"}),
+    "chaos_covariance_permanent": (
+        _around(verification, "chaos_decomposition", _second_layer_scaled),
+        {"chaos_covariance_permanent", "second_quantization_three_way"}),
+    "second_quantization_three_way": (
+        _around(verification, "_generator_exp", _scaled(1.0 + 1e-6)),
+        {"second_quantization_three_way"}),
+    "eigenvector_degree_support": (
+        _around(verification, "_eigvals", _eigenvectors_spread),
+        {"eigenvector_degree_support"}),
+}
+
+#: A wrong invariant measure under the chaos frame, through the factor
+#: that ``chaos_decomposition`` reads: the three checks that read the
+#: frame against the semigroup flip on every model.  The frame's own
+#: identities, which ``Phi^-1 Phi = I`` alone decides, would not
+#: (``test_chaos_layers_mu_orthogonal_negative_control``).
+WRONG_MEASURES = {
+    "scaled_1.001": (_wrong_measure(1.001), ALL_CHAOS),
+    "scaled_1.1": (_wrong_measure(1.1), ALL_CHAOS),
+    "sheared_1e-3": (_wrong_measure(1.0, 1e-3), ALL_CHAOS),
+}
+
+
+def _model_failed(model):
+    return {c.name for c in verification.model_suite(model, degree=3)
+            if not c.passed}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_every_model_check_has_a_witness(model):
+    checks = verification.model_suite(MODELS[model](), degree=3)
+    assert [c.name for c in checks if not c.passed] == []
+    assert {c.name for c in checks} == set(MODEL_WITNESSES)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("check", sorted(MODEL_WITNESSES))
+def test_the_witness_flips_its_model_check(monkeypatch, check, model):
+    (module, route, fault), flips = MODEL_WITNESSES[check]
+    monkeypatch.setattr(module, route, fault)
+    assert _model_failed(MODELS[model]()) == flips
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("measure", sorted(WRONG_MEASURES))
+def test_a_wrong_measure_flips_the_chaos_checks(monkeypatch, measure,
+                                                model):
+    fault, flips = WRONG_MEASURES[measure]
+    monkeypatch.setattr(*_around(ou_operator, "nondegenerate_factor", fault))
+    assert _model_failed(MODELS[model]()) == flips
