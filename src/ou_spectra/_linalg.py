@@ -1,5 +1,5 @@
 """The package's two dense kernels, in numpy alone: the matrix exponential
-(:func:`expm`, and :func:`expm_each` for a stack) and the Lyapunov solve
+(:func:`expm`, of a matrix or of a stack) and the Lyapunov solve
 (:func:`lyapunov`).
 
 Every Gramian, flow and transition matrix rests on them.  They are not
@@ -9,16 +9,6 @@ form for its diagonal and superdiagonal: on the upper-triangular parity
 blocks of the Galerkin generator of a defective drift that misses
 ``exp(L)`` by 27.8 where its largest entry is 1.7e3.  The tests hold both
 kernels to ``scipy.linalg`` and to ``mpmath``.
-
-The two exponentials keep different contracts on a stack.
-:func:`expm_each` gives each matrix the bits :func:`expm` gives it alone,
-and a NaN only where that matrix fails; it serves the flows and Gramians
-of a horizon grid, whose refusal names the first failing horizon.
-:func:`expm` takes one Pade degree and one scaling for the whole stack,
-the largest any matrix needs, and a NaN anywhere makes all of it NaN; it
-serves the quadrature oracle of :mod:`~ou_spectra.verification`, whose
-64-matrix panels then take one Pade step each: 0.5-1.1 ms per oracle at
-d = 2-8, against 1.3-2.1 ms plan by plan (2-core VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -63,15 +53,15 @@ _LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
                         // math.factorial(m) ** 2) for m in _THETA}
 #: Entries per input, its stack included, up to which :func:`_norms`
 #: takes one pass and :class:`_AbsPowers` steps by ``|M|^2``, and the
-#: most entries :func:`expm_each` groups in one slice.  Measured on a
+#: most entries :func:`expm` groups in one slice.  Measured on a
 #: 2-core VM with one BLAS thread: at n <= 6, where a numpy call's
 #: overhead is the cost, these take 14 and 6 of about 50 microseconds off
 #: an exponential; at n = 16-128 both ways time alike; at n = 920 the
 #: norms slot by slot hold 9 input-sized arrays at the peak instead of 14,
 #: and steps by ``|M|`` save one product (33 of 430 ms).
 _SMALL = 64 * 64
-#: The largest side :func:`expm_each` groups by plan; above it, each
-#: matrix takes its own :func:`expm`.  Grouped over one-by-one time on
+#: The largest side :func:`expm` groups by plan; above it, each matrix
+#: is a slice of its own.  Grouped over one-by-one time on
 #: the 50 flows of a random drift at t = 0.1-5 (2-core VM, one BLAS
 #: thread) was 0.25, 0.27 and 0.33 at n = 2, 4 and 8, then 0.45, 0.73,
 #: 0.63, 1.01 and 0.96 at n = 16, 24, 32, 48 and 64.  Every matrix of
@@ -87,18 +77,19 @@ _SMITH_STEPS = 64
 
 
 def _norms(P):
-    """The largest 1-norm over the matrices of each ``P[k]``, in one pass
-    over a small stack and slot by slot over a large one."""
+    """The 1-norm of each matrix of each stack ``P[k]``, as an array of
+    shape ``(len(P), len(P[0]))``: in one pass over a small stack and slot
+    by slot over a large one."""
     if P[0].size <= _SMALL:
-        return np.abs(P).sum(axis=-2).reshape(len(P), -1).max(axis=1).tolist()
-    return [float(np.abs(X).sum(axis=-2).max()) for X in P]
+        return np.abs(P).sum(axis=-2).max(axis=-1)
+    return np.array([np.abs(X).sum(axis=-2).max(axis=-1) for X in P])
 
 
 class _AbsPowers:
     """``|| |M|^(2m+1) ||_1 / ||M||_1`` in units of ``norm^(2m)`` of each
     matrix of a stack ``M``, for degrees m asked for in any order: an
-    array of shape ``(..., 1)``.  ``norm`` is the stack's largest 1-norm,
-    or each matrix's own, of shape ``(..., 1, 1)``.  With
+    array of shape ``(k, 1)``.  ``norm`` is each matrix's own 1-norm, of
+    shape ``(k, 1, 1)``.  With
     ``G = |M| / norm`` (which cannot overflow), the column sums of
     ``|M|^(k+1)`` are the row vector ``1' G G^k``: one chain of products
     with a vector, O(n^2) each, started on the first ask and taken only
@@ -130,22 +121,13 @@ class _AbsPowers:
         return self.ratios[m]
 
 
-def _plan(B, work):
-    """:func:`expm`'s one plan (:func:`_degree_and_scaling`) for the whole
-    stack whose powers are ``B`` (:func:`_powers`); ``work`` is two free
-    slots."""
-    norms = _norms(B)
-    powers = _AbsPowers(B[0], norms[0], work)
-    return _degree_and_scaling(norms, lambda m: float(powers(m).max()))
-
-
 def _plans(B, work):
-    """:func:`expm_each`'s plan of each matrix of the stack ``(k, n, n)``
-    whose powers are ``B``, each the plan :func:`_plan` makes for that
-    matrix alone: the norms and the powers of ``|M|`` are taken for the
+    """The plan (:func:`_degree_and_scaling`) of each matrix of the stack
+    ``(k, n, n)`` whose powers are ``B`` (:func:`_powers`); ``work`` is two
+    free slots.  The norms and the powers of ``|M|`` are taken for the
     whole stack, each over its own matrix, and only the choice is made
     matrix by matrix."""
-    norms = np.abs(B).sum(axis=-2).max(axis=-1)
+    norms = _norms(B)
     powers = _AbsPowers(B[0], norms[0][:, None, None], work)
     return [_degree_and_scaling(own, lambda m, i=i: float(powers(m)[i, 0]))
             for i, own in enumerate(norms.T.tolist())]
@@ -192,68 +174,46 @@ def expm(M):
     ``(..., n, n)``, real or complex, by scaling and squaring (Al-Mohy &
     Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Algorithm 5.1).
 
-    The Pade degree m and the scaling ``2^-s`` come from exact 1-norms of
-    ``M`` and of its powers 4, 6, 8 and 10; one degree and one scaling
-    serve the whole stack, the largest any of its matrices needs, so a
-    stack's results need not be the bits of its matrices taken alone (see
-    :func:`expm_each`).  ``r_m(2^-s M)`` is then squared s times, with no
-    shortcut for triangular input.  The powers and the parts of the
-    approximant live in eight buffers of the input's size, updated in
-    place, and six of them are dropped before the solve; each stage is
-    one stacked operation, so a small matrix costs few calls.  A
-    non-finite input, or one whose powers overflow, gives NaN, over the
-    whole stack.
-    """
-    M = np.asarray(M)
-    if M.shape[-1] <= 1:
-        return np.exp(M.astype(np.result_type(M, 1.0)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        buffers = _powers(M)
-        chosen = _plan(buffers[0], buffers[1].real)
-        if chosen is None:
-            return np.full_like(buffers[0][0], np.nan)
-        return _pade(buffers, *chosen)
+    Each matrix gets its own Pade degree m and scaling ``2^-s``, from exact
+    1-norms of it and of its powers 4, 6, 8 and 10, so a matrix of a stack
+    has the bits it has alone.  ``r_m(2^-s M)`` is then squared s times,
+    with no shortcut for triangular input.  A matrix that is not finite,
+    or whose powers overflow, gives NaN in its own slot.
 
-
-def expm_each(M):
-    """:func:`expm` of each matrix of a stack ``(..., n, n)``, each result
-    ``tobytes``-equal to :func:`expm` of that matrix alone; a matrix that
-    is not finite, or whose powers overflow, gives NaN in its own slot.
-
-    Up to side ``_EACH_SIDE``, in slices of at most ``_SMALL`` entries,
-    the powers are formed once per slice, each matrix gets its own Pade
-    degree and scaling, and the matrices that share a plan take one Pade
-    step together; every step is the per-matrix arithmetic of
-    :func:`expm`, run on a stack.  Above that side each matrix takes its
-    own :func:`expm`.
+    Up to side ``_EACH_SIDE`` the stack is taken in slices of at most
+    ``_SMALL`` entries; above it each matrix is a slice of its own.  The
+    powers of a slice are formed once, and the matrices of a slice that
+    share a plan take one Pade step together.  The powers and the parts of
+    the approximant live in eight buffers of the slice's size, updated in
+    place, and six of them are dropped before the solve; each stage is one
+    stacked operation, so a small matrix costs few calls.  A slice that is
+    the whole input is returned as its Pade step leaves it, with no copy.
     """
     M = np.asarray(M)
     n = M.shape[-1]
-    if n <= 1:  # expm is elementwise here
-        return expm(M)
+    if n <= 1:
+        return np.exp(M.astype(np.result_type(M, 1.0)))
     stack = M.reshape(-1, n, n)
-    out = np.empty(stack.shape,
-                   dtype=complex if np.iscomplexobj(M) else float)
-    if n > _EACH_SIDE:
-        for i, X in enumerate(stack):
-            out[i] = expm(X)
-    else:
-        step = _SMALL // (n * n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, len(stack), step):
-                out[i:i + step] = _grouped_pade(stack[i:i + step])
+    step = _SMALL // (n * n) if n <= _EACH_SIDE else 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(stack) <= step:
+            return _grouped_pade(stack).reshape(M.shape)
+        out = np.empty(stack.shape,
+                       dtype=complex if np.iscomplexobj(M) else float)
+        for i in range(0, len(stack), step):
+            out[i:i + step] = _grouped_pade(stack[i:i + step])
     return out.reshape(M.shape)
 
 
 def _grouped_pade(M):
-    """:func:`expm_each` of a stack of side 2 to ``_EACH_SIDE``."""
+    """:func:`expm` of one slice ``(k, n, n)`` of side at least 2."""
     buffers = _powers(M)
-    B = buffers[0]
     plans = {}  # (m, s), or None for a non-finite norm, to its matrices
-    for i, plan in enumerate(_plans(B, buffers[1].real)):
+    for i, plan in enumerate(_plans(buffers[0], buffers[1].real)):
         plans.setdefault(plan, []).append(i)
     if len(plans) == 1 and None not in plans:
-        return _pade(buffers, *next(iter(plans)))
+        return _pade(buffers, *plans.popitem()[0])
+    B = buffers[0]
     X = np.full_like(B[0], np.nan)
     for plan, rows in plans.items():
         if plan is not None:

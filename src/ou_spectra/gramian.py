@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import expm, expm_each, lyapunov
+from ._linalg import expm, lyapunov
 from .config import DEFAULT, Tolerances
 from .errors import (
     AsymmetricQ,
@@ -252,12 +252,6 @@ def _expm(M, t, what):
     return E
 
 
-def _expm_stack(M, ts):
-    """``exp(tM)`` at each horizon of the array `ts`, stacked, each the
-    bits of ``expm(t * M)`` (:func:`~ou_spectra._linalg.expm_each`)."""
-    return expm_each(ts[:, None, None] * M)
-
-
 def _finite_prefix(E, ts, what):
     """The matrices of the stack `E` (at horizons `ts`) before the first
     one with a non-finite entry, and the refusal naming that horizon and
@@ -276,7 +270,8 @@ def _flows(model, ts):
     if not np.isfinite(ts).all():
         raise InputError("flow needs a finite t, got %g"
                          % ts[~np.isfinite(ts)][0])
-    return _finite_prefix(_expm_stack(model.A, ts), ts, "the drift A")
+    return _finite_prefix(expm(ts[:, None, None] * model.A), ts,
+                          "the drift A")
 
 
 def _gramians(model, ts):
@@ -291,7 +286,7 @@ def _gramians(model, ts):
     H[d:, d:] = -model.A.T
     with np.errstate(over="ignore", invalid="ignore"):
         E, refusal = _finite_prefix(
-            _expm_stack(H, ts), ts,
+            expm(ts[:, None, None] * H), ts,
             "Q_t's Van Loan block matrix [[A, Q], [0, -A']]")
         Qt = E[:, :d, d:] @ np.swapaxes(E[:, :d, :d], -1, -2)
         Qt = 0.5 * (Qt + np.swapaxes(Qt, -1, -2))

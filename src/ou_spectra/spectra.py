@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .errors import (DimensionMismatch, EigFailure, EmptySet, EnumCap,
-                     InputError, Unstable)
+                     InputError, SizeCap, Unstable)
 
 #: Radius at which every spectrum set merges its points.
 DEFAULT_CLUSTER_RADIUS = 1e-7
@@ -203,7 +203,8 @@ def product_set(base, n):
     This is the spectrum of the n-fold (symmetric) tensor power of an
     operator whose spectrum is `base`.  The number of combinations
     ``C(m + n - 1, n)`` is checked against ``DEFAULT_ENUM_CAP`` before
-    enumerating.
+    enumerating; a product past the float range is refused as
+    :class:`SizeCap`.
     """
     if not isinstance(base, SpectrumSet):
         base = SpectrumSet(base)
@@ -216,8 +217,13 @@ def product_set(base, n):
     if count > DEFAULT_ENUM_CAP:
         raise EnumCap("product_set would enumerate %d points (cap %d)"
                       % (count, DEFAULT_ENUM_CAP))
-    prods, sizes = _multisets(base.points, n, product=True)
-    return SpectrumSet(prods[sizes == n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods, sizes = _multisets(base.points, n, product=True)
+    prods = prods[sizes == n]
+    if not np.isfinite(prods.view(float)).all():
+        raise SizeCap("a product of %d spectrum points overflows the float "
+                      "range" % n)
+    return SpectrumSet(prods)
 
 
 def _times(a, b):

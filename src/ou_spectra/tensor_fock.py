@@ -298,7 +298,9 @@ def second_quantization(T, N, *, symmetric=True,
     discarded levels are not small and the truncation does not approximate
     anything.  Every size cap runs before the first ``alpha!`` guard, and
     every guard before the first level; one sweep (:func:`substitution_levels`)
-    or one Kronecker chain then builds the levels.
+    or one Kronecker chain then builds the levels.  A level past the float
+    range is refused as :class:`SizeCap`, the first one named, like an
+    ``alpha!`` past it.
     """
     T = _square(T, "second_quantization argument")
     if N < 0:
@@ -309,16 +311,23 @@ def second_quantization(T, N, *, symmetric=True,
             "operator norm %.12g exceeds 1; pass allow_noncontraction=True "
             "to lift anyway" % norm)
     d = T.shape[0]
+    kind = "symmetric" if symmetric else "tensor"
     # A side above 1 grows by at least one a level and a side of at most 1
     # passes the cap, so no level beyond the cap is the first one refused.
     for n in range(min(N, DEFAULT_SIZE_CAP) + 1):
-        _check_cap(sym_dim(d, n) if symmetric else d ** n, "%s power %d"
-                   % ("symmetric" if symmetric else "tensor", n))
-    if symmetric:
-        scales = [_sqrt_factorials(d, n) for n in range(N + 1)]
-        levels = tuple(D[:, None] * block / D[None, :] for D, block
-                       in zip(scales, substitution_levels(T.T, N)))
-    else:
-        levels = tuple(accumulate(range(N), lambda out, _: np.kron(out, T),
-                                  initial=np.eye(1, dtype=T.dtype)))
+        _check_cap(sym_dim(d, n) if symmetric else d ** n,
+                   "%s power %d" % (kind, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if symmetric:
+            scales = [_sqrt_factorials(d, n) for n in range(N + 1)]
+            levels = tuple(D[:, None] * block / D[None, :] for D, block
+                           in zip(scales, substitution_levels(T.T, N)))
+        else:
+            levels = tuple(accumulate(
+                range(N), lambda out, _: np.kron(out, T),
+                initial=np.eye(1, dtype=T.dtype)))
+    for n, level in enumerate(levels):
+        if not np.isfinite(level).all():
+            raise SizeCap("%s power %d of T overflows the float range"
+                          % (kind, n))
     return FockTruncation(base_dim=d, symmetric=symmetric, levels=levels)

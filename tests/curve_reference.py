@@ -3,8 +3,8 @@ time: the loop that ``gramian._curve`` replaced, kept as its reference.
 
 Every numpy call here is the one the stacked kernel makes on a stack, on
 one ``d x d`` matrix, and each flow and ``Q_t`` here is its own
-exponential, which ``_linalg.expm_each`` matches bit for bit on the
-kernel's stacks; the tests hold the two ``tobytes``-equal.  Flows and
+exponential, which ``_linalg.expm`` gives each matrix of the kernel's
+stacks bit for bit; the tests hold the two ``tobytes``-equal.  Flows and
 Gramians are read through ``gramian.flow`` and ``gramian.gramian_t``,
 the one-horizon cases of the stacked kernels ``gramian._flows`` and
 ``gramian._gramians``, so a test that patches a stacked kernel there

@@ -463,12 +463,12 @@ def _analyze_calls(tmp_path, monkeypatch, grid):
             for module in (gramian, cli, verification):
                 if hasattr(module, name):
                     patch.setattr(module, name, wrapped)
-        real_each = gramian.expm_each
+        real_expm = gramian.expm
 
-        def each(M):
+        def stacked(M):
             counts["stacks"].append((M.shape[-1], len(M)))
-            return real_each(M)
-        patch.setattr(gramian, "expm_each", each)
+            return real_expm(M)
+        patch.setattr(gramian, "expm", stacked)
         out = str(tmp_path / "h.json")
         assert cli.main(["analyze", "hypoelliptic_2d", "--t-grid", grid,
                          "--out", out]) == 0

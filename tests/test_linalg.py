@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 from ou_spectra import _linalg
-from ou_spectra._linalg import expm, expm_each, lyapunov
+from ou_spectra._linalg import expm, lyapunov
 from ou_spectra.errors import EigFailure
 from ou_spectra.gramian import gramian_inf, validate
 from ou_spectra.ou_operator import (galerkin_blocks, poly_basis,
@@ -97,7 +97,7 @@ def _plans_seen(monkeypatch):
 
 
 def _assert_each_is_alone(S):
-    got = expm_each(S)
+    got = expm(S)
     assert got.shape == S.shape and got.dtype == expm(S[0]).dtype
     for X, M in zip(got, S):
         assert X.tobytes() == expm(M).tobytes()
@@ -116,8 +116,8 @@ def test_expm_each_is_expm_of_each_matrix_alone(monkeypatch, n, kind):
         A = A + 1j * np.random.default_rng(n).standard_normal((n, n))
     S = EACH_HORIZONS[:, None, None] * A
     _assert_each_is_alone(S)
-    assert (expm_each(S.reshape((4, 30, n, n))).tobytes()
-            == expm_each(S).tobytes())
+    assert (expm(S.reshape((4, 30, n, n))).tobytes()
+            == expm(S).tobytes())
     if n > 1:
         assert {m for m, _ in seen} == {3, 5, 7, 9, 13}, seen
         assert {s for _, s in seen} >= {0, 1, 2, 3}, seen
@@ -132,23 +132,22 @@ def test_expm_each_scales_a_group_that_is_not_the_whole_slice(monkeypatch):
     S = np.array([1e-3 * M, 20.0 * M])
     _assert_each_is_alone(S)
     assert len(seen) == 2 and max(s for _, s in seen) > 0
-    assert np.abs(expm_each(S)[1] - scipy.linalg.expm(S[1])).max() \
+    assert np.abs(expm(S)[1] - scipy.linalg.expm(S[1])).max() \
         <= 1e-12 * np.abs(scipy.linalg.expm(S[1])).max()
 
 
 @pytest.mark.parametrize("n", [2, 4, 12])
 def test_expm_each_gives_nan_only_where_a_matrix_fails(n):
     # a non-finite matrix and one whose powers overflow each give NaN in
-    # their own slot; expm's one shared plan gives NaN everywhere, which
-    # would hide the first failing horizon of a grid
+    # their own slot; NaN anywhere else would hide the first failing
+    # horizon of a grid
     A = random_stable_model(np.random.default_rng(n), d=n).A
     S = np.array([0.5 * A, A * np.nan, 2.0 * A, 1e200 * A, 3.0 * A])
-    got = expm_each(S)
+    got = expm(S)
     assert np.isnan(got[[1, 3]]).all()
     for k in (0, 2, 4):
         assert got[k].tobytes() == expm(S[k]).tobytes()
         assert np.isfinite(got[k]).all()
-    assert np.isnan(expm(S)).all()
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "defective"])

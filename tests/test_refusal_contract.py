@@ -1,12 +1,13 @@
-"""The refusal contract of the commands, first pass: fixed model files.
+"""The refusal contract of the commands, first pass: fixed model files,
+and fixed matrix files of ``fock``.
 
-Every run of ``analyze``, ``spectrum`` or ``verify`` ends in one of two
-ways: exit 0 or 3 with its report written and nothing on stderr, or exit 1
-or 2 with exactly one stderr line.  No run raises out of ``cli.main`` and
-none emits a warning.  Only the shape of each outcome is asserted here,
-not its reason: some refusals below give a false reason (a representable
-``Q_inf`` refused, a Van Loan overflow on a stiff drift), which is a
-defect of the Gramian kernel, not of the contract.
+Every run of ``analyze``, ``spectrum``, ``verify`` or ``fock`` ends in one
+of two ways: exit 0 or 3 with its report written and nothing on stderr, or
+exit 1 or 2 with exactly one stderr line.  No run raises out of
+``cli.main`` and none emits a warning.  Only the shape of each outcome is
+asserted here, not its reason: some refusals below give a false reason (a
+representable ``Q_inf`` refused, a Van Loan overflow on a stiff drift),
+which is a defect of the Gramian kernel, not of the contract.
 """
 
 import json
@@ -42,16 +43,42 @@ MODELS = {
 }
 
 
-@pytest.mark.parametrize("command", ["analyze", "spectrum", "verify"])
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_each_run_ends_in_a_report_or_one_line(tmp_path, capsys, command,
-                                               name):
-    path = tmp_path / (name + ".json")
-    path.write_text(json.dumps(MODELS[name]))
-    out = tmp_path / "report.json"
+JORDAN_3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+NONCONTRACTION = ["--allow-noncontraction"]
+
+#: Matrix files of ``fock``, each with the options it runs with.
+MATRICES = {
+    "nan": ([[float("nan")]], []),
+    "inf": ([[float("inf"), 0], [0, 0.5]], []),
+    "ragged": ([[0.5, 0], [0]], []),
+    "one_d": ([0.5, 0.2], []),
+    "zero_d": (0.5, []),
+    "empty": ([], []),
+    "empty_row": ([[]], []),
+    "string": ("T", []),
+    "boolean": ([[True]], []),
+    "no_T": ({"A": [[0.5]]}, []),
+    "norm_above_one": ([[2.0]], []),
+    "zero": ([[0.0]], []),
+    "negative_zero": ([[-0.0]], []),
+    "subnormal_diagonal": ([[5e-324, 0], [0, 5e-324]], []),
+    "identity_1d": ([[1.0]], []),
+    # refused at tensor power 8, the first side above the cap
+    "jordan_levels_12": (JORDAN_3, ["--levels", "12"] + NONCONTRACTION),
+    # the lift passes the float range at level 2
+    "overflowing_level": ({"T": [[1e160, 0], [0, 0.5]]},
+                          ["--levels", "3"] + NONCONTRACTION),
+    "overflowing_scalar": ([[1e300]], ["--levels", "2"] + NONCONTRACTION),
+    # every level is finite, the product 3.2e308 of two eigenvalues is not
+    "overflowing_product": ([[0.9e154, 0.9e154], [0.9e154, 0.9e154]],
+                            ["--levels", "2"] + NONCONTRACTION),
+}
+
+
+def _ends_in_a_report_or_one_line(argv, out, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.main([command, str(path), "--out", str(out)])
+        code = cli.main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert [str(w.message) for w in caught] == []
     assert code in (0, 1, 2, 3)
@@ -60,3 +87,26 @@ def test_each_run_ends_in_a_report_or_one_line(tmp_path, capsys, command,
         assert out.is_file()
     else:
         assert err.count("\n") == 1 and err.startswith("error: "), err
+    return code, err
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "verify"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_each_run_ends_in_a_report_or_one_line(tmp_path, capsys, command,
+                                               name):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(MODELS[name]))
+    _ends_in_a_report_or_one_line([command, str(path)],
+                                  tmp_path / "report.json", capsys)
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_each_fock_run_ends_in_a_report_or_one_line(tmp_path, capsys, name):
+    matrix, options = MATRICES[name]
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(matrix))
+    code, err = _ends_in_a_report_or_one_line(
+        ["fock", "--matrix", str(path)] + options, tmp_path / "report.json",
+        capsys)
+    if name.startswith("overflowing"):
+        assert code == 1 and "overflows the float range" in err, err
