@@ -57,8 +57,9 @@ _LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
 #: 2-core VM with one BLAS thread: at n <= 6, where a numpy call's
 #: overhead is the cost, these take 14 and 6 of about 50 microseconds off
 #: an exponential; at n = 16-128 both ways time alike; at n = 920 the
-#: norms slot by slot hold 9 input-sized arrays at the peak instead of 14,
-#: and steps by ``|M|`` save one product (33 of 430 ms).
+#: norms slot by slot hold 9 input-sized arrays at the peak instead of 14
+#: (8 since each ``|M^k|`` is taken in a free buffer), and steps by
+#: ``|M|`` save one product (33 of 430 ms).
 _SMALL = 64 * 64
 #: The largest side :func:`expm` groups by plan; above it, each matrix
 #: is a slice of its own.  Grouped over one-by-one time on
@@ -76,13 +77,17 @@ _POWERS = np.array([1.0, 2.0, 4.0, 6.0])[:, None]
 _SMITH_STEPS = 64
 
 
-def _norms(P):
+def _norms(P, C):
     """The 1-norm of each matrix of each stack ``P[k]``, as an array of
     shape ``(len(P), len(P[0]))``: in one pass over a small stack and slot
-    by slot over a large one."""
+    by slot over a large one, whose ``|P[k]|`` is taken in the memory of
+    the free slots ``C``."""
     if P[0].size <= _SMALL:
         return np.abs(P).sum(axis=-2).max(axis=-1)
-    return np.array([np.abs(X).sum(axis=-2).max(axis=-1) for X in P])
+    # a C-contiguous real stack: a strided one would be buffered
+    work = C.reshape(-1).view(float)[:P[0].size].reshape(P[0].shape)
+    return np.array([np.abs(X, out=work).sum(axis=-2).max(axis=-1)
+                     for X in P])
 
 
 class _AbsPowers:
@@ -121,14 +126,14 @@ class _AbsPowers:
         return self.ratios[m]
 
 
-def _plans(B, work):
+def _plans(B, C):
     """The plan (:func:`_degree_and_scaling`) of each matrix of the stack
-    ``(k, n, n)`` whose powers are ``B`` (:func:`_powers`); ``work`` is two
+    ``(k, n, n)`` whose powers are ``B`` (:func:`_powers`); ``C`` is two
     free slots.  The norms and the powers of ``|M|`` are taken for the
     whole stack, each over its own matrix, and only the choice is made
     matrix by matrix."""
-    norms = _norms(B)
-    powers = _AbsPowers(B[0], norms[0][:, None, None], work)
+    norms = _norms(B, C)
+    powers = _AbsPowers(B[0], norms[0][:, None, None], C.real)
     return [_degree_and_scaling(own, lambda m, i=i: float(powers(m)[i, 0]))
             for i, own in enumerate(norms.T.tolist())]
 
@@ -169,10 +174,15 @@ def _degree_and_scaling(norms, ratio):
     return 13, s + ell(13, s)
 
 
-def expm(M):
-    """``exp(M)`` of a square matrix or of each matrix of a stack
-    ``(..., n, n)``, real or complex, by scaling and squaring (Al-Mohy &
-    Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Algorithm 5.1).
+def expm(M, t=1.0):
+    """``exp(tM)`` of a square matrix or of each matrix of a stack
+    ``(..., n, n)``, real or complex, at a real horizon ``t``, or of one
+    matrix at each of an array of horizons, by scaling and squaring
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Algorithm
+    5.1).  The result has the shape ``t.shape + M.shape`` and the bits of
+    ``expm(t[..., None, None] * M)``: ``tM`` is formed slice by slice with
+    those products, in the first buffer of the powers, so no input-sized
+    stack and no scaled copy of ``M`` is made.
 
     Each matrix gets its own Pade degree m and scaling ``2^-s``, from exact
     1-norms of it and of its powers 4, 6, 8 and 10, so a matrix of a stack
@@ -189,27 +199,37 @@ def expm(M):
     stacked operation, so a small matrix costs few calls.  A slice that is
     the whole input is returned as its Pade step leaves it, with no copy.
     """
-    M = np.asarray(M)
+    M, t = np.asarray(M), np.asarray(t)
     n = M.shape[-1]
+    shape = t.shape + M.shape
     if n <= 1:
-        return np.exp(M.astype(np.result_type(M, 1.0)))
-    stack = M.reshape(-1, n, n)
+        return np.exp(np.multiply(t[..., None, None], M,
+                                  dtype=np.result_type(M, 1.0)))
+    ts, stack = t.reshape(-1, 1, 1), M.reshape(-1, n, n)
+    # a view repeats the one horizon or the one matrix, with no copy
+    if len(ts) != len(stack):
+        if len(ts) == 1:
+            ts = np.broadcast_to(ts, (len(stack), 1, 1))
+        else:
+            stack = np.broadcast_to(stack, (len(ts), n, n))
     step = _SMALL // (n * n) if n <= _EACH_SIDE else 1
     with np.errstate(over="ignore", invalid="ignore"):
         if len(stack) <= step:
-            return _grouped_pade(stack).reshape(M.shape)
+            return _grouped_pade(ts, stack).reshape(shape)
         out = np.empty(stack.shape,
                        dtype=complex if np.iscomplexobj(M) else float)
         for i in range(0, len(stack), step):
-            out[i:i + step] = _grouped_pade(stack[i:i + step])
-    return out.reshape(M.shape)
+            out[i:i + step] = _grouped_pade(ts[i:i + step],
+                                            stack[i:i + step])
+    return out.reshape(shape)
 
 
-def _grouped_pade(M):
-    """:func:`expm` of one slice ``(k, n, n)`` of side at least 2."""
-    buffers = _powers(M)
+def _grouped_pade(t, M):
+    """:func:`expm` of one slice ``t * M``, ``M`` of shape ``(k, n, n)``
+    and side at least 2, ``t`` of shape ``(k, 1, 1)``."""
+    buffers = _powers(t, M)
     plans = {}  # (m, s), or None for a non-finite norm, to its matrices
-    for i, plan in enumerate(_plans(buffers[0], buffers[1].real)):
+    for i, plan in enumerate(_plans(*buffers)):
         plans.setdefault(plan, []).append(i)
     if len(plans) == 1 and None not in plans:
         return _pade(buffers, *plans.popitem()[0])
@@ -225,15 +245,16 @@ def _grouped_pade(M):
     return X
 
 
-def _powers(M):
-    """The buffers ``[B, C]`` of a stack ``M`` of side at least 2: ``B``
-    holds ``A = M, A^2, A^4, A^6, A^8`` and ``A^4 A^6``, formed here, and
-    ``C`` is two free slots of the same shape."""
+def _powers(t, M):
+    """The buffers ``[B, C]`` of the stack ``t * M`` of side at least 2:
+    ``B`` holds ``A = t * M``, formed in its first slot, ``A^2, A^4, A^6,
+    A^8`` and ``A^4 A^6``, formed here, and ``C`` is two free slots of the
+    same shape."""
     dtype = complex if np.iscomplexobj(M) else float
     B = np.empty((6,) + M.shape, dtype=dtype)
     C = np.empty((2,) + M.shape, dtype=dtype)
-    B[0] = M
-    A = B[0]
+    # t is cast first: a cast inside the product would be buffered
+    A = np.multiply(t.astype(dtype, copy=False), M, out=B[0])
     np.matmul(A, A, out=B[1])
     np.matmul(B[1], B[1], out=B[2])
     np.matmul(B[1], B[2], out=B[3])
@@ -251,7 +272,7 @@ def _pade(buffers, m, s):
     buffers.clear()
     A = B[0]
     if s:
-        B[:4].reshape(4, -1)[...] *= 0.5 ** (s * _POWERS)
+        B[:4].reshape(4, -1)[...] *= (0.5 ** (s * _POWERS)).astype(B.dtype)
     high, low, units = _PARTS[m]
     n = A.shape[-1]
     np.dot(low, B[1:4].reshape(3, -1), out=C.reshape(2, -1))

@@ -105,10 +105,10 @@ def load_model(path):
         raise InputError('model file %s must be a JSON object with keys '
                          '"A" and "Q"' % path)
     tol = config.DEFAULT
-    overrides = data.get("tolerances", {})
-    if overrides:
+    # every present value is checked, so a falsy non-object is refused too
+    if "tolerances" in data:
         try:
-            tol = tol.with_overrides(overrides)
+            tol = tol.with_overrides(data["tolerances"])
         except (ValueError, TypeError) as exc:
             raise InputError("bad tolerance overrides in %s: %s"
                              % (path, exc)) from None

@@ -246,7 +246,7 @@ def _expm_failure(t, what):
 
 def _expm(M, t, what):
     """``exp(tM)``, refused if not finite, naming ``t`` and `what` M is."""
-    E = expm(t * M)
+    E = expm(M, t)
     if not np.all(np.isfinite(E)):
         raise _expm_failure(t, what)
     return E
@@ -270,7 +270,7 @@ def _flows(model, ts):
     if not np.isfinite(ts).all():
         raise InputError("flow needs a finite t, got %g"
                          % ts[~np.isfinite(ts)][0])
-    return _finite_prefix(expm(ts[:, None, None] * model.A), ts,
+    return _finite_prefix(expm(model.A, ts), ts,
                           "the drift A")
 
 
@@ -286,10 +286,12 @@ def _gramians(model, ts):
     H[d:, d:] = -model.A.T
     with np.errstate(over="ignore", invalid="ignore"):
         E, refusal = _finite_prefix(
-            expm(ts[:, None, None] * H), ts,
+            expm(H, ts), ts,
             "Q_t's Van Loan block matrix [[A, Q], [0, -A']]")
         Qt = E[:, :d, d:] @ np.swapaxes(E[:, :d, :d], -1, -2)
-        Qt = 0.5 * (Qt + np.swapaxes(Qt, -1, -2))
+        del E
+        Qt = Qt + np.swapaxes(Qt, -1, -2)
+        Qt *= 0.5
     Qt[ts[:len(Qt)] == 0.0] = 0.0
     finite = np.isfinite(Qt).all(axis=(-2, -1))
     if not finite.all():

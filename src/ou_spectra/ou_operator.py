@@ -52,6 +52,7 @@ import numpy as np
 from .errors import DimensionMismatch, InputError
 from .gramian import (_expm, _horizon, flow, gramian_t, nondegenerate_factor,
                       smu_matrix)
+from .spectra import _row_blocks
 from .tensor_fock import (_readonly, _sqrt_factorials, derivation_block,
                           heat_block, multi_indices, substitution_levels,
                           sym_power)
@@ -277,12 +278,14 @@ class ChaosDecomposition:
         as ``blocks[n]`` on the n-th layer, in monomial coordinates.  The
         blocks are applied to ``Phi^-1`` first: on defective drifts, whose
         lifts reach 1e4, that order leaves about half the roundoff of
-        ``(Phi blocks) Phi^-1``."""
+        ``(Phi blocks) Phi^-1``.  It empties the list `blocks`, top
+        degree first, so that each block is freed once its rows are written
+        and none is held through the product with ``Phi``."""
         Psi = self.occupation_hermite_inv
         Y = np.zeros(Psi.shape, dtype=np.result_type(Psi, *blocks))
-        for n, block in enumerate(blocks):
-            sel = self.basis.degree_slice(n)
-            Y[sel] = block @ Psi[sel]
+        while blocks:
+            sel = self.basis.degree_slice(len(blocks) - 1)
+            np.matmul(blocks.pop(), Psi[sel], out=Y[sel])
         return self.occupation_hermite @ Y
 
     def leading(self, N):
@@ -391,40 +394,39 @@ def verify_second_quantization(model, t, N):
 def _generator_exp(blocks, basis, t):
     """``exp(t L)`` on `basis` from the parity blocks of L
     (:func:`galerkin_blocks`) on `basis` or a larger one, whose leading
-    sub-blocks are those on `basis` (L is block upper triangular).  Each
-    exponential is written at its class's positions, with exact zeros
-    between the classes; the result is allocated after the exponentials,
-    so it is not held alongside their work arrays.
+    sub-blocks are those on `basis` (L is block upper triangular).  It is
+    returned as L's blocks are, one exponential per class of
+    ``basis.parity_classes``: every entry between the classes is an exact
+    zero, so it is not stored.
 
     It shares no code with (b) and (c) of :func:`verify_second_quantization`,
     which both rest on the substitution kernel; that kernel is pinned to
     the Kronecker route by the tests.
     """
-    classes = basis.parity_classes
-    exps = [_expm(block[:len(idx), :len(idx)], t,
+    return [_expm(block[:len(idx), :len(idx)], t,
                   "the %s-degree block of L" % parity)
-            for idx, block, parity in zip(classes, blocks, ("even", "odd"))]
-    P = np.zeros((basis.dim, basis.dim))
-    for idx, E in zip(classes, exps):
-        P[np.ix_(idx, idx)] = E
-    return P
+            for idx, block, parity in zip(basis.parity_classes, blocks,
+                                          ("even", "odd"))]
 
 
 def _three_way(model, t, P_gen, P_meh, chaos):
-    """:func:`verify_second_quantization` on ``exp(t L)``, a Mehler matrix
-    and a chaos family already built on one basis, so a caller that holds
-    them does not build them again.  The three deviations are formed in
-    one buffer."""
+    """:func:`verify_second_quantization` on ``exp(t L)`` (as the class
+    blocks of :func:`_generator_exp`), a Mehler matrix and a chaos family
+    already built on one basis, so a caller that holds them does not build
+    them again.
+
+    All three routes are exact zeros between the parity classes, so each
+    deviation is taken on the classes alone, in row blocks of at most
+    ``spectra._row_blocks`` entries: a maximum is exact, so it has the
+    bits of the maximum over the whole matrix."""
     basis = chaos.basis
     B = smu_matrix(model, t)
     P_lift = chaos.lift([sym_power(B.T, n) for n in range(basis.N + 1)])
-    diff = P_gen - P_meh
-    r_ab = float(np.abs(diff, out=diff).max())
-    np.subtract(P_gen, P_lift, out=diff)
-    r_ac = float(np.abs(diff, out=diff).max())
-    np.subtract(P_meh, P_lift, out=diff)
-    r_bc = float(np.abs(diff, out=diff).max())
-    # np.max, not max: max(r_ab, nan) keeps r_ab.
+    devs = [_deviations(E[rows], P_meh, P_lift, np.ix_(idx[rows], idx))
+            for idx, E in zip(basis.parity_classes, P_gen)
+            for rows in _row_blocks(len(idx), len(idx))]
+    # np.max, not max: max(r, nan) keeps r.
+    r_ab, r_ac, r_bc = np.max(devs, axis=0).tolist()
     worst = float(np.max([r_ab, r_ac, r_bc]))
     return SecondQuantizationReport(
         t=t,
@@ -436,3 +438,14 @@ def _three_way(model, t, P_gen, P_meh, chaos):
         max_residual=worst,
         passed=worst <= THREE_WAY_TOL,
     )
+
+
+def _deviations(gen, P_meh, P_lift, at):
+    """``max |gen - meh|``, ``max |gen - lift|`` and ``max |meh - lift|``,
+    each NaN if an entry is, with ``meh`` and ``lift`` the entries `at`
+    (an ``np.ix_`` pair) of the dense matrices: the deviations of
+    :func:`_three_way` on one row block, formed in one buffer."""
+    meh, lift = P_meh[at], P_lift[at]
+    diff = np.empty_like(meh)
+    return [np.abs(np.subtract(X, Y, out=diff), out=diff).max()
+            for X, Y in ((gen, meh), (gen, lift), (meh, lift))]

@@ -122,7 +122,7 @@ def test_refusal_contract_models_are_run_as_files(tmp_path):
     # the stacked T_GRID Gramians, t=2
     from test_refusal_contract import MODELS
     argvs = bytecheck.refusal_argvs(MODELS, tmp_path / "in")
-    assert len(argvs) == 3 * len(MODELS) == 48
+    assert len(argvs) == 3 * len(MODELS) == 63
     assert sorted(p.name for p in (tmp_path / "in").iterdir()) \
         == sorted(name + ".json" for name in MODELS)
     fast = [a for a in argvs if a[1] == "fast_drift.json"]
@@ -131,3 +131,27 @@ def test_refusal_contract_models_are_run_as_files(tmp_path):
     assert [r["rc"] for r in records] == [2, 0, 2]
     assert records[2]["stderr"].count("\n") == 1
     assert "at t=2," in records[2]["stderr"]
+
+
+def test_fock_refusal_contract_matrices_are_run_as_files(tmp_path):
+    # each matrix file of the contract goes through fock with its options;
+    # a NaN matrix is refused with one line, and a level past the float
+    # range is refused at that level
+    from test_refusal_contract import MATRICES
+    argvs = bytecheck.fock_argvs(MATRICES, tmp_path / "in")
+    assert len(argvs) == len(MATRICES) == 19
+    assert sorted(p.name for p in (tmp_path / "in").iterdir()) \
+        == sorted(name + ".json" for name in MATRICES)
+    assert ["fock", "--matrix", "jordan_levels_12.json", "--levels", "12",
+            "--allow-noncontraction", "--out",
+            "out/jordan_levels_12.fock.json"] in argvs
+    picked = [a for a in argvs
+              if a[2] in ("nan.json", "overflowing_level.json",
+                          "zero.json")]
+    records = bytecheck.run_tree(ROOT, tmp_path / "in", picked,
+                                 tmp_path / "run")
+    assert [r["rc"] for r in records] == [1, 1, 0]
+    for record in records[:2]:
+        assert record["stderr"].count("\n") == 1 and not record["files"]
+    assert "overflows the float range" in records[1]["stderr"]
+    assert sorted(records[2]["files"]) == ["zero.fock.json"]

@@ -123,6 +123,24 @@ def test_load_model_missing_and_malformed(tmp_path):
             "A": [[-1.0]], "Q": [[1.0]], "tolerances": ["rank_tol"]}))
 
 
+@pytest.mark.parametrize("value", [[], False, 0, "", None, "x"])
+def test_a_tolerances_value_that_is_not_an_object_is_refused(tmp_path,
+                                                             capsys, value):
+    # falsy values too: each present value is checked, not only a truthy
+    # one
+    path = _write(tmp_path / "m.json", {"A": [[-1.0]], "Q": [[1.0]],
+                                        "tolerances": value})
+    out = tmp_path / "s.json"
+    assert cli.main(["spectrum", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad tolerance overrides in %s: tolerance overrides must be "
+        "a JSON object, got %r\n" % (path, value))
+    assert not out.exists()
+    empty = _write(tmp_path / "e.json", {"A": [[-1.0]], "Q": [[1.0]],
+                                         "tolerances": {}})
+    assert cli.main(["spectrum", empty, "--out", str(out)]) == 0
+
+
 def test_tolerance_profile_variable_is_ignored(tmp_path, monkeypatch,
                                                capsys):
     # the tolerance profiles are gone: a model file's "tolerances" object
@@ -465,9 +483,9 @@ def _analyze_calls(tmp_path, monkeypatch, grid):
                     patch.setattr(module, name, wrapped)
         real_expm = gramian.expm
 
-        def stacked(M):
-            counts["stacks"].append((M.shape[-1], len(M)))
-            return real_expm(M)
+        def stacked(M, t=1.0):
+            counts["stacks"].append((M.shape[-1], np.size(t)))
+            return real_expm(M, t)
         patch.setattr(gramian, "expm", stacked)
         out = str(tmp_path / "h.json")
         assert cli.main(["analyze", "hypoelliptic_2d", "--t-grid", grid,
@@ -964,10 +982,10 @@ def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
     # other exponential of verify is at most 4 x 4 or a stack of 2 x 2
     real = gramian.expm
 
-    def expm(M):
-        if M.ndim == 2 and M.shape[0] > 4:
+    def expm(M, t=1.0):
+        if np.ndim(t) == 0 and M.shape[0] > 4:
             return np.full(M.shape, np.nan)
-        return real(M)
+        return real(M, t)
 
     monkeypatch.setattr(gramian, "expm", expm)
     out = str(tmp_path / "v.json")

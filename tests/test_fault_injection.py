@@ -185,6 +185,11 @@ def _scaled(factor):
     return lambda real, *args, **kwargs: real(*args, **kwargs) * factor
 
 
+def _each_block_scaled(factor):
+    return lambda real, *args, **kwargs: [E * factor
+                                          for E in real(*args, **kwargs)]
+
+
 def _gramians_indefinite(real, model, ts):
     # every Q_t less the same multiple of I, just past the smallest
     # eigenvalue of the first: the differences are untouched
@@ -313,7 +318,8 @@ MODEL_WITNESSES = {
         _around(verification, "chaos_decomposition", _second_layer_scaled),
         {"chaos_covariance_permanent", "second_quantization_three_way"}),
     "second_quantization_three_way": (
-        _around(verification, "_generator_exp", _scaled(1.0 + 1e-6)),
+        _around(verification, "_generator_exp",
+                _each_block_scaled(1.0 + 1e-6)),
         {"second_quantization_three_way"}),
     "eigenvector_degree_support": (
         _around(verification, "_eigvals", _eigenvectors_spread),

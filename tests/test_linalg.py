@@ -8,6 +8,8 @@ triangular shortcut and misses the even block by 27.8 (``|exp| = 1.7e3``);
 the package's own kernel squares without a shortcut.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -121,6 +123,53 @@ def test_expm_each_is_expm_of_each_matrix_alone(monkeypatch, n, kind):
     if n > 1:
         assert {m for m, _ in seen} == {3, 5, 7, 9, 13}, seen
         assert {s for _, s in seen} >= {0, 1, 2, 3}, seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+@pytest.mark.parametrize("kind", ["real", "complex", "defective"])
+def test_expm_at_horizons_is_expm_of_the_scaled_stack(n, kind):
+    # t M is formed in the first power buffer with the products of
+    # t[..., None, None] * M, so each horizon has the bits of the scaled
+    # matrix's own exponential, whatever the shape of t
+    model = random_stable_model(np.random.default_rng(n), d=n,
+                                kind="real" if kind == "complex" else kind)
+    A = model.A
+    if kind == "complex":
+        A = A + 1j * np.random.default_rng(n).standard_normal((n, n))
+    for ts in (EACH_HORIZONS, EACH_HORIZONS.reshape(4, 30),
+               np.float64(0.7), 1.0):
+        want = expm(np.asarray(ts)[..., None, None] * A)
+        got = expm(A, ts)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _peak_over_input(M):
+    """The traced peak of a second ``expm(M)``, in units of ``M``."""
+    expm(M)
+    tracemalloc.start()
+    try:
+        expm(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / M.nbytes
+
+
+@pytest.mark.parametrize("n", [65, 100])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_expm_of_a_large_matrix_holds_eight_arrays_above_its_input(n, kind):
+    # the powers and the parts of the approximant take eight buffers of
+    # the input's size; |A^k| for the 1-norms is taken in a free one and
+    # t and the scaling are cast before their products, so no ninth array
+    # is made (vectors of side n make up the rest)
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    if kind == "complex":
+        M = M + 1j * rng.standard_normal((n, n))
+    for norm in (0.01, 30.0):
+        ratio = _peak_over_input(M * (norm / np.abs(M).sum(axis=0).max()))
+        assert ratio <= 8.5, (norm, ratio)
 
 
 def test_expm_each_scales_a_group_that_is_not_the_whole_slice(monkeypatch):

@@ -32,6 +32,7 @@ from ou_spectra.gramian import (
     flow,
     gramian_inf,
     gramian_t,
+    smu_matrix,
     validate,
 )
 from ou_spectra.ou_operator import (
@@ -594,8 +595,11 @@ def test_parity_zeros_across_classes(N):
         for M in (assemble_L(model, b), mehler_matrix(model, 0.7, b),
                   chaos.occupation_hermite, chaos.occupation_hermite_inv):
             assert np.all(M[cross] == 0.0)
-        P = ou_operator._generator_exp(galerkin_blocks(model, b), b, 1.0)
-        assert np.all(P[cross] == 0.0)
+        # exp(L) is held as its class blocks: the zeros between the classes
+        # are not stored
+        exps = ou_operator._generator_exp(galerkin_blocks(model, b), b, 1.0)
+        assert [E.shape for E in exps] == [(len(idx), len(idx))
+                                           for idx in classes]
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 5])
@@ -651,7 +655,10 @@ def test_split_expm_matches_dense(seed, d, N, kind):
     blocks = galerkin_blocks(model, b)
     for t in (0.3, 1.0):
         dense = expm(t * L)
-        split = ou_operator._generator_exp(blocks, b, t)
+        split = np.zeros_like(dense)
+        for idx, E in zip(b.parity_classes,
+                          ou_operator._generator_exp(blocks, b, t)):
+            split[np.ix_(idx, idx)] = E
         assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -697,6 +704,40 @@ def test_verify_second_quantization_degree_8_in_three_dims():
     rep = verify_second_quantization(model, 1.0, 8)
     assert rep.passed, rep
     assert rep.max_residual <= 1e-8
+
+
+def _dense_deviations(model, t, N):
+    """The three deviations of the three-way check taken over dense
+    matrices, with ``exp(tL)`` written at its classes' positions and exact
+    zeros between them: the reference of the per-class deviations."""
+    b = poly_basis(model.dim, N)
+    P_gen = np.zeros((b.dim, b.dim))
+    for idx, E in zip(b.parity_classes, ou_operator._generator_exp(
+            galerkin_blocks(model, b), b, t)):
+        P_gen[np.ix_(idx, idx)] = E
+    P_meh = mehler_matrix(model, t, b)
+    B = smu_matrix(model, t)
+    P_lift = chaos_decomposition(model, b).lift(
+        [sym_power(B.T, n) for n in range(N + 1)])
+    return [float(np.abs(X - Y).max())
+            for X, Y in ((P_gen, P_meh), (P_gen, P_lift), (P_meh, P_lift))]
+
+
+@pytest.mark.parametrize("seed,d,N,kind", [
+    (0, 2, 6, "defective"), (1, 3, 7, "real"), (2, 4, 5, "complex"),
+    (0, 8, 4, "defective")])
+def test_three_way_deviations_are_the_dense_ones(seed, d, N, kind):
+    # each deviation is taken per parity class and in row blocks (three at
+    # d = 8, N = 4): a maximum is exact, so every field keeps its bits
+    model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
+    for t in (0.3, 1.0):
+        rep = verify_second_quantization(model, t, N)
+        want = _dense_deviations(model, t, N)
+        assert [rep.residual_generator_vs_mehler,
+                rep.residual_generator_vs_lift,
+                rep.residual_mehler_vs_lift] == want
+        assert rep.max_residual == max(want)
+        assert rep.passed == (max(want) <= rep.tol)
 
 
 def test_verify_second_quantization_detects_corruption(monkeypatch):

@@ -40,6 +40,11 @@ MODELS = {
     "infinite_drift": {"A": [[float("inf")]], "Q": [[1]]},
     "jordan_conjugated": {"A": JORDAN_CONJUGATED,
                           "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    # a "tolerances" value that is not an object is refused even when falsy
+    **{"falsy_tolerances_%s" % label: {"A": [[-1]], "Q": [[1]],
+                                       "tolerances": value}
+       for label, value in (("list", []), ("false", False), ("zero", 0),
+                            ("string", ""), ("null", None))},
 }
 
 

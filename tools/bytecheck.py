@@ -10,8 +10,9 @@ which only reads it), and every item argv of the workload (screens
 included) and every ceiling-probe argv is run through both trees; so are
 ``analyze``, ``spectrum`` and ``verify`` on each bundled model and on each
 model file of the refusal-contract test (``MODELS`` of
-``tests/test_refusal_contract.py``), so that refusal lines are checked
-too.  Each tree
+``tests/test_refusal_contract.py``), and ``fock`` on each of its matrix
+files (``MATRICES``, each with its options), so that refusal lines are
+checked too.  Each tree
 runs in its own process, which calls ``ou_spectra.cli.main`` on one argv
 at a time with one BLAS thread, and records the exit code, stdout, stderr
 and every report and CSV file the call wrote.
@@ -118,6 +119,17 @@ def refusal_argvs(models, out_dir):
     return [[command, name + ".json", "--out",
              "out/%s.%s.json" % (name, command)]
             for name in sorted(models) for command in COMMANDS]
+
+
+def fock_argvs(matrices, out_dir):
+    """Write each matrix of `matrices` (name to the JSON of a matrix file
+    and the options it runs with) to ``out_dir/<name>.json`` and return
+    ``fock`` on each, with the report under ``out/``."""
+    out_dir.mkdir(parents=True)
+    for name, (matrix, _) in matrices.items():
+        (out_dir / (name + ".json")).write_text(json.dumps(matrix))
+    return [["fock", "--matrix", name + ".json"] + matrices[name][1]
+            + ["--out", "out/%s.fock.json" % name] for name in sorted(matrices)]
 
 
 def _unique(argvs):
@@ -326,7 +338,7 @@ def main(argv=None):
     root = checkout_root()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     from ou_spectra.cli import list_bundled
-    from test_refusal_contract import MODELS
+    from test_refusal_contract import MATRICES, MODELS
     sets = [("bundled", None, bundled_argvs(list_bundled()))]
     total, differing, tally = 0, 0, Counter()
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
@@ -335,6 +347,9 @@ def main(argv=None):
         refusal = tmp / "refusal"
         sets.append(("refusal contract", refusal,
                      refusal_argvs(MODELS, refusal)))
+        fock = tmp / "fock-refusal"
+        sets.append(("fock refusal contract", fock,
+                     fock_argvs(MATRICES, fock)))
         for workload in WORKLOADS:
             for seed in args.seeds:
                 inputs = tmp / ("%s-s%d" % (workload, seed))
