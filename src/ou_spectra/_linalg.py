@@ -1,5 +1,5 @@
 """The package's two dense kernels, in numpy alone: the matrix exponential
-(:func:`expm`, of a matrix or of a stack) and the Lyapunov solve
+(:func:`expm`, of one matrix at its horizons) and the Lyapunov solve
 (:func:`lyapunov`).
 
 Every Gramian, flow and transition matrix rests on them.  They are not
@@ -51,7 +51,7 @@ _PARTS = {m: _parts(b) for m, b in _PADE.items()}
 #: error series, ``(2m)! (2m + 1)! / (m!)^2``.
 _LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
                         // math.factorial(m) ** 2) for m in _THETA}
-#: Entries per input, its stack included, up to which :func:`_norms`
+#: Entries per slice, its horizons included, up to which :func:`_norms`
 #: takes one pass and :class:`_AbsPowers` steps by ``|M|^2``, and the
 #: most entries :func:`expm` groups in one slice.  Measured on a
 #: 2-core VM with one BLAS thread: at n <= 6, where a numpy call's
@@ -61,7 +61,7 @@ _LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
 #: (8 since each ``|M^k|`` is taken in a free buffer), and steps by
 #: ``|M|`` save one product (33 of 430 ms).
 _SMALL = 64 * 64
-#: The largest side :func:`expm` groups by plan; above it, each matrix
+#: The largest side :func:`expm` groups by plan; above it, each horizon
 #: is a slice of its own.  Grouped over one-by-one time on
 #: the 50 flows of a random drift at t = 0.1-5 (2-core VM, one BLAS
 #: thread) was 0.25, 0.27 and 0.33 at n = 2, 4 and 8, then 0.45, 0.73,
@@ -80,13 +80,11 @@ _SMITH_STEPS = 64
 def _norms(P, C):
     """The 1-norm of each matrix of each stack ``P[k]``, as an array of
     shape ``(len(P), len(P[0]))``: in one pass over a small stack and slot
-    by slot over a large one, whose ``|P[k]|`` is taken in the memory of
-    the free slots ``C``."""
+    by slot over a large one, whose ``|P[k]|`` is taken in the free slot
+    ``C[0]``, a C-contiguous stack of the same shape."""
     if P[0].size <= _SMALL:
         return np.abs(P).sum(axis=-2).max(axis=-1)
-    # a C-contiguous real stack: a strided one would be buffered
-    work = C.reshape(-1).view(float)[:P[0].size].reshape(P[0].shape)
-    return np.array([np.abs(X, out=work).sum(axis=-2).max(axis=-1)
+    return np.array([np.abs(X, out=C[0]).sum(axis=-2).max(axis=-1)
                      for X in P])
 
 
@@ -133,7 +131,7 @@ def _plans(B, C):
     whole stack, each over its own matrix, and only the choice is made
     matrix by matrix."""
     norms = _norms(B, C)
-    powers = _AbsPowers(B[0], norms[0][:, None, None], C.real)
+    powers = _AbsPowers(B[0], norms[0][:, None, None], C)
     return [_degree_and_scaling(own, lambda m, i=i: float(powers(m)[i, 0]))
             for i, own in enumerate(norms.T.tolist())]
 
@@ -175,60 +173,50 @@ def _degree_and_scaling(norms, ratio):
 
 
 def expm(M, t=1.0):
-    """``exp(tM)`` of a square matrix or of each matrix of a stack
-    ``(..., n, n)``, real or complex, at a real horizon ``t``, or of one
-    matrix at each of an array of horizons, by scaling and squaring
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Algorithm
-    5.1).  The result has the shape ``t.shape + M.shape`` and the bits of
-    ``expm(t[..., None, None] * M)``: ``tM`` is formed slice by slice with
-    those products, in the first buffer of the powers, so no input-sized
-    stack and no scaled copy of ``M`` is made.
+    """``exp(tM)`` of one real square matrix ``M`` at a horizon ``t`` or
+    at each of an array of horizons, of shape ``t.shape + M.shape``, by
+    scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+    2009, Algorithm 5.1).  Each horizon has the bits of its own call
+    ``expm(t_k * M)``: ``t_k M`` is formed with that product, in the first
+    buffer of the powers, so no input-sized stack and no scaled copy of
+    ``M`` is made.
 
-    Each matrix gets its own Pade degree m and scaling ``2^-s``, from exact
-    1-norms of it and of its powers 4, 6, 8 and 10, so a matrix of a stack
-    has the bits it has alone.  ``r_m(2^-s M)`` is then squared s times,
-    with no shortcut for triangular input.  A matrix that is not finite,
-    or whose powers overflow, gives NaN in its own slot.
+    Each horizon gets its own Pade degree m and scaling ``2^-s``, from
+    exact 1-norms of ``t_k M`` and of its powers 4, 6, 8 and 10.
+    ``r_m(2^-s t_k M)`` is then squared s times, with no shortcut for
+    triangular input.  A horizon at which ``t_k M`` is not finite, or its
+    powers overflow, gives NaN in its own slot only.
 
-    Up to side ``_EACH_SIDE`` the stack is taken in slices of at most
-    ``_SMALL`` entries; above it each matrix is a slice of its own.  The
-    powers of a slice are formed once, and the matrices of a slice that
-    share a plan take one Pade step together.  The powers and the parts of
-    the approximant live in eight buffers of the slice's size, updated in
-    place, and six of them are dropped before the solve; each stage is one
-    stacked operation, so a small matrix costs few calls.  A slice that is
-    the whole input is returned as its Pade step leaves it, with no copy.
+    Up to side ``_EACH_SIDE`` the horizons are taken in slices of at most
+    ``_SMALL`` entries; above it each horizon is a slice of its own.  The
+    powers of a slice are formed once, and the horizons of a slice that
+    share a plan take one Pade step together.  The powers and the parts
+    of the approximant live in eight buffers of the slice's size, updated
+    in place, and six of them are dropped before the solve; each stage is
+    one stacked operation, so a small matrix costs few calls.  A slice
+    that is the whole input is returned as its Pade step leaves it, with
+    no copy.
     """
-    M, t = np.asarray(M), np.asarray(t)
-    n = M.shape[-1]
-    shape = t.shape + M.shape
+    M, t = np.asarray(M), np.asarray(t, dtype=float)
+    n = len(M)
     if n <= 1:
-        return np.exp(np.multiply(t[..., None, None], M,
-                                  dtype=np.result_type(M, 1.0)))
-    ts, stack = t.reshape(-1, 1, 1), M.reshape(-1, n, n)
-    # a view repeats the one horizon or the one matrix, with no copy
-    if len(ts) != len(stack):
-        if len(ts) == 1:
-            ts = np.broadcast_to(ts, (len(stack), 1, 1))
-        else:
-            stack = np.broadcast_to(stack, (len(ts), n, n))
+        return np.exp(t[..., None, None] * M)
+    ts = t.reshape(-1, 1, 1)
     step = _SMALL // (n * n) if n <= _EACH_SIDE else 1
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(stack) <= step:
-            return _grouped_pade(ts, stack).reshape(shape)
-        out = np.empty(stack.shape,
-                       dtype=complex if np.iscomplexobj(M) else float)
-        for i in range(0, len(stack), step):
-            out[i:i + step] = _grouped_pade(ts[i:i + step],
-                                            stack[i:i + step])
-    return out.reshape(shape)
+        if len(ts) <= step:
+            return _grouped_pade(ts, M).reshape(t.shape + M.shape)
+        out = np.empty((len(ts), n, n))
+        for i in range(0, len(ts), step):
+            out[i:i + step] = _grouped_pade(ts[i:i + step], M)
+    return out.reshape(t.shape + M.shape)
 
 
 def _grouped_pade(t, M):
-    """:func:`expm` of one slice ``t * M``, ``M`` of shape ``(k, n, n)``
-    and side at least 2, ``t`` of shape ``(k, 1, 1)``."""
+    """:func:`expm` of one slice ``t * M``, ``M`` of side at least 2 and
+    ``t`` of shape ``(k, 1, 1)``."""
     buffers = _powers(t, M)
-    plans = {}  # (m, s), or None for a non-finite norm, to its matrices
+    plans = {}  # (m, s), or None for a non-finite norm, to its horizons
     for i, plan in enumerate(_plans(*buffers)):
         plans.setdefault(plan, []).append(i)
     if len(plans) == 1 and None not in plans:
@@ -240,21 +228,20 @@ def _grouped_pade(t, M):
             # a fancy-indexed slice is not C-contiguous; _pade scales it
             # in place through reshape, which would act on a copy
             X[rows] = _pade([np.ascontiguousarray(B[:, rows]),
-                             np.empty((2, len(rows)) + M.shape[1:], B.dtype)],
-                            *plan)
+                             np.empty((2, len(rows)) + B.shape[2:])], *plan)
     return X
 
 
 def _powers(t, M):
-    """The buffers ``[B, C]`` of the stack ``t * M`` of side at least 2:
-    ``B`` holds ``A = t * M``, formed in its first slot, ``A^2, A^4, A^6,
-    A^8`` and ``A^4 A^6``, formed here, and ``C`` is two free slots of the
-    same shape."""
-    dtype = complex if np.iscomplexobj(M) else float
-    B = np.empty((6,) + M.shape, dtype=dtype)
-    C = np.empty((2,) + M.shape, dtype=dtype)
-    # t is cast first: a cast inside the product would be buffered
-    A = np.multiply(t.astype(dtype, copy=False), M, out=B[0])
+    """The buffers ``[B, C]`` of the stack ``t * M``, ``M`` of side
+    ``n`` at least 2 and ``t`` of shape ``(k, 1, 1)``: ``B`` of shape
+    ``(6, k, n, n)`` holds ``A = t * M``, formed in its first slot,
+    ``A^2, A^4, A^6, A^8`` and ``A^4 A^6``, formed here, and ``C`` is
+    two free slots of the shape ``(2, k, n, n)``."""
+    n = len(M)
+    B = np.empty((6, len(t), n, n))
+    C = np.empty((2, len(t), n, n))
+    A = np.multiply(t, M, out=B[0])
     np.matmul(A, A, out=B[1])
     np.matmul(B[1], B[1], out=B[2])
     np.matmul(B[1], B[2], out=B[3])
@@ -272,7 +259,7 @@ def _pade(buffers, m, s):
     buffers.clear()
     A = B[0]
     if s:
-        B[:4].reshape(4, -1)[...] *= (0.5 ** (s * _POWERS)).astype(B.dtype)
+        B[:4].reshape(4, -1)[...] *= 0.5 ** (s * _POWERS)
     high, low, units = _PARTS[m]
     n = A.shape[-1]
     np.dot(low, B[1:4].reshape(3, -1), out=C.reshape(2, -1))

@@ -304,6 +304,8 @@ def cmd_spectrum(args):
     nondegenerate_factor(model)
 
     N = args.degree
+    # Refuses a basis above the size cap before the lattice walk.
+    basis = poly_basis(model.dim, N)
     drift = SpectrumSet(model.drift_eigenvalues)
     cover = LatticeWindow.covering(drift.points, N)
     re_min = cover.re_min if args.re_min is None else args.re_min
@@ -311,7 +313,6 @@ def cmd_spectrum(args):
     window = LatticeWindow(re_min=re_min, im_max=im_max, max_terms=N)
 
     predicted = lattice_spectrum(drift, window)
-    basis = poly_basis(model.dim, N)
     galerkin = SpectrumSet(np.concatenate(
         [_eigvals(block) for block in galerkin_blocks(model, basis)]))
     computed = galerkin.restricted(re_min=re_min, im_max=im_max)

@@ -236,42 +236,29 @@ def _horizon(t, what, positive=False):
     return t
 
 
-def _expm_failure(t, what):
-    """The refusal of a non-finite ``exp(tM)``, naming `t` and `what` M
-    is."""
-    return ExpmFailure(
-        "matrix exponential exp(tM) produced non-finite values at t=%g, "
-        "for M = %s" % (t, what))
-
-
-def _expm(M, t, what):
-    """``exp(tM)``, refused if not finite, naming ``t`` and `what` M is."""
-    E = expm(M, t)
-    if not np.all(np.isfinite(E)):
-        raise _expm_failure(t, what)
-    return E
-
-
-def _finite_prefix(E, ts, what):
-    """The matrices of the stack `E` (at horizons `ts`) before the first
-    one with a non-finite entry, and the refusal naming that horizon and
-    `what` was exponentiated, None if every matrix is finite."""
+def _expm(M, ts, what):
+    """``exp(tM)`` at each horizon of the array `ts`, stacked, before the
+    first horizon whose exponential has a non-finite entry, and the
+    refusal naming that horizon and `what` M is, None if every one is
+    finite."""
+    E = expm(M, ts)
     finite = np.isfinite(E).all(axis=(-2, -1))
     if finite.all():
         return E, None
     first = int(finite.argmin())
-    return E[:first], _expm_failure(ts[first], what)
+    return E[:first], ExpmFailure(
+        "matrix exponential exp(tM) produced non-finite values at t=%g, "
+        "for M = %s" % (ts[first], what))
 
 
 def _flows(model, ts):
     """``exp(tA)`` at each horizon of the array `ts`, stacked, as
-    :func:`_finite_prefix` returns it.  A horizon of any sign is valid; a
+    :func:`_expm` returns it.  A horizon of any sign is valid; a
     non-finite one is refused as input, before any exponential."""
     if not np.isfinite(ts).all():
         raise InputError("flow needs a finite t, got %g"
                          % ts[~np.isfinite(ts)][0])
-    return _finite_prefix(expm(model.A, ts), ts,
-                          "the drift A")
+    return _expm(model.A, ts, "the drift A")
 
 
 def _gramians(model, ts):
@@ -285,9 +272,8 @@ def _gramians(model, ts):
     H[:d, d:] = model.Q
     H[d:, d:] = -model.A.T
     with np.errstate(over="ignore", invalid="ignore"):
-        E, refusal = _finite_prefix(
-            expm(H, ts), ts,
-            "Q_t's Van Loan block matrix [[A, Q], [0, -A']]")
+        E, refusal = _expm(H, ts,
+                           "Q_t's Van Loan block matrix [[A, Q], [0, -A']]")
         Qt = E[:, :d, d:] @ np.swapaxes(E[:, :d, :d], -1, -2)
         del E
         Qt = Qt + np.swapaxes(Qt, -1, -2)

@@ -49,13 +49,13 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, SizeCap
 from .gramian import (_expm, _horizon, flow, gramian_t, nondegenerate_factor,
                       smu_matrix)
 from .spectra import _row_blocks
-from .tensor_fock import (_readonly, _sqrt_factorials, derivation_block,
-                          heat_block, multi_indices, substitution_levels,
-                          sym_power)
+from .tensor_fock import (DEFAULT_SIZE_CAP, _readonly, _sqrt_factorials,
+                          derivation_block, heat_block, multi_indices,
+                          substitution_levels, sym_power)
 
 __all__ = [
     "PolyBasis", "poly_basis", "assemble_L", "galerkin_blocks",
@@ -118,9 +118,14 @@ def _parity_classes(d, N):
 def poly_basis(d, N):
     if d < 1 or N < 0:
         raise InputError("poly_basis needs d >= 1 and N >= 0")
+    dim = comb(d + N, N)
+    if dim > DEFAULT_SIZE_CAP:
+        raise SizeCap("the polynomial basis of degree %d over R^%d would "
+                      "have dimension %d, above the cap %d"
+                      % (N, d, dim, DEFAULT_SIZE_CAP))
     monomials = tuple(alpha for n in range(N + 1)
                       for alpha in multi_indices(d, n))
-    assert len(monomials) == comb(d + N, N)
+    assert len(monomials) == dim
     return PolyBasis(d=d, N=N, monomials=monomials)
 
 
@@ -301,6 +306,14 @@ class ChaosDecomposition:
                        self.occupation_hermite_inv[:k, :k])
 
 
+def _hermite_norms(basis):
+    """``sqrt(alpha!)`` over the monomials of `basis`, the scales of the
+    chaos family; the first level whose ``alpha!`` is past the float range
+    is refused as :class:`SizeCap`."""
+    return np.concatenate([_sqrt_factorials(basis.d, n)
+                           for n in range(basis.N + 1)])
+
+
 def chaos_decomposition(model, basis):
     """The Hermite chaos of the invariant measure on `basis`.
 
@@ -322,8 +335,7 @@ def chaos_decomposition(model, basis):
     """
     _require_basis(model, basis)
     factor = nondegenerate_factor(model)
-    norms = np.concatenate([_sqrt_factorials(basis.d, n)
-                            for n in range(basis.N + 1)])
+    norms = _hermite_norms(basis)
     # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
     # two agree only to roundoff times sqrt(cond Q_inf), and that gap,
     # magnified by the Hermite coefficients, would keep S(W^-1) S(W) from
@@ -381,11 +393,13 @@ def verify_second_quantization(model, t, N):
     occupation-indexed Hermite family.  All three must agree entrywise
     within ``THREE_WAY_TOL``; the largest pairwise deviation is reported,
     NaN if any deviation is NaN.  L's blocks are dropped once (a) is
-    formed, and a singular ``Q_inf`` is refused before any of them is built.
+    formed, and a singular ``Q_inf`` or an ``alpha!`` of the chaos family
+    past the float range is refused before any of them is built.
     """
     t = _horizon(t, "verify_second_quantization")
     basis = poly_basis(model.dim, N)
     nondegenerate_factor(model)
+    _hermite_norms(basis)
     P_gen = _generator_exp(galerkin_blocks(model, basis), basis, t)
     return _three_way(model, t, P_gen, mehler_matrix(model, t, basis),
                       chaos_decomposition(model, basis))
@@ -403,10 +417,15 @@ def _generator_exp(blocks, basis, t):
     which both rest on the substitution kernel; that kernel is pinned to
     the Kronecker route by the tests.
     """
-    return [_expm(block[:len(idx), :len(idx)], t,
-                  "the %s-degree block of L" % parity)
-            for idx, block, parity in zip(basis.parity_classes, blocks,
-                                          ("even", "odd"))]
+    out = []
+    for idx, block, parity in zip(basis.parity_classes, blocks,
+                                  ("even", "odd")):
+        E, refusal = _expm(block[:len(idx), :len(idx)], np.array([t]),
+                           "the %s-degree block of L" % parity)
+        if refusal is not None:
+            raise refusal
+        out.append(E[0])
+    return out
 
 
 def _three_way(model, t, P_gen, P_meh, chaos):

@@ -262,13 +262,12 @@ class FockTruncation:
     """Block-diagonal truncation of a second quantization at level cap N.
 
     ``levels[n]`` is the block acting on level n (symmetric occupation
-    coordinates when ``symmetric``, plain tensor coordinates otherwise);
-    ``levels[0]`` is the 1x1 identity block of the vacuum.  The full
-    matrix on the truncated algebra has these blocks on its diagonal.
+    coordinates for a symmetric :func:`second_quantization`, plain tensor
+    coordinates otherwise); ``levels[0]`` is the 1x1 identity block of the
+    vacuum.  The full matrix on the truncated algebra has these blocks on
+    its diagonal.
     """
 
-    base_dim: int
-    symmetric: bool
     levels: tuple
 
     def spectrum(self):
@@ -330,4 +329,4 @@ def second_quantization(T, N, *, symmetric=True,
         if not np.isfinite(level).all():
             raise SizeCap("%s power %d of T overflows the float range"
                           % (kind, n))
-    return FockTruncation(base_dim=d, symmetric=symmetric, levels=levels)
+    return FockTruncation(levels=levels)

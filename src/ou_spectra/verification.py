@@ -58,6 +58,7 @@ from .gramian import (
 )
 from .ou_operator import (
     _generator_exp,
+    _hermite_norms,
     _three_way,
     chaos_decomposition,
     galerkin_blocks,
@@ -337,12 +338,15 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # A singular Q_inf ends the suite at the chaos layers, before the
     # eigenvector and three-way checks, so neither is formed for it; the
     # skip is decided here, once, and reported in the chaos checks' place.
+    # An alpha! of the chaos family past the float range is refused here,
+    # before exp(L) and the Mehler matrices overflow.
     try:
         nondegenerate_factor(model)
         chaos_skip = None
     except DegenerateMeasure as exc:
         chaos_skip = _skip("chaos_checks", str(exc))
     if chaos_skip is None:
+        _hermite_norms(basis)
         eigvec_check = _eigenvector_degree_check(walk, basis, eigs)
     del eigs
 

@@ -979,12 +979,12 @@ def test_exit_2_on_numerical_hypothesis(tmp_path, capsys):
 def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
                                                    capsys):
     # at degree 3 over d = 2 the odd-degree block of L has side 6; every
-    # other exponential of verify is at most 4 x 4 or a stack of 2 x 2
+    # other exponential of verify is of a matrix at most 4 x 4
     real = gramian.expm
 
     def expm(M, t=1.0):
-        if np.ndim(t) == 0 and M.shape[0] > 4:
-            return np.full(M.shape, np.nan)
+        if len(M) > 4:
+            return np.full(np.shape(t) + M.shape, np.nan)
         return real(M, t)
 
     monkeypatch.setattr(gramian, "expm", expm)
@@ -994,6 +994,23 @@ def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
     assert "matrix exponential" in err
     assert err.endswith("at t=1, for M = the odd-degree block of L\n")
     assert not os.path.exists(out)
+
+
+def test_every_exponential_is_of_one_real_matrix(tmp_path, monkeypatch):
+    # _linalg.expm keeps one input form, a real 2-D matrix at its
+    # horizons: every route of the commands passes that form
+    seen = set()
+    for module in (gramian, verification):
+        def recording(M, t=1.0, real=module.expm):
+            seen.add((M.ndim, M.dtype))
+            return real(M, t)
+        monkeypatch.setattr(module, "expm", recording)
+    out = str(tmp_path / "r.json")
+    cli.main(["verify", "--random", "1", "1", "--out", out])
+    for name in cli.list_bundled():
+        for command in ("verify", "analyze", "spectrum"):
+            cli.main([command, name, "--out", out])
+    assert seen == {(2, np.dtype(np.float64))}
 
 
 def test_one_message_per_hypothesis(tmp_path, capsys):

@@ -654,8 +654,8 @@ def test_curve_refuses_at_the_loops_first_horizon(monkeypatch, leak_at,
     # DEGENERATE keeps only e2: a flow with an e2 -> e1 entry leaks.  The
     # faults go into the stacked kernels, which the reference reaches
     # through flow and gramian_t, one horizon at a time; a NaN goes into
-    # each stacked exponential as the refusal's scan receives it.
-    real_flows, real_prefix = gramian._flows, gramian._finite_prefix
+    # each stacked exponential as the refusal's scan in _expm receives it.
+    real_flows, real_expm = gramian._flows, gramian.expm
     d = DEGENERATE.dim
 
     def leaking_flows(model, ts):
@@ -665,15 +665,15 @@ def test_curve_refuses_at_the_loops_first_horizon(monkeypatch, leak_at,
             F[ts[:len(F)] >= leak_at - 1e-12, 0, 1] += 0.5
         return F, refusal
 
-    def failing_prefix(E, ts, what):
-        if nan_at is not None and E.shape[-1] == (d if which == "flow"
-                                                  else 2 * d):
-            E = E.copy()
+    def failing_expm(M, ts):
+        E = real_expm(M, ts)
+        if nan_at is not None and len(M) == (d if which == "flow"
+                                             else 2 * d):
             E[ts >= nan_at - 1e-12] = np.nan
-        return real_prefix(E, ts, what)
+        return E
 
     monkeypatch.setattr(gramian, "_flows", leaking_flows)
-    monkeypatch.setattr(gramian, "_finite_prefix", failing_prefix)
+    monkeypatch.setattr(gramian, "expm", failing_expm)
     if stack is not None:
         monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", stack * d * d)
     want = _refusal(lambda: curve_reference.curve(DEGENERATE, GRID))

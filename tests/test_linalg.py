@@ -50,16 +50,30 @@ def test_three_way_passes_on_triangular_generator_blocks():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64])
 @pytest.mark.parametrize("kind", ["real", "complex", "stacked"])
 def test_expm_matches_scipy(n, kind):
+    # "complex" is a drift with a pair of complex eigenvalues, "stacked" a
+    # matrix at a (3, 2) array of horizons, each against its own oracle
     rng = np.random.default_rng(n)
+    ts = np.linspace(0.5, 1.5, 6).reshape(3, 2) if kind == "stacked" else 1.0
     for norm in (0.01, 0.5, 3.0, 20.0):
-        shape = (3, 2, n, n) if kind == "stacked" else (n, n)
-        M = rng.standard_normal(shape)
         if kind == "complex":
-            M = M + 1j * rng.standard_normal(shape)
-        M *= norm / np.abs(M).sum(axis=-2).max()
-        got, want = expm(M), scipy.linalg.expm(M)
-        assert got.shape == want.shape and got.dtype == want.dtype
+            M = random_stable_model(rng, d=n, kind=kind).A
+        else:
+            M = rng.standard_normal((n, n))
+        M = M * (norm / np.abs(M).sum(axis=0).max())
+        got = expm(M, ts)
+        want = np.array([scipy.linalg.expm(t * M) for t in np.ravel(ts)])
+        assert got.shape == np.shape(ts) + M.shape and got.dtype == float
+        got = got.reshape(want.shape)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), norm
+
+
+def test_expm_refuses_complex_and_stacked_input():
+    # t is cast to float and M never is, so a complex matrix or a stack
+    # fails at the first product instead of being truncated
+    A = random_stable_model(np.random.default_rng(3), d=3).A
+    for M in (A + 1j * A, np.array([A, A])):
+        with pytest.raises((TypeError, ValueError)):
+            expm(M)
 
 
 def test_expm_of_a_nonfinite_matrix_is_nan():
@@ -98,28 +112,22 @@ def _plans_seen(monkeypatch):
     return seen
 
 
-def _assert_each_is_alone(S):
-    got = expm(S)
-    assert got.shape == S.shape and got.dtype == expm(S[0]).dtype
-    for X, M in zip(got, S):
-        assert X.tobytes() == expm(M).tobytes()
+def _assert_each_is_alone(A, ts):
+    got = expm(A, ts)
+    assert got.shape == ts.shape + A.shape and got.dtype == float
+    for X, t in zip(got, ts):
+        assert X.tobytes() == expm(t * A).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
 @pytest.mark.parametrize("kind", ["real", "complex", "defective"])
 def test_expm_each_is_expm_of_each_matrix_alone(monkeypatch, n, kind):
-    # n = 12 is above the side cut and takes one expm per matrix; at
-    # n = 8 the 120 horizons span two slices of _SMALL entries
+    # each horizon has the bits of its own call expm(t * A); n = 12 is
+    # above the side cut and takes one slice per horizon; at n = 8 the
+    # 120 horizons span two slices of _SMALL entries
     seen = _plans_seen(monkeypatch)
-    model = random_stable_model(np.random.default_rng(n), d=n,
-                                kind="real" if kind == "complex" else kind)
-    A = model.A
-    if kind == "complex":
-        A = A + 1j * np.random.default_rng(n).standard_normal((n, n))
-    S = EACH_HORIZONS[:, None, None] * A
-    _assert_each_is_alone(S)
-    assert (expm(S.reshape((4, 30, n, n))).tobytes()
-            == expm(S).tobytes())
+    A = random_stable_model(np.random.default_rng(n), d=n, kind=kind).A
+    _assert_each_is_alone(A, EACH_HORIZONS)
     if n > 1:
         assert {m for m, _ in seen} == {3, 5, 7, 9, 13}, seen
         assert {s for _, s in seen} >= {0, 1, 2, 3}, seen
@@ -128,19 +136,14 @@ def test_expm_each_is_expm_of_each_matrix_alone(monkeypatch, n, kind):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
 @pytest.mark.parametrize("kind", ["real", "complex", "defective"])
 def test_expm_at_horizons_is_expm_of_the_scaled_stack(n, kind):
-    # t M is formed in the first power buffer with the products of
-    # t[..., None, None] * M, so each horizon has the bits of the scaled
-    # matrix's own exponential, whatever the shape of t
-    model = random_stable_model(np.random.default_rng(n), d=n,
-                                kind="real" if kind == "complex" else kind)
-    A = model.A
-    if kind == "complex":
-        A = A + 1j * np.random.default_rng(n).standard_normal((n, n))
-    for ts in (EACH_HORIZONS, EACH_HORIZONS.reshape(4, 30),
-               np.float64(0.7), 1.0):
-        want = expm(np.asarray(ts)[..., None, None] * A)
+    # t_k M is formed in the first power buffer with the product t_k * M,
+    # so each horizon has the bits of the scaled matrix's own
+    # exponential, whatever the shape or type of t
+    A = random_stable_model(np.random.default_rng(n), d=n, kind=kind).A
+    for ts in (EACH_HORIZONS.reshape(4, 30), np.float64(0.7), 1.0, 2):
+        want = np.array([expm(t * A) for t in np.ravel(ts)])
         got = expm(A, ts)
-        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.shape == np.shape(ts) + A.shape and got.dtype == float
         assert got.tobytes() == want.tobytes()
 
 
@@ -160,42 +163,38 @@ def _peak_over_input(M):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_expm_of_a_large_matrix_holds_eight_arrays_above_its_input(n, kind):
     # the powers and the parts of the approximant take eight buffers of
-    # the input's size; |A^k| for the 1-norms is taken in a free one and
-    # t and the scaling are cast before their products, so no ninth array
-    # is made (vectors of side n make up the rest)
-    rng = np.random.default_rng(n)
-    M = rng.standard_normal((n, n))
-    if kind == "complex":
-        M = M + 1j * rng.standard_normal((n, n))
+    # the input's size; |A^k| for the 1-norms is taken in a free one, so
+    # no ninth array is made (vectors of side n make up the rest)
+    M = random_stable_model(np.random.default_rng(n), d=n, kind=kind).A
     for norm in (0.01, 30.0):
         ratio = _peak_over_input(M * (norm / np.abs(M).sum(axis=0).max()))
         assert ratio <= 8.5, (norm, ratio)
 
 
 def test_expm_each_scales_a_group_that_is_not_the_whole_slice(monkeypatch):
-    # two matrices with two plans, the second scaled: each group is a
+    # two horizons with two plans, the second scaled: each group is a
     # fancy-indexed slice of the powers, scaled in place after it is made
     # contiguous (a scaling dropped there misses by about 1e-3)
     seen = _plans_seen(monkeypatch)
     M = random_stable_model(np.random.default_rng(3), d=3).A
-    S = np.array([1e-3 * M, 20.0 * M])
-    _assert_each_is_alone(S)
+    ts = np.array([1e-3, 20.0])
+    _assert_each_is_alone(M, ts)
     assert len(seen) == 2 and max(s for _, s in seen) > 0
-    assert np.abs(expm(S)[1] - scipy.linalg.expm(S[1])).max() \
-        <= 1e-12 * np.abs(scipy.linalg.expm(S[1])).max()
+    want = scipy.linalg.expm(20.0 * M)
+    assert np.abs(expm(M, ts)[1] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [2, 4, 12])
 def test_expm_each_gives_nan_only_where_a_matrix_fails(n):
-    # a non-finite matrix and one whose powers overflow each give NaN in
+    # a non-finite horizon and one whose powers overflow each give NaN in
     # their own slot; NaN anywhere else would hide the first failing
     # horizon of a grid
     A = random_stable_model(np.random.default_rng(n), d=n).A
-    S = np.array([0.5 * A, A * np.nan, 2.0 * A, 1e200 * A, 3.0 * A])
-    got = expm(S)
+    ts = np.array([0.5, np.nan, 2.0, 1e200, 3.0])
+    got = expm(A, ts)
     assert np.isnan(got[[1, 3]]).all()
     for k in (0, 2, 4):
-        assert got[k].tobytes() == expm(S[k]).tobytes()
+        assert got[k].tobytes() == expm(ts[k] * A).tobytes()
         assert np.isfinite(got[k]).all()
 
 

@@ -80,6 +80,26 @@ MATRICES = {
 }
 
 
+#: Runs of a bundled model at a degree past what the package builds, each
+#: with its one stderr line: a polynomial basis above the size cap,
+#: refused before any monomial is enumerated (the lattice walk and the
+#: Galerkin blocks included), and an alpha! of the chaos family past the
+#: float range, refused before exp(L) and the Mehler matrices overflow.
+OVERSIZED = [
+    (["spectrum", "classical_1d", "--degree", "100000"],
+     "error: the polynomial basis of degree 100000 over R^1 would have "
+     "dimension 100001, above the cap 4096"),
+    (["verify", "degenerate_2d", "--degree", "200"],
+     "error: the polynomial basis of degree 200 over R^2 would have "
+     "dimension 20301, above the cap 4096"),
+    (["spectrum", "hypoelliptic_2d", "--degree", "3000"],
+     "error: the polynomial basis of degree 3000 over R^2 would have "
+     "dimension 4504501, above the cap 4096"),
+    (["verify", "classical_1d", "--degree", "400"],
+     "error: level 171 over R^1 holds an alpha! beyond the float range"),
+]
+
+
 def _ends_in_a_report_or_one_line(argv, out, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -115,3 +135,12 @@ def test_each_fock_run_ends_in_a_report_or_one_line(tmp_path, capsys, name):
         capsys)
     if name.startswith("overflowing"):
         assert code == 1 and "overflows the float range" in err, err
+
+
+@pytest.mark.parametrize("argv, line", OVERSIZED,
+                         ids=["-".join(argv) for argv, _ in OVERSIZED])
+def test_an_oversized_degree_is_refused_in_one_line(tmp_path, capsys, argv,
+                                                     line):
+    code, err = _ends_in_a_report_or_one_line(argv, tmp_path / "report.json",
+                                              capsys)
+    assert code == 1 and err == line + "\n", err
