@@ -10,9 +10,10 @@ honest eigenvalues of L.  It also never couples even degrees to odd ones:
 the reflection ``x -> -x`` is the second quantization ``Gamma(-I)``, which
 acts as ``(-1)^n`` on degree n and commutes with every ``Gamma(T)``, with
 L and with ``exp(tL)``.  So L is built as its even-degree and odd-degree
-principal blocks (:func:`galerkin_blocks`), and its exponential and
-eigendecomposition run on those, at ``n_even^3 + n_odd^3`` instead of
-``dim^3``; the whole L (:func:`assemble_L`) is the tests' dense oracle.
+principal blocks (:func:`galerkin_blocks`), and its eigendecomposition
+and its form in the chaos frame run on those, at ``n_even^3 + n_odd^3``
+instead of ``dim^3``; the whole L (:func:`assemble_L`) and its
+exponential are the tests' dense oracles.
 
 The transition action and the chaos family are both the substitution
 kernel ``S(M)`` of ``tensor_fock`` (the matrix of ``f -> f(M x)``, its
@@ -50,7 +51,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, InputError, SizeCap
-from .gramian import (_expm, _horizon, flow, gramian_t, nondegenerate_factor,
+from .gramian import (_horizon, flow, gramian_t, nondegenerate_factor,
                       smu_matrix)
 from .spectra import _row_blocks
 from .tensor_fock import (DEFAULT_SIZE_CAP, _readonly, _sqrt_factorials,
@@ -359,112 +360,102 @@ def chaos_decomposition(model, basis):
     )
 
 
-# --- three-way consistency --------------------------------------------------
+# --- the second quantization, two routes ------------------------------------
 
 @dataclass(frozen=True)
 class SecondQuantizationReport:
-    """Pairwise deviations between three routes to the transition matrix:
-    the exponential of the Galerkin generator, the exact Gaussian
-    substitution, and the level-by-level lift of the restricted flow
-    transported through the chaos decomposition."""
+    """The residuals of the generator identity in the chaos frame and of
+    the Mehler matrix against the level-by-level lift, on one basis."""
 
     t: float
     N: int
     tol: float
-    residual_generator_vs_mehler: float
-    residual_generator_vs_lift: float
+    residual_generator: float
     residual_mehler_vs_lift: float
     max_residual: float
     passed: bool
 
 
-#: Entrywise bound on the pairwise deviations of the three-way check.
+#: Bound on the generator identity's relative residual and on the entries
+#: of the Mehler matrix less the lift.
 THREE_WAY_TOL = 1e-8
 
 
 def verify_second_quantization(model, t, N):
-    """Compute the transition matrix three ways and compare.
-
-    (a) ``expm(t L)`` with L the Galerkin matrix, on its even-degree and
-    odd-degree blocks (:func:`_generator_exp`); (b) the exact Gaussian
-    substitution applied to every monomial; (c) the block-diagonal lift
-    acting as the n-th symmetric power of the adjoint restricted flow on
-    the n-th chaos layer, conjugated back to monomial coordinates by the
-    occupation-indexed Hermite family.  All three must agree entrywise
-    within ``THREE_WAY_TOL``; the largest pairwise deviation is reported,
-    NaN if any deviation is NaN.  L's blocks are dropped once (a) is
-    formed, and a singular ``Q_inf`` or an ``alpha!`` of the chaos family
-    past the float range is refused before any of them is built.
+    """Check ``P(t) = Gamma(S_mu(t)*)`` on the degrees <= N by two routes:
+    (a) the Galerkin matrix L in the chaos frame is ``sum_n
+    dGamma_n(A_mu')`` (:func:`_generator_residual`); (b) the exact Gaussian
+    substitution equals the lift of the n-th symmetric power of the
+    adjoint restricted flow on each chaos layer (:func:`_mehler_lift`).
+    Both must hold within ``THREE_WAY_TOL``; the larger residual is
+    reported, NaN if either is NaN.  Once (a) holds, ``exp(tL)`` is the
+    exponential of a block-diagonal similarity, so a dense ``exp(tL)``
+    would add no third route.  A singular ``Q_inf`` or an ``alpha!`` of the
+    chaos family past the float range is refused before L is built.
     """
     t = _horizon(t, "verify_second_quantization")
     basis = poly_basis(model.dim, N)
     nondegenerate_factor(model)
     _hermite_norms(basis)
-    P_gen = _generator_exp(galerkin_blocks(model, basis), basis, t)
-    return _three_way(model, t, P_gen, mehler_matrix(model, t, basis),
-                      chaos_decomposition(model, basis))
+    blocks = list(galerkin_blocks(model, basis))
+    chaos = chaos_decomposition(model, basis)
+    r_gen = _generator_residual(model, blocks, chaos)
+    r_lift = _mehler_lift(model, t, mehler_matrix(model, t, basis), chaos)
+    worst = float(np.max([r_gen, r_lift]))
+    return SecondQuantizationReport(
+        t=t, N=N, tol=THREE_WAY_TOL, residual_generator=r_gen,
+        residual_mehler_vs_lift=r_lift, max_residual=worst,
+        passed=worst <= THREE_WAY_TOL)
 
 
-def _generator_exp(blocks, basis, t):
-    """``exp(t L)`` on `basis` from the parity blocks of L
-    (:func:`galerkin_blocks`) on `basis` or a larger one, whose leading
-    sub-blocks are those on `basis` (L is block upper triangular).  It is
-    returned as L's blocks are, one exponential per class of
-    ``basis.parity_classes``: every entry between the classes is an exact
-    zero, so it is not stored.
+def _generator_residual(model, blocks, chaos):
+    """``max |G - D| / max(max |G|, 1)``, NaN if an entry is, for
+    ``G = Phi^-1 L Phi`` in the frame `chaos` and its prediction D:
+    ``diag(sqrt(alpha!)) derivation_block(A_mu, n) diag(sqrt(alpha!))^-1``
+    on each degree n, which is ``dGamma_n(A_mu')`` in the orthonormal
+    Hermite basis, with ``A_mu = inv_sqrt A factor`` from
+    ``model.invariant_factor``, and zero off the degree diagonal.
 
-    It shares no code with (b) and (c) of :func:`verify_second_quantization`,
-    which both rest on the substitution kernel; that kernel is pinned to
-    the Kronecker route by the tests.
+    `blocks` is the list of L's parity blocks on ``chaos.basis``.  The
+    frame is also exact zeros between the classes, so G is formed per
+    class, and the list is emptied so that each block is freed once used.
     """
-    out = []
-    for idx, block, parity in zip(basis.parity_classes, blocks,
-                                  ("even", "odd")):
-        E, refusal = _expm(block[:len(idx), :len(idx)], np.array([t]),
-                           "the %s-degree block of L" % parity)
-        if refusal is not None:
-            raise refusal
-        out.append(E[0])
-    return out
+    basis = chaos.basis
+    factor = model.invariant_factor
+    A_mu = factor.inv_sqrt @ model.A @ factor.factor
+    sqrt_fact = _hermite_norms(basis)
+    tops, diffs = [1.0], []
+    while blocks:
+        parity = len(blocks) - 1
+        at = np.ix_(basis.parity_classes[parity], basis.parity_classes[parity])
+        G = blocks.pop() @ chaos.occupation_hermite[at]
+        G = chaos.occupation_hermite_inv[at] @ G
+        tops += [G.max(), -G.min()]  # max |G| without a copy of |G|
+        stop = 0
+        for n in range(parity, basis.N + 1, 2):
+            w = sqrt_fact[basis.degree_slice(n)]
+            cls = slice(stop, stop + len(w))
+            G[cls, cls] -= w[:, None] * derivation_block(A_mu, n) / w
+            stop = cls.stop
+        diffs.append(np.abs(G, out=G).max())
+    return float(np.max(diffs) / np.max(tops))
 
 
-def _three_way(model, t, P_gen, P_meh, chaos):
-    """:func:`verify_second_quantization` on ``exp(t L)`` (as the class
-    blocks of :func:`_generator_exp`), a Mehler matrix and a chaos family
-    already built on one basis, so a caller that holds them does not build
-    them again.
-
-    All three routes are exact zeros between the parity classes, so each
-    deviation is taken on the classes alone, in row blocks of at most
-    ``spectra._row_blocks`` entries: a maximum is exact, so it has the
-    bits of the maximum over the whole matrix."""
+def _mehler_lift(model, t, P_meh, chaos):
+    """``max |P_meh - lift|``, NaN if an entry is, for a Mehler matrix at
+    `t` and the lift of ``Gamma_n(S_mu(t)')`` through `chaos`, on one
+    basis.  Both are exact zeros between the parity classes, so it is
+    taken on the classes alone, in ``spectra._row_blocks`` row blocks: a
+    maximum is exact, so it has the bits of the one over the whole matrix.
+    """
     basis = chaos.basis
     B = smu_matrix(model, t)
     P_lift = chaos.lift([sym_power(B.T, n) for n in range(basis.N + 1)])
-    devs = [_deviations(E[rows], P_meh, P_lift, np.ix_(idx[rows], idx))
-            for idx, E in zip(basis.parity_classes, P_gen)
-            for rows in _row_blocks(len(idx), len(idx))]
+
+    def deviation(at):
+        meh = P_meh[at]
+        return np.abs(np.subtract(meh, P_lift[at], out=meh), out=meh).max()
     # np.max, not max: max(r, nan) keeps r.
-    r_ab, r_ac, r_bc = np.max(devs, axis=0).tolist()
-    worst = float(np.max([r_ab, r_ac, r_bc]))
-    return SecondQuantizationReport(
-        t=t,
-        N=basis.N,
-        tol=THREE_WAY_TOL,
-        residual_generator_vs_mehler=r_ab,
-        residual_generator_vs_lift=r_ac,
-        residual_mehler_vs_lift=r_bc,
-        max_residual=worst,
-        passed=worst <= THREE_WAY_TOL,
-    )
-
-
-def _deviations(gen, P_meh, P_lift, at):
-    """``max |gen - meh|``, ``max |gen - lift|`` and ``max |meh - lift|``,
-    each NaN if an entry is, with ``meh`` and ``lift`` the entries `at`
-    (an ``np.ix_`` pair) of the dense matrices: the deviations of
-    :func:`_three_way` on one row block, formed in one buffer."""
-    meh, lift = P_meh[at], P_lift[at]
-    diff = np.empty_like(meh)
-    return [np.abs(np.subtract(X, Y, out=diff), out=diff).max()
-            for X, Y in ((gen, meh), (gen, lift), (meh, lift))]
+    return float(np.max([deviation(np.ix_(idx[rows], idx))
+                         for idx in basis.parity_classes
+                         for rows in _row_blocks(len(idx), len(idx))]))

@@ -17,10 +17,10 @@ identity, are idempotent and are mutually orthogonal -- measure only
 small for any invertible ``Phi``, right or wrong; they are tier-1 tests,
 next to ``Phi' G Phi = I`` in the Gaussian moment Gram matrix ``G``.  A
 wrong invariant measure shows here in ``invariant_measure_fixed_mean``,
-``chaos_covariance_permanent`` and ``second_quantization_three_way``.  The
-Lyapunov residual of ``Q_inf`` is decided in one place, the guard of
-:func:`~ou_spectra.gramian.gramian_inf`, which refuses the model before
-any check runs; ``analyze`` reports its value.
+``chaos_covariance_permanent``, ``generator_chaos_block_diagonal`` and
+``second_quantization_mehler_lift``.  The Lyapunov residual of ``Q_inf`` is
+decided in one place, the guard of :func:`~ou_spectra.gramian.gramian_inf`,
+which refuses the model before any check runs; ``analyze`` reports it.
 
 The horizon Gramians are checked against an independent oracle, an
 adaptive Gauss-Legendre quadrature of ``int_0^t exp(sA) Q exp(sA') ds``
@@ -57,9 +57,10 @@ from .gramian import (
     validate,
 )
 from .ou_operator import (
-    _generator_exp,
+    THREE_WAY_TOL,
+    _generator_residual,
     _hermite_norms,
-    _three_way,
+    _mehler_lift,
     chaos_decomposition,
     galerkin_blocks,
     mehler_matrix,
@@ -319,11 +320,11 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
 
     # -- generator-level identities ---------------------------------------
     # L is held as its two parity blocks.  Each square array is dropped
-    # after its last reader: the blocks once their spectrum and exp(L) are
-    # taken, the eigenvectors once their check is formed (it is appended
+    # after its last reader: the blocks once the frame's generator check
+    # is formed, the eigenvectors once their check is (it is appended
     # last), and the Mehler matrices at t = 0.3 and 0.7 once their product is.
     basis = poly_basis(d, degree)
-    blocks = galerkin_blocks(model, basis)
+    blocks = list(galerkin_blocks(model, basis))
 
     # One eigendecomposition per block and one lattice walk: the values
     # are matched to the lattice and the vectors checked for degree support.
@@ -336,10 +337,10 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
                       LATTICE_MATCH_TOL, detail="degree=%d" % degree))
 
     # A singular Q_inf ends the suite at the chaos layers, before the
-    # eigenvector and three-way checks, so neither is formed for it; the
+    # eigenvector and generator checks, so neither is formed for it; the
     # skip is decided here, once, and reported in the chaos checks' place.
     # An alpha! of the chaos family past the float range is refused here,
-    # before exp(L) and the Mehler matrices overflow.
+    # before the Mehler matrices overflow.
     try:
         nondegenerate_factor(model)
         chaos_skip = None
@@ -348,17 +349,14 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     if chaos_skip is None:
         _hermite_norms(basis)
         eigvec_check = _eigenvector_degree_check(walk, basis, eigs)
+    else:
+        blocks.clear()
     del eigs
 
-    # L, P(t) and the chaos family are block upper triangular in the
-    # graded order, so their leading blocks are the same objects on the
-    # degrees <= N.
+    # P(t) and the chaos family are block upper triangular in the graded
+    # order: their leading blocks are the same objects on the degrees <= N.
     N = min(levels, degree)
-    leading = poly_basis(d, N)
-    k = leading.dim
-    if chaos_skip is None:
-        P_gen = _generator_exp(blocks, leading, 1.0)
-    del blocks
+    k = poly_basis(d, N).dim
 
     semi = mehler_matrix(model, 0.3, basis) @ mehler_matrix(model, 0.7,
                                                             basis)
@@ -377,12 +375,20 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     inv = np.abs(Phi_0 @ (Psi_0 @ P_1 - Psi_0)).max()
     out.append(_check("invariant_measure_fixed_mean", inv, 1e-10))
 
-    out.append(_check("chaos_covariance_permanent",
-                      _chaos_covariance_residual(model, chaos, rng), 1e-9))
-
-    rep = _three_way(model, 1.0, P_gen, P_1[:k, :k], chaos.leading(N))
-    out.append(_check("second_quantization_three_way", rep.max_residual,
-                      rep.tol, detail="t=1, N=%d" % rep.N))
+    name = "chaos_covariance_permanent"
+    out.append(_skip(name, "degree %d has no second chaos layer" % degree)
+               if degree < 2 else
+               _check(name, _chaos_covariance_residual(model, chaos, rng),
+                      1e-9))
+    out.append(_check("generator_chaos_block_diagonal",
+                      _generator_residual(model, blocks, chaos),
+                      THREE_WAY_TOL, detail="degree=%d" % degree))
+    name = "second_quantization_mehler_lift"
+    out.append(_skip(name, "levels 0: P(1) and the lift are both 1 on the "
+                     "constants") if N == 0 else
+               _check(name, _mehler_lift(model, 1.0, P_1[:k, :k],
+                                         chaos.leading(N)),
+                      THREE_WAY_TOL, detail="t=1, N=%d" % N))
 
     out.append(eigvec_check)
     return out
@@ -391,9 +397,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
 def _chaos_covariance_residual(model, chaos, rng):
     """Pairing identity for the covariance of projected products of linear
     functionals: the second-layer inner product of phi_h1 phi_h2 and
-    phi_k1 phi_k2 equals the permanent of the kernel-space Gram matrix."""
-    if chaos.basis.N < 2:
-        return 0.0
+    phi_k1 phi_k2 equals the permanent of the kernel-space Gram matrix.
+    `chaos` holds the degrees <= 2."""
     # I_2 keeps a quadratic supported in degrees <= 2, whose inner product
     # comes from Q_inf alone, without the Hermite family.
     low = poly_basis(model.dim, 2)

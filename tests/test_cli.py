@@ -343,8 +343,7 @@ _REFERENCE = {
         "t": r.t,
         "N": r.N,
         "tol": r.tol,
-        "residual_generator_vs_mehler": r.residual_generator_vs_mehler,
-        "residual_generator_vs_lift": r.residual_generator_vs_lift,
+        "residual_generator": r.residual_generator,
         "residual_mehler_vs_lift": r.residual_mehler_vs_lift,
         "max_residual": r.max_residual,
         "passed": r.passed,
@@ -706,8 +705,8 @@ def test_verify_model_and_random(tmp_path, capsys):
 
     assert cli.main(["verify", "--random", "5", "2", "--out", out]) == 0
     report = json.loads(open(out).read())
-    # two model suites of 18 checks and one contraction suite of 8
-    assert report["n_checks"] == 2 * 18 + 8
+    # two model suites of 19 checks and one contraction suite of 8
+    assert report["n_checks"] == 2 * 19 + 8
 
 
 def test_verify_classical_at_degree_14_passes(tmp_path, capsys):
@@ -748,7 +747,7 @@ def test_verify_random_reports_the_model_and_contraction_suites(tmp_path,
     want += [c.name for c in verification.contraction_suite(
         T, seed=int(rng.integers(2 ** 31)), prefix="contraction_0_")]
     assert [c["name"] for c in report["checks"]] == want
-    assert report["n_checks"] == len(want) == 26
+    assert report["n_checks"] == len(want) == 27
     stdout = capsys.readouterr().out
     for check in verification.spectra_suite(0):
         assert check.name not in stdout
@@ -978,12 +977,12 @@ def test_exit_2_on_numerical_hypothesis(tmp_path, capsys):
 
 def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
                                                    capsys):
-    # at degree 3 over d = 2 the odd-degree block of L has side 6; every
-    # other exponential of verify is of a matrix at most 4 x 4
+    # over d = 2 the Van Loan block of Q_t has side 4, the largest matrix
+    # that verify exponentiates; the flows are 2 x 2
     real = gramian.expm
 
     def expm(M, t=1.0):
-        if len(M) > 4:
+        if len(M) > 2:
             return np.full(np.shape(t) + M.shape, np.nan)
         return real(M, t)
 
@@ -992,7 +991,8 @@ def test_verify_exits_2_on_a_nonfinite_exponential(tmp_path, monkeypatch,
     assert cli.main(["verify", "jordan_omega1", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "matrix exponential" in err
-    assert err.endswith("at t=1, for M = the odd-degree block of L\n")
+    assert err.endswith("at t=0.1, for M = Q_t's Van Loan block matrix "
+                        "[[A, Q], [0, -A']]\n")
     assert not os.path.exists(out)
 
 
@@ -1058,7 +1058,7 @@ def test_verify_fails_on_disagreeing_rank_criteria(tmp_path, monkeypatch,
     assert cli.main(["verify", "classical_1d", "--out", str(out)]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.startswith("PASS")] == [
-        lines[3], "17 checks, 1 failed -> %s" % out]
+        lines[3], "18 checks, 1 failed -> %s" % out]
     assert lines[3].startswith(
         "FAIL strong_feller_rank_agreement             residual inf "
         "(tol 0.000e+00)  [rank(Q_t) = 1 but the controllability rank is 0 "
@@ -1087,6 +1087,29 @@ def test_verify_prints_skipped_checks_as_skip(tmp_path, capsys):
         assert not [line for line in lines
                     if line.startswith("PASS") and "skipped" in line]
         assert sum(line.startswith("SKIP") for line in lines) == len(names)
+
+
+def test_verify_skips_the_checks_that_compute_nothing(tmp_path, capsys):
+    # at degree 1 there is no second chaos layer to pair, and at levels 0
+    # P(1) and the lift are both the constant 1: each of the two checks
+    # says SKIP with its reason, and every other check still runs
+    out = str(tmp_path / "v.json")
+    assert cli.main(["verify", "classical_1d", "--degree", "1",
+                     "--levels", "0", "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads(open(out).read())
+    skips = {c["name"]: c["detail"] for c in report["checks"]
+             if c["detail"].startswith(verification.SKIPPED)}
+    assert skips == {
+        "chaos_covariance_permanent":
+            "skipped: degree 1 has no second chaos layer",
+        "second_quantization_mehler_lift":
+            "skipped: levels 0: P(1) and the lift are both 1 on the "
+            "constants"}
+    for name, detail in skips.items():
+        assert "SKIP %-40s  [%s]" % (name, detail) in lines
+    assert [line.split()[0] for line in lines[:-1]].count("SKIP") == 2
+    assert report["n_checks"] == 19 and report["all_passed"] is True
 
 
 def test_analyze_names_the_overflowing_block_exponential(tmp_path, capsys):

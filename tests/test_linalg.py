@@ -19,9 +19,10 @@ from ou_spectra import _linalg
 from ou_spectra._linalg import expm, lyapunov
 from ou_spectra.errors import EigFailure
 from ou_spectra.gramian import gramian_inf, validate
-from ou_spectra.ou_operator import (galerkin_blocks, poly_basis,
-                                    verify_second_quantization)
+from ou_spectra.ou_operator import (galerkin_blocks, mehler_matrix,
+                                    poly_basis, verify_second_quantization)
 from ou_spectra.verification import random_stable_model
+from generator_exp import dense_generator_exp
 from test_gramian import kronecker_lyapunov
 
 
@@ -43,8 +44,14 @@ def test_expm_matches_mpmath_on_triangular_generator_blocks(parity):
 
 
 def test_three_way_passes_on_triangular_generator_blocks():
-    rep = verify_second_quantization(_triangular_generator_model(), 1.0, 6)
+    # the package's two routes, and the tests' dense exp(tL) of these
+    # blocks against the Mehler matrix at the same bound
+    model = _triangular_generator_model()
+    rep = verify_second_quantization(model, 1.0, 6)
     assert rep.passed, rep
+    P_meh = mehler_matrix(model, 1.0, poly_basis(2, 6))
+    assert np.abs(dense_generator_exp(model, 1.0, 6) - P_meh).max() \
+        <= rep.tol
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64])

@@ -50,6 +50,7 @@ from ou_spectra.verification import random_stable_model
 
 from euler_maruyama import InvalidStep, euler_mean_cov, simulate_paths
 from gaussian_moments import mgf_gram
+from generator_exp import dense_generator_exp, generator_exp
 from occupation import position
 from report_reference import to_jsonable
 
@@ -595,9 +596,9 @@ def test_parity_zeros_across_classes(N):
         for M in (assemble_L(model, b), mehler_matrix(model, 0.7, b),
                   chaos.occupation_hermite, chaos.occupation_hermite_inv):
             assert np.all(M[cross] == 0.0)
-        # exp(L) is held as its class blocks: the zeros between the classes
-        # are not stored
-        exps = ou_operator._generator_exp(galerkin_blocks(model, b), b, 1.0)
+        # the oracle's exp(L) is held as its class blocks: the zeros
+        # between the classes are not stored
+        exps = generator_exp(galerkin_blocks(model, b), b, 1.0)
         assert [E.shape for E in exps] == [(len(idx), len(idx))
                                            for idx in classes]
 
@@ -648,7 +649,7 @@ DIAGONALIZABLE = ((2, 3, 6, "real"), (2, 4, 5, "complex"),
 @pytest.mark.parametrize("seed,d,N,kind", DIAGONALIZABLE)
 def test_split_expm_matches_dense(seed, d, N, kind):
     # The dense scipy.linalg.expm of the whole L is the kernel the parity
-    # split replaced; it stays here as its oracle.
+    # split replaced; it stays here as the oracle of the split oracle.
     model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
     b = poly_basis(d, N)
     L = assemble_L(model, b)
@@ -656,8 +657,7 @@ def test_split_expm_matches_dense(seed, d, N, kind):
     for t in (0.3, 1.0):
         dense = expm(t * L)
         split = np.zeros_like(dense)
-        for idx, E in zip(b.parity_classes,
-                          ou_operator._generator_exp(blocks, b, t)):
+        for idx, E in zip(b.parity_classes, generator_exp(blocks, b, t)):
             split[np.ix_(idx, idx)] = E
         assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -686,7 +686,8 @@ def test_split_eig_matches_dense(seed, d, N, kind):
 
 
 # ---------------------------------------------------------------------------
-# three-way semigroup verification
+# the second quantization: generator identity, Mehler against lift, and the
+# dense exp(tL) of the tests
 # ---------------------------------------------------------------------------
 
 def test_verify_second_quantization_passes():
@@ -707,14 +708,12 @@ def test_verify_second_quantization_degree_8_in_three_dims():
 
 
 def _dense_deviations(model, t, N):
-    """The three deviations of the three-way check taken over dense
-    matrices, with ``exp(tL)`` written at its classes' positions and exact
-    zeros between them: the reference of the per-class deviations."""
+    """The three pairwise deviations of ``exp(tL)`` (the tests' oracle,
+    with exact zeros between the parity classes), the Mehler matrix and
+    the lift, taken over dense matrices: the reference of the per-class
+    deviation of Mehler against lift."""
     b = poly_basis(model.dim, N)
-    P_gen = np.zeros((b.dim, b.dim))
-    for idx, E in zip(b.parity_classes, ou_operator._generator_exp(
-            galerkin_blocks(model, b), b, t)):
-        P_gen[np.ix_(idx, idx)] = E
+    P_gen = dense_generator_exp(model, t, N)
     P_meh = mehler_matrix(model, t, b)
     B = smu_matrix(model, t)
     P_lift = chaos_decomposition(model, b).lift(
@@ -727,16 +726,16 @@ def _dense_deviations(model, t, N):
     (0, 2, 6, "defective"), (1, 3, 7, "real"), (2, 4, 5, "complex"),
     (0, 8, 4, "defective")])
 def test_three_way_deviations_are_the_dense_ones(seed, d, N, kind):
-    # each deviation is taken per parity class and in row blocks (three at
-    # d = 8, N = 4): a maximum is exact, so every field keeps its bits
+    # the deviation of Mehler against lift is taken per parity class and in
+    # row blocks (three at d = 8, N = 4): a maximum is exact, so it keeps
+    # its bits; the dense exp(tL) agrees with both routes exactly when the
+    # generator identity and that deviation pass
     model = random_stable_model(np.random.default_rng(seed), d=d, kind=kind)
     for t in (0.3, 1.0):
         rep = verify_second_quantization(model, t, N)
         want = _dense_deviations(model, t, N)
-        assert [rep.residual_generator_vs_mehler,
-                rep.residual_generator_vs_lift,
-                rep.residual_mehler_vs_lift] == want
-        assert rep.max_residual == max(want)
+        assert rep.residual_mehler_vs_lift == want[2]
+        assert rep.max_residual == max(rep.residual_generator, want[2])
         assert rep.passed == (max(want) <= rep.tol)
 
 
@@ -755,14 +754,25 @@ def test_verify_second_quantization_detects_corruption(monkeypatch):
 
 
 def test_verify_second_quantization_fails_on_a_nan_lift(monkeypatch):
-    # Python's max(r_ab, nan, nan) is r_ab: the worst residual must be
-    # taken so that a NaN lift fails
+    # Python's max(r_gen, nan) is r_gen: the worst residual must be taken
+    # so that a NaN lift fails
     monkeypatch.setattr(ou_operator, "sym_power",
                         lambda T, n: np.full((sym_dim(len(T), n),) * 2,
                                              np.nan))
     rep = verify_second_quantization(OSCILLATOR, 1.0, 3)
-    assert rep.residual_generator_vs_mehler <= 1e-12
-    assert math.isnan(rep.residual_generator_vs_lift)
+    assert rep.residual_generator <= 1e-12
+    assert math.isnan(rep.residual_mehler_vs_lift)
+    assert math.isnan(rep.max_residual)
+    assert not rep.passed
+
+
+def test_verify_second_quantization_fails_on_a_nan_generator(monkeypatch):
+    real = ou_operator.galerkin_blocks
+    monkeypatch.setattr(ou_operator, "galerkin_blocks", lambda *args: [
+        np.full_like(B, np.nan) for B in real(*args)])
+    rep = verify_second_quantization(OSCILLATOR, 1.0, 3)
+    assert math.isnan(rep.residual_generator)
+    assert rep.residual_mehler_vs_lift <= 1e-12
     assert math.isnan(rep.max_residual)
     assert not rep.passed
 

@@ -9,7 +9,8 @@ import pytest
 import sympy
 
 from ou_spectra.gramian import validate
-from ou_spectra.ou_operator import poly_basis, verify_second_quantization
+from ou_spectra.ou_operator import (galerkin_blocks, mehler_matrix,
+                                    poly_basis, verify_second_quantization)
 from ou_spectra import gramian, tensor_fock, verification
 from ou_spectra.verification import (
     UNTESTED_THEORY,
@@ -26,6 +27,7 @@ from ou_spectra.spectra import SpectrumSet, eig, hausdorff, product_set
 from ou_spectra.tensor_fock import second_quantization
 
 from gaussian_moments import mgf_gram
+from generator_exp import generator_exp
 from occupation import position
 
 CLASSICAL = validate([[-1.0]], [[1.0]], name="classical")
@@ -67,16 +69,28 @@ def test_model_suite_invertibility_entry_is_the_report(model):
 
 
 def test_model_suite_three_way_shares_leading_blocks():
-    # with levels < degree the three-way check reads the leading blocks of
-    # the suite's own Mehler matrix and chaos family, and matches the
+    # with levels < degree the Mehler-lift check reads the leading blocks
+    # of the suite's own Mehler matrix and chaos family, and matches the
     # stand-alone check built on the smaller basis to roundoff (the leading
-    # blocks of the inverse are summed in another order)
+    # blocks of the inverse are summed in another order); the generator
+    # identity runs on the suite's whole basis.  The tests' dense exp(tL)
+    # from the leading blocks of the suite's L is the one on the smaller
+    # basis, and agrees with the Mehler matrix at the same bound.
     checks = {c.name: c for c in model_suite(OSCILLATOR, degree=4, levels=2)}
-    three = checks["second_quantization_three_way"]
-    assert three.passed and three.detail == "t=1, N=2"
+    lift = checks["second_quantization_mehler_lift"]
+    assert lift.passed and lift.detail == "t=1, N=2"
+    assert checks["generator_chaos_block_diagonal"].detail == "degree=4"
     rep = verify_second_quantization(OSCILLATOR, 1.0, 2)
     assert rep.passed
-    assert abs(three.residual - rep.max_residual) <= 1e-13
+    assert abs(lift.residual - rep.residual_mehler_vs_lift) <= 1e-13
+    small = poly_basis(2, 2)
+    leading = generator_exp(galerkin_blocks(OSCILLATOR, poly_basis(2, 4)),
+                            small, 1.0)
+    own = generator_exp(galerkin_blocks(OSCILLATOR, small), small, 1.0)
+    P_meh = mehler_matrix(OSCILLATOR, 1.0, small)
+    for idx, E, F in zip(small.parity_classes, leading, own):
+        assert E.tobytes() == F.tobytes()
+        assert np.abs(E - P_meh[np.ix_(idx, idx)]).max() <= rep.tol
 
 
 def test_model_suite_unstable_skips_steady_state():
@@ -111,16 +125,19 @@ def test_model_suite_check_order():
         GRAMIAN_CHECKS + STEADY_CHECKS + [
             "restricted_flow_strict_contraction"] + GENERATOR_CHECKS + [
             "invariant_measure_fixed_mean", "chaos_covariance_permanent",
-            "second_quantization_three_way", "eigenvector_degree_support"]
+            "generator_chaos_block_diagonal",
+            "second_quantization_mehler_lift", "eigenvector_degree_support"]
 
 
 def test_model_suite_degenerate_measure_takes_no_exponential(monkeypatch):
-    # a singular Q_inf ends the suite at the chaos layers: neither exp(L)
-    # nor the eigenvector check is formed for it
+    # a singular Q_inf ends the suite at the chaos layers: neither the
+    # generator in the chaos frame, nor the lift, nor the eigenvector check
+    # is formed for it
     def refuse(*args):
         raise AssertionError("formed for a degenerate measure")
 
-    monkeypatch.setattr(verification, "_generator_exp", refuse)
+    monkeypatch.setattr(verification, "_generator_residual", refuse)
+    monkeypatch.setattr(verification, "_mehler_lift", refuse)
     monkeypatch.setattr(verification, "_eigenvector_degree_check", refuse)
     checks = model_suite(DEGENERATE, degree=4)
     assert checks[-1].name == "chaos_checks"
@@ -130,8 +147,9 @@ def test_model_suite_degenerate_measure_takes_no_exponential(monkeypatch):
 #: Peak of traced allocations, in dense dim x dim float arrays, that the
 #: suites may hold at (d, N) = (8, 4); they held 13.0-14.0 and 9.5-10.0
 #: before each array was dropped after its last reader, 6.5 after, and
-#: 5.6-5.7 since exp(tL) is kept as its parity blocks, the three-way
-#: deviations are taken per class and the lift frees each level early.
+#: 5.6-5.7 since exp(tL) was kept as its parity blocks, the three-way
+#: deviations were taken per class and the lift frees each level early.
+#: L's parity blocks now stand where exp(tL)'s did.
 WORKING_SET_ARRAYS = 6
 
 
@@ -158,9 +176,9 @@ def test_working_set_at_d8_n4(kind):
 
 
 def test_warm_verify_peak_at_d8_n4(tmp_path):
-    # exp(tL) is held as its parity blocks, the three-way deviations are
-    # taken per class, the lift frees each sym_power level once its rows
-    # are written and expm scales in place: about 12.8 MB before, 11.0 MB
+    # L is held as its parity blocks, the Mehler-lift deviation is taken
+    # per class, the lift frees each sym_power level once its rows are
+    # written and expm scales in place: about 12.8 MB before, 11.0 MB
     # after
     import json
     import tracemalloc
@@ -180,6 +198,30 @@ def test_warm_verify_peak_at_d8_n4(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 11.5e6, peak
+
+
+def test_verify_exponentiates_no_matrix_above_the_van_loan_block(
+        tmp_path, monkeypatch):
+    # a cost count, pinned where it fell: the Van Loan block of Q_t, of
+    # side 2d, is the largest matrix verify exponentiates; the even block
+    # of L, of side 367 at d = 8, N = 4, was, until the generator identity
+    # in the chaos frame took the place of exp(tL)
+    import json
+    from ou_spectra import cli
+    model = random_stable_model(np.random.default_rng(0), d=8,
+                                kind="defective")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"A": model.A.tolist(),
+                                "Q": model.Q.tolist()}))
+    sides = []
+    for module in (gramian, verification):
+        def counting(M, t=1.0, real=module.expm):
+            sides.append(len(M))
+            return real(M, t)
+        monkeypatch.setattr(module, "expm", counting)
+    assert cli.main(["verify", str(path), "--degree", "4", "--levels", "4",
+                     "--out", str(tmp_path / "v.json")]) == 0
+    assert sides and max(sides) == 2 * model.dim
 
 
 def test_model_suite_negative_control(monkeypatch):
