@@ -16,7 +16,8 @@ result object (``GramianReport``, ``InvertibilityReport``,
 dataclass fields, by name, written by :func:`_json_text`.  Every model
 is held to :data:`~ou_spectra.config.DEFAULT` tolerances, with the fields
 that its file's ``"tolerances"`` object overrides; ``verify --random``
-runs at the defaults.
+runs at the defaults.  No flag moves a bound: ``spectrum``'s match is held
+to ``verification.LATTICE_MATCH_TOL``, as ``verify``'s lattice check is.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from . import config
 from .errors import InputError, NumericalError
 from .gramian import (
     _curve,
-    _gramians,
     gramian_inf,
     gramian_report,
     gramian_t,
@@ -56,9 +56,8 @@ from .spectra import (
     hausdorff,
     lattice_spectrum,
     match_report,
-    product_set,
 )
-from .tensor_fock import second_quantization
+from .tensor_fock import _product_fold, second_quantization
 from . import verification
 
 EXIT_OK = 0
@@ -252,8 +251,7 @@ def cmd_analyze(args):
     report_t = float(grid[-1])
     gram = gramian_report(model, report_t)
 
-    rows = list(zip(grid.tolist(), *_curve(
-        model, grid, lambda ts: _gramians(model, ts))))
+    rows = list(zip(grid.tolist(), *_curve(model, grid)))
     _write_csv(csv_path, rows, header=("t", "smu_norm", "K"))
 
     lyap = float(np.abs(model.A @ Qi + Qi @ model.A.T + model.Q).max())
@@ -316,7 +314,8 @@ def cmd_spectrum(args):
     galerkin = SpectrumSet(np.concatenate(
         [_eigvals(block) for block in galerkin_blocks(model, basis)]))
     computed = galerkin.restricted(re_min=re_min, im_max=im_max)
-    match = match_report(computed, predicted, args.tol)
+    match = match_report(computed, predicted,
+                         verification.LATTICE_MATCH_TOL)
 
     pred_csv = os.path.splitext(out_path)[0] + ".predicted.csv"
     comp_csv = os.path.splitext(out_path)[0] + ".computed.csv"
@@ -338,7 +337,7 @@ def cmd_spectrum(args):
     }
     write_json_report(out_path, report)
     print("predicted %d points, computed %d points, hausdorff %.3e (tol %g)"
-          % (len(predicted), len(computed), match.hausdorff, args.tol))
+          % (len(predicted), len(computed), match.hausdorff, match.tol))
     print("report -> %s (%s)" % (out_path,
                                  "pass" if match.passed else "FAIL"))
     return EXIT_OK if match.passed else EXIT_SUITE
@@ -396,13 +395,8 @@ def cmd_fock(args):
     lifts = {s: second_quantization(
         T, N, symmetric=s, allow_noncontraction=args.allow_noncontraction)
         for s in ((False, True) if len(T) > 1 else (True, False))}
-    sym, full = lifts[True], lifts[False]
-    base = eig(T)
-    predicted = SpectrumSet([1.0 + 0.0j])
-    for n in range(1, N + 1):
-        predicted = predicted.union(product_set(base, n))
-    sym_spec = sym.spectrum()
-    full_spec = full.spectrum()
+    _, predicted = _product_fold(eig(T), N)
+    sym_spec, full_spec = lifts[True].spectrum(), lifts[False].spectrum()
     distances = {
         "sym_vs_predicted": hausdorff(sym_spec, predicted),
         "tensor_vs_predicted": hausdorff(full_spec, predicted),
@@ -454,20 +448,6 @@ def _int_at_least(low):
     return parse
 
 
-def _match_tol(text):
-    """An argparse type for ``spectrum --tol``: a finite float >= 0.  A
-    refusal names the flag and exits 1 through :meth:`_Parser.error`."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            "must be a finite number >= 0 (got %s)" % text)
-    return value
-
-
-# argparse calls a value that float() refuses "invalid float value".
-_match_tol.__name__ = "float"
-
-
 class _SeedCount(argparse.Action):
     """``--random SEED COUNT``: a seed >= 0 and at least one model."""
 
@@ -510,9 +490,6 @@ def build_parser():
                    help="window floor for Re (default: cover all sums)")
     p.add_argument("--im-max", type=float, default=None,
                    help="window cap for |Im| (default: cover all sums)")
-    p.add_argument("--tol", type=_match_tol,
-                   default=verification.LATTICE_MATCH_TOL,
-                   help="match tolerance (default %(default)s)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 

@@ -4,7 +4,8 @@ Every residual or rank decision in the package goes through a
 :class:`Tolerances` instance so that a single object documents what "equal",
 "symmetric", "stable" and "low rank" mean numerically.  A model file's
 ``"tolerances"`` object overrides individual fields of :data:`DEFAULT`
-(:meth:`Tolerances.with_overrides`); that is the one way to change them.
+(:meth:`Tolerances.with_overrides`); that is the one way to change them:
+no command-line flag moves a threshold, and check bounds are constants.
 """
 
 from __future__ import annotations

@@ -401,11 +401,11 @@ def nondegenerate_factor(model):
 
 
 def _curve(model, ts, gram=None, P=None):
-    """``||S_mu(t)||`` at each horizon of `ts` and, given ``gram(ts)``, the
-    stack of ``Q_t`` at the horizons of an array, ``K(t)`` of `P` (default
-    ``Q_inf``) over it: two lists, the second empty without `gram`.  The
-    horizons go in row blocks of :func:`~ou_spectra.spectra._row_blocks`:
-    each block's flows are one stacked exponential (:func:`_flows`), its
+    """``||S_mu(t)||`` and ``K(t)`` of `P` (default ``Q_inf``) at each
+    horizon of `ts`, as two lists.  ``gram(ts)`` gives the stack of ``Q_t``
+    at the horizons of an array (default :func:`_gramians`).  The horizons
+    go in row blocks of :func:`~ou_spectra.spectra._row_blocks`: each
+    block's flows are one stacked exponential (:func:`_flows`), its
     Gramians one call of `gram`, and the rest one numpy call per block,
     bitwise the one-horizon result.  The refusal is the first in horizon
     order, and at one horizon the flow's, then the leak's, then `gram`'s:
@@ -413,6 +413,8 @@ def _curve(model, ts, gram=None, P=None):
     refusal, and raises its own first."""
     factor, d = model.invariant_factor, model.dim
     ts = np.asarray(ts, dtype=float)
+    if gram is None:
+        gram = lambda ts: _gramians(model, ts)
     norms, ks = [], []
     for rows in _row_blocks(len(ts), d * d):
         chunk = ts[rows]
@@ -421,14 +423,12 @@ def _curve(model, ts, gram=None, P=None):
         else:  # a rank-0 factor needs no flow
             F, refusal = np.zeros((len(chunk), d, d)), None
         S, leak = _restricted(model, chunk, F)
-        if gram is not None:
-            grams = gram(chunk[:len(S)])
+        grams = gram(chunk[:len(S)])
         if leak or refusal:
             raise leak or refusal
         norms += np.linalg.norm(S, 2, axis=(-2, -1)).tolist()
-        if gram is not None:
-            ks += _ratio_sups(gramian_inf(model) if P is None else P,
-                              grams, model.tol.rank_tol).tolist()
+        ks += _ratio_sups(gramian_inf(model) if P is None else P,
+                          grams, model.tol.rank_tol).tolist()
     return norms, ks
 
 

@@ -29,24 +29,26 @@ its compression, which the tests pin ``derivation_block`` to:
     dgamma(M, n)  =  J_n' (sum_j I (x)...(x) M (x)...(x) I) J_n
                   =  D_n derivation_block(M', n) D_n^-1.
 
-A :class:`FockTruncation` keeps the blocks of all levels up to a cap N.  Its
-``spectrum`` is the union of the block spectra; ``embedded_spectrum`` adds
-the point 0, which is the action on all discarded levels when the truncation
-is viewed inside the full algebra, and is the right object for comparing
-truncations of different depth.
+A :class:`FockTruncation` keeps the blocks of all levels up to a cap N and,
+once asked, the spectrum of each block.  Its ``spectrum`` is the union of
+the block spectra up to a level; ``embedded_spectrum`` adds the point 0,
+which is the action on all discarded levels when the truncation is viewed
+inside the full algebra, and is the right object for comparing truncations
+of different depth.  :func:`_product_fold` writes what the first theorem
+predicts for them, ``{1}`` and the products of n points of ``sigma(T)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, product as _iter_product
 from math import comb, factorial, prod
 
 import numpy as np
 
 from .errors import InputError, NotContraction, SizeCap
-from .spectra import SpectrumSet, _square, eig
+from .spectra import SpectrumSet, _square, eig, product_set
 
 __all__ = [
     "multi_indices", "sym_dim", "embedding", "tensor_power",
@@ -265,19 +267,27 @@ class FockTruncation:
     coordinates for a symmetric :func:`second_quantization`, plain tensor
     coordinates otherwise); ``levels[0]`` is the 1x1 identity block of the
     vacuum.  The full matrix on the truncated algebra has these blocks on
-    its diagonal.
+    its diagonal.  Each block is decomposed once, on the first read of
+    ``level_spectra``, and the spectra below read those.
     """
 
     levels: tuple
 
-    def spectrum(self):
-        """Union of the block spectra (always contains 1, from the
-        vacuum)."""
-        return SpectrumSet(np.concatenate([eig(block).points
-                                           for block in self.levels]))
+    @cached_property
+    def level_spectra(self):
+        """``eig`` of each block, in level order."""
+        return tuple(eig(block) for block in self.levels)
 
-    def embedded_spectrum(self):
-        """Spectrum of the truncation viewed inside the full algebra.
+    def spectrum(self, top=None):
+        """Union of the block spectra of the levels up to `top` (default
+        all); it always contains 1, from the vacuum."""
+        stop = len(self.levels) if top is None else top + 1
+        return SpectrumSet(np.concatenate(
+            [spec.points for spec in self.level_spectra[:stop]]))
+
+    def embedded_spectrum(self, top=None):
+        """Spectrum of the truncation at `top` (default the cap) viewed
+        inside the full algebra.
 
         Extending by zero on every discarded level adds the point 0; with
         it, truncations at different caps of the same contraction are
@@ -285,7 +295,19 @@ class FockTruncation:
         points of modulus at most ``norm(T)**(N+1)``, all within that
         distance of 0).
         """
-        return self.spectrum().union([0.0 + 0.0j])
+        return self.spectrum(top).union([0.0 + 0.0j])
+
+
+def _product_fold(base, N):
+    """The first theorem's prediction for a truncation at level N of an
+    operator with spectrum `base`: the product sets ``product_set(base,
+    n)`` for n = 1..N, and their union with the vacuum's {1}, folded in
+    level order."""
+    prods = [product_set(base, n) for n in range(1, N + 1)]
+    union = SpectrumSet([1.0 + 0.0j])
+    for level in prods:
+        union = union.union(level)
+    return prods, union
 
 
 def second_quantization(T, N, *, symmetric=True,

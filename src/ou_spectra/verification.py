@@ -77,9 +77,9 @@ from .spectra import (
     eig,
     hausdorff,
     lattice_spectrum,
-    product_set,
 )
-from .tensor_fock import _substitution_tables, dgamma, second_quantization
+from .tensor_fock import (_product_fold, _substitution_tables, dgamma,
+                          second_quantization)
 
 __all__ = [
     "CheckResult", "UNTESTED_THEORY", "SPLITTING_TOL", "CONTRACTION_TOL",
@@ -398,24 +398,27 @@ def _chaos_covariance_residual(model, chaos, rng):
     """Pairing identity for the covariance of projected products of linear
     functionals: the second-layer inner product of phi_h1 phi_h2 and
     phi_k1 phi_k2 equals the permanent of the kernel-space Gram matrix.
-    `chaos` holds the degrees <= 2."""
+    `chaos` holds the degrees <= 2.  Each ``phi_h = <inv_sqrt' h, .>`` is
+    drawn in the whitened coordinates of ``model.invariant_factor``, not
+    the frame's, so a wrong measure still shows; its Gram matrix is the
+    Euclidean one of the draws, whose norms scale each residual."""
     # I_2 keeps a quadratic supported in degrees <= 2, whose inner product
     # comes from Q_inf alone, without the Hermite family.
     low = poly_basis(model.dim, 2)
     Qi = _gr.gramian_inf(model)
     Phi_2, Psi_2 = chaos.layer(2)
     I2 = Phi_2[:low.dim] @ Psi_2[:, :low.dim]
-    Qi_inv = np.linalg.inv(Qi)
+    white = model.invariant_factor.inv_sqrt.T
 
     def pairing_residual():
         h = rng.standard_normal((2, model.dim))
         k = rng.standard_normal((2, model.dim))
-        f, g = (_linear_product(low, Qi_inv @ pair[0], Qi_inv @ pair[1])
+        f, g = (_linear_product(low, white @ pair[0], white @ pair[1])
                 for pair in (h, k))
         lhs = _quadratic_inner(Qi, I2 @ f, I2 @ g)
-        ip = lambda a, b: float(a @ Qi_inv @ b)
-        rhs = ip(h[0], k[0]) * ip(h[1], k[1]) + ip(h[0], k[1]) * ip(h[1], k[0])
-        return abs(lhs - rhs) / max(abs(rhs), 1.0)
+        rhs = (h[0] @ k[0]) * (h[1] @ k[1]) + (h[0] @ k[1]) * (h[1] @ k[0])
+        scale = np.prod(np.linalg.norm(np.concatenate((h, k)), axis=1))
+        return abs(lhs - rhs) / scale
 
     return _worst((pairing_residual() for _ in range(3)), 0.0)
 
@@ -510,14 +513,14 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
     out = []
     tnorm = np.linalg.norm(T, 2)
     # Each lift of T, S and T @ S (from one truncation), each spectrum of a
-    # symmetric power of T and each product set is built once for every
-    # check below; the suite keeps its norm guard.
-    lifts = lambda M, top, symmetric=True: second_quantization(
-        M, top, symmetric=symmetric, allow_noncontraction=True).levels
+    # symmetric power of T (held by its truncation) and each product set
+    # is built once for every check below; the suite keeps its norm guard.
+    lift = lambda M, top, symmetric=True: second_quantization(
+        M, top, symmetric=symmetric, allow_noncontraction=True)
     ns = range(1, levels + 1)
-    tens = lifts(T, levels, symmetric=False)
-    syms = lifts(T, levels + 1)
-    sym_specs = [eig(level) for level in syms]
+    tens = lift(T, levels, symmetric=False).levels
+    sym_trunc = lift(T, levels + 1)
+    syms = sym_trunc.levels
 
     norm_resid = _worst((abs(np.linalg.norm(tens[n], 2) - tnorm ** n)
                          for n in ns), 0.0)
@@ -528,7 +531,7 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
 
     S = random_contraction(rng, d=d, kind="diagonalizable")
     snorm = np.linalg.norm(S, 2)
-    s_tens = lifts(S, levels, symmetric=False)
+    s_tens = lift(S, levels, symmetric=False).levels
     gap = np.linalg.norm(T - S, 2)
 
     def tele_excess(n):
@@ -540,15 +543,16 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
     tele = _worst(map(tele_excess, ns), 0.0)
     out.append(_check(prefix + "telescoping_bound", tele, 1e-10))
 
-    ts_syms, s_syms = lifts(T @ S, levels), lifts(S, levels)
+    ts_syms, s_syms = lift(T @ S, levels).levels, lift(S, levels).levels
     homo = _worst((np.abs(ts_syms[n] - syms[n] @ s_syms[n]).max()
                    for n in ns), 0.0)
     out.append(_check(prefix + "sym_power_homomorphism", homo, 1e-10))
 
     base = eig(T)
-    prods = {n: product_set(base, n) for n in ns}
-    spec_resid = _worst((hausdorff(spec, prods[n]) for n in ns
-                         for spec in (eig(tens[n]), sym_specs[n])), 0.0)
+    prods, pred = _product_fold(base, levels)
+    spec_resid = _worst((hausdorff(spec, prods[n - 1]) for n in ns
+                         for spec in (eig(tens[n]),
+                                      sym_trunc.level_spectra[n])), 0.0)
     out.append(_check(prefix + "tensor_sym_product_spectra", spec_resid,
                       1e-7))
 
@@ -558,18 +562,12 @@ def contraction_suite(T, *, levels=3, seed=0, prefix=""):
     out.append(_check(prefix + "dgamma_sum_spectrum", dg_resid, 1e-7))
 
     if tnorm < 1:
-        pred = SpectrumSet([1.0 + 0.0j])
-        for n in ns:
-            pred = pred.union(prods[n])
-        # FockTruncation.spectrum at `levels` and one level deeper
-        kept, more = (SpectrumSet(np.concatenate(
-            [spec.points for spec in sym_specs[:top + 1]]))
-            for top in (levels, levels + 1))
         out.append(_check(prefix + "second_quantization_spectrum",
-                          hausdorff(kept, pred), 1e-7))
+                          hausdorff(sym_trunc.spectrum(levels), pred), 1e-7))
         out.append(_check(
             prefix + "truncation_stability",
-            hausdorff(kept.union([0.0 + 0.0j]), more.union([0.0 + 0.0j])),
+            hausdorff(sym_trunc.embedded_spectrum(levels),
+                      sym_trunc.embedded_spectrum()),
             tnorm ** (levels + 1) + 1e-9))
     return out
 

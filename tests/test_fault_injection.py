@@ -6,9 +6,9 @@ A passing check is evidence only if a wrong number in one of its routes
 would make it fail (mutation analysis; DeMillo, Lipton & Sayward, IEEE
 Computer 11(4), 1978).  Each witness plants one fault in a route that the
 suite calls through the ``verification`` or ``gramian`` module -- for the
-contraction suite the lifts of ``second_quantization``, ``product_set`` or
-``dgamma`` -- never in the check code, and pins the exact set of checks
-that then fail.
+contraction suite the lifts of ``second_quantization`` or ``dgamma``, and
+``product_set``, which it reaches through the fold of ``tensor_fock`` --
+never in the check code, and pins the exact set of checks that then fail.
 
 The second contraction S of ``random_contraction`` feeds only
 ``telescoping_bound`` and ``sym_power_homomorphism``, and both hold for
@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ou_spectra import gramian, ou_operator, verification
+from ou_spectra import gramian, ou_operator, tensor_fock, verification
 from ou_spectra.cli import load_model
 from ou_spectra.gramian import validate
 from ou_spectra.spectra import SpectrumSet
@@ -41,7 +41,7 @@ CONTRACTIONS = {
 }
 
 _second_quantization = verification.second_quantization
-_product_set = verification.product_set
+_product_set = tensor_fock.product_set
 _dgamma = verification.dgamma
 
 
@@ -154,7 +154,7 @@ def test_the_witness_flips_its_check(monkeypatch, check, kind):
 
 @pytest.mark.parametrize("kind", sorted(CONTRACTIONS))
 def test_a_shifted_product_set_flips_both_product_checks(monkeypatch, kind):
-    monkeypatch.setattr(verification, "product_set", _shifted_product_set)
+    monkeypatch.setattr(tensor_fock, "product_set", _shifted_product_set)
     assert _failed(CONTRACTIONS[kind]) == {
         "tensor_sym_product_spectra", "second_quantization_spectrum"}
 
@@ -392,3 +392,25 @@ def test_the_generator_identity_holds_to_roundoff(model):
                                                     degree=3)
                 if c.name == "generator_chaos_block_diagonal"]
     assert check.residual <= 1e-13
+
+
+def test_the_pairing_check_sees_its_witness_at_every_noise_scale():
+    # the permanent is taken in the whitened coordinates of Q_inf and
+    # relative to the draws' norms, so neither the clean residual nor the
+    # witness's reading moves with the scale of the noise: each read of
+    # 1 + 1e-3 on the second layer stays near 2.6e-3, against 1e-9
+    A = [[-1.0, 0.3], [0.0, -2.0]]
+    Q0 = np.array([[1.0, 0.2], [0.2, 0.5]])
+    basis = ou_operator.poly_basis(2, 2)
+    seen = []
+    for k in (-500, -250, -100, 0, 100, 250, 500, 800):
+        model = validate(A, 2.0 ** k * Q0)
+        chaos = ou_operator.chaos_decomposition(model, basis)
+        crooked = _second_layer_scaled(lambda *_: chaos, model, basis)
+        clean, seen_k = (verification._chaos_covariance_residual(
+            model, frame, np.random.default_rng(1))
+            for frame in (chaos, crooked))
+        assert clean <= 1e-11, k
+        assert seen_k > 1e-9, k
+        seen.append(seen_k)
+    assert max(seen) <= 1e-2 and min(seen) >= 1e-3

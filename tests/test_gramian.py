@@ -525,19 +525,15 @@ def test_contractivity_requires_positive_t():
 GRID = np.arange(1, 51) * 0.1
 
 
-def _kernel_curve(model, ts):
-    return gramian._curve(model, ts, lambda ts: gramian._gramians(model, ts))
-
-
 def _assert_same_curve(model, ts):
     try:
         want = curve_reference.curve(model, ts)
     except NumericalError as exc:
         with pytest.raises(type(exc)) as info:
-            _kernel_curve(model, ts)
+            gramian._curve(model, ts)
         assert str(info.value) == str(exc)
         return False
-    got = [np.array(x) for x in _kernel_curve(model, ts)]
+    got = [np.array(x) for x in gramian._curve(model, ts)]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -559,7 +555,7 @@ def test_curve_matches_the_loop_where_the_rank_of_q_t_changes():
     model = cli.load_model("hypoelliptic_2d")
     ts = [1e-6, 1e-4, 3e-5, 1e-3, 1.0]
     assert _assert_same_curve(model, ts)
-    K = _kernel_curve(model, ts)[1]
+    K = gramian._curve(model, ts)[1]
     assert np.isinf(K).tolist() == [True, False, True, False, False]
 
 
@@ -609,7 +605,7 @@ def test_curve_of_a_rank_0_factor_makes_no_flow(monkeypatch):
     # Q = 0: Q_inf = 0 keeps no direction, so every norm and K is 0
     model = validate([[-1.0, 0.0], [0.0, -2.0]], np.zeros((2, 2)))
     monkeypatch.setattr(gramian, "_flows", None)
-    assert _kernel_curve(model, GRID[:3]) == ([0.0] * 3, [0.0] * 3)
+    assert gramian._curve(model, GRID[:3]) == ([0.0] * 3, [0.0] * 3)
     assert smu_matrix(model, 1.0).shape == (0, 0)
     assert smu_norm(model, 1.0) == 0.0
 
@@ -624,7 +620,7 @@ def test_curve_spans_several_stacks(monkeypatch):
         return real(P, Rs, rank_tol)
 
     monkeypatch.setattr(gramian, "_ratio_sups", counting)
-    _kernel_curve(model, GRID)
+    gramian._curve(model, GRID)
     assert sizes == [50]  # a d <= 32 grid stacks whole
     sizes.clear()
     monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 3 * 3 * 3)
@@ -677,7 +673,7 @@ def test_curve_refuses_at_the_loops_first_horizon(monkeypatch, leak_at,
     if stack is not None:
         monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", stack * d * d)
     want = _refusal(lambda: curve_reference.curve(DEGENERATE, GRID))
-    assert _refusal(lambda: _kernel_curve(DEGENERATE, GRID)) == want
+    assert _refusal(lambda: gramian._curve(DEGENERATE, GRID)) == want
     first = min(t for t in (leak_at, nan_at) if t is not None)
     assert ("t=%g" % first) in want[1]
 

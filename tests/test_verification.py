@@ -490,7 +490,7 @@ def test_contraction_suite_builds_each_object_once(monkeypatch):
     truncations = _count_calls(
         monkeypatch, verification, "second_quantization",
         key=lambda M, N, symmetric=True, **_: key(M, N) + (symmetric,))
-    products = _count_calls(monkeypatch, verification, "product_set", key)
+    products = _count_calls(monkeypatch, tensor_fock, "product_set", key)
     sweeps = _count_calls(monkeypatch, tensor_fock, "substitution_levels",
                           key)
     checks = contraction_suite(T, levels=3)
@@ -511,8 +511,8 @@ def test_contraction_suite_builds_each_object_once(monkeypatch):
 
 def _spectral_residuals(T, levels):
     """The three spectral checks of ``contraction_suite`` as the
-    FockTruncation methods make them: each symmetric level decomposed by
-    ``spectrum`` and again by ``embedded_spectrum``."""
+    FockTruncation methods make them on two truncations, the prediction
+    folded here: each symmetric level is decomposed once per truncation."""
     base = eig(T)
     prods = [product_set(base, n) for n in range(1, levels + 1)]
     trunc, bigger = (second_quantization(T, top, allow_noncontraction=True)
@@ -534,16 +534,18 @@ def _spectral_residuals(T, levels):
 @pytest.mark.parametrize("kind", ["diagonalizable", "defective"])
 def test_contraction_suite_takes_each_spectrum_once(monkeypatch, kind):
     # T, its three tensor powers, its five symmetric levels and its three
-    # dGamma lifts: one eig each, the symmetric levels shared by the
-    # product, truncation and stability checks, with the same bits
+    # dGamma lifts: one eig each, the symmetric levels taken by their
+    # truncation and shared by the product, truncation and stability
+    # checks, with the same bits
     T = random_contraction(np.random.default_rng(5), d=2, kind=kind)
     want = _spectral_residuals(T, 3)
-    shapes = _count_calls(monkeypatch, verification, "eig",
-                          key=lambda M: M.shape)
+    own, held = (_count_calls(monkeypatch, module, "eig",
+                              key=lambda M: M.shape)
+                 for module in (verification, tensor_fock))
     checks = {c.name: c for c in contraction_suite(T, levels=3)}
-    assert sorted(shapes) == sorted(
-        [(2, 2)] + [(2, 2), (4, 4), (8, 8)]
-        + [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)] + [(2, 2), (3, 3), (4, 4)])
+    assert sorted(own) == sorted(
+        [(2, 2)] + [(2, 2), (4, 4), (8, 8)] + [(2, 2), (3, 3), (4, 4)])
+    assert held == [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
     for name, residual in want.items():
         assert checks[name].residual == residual, name
 
