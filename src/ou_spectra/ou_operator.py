@@ -29,8 +29,13 @@ with ``W`` the whitening of the invariant covariance.  All three are built
 one degree block at a time: ``S(M)`` is block diagonal, and the heat
 series is a product of :func:`~ou_spectra.tensor_fock.heat_block` sweeps,
 so no dense power of the heat operator and no dense substitution matmul is
-formed.  ``Phi`` is never inverted: the closed form of ``Phi^-1`` gets one
-Newton step against ``Phi``.  The columns of ``Phi`` are the
+formed.  Each chaos layer has one parity, so all three are exact zeros
+between the even and the odd degrees too, and, like L, each is held as
+its two parity-class blocks: the second quantization acts layer by layer,
+and nothing in this module forms a whole ``dim x dim`` matrix but the
+tests' oracle :func:`assemble_L`.  ``Phi`` is never inverted: the closed
+form of ``Phi^-1`` gets one Newton step against ``Phi``, class by class.
+The columns of ``Phi`` are the
 normalized Hermite products ``He_alpha(W x) / sqrt(alpha!)`` indexed like
 the occupation basis of symmetric tensor powers.  The projection onto the
 n-th chaos layer is ``Phi[:, n] Phi^-1[n, :]``; it is kept as that factor
@@ -99,6 +104,13 @@ class PolyBasis:
     def degree_slice(self, n):
         """Slice of coordinates of total degree exactly n."""
         start = sum(comb(self.d + k - 1, k) for k in range(n))
+        return slice(start, start + comb(self.d + n - 1, n))
+
+    def class_slice(self, n):
+        """Slice of the degree-n monomials within their parity class,
+        ``parity_classes[n % 2]``, which holds the degrees of that parity
+        in graded order."""
+        start = sum(comb(self.d + k - 1, k) for k in range(n % 2, n, 2))
         return slice(start, start + comb(self.d + n - 1, n))
 
 
@@ -187,9 +199,10 @@ def _require_basis(model, basis):
             % (basis.d, model.dim))
 
 
-def _graded(Q, basis, left=None, right=None):
-    """``diag(left) exp(1/2 Tr(Q D^2)) diag(right)`` on the monomials, one
-    degree block at a time; `left` and `right` are per-degree blocks (the
+def _graded(Q, basis, parity, left=None, right=None):
+    """``diag(left) exp(1/2 Tr(Q D^2)) diag(right)`` on the monomials of
+    the parity class ``basis.parity_classes[parity]``, one degree block at
+    a time; `left` and `right` are per-degree blocks over all degrees (the
     identity when omitted), such as ``substitution_levels``.
 
     The heat operator lowers the degree by two, so its exponential is the
@@ -197,15 +210,18 @@ def _graded(Q, basis, left=None, right=None):
     ``m + 2k`` to degree m is the product ``H_(m+2) ... H_(m+2k) / k!`` of
     heat blocks, taken from the left.  Every other block of the result is
     zero: it is block upper triangular in the graded order, and a degree
-    block only meets degree blocks of its own parity.
+    block only meets degree blocks of its own parity, so the class block
+    is the whole operator but for exact zeros.
     """
     N = basis.N
-    heat = {n: heat_block(Q, n) for n in range(2, N + 1)}
+    degrees = range(parity, N + 1, 2)
+    heat = {n: heat_block(Q, n) for n in degrees if n >= 2}
     blocks = [b for b in (left, right) if b is not None]
-    out = np.zeros((basis.dim, basis.dim),
+    size = len(basis.parity_classes[parity])
+    out = np.zeros((size, size),
                    dtype=np.result_type(Q, float, *(b[-1] for b in blocks)))
-    for m in range(N + 1):
-        rows = basis.degree_slice(m)
+    for m in degrees:
+        rows = basis.class_slice(m)
         term = None  # the identity
         for k, n in enumerate(range(m, N + 1, 2)):
             if k:
@@ -215,24 +231,37 @@ def _graded(Q, basis, left=None, right=None):
                 block = left[m] if block is None else left[m] @ block
             if right is not None:
                 block = right[n] if block is None else block @ right[n]
-            out[rows, basis.degree_slice(n)] = \
+            out[rows, basis.class_slice(n)] = \
                 np.eye(rows.stop - rows.start) if block is None else block
     return out
+
+
+def _leading(blocks, basis):
+    """The class blocks on the degrees <= ``basis.N`` of class blocks on a
+    larger basis: block upper triangular in the graded order, they are the
+    same operator there.  Views, not copies."""
+    return tuple(M[:len(idx), :len(idx)]
+                 for M, idx in zip(blocks, basis.parity_classes))
 
 
 # --- exact transition action ------------------------------------------------
 
 def mehler_matrix(model, t, basis):
     """Matrix of the transition action ``P(t) f(x) = E f(exp(tA) x + G)``,
-    ``G ~ N(0, Q_t)``, on all basis monomials at once.
+    ``G ~ N(0, Q_t)``, on the basis monomials, as its principal blocks on
+    the even-degree and the odd-degree monomials (``basis.parity_classes``,
+    like :func:`galerkin_blocks`): every entry between them is an exact
+    zero.
 
     Averaging over G is the heat operator ``exp(1/2 Tr(Q_t D^2))``; the
     substitution ``x -> exp(tA) x`` follows it.
     """
     t = _horizon(t, "mehler_matrix")
     _require_basis(model, basis)
-    return _graded(gramian_t(model, t), basis,
-                   left=list(substitution_levels(flow(model, t), basis.N)))
+    Q_t = gramian_t(model, t)
+    levels = list(substitution_levels(flow(model, t), basis.N))
+    return tuple(_graded(Q_t, basis, parity, left=levels)
+                 for parity in range(len(basis.parity_classes)))
 
 
 # --- chaos decomposition ----------------------------------------------------
@@ -244,67 +273,71 @@ class ChaosDecomposition:
 
     The n-th layer is kept as its factor pair, the degree-n columns of
     ``Phi`` and the degree-n rows of ``Phi^-1`` (:meth:`layer`); its
-    projection ``Phi[:, n] Phi^-1[n, :]`` would be a dense ``dim x dim``
-    matrix and is never formed.  An operator acting on each layer is
-    lifted through the pairs (:meth:`lift`).
+    projection ``Phi[:, n] Phi^-1[n, :]`` is never formed.  An operator
+    acting on each layer is lifted through the pairs (:meth:`lift`).
 
     Attributes
     ----------
     basis : PolyBasis
-    occupation_hermite : ndarray
-        The product-form orthonormal family ``Phi``: column for
-        multi-index alpha holds the monomial coefficients of
-        ``prod_i He_(alpha_i)(xi_i) / sqrt(alpha!)`` where ``xi`` are the
-        whitened coordinates from ``model.invariant_factor``.  Its
-        degree-n columns span the n-th layer and match the
-        occupation-number indexing of symmetric tensor powers, which is
-        what level-by-level transports need.
-    occupation_hermite_inv : ndarray
-        ``Phi^-1`` from its closed form ``diag(sqrt(alpha!))
-        exp(Delta_(+I)) S(W^-1)`` and one Newton step, with no inversion;
-        shared with every transport back to monomial coordinates.
+    frame : tuple of ndarray
+        The product-form orthonormal family ``Phi`` as its principal
+        blocks on ``basis.parity_classes``; between the classes it is an
+        exact zero, which is not stored.  The column for multi-index alpha
+        holds the monomial coefficients of ``prod_i He_(alpha_i)(xi_i) /
+        sqrt(alpha!)`` where ``xi`` are the whitened coordinates from
+        ``model.invariant_factor``.  Its degree-n columns span the n-th
+        layer and match the occupation-number indexing of symmetric tensor
+        powers, which is what level-by-level transports need.
+    frame_inv : tuple of ndarray
+        ``Phi^-1`` on the same classes, from its closed form
+        ``diag(sqrt(alpha!)) exp(Delta_(+I)) S(W^-1)`` and one Newton step
+        per class, with no inversion; shared with every transport back to
+        monomial coordinates.
 
-    Both matrices are block upper triangular in the graded order, and a
-    degree block meets only degree blocks of its own parity.
+    Every block is upper triangular by degree blocks in the graded order.
     """
 
     basis: PolyBasis
-    occupation_hermite: np.ndarray
-    occupation_hermite_inv: np.ndarray
+    frame: tuple
+    frame_inv: tuple
 
     def layer(self, n):
         """The factor pair ``(Phi[:, n], Phi^-1[n, :])`` of the n-th layer
-        projection, as views."""
-        sel = self.basis.degree_slice(n)
-        return self.occupation_hermite[:, sel], \
-            self.occupation_hermite_inv[sel, :]
+        projection on its class ``basis.parity_classes[n % 2]``, as views
+        of the class blocks."""
+        sel = self.basis.class_slice(n)
+        return self.frame[n % 2][:, sel], self.frame_inv[n % 2][sel]
 
     def lift(self, blocks):
         """``sum_n Phi[:, n] blocks[n] Phi^-1[n, :]``: the operator acting
-        as ``blocks[n]`` on the n-th layer, in monomial coordinates.  The
-        blocks are applied to ``Phi^-1`` first: on defective drifts, whose
-        lifts reach 1e4, that order leaves about half the roundoff of
-        ``(Phi blocks) Phi^-1``.  It empties the list `blocks`, top
-        degree first, so that each block is freed once its rows are written
-        and none is held through the product with ``Phi``."""
-        Psi = self.occupation_hermite_inv
-        Y = np.zeros(Psi.shape, dtype=np.result_type(Psi, *blocks))
+        as ``blocks[n]`` on the n-th layer, in monomial coordinates, kept
+        as a factor pair ``(Phi_c, Y_c)`` on each class of
+        ``basis.parity_classes``, whose product is the operator's block on
+        the class; ``Y_c`` holds ``blocks[n] Phi^-1[n, :]`` in the rows of
+        each degree n of the class.  The blocks are applied to ``Phi^-1``
+        first: on defective drifts, whose lifts reach 1e4, that order
+        leaves about half the roundoff of ``(Phi blocks) Phi^-1``.  It
+        empties the list `blocks`, top degree first, so that each block is
+        freed once its rows are written."""
+        Y = [np.zeros(Psi.shape, dtype=np.result_type(Psi, *blocks))
+             for Psi in self.frame_inv]
         while blocks:
-            sel = self.basis.degree_slice(len(blocks) - 1)
-            np.matmul(blocks.pop(), Psi[sel], out=Y[sel])
-        return self.occupation_hermite @ Y
+            n = len(blocks) - 1
+            sel = self.basis.class_slice(n)
+            np.matmul(blocks.pop(), self.frame_inv[n % 2][sel],
+                      out=Y[n % 2][sel])
+        return tuple(zip(self.frame, Y))
 
     def leading(self, N):
         """The same family on the degrees <= N.  ``Phi`` and ``Phi^-1``
         are block upper triangular in the graded order, so their leading
-        blocks are the family and its inverse on the smaller basis (the
-        inverse to roundoff: its Newton step sums in another order)."""
+        class blocks are the family and its inverse on the smaller basis
+        (the inverse to roundoff: its Newton step sums in another
+        order)."""
         basis = poly_basis(self.basis.d, N)
-        k = basis.dim
         return replace(self, basis=basis,
-                       occupation_hermite=self.occupation_hermite[:k, :k],
-                       occupation_hermite_inv=
-                       self.occupation_hermite_inv[:k, :k])
+                       frame=_leading(self.frame, basis),
+                       frame_inv=_leading(self.frame_inv, basis))
 
 
 def _hermite_norms(basis):
@@ -313,6 +346,40 @@ def _hermite_norms(basis):
     is refused as :class:`SizeCap`."""
     return np.concatenate([_sqrt_factorials(basis.d, n)
                            for n in range(basis.N + 1)])
+
+
+def _finite_levels(M, N, name):
+    """``substitution_levels(M, N)`` as a list; the first level past the
+    float range is refused as :class:`SizeCap`, named, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = list(substitution_levels(M, N))
+    for n, level in enumerate(levels):
+        if not np.isfinite(level).all():
+            raise SizeCap("level %d of the chaos frame's substitution %s "
+                          "overflows the float range" % (n, name))
+    return levels
+
+
+def _frame_blocks(model, basis):
+    """The closed forms of ``Phi`` and ``Phi^-1`` (see
+    :func:`chaos_decomposition`), before the Newton step, as two tuples of
+    blocks on ``basis.parity_classes``."""
+    factor = nondegenerate_factor(model)
+    norms = _hermite_norms(basis)
+    # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
+    # two agree only to roundoff times sqrt(cond Q_inf), and that gap,
+    # magnified by the Hermite coefficients, would keep S(W^-1) S(W) from
+    # the identity by more than the frame's 1e-10 bound allows.
+    eye = np.eye(basis.d)
+    parities = range(len(basis.parity_classes))
+    levels = _finite_levels(np.linalg.inv(factor.factor), basis.N, "S(W)")
+    Phi = tuple(_graded(-eye, basis, p, left=levels) for p in parities)
+    levels = _finite_levels(factor.factor, basis.N, "S(W^-1)")
+    Psi = tuple(_graded(eye, basis, p, right=levels) for p in parities)
+    for F, F_inv, idx in zip(Phi, Psi, basis.parity_classes):
+        F /= norms[idx]
+        F_inv *= norms[idx, None]
+    return Phi, Psi
 
 
 def chaos_decomposition(model, basis):
@@ -324,40 +391,33 @@ def chaos_decomposition(model, basis):
     ``Phi^-1 = diag(alpha!)^(1/2) exp(Delta_(+I)) S(W^-1)`` with ``W^-1``
     the factor of ``model.invariant_factor``; the order of the factors
     matters, since the heat operator and the substitution do not commute.
-    Only the d x d factor is inverted, never ``Phi``.  The closed form
-    carries the roundoff of its own products, so one Newton step
-    ``Phi^-1 + Phi^-1 (I - Phi Phi^-1)`` squares its residual against
-    ``Phi``.
+    Only the d x d factor is inverted, never ``Phi``.  Both are built and
+    held as their parity-class blocks.  The closed form carries the
+    roundoff of its own products, so one Newton step ``Phi^-1 + Phi^-1
+    (I - Phi Phi^-1)`` on each class, in row blocks, squares its residual
+    against ``Phi``.
 
     Raises
     ------
     DegenerateMeasure
         For a singular ``Q_inf`` (see ``gramian.nondegenerate_factor``).
+    SizeCap
+        For an ``alpha!``, or a level of ``S(W)`` or ``S(W^-1)``, past the
+        float range; the first one is named.
     """
     _require_basis(model, basis)
-    factor = nondegenerate_factor(model)
-    norms = _hermite_norms(basis)
-    # W is the inverse of W^-1 = factor.factor, not the RKHS inv_sqrt: the
-    # two agree only to roundoff times sqrt(cond Q_inf), and that gap,
-    # magnified by the Hermite coefficients, would keep S(W^-1) S(W) from
-    # the identity by more than the frame's 1e-10 bound allows.
-    eye = np.eye(basis.d)
-    Phi = _graded(-eye, basis, left=list(substitution_levels(
-        np.linalg.inv(factor.factor), basis.N)))
-    Phi /= norms
-    Phi_inv = _graded(eye, basis, right=list(
-        substitution_levels(factor.factor, basis.N)))
-    Phi_inv *= norms[:, None]
-    # I - Phi Phi^-1, formed in the product's own buffer.
-    step = Phi @ Phi_inv
-    np.negative(step, out=step)
-    step[np.diag_indices(basis.dim)] += 1.0
-    Phi_inv += Phi_inv @ step
-    return ChaosDecomposition(
-        basis=basis,
-        occupation_hermite=Phi,
-        occupation_hermite_inv=Phi_inv,
-    )
+    Phi, Psi = _frame_blocks(model, basis)
+    for F, F_inv in zip(Phi, Psi):
+        # I - Phi Phi^-1, formed in the product's own buffer; each row of
+        # the step reads only its own row of Phi^-1, so it is taken in row
+        # blocks (spectra._row_blocks) and no second class-sized product
+        # is held.
+        step = F @ F_inv
+        np.negative(step, out=step)
+        step[np.diag_indices(len(step))] += 1.0
+        for rows in _row_blocks(*step.shape):
+            F_inv[rows] += F_inv[rows] @ step
+    return ChaosDecomposition(basis=basis, frame=Phi, frame_inv=Psi)
 
 
 # --- the second quantization, two routes ------------------------------------
@@ -391,7 +451,8 @@ def verify_second_quantization(model, t, N):
     reported, NaN if either is NaN.  Once (a) holds, ``exp(tL)`` is the
     exponential of a block-diagonal similarity, so a dense ``exp(tL)``
     would add no third route.  A singular ``Q_inf`` or an ``alpha!`` of the
-    chaos family past the float range is refused before L is built.
+    chaos family past the float range is refused before L is built, and a
+    level of the frame's substitution past that range when the frame is.
     """
     t = _horizon(t, "verify_second_quantization")
     basis = poly_basis(model.dim, N)
@@ -416,9 +477,9 @@ def _generator_residual(model, blocks, chaos):
     Hermite basis, with ``A_mu = inv_sqrt A factor`` from
     ``model.invariant_factor``, and zero off the degree diagonal.
 
-    `blocks` is the list of L's parity blocks on ``chaos.basis``.  The
-    frame is also exact zeros between the classes, so G is formed per
-    class, and the list is emptied so that each block is freed once used.
+    `blocks` is the list of L's parity blocks on ``chaos.basis``.  G is
+    formed per class, from the frame's class blocks, and the list is
+    emptied so that each block is freed once used.
     """
     basis = chaos.basis
     factor = model.invariant_factor
@@ -427,35 +488,29 @@ def _generator_residual(model, blocks, chaos):
     tops, diffs = [1.0], []
     while blocks:
         parity = len(blocks) - 1
-        at = np.ix_(basis.parity_classes[parity], basis.parity_classes[parity])
-        G = blocks.pop() @ chaos.occupation_hermite[at]
-        G = chaos.occupation_hermite_inv[at] @ G
+        G = blocks.pop() @ chaos.frame[parity]
+        G = chaos.frame_inv[parity] @ G
         tops += [G.max(), -G.min()]  # max |G| without a copy of |G|
-        stop = 0
         for n in range(parity, basis.N + 1, 2):
             w = sqrt_fact[basis.degree_slice(n)]
-            cls = slice(stop, stop + len(w))
-            G[cls, cls] -= w[:, None] * derivation_block(A_mu, n) / w
-            stop = cls.stop
+            D = derivation_block(A_mu, n)
+            D *= w[:, None]
+            D /= w
+            G[basis.class_slice(n), basis.class_slice(n)] -= D
         diffs.append(np.abs(G, out=G).max())
     return float(np.max(diffs) / np.max(tops))
 
 
 def _mehler_lift(model, t, P_meh, chaos):
-    """``max |P_meh - lift|``, NaN if an entry is, for a Mehler matrix at
-    `t` and the lift of ``Gamma_n(S_mu(t)')`` through `chaos`, on one
-    basis.  Both are exact zeros between the parity classes, so it is
-    taken on the classes alone, in ``spectra._row_blocks`` row blocks: a
-    maximum is exact, so it has the bits of the one over the whole matrix.
-    """
-    basis = chaos.basis
+    """``max |P_meh - lift|``, NaN if an entry is, for the class blocks
+    `P_meh` of a Mehler matrix at `t` and the lift of
+    ``Gamma_n(S_mu(t)')`` through `chaos`, on one basis.  Both are exact
+    zeros between the parity classes, so it is taken on the class blocks
+    alone, and the lift's product ``Phi_c Y_c`` in ``spectra._row_blocks``
+    row blocks, so that no class-sized product is held."""
     B = smu_matrix(model, t)
-    P_lift = chaos.lift([sym_power(B.T, n) for n in range(basis.N + 1)])
-
-    def deviation(at):
-        meh = P_meh[at]
-        return np.abs(np.subtract(meh, P_lift[at], out=meh), out=meh).max()
+    lift = chaos.lift([sym_power(B.T, n) for n in range(chaos.basis.N + 1)])
     # np.max, not max: max(r, nan) keeps r.
-    return float(np.max([deviation(np.ix_(idx[rows], idx))
-                         for idx in basis.parity_classes
-                         for rows in _row_blocks(len(idx), len(idx))]))
+    return float(np.max([np.abs(P[rows] - Phi[rows] @ Y).max()
+                         for P, (Phi, Y) in zip(P_meh, lift)
+                         for rows in _row_blocks(*P.shape)]))

@@ -60,6 +60,7 @@ from .ou_operator import (
     THREE_WAY_TOL,
     _generator_residual,
     _hermite_norms,
+    _leading,
     _mehler_lift,
     chaos_decomposition,
     galerkin_blocks,
@@ -205,6 +206,21 @@ def _quadrature_gramians(model, t_grid):
     return dict(zip(t_grid, _adaptive_gauss(integrand)))
 
 
+def _quadrature_residual(grams, oracle):
+    """``max |Q_t - oracle_t| / max |Q_t|``, the worst over the horizons
+    of `grams`: relative, so a fault reads the same at every scale of the
+    noise.  A horizon without a gap reads 0, ``Q = 0`` included; one
+    whose gap is not 0 while ``Q_t`` is, or whose ratio overflows, reads
+    inf; a NaN entry reads NaN."""
+    def gap(t):
+        diff = np.abs(grams[t] - oracle[t]).max()
+        if diff == 0:
+            return 0.0
+        with np.errstate(over="ignore", divide="ignore"):
+            return diff / np.abs(grams[t]).max()
+    return _worst(map(gap, grams), 0.0)
+
+
 #: Horizons of the Gramian checks in :func:`model_suite`.
 T_GRID = (0.1, 0.5, 1.0, 2.0)
 
@@ -237,10 +253,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
 
     # -- horizon Gramian versus an independent quadrature oracle ---------
     grams = dict(zip(T_GRID, _gramians(model, np.array(T_GRID))))
-    oracle = _quadrature_gramians(model, T_GRID)
-    resid = _worst((np.abs(grams[t] - oracle[t]).max()
-                    / (1.0 + np.abs(grams[t]).max()) for t in T_GRID), 0.0)
-    out.append(_check("gramian_t_quadrature_agreement", resid, 1e-8))
+    out.append(_check("gramian_t_quadrature_agreement", _quadrature_residual(
+        grams, _quadrature_gramians(model, T_GRID)), 1e-8))
 
     # -- PSD and monotonicity of the Gramian family ----------------------
     scale = _worst((np.abs(g).max() for g in grams.values()), 1.0)
@@ -319,10 +333,12 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     out.append(_check("norm_identity_vs_rayleigh_quotient", ident, 1e-6))
 
     # -- generator-level identities ---------------------------------------
-    # L is held as its two parity blocks.  Each square array is dropped
-    # after its last reader: the blocks once the frame's generator check
-    # is formed, the eigenvectors once their check is (it is appended
-    # last), and the Mehler matrices at t = 0.3 and 0.7 once their product is.
+    # L, the Mehler matrices and the chaos frame are held as their two
+    # parity-class blocks, and every product and deviation is taken per
+    # class.  Each array is dropped after its last reader: the blocks of L
+    # once the frame's generator check is formed, the eigenvectors once
+    # their check is (it is appended last), and the Mehler matrices at
+    # t = 0.3 and 0.7 once their products are.
     basis = poly_basis(d, degree)
     blocks = list(galerkin_blocks(model, basis))
 
@@ -356,23 +372,29 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # P(t) and the chaos family are block upper triangular in the graded
     # order: their leading blocks are the same objects on the degrees <= N.
     N = min(levels, degree)
-    k = poly_basis(d, N).dim
 
-    semi = mehler_matrix(model, 0.3, basis) @ mehler_matrix(model, 0.7,
-                                                            basis)
     P_1 = mehler_matrix(model, 1.0, basis)
-    semi -= P_1
-    out.append(_check("transition_semigroup_law",
-                      np.abs(semi, out=semi).max(), 1e-9))
-    del semi
+    early, late = (list(mehler_matrix(model, t, basis)) for t in (0.3, 0.7))
+    semi = []
+    while early:  # odd class first; each pair is freed after its product
+        prod = early.pop() @ late.pop()
+        prod -= P_1[len(early)]
+        semi.append(np.abs(prod, out=prod).max())
+    del prod
+    out.append(_check("transition_semigroup_law", _worst(semi), 1e-9))
 
     if chaos_skip is not None:
         out.append(chaos_skip)
         return out
 
     chaos = chaos_decomposition(model, basis)
+    # max |Phi_0 (Psi_0 P(1) - Psi_0)| on the even class, where the
+    # constants live.  Phi_0 is one column and the bracket one row, so the
+    # product is their outer product: rounding is monotone, so its largest
+    # entry is the product of their largest, bit for bit, and the
+    # class-sized matrix is not formed.
     Phi_0, Psi_0 = chaos.layer(0)
-    inv = np.abs(Phi_0 @ (Psi_0 @ P_1 - Psi_0)).max()
+    inv = np.abs(Phi_0).max() * np.abs(Psi_0 @ P_1[0] - Psi_0).max()
     out.append(_check("invariant_measure_fixed_mean", inv, 1e-10))
 
     name = "chaos_covariance_permanent"
@@ -386,7 +408,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     name = "second_quantization_mehler_lift"
     out.append(_skip(name, "levels 0: P(1) and the lift are both 1 on the "
                      "constants") if N == 0 else
-               _check(name, _mehler_lift(model, 1.0, P_1[:k, :k],
+               _check(name, _mehler_lift(model, 1.0,
+                                         _leading(P_1, poly_basis(d, N)),
                                          chaos.leading(N)),
                       THREE_WAY_TOL, detail="t=1, N=%d" % N))
 
@@ -403,11 +426,14 @@ def _chaos_covariance_residual(model, chaos, rng):
     the frame's, so a wrong measure still shows; its Gram matrix is the
     Euclidean one of the draws, whose norms scale each residual."""
     # I_2 keeps a quadratic supported in degrees <= 2, whose inner product
-    # comes from Q_inf alone, without the Hermite family.
+    # comes from Q_inf alone, without the Hermite family.  The second layer
+    # is even: I_2 is zero on and onto the linear monomials.
     low = poly_basis(model.dim, 2)
     Qi = _gr.gramian_inf(model)
     Phi_2, Psi_2 = chaos.layer(2)
-    I2 = Phi_2[:low.dim] @ Psi_2[:, :low.dim]
+    even = low.parity_classes[0]
+    I2 = np.zeros((low.dim, low.dim))
+    I2[np.ix_(even, even)] = Phi_2[:len(even)] @ Psi_2[:, :len(even)]
     white = model.invariant_factor.inv_sqrt.T
 
     def pairing_residual():

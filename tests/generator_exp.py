@@ -16,6 +16,8 @@ import numpy as np
 from ou_spectra import gramian
 from ou_spectra.ou_operator import galerkin_blocks, poly_basis
 
+from dense_reference import dense
+
 
 def generator_exp(blocks, basis, t):
     """``exp(t L)`` on `basis` from the parity blocks of L
@@ -41,8 +43,5 @@ def dense_generator_exp(model, t, N):
     """``exp(t L)`` on the degrees <= N as one dense matrix, with exact
     zeros between the parity classes."""
     basis = poly_basis(model.dim, N)
-    P = np.zeros((basis.dim, basis.dim))
-    for idx, E in zip(basis.parity_classes,
-                      generator_exp(galerkin_blocks(model, basis), basis, t)):
-        P[np.ix_(idx, idx)] = E
-    return P
+    return dense(generator_exp(galerkin_blocks(model, basis), basis, t),
+                 basis)

@@ -122,7 +122,7 @@ def test_refusal_contract_models_are_run_as_files(tmp_path):
     # the stacked T_GRID Gramians, t=2
     from test_refusal_contract import MODELS
     argvs = bytecheck.refusal_argvs(MODELS, tmp_path / "in")
-    assert len(argvs) == 3 * len(MODELS) == 63
+    assert len(argvs) == 3 * len(MODELS) == 66
     assert sorted(p.name for p in (tmp_path / "in").iterdir()) \
         == sorted(name + ".json" for name in MODELS)
     fast = [a for a in argvs if a[1] == "fast_drift.json"]
@@ -155,3 +155,36 @@ def test_fock_refusal_contract_matrices_are_run_as_files(tmp_path):
         assert record["stderr"].count("\n") == 1 and not record["files"]
     assert "overflows the float range" in records[1]["stderr"]
     assert sorted(records[2]["files"]) == ["zero.fock.json"]
+
+
+def test_check_tally_counts_moved_verdicts_and_factors():
+    # rows are matched by name and occurrence; a row whose residual and
+    # verdict are unchanged is not a move, and the factor is that of the
+    # residual over its tolerance, inf from or to zero
+    base = {"checks": [
+        {"name": "a", "passed": True, "residual": 1e-9, "tolerance": 1e-8},
+        {"name": "b", "passed": False, "residual": 2e-8, "tolerance": 1e-8},
+        {"name": "a", "passed": True, "residual": 4e-9, "tolerance": 1e-8},
+        {"name": "c", "passed": True, "residual": 0.0, "tolerance": 0.0},
+        {"name": "d", "passed": True, "residual": 5e-9, "tolerance": 1e-8}]}
+    head = copy.deepcopy(base)
+    head["checks"][0].update(passed=False, residual=3e-8)
+    head["checks"][1].update(passed=True, residual=5e-9)
+    head["checks"][2].update(residual=2e-9)
+    head["checks"][3].update(residual=1e-300)
+    moves = bytecheck.check_moves(_record(3, base), _record(0, head))
+    assert [m[:3] for m in moves] == [
+        ("a", True, False), ("a", True, True), ("b", False, True),
+        ("c", True, True)]
+    assert bytecheck.tally_checks(moves) == {
+        "a": [1, 0, pytest.approx(30.0), 2],
+        "b": [0, 1, pytest.approx(4.0), 1],
+        "c": [0, 0, float("inf"), 1]}
+    assert bytecheck.check_moves(_record(0, base), _record(0, base)) == []
+    # a report without a list of checks, or an argv that wrote none, adds
+    # nothing
+    assert bytecheck.check_moves(
+        _record(0, {"checks": {"ok": True}}),
+        _record(0, {"checks": {"ok": False}})) == []
+    refused = dict(_record(1, base), files={})
+    assert bytecheck.check_moves(_record(3, base), refused) == []

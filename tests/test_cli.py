@@ -1137,7 +1137,9 @@ def test_verify_prints_skipped_checks_as_skip(tmp_path, capsys):
 def test_verify_on_tiny_noise_passes_without_a_warning(tmp_path, capsys):
     # the pairing check draws its functionals in whitened coordinates, so
     # Q = 1e-300 no longer overflows inv(Q_inf) there; at the default
-    # degree 3 the monomial frame itself still overflows (ROADMAP item 5)
+    # degree 3 the monomial frame itself overflows and is refused
+    # (test_refusal_contract; ROADMAP item 5's scale-free frame would
+    # build it)
     path = _write(tmp_path / "tiny.json", {"A": [[-1.0]], "Q": [[1e-300]]})
     out = tmp_path / "v.json"
     with warnings.catch_warnings():

@@ -23,6 +23,9 @@ MODELS = {
     "zero_noise_1d": {"A": [[-1]], "Q": [[0]]},
     "zero_noise_2d": {"A": [[-1, 0], [0, -2]], "Q": [[0, 0], [0, 0]]},
     "subnormal_noise": {"A": [[-1]], "Q": [[5e-324]]},
+    # the whitening W = 1.4e150: level 3 of the chaos frame's S(W) is past
+    # the float range at the default degree
+    "tiny_noise": {"A": [[-1]], "Q": [[1e-300]]},
     "huge_noise": {"A": [[-1]], "Q": [[1e300]]},
     "huge_drift": {"A": [[-1e300]], "Q": [[1]]},
     "fast_drift": {"A": [[-400]], "Q": [[1]]},
@@ -135,6 +138,23 @@ def test_each_fock_run_ends_in_a_report_or_one_line(tmp_path, capsys, name):
         capsys)
     if name.startswith("overflowing"):
         assert code == 1 and "overflows the float range" in err, err
+
+
+def test_an_overflowing_chaos_frame_is_refused_in_one_line(tmp_path, capsys):
+    # verify on noise of scale 1e-300 at the default degree: the level of
+    # the frame past the float range is named, with no warning and no NaN
+    # verdict; spectrum and analyze build no frame and report
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(MODELS["tiny_noise"]))
+    code, err = _ends_in_a_report_or_one_line(
+        ["verify", str(path)], tmp_path / "report.json", capsys)
+    assert code == 1
+    assert err == ("error: level 3 of the chaos frame's substitution S(W) "
+                   "overflows the float range\n")
+    for command in ("analyze", "spectrum"):
+        code, _ = _ends_in_a_report_or_one_line(
+            [command, str(path)], tmp_path / "report.json", capsys)
+        assert code == 0
 
 
 @pytest.mark.parametrize("argv, line", OVERSIZED,

@@ -22,8 +22,12 @@ code, stdout, stderr, each changed, added or removed JSON field (with both
 values), and the first differing CSV line.  Below them come how far the
 numbers moved, as the largest relative change of each changed numeric
 JSON field (list indices dropped), and whether a verdict moved: the exit
-code or a ``passed`` field.  The exit status is 0 when
-every record is byte-identical, 1 otherwise.  Roundoff digits differ
+code or a ``passed`` field.  Last comes one tally per check name of the
+reports (a JSON file whose ``checks`` is a list of named checks, as
+``verify`` writes): how many of its rows went from PASS to FAIL and from
+FAIL to PASS, and the largest factor by which its residual over its
+tolerance moved, over every row whose residual or verdict moved.  The exit
+status is 0 when every record is byte-identical, 1 otherwise.  Roundoff digits differ
 between BLAS builds, so compare two trees on one machine and never
 against stored digests.
 """
@@ -34,6 +38,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -269,6 +274,78 @@ def drift(base, head):
     return moved, verdict
 
 
+def _check_rows(text):
+    """The named check rows of one JSON report, each keyed by its name
+    and its occurrence (a ``verify --random`` report repeats the model
+    suite's names); none if the report holds no list of checks."""
+    report = json.loads(text)
+    checks = report.get("checks") if isinstance(report, dict) else None
+    if not isinstance(checks, list):
+        return {}
+    seen, rows = Counter(), {}
+    for row in checks:
+        if isinstance(row, dict) and "name" in row:
+            rows[row["name"], seen[row["name"]]] = row
+            seen[row["name"]] += 1
+    return rows
+
+
+def _scaled_residual(row):
+    """``|residual / tolerance|`` of a check row, ``|residual|`` for a
+    zero tolerance, None when the residual is not a number."""
+    residual, tolerance = row.get("residual"), row.get("tolerance")
+    if not _is_number(residual):
+        return None
+    if _is_number(tolerance) and tolerance != 0:
+        return abs(residual / tolerance)
+    return abs(residual)
+
+
+def _factor(base, head):
+    """The factor by which a scaled residual moved: at least 1, inf when
+    one side is 0, NaN or not a number and the other is not the same."""
+    if base == head:
+        return 1.0
+    if None in (base, head) or math.isnan(base) or math.isnan(head) \
+            or min(base, head) == 0:
+        return math.inf
+    return max(base, head) / min(base, head)
+
+
+def check_moves(base, head):
+    """``(name, passed before, passed after, factor)`` for each check row
+    whose residual or verdict differs between two records of one argv, in
+    the reports both wrote; `factor` is :func:`_factor` of the residuals
+    over their tolerances."""
+    out = []
+    b_files, h_files = base["files"], head["files"]
+    for name in sorted(set(b_files) & set(h_files)):
+        if not name.endswith(".json"):
+            continue
+        b_rows, h_rows = _check_rows(b_files[name]), _check_rows(h_files[name])
+        for key in sorted(set(b_rows) & set(h_rows)):
+            b, h = b_rows[key], h_rows[key]
+            if json.dumps([b.get("residual"), b.get("passed")]) == \
+                    json.dumps([h.get("residual"), h.get("passed")]):
+                continue
+            out.append((key[0], b.get("passed"), h.get("passed"),
+                        _factor(_scaled_residual(b), _scaled_residual(h))))
+    return out
+
+
+def tally_checks(moves):
+    """Per check name: ``[PASS->FAIL, FAIL->PASS, largest factor, rows]``
+    over `moves`, rows of :func:`check_moves`."""
+    out = {}
+    for name, before, after, factor in moves:
+        entry = out.setdefault(name, [0, 0, 1.0, 0])
+        entry[0] += before is True and after is False
+        entry[1] += before is False and after is True
+        entry[2] = max(entry[2], factor)
+        entry[3] += 1
+    return out
+
+
 def _diff_text(base, head):
     if base == head:
         return []
@@ -340,7 +417,7 @@ def main(argv=None):
     from ou_spectra.cli import list_bundled
     from test_refusal_contract import MATRICES, MODELS
     sets = [("bundled", None, bundled_argvs(list_bundled()))]
-    total, differing, tally = 0, 0, Counter()
+    total, differing, tally, moves = 0, 0, Counter(), []
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
         tmp = Path(tmp)
         base = archive(root, args.base, tmp / "base")
@@ -371,6 +448,7 @@ def main(argv=None):
                     print("    %s: %s" % (where, change))
                     tally[_kind(call, where, change)] += 1
                 moved, verdict = drift(*record_pair[tuple(call)])
+                moves += check_moves(*record_pair[tuple(call)])
                 for place, rel in sorted(moved.items()):
                     print("    largest relative change %.3g: %s"
                           % (rel, place))
@@ -378,6 +456,12 @@ def main(argv=None):
     print("%d argvs against %s, %d differ" % (total, args.base, differing))
     for kind, count in sorted(tally.items()):
         print("  %5d  %s" % (count, kind))
+    print("checks whose residual or verdict moved: PASS->FAIL, FAIL->PASS, "
+          "largest factor of residual/tolerance, rows")
+    for name, (to_fail, to_pass, factor, rows) in sorted(
+            tally_checks(moves).items()):
+        print("  %-40s %5d %5d %10.4g %6d" % (name, to_fail, to_pass,
+                                              factor, rows))
     return 0 if differing == 0 else 1
 
 
