@@ -185,7 +185,8 @@ def expm(M, t=1.0):
     exact 1-norms of ``t_k M`` and of its powers 4, 6, 8 and 10.
     ``r_m(2^-s t_k M)`` is then squared s times, with no shortcut for
     triangular input.  A horizon at which ``t_k M`` is not finite, or its
-    powers overflow, gives NaN in its own slot only.
+    powers overflow, gives NaN in its own slot only (a 1 x 1 ``M`` takes
+    ``np.exp``, which gives inf), with no overflow warning.
 
     Up to side ``_EACH_SIDE`` the horizons are taken in slices of at most
     ``_SMALL`` entries; above it each horizon is a slice of its own.  The
@@ -199,11 +200,11 @@ def expm(M, t=1.0):
     """
     M, t = np.asarray(M), np.asarray(t, dtype=float)
     n = len(M)
-    if n <= 1:
-        return np.exp(t[..., None, None] * M)
-    ts = t.reshape(-1, 1, 1)
-    step = _SMALL // (n * n) if n <= _EACH_SIDE else 1
     with np.errstate(over="ignore", invalid="ignore"):
+        if n <= 1:
+            return np.exp(t[..., None, None] * M)
+        ts = t.reshape(-1, 1, 1)
+        step = _SMALL // (n * n) if n <= _EACH_SIDE else 1
         if len(ts) <= step:
             return _grouped_pade(ts, M).reshape(t.shape + M.shape)
         out = np.empty((len(ts), n, n))
@@ -279,6 +280,12 @@ def _pade(buffers, m, s):
     return X
 
 
+def pow2_scale(X):
+    """``c = 2^floor(log2 max|X|)``, 0.5 for a zero ``X``: dividing by c or
+    multiplying by it rounds nothing in the float's normal range."""
+    return math.ldexp(1.0, math.frexp(float(np.abs(X).max()))[1] - 1)
+
+
 def lyapunov(A, Q, eigenvalues):
     """The solution X of ``A X + X A' + Q = 0`` for a stable real ``A``
     with the given eigenvalues, by squared Smith iteration (Smith, SIAM J.
@@ -292,14 +299,14 @@ def lyapunov(A, Q, eigenvalues):
     no antisymmetric part.  The shift ``p = sqrt(min |Re lambda| max
     |lambda|)`` balances the contraction of ``F`` between the slowest and
     the largest eigenvalue.  ``A``, ``Q`` and the eigenvalues are first
-    divided by ``c = 2^floor(log2 max|A|)``: X solves the scaled equation
-    too, a power of two rounds nothing, and the shift's product cannot
+    divided by ``c = 2^floor(log2 max|A|)`` (:func:`pow2_scale`): X solves
+    the scaled equation too, and the shift's product cannot
     overflow however large the drift.  The doubling stops once an
     increment is below the roundoff of X, or after ``_SMITH_STEPS`` steps;
     the caller checks the residual.  Matrix products and one inverse,
     O(d^3) per step.
     """
-    c = math.ldexp(1.0, math.frexp(float(np.abs(A).max()))[1] - 1)
+    c = pow2_scale(A)
     A, Q, lam = A / c, Q / c, np.asarray(eigenvalues) / c
     eye = np.eye(len(A))
     eps = np.finfo(float).eps

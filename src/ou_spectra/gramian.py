@@ -30,7 +30,10 @@ The drift eigenvalues, ``Q_inf`` and its rank-cut factor are derived at
 most once per model and cached on it (:class:`OUModel`); every caller
 reads them there, so the rank of ``Q_inf`` is decided in one place, and
 an unstable drift (:func:`gramian_inf`) and a singular ``Q_inf``
-(:func:`nondegenerate_factor`) are each refused in one place.
+(:func:`nondegenerate_factor`) are each refused in one place.  A caller
+that reads the transition ``(exp(tA), Q_t)`` at a fixed set of horizons
+many times can form it there once, in one stacked exponential each
+(:func:`_prime_transitions`).
 """
 
 from __future__ import annotations
@@ -115,7 +118,10 @@ class OUModel:
     (:attr:`drift_eigenvalues`), the steady-state covariance
     (:func:`gramian_inf`) and its factor (:attr:`invariant_factor`) are
     derived from the frozen fields once, on first use, and cached on the
-    instance, read-only; a raise is not cached.  A model made by
+    instance, read-only; a raise is not cached.  The transitions
+    ``exp(tA)`` and ``Q_t`` are cached too, but only at the horizons that
+    :func:`_prime_transitions` was given: there :func:`flow` and
+    :func:`gramian_t` return the shared read-only arrays.  A model made by
     ``dataclasses.replace`` derives its own.
     """
 
@@ -143,6 +149,12 @@ class OUModel:
         """:func:`rkhs_factor` of ``Q_inf`` at ``tol.rank_tol``, the one
         rank decision on ``Q_inf`` (raises as :func:`gramian_inf`)."""
         return rkhs_factor(self._q_inf, self.tol.rank_tol)
+
+    @functools.cached_property
+    def _transitions(self):
+        # horizon -> exp(tA) and horizon -> Q_t, filled by
+        # _prime_transitions alone
+        return {}, {}
 
     @functools.cached_property
     def _q_inf(self):
@@ -251,21 +263,36 @@ def _expm(M, ts, what):
         "for M = %s" % (ts[first], what))
 
 
+def _cached(table, ts):
+    """The stack of the arrays of `table` (one of
+    ``OUModel._transitions``) at the horizons of the array `ts`, or None
+    unless it holds every one."""
+    keys = ts.tolist()
+    if keys and all(t in table for t in keys):
+        return np.stack([table[t] for t in keys])
+    return None
+
+
 def _flows(model, ts):
     """``exp(tA)`` at each horizon of the array `ts`, stacked, as
-    :func:`_expm` returns it.  A horizon of any sign is valid; a
-    non-finite one is refused as input, before any exponential."""
+    :func:`_expm` returns it, or from the model's cache when it holds
+    every horizon.  A horizon of any sign is valid; a non-finite one is
+    refused as input, before any exponential."""
     if not np.isfinite(ts).all():
         raise InputError("flow needs a finite t, got %g"
                          % ts[~np.isfinite(ts)][0])
+    F = _cached(model._transitions[0], ts)
+    if F is not None:
+        return F, None
     return _expm(model.A, ts, "the drift A")
 
 
-def _gramians(model, ts):
+def _van_loan(model, ts):
     """``Q_t`` at each horizon of the array `ts` (finite, at least 0),
-    stacked: :func:`gramian_t`, which is its one-horizon case, documents
-    the method.  The refusal of the first horizon that has one is raised,
-    its exponential's before its product's."""
+    stacked, before the first horizon that has a refusal, and that
+    refusal, None if none has: :func:`gramian_t`, which is its
+    one-horizon case, documents the method.  At one horizon the refusal
+    is its product's, then its exponential's."""
     d = model.dim
     H = np.zeros((2 * d, 2 * d))
     H[:d, :d] = model.A
@@ -281,20 +308,50 @@ def _gramians(model, ts):
     Qt[ts[:len(Qt)] == 0.0] = 0.0
     finite = np.isfinite(Qt).all(axis=(-2, -1))
     if not finite.all():
-        raise ExpmFailure("Q_t is not finite at t=%g: the growth of "
-                          "exp(tA) overflows float64"
-                          % ts[int(finite.argmin())])
-    if refusal is not None:
-        raise refusal
+        first = int(finite.argmin())
+        return Qt[:first], ExpmFailure(
+            "Q_t is not finite at t=%g: the growth of exp(tA) overflows "
+            "float64" % ts[first])
+    return Qt, refusal
+
+
+def _gramians(model, ts):
+    """``Q_t`` at each horizon of the array `ts` (finite, at least 0),
+    stacked, from the model's cache when it holds every horizon, else from
+    :func:`_van_loan`, whose refusal is raised."""
+    Qt = _cached(model._transitions[1], ts)
+    if Qt is None:
+        Qt, refusal = _van_loan(model, ts)
+        if refusal is not None:
+            raise refusal
     return Qt
+
+
+def _prime_transitions(model, ts):
+    """Cache ``exp(tA)`` and ``Q_t`` on `model` at the horizons of `ts`
+    (finite, above 0, ascending), read-only, from one stacked exponential
+    each; each is bitwise what an unprimed :func:`flow` and
+    :func:`gramian_t` return, as ``expm`` gives every horizon the bits of
+    its own call.  Only the finite prefix of each stack is kept and
+    nothing is raised: a horizon that would be refused is not cached, and
+    the consumer that asks for it forms it, and refuses it, itself."""
+    ts = np.asarray(ts, dtype=float)
+    for table, (stack, _) in zip(model._transitions,
+                                 (_flows(model, ts), _van_loan(model, ts))):
+        stack.flags.writeable = False
+        table.update(zip(ts.tolist(), stack))
 
 
 def flow(model, t):
     """The propagator ``exp(tA)``, for a finite ``t`` of any sign."""
-    F, refusal = _flows(model, np.array([float(t)]))
-    if refusal is not None:
-        raise refusal
-    return F[0]
+    t = float(t)
+    F = model._transitions[0].get(t)
+    if F is None:
+        F, refusal = _flows(model, np.array([t]))
+        if refusal is not None:
+            raise refusal
+        F = F[0]
+    return F
 
 
 def gramian_t(model, t):
@@ -309,7 +366,9 @@ def gramian_t(model, t):
     non-finite ``Q_t`` raises :class:`ExpmFailure`, with no overflow
     warning: ``G F.T`` can overflow while both factors are finite.
     """
-    return _gramians(model, np.array([_horizon(t, "gramian_t")]))[0]
+    t = _horizon(t, "gramian_t")
+    Qt = model._transitions[1].get(t)
+    return _gramians(model, np.array([t]))[0] if Qt is None else Qt
 
 
 def gramian_inf(model):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gramian as _gr
-from ._linalg import expm
+from ._linalg import expm, pow2_scale
 from .errors import CriteriaDisagree, DegenerateMeasure, Unstable
 from .gramian import (
     _gramians,
@@ -197,13 +197,19 @@ def _quadrature_gramians(model, t_grid):
     ``gramian_t``, which it checks.  The rule is written out here rather
     than taken from ``scipy.integrate``, whose import loads
     ``scipy.optimize``, ``sparse``, ``spatial`` and ``special``: about
-    21 MB and 0.2 s in every process that runs ``verify``."""
+    21 MB and 0.2 s in every process that runs ``verify``.  The rule
+    integrates ``Q / c``, ``c = 2^floor(log2 max|Q|)``
+    (:func:`~ou_spectra._linalg.pow2_scale`), and each ``Q_t`` is
+    multiplied back by c: in the normal range neither step rounds, and the
+    rule's norms cannot overflow however large the noise."""
     ts = np.array(t_grid)
+    c = pow2_scale(model.Q)
+    Q = model.Q / c
 
     def integrand(u):
         E = expm(model.A, u[:, None] * ts)
-        return ts[:, None, None] * (E @ model.Q @ E.swapaxes(-1, -2))
-    return dict(zip(t_grid, _adaptive_gauss(integrand)))
+        return ts[:, None, None] * (E @ Q @ E.swapaxes(-1, -2))
+    return dict(zip(t_grid, c * _adaptive_gauss(integrand)))
 
 
 def _quadrature_residual(grams, oracle):
@@ -223,6 +229,11 @@ def _quadrature_residual(grams, oracle):
 
 #: Horizons of the Gramian checks in :func:`model_suite`.
 T_GRID = (0.1, 0.5, 1.0, 2.0)
+#: Every horizon at which :func:`model_suite` reads ``exp(tA)`` or
+#: ``Q_t``: ``T_GRID``, the splitting identity's 5 and the semigroup
+#: laws' 0.3 and 0.7.  It forms them on entry, one stacked exponential
+#: each (:func:`~ou_spectra.gramian._prime_transitions`).
+HORIZONS = (0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 5.0)
 
 # Bounds that ``analyze`` and ``spectrum`` share with the suite.
 #: The splitting identity's, relative to ``||Q_inf||_2``.
@@ -250,6 +261,7 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     d = model.dim
+    _gr._prime_transitions(model, HORIZONS)
 
     # -- horizon Gramian versus an independent quadrature oracle ---------
     grams = dict(zip(T_GRID, _gramians(model, np.array(T_GRID))))

@@ -60,7 +60,7 @@ from ou_spectra.gramian import (
 )
 from ou_spectra.ou_operator import (mehler_matrix, poly_basis,
                                     verify_second_quantization)
-from ou_spectra.verification import random_stable_model
+from ou_spectra.verification import HORIZONS, random_stable_model
 
 from euler_maruyama import psd_sqrt
 import curve_reference
@@ -216,6 +216,23 @@ def test_flow_refusal_names_the_drift_and_t():
     with np.errstate(over="ignore"), pytest.raises(
             ExpmFailure, match=r"at t=1, for M = the drift A$"):
         flow(validate([[800.0]], [[1.0]]), 1.0)
+
+
+def test_the_prime_keeps_each_finite_prefix_and_raises_nothing():
+    # for A = 200, exp(tA) overflows at t = 5 and Q_t at t = 2: the prime
+    # keeps the horizons before each, with no warning, and the consumer
+    # that asks for a later one forms and refuses it itself
+    fast = validate([[200.0]], [[1.0]], name="fast")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gramian._prime_transitions(fast, HORIZONS)
+        flows, grams = fast._transitions
+        assert list(flows) == [0.1, 0.3, 0.5, 0.7, 1.0, 2.0]
+        assert list(grams) == [0.1, 0.3, 0.5, 0.7, 1.0]
+        with pytest.raises(ExpmFailure, match=r"^Q_t .* at t=2:"):
+            gramian_t(fast, 2.0)
+        with pytest.raises(ExpmFailure, match=r"at t=5, for M = the drift"):
+            flow(fast, 5.0)
 
 
 def test_gramian_t_matches_quadrature_oracle():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+from ou_spectra.cli import list_bundled, load_model
 from ou_spectra.gramian import validate
 from ou_spectra.ou_operator import (galerkin_blocks, mehler_matrix,
                                     poly_basis, verify_second_quantization)
@@ -410,7 +411,7 @@ def test_nan_quadrature_oracle_fails_its_check(monkeypatch):
 
 def test_model_suite_forms_each_horizon_once(monkeypatch):
     # Q_0.1 and Q_1 serve the quadrature check, the rank criteria and the
-    # splitting identity; each is formed once, the T_GRID family in one
+    # splitting identity; each is read once, the T_GRID family in one
     # stacked call and Q_5 by gramian_t, whose one-horizon case it is
     calls = []
     for module, name in ((verification, "_gramians"),
@@ -424,6 +425,52 @@ def test_model_suite_forms_each_horizon_once(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     assert not _failures(model_suite(OSCILLATOR))
     assert sorted(calls) == [[0.1, 0.5, 1.0, 2.0], [5.0]]
+
+
+#: The models of the transition-cache pins: each bundled one, and a
+#: random stable draw of each kind.
+SUITE_MODELS = {
+    **{name: lambda name=name: load_model(name) for name in list_bundled()},
+    **{kind: lambda kind=kind: random_stable_model(
+        np.random.default_rng(7), d=3, kind=kind)
+       for kind in ("real", "complex", "defective")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_MODELS))
+def test_model_suite_takes_two_exponentials_outside_the_oracle(
+        monkeypatch, name):
+    # every flow and Q_t the suite reads comes from one stacked exponential
+    # of A and one of the Van Loan block, each over HORIZONS once: 16
+    # calls over 22 horizons before the transitions were cached on the
+    # model.  The quadrature oracle calls verification.expm, not this one.
+    model = SUITE_MODELS[name]()
+    calls = []
+
+    def counting(M, t=1.0, real=gramian.expm):
+        calls.append((len(M), np.atleast_1d(t).tolist()))
+        return real(M, t)
+
+    monkeypatch.setattr(gramian, "expm", counting)
+    model_suite(model, degree=3)
+    horizons = list(verification.HORIZONS)
+    assert calls == [(model.dim, horizons), (2 * model.dim, horizons)]
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_MODELS))
+def test_cached_transitions_are_the_unprimed_ones_bit_for_bit(name):
+    # a primed model's flow and gramian_t return its cached read-only
+    # arrays, each bitwise the one-horizon call on a fresh copy
+    model = SUITE_MODELS[name]()
+    model_suite(model, degree=3)
+    flows, grams = model._transitions
+    assert list(flows) == list(grams) == list(verification.HORIZONS)
+    for t in verification.HORIZONS:
+        for table, route in ((flows, gramian.flow),
+                             (grams, gramian.gramian_t)):
+            assert route(model, t) is table[t]
+            assert not table[t].flags.writeable
+            assert table[t].tobytes() == route(replace(model), t).tobytes()
 
 
 def _count_calls(monkeypatch, module, name, key=lambda *args: args[-1]):
