@@ -39,6 +39,7 @@ from . import config
 from .errors import InputError, NumericalError
 from .gramian import (
     _curve,
+    flow,
     gramian_inf,
     gramian_report,
     gramian_t,
@@ -255,8 +256,8 @@ def cmd_analyze(args):
     _write_csv(csv_path, rows, header=("t", "smu_norm", "K"))
 
     lyap = float(np.abs(model.A @ Qi + Qi @ model.A.T + model.Q).max())
-    split = verification.splitting_residual(model, Qi, 1.0,
-                                            gramian_t(model, 1.0))
+    split = verification.splitting_residual(Qi, gramian_t(model, 1.0),
+                                            flow(model, 1.0))
     # The Lyapunov residual is reported, not checked: OUModel refuses a
     # Q_inf whose residual exceeds the same bound (exit 2).  The other two
     # are held to verify's bounds.

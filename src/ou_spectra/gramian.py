@@ -30,10 +30,10 @@ The drift eigenvalues, ``Q_inf`` and its rank-cut factor are derived at
 most once per model and cached on it (:class:`OUModel`); every caller
 reads them there, so the rank of ``Q_inf`` is decided in one place, and
 an unstable drift (:func:`gramian_inf`) and a singular ``Q_inf``
-(:func:`nondegenerate_factor`) are each refused in one place.  A caller
-that reads the transition ``(exp(tA), Q_t)`` at a fixed set of horizons
-many times can form it there once, in one stacked exponential each
-(:func:`_prime_transitions`).
+(:func:`nondegenerate_factor`) are each refused in one place.  Nothing
+that depends on a horizon is cached on the model: a caller that reads the
+transition ``(exp(tA), Q_t)`` at fixed horizons many times forms it once,
+as a table that it passes to its readers (:class:`_Transitions`).
 """
 
 from __future__ import annotations
@@ -118,10 +118,8 @@ class OUModel:
     (:attr:`drift_eigenvalues`), the steady-state covariance
     (:func:`gramian_inf`) and its factor (:attr:`invariant_factor`) are
     derived from the frozen fields once, on first use, and cached on the
-    instance, read-only; a raise is not cached.  The transitions
-    ``exp(tA)`` and ``Q_t`` are cached too, but only at the horizons that
-    :func:`_prime_transitions` was given: there :func:`flow` and
-    :func:`gramian_t` return the shared read-only arrays.  A model made by
+    instance, read-only; a raise is not cached.  These three are
+    functions of ``(A, Q)`` and the tolerances alone; a model made by
     ``dataclasses.replace`` derives its own.
     """
 
@@ -149,12 +147,6 @@ class OUModel:
         """:func:`rkhs_factor` of ``Q_inf`` at ``tol.rank_tol``, the one
         rank decision on ``Q_inf`` (raises as :func:`gramian_inf`)."""
         return rkhs_factor(self._q_inf, self.tol.rank_tol)
-
-    @functools.cached_property
-    def _transitions(self):
-        # horizon -> exp(tA) and horizon -> Q_t, filled by
-        # _prime_transitions alone
-        return {}, {}
 
     @functools.cached_property
     def _q_inf(self):
@@ -263,27 +255,13 @@ def _expm(M, ts, what):
         "for M = %s" % (ts[first], what))
 
 
-def _cached(table, ts):
-    """The stack of the arrays of `table` (one of
-    ``OUModel._transitions``) at the horizons of the array `ts`, or None
-    unless it holds every one."""
-    keys = ts.tolist()
-    if keys and all(t in table for t in keys):
-        return np.stack([table[t] for t in keys])
-    return None
-
-
 def _flows(model, ts):
     """``exp(tA)`` at each horizon of the array `ts`, stacked, as
-    :func:`_expm` returns it, or from the model's cache when it holds
-    every horizon.  A horizon of any sign is valid; a non-finite one is
-    refused as input, before any exponential."""
+    :func:`_expm` returns it.  A horizon of any sign is valid; a
+    non-finite one is refused as input, before any exponential."""
     if not np.isfinite(ts).all():
         raise InputError("flow needs a finite t, got %g"
                          % ts[~np.isfinite(ts)][0])
-    F = _cached(model._transitions[0], ts)
-    if F is not None:
-        return F, None
     return _expm(model.A, ts, "the drift A")
 
 
@@ -317,41 +295,19 @@ def _van_loan(model, ts):
 
 def _gramians(model, ts):
     """``Q_t`` at each horizon of the array `ts` (finite, at least 0),
-    stacked, from the model's cache when it holds every horizon, else from
-    :func:`_van_loan`, whose refusal is raised."""
-    Qt = _cached(model._transitions[1], ts)
-    if Qt is None:
-        Qt, refusal = _van_loan(model, ts)
-        if refusal is not None:
-            raise refusal
+    stacked, from :func:`_van_loan`, whose refusal is raised."""
+    Qt, refusal = _van_loan(model, ts)
+    if refusal is not None:
+        raise refusal
     return Qt
-
-
-def _prime_transitions(model, ts):
-    """Cache ``exp(tA)`` and ``Q_t`` on `model` at the horizons of `ts`
-    (finite, above 0, ascending), read-only, from one stacked exponential
-    each; each is bitwise what an unprimed :func:`flow` and
-    :func:`gramian_t` return, as ``expm`` gives every horizon the bits of
-    its own call.  Only the finite prefix of each stack is kept and
-    nothing is raised: a horizon that would be refused is not cached, and
-    the consumer that asks for it forms it, and refuses it, itself."""
-    ts = np.asarray(ts, dtype=float)
-    for table, (stack, _) in zip(model._transitions,
-                                 (_flows(model, ts), _van_loan(model, ts))):
-        stack.flags.writeable = False
-        table.update(zip(ts.tolist(), stack))
 
 
 def flow(model, t):
     """The propagator ``exp(tA)``, for a finite ``t`` of any sign."""
-    t = float(t)
-    F = model._transitions[0].get(t)
-    if F is None:
-        F, refusal = _flows(model, np.array([t]))
-        if refusal is not None:
-            raise refusal
-        F = F[0]
-    return F
+    F, refusal = _flows(model, np.array([float(t)]))
+    if refusal is not None:
+        raise refusal
+    return F[0]
 
 
 def gramian_t(model, t):
@@ -367,8 +323,7 @@ def gramian_t(model, t):
     warning: ``G F.T`` can overflow while both factors are finite.
     """
     t = _horizon(t, "gramian_t")
-    Qt = model._transitions[1].get(t)
-    return _gramians(model, np.array([t]))[0] if Qt is None else Qt
+    return _gramians(model, np.array([t]))[0]
 
 
 def gramian_inf(model):
@@ -459,21 +414,18 @@ def nondegenerate_factor(model):
     return factor
 
 
-def _curve(model, ts, gram=None, P=None):
-    """``||S_mu(t)||`` and ``K(t)`` of `P` (default ``Q_inf``) at each
-    horizon of `ts`, as two lists.  ``gram(ts)`` gives the stack of ``Q_t``
-    at the horizons of an array (default :func:`_gramians`).  The horizons
-    go in row blocks of :func:`~ou_spectra.spectra._row_blocks`: each
-    block's flows are one stacked exponential (:func:`_flows`), its
-    Gramians one call of `gram`, and the rest one numpy call per block,
-    bitwise the one-horizon result.  The refusal is the first in horizon
-    order, and at one horizon the flow's, then the leak's, then `gram`'s:
-    `gram` is asked only for the horizons before the first flow or leak
-    refusal, and raises its own first."""
+def _curve(model, ts):
+    """``||S_mu(t)||`` and ``K(t)`` at each horizon of `ts`, as two lists.
+    The horizons go in row blocks of
+    :func:`~ou_spectra.spectra._row_blocks`: each block's flows are one
+    stacked exponential (:func:`_flows`), its Gramians another
+    (:func:`_gramians`), and the rest one numpy call per block, bitwise the
+    one-horizon result.  The refusal is the first in horizon order, and at
+    one horizon the flow's, then the leak's, then the Gramian's: the
+    Gramians are formed only for the horizons before the first flow or
+    leak refusal, and raise their own first."""
     factor, d = model.invariant_factor, model.dim
     ts = np.asarray(ts, dtype=float)
-    if gram is None:
-        gram = lambda ts: _gramians(model, ts)
     norms, ks = [], []
     for rows in _row_blocks(len(ts), d * d):
         chunk = ts[rows]
@@ -482,12 +434,12 @@ def _curve(model, ts, gram=None, P=None):
         else:  # a rank-0 factor needs no flow
             F, refusal = np.zeros((len(chunk), d, d)), None
         S, leak = _restricted(model, chunk, F)
-        grams = gram(chunk[:len(S)])
+        grams = _gramians(model, chunk[:len(S)])
         if leak or refusal:
             raise leak or refusal
         norms += np.linalg.norm(S, 2, axis=(-2, -1)).tolist()
-        ks += _ratio_sups(gramian_inf(model) if P is None else P,
-                          grams, model.tol.rank_tol).tolist()
+        ks += _ratio_sups(gramian_inf(model), grams,
+                          model.tol.rank_tol).tolist()
     return norms, ks
 
 
@@ -555,6 +507,55 @@ def smu_matrix(model, t):
     if leak:
         raise leak
     return S[0]
+
+
+class _Transitions:
+    """``exp(tA)``, ``Q_t`` and ``S_mu(t)`` of `model` at the horizons `ts`
+    (finite, above 0), one stacked exponential each (:func:`_flows`,
+    :func:`_van_loan`) and one :func:`_restricted` of the flows at the
+    first read of ``S_mu``, after the reader's stability check.  Each
+    stack is bitwise the one-horizon route (``expm`` gives every horizon
+    the bits of its own call) and holds, read-only, the horizons before its
+    first refusal; building raises nothing.  Any other horizon is formed
+    alone by :func:`flow`, :func:`gramian_t` or :func:`smu_matrix`, which
+    refuses it as its own.  A check reads one horizon or a stacked family,
+    each through its own method, so a test can fault one reader's route."""
+
+    def __init__(self, model, ts):
+        ts = np.asarray(ts, dtype=float)
+        self.model, self._ts = model, ts
+        self._index = {t: k for k, t in enumerate(ts.tolist())}
+        self._flows = _flows(model, ts)[0]
+        self._grams = _van_loan(model, ts)[0]
+        self._flows.flags.writeable = self._grams.flags.writeable = False
+
+    @functools.cached_property
+    def _smus(self):
+        F = self._flows
+        S = _restricted(self.model, self._ts[:len(F)], F)[0]
+        S.flags.writeable = False
+        return S
+
+    def _at(self, stack, route, t):
+        k = self._index.get(t, len(stack))
+        return stack[k] if k < len(stack) else route(self.model, t)
+
+    def transition(self, t):
+        """``(exp(tA), Q_t)``; ``Q_t`` is read, and refused, first."""
+        Qt = self._at(self._grams, gramian_t, t)
+        return self._at(self._flows, flow, t), Qt
+
+    def smu_matrix(self, t):
+        return self._at(self._smus, smu_matrix, t)
+
+    def flows(self, ts):
+        return np.stack([self._at(self._flows, flow, t) for t in ts])
+
+    def gramians(self, ts):
+        return np.stack([self._at(self._grams, gramian_t, t) for t in ts])
+
+    def restricted(self, ts):
+        return np.stack([self._at(self._smus, smu_matrix, t) for t in ts])
 
 
 def contractivity_constant(model, t):

@@ -160,7 +160,7 @@ def assemble_L(model, basis):
     couples an even degree to an odd one: the commands build only the two
     parity blocks (:func:`galerkin_blocks`), of which this is the oracle.
     """
-    _require_basis(model, basis)
+    _require_basis(model.dim, basis)
     return _galerkin(model, range(basis.N + 1))
 
 
@@ -169,7 +169,7 @@ def galerkin_blocks(model, basis):
     on the odd-degree monomials (``basis.parity_classes``), bit for bit,
     written straight from the degree blocks; degree 0 has only the even
     block."""
-    _require_basis(model, basis)
+    _require_basis(model.dim, basis)
     return tuple(_galerkin(model, range(parity, basis.N + 1, 2))
                  for parity in range(len(basis.parity_classes)))
 
@@ -192,11 +192,11 @@ def _galerkin(model, degrees):
     return M
 
 
-def _require_basis(model, basis):
-    if basis.d != model.dim:
+def _require_basis(d, basis):
+    if basis.d != d:
         raise DimensionMismatch(
             "basis is over %d variables, model has dimension %d"
-            % (basis.d, model.dim))
+            % (basis.d, d))
 
 
 def _graded(Q, basis, parity, left=None, right=None):
@@ -246,20 +246,19 @@ def _leading(blocks, basis):
 
 # --- exact transition action ------------------------------------------------
 
-def mehler_matrix(model, t, basis):
-    """Matrix of the transition action ``P(t) f(x) = E f(exp(tA) x + G)``,
+def mehler_matrix(F, Q_t, basis):
+    """Matrix of the transition action ``P f(x) = E f(F x + G)``,
     ``G ~ N(0, Q_t)``, on the basis monomials, as its principal blocks on
     the even-degree and the odd-degree monomials (``basis.parity_classes``,
     like :func:`galerkin_blocks`): every entry between them is an exact
-    zero.
+    zero.  At ``F = exp(tA)`` and the Gramian ``Q_t`` it is the Mehler
+    semigroup ``P(t)``, which reads the model through that pair alone.
 
     Averaging over G is the heat operator ``exp(1/2 Tr(Q_t D^2))``; the
-    substitution ``x -> exp(tA) x`` follows it.
+    substitution ``x -> F x`` follows it.
     """
-    t = _horizon(t, "mehler_matrix")
-    _require_basis(model, basis)
-    Q_t = gramian_t(model, t)
-    levels = list(substitution_levels(flow(model, t), basis.N))
+    _require_basis(len(F), basis)
+    levels = list(substitution_levels(F, basis.N))
     return tuple(_graded(Q_t, basis, parity, left=levels)
                  for parity in range(len(basis.parity_classes)))
 
@@ -405,7 +404,7 @@ def chaos_decomposition(model, basis):
         For an ``alpha!``, or a level of ``S(W)`` or ``S(W^-1)``, past the
         float range; the first one is named.
     """
-    _require_basis(model, basis)
+    _require_basis(model.dim, basis)
     Phi, Psi = _frame_blocks(model, basis)
     for F, F_inv in zip(Phi, Psi):
         # I - Phi Phi^-1, formed in the product's own buffer; each row of
@@ -461,7 +460,9 @@ def verify_second_quantization(model, t, N):
     blocks = list(galerkin_blocks(model, basis))
     chaos = chaos_decomposition(model, basis)
     r_gen = _generator_residual(model, blocks, chaos)
-    r_lift = _mehler_lift(model, t, mehler_matrix(model, t, basis), chaos)
+    Q_t = gramian_t(model, t)
+    P_meh = mehler_matrix(flow(model, t), Q_t, basis)
+    r_lift = _mehler_lift(smu_matrix(model, t), P_meh, chaos)
     worst = float(np.max([r_gen, r_lift]))
     return SecondQuantizationReport(
         t=t, N=N, tol=THREE_WAY_TOL, residual_generator=r_gen,
@@ -501,14 +502,13 @@ def _generator_residual(model, blocks, chaos):
     return float(np.max(diffs) / np.max(tops))
 
 
-def _mehler_lift(model, t, P_meh, chaos):
+def _mehler_lift(B, P_meh, chaos):
     """``max |P_meh - lift|``, NaN if an entry is, for the class blocks
-    `P_meh` of a Mehler matrix at `t` and the lift of
-    ``Gamma_n(S_mu(t)')`` through `chaos`, on one basis.  Both are exact
-    zeros between the parity classes, so it is taken on the class blocks
-    alone, and the lift's product ``Phi_c Y_c`` in ``spectra._row_blocks``
-    row blocks, so that no class-sized product is held."""
-    B = smu_matrix(model, t)
+    `P_meh` of a Mehler matrix at t and the lift of ``Gamma_n(B')``,
+    ``B = S_mu(t)``, through `chaos`, on one basis.  Both are exact zeros
+    between the parity classes, so it is taken on the class blocks alone,
+    and the lift's product ``Phi_c Y_c`` in ``spectra._row_blocks`` row
+    blocks, so that no class-sized product is held."""
     lift = chaos.lift([sym_power(B.T, n) for n in range(chaos.basis.N + 1)])
     # np.max, not max: max(r, nan) keeps r.
     return float(np.max([np.abs(P[rows] - Phi[rows] @ Y).max()

@@ -48,14 +48,7 @@ import numpy as np
 from . import gramian as _gr
 from ._linalg import expm, pow2_scale
 from .errors import CriteriaDisagree, DegenerateMeasure, Unstable
-from .gramian import (
-    _gramians,
-    flow,
-    gramian_t,
-    nondegenerate_factor,
-    smu_matrix,
-    validate,
-)
+from .gramian import nondegenerate_factor, validate
 from .ou_operator import (
     THREE_WAY_TOL,
     _generator_residual,
@@ -229,10 +222,10 @@ def _quadrature_residual(grams, oracle):
 
 #: Horizons of the Gramian checks in :func:`model_suite`.
 T_GRID = (0.1, 0.5, 1.0, 2.0)
-#: Every horizon at which :func:`model_suite` reads ``exp(tA)`` or
-#: ``Q_t``: ``T_GRID``, the splitting identity's 5 and the semigroup
-#: laws' 0.3 and 0.7.  It forms them on entry, one stacked exponential
-#: each (:func:`~ou_spectra.gramian._prime_transitions`).
+#: Every horizon at which :func:`model_suite` reads a transition:
+#: ``T_GRID``, the splitting identity's 5 and the semigroup laws' 0.3 and
+#: 0.7.  It forms them on entry, as one table that it passes to every
+#: check that reads one (:class:`~ou_spectra.gramian._Transitions`).
 HORIZONS = (0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 5.0)
 
 # Bounds that ``analyze`` and ``spectrum`` share with the suite.
@@ -244,10 +237,9 @@ CONTRACTION_TOL = 1e-10
 LATTICE_MATCH_TOL = 1e-6
 
 
-def splitting_residual(model, Qi, t, Qt):
-    """``||Q_inf - Q_t - exp(tA) Q_inf exp(tA')||_2`` for the steady-state
-    covariance `Qi` and the horizon Gramian `Qt` at `t`."""
-    F = flow(model, t)
+def splitting_residual(Qi, Qt, F):
+    """``||Q_inf - Q_t - F Q_inf F'||_2`` for the steady-state covariance
+    `Qi`, and the Gramian `Qt` and flow ``F = exp(tA)`` at one horizon."""
     return float(np.linalg.norm(Qi - Qt - F @ Qi @ F.T, 2))
 
 
@@ -261,10 +253,10 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     d = model.dim
-    _gr._prime_transitions(model, HORIZONS)
+    table = _gr._Transitions(model, HORIZONS)
 
     # -- horizon Gramian versus an independent quadrature oracle ---------
-    grams = dict(zip(T_GRID, _gramians(model, np.array(T_GRID))))
+    grams = dict(zip(T_GRID, table.gramians(T_GRID)))
     out.append(_check("gramian_t_quadrature_agreement", _quadrature_residual(
         grams, _quadrature_gramians(model, T_GRID)), 1e-8))
 
@@ -303,9 +295,9 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     except Unstable as exc:
         out.append(_skip("steady_state_checks", str(exc)))
         return out
-    split = _worst((splitting_residual(
-        model, Qi, t, grams[t] if t in grams else gramian_t(model, t))
-        for t in (0.1, 1.0, 5.0)), 0.0)
+    ts = (0.1, 1.0, 5.0)
+    split = _worst((splitting_residual(Qi, Qt, F) for Qt, F in zip(
+        table.gramians(ts), table.flows(ts))), 0.0)
     out.append(_check("splitting_identity", split, splitting_tolerance(Qi)))
 
     mono_inf = _worst(-np.linalg.eigvalsh(Qi - grams[t])[0] for t in T_GRID)
@@ -319,8 +311,10 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
                       detail="rank=%d" % factor.rank))
 
     # -- restricted flow: contraction, semigroup law, norm identity ------
-    norms, ks = _gr._curve(model, T_GRID,
-                           lambda ts: np.array([grams[t] for t in ts]), Qi)
+    norms = np.linalg.norm(table.restricted(T_GRID), 2,
+                           axis=(-2, -1)).tolist()
+    ks = _gr._ratio_sups(Qi, np.stack(list(grams.values())),
+                         model.tol.rank_tol).tolist()
     worst_norm = _worst(norms)
     out.append(_check("restricted_flow_contraction", worst_norm - 1.0,
                       CONTRACTION_TOL))
@@ -330,8 +324,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
                           detail="norm must stay below 1"))
 
     # a rank-0 factor gives 0x0 flows: the worst entry of none is 0
-    semi = np.abs(smu_matrix(model, 0.3) @ smu_matrix(model, 0.7) -
-                  smu_matrix(model, 1.0)).max(initial=0.0)
+    semi = np.abs(table.smu_matrix(0.3) @ table.smu_matrix(0.7) -
+                  table.smu_matrix(1.0)).max(initial=0.0)
     out.append(_check("restricted_flow_semigroup_law", semi, 1e-8))
 
     def ident_residual(norm, K):
@@ -385,8 +379,9 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # order: their leading blocks are the same objects on the degrees <= N.
     N = min(levels, degree)
 
-    P_1 = mehler_matrix(model, 1.0, basis)
-    early, late = (list(mehler_matrix(model, t, basis)) for t in (0.3, 0.7))
+    P_1 = mehler_matrix(*table.transition(1.0), basis)
+    early, late = (list(mehler_matrix(*table.transition(t), basis))
+                   for t in (0.3, 0.7))
     semi = []
     while early:  # odd class first; each pair is freed after its product
         prod = early.pop() @ late.pop()
@@ -420,7 +415,7 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     name = "second_quantization_mehler_lift"
     out.append(_skip(name, "levels 0: P(1) and the lift are both 1 on the "
                      "constants") if N == 0 else
-               _check(name, _mehler_lift(model, 1.0,
+               _check(name, _mehler_lift(table.smu_matrix(1.0),
                                          _leading(P_1, poly_basis(d, N)),
                                          chaos.leading(N)),
                       THREE_WAY_TOL, detail="t=1, N=%d" % N))

@@ -13,9 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ou_spectra.gramian import nondegenerate_factor
-from ou_spectra.ou_operator import _hermite_norms
+from ou_spectra.gramian import flow, gramian_t, nondegenerate_factor
+from ou_spectra.ou_operator import _hermite_norms, mehler_matrix
 from ou_spectra.tensor_fock import heat_block, substitution_levels
+
+
+def mehler_at(model, t, basis):
+    """The class blocks of the model's Mehler matrix ``P(t)``: its Gramian
+    and flow at t, in the order ``verify_second_quantization`` reads them,
+    through ``mehler_matrix``."""
+    Q_t = gramian_t(model, t)
+    return mehler_matrix(flow(model, t), Q_t, basis)
 
 
 def dense(blocks, basis):

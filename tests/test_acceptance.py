@@ -25,7 +25,6 @@ from ou_spectra.gramian import (
 )
 from ou_spectra.ou_operator import (
     assemble_L,
-    mehler_matrix,
     poly_basis,
     verify_second_quantization,
 )
@@ -44,7 +43,7 @@ from ou_spectra.tensor_fock import (
 )
 from ou_spectra.verification import random_contraction, random_stable_model
 
-from dense_reference import dense
+from dense_reference import dense, mehler_at
 from euler_maruyama import euler_mean_cov, simulate_paths
 from generator_exp import dense_generator_exp
 from occupation import annihilation, creation
@@ -156,7 +155,7 @@ def test_06_three_way_semigroup_consistency():
             "max residual %.3e" % rep.max_residual
         P_gen = dense_generator_exp(model, t, N)
         basis = poly_basis(model.dim, N)
-        P_meh = dense(mehler_matrix(model, t, basis), basis)
+        P_meh = dense(mehler_at(model, t, basis), basis)
         assert np.abs(P_gen - P_meh).max() <= 1e-8
 
 

@@ -122,7 +122,7 @@ def test_refusal_contract_models_are_run_as_files(tmp_path):
     # the stacked T_GRID Gramians, t=2
     from test_refusal_contract import MODELS
     argvs = bytecheck.refusal_argvs(MODELS, tmp_path / "in")
-    assert len(argvs) == 3 * len(MODELS) == 69
+    assert len(argvs) == 3 * len(MODELS) == 75
     assert sorted(p.name for p in (tmp_path / "in").iterdir()) \
         == sorted(name + ".json" for name in MODELS)
     fast = [a for a in argvs if a[1] == "fast_drift.json"]

@@ -9,6 +9,10 @@ suite calls through the ``verification`` or ``gramian`` module -- for the
 contraction suite the lifts of ``second_quantization`` or ``dgamma``, and
 ``product_set``, which it reaches through the fold of ``tensor_fock`` --
 never in the check code, and pins the exact set of checks that then fail.
+The model suite reads every transition from one table
+(``gramian._Transitions``), so a witness on a transition faults one read
+of the table; the Mehler-lift witness faults the restricted flow that
+``_mehler_lift`` takes, which the semigroup law reads from the same read.
 
 The second contraction S of ``random_contraction`` feeds only
 ``telescoping_bound`` and ``sym_power_homomorphism``, and both hold for
@@ -198,16 +202,16 @@ def _above_degree_diagonal_scaled(factor):
     return fault
 
 
-def _gramians_indefinite(real, model, ts):
+def _gramians_indefinite(real, table, ts):
     # every Q_t less the same multiple of I, just past the smallest
     # eigenvalue of the first: the differences are untouched
-    G = real(model, ts)
+    G = real(table, ts)
     shift = np.linalg.eigvalsh(G[0])[0] + 1e-9 * np.abs(G).max()
-    return G - shift * np.eye(model.dim)
+    return G - shift * np.eye(G.shape[-1])
 
 
-def _gramians_reversed(real, model, ts):
-    return real(model, ts)[::-1]
+def _gramians_reversed(real, table, ts):
+    return real(table, ts)[::-1]
 
 
 def _q_inf_nudged(real, model):
@@ -217,25 +221,32 @@ def _q_inf_nudged(real, model):
 
 
 def _norms_to(top):
-    # the norm curve rescaled so that its largest value is `top`
-    def fault(real, *args, **kwargs):
-        norms, ks = real(*args, **kwargs)
-        return [n * top / max(norms) for n in norms], ks
+    # the restricted flows of the grid rescaled so that their largest norm
+    # is `top`
+    def fault(real, table, ts):
+        S = real(table, ts)
+        return S * (top / np.linalg.norm(S, 2, axis=(-2, -1)).max())
     return fault
+
+
+def _at_squared_time(real, table, t):
+    # a read of the table at t^2: the one at t = 1 is right
+    return real(table, t * t)
 
 
 def _blocks_shifted(real, model, basis):
     return tuple(B + 1e-3 * np.eye(len(B)) for B in real(model, basis))
 
 
-def _mehler_at_squared_time(real, model, t, basis):
-    # P(1) is right, P(0.3) P(0.7) = P(0.09) P(0.49) is not
-    return real(model, t * t, basis)
+def _mehler_of_more_noise(real, F, Q_t, basis):
+    # a true semigroup, of a model whose invariant measure is wider: Q_t
+    # is linear in Q
+    return real(F, 1.01 * Q_t, basis)
 
 
-def _mehler_of_more_noise(real, model, t, basis):
-    # a true semigroup, of a model whose invariant measure is wider
-    return real(validate(model.A, 1.01 * model.Q), t, basis)
+def _lift_of_a_scaled_flow(real, B, P_meh, chaos):
+    # the restricted flow that the lift takes
+    return real(B * (1.0 + 1e-6), P_meh, chaos)
 
 
 def _second_layer_scaled(real, model, basis):
@@ -273,15 +284,15 @@ ALL_CHAOS = {"invariant_measure_fixed_mean", "chaos_covariance_permanent",
 #: stand-in) and every check that the fault flips, the same on every model.
 MODEL_WITNESSES = {
     "gramian_t_quadrature_agreement": (
-        _around(verification, "_gramians", _scaled(1.0 + 1e-7)),
+        _around(gramian._Transitions, "gramians", _scaled(1.0 + 1e-7)),
         {"gramian_t_quadrature_agreement", "splitting_identity"}),
     "gramian_t_psd": (
-        _around(verification, "_gramians", _gramians_indefinite),
+        _around(gramian._Transitions, "gramians", _gramians_indefinite),
         {"gramian_t_psd", "gramian_t_quadrature_agreement",
          "strong_feller_rank_agreement", "invertibility_equivalence",
          "splitting_identity", "norm_identity_vs_rayleigh_quotient"}),
     "gramian_monotone_in_t": (
-        _around(verification, "_gramians", _gramians_reversed),
+        _around(gramian._Transitions, "gramians", _gramians_reversed),
         {"gramian_monotone_in_t", "gramian_t_quadrature_agreement",
          "splitting_identity", "norm_identity_vs_rayleigh_quotient"}),
     "strong_feller_rank_agreement": (
@@ -292,7 +303,7 @@ MODEL_WITNESSES = {
                 lambda real, *a, **k: real(*a, **k) - 1),
         {"invertibility_equivalence"}),
     "splitting_identity": (
-        _around(verification, "flow", _scaled(1.0 + 1e-6)),
+        _around(gramian._Transitions, "flows", _scaled(1.0 + 1e-6)),
         {"splitting_identity"}),
     "gramian_dominated_by_steady_state": (
         _around(verification, "_q_inf", _scaled(0.5)),
@@ -302,15 +313,15 @@ MODEL_WITNESSES = {
         _around(verification, "_q_inf", _q_inf_nudged),
         {"rkhs_factorization"}),
     "restricted_flow_contraction": (
-        _around(gramian, "_curve", _norms_to(1.0 + 1e-6)),
+        _around(gramian._Transitions, "restricted", _norms_to(1.0 + 1e-6)),
         {"restricted_flow_contraction", "restricted_flow_strict_contraction",
          "norm_identity_vs_rayleigh_quotient"}),
     "restricted_flow_strict_contraction": (
-        _around(gramian, "_curve", _norms_to(1.0)),
+        _around(gramian._Transitions, "restricted", _norms_to(1.0)),
         {"restricted_flow_strict_contraction",
          "norm_identity_vs_rayleigh_quotient"}),
     "restricted_flow_semigroup_law": (
-        _around(verification, "smu_matrix", _scaled(1.0 + 1e-6)),
+        _around(gramian._Transitions, "smu_matrix", _at_squared_time),
         {"restricted_flow_semigroup_law"}),
     "norm_identity_vs_rayleigh_quotient": (
         _around(gramian, "_ratio_sups", _scaled(1.001)),
@@ -320,7 +331,7 @@ MODEL_WITNESSES = {
         {"galerkin_spectrum_lattice_match",
          "generator_chaos_block_diagonal"}),
     "transition_semigroup_law": (
-        _around(verification, "mehler_matrix", _mehler_at_squared_time),
+        _around(gramian._Transitions, "transition", _at_squared_time),
         {"transition_semigroup_law"}),
     "invariant_measure_fixed_mean": (
         _around(verification, "mehler_matrix", _mehler_of_more_noise),
@@ -334,10 +345,8 @@ MODEL_WITNESSES = {
         _around(verification, "galerkin_blocks",
                 _above_degree_diagonal_scaled(1.0 + 1e-7)),
         {"generator_chaos_block_diagonal"}),
-    # the lift's restricted flow, which the suite's own semigroup-law
-    # check reads through another import
     "second_quantization_mehler_lift": (
-        _around(ou_operator, "smu_matrix", _scaled(1.0 + 1e-6)),
+        _around(verification, "_mehler_lift", _lift_of_a_scaled_flow),
         {"second_quantization_mehler_lift"}),
     "eigenvector_degree_support": (
         _around(verification, "_eigvals", _eigenvectors_spread),
@@ -428,10 +437,11 @@ def _quadrature_readings(k):
     model = validate(SWEEP_A, 2.0 ** k * SWEEP_Q)
     ts = verification.T_GRID
     oracle = verification._quadrature_gramians(model, ts)
+    table = gramian._Transitions(model, ts)
     (_, _, witness), _ = MODEL_WITNESSES["gramian_t_quadrature_agreement"]
     return tuple(verification._quadrature_residual(
-        dict(zip(ts, gramians(model, np.array(ts)))), oracle)
-        for gramians in (verification._gramians, witness))
+        dict(zip(ts, gramians(table, ts))), oracle)
+        for gramians in (gramian._Transitions.gramians, witness))
 
 
 @pytest.mark.parametrize("k", [-500, -250, -100, 0, 100, 250, 500, 800])

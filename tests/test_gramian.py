@@ -58,8 +58,7 @@ from ou_spectra.gramian import (
     strong_feller_check,
     validate,
 )
-from ou_spectra.ou_operator import (mehler_matrix, poly_basis,
-                                    verify_second_quantization)
+from ou_spectra.ou_operator import verify_second_quantization
 from ou_spectra.verification import HORIZONS, random_stable_model
 
 from euler_maruyama import psd_sqrt
@@ -170,8 +169,6 @@ HORIZON_GUARDS = [
     ("contractivity_constant", contractivity_constant, True),
     ("strong_feller_check", strong_feller_check, True),
     ("gramian_report", gramian_report, False),
-    ("mehler_matrix",
-     lambda model, t: mehler_matrix(model, t, poly_basis(2, 2)), False),
     ("verify_second_quantization",
      lambda model, t: verify_second_quantization(model, t, 2), False),
 ]
@@ -219,18 +216,20 @@ def test_flow_refusal_names_the_drift_and_t():
 
 
 def test_the_prime_keeps_each_finite_prefix_and_raises_nothing():
-    # for A = 200, exp(tA) overflows at t = 5 and Q_t at t = 2: the prime
-    # keeps the horizons before each, with no warning, and the consumer
-    # that asks for a later one forms and refuses it itself
+    # for A = 200, exp(tA) overflows at t = 5 and Q_t at t = 2: the
+    # transition table keeps the horizons before each, with no warning,
+    # and a read of a later one forms and refuses it alone, Q_t first
     fast = validate([[200.0]], [[1.0]], name="fast")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gramian._prime_transitions(fast, HORIZONS)
-        flows, grams = fast._transitions
-        assert list(flows) == [0.1, 0.3, 0.5, 0.7, 1.0, 2.0]
-        assert list(grams) == [0.1, 0.3, 0.5, 0.7, 1.0]
-        with pytest.raises(ExpmFailure, match=r"^Q_t .* at t=2:"):
-            gramian_t(fast, 2.0)
+        table = gramian._Transitions(fast, HORIZONS)
+        assert HORIZONS[:len(table._flows)] == (0.1, 0.3, 0.5, 0.7, 1.0, 2.0)
+        assert HORIZONS[:len(table._grams)] == (0.1, 0.3, 0.5, 0.7, 1.0)
+        table.transition(1.0)
+        for read in (lambda: table.gramians([1.0, 2.0]),
+                     lambda: table.transition(2.0)):
+            with pytest.raises(ExpmFailure, match=r"^Q_t .* at t=2:"):
+                read()
         with pytest.raises(ExpmFailure, match=r"at t=5, for M = the drift"):
             flow(fast, 5.0)
 

@@ -19,10 +19,10 @@ from ou_spectra import _linalg
 from ou_spectra._linalg import expm, lyapunov
 from ou_spectra.errors import EigFailure
 from ou_spectra.gramian import gramian_inf, validate
-from ou_spectra.ou_operator import (galerkin_blocks, mehler_matrix,
-                                    poly_basis, verify_second_quantization)
+from ou_spectra.ou_operator import (galerkin_blocks, poly_basis,
+                                    verify_second_quantization)
 from ou_spectra.verification import random_stable_model
-from dense_reference import dense
+from dense_reference import dense, mehler_at
 from generator_exp import dense_generator_exp
 from test_gramian import kronecker_lyapunov
 
@@ -51,7 +51,7 @@ def test_three_way_passes_on_triangular_generator_blocks():
     rep = verify_second_quantization(model, 1.0, 6)
     assert rep.passed, rep
     basis = poly_basis(2, 6)
-    P_meh = dense(mehler_matrix(model, 1.0, basis), basis)
+    P_meh = dense(mehler_at(model, 1.0, basis), basis)
     assert np.abs(dense_generator_exp(model, 1.0, 6) - P_meh).max() \
         <= rep.tol
 

@@ -50,7 +50,7 @@ from ou_spectra.tensor_fock import (heat_block, substitution_levels, sym_dim,
 from ou_spectra.verification import random_stable_model
 
 from dense_reference import (dense, dense_chaos, dense_frame, dense_graded,
-                             lifted)
+                             lifted, mehler_at)
 from euler_maruyama import InvalidStep, euler_mean_cov, simulate_paths
 from gaussian_moments import mgf_gram
 from generator_exp import dense_generator_exp, generator_exp
@@ -218,9 +218,9 @@ def test_assemble_L_is_mehler_derivative():
         b = poly_basis(model.dim, 3)
         L = assemble_L(model, b)
         h1, h2 = 1e-5, 1e-6
-        e1 = np.abs((dense(mehler_matrix(model, h1, b), b) - np.eye(b.dim))
+        e1 = np.abs((dense(mehler_at(model, h1, b), b) - np.eye(b.dim))
                     / h1 - L).max()
-        e2 = np.abs((dense(mehler_matrix(model, h2, b), b) - np.eye(b.dim))
+        e2 = np.abs((dense(mehler_at(model, h2, b), b) - np.eye(b.dim))
                     / h2 - L).max()
         assert e1 <= 1e-3
         assert e2 <= 0.2 * e1  # O(h) convergence, not just closeness
@@ -240,7 +240,7 @@ def test_mehler_classical_squares():
     b = poly_basis(1, 2)
     f = _monomial(b, (2,))
     for t in (0.3, 1.0):
-        g = dense(mehler_matrix(CLASSICAL, t, b), b) @ f
+        g = dense(mehler_at(CLASSICAL, t, b), b) @ f
         qt = gramian_t(CLASSICAL, t)[0, 0]
         # P(t) x^2 = e^{-2t} x^2 + Q_t
         assert_allclose(g[position(b, (2,))], math.exp(-2 * t), atol=1e-12)
@@ -252,7 +252,7 @@ def test_mehler_cross_term_jordan():
     b = poly_basis(2, 2)
     f = _monomial(b, (1, 1))
     t = 0.7
-    g = dense(mehler_matrix(JORDAN, t, b), b) @ f
+    g = dense(mehler_at(JORDAN, t, b), b) @ f
     F = expm(t * JORDAN.A)
     qt = gramian_t(JORDAN, t)
     want = np.zeros(b.dim)
@@ -266,25 +266,25 @@ def test_mehler_cross_term_jordan():
 def test_mehler_identity_and_errors():
     b = poly_basis(1, 3)
     f = _monomial(b, (3,))
-    assert_allclose(dense(mehler_matrix(CLASSICAL, 0.0, b), b) @ f, f,
+    assert_allclose(dense(mehler_at(CLASSICAL, 0.0, b), b) @ f, f,
                     atol=0)
     with pytest.raises(InputError):
-        mehler_matrix(CLASSICAL, -1.0, b)
+        mehler_at(CLASSICAL, -1.0, b)
 
 
 def test_mehler_matrix_at_zero_checks_the_basis():
     with pytest.raises(DimensionMismatch):
-        mehler_matrix(OSCILLATOR, 0.0, poly_basis(3, 2))
+        mehler_matrix(np.eye(2), np.zeros((2, 2)), poly_basis(3, 2))
     for model in (CLASSICAL, JORDAN, OSCILLATOR):
         b = poly_basis(model.dim, 6)
         assert all(np.array_equal(P, np.eye(len(P)))
-                   for P in mehler_matrix(model, 0.0, b))
+                   for P in mehler_at(model, 0.0, b))
 
 
 def test_mehler_semigroup_law():
     for model in (CLASSICAL, JORDAN, OSCILLATOR, DEGENERATE):
         b = poly_basis(model.dim, 3)
-        for p1, p2, p3 in zip(*(mehler_matrix(model, t, b)
+        for p1, p2, p3 in zip(*(mehler_at(model, t, b)
                                 for t in (0.4, 0.6, 1.0))):
             assert_allclose(p1 @ p2, p3, atol=1e-11)
 
@@ -293,7 +293,7 @@ def test_mehler_matches_expm_of_galerkin():
     for model in (CLASSICAL, JORDAN, OSCILLATOR):
         b = poly_basis(model.dim, 4)
         L = assemble_L(model, b)
-        assert_allclose(dense(mehler_matrix(model, 0.5, b), b),
+        assert_allclose(dense(mehler_at(model, 0.5, b), b),
                         expm(0.5 * L), atol=1e-10)
 
 
@@ -517,7 +517,7 @@ def test_graded_blocks_match_dense_route(seed, d, N, kind):
     # blocks replaced; it stays here as their oracle.
     model, chaos = _oracle_chaos(seed, d, N, kind)
     b = chaos.basis
-    P = dense(mehler_matrix(model, 0.7, b), b)
+    P = dense(mehler_at(model, 0.7, b), b)
     want = _dense_substitution(flow(model, 0.7), b) \
         @ _dense_heat_exp(gramian_t(model, 0.7), b)
     assert np.abs(P - want).max() <= 1e-13 * np.abs(want).max()
@@ -554,7 +554,7 @@ def test_class_blocks_are_the_dense_closed_forms_bit_for_bit(case):
     b = poly_basis(model.dim, N)
     Phi, Psi = ou_operator._frame_blocks(model, b)
     want_Phi, want_Psi = dense_frame(model, b)
-    P_meh = mehler_matrix(model, 0.7, b)
+    P_meh = mehler_at(model, 0.7, b)
     want_meh = dense_graded(gramian_t(model, 0.7), b, left=list(
         substitution_levels(flow(model, 0.7), N)))
     assert len(Phi) == len(Psi) == len(P_meh) == len(b.parity_classes)
@@ -709,7 +709,7 @@ def test_parity_zeros_across_classes(N):
         # are held as their class blocks: the zeros between the classes
         # are not stored
         exps = generator_exp(galerkin_blocks(model, b), b, 1.0)
-        for blocks in (mehler_matrix(model, 0.7, b), chaos.frame,
+        for blocks in (mehler_at(model, 0.7, b), chaos.frame,
                        chaos.frame_inv, exps):
             assert [E.shape for E in blocks] == [(len(idx), len(idx))
                                                  for idx in classes]
@@ -826,7 +826,7 @@ def _dense_deviations(model, t, N):
     deviation of Mehler against lift."""
     b = poly_basis(model.dim, N)
     P_gen = dense_generator_exp(model, t, N)
-    P_meh = dense(mehler_matrix(model, t, b), b)
+    P_meh = dense(mehler_at(model, t, b), b)
     B = smu_matrix(model, t)
     P_lift = dense(lifted(chaos_decomposition(model, b).lift(
         [sym_power(B.T, n) for n in range(N + 1)])), b)
@@ -850,7 +850,7 @@ def test_three_way_deviations_are_the_dense_ones(seed, d, N, kind):
     for t in (0.3, 1.0):
         rep = verify_second_quantization(model, t, N)
         want = _dense_deviations(model, t, N)
-        scale = max(np.abs(P).max() for P in mehler_matrix(model, t, b))
+        scale = max(np.abs(P).max() for P in mehler_at(model, t, b))
         assert abs(rep.residual_mehler_vs_lift - want[2]) \
             <= b.dim * eps * scale
         assert rep.max_residual == max(rep.residual_generator,
@@ -862,8 +862,8 @@ def test_verify_second_quantization_detects_corruption(monkeypatch):
     import ou_spectra.ou_operator as op
     real = op.mehler_matrix
 
-    def crooked(model, t, basis):
-        blocks = [M.copy() for M in real(model, t, basis)]
+    def crooked(F, Q_t, basis):
+        blocks = [M.copy() for M in real(F, Q_t, basis)]
         blocks[0][0, 0] += 1e-3
         return tuple(blocks)
 

@@ -36,6 +36,11 @@ MODELS = {
     "huge_noise_2d": {"A": SWEEP_A, "Q": (2.0 ** 800 * SWEEP_Q).tolist()},
     "huge_drift": {"A": [[-1e300]], "Q": [[1]]},
     "fast_drift": {"A": [[-400]], "Q": [[1]]},
+    # the Van Loan block overflows from t = 0.3, the flow at t = 5: each
+    # horizon is formed, and refused, only where a check reads it
+    # (test_a_horizon_is_refused_only_where_a_check_reads_it)
+    "steep_drift": {"A": [[-3000]], "Q": [[1]]},
+    "unstable_quiet": {"A": [[200]], "Q": [[0]]},
     "stiff_drift": {"A": [[-25, 4], [0, -0.5]], "Q": [[1, 0], [0, 1]]},
     "half_noise": {"A": [[-1, 0], [0, -3]], "Q": [[0, 0], [0, 1]]},
     "unstable": {"A": [[1]], "Q": [[1]]},
@@ -175,6 +180,26 @@ def test_verify_of_noise_at_2_to_the_500_ends_without_a_warning(tmp_path,
                                 "Q": (2.0 ** 500 * SWEEP_Q).tolist()}))
     _ends_in_a_report_or_one_line(["verify", str(path), "--degree", "2"],
                                   tmp_path / "report.json", capsys)
+
+
+@pytest.mark.parametrize("name, code, err", [
+    ("steep_drift", 2, "error: matrix exponential exp(tM) produced "
+     "non-finite values at t=0.5, for M = Q_t's Van Loan block matrix "
+     "[[A, Q], [0, -A']]\n"),
+    ("unstable_quiet", 0, "")])
+def test_a_horizon_is_refused_only_where_a_check_reads_it(tmp_path, capsys,
+                                                         name, code, err):
+    # verify forms its transitions in one stack per kind, but a horizon
+    # past a stack's finite prefix is refused only by a check that reads
+    # it.  No Gramian check reads t = 0.3, where the Van Loan block of
+    # A = -3000 first overflows, so the line names t = 0.5.  Only the
+    # splitting identity reads the flow at t = 5, where exp(200 t)
+    # overflows, and it is skipped for an unstable drift: exit 0
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(MODELS[name]))
+    assert _ends_in_a_report_or_one_line(
+        ["verify", str(path)], tmp_path / "report.json", capsys) == (code,
+                                                                      err)
 
 
 @pytest.mark.parametrize("argv, line", OVERSIZED,

@@ -10,8 +10,8 @@ import sympy
 
 from ou_spectra.cli import list_bundled, load_model
 from ou_spectra.gramian import validate
-from ou_spectra.ou_operator import (galerkin_blocks, mehler_matrix,
-                                    poly_basis, verify_second_quantization)
+from ou_spectra.ou_operator import (galerkin_blocks, poly_basis,
+                                    verify_second_quantization)
 from ou_spectra import gramian, tensor_fock, verification
 from ou_spectra.verification import (
     UNTESTED_THEORY,
@@ -27,6 +27,7 @@ from ou_spectra.verification import (
 from ou_spectra.spectra import SpectrumSet, eig, hausdorff, product_set
 from ou_spectra.tensor_fock import second_quantization
 
+from dense_reference import mehler_at
 from gaussian_moments import mgf_gram
 from generator_exp import generator_exp
 from occupation import position
@@ -88,7 +89,7 @@ def test_model_suite_three_way_shares_leading_blocks():
     leading = generator_exp(galerkin_blocks(OSCILLATOR, poly_basis(2, 4)),
                             small, 1.0)
     own = generator_exp(galerkin_blocks(OSCILLATOR, small), small, 1.0)
-    P_meh = mehler_matrix(OSCILLATOR, 1.0, small)
+    P_meh = mehler_at(OSCILLATOR, 1.0, small)
     for E, F, P in zip(leading, own, P_meh):
         assert E.tobytes() == F.tobytes()
         assert np.abs(E - P).max() <= rep.tol
@@ -373,27 +374,24 @@ def test_spectra_self_checks_pass(seed):
 
 
 def test_model_suite_reuses_gramians_and_norms(monkeypatch):
-    # each horizon's Q_t is formed once, by the suite or by the curve
-    # kernel, and the norms and K(t) of the grid come from one curve call
-    calls = {"gramian_t": [], "_curve": []}
-    for module, name, log, pos in (
-            (verification, "_gramians", "gramian_t", -1),
-            (verification, "gramian_t", "gramian_t", -1),
-            (gramian, "gramian_t", "gramian_t", -1),
-            (gramian, "_curve", "_curve", 1)):
-        real = getattr(module, name)
-
-        def counting(*args, _real=real, _log=calls[log], _pos=pos):
-            _log.append(args[_pos])
-            return _real(*args)
-
-        monkeypatch.setattr(module, name, counting)
+    # every flow, Q_t and S_mu(t) the suite reads comes from its one
+    # transition table: no one-horizon route and no curve call runs, the
+    # S_mu(t) of every horizon are one _restricted call (5 before the
+    # table was passed explicitly), and the K(t) of the grid one
+    # _ratio_sups call
+    calls = {name: _count_calls(monkeypatch, gramian, name,
+                                key=lambda model, ts, *rest:
+                                np.atleast_1d(ts).tolist())
+             for name in ("flow", "gramian_t", "smu_matrix", "_gramians",
+                          "_curve", "_restricted")}
+    ratios = _count_calls(monkeypatch, gramian, "_ratio_sups",
+                          key=lambda P, Rs, rank_tol: len(Rs))
     grid = verification.T_GRID
     assert grid == (0.1, 0.5, 1.0, 2.0)
     assert not _failures(model_suite(OSCILLATOR))
-    horizons = np.hstack(calls["gramian_t"]).tolist()
-    assert [t for t in horizons if t in grid] == list(grid)
-    assert calls["_curve"] == [grid]
+    assert calls.pop("_restricted") == [list(verification.HORIZONS)]
+    assert calls == dict.fromkeys(calls, [])
+    assert ratios == [len(grid)]
 
 
 def test_nan_quadrature_oracle_fails_its_check(monkeypatch):
@@ -410,24 +408,20 @@ def test_nan_quadrature_oracle_fails_its_check(monkeypatch):
 
 
 def test_model_suite_forms_each_horizon_once(monkeypatch):
-    # Q_0.1 and Q_1 serve the quadrature check, the rank criteria and the
-    # splitting identity; each is read once, the T_GRID family in one
-    # stacked call and Q_5 by gramian_t, whose one-horizon case it is
-    calls = []
-    for module, name in ((verification, "_gramians"),
-                         (verification, "gramian_t"), (gramian, "gramian_t")):
-        real = getattr(module, name)
-
-        def counting(model, ts, _real=real):
-            calls.append(np.atleast_1d(ts).tolist())
-            return _real(model, ts)
-
-        monkeypatch.setattr(module, name, counting)
+    # Q_0.1 and Q_1 serve the quadrature check, the rank criteria, the
+    # splitting identity and P(1); each is formed once, in the table's one
+    # Van Loan stack over HORIZONS, and the T_GRID family and the splitting
+    # identity's horizons are one stacked read of it each
+    formed = _count_calls(monkeypatch, gramian, "_van_loan",
+                          key=lambda model, ts: ts.tolist())
+    read = _count_calls(monkeypatch, gramian._Transitions, "gramians",
+                        key=lambda table, ts: list(ts))
     assert not _failures(model_suite(OSCILLATOR))
-    assert sorted(calls) == [[0.1, 0.5, 1.0, 2.0], [5.0]]
+    assert formed == [list(verification.HORIZONS)]
+    assert read == [list(verification.T_GRID), [0.1, 1.0, 5.0]]
 
 
-#: The models of the transition-cache pins: each bundled one, and a
+#: The models of the transition-table pins: each bundled one, and a
 #: random stable draw of each kind.
 SUITE_MODELS = {
     **{name: lambda name=name: load_model(name) for name in list_bundled()},
@@ -459,18 +453,41 @@ def test_model_suite_takes_two_exponentials_outside_the_oracle(
 
 @pytest.mark.parametrize("name", sorted(SUITE_MODELS))
 def test_cached_transitions_are_the_unprimed_ones_bit_for_bit(name):
-    # a primed model's flow and gramian_t return its cached read-only
-    # arrays, each bitwise the one-horizon call on a fresh copy
+    # the suite's transition table holds every horizon, read-only, and
+    # each of its reads, one horizon or a stacked family, is bitwise the
+    # one-horizon route
+    model = SUITE_MODELS[name]()
+    horizons = verification.HORIZONS
+    table = gramian._Transitions(model, horizons)
+    stacks = (table._flows, table._grams, table._smus)
+    assert [len(stack) for stack in stacks] == [len(horizons)] * 3
+    assert not any(stack.flags.writeable for stack in stacks)
+    families = (table.gramians(horizons), table.restricted(horizons))
+    for k, t in enumerate(horizons):
+        read = table.transition(t) + (table.smu_matrix(t),)
+        for got, route in zip(read, (gramian.flow, gramian.gramian_t,
+                                     gramian.smu_matrix)):
+            assert not got.flags.writeable
+            assert got.tobytes() == route(model, t).tobytes()
+        assert families[0][k].tobytes() == read[1].tobytes()
+        assert families[1][k].tobytes() == read[2].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_MODELS))
+def test_model_suite_leaves_no_horizon_state_on_the_model(name):
+    # after a suite, the one-horizon routes return on the model what they
+    # return on a fresh copy, bit for bit and equally writeable, and the
+    # model holds only its fields and what depends on (A, Q) alone
     model = SUITE_MODELS[name]()
     model_suite(model, degree=3)
-    flows, grams = model._transitions
-    assert list(flows) == list(grams) == list(verification.HORIZONS)
-    for t in verification.HORIZONS:
-        for table, route in ((flows, gramian.flow),
-                             (grams, gramian.gramian_t)):
-            assert route(model, t) is table[t]
-            assert not table[t].flags.writeable
-            assert table[t].tobytes() == route(replace(model), t).tobytes()
+    fresh = replace(model)
+    for route in (gramian.flow, gramian.gramian_t, gramian.smu_matrix):
+        for t in verification.HORIZONS:
+            got, want = route(model, t), route(fresh, t)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable == want.flags.writeable
+    assert set(vars(model)) <= {"A", "Q", "name", "tol", "drift_eigenvalues",
+                                "_q_inf", "invariant_factor"}
 
 
 def _count_calls(monkeypatch, module, name, key=lambda *args: args[-1]):
@@ -746,7 +763,7 @@ def test_quadrature_rule_subdivides_a_stiff_model(monkeypatch):
         assert np.abs(got[t] - want[t]).max() <= 1e-15 * scale
         assert np.abs(got[t] - _quadrature_gramian(model, t)).max() \
             <= 1e-13 * scale
-        van_loan = verification.gramian_t(model, t)
+        van_loan = gramian.gramian_t(model, t)
         assert np.abs(got[t] - van_loan).max() <= 1e-12 * scale
 
 
