@@ -56,10 +56,14 @@ _LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
 #: most entries :func:`expm` groups in one slice.  Measured on a
 #: 2-core VM with one BLAS thread: at n <= 6, where a numpy call's
 #: overhead is the cost, these take 14 and 6 of about 50 microseconds off
-#: an exponential; at n = 16-128 both ways time alike; at n = 920 the
-#: norms slot by slot hold 9 input-sized arrays at the peak instead of 14
-#: (8 since each ``|M^k|`` is taken in a free buffer), and steps by
-#: ``|M|`` save one product (33 of 430 ms).
+#: an exponential; at n = 16-128 both ways time alike.  Above the cut are
+#: the matrices of side over 64: the Van Loan blocks from d = 33 (those of
+#: the benchmark's ``ceiling_d`` probes at d = 48 and 64 among them), the
+#: flows from d = 65, and the parity blocks of L in the tests' dense
+#: ``exp(tL)`` (``tests/generator_exp.py``); no command exponentiates L.
+#: On its 920-row block the norms slot by slot hold 9 input-sized arrays
+#: at the peak instead of 14 (8 since each ``|M^k|`` is taken in a free
+#: buffer), and steps by ``|M|`` save one product (33 of 430 ms).
 _SMALL = 64 * 64
 #: The largest side :func:`expm` groups by plan; above it, each horizon
 #: is a slice of its own.  Grouped over one-by-one time on

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
@@ -39,10 +38,9 @@ from . import config
 from .errors import InputError, NumericalError
 from .gramian import (
     _curve,
-    flow,
+    _Transitions,
     gramian_inf,
     gramian_report,
-    gramian_t,
     invertibility_equivalence_report,
     nondegenerate_factor,
     validate,
@@ -204,10 +202,14 @@ def _block(brackets, items, nl):
 
 def _atomic_write_text(path, text):
     """Write through a temp file in the target's directory, then rename;
-    an ``OSError`` (say, a missing directory) is an input error."""
-    directory = os.path.dirname(os.path.abspath(path))
+    an ``OSError`` (say, a missing directory) is an input error.  The temp
+    file has a fresh random name, which ``O_EXCL`` keeps from any existing
+    file, and the mode that ``open(path, "w")`` gives, 0o666 less the
+    umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       "tmp%s.tmp" % os.urandom(8).hex())
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
@@ -256,8 +258,12 @@ def cmd_analyze(args):
     _write_csv(csv_path, rows, header=("t", "smu_norm", "K"))
 
     lyap = float(np.abs(model.A @ Qi + Qi @ model.A.T + model.Q).max())
-    split = verification.splitting_residual(Qi, gramian_t(model, 1.0),
-                                            flow(model, 1.0))
+    # one table holds the splitting identity's t = 1 and the invertibility
+    # report's horizons
+    ts = (0.1, 1.0, 5.0)
+    table = _Transitions(model, ts)
+    F_1, Q_1 = table.transition(1.0)
+    split = verification.splitting_residual(Qi, Q_1, F_1)
     # The Lyapunov residual is reported, not checked: OUModel refuses a
     # Q_inf whose residual exceeds the same bound (exit 2).  The other two
     # are held to verify's bounds.
@@ -277,7 +283,8 @@ def cmd_analyze(args):
         "rkhs_rank": model.invariant_factor.rank,
         "lyapunov_residual": lyap,
         "splitting_residual_t1": split,
-        "invertibility": invertibility_equivalence_report(model),
+        "invertibility": invertibility_equivalence_report(
+            model, dict(zip(ts, table.gramians(ts)))),
         "curve_csv": csv_path,
         "curve_first": {"t": rows[0][0], "smu_norm": rows[0][1],
                         "K": rows[0][2]},

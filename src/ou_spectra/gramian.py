@@ -31,9 +31,10 @@ most once per model and cached on it (:class:`OUModel`); every caller
 reads them there, so the rank of ``Q_inf`` is decided in one place, and
 an unstable drift (:func:`gramian_inf`) and a singular ``Q_inf``
 (:func:`nondegenerate_factor`) are each refused in one place.  Nothing
-that depends on a horizon is cached on the model: a caller that reads the
-transition ``(exp(tA), Q_t)`` at fixed horizons many times forms it once,
-as a table that it passes to its readers (:class:`_Transitions`).
+that depends on a horizon is cached on the model: the transition
+``exp(tA)``, ``Q_t``, ``S_mu(t)`` has one path, a table at a set of
+horizons (:class:`_Transitions`), which :func:`flow`, :func:`gramian_t`
+and :func:`smu_matrix` read at one horizon.
 """
 
 from __future__ import annotations
@@ -240,29 +241,26 @@ def _horizon(t, what, positive=False):
     return t
 
 
-def _expm(M, ts, what):
-    """``exp(tM)`` at each horizon of the array `ts`, stacked, before the
-    first horizon whose exponential has a non-finite entry, and the
-    refusal naming that horizon and `what` M is, None if every one is
-    finite."""
-    E = expm(M, ts)
-    finite = np.isfinite(E).all(axis=(-2, -1))
+def _finite_prefix(X, ts, message):
+    """The matrices of the stack `X` before the first one with a non-finite
+    entry, and the :class:`ExpmFailure` of `message` at that horizon of
+    the array `ts`, None if every one is finite."""
+    finite = np.isfinite(X).all(axis=(-2, -1))
     if finite.all():
-        return E, None
+        return X, None
     first = int(finite.argmin())
-    return E[:first], ExpmFailure(
-        "matrix exponential exp(tM) produced non-finite values at t=%g, "
-        "for M = %s" % (ts[first], what))
+    return X[:first], ExpmFailure(message % ts[first])
+
+
+#: The refusal of an exponential ``exp(tM)`` with a non-finite entry.
+_NONFINITE = ("matrix exponential exp(tM) produced non-finite values at "
+              "t=%g, for M = ")
 
 
 def _flows(model, ts):
     """``exp(tA)`` at each horizon of the array `ts`, stacked, as
-    :func:`_expm` returns it.  A horizon of any sign is valid; a
-    non-finite one is refused as input, before any exponential."""
-    if not np.isfinite(ts).all():
-        raise InputError("flow needs a finite t, got %g"
-                         % ts[~np.isfinite(ts)][0])
-    return _expm(model.A, ts, "the drift A")
+    :func:`_finite_prefix` keeps it."""
+    return _finite_prefix(expm(model.A, ts), ts, _NONFINITE + "the drift A")
 
 
 def _van_loan(model, ts):
@@ -272,42 +270,26 @@ def _van_loan(model, ts):
     one-horizon case, documents the method.  At one horizon the refusal
     is its product's, then its exponential's."""
     d = model.dim
-    H = np.zeros((2 * d, 2 * d))
-    H[:d, :d] = model.A
-    H[:d, d:] = model.Q
-    H[d:, d:] = -model.A.T
+    H = np.block([[model.A, model.Q], [np.zeros((d, d)), -model.A.T]])
     with np.errstate(over="ignore", invalid="ignore"):
-        E, refusal = _expm(H, ts,
-                           "Q_t's Van Loan block matrix [[A, Q], [0, -A']]")
+        E, refusal = _finite_prefix(expm(H, ts), ts, _NONFINITE + (
+            "Q_t's Van Loan block matrix [[A, Q], [0, -A']]"))
         Qt = E[:, :d, d:] @ np.swapaxes(E[:, :d, :d], -1, -2)
         del E
         Qt = Qt + np.swapaxes(Qt, -1, -2)
         Qt *= 0.5
     Qt[ts[:len(Qt)] == 0.0] = 0.0
-    finite = np.isfinite(Qt).all(axis=(-2, -1))
-    if not finite.all():
-        first = int(finite.argmin())
-        return Qt[:first], ExpmFailure(
-            "Q_t is not finite at t=%g: the growth of exp(tA) overflows "
-            "float64" % ts[first])
-    return Qt, refusal
-
-
-def _gramians(model, ts):
-    """``Q_t`` at each horizon of the array `ts` (finite, at least 0),
-    stacked, from :func:`_van_loan`, whose refusal is raised."""
-    Qt, refusal = _van_loan(model, ts)
-    if refusal is not None:
-        raise refusal
-    return Qt
+    Qt, overflow = _finite_prefix(Qt, ts, "Q_t is not finite at t=%g: the "
+                                  "growth of exp(tA) overflows float64")
+    return Qt, overflow or refusal
 
 
 def flow(model, t):
     """The propagator ``exp(tA)``, for a finite ``t`` of any sign."""
-    F, refusal = _flows(model, np.array([float(t)]))
-    if refusal is not None:
-        raise refusal
-    return F[0]
+    t = float(t)
+    if not math.isfinite(t):
+        raise InputError("flow needs a finite t, got %g" % t)
+    return _Transitions(model, [t])._read("_exp", t)
 
 
 def gramian_t(model, t):
@@ -323,7 +305,7 @@ def gramian_t(model, t):
     warning: ``G F.T`` can overflow while both factors are finite.
     """
     t = _horizon(t, "gramian_t")
-    return _gramians(model, np.array([t]))[0]
+    return _Transitions(model, [t])._read("_gram", t)
 
 
 def gramian_inf(model):
@@ -417,29 +399,20 @@ def nondegenerate_factor(model):
 def _curve(model, ts):
     """``||S_mu(t)||`` and ``K(t)`` at each horizon of `ts`, as two lists.
     The horizons go in row blocks of
-    :func:`~ou_spectra.spectra._row_blocks`: each block's flows are one
-    stacked exponential (:func:`_flows`), its Gramians another
-    (:func:`_gramians`), and the rest one numpy call per block, bitwise the
-    one-horizon result.  The refusal is the first in horizon order, and at
-    one horizon the flow's, then the leak's, then the Gramian's: the
-    Gramians are formed only for the horizons before the first flow or
-    leak refusal, and raise their own first."""
-    factor, d = model.invariant_factor, model.dim
-    ts = np.asarray(ts, dtype=float)
+    :func:`~ou_spectra.spectra._row_blocks`, one :class:`_Transitions`
+    table each, read horizon by horizon, ``S_mu(t)`` and then ``Q_t``: the
+    refusal is the first in horizon order, and at one horizon the flow's,
+    then the leak's, then the Gramian's.  The norms and the quotients are
+    one numpy call per block, bitwise the one-horizon result."""
+    Qi, ts = gramian_inf(model), np.asarray(ts, dtype=float)
     norms, ks = [], []
-    for rows in _row_blocks(len(ts), d * d):
-        chunk = ts[rows]
-        if factor.rank:
-            F, refusal = _flows(model, chunk)
-        else:  # a rank-0 factor needs no flow
-            F, refusal = np.zeros((len(chunk), d, d)), None
-        S, leak = _restricted(model, chunk, F)
-        grams = _gramians(model, chunk[:len(S)])
-        if leak or refusal:
-            raise leak or refusal
-        norms += np.linalg.norm(S, 2, axis=(-2, -1)).tolist()
-        ks += _ratio_sups(gramian_inf(model), grams,
-                          model.tol.rank_tol).tolist()
+    for rows in _row_blocks(len(ts), model.dim ** 2):
+        chunk = ts[rows].tolist()
+        table = _Transitions(model, chunk)
+        S, Qt = zip(*[(table.smu_matrix(t), table._read("_gram", t))
+                      for t in chunk])
+        norms += np.linalg.norm(np.stack(S), 2, axis=(-2, -1)).tolist()
+        ks += _ratio_sups(Qi, np.stack(Qt), model.tol.rank_tol).tolist()
     return norms, ks
 
 
@@ -501,61 +474,70 @@ def smu_matrix(model, t):
         ``inv_tol * (1 + norm of the image)``.
     """
     t = _horizon(t, "smu_matrix")
-    factor = model.invariant_factor  # rank 0: no flow, and B(t) is 0 x 0
-    F = flow(model, t) if factor.rank else np.zeros((model.dim,) * 2)
-    S, leak = _restricted(model, [t], F[None])
-    if leak:
-        raise leak
-    return S[0]
+    return _Transitions(model, [t]).smu_matrix(t)
+
+
+def _frozen(stack, refusal):
+    stack.flags.writeable = False
+    return stack, refusal
 
 
 class _Transitions:
     """``exp(tA)``, ``Q_t`` and ``S_mu(t)`` of `model` at the horizons `ts`
-    (finite, above 0), one stacked exponential each (:func:`_flows`,
-    :func:`_van_loan`) and one :func:`_restricted` of the flows at the
-    first read of ``S_mu``, after the reader's stability check.  Each
-    stack is bitwise the one-horizon route (``expm`` gives every horizon
-    the bits of its own call) and holds, read-only, the horizons before its
-    first refusal; building raises nothing.  Any other horizon is formed
-    alone by :func:`flow`, :func:`gramian_t` or :func:`smu_matrix`, which
-    refuses it as its own.  A check reads one horizon or a stacked family,
-    each through its own method, so a test can fault one reader's route."""
+    (finite; at least 0 for ``Q_t`` and ``S_mu``), the one path of each.
+    A family is one stacked call at its first read, after the reader's
+    checks (:func:`_flows`, :func:`_van_loan`, and :func:`_restricted` of
+    the flows, none for a rank-0 factor, whose ``S_mu`` are 0 x 0).  It
+    keeps, read-only, the horizons before its first refusal, bitwise their
+    one-horizon results, and that refusal, which a read at that horizon
+    raises; any other horizon is read from a one-horizon table, which
+    refuses it itself.  Each reader has its own method, so a test can fault
+    one reader's route."""
 
     def __init__(self, model, ts):
-        ts = np.asarray(ts, dtype=float)
-        self.model, self._ts = model, ts
-        self._index = {t: k for k, t in enumerate(ts.tolist())}
-        self._flows = _flows(model, ts)[0]
-        self._grams = _van_loan(model, ts)[0]
-        self._flows.flags.writeable = self._grams.flags.writeable = False
+        self.model, self._ts = model, np.asarray(ts, dtype=float)
+        self._index = {t: k for k, t in enumerate(self._ts.tolist())}
 
     @functools.cached_property
-    def _smus(self):
-        F = self._flows
-        S = _restricted(self.model, self._ts[:len(F)], F)[0]
-        S.flags.writeable = False
-        return S
+    def _exp(self):
+        return _frozen(*_flows(self.model, self._ts))
 
-    def _at(self, stack, route, t):
-        k = self._index.get(t, len(stack))
-        return stack[k] if k < len(stack) else route(self.model, t)
+    @functools.cached_property
+    def _gram(self):
+        return _frozen(*_van_loan(self.model, self._ts))
+
+    @functools.cached_property
+    def _smu(self):
+        F, refusal = (self._exp if self.model.invariant_factor.rank else
+                      (np.zeros((len(self._ts),) + self.model.A.shape), None))
+        S, leak = _restricted(self.model, self._ts[:len(F)], F)
+        return _frozen(S, leak or refusal)
+
+    def _read(self, family, t):
+        stack, refusal = getattr(self, family)
+        k = self._index.get(t, -1)
+        if 0 <= k < len(stack):
+            return stack[k]
+        if k == len(stack):
+            raise refusal
+        return _Transitions(self.model, [t])._read(family, t)
+
+    def smu_matrix(self, t):
+        return self._read("_smu", t)
 
     def transition(self, t):
         """``(exp(tA), Q_t)``; ``Q_t`` is read, and refused, first."""
-        Qt = self._at(self._grams, gramian_t, t)
-        return self._at(self._flows, flow, t), Qt
-
-    def smu_matrix(self, t):
-        return self._at(self._smus, smu_matrix, t)
+        Qt = self._read("_gram", t)
+        return self._read("_exp", t), Qt
 
     def flows(self, ts):
-        return np.stack([self._at(self._flows, flow, t) for t in ts])
+        return np.stack([self._read("_exp", t) for t in ts])
 
     def gramians(self, ts):
-        return np.stack([self._at(self._grams, gramian_t, t) for t in ts])
+        return np.stack([self._read("_gram", t) for t in ts])
 
     def restricted(self, ts):
-        return np.stack([self._at(self._smus, smu_matrix, t) for t in ts])
+        return np.stack([self._read("_smu", t) for t in ts])
 
 
 def contractivity_constant(model, t):

@@ -56,8 +56,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, InputError, SizeCap
-from .gramian import (_horizon, flow, gramian_t, nondegenerate_factor,
-                      smu_matrix)
+from .gramian import _horizon, _Transitions, nondegenerate_factor
 from .spectra import _row_blocks
 from .tensor_fock import (DEFAULT_SIZE_CAP, _readonly, _sqrt_factorials,
                           derivation_block, heat_block, multi_indices,
@@ -460,9 +459,9 @@ def verify_second_quantization(model, t, N):
     blocks = list(galerkin_blocks(model, basis))
     chaos = chaos_decomposition(model, basis)
     r_gen = _generator_residual(model, blocks, chaos)
-    Q_t = gramian_t(model, t)
-    P_meh = mehler_matrix(flow(model, t), Q_t, basis)
-    r_lift = _mehler_lift(smu_matrix(model, t), P_meh, chaos)
+    table = _Transitions(model, [t])
+    P_meh = mehler_matrix(*table.transition(t), basis)
+    r_lift = _mehler_lift(table.smu_matrix(t), P_meh, chaos)
     worst = float(np.max([r_gen, r_lift]))
     return SecondQuantizationReport(
         t=t, N=N, tol=THREE_WAY_TOL, residual_generator=r_gen,

@@ -184,13 +184,14 @@ def _adaptive_gauss(integrand):
 def _quadrature_gramians(model, t_grid):
     """``Q_t = int_0^t exp(sA) Q exp(sA') ds`` at every horizon of
     `t_grid`, by one adaptive quadrature (:func:`_adaptive_gauss`): with
-    ``s = u t`` all horizons share ``u`` in [0, 1], and each panel takes
-    one stacked exponential of ``u t A`` over its 16 nodes and all
-    horizons.  Independent of the Van Loan block exponential of
-    ``gramian_t``, which it checks.  The rule is written out here rather
-    than taken from ``scipy.integrate``, whose import loads
-    ``scipy.optimize``, ``sparse``, ``spatial`` and ``special``: about
-    21 MB and 0.2 s in every process that runs ``verify``.  The rule
+    ``s = u t`` all horizons share ``u`` in [0, 1], and each panel forms
+    its integrand one horizon at a time (one stacked exponential of
+    ``u t A`` over its 16 nodes) into one stack of all horizons, the one
+    panel-sized array it holds.  Independent of the Van Loan block
+    exponential of ``gramian_t``, which it checks.  The rule is written
+    out here rather than taken from ``scipy.integrate``, whose import
+    loads ``scipy.optimize``, ``sparse``, ``spatial`` and ``special``:
+    about 21 MB and 0.2 s in every process that runs ``verify``.  The rule
     integrates ``Q / c``, ``c = 2^floor(log2 max|Q|)``
     (:func:`~ou_spectra._linalg.pow2_scale`), and each ``Q_t`` is
     multiplied back by c: in the normal range neither step rounds, and the
@@ -200,8 +201,11 @@ def _quadrature_gramians(model, t_grid):
     Q = model.Q / c
 
     def integrand(u):
-        E = expm(model.A, u[:, None] * ts)
-        return ts[:, None, None] * (E @ Q @ E.swapaxes(-1, -2))
+        out = np.empty((len(u),) + ts.shape + Q.shape)
+        for j, t in enumerate(ts):
+            E = expm(model.A, u * t)
+            np.multiply(t, E @ Q @ E.swapaxes(-1, -2), out=out[:, j])
+        return out
     return dict(zip(t_grid, c * _adaptive_gauss(integrand)))
 
 
@@ -224,8 +228,8 @@ def _quadrature_residual(grams, oracle):
 T_GRID = (0.1, 0.5, 1.0, 2.0)
 #: Every horizon at which :func:`model_suite` reads a transition:
 #: ``T_GRID``, the splitting identity's 5 and the semigroup laws' 0.3 and
-#: 0.7.  It forms them on entry, as one table that it passes to every
-#: check that reads one (:class:`~ou_spectra.gramian._Transitions`).
+#: 0.7.  It reads them from one table, which it passes to every check
+#: that reads one (:class:`~ou_spectra.gramian._Transitions`).
 HORIZONS = (0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 5.0)
 
 # Bounds that ``analyze`` and ``spectrum`` share with the suite.

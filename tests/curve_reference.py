@@ -6,8 +6,9 @@ one ``d x d`` matrix, and each flow and ``Q_t`` here is its own
 exponential, which ``_linalg.expm`` gives each matrix of the kernel's
 stacks bit for bit; the tests hold the two ``tobytes``-equal.  Flows and
 Gramians are read through ``gramian.flow`` and ``gramian.gramian_t``,
-the one-horizon cases of the stacked kernels ``gramian._flows`` and
-``gramian._gramians``, so a test that patches a stacked kernel there
+one-horizon reads of the transition table (``gramian._Transitions``),
+whose stacked kernels ``gramian._flows`` and ``gramian._van_loan`` the
+curve's tables call too, so a test that patches a stacked kernel there
 patches both.
 """
 

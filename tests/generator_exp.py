@@ -5,7 +5,7 @@ Once ``Phi^-1 L Phi = sum_n dGamma_n(A_mu')`` holds (the check
 ``generator_chaos_block_diagonal``), ``exp(tL)`` is the exponential of a
 block-diagonal similarity, so the package compares only the Mehler matrix
 with the lift.  This exponential shares no code with either: it is
-``gramian._expm`` of the parity blocks of L, so the tests can still hold
+``gramian.expm`` of the parity blocks of L, so the tests can still hold
 all three routes to one another.
 """
 
@@ -26,13 +26,14 @@ def generator_exp(blocks, basis, t):
     returned as L's blocks are, one exponential per class of
     ``basis.parity_classes``: every entry between the classes is an exact
     zero, so it is not stored.  A non-finite exponential is refused with
-    ``gramian._expm``'s error, which names the block."""
+    the error of ``gramian._finite_prefix``, which names the block."""
     out = []
     for idx, block, parity in zip(basis.parity_classes, blocks,
                                   ("even", "odd")):
-        E, refusal = gramian._expm(block[:len(idx), :len(idx)],
-                                   np.array([t]),
-                                   "the %s-degree block of L" % parity)
+        ts = np.array([t])
+        E, refusal = gramian._finite_prefix(
+            gramian.expm(block[:len(idx), :len(idx)], ts), ts,
+            gramian._NONFINITE + "the %s-degree block of L" % parity)
         if refusal is not None:
             raise refusal
         out.append(E[0])

@@ -4,6 +4,7 @@ bundled model, run through the checkout and through ``git archive HEAD``."""
 import copy
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,11 @@ def test_bytecheck_reports_each_difference_on_a_bundled_model(tmp_path):
     assert [r["rc"] for r in head] == [0, 0, 0]
     assert sorted(head[0]["files"]) == ["jordan_omega1.analyze.curve.csv",
                                         "jordan_omega1.analyze.json"]
+    # each written file is recorded with its mode, 0o666 less the umask
+    umask = os.umask(0)
+    os.umask(umask)
+    assert head[0]["modes"] == dict.fromkeys(head[0]["files"],
+                                             "%o" % (0o666 & ~umask))
     # a tree differs from HEAD only where it changed the program
     for argv, found in bytecheck.compare(base_records, head):
         assert argv in argvs and found
@@ -53,6 +59,9 @@ def test_bytecheck_reports_each_difference_on_a_bundled_model(tmp_path):
     csv = analyze["files"]["jordan_omega1.analyze.curve.csv"].splitlines()
     csv[2] = "0.2,0.5,1.0"
     analyze["files"]["jordan_omega1.analyze.curve.csv"] = "\n".join(csv)
+    mode = head[0]["modes"]["jordan_omega1.analyze.json"]
+    analyze["modes"]["jordan_omega1.analyze.json"] = \
+        "600" if mode != "600" else "644"
     spectrum["rc"] = 3
     spectrum["files"].pop("jordan_omega1.spectrum.computed.csv")
     verify["stdout"] += "one more line\n"
@@ -67,6 +76,8 @@ def test_bytecheck_reports_each_difference_on_a_bundled_model(tmp_path):
          "removed (was true)"),
         ("jordan_omega1.analyze.json extra", "added ([1])"),
         ("jordan_omega1.analyze.json rkhs_rank", "2 -> 3"),
+        ("jordan_omega1.analyze.json mode",
+         "%s -> %s" % (mode, analyze["modes"]["jordan_omega1.analyze.json"])),
     ]
     assert found.pop(tuple(argvs[1])) == [
         ("exit code", "0 -> 3"),

@@ -508,14 +508,19 @@ def _analyze_calls(tmp_path, monkeypatch, grid):
 def test_analyze_curve_solves_once_per_grid(tmp_path, monkeypatch):
     # the curve's SVD norms, rank splits and compressions take one call per
     # stack of horizons, and so do its flows and its Van Loan Gramians:
-    # one stacked exponential each, of the whole grid
+    # one stacked exponential each, of the whole grid.  Outside the curve
+    # analyze takes three stacked exponentials: Q_t at the report's horizon
+    # (gramian_t), then the Van Loan Gramians and the flows of one table at
+    # 0.1, 1 and 5, where it took six one-horizon calls that formed Q_1
+    # twice (Q_T; Q_1 and exp(A) for the splitting identity; Q_0.1, Q_1
+    # and Q_5 for the invertibility report)
     short = _analyze_calls(tmp_path, monkeypatch, "0.1:1.0:0.1")
     full = _analyze_calls(tmp_path, monkeypatch, "0.1:5.0:0.1")
-    for name in ("svd", "eigh", "eigvalsh", "flow", "gramian_t"):
+    for name in ("svd", "eigh", "eigvalsh"):
         assert full[name] == short[name] > 0, name
-    assert [k for _, k in full["stacks"]].count(1) == full["flow"] \
-        + full["gramian_t"]
-    assert sorted(s for s in short["stacks"] if s[1] > 1) == [(2, 10), (4, 10)]
+    for counts in (short, full):
+        assert (counts["flow"], counts["gramian_t"]) == (0, 1)
+    assert short["stacks"] == [(4, 1), (2, 10), (4, 10), (4, 3), (2, 3)]
     assert full["stacks"] == [(n, 50 if k == 10 else k)
                               for n, k in short["stacks"]]
 
@@ -1284,3 +1289,25 @@ def test_no_temp_files_left_behind(tmp_path):
     assert cli.main(["analyze", "classical_1d", "--out", out]) == 0
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077],
+                         ids=["022", "002", "077"])
+def test_reports_get_the_mode_of_a_plain_open(tmp_path, umask):
+    # a report and a CSV are created as open(path, "w") creates a file,
+    # with mode 0o666 less the umask (a mkstemp temp file gave every one
+    # 0o600), and an existing report's mode is replaced by that one
+    (tmp_path / "a.json").write_text("{}")
+    os.chmod(tmp_path / "a.json", 0o600)
+    old = os.umask(umask)
+    try:
+        assert cli.main(["verify", "classical_1d", "--degree", "2", "--out",
+                         str(tmp_path / "v.json")]) == 0
+        assert cli.main(["analyze", "jordan_omega1", "--out",
+                         str(tmp_path / "a.json")]) == 0
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(tmp_path)) == ["a.curve.csv", "a.json",
+                                            "v.json"]
+    for name in os.listdir(tmp_path):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask

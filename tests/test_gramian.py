@@ -217,21 +217,24 @@ def test_flow_refusal_names_the_drift_and_t():
 
 def test_the_prime_keeps_each_finite_prefix_and_raises_nothing():
     # for A = 200, exp(tA) overflows at t = 5 and Q_t at t = 2: the
-    # transition table keeps the horizons before each, with no warning,
-    # and a read of a later one forms and refuses it alone, Q_t first
+    # transition table forms each family at its first read and keeps the
+    # horizons before its refusal, with no warning; a read at the refused
+    # horizon raises it, Q_t first, and so does the one-horizon route
     fast = validate([[200.0]], [[1.0]], name="fast")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = gramian._Transitions(fast, HORIZONS)
-        assert HORIZONS[:len(table._flows)] == (0.1, 0.3, 0.5, 0.7, 1.0, 2.0)
-        assert HORIZONS[:len(table._grams)] == (0.1, 0.3, 0.5, 0.7, 1.0)
         table.transition(1.0)
+        assert HORIZONS[:len(table._exp[0])] == (0.1, 0.3, 0.5, 0.7, 1.0, 2.0)
+        assert HORIZONS[:len(table._gram[0])] == (0.1, 0.3, 0.5, 0.7, 1.0)
         for read in (lambda: table.gramians([1.0, 2.0]),
                      lambda: table.transition(2.0)):
             with pytest.raises(ExpmFailure, match=r"^Q_t .* at t=2:"):
                 read()
-        with pytest.raises(ExpmFailure, match=r"at t=5, for M = the drift"):
-            flow(fast, 5.0)
+        for read in (lambda: table.flows([5.0]), lambda: flow(fast, 5.0)):
+            with pytest.raises(ExpmFailure,
+                               match=r"at t=5, for M = the drift"):
+                read()
 
 
 def test_gramian_t_matches_quadrature_oracle():

@@ -376,20 +376,22 @@ def test_spectra_self_checks_pass(seed):
 def test_model_suite_reuses_gramians_and_norms(monkeypatch):
     # every flow, Q_t and S_mu(t) the suite reads comes from its one
     # transition table: no one-horizon route and no curve call runs, the
-    # S_mu(t) of every horizon are one _restricted call (5 before the
-    # table was passed explicitly), and the K(t) of the grid one
-    # _ratio_sups call
+    # flows, the Gramians and the S_mu(t) of every horizon are one
+    # _flows, _van_loan and _restricted call each (5 _restricted calls
+    # before the table was passed explicitly), and the K(t) of the grid
+    # one _ratio_sups call
     calls = {name: _count_calls(monkeypatch, gramian, name,
                                 key=lambda model, ts, *rest:
                                 np.atleast_1d(ts).tolist())
-             for name in ("flow", "gramian_t", "smu_matrix", "_gramians",
-                          "_curve", "_restricted")}
+             for name in ("flow", "gramian_t", "smu_matrix", "_curve",
+                          "_flows", "_van_loan", "_restricted")}
     ratios = _count_calls(monkeypatch, gramian, "_ratio_sups",
                           key=lambda P, Rs, rank_tol: len(Rs))
     grid = verification.T_GRID
     assert grid == (0.1, 0.5, 1.0, 2.0)
     assert not _failures(model_suite(OSCILLATOR))
-    assert calls.pop("_restricted") == [list(verification.HORIZONS)]
+    for name in ("_flows", "_van_loan", "_restricted"):
+        assert calls.pop(name) == [list(verification.HORIZONS)], name
     assert calls == dict.fromkeys(calls, [])
     assert ratios == [len(grid)]
 
@@ -437,7 +439,8 @@ def test_model_suite_takes_two_exponentials_outside_the_oracle(
     # every flow and Q_t the suite reads comes from one stacked exponential
     # of A and one of the Van Loan block, each over HORIZONS once: 16
     # calls over 22 horizons before the transitions were cached on the
-    # model.  The quadrature oracle calls verification.expm, not this one.
+    # model.  Each is formed at its first read, the Gramians' first.  The
+    # quadrature oracle calls verification.expm, not this one.
     model = SUITE_MODELS[name]()
     calls = []
 
@@ -448,7 +451,7 @@ def test_model_suite_takes_two_exponentials_outside_the_oracle(
     monkeypatch.setattr(gramian, "expm", counting)
     model_suite(model, degree=3)
     horizons = list(verification.HORIZONS)
-    assert calls == [(model.dim, horizons), (2 * model.dim, horizons)]
+    assert calls == [(2 * model.dim, horizons), (model.dim, horizons)]
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_MODELS))
@@ -459,7 +462,9 @@ def test_cached_transitions_are_the_unprimed_ones_bit_for_bit(name):
     model = SUITE_MODELS[name]()
     horizons = verification.HORIZONS
     table = gramian._Transitions(model, horizons)
-    stacks = (table._flows, table._grams, table._smus)
+    built = [getattr(table, family) for family in ("_exp", "_gram", "_smu")]
+    assert [refusal for _, refusal in built] == [None] * 3
+    stacks = [stack for stack, _ in built]
     assert [len(stack) for stack in stacks] == [len(horizons)] * 3
     assert not any(stack.flags.writeable for stack in stacks)
     families = (table.gramians(horizons), table.restricted(horizons))
@@ -667,7 +672,7 @@ def _stacked_quad_vec(model, grid):
 def _counting_expm(monkeypatch, fake=None):
     """Replace the exponential that ``verification`` calls (only its
     quadrature does, in ``model_suite``) and count the calls: one per
-    panel."""
+    panel and horizon."""
     calls = []
     real = verification.expm
 
@@ -698,8 +703,59 @@ def test_quadrature_of_zero_diffusion_is_exactly_zero(monkeypatch):
                      name="no noise")
     calls = _counting_expm(monkeypatch)
     got = verification._quadrature_gramians(model, verification.T_GRID)
-    assert len(calls) == 3
+    assert len(calls) == 3 * len(verification.T_GRID)
     assert all(not g.any() for g in got.values())
+
+
+def _stacked_integrand_gramians(model, grid):
+    """The quadrature oracle with its integrand formed in one exponential
+    of every node and horizon of a panel, as it was before it took one
+    horizon at a time."""
+    from ou_spectra._linalg import expm, pow2_scale
+    ts = np.array(grid)
+    c = pow2_scale(model.Q)
+    Q = model.Q / c
+
+    def integrand(u):
+        E = expm(model.A, u[:, None] * ts)
+        return ts[:, None, None] * (E @ Q @ E.swapaxes(-1, -2))
+    return dict(zip(grid, c * verification._adaptive_gauss(integrand)))
+
+
+@pytest.mark.parametrize("name", sorted(set(list_bundled()) | {
+    "d%d_%s" % (d, kind) for d in (2, 5, 16)
+    for kind in ("real", "complex", "defective")}))
+def test_quadrature_integrand_by_horizon_is_the_stacked_one(name):
+    # each horizon's exponential and product are bitwise those of the stack
+    # of all horizons, so the joint acceptance test sees the same numbers
+    if name in list_bundled():
+        model = load_model(name)
+    else:
+        d, kind = name[1:].split("_")
+        model = random_stable_model(np.random.default_rng(int(d)),
+                                    d=int(d), kind=kind)
+    grid = verification.T_GRID + (5.0,)
+    got = verification._quadrature_gramians(model, grid)
+    want = _stacked_integrand_gramians(model, grid)
+    assert all(got[t].tobytes() == want[t].tobytes() for t in grid)
+
+
+def test_quadrature_oracle_holds_one_panel_sized_stack():
+    # a cost count, pinned where it fell: at d = 32 the integrand's stack
+    # of 16 nodes x 4 horizons is 0.52 MB, and the oracle peaks at 1.03 MB
+    # traced, where the stacked integrand held four such stacks and the
+    # exponential's buffers (1.75 MB; 26.9 -> 16.4 MB at d = 128)
+    import tracemalloc
+    model = random_stable_model(np.random.default_rng(32), d=32,
+                                kind="complex")
+    verification._quadrature_gramians(model, verification.T_GRID)
+    tracemalloc.start()
+    try:
+        verification._quadrature_gramians(model, verification.T_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6, peak
 
 
 def _singular(u):
@@ -744,8 +800,9 @@ def test_quadrature_rule_matches_quad_vec(seed, d, kind, monkeypatch):
     want = _stacked_quad_vec(model, verification.T_GRID)
     calls = _counting_expm(monkeypatch)
     got = verification._quadrature_gramians(model, verification.T_GRID)
-    # three panels: [0, 1] and its two halves, 16 nodes x 4 horizons each
-    assert calls == [(16, 4, d, d)] * 3
+    # three panels: [0, 1] and its two halves, 16 nodes each, one
+    # exponential per horizon
+    assert calls == [(16, d, d)] * 3 * 4
     for t in verification.T_GRID:
         assert np.abs(got[t] - want[t]).max() \
             <= 1e-15 * np.abs(want[t]).max()
@@ -757,7 +814,7 @@ def test_quadrature_rule_subdivides_a_stiff_model(monkeypatch):
     want = _stacked_quad_vec(model, verification.T_GRID)
     calls = _counting_expm(monkeypatch)
     got = verification._quadrature_gramians(model, verification.T_GRID)
-    assert len(calls) > 3
+    assert len(calls) > 3 * len(verification.T_GRID)
     for t in verification.T_GRID:
         scale = np.abs(want[t]).max()
         assert np.abs(got[t] - want[t]).max() <= 1e-15 * scale
@@ -772,13 +829,14 @@ def test_nan_integrand_returns_nan_and_fails_its_check(monkeypatch):
                            fake=lambda shape: np.full(shape, np.nan))
     got = verification._quadrature_gramians(OSCILLATOR, verification.T_GRID)
     assert all(np.isnan(g).all() for g in got.values())
-    # the first split already stops: no refinement of a NaN panel
-    assert len(calls) == 3
+    # the first split already stops: no refinement of a NaN panel, whose
+    # horizons take one exponential each
+    assert len(calls) == 3 * len(verification.T_GRID)
     checks = {c.name: c for c in model_suite(OSCILLATOR)}
     check = checks["gramian_t_quadrature_agreement"]
     assert np.isnan(check.residual)
     assert not check.passed
-    assert len(calls) == 6
+    assert len(calls) == 6 * len(verification.T_GRID)
 
 
 def test_spectra_suite_closure_matches_pair_loop(monkeypatch):

@@ -15,14 +15,15 @@ files (``MATRICES``, each with its options), so that refusal lines are
 checked too.  Each tree
 runs in its own process, which calls ``ou_spectra.cli.main`` on one argv
 at a time with one BLAS thread, and records the exit code, stdout, stderr
-and every report and CSV file the call wrote.
+and every report and CSV file the call wrote, with its permission bits.
 
 Every argv whose record differs is printed with its differences: exit
 code, stdout, stderr, each changed, added or removed JSON field (with both
-values), and the first differing CSV line.  Below them come how far the
-numbers moved, as the largest relative change of each changed numeric
-JSON field (list indices dropped), and whether a verdict moved: the exit
-code or a ``passed`` field.  Last comes one tally per check name of the
+values), the first differing CSV line, and each file whose mode
+changed.  Below them come how far the numbers moved, as the largest
+relative change of each changed numeric JSON field (list indices
+dropped), and whether a verdict moved: the exit code or a ``passed``
+field.  Last comes one tally per check name of the
 reports (a JSON file whose ``checks`` is a list of named checks, as
 ``verify`` writes): how many of its rows went from PASS to FAIL and from
 FAIL to PASS, and the largest factor by which its residual over its
@@ -42,6 +43,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tarfile
@@ -174,8 +176,9 @@ def run_tree(tree, input_dir, argvs, work):
 def _worker(src, request, result):
     """Call ``cli.main`` on each argv of `request` (a JSON list) from the
     current directory and write one record per argv to `result`: the exit
-    code (or the uncaught exception), stdout, stderr, and the text of every
-    file the call left under ``out/``, which is emptied before each call."""
+    code (or the uncaught exception), stdout, stderr, and the text and the
+    octal permission bits of every file the call left under ``out/``,
+    which is emptied before each call."""
     sys.path.insert(0, src)
     from ou_spectra import cli
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
@@ -194,12 +197,15 @@ def _worker(src, request, result):
                 rc = cli.main(list(argv))
             except Exception as exc:  # a traceback is an outcome too
                 rc = "exception %s: %s" % (type(exc).__name__, exc)
-        files = {}
+        files, modes = {}, {}
         for name in sorted(os.listdir("out")):
-            with open(os.path.join("out", name)) as fh:
+            path = os.path.join("out", name)
+            with open(path) as fh:
                 files[name] = fh.read()
+            modes[name] = "%o" % stat.S_IMODE(os.stat(path).st_mode)
         records.append({"argv": argv, "rc": rc, "stdout": stdout.getvalue(),
-                        "stderr": stderr.getvalue(), "files": files})
+                        "stderr": stderr.getvalue(), "files": files,
+                        "modes": modes})
     with open(result, "w") as fh:
         json.dump(records, fh)
 
@@ -359,7 +365,8 @@ def _diff_text(base, head):
 def diff_records(base, head):
     """``(where, change)`` for every difference between two records of one
     argv; `where` is ``exit code``, ``stdout``, ``stderr``, a file name,
-    or a file name and a JSON field."""
+    a file name and a JSON field, or a file name and ``mode``.  A record
+    without modes (one built by hand) has none to compare."""
     out = []
     if base["rc"] != head["rc"]:
         out.append(("exit code", "%s -> %s" % (base["rc"], head["rc"])))
@@ -378,6 +385,9 @@ def diff_records(base, head):
         else:
             out += [(name, c) for c in _diff_text(b_files[name],
                                                   h_files[name])]
+        b_mode, h_mode = (r.get("modes", {}).get(name) for r in (base, head))
+        if name in b_files and name in h_files and b_mode != h_mode:
+            out.append(("%s mode" % name, "%s -> %s" % (b_mode, h_mode)))
     return out
 
 
