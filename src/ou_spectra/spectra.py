@@ -183,18 +183,16 @@ def eig(matrix):
     return SpectrumSet(_eigvals(_square(matrix, "eig argument")))
 
 
-def _eigvals(M, vectors=False):
-    """``np.linalg.eigvals(M)``, or with `vectors` the pair ``(w, V)`` of
-    ``np.linalg.eig(M)``, raising :class:`EigFailure` where the QR
+def _eigvals(M):
+    """``np.linalg.eigvals(M)``, raising :class:`EigFailure` where the QR
     iteration fails or an eigenvalue is not finite."""
     try:
-        out = np.linalg.eig(M) if vectors else np.linalg.eigvals(M)
+        w = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigFailure("eigenvalue computation failed: %s" % exc) from exc
-    w = out[0] if vectors else out
     if not np.all(np.isfinite(w.view(float))):
         raise EigFailure("eigenvalue computation returned non-finite values")
-    return tuple(out) if vectors else out
+    return w
 
 
 def product_set(base, n):
@@ -290,18 +288,13 @@ class LatticeWindow:
 
 
 def lattice_spectrum(base, window):
-    """The lattice sums inside `window` (:func:`_lattice_walk`)."""
-    return SpectrumSet(_lattice_walk(base, window)[0])
-
-
-def _lattice_walk(base, window):
-    """Values and sizes ``sum_j k_j`` of the sums ``sum_j k_j * z_j`` of
-    `base` inside `window`, over counts ``k_j >= 0``.  `base` must lie in
-    the open left half plane, or the walk would not end.  A sum is pruned
-    only when its real part has left the window, never on the imaginary
-    part, whose cut is a final filter; sums of more than
-    ``window.max_terms`` points are not formed (with a valid window the
-    real-part pruning ends the walk well before that cap)."""
+    """The sums ``sum_j k_j * z_j`` of `base` inside `window`, over counts
+    ``k_j >= 0``.  `base` must lie in the open left half plane, or the
+    walk would not end.  A sum is pruned only when its real part has left
+    the window, never on the imaginary part, whose cut is a final filter;
+    sums of more than ``window.max_terms`` points are not formed (with a
+    valid window the real-part pruning ends the walk well before that
+    cap)."""
     if not isinstance(base, SpectrumSet):
         base = SpectrumSet(base)
     z = base.points
@@ -312,9 +305,8 @@ def _lattice_walk(base, window):
             "lattice_spectrum needs all points in the open left half plane; "
             "max real part is %g" % z.real.max())
     r = base.cluster_radius
-    values, sizes = _multisets(z, window.max_terms, floor=window.re_min - r)
-    keep = np.abs(values.imag) <= window.im_max + r
-    return values[keep], sizes[keep]
+    values, _ = _multisets(z, window.max_terms, floor=window.re_min - r)
+    return SpectrumSet(values[np.abs(values.imag) <= window.im_max + r])
 
 
 def _row_blocks(n_rows, row_len):

@@ -21,6 +21,10 @@ wrong invariant measure shows here in ``invariant_measure_fixed_mean``,
 ``second_quantization_mehler_lift``.  The Lyapunov residual of ``Q_inf`` is
 decided in one place, the guard of :func:`~ou_spectra.gramian.gramian_inf`,
 which refuses the model before any check runs; ``analyze`` reports it.
+No eigenvector is computed: ``galerkin_blocks`` builds L block triangular
+in the degree grading by construction, so a check of the degrees that its
+eigenvectors reach could see only LAPACK's roundoff.  A wrong entry below
+that diagonal moves the spectrum, which the lattice match sees.
 
 The horizon Gramians are checked against an independent oracle, an
 adaptive Gauss-Legendre quadrature of ``int_0^t exp(sA) Q exp(sA') ds``
@@ -64,7 +68,6 @@ from .spectra import (
     LatticeWindow,
     SpectrumSet,
     _eigvals,
-    _lattice_walk,
     _multisets,
     _nearest_distances,
     _row_blocks,
@@ -346,27 +349,25 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
     # L, the Mehler matrices and the chaos frame are held as their two
     # parity-class blocks, and every product and deviation is taken per
     # class.  Each array is dropped after its last reader: the blocks of L
-    # once the frame's generator check is formed, the eigenvectors once
-    # their check is (it is appended last), and the Mehler matrices at
-    # t = 0.3 and 0.7 once their products are.
+    # once the frame's generator check is formed, and the Mehler matrices
+    # at t = 0.3 and 0.7 once their products are.
     basis = poly_basis(d, degree)
     blocks = list(galerkin_blocks(model, basis))
 
-    # One eigendecomposition per block and one lattice walk: the values
-    # are matched to the lattice and the vectors checked for degree support.
-    eigs = [_eigvals(B, vectors=True) for B in blocks]
-    vals = np.concatenate([w for w, _ in eigs])
+    # The eigenvalues of each block, as ``spectrum`` takes them, matched
+    # to the lattice of the drift's eigenvalues.
     drift = SpectrumSet(model.drift_eigenvalues)
-    walk = _lattice_walk(drift, LatticeWindow.covering(drift.points, degree))
-    out.append(_check("galerkin_spectrum_lattice_match",
-                      hausdorff(SpectrumSet(vals), SpectrumSet(walk[0])),
-                      LATTICE_MATCH_TOL, detail="degree=%d" % degree))
+    out.append(_check("galerkin_spectrum_lattice_match", hausdorff(
+        SpectrumSet(np.concatenate([_eigvals(B) for B in blocks])),
+        lattice_spectrum(drift, LatticeWindow.covering(drift.points,
+                                                       degree))),
+        LATTICE_MATCH_TOL, detail="degree=%d" % degree))
 
     # A singular Q_inf ends the suite at the chaos layers, before the
-    # eigenvector and generator checks, so neither is formed for it; the
-    # skip is decided here, once, and reported in the chaos checks' place.
-    # An alpha! of the chaos family past the float range is refused here,
-    # before the Mehler matrices overflow.
+    # generator check, so it is not formed for it; the skip is decided
+    # here, once, and reported in the chaos checks' place.  An alpha! of
+    # the chaos family past the float range is refused here, before the
+    # Mehler matrices overflow.
     try:
         nondegenerate_factor(model)
         chaos_skip = None
@@ -374,10 +375,8 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
         chaos_skip = _skip("chaos_checks", str(exc))
     if chaos_skip is None:
         _hermite_norms(basis)
-        eigvec_check = _eigenvector_degree_check(walk, basis, eigs)
     else:
         blocks.clear()
-    del eigs
 
     # P(t) and the chaos family are block upper triangular in the graded
     # order: their leading blocks are the same objects on the degrees <= N.
@@ -423,8 +422,6 @@ def model_suite(model, *, degree=3, levels=3, seed=0):
                                          _leading(P_1, poly_basis(d, N)),
                                          chaos.leading(N)),
                       THREE_WAY_TOL, detail="t=1, N=%d" % N))
-
-    out.append(eigvec_check)
     return out
 
 
@@ -493,53 +490,6 @@ def _linear_product(basis, a, b):
     c = np.zeros(basis.dim)
     np.add.at(c[basis.degree_slice(2)], up, np.outer(a, b))
     return c
-
-
-def _eigenvector_degree_check(walk, basis, eigs):
-    """Eigenvalues realized by a unique sum of n eigenvalues of the drift
-    (the values and sizes `walk` of its lattice) must have eigenvectors
-    supported in degrees <= n.  `eigs` holds the pair ``(w, V)`` of
-    ``np.linalg.eig`` on each parity block of L, in the order of
-    ``basis.parity_classes``; an eigenvalue is isolated against both blocks.
-
-    The eigenvalue gaps, the lattice proximity table and the eigenvector
-    moduli are taken in blocks (:func:`~ou_spectra.spectra._row_blocks`);
-    every reduction over them is a minimum, a maximum or a count, so the
-    result does not depend on the blocking."""
-    name = "eigenvector_degree_support"
-    vals = np.concatenate([w for w, _ in eigs])
-    lattice, depth = walk
-    sep = 1e-5
-    keep = np.empty(len(vals), dtype=bool)
-    nearest = np.empty(len(vals), dtype=np.intp)
-    for rows in _row_blocks(len(vals), max(len(vals), len(lattice))):
-        gaps = np.abs(vals[rows, None] - vals[None, :])
-        own = np.arange(rows.start, rows.stop)
-        gaps[own - rows.start, own] = np.inf
-        near = (np.abs(vals[rows, None] - lattice[None, :])
-                <= LATTICE_MATCH_TOL)
-        keep[rows] = (gaps.min(axis=1) >= sep) & (near.sum(axis=1) == 1)
-        nearest[rows] = near.argmax(axis=1)
-    cols = np.flatnonzero(keep)
-    tested = len(cols)
-    if tested == 0:
-        return _skip(name, "no isolated, uniquely represented eigenvalues")
-    n = depth[nearest[cols]]
-    ratio = np.empty(tested)
-    lo = 0
-    for idx, (w, V) in zip(basis.parity_classes, eigs):
-        deg = basis.degrees[idx]
-        # the tested columns of this block, as a range of `cols`
-        first, stop = np.searchsorted(cols, (lo, lo + len(w)))
-        for block in _row_blocks(stop - first, len(idx)):
-            pick = slice(first + block.start, first + block.stop)
-            mags = np.abs(V[:, cols[pick] - lo])
-            tail = np.where(deg[:, None] > n[None, pick], mags, 0.0).max(
-                axis=0, initial=0.0)
-            ratio[pick] = tail / mags.max(axis=0)
-        lo += len(w)
-    return _check(name, float(np.max(ratio, initial=0.0)), 1e-8,
-                  detail="%d eigenvalues tested" % tested)
 
 
 def contraction_suite(T, *, levels=3, seed=0, prefix=""):

@@ -188,9 +188,9 @@ def test_check_tally_counts_moved_verdicts_and_factors():
         ("a", True, False), ("a", True, True), ("b", False, True),
         ("c", True, True)]
     assert bytecheck.tally_checks(moves) == {
-        "a": [1, 0, pytest.approx(30.0), 2],
-        "b": [0, 1, pytest.approx(4.0), 1],
-        "c": [0, 0, float("inf"), 1]}
+        "a": [1, 0, pytest.approx(30.0), 2, 0, 0],
+        "b": [0, 1, pytest.approx(4.0), 1, 0, 0],
+        "c": [0, 0, float("inf"), 1, 0, 0]}
     assert bytecheck.check_moves(_record(0, base), _record(0, base)) == []
     # a report without a list of checks, or an argv that wrote none, adds
     # nothing
@@ -199,3 +199,38 @@ def test_check_tally_counts_moved_verdicts_and_factors():
         _record(0, {"checks": {"ok": False}})) == []
     refused = dict(_record(1, base), files={})
     assert bytecheck.check_moves(_record(3, base), refused) == []
+
+
+def test_check_tally_counts_rows_that_one_side_lacks():
+    # a row that only one report holds is counted per name as removed or
+    # added, not as a moved verdict, and the rows present on both sides
+    # keep their occurrence keys: a verify --random report that drops one
+    # name from each model suite reads as that name removed twice
+    row = {"passed": True, "residual": 1e-9, "tolerance": 1e-8}
+    base = {"checks": [dict(row, name=n) for n in "abcab"]}
+    head = {"checks": [dict(row, name=n) for n in "acad"]}
+    head["checks"][1].update(residual=2e-9)
+    moves = bytecheck.check_moves(_record(0, base), _record(0, head))
+    assert [m[:3] for m in moves] == [
+        ("b", True, bytecheck.REMOVED), ("b", True, bytecheck.REMOVED),
+        ("c", True, True), ("d", bytecheck.ADDED, True)]
+    assert bytecheck.tally_checks(moves) == {
+        "b": [0, 0, 1.0, 0, 2, 0],
+        "c": [0, 0, pytest.approx(2.0), 1, 0, 0],
+        "d": [0, 0, 1.0, 0, 0, 1]}
+    # a report that only one side wrote holds no rows to compare
+    refused = dict(_record(1, base), files={})
+    assert bytecheck.check_moves(refused, _record(0, head)) == []
+    # the field diff matches the rows the same way, in the base's order:
+    # one difference per removed, added or changed row, not a shift of
+    # every row after it
+    found = bytecheck.diff_json(base, head)
+    assert [where for where, _ in found] == [
+        "checks[b#0]", "checks[c#0].residual", "checks[b#1]",
+        "checks[d#0]"]
+    assert [change.split(" ", 1)[0] for _, change in found] == [
+        "removed", "1e-09", "removed", "added"]
+    assert bytecheck._kind(["verify"], "v.json checks[b#1]", "removed (x)") \
+        == "verify checks[b] removed"
+    moved, _ = bytecheck.drift(_record(0, base), _record(0, head))
+    assert moved == {"v.json checks[c].residual": 0.5}

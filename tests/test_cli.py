@@ -724,8 +724,8 @@ def test_verify_model_and_random(tmp_path, capsys):
 
     assert cli.main(["verify", "--random", "5", "2", "--out", out]) == 0
     report = json.loads(open(out).read())
-    # two model suites of 19 checks and one contraction suite of 8
-    assert report["n_checks"] == 2 * 19 + 8
+    # two model suites of 18 checks and one contraction suite of 8
+    assert report["n_checks"] == 2 * 18 + 8
 
 
 def test_verify_classical_at_degree_14_passes(tmp_path, capsys):
@@ -766,7 +766,7 @@ def test_verify_random_reports_the_model_and_contraction_suites(tmp_path,
     want += [c.name for c in verification.contraction_suite(
         T, seed=int(rng.integers(2 ** 31)), prefix="contraction_0_")]
     assert [c["name"] for c in report["checks"]] == want
-    assert report["n_checks"] == len(want) == 27
+    assert report["n_checks"] == len(want) == 26
     stdout = capsys.readouterr().out
     for check in verification.spectra_suite(0):
         assert check.name not in stdout
@@ -1108,7 +1108,7 @@ def test_verify_fails_on_disagreeing_rank_criteria(tmp_path, monkeypatch,
     assert cli.main(["verify", "classical_1d", "--out", str(out)]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.startswith("PASS")] == [
-        lines[3], "18 checks, 1 failed -> %s" % out]
+        lines[3], "17 checks, 1 failed -> %s" % out]
     assert lines[3].startswith(
         "FAIL strong_feller_rank_agreement             residual inf "
         "(tol 0.000e+00)  [rank(Q_t) = 1 but the controllability rank is 0 "
@@ -1177,7 +1177,7 @@ def test_verify_skips_the_checks_that_compute_nothing(tmp_path, capsys):
     for name, detail in skips.items():
         assert "SKIP %-40s  [%s]" % (name, detail) in lines
     assert [line.split()[0] for line in lines[:-1]].count("SKIP") == 2
-    assert report["n_checks"] == 19 and report["all_passed"] is True
+    assert report["n_checks"] == 18 and report["all_passed"] is True
 
 
 def test_analyze_names_the_overflowing_block_exponential(tmp_path, capsys):
@@ -1266,11 +1266,12 @@ def test_out_into_missing_directory_exits_1(tmp_path, monkeypatch, capsys,
 def test_each_command_derives_the_model_frame_once(tmp_path, monkeypatch,
                                                    command):
     # one eigvals of the drift and one eigh of Q_inf per command, and no
-    # eigvalsh of Q_inf: its rank is decided once, by the invariant factor
+    # eigvalsh of Q_inf: its rank is decided once, by the invariant factor.
+    # No command calls eig: none computes an eigenvector
     model = cli.load_model("hypoelliptic_2d")
     A, Qi = model.A, gramian.gramian_inf(model)
     calls = []
-    for name in ("eigvals", "eigh", "eigvalsh"):
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def counting(M, *args, _real=real, _name=name, **kwargs):
@@ -1282,6 +1283,7 @@ def test_each_command_derives_the_model_frame_once(tmp_path, monkeypatch,
     assert cli.main([command, "hypoelliptic_2d", "--out", out]) == 0
     assert [n for n, M in calls if np.array_equal(M, A)] == ["eigvals"]
     assert [n for n, M in calls if np.array_equal(M, Qi)] == ["eigh"]
+    assert [n for n, M in calls if n == "eig"] == []
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -116,8 +116,7 @@ GENERATOR_CHECKS = ["restricted_flow_semigroup_law",
 
 
 def test_model_suite_check_order():
-    # the report lists the checks in this order; the eigenvector check is
-    # formed right after the eigensolve but stays last
+    # the report lists the checks in this order
     unstable = validate([[0.3]], [[1.0]], name="unstable")
     assert [c.name for c in model_suite(unstable)] == \
         GRAMIAN_CHECKS + ["steady_state_checks"]
@@ -128,19 +127,17 @@ def test_model_suite_check_order():
             "restricted_flow_strict_contraction"] + GENERATOR_CHECKS + [
             "invariant_measure_fixed_mean", "chaos_covariance_permanent",
             "generator_chaos_block_diagonal",
-            "second_quantization_mehler_lift", "eigenvector_degree_support"]
+            "second_quantization_mehler_lift"]
 
 
 def test_model_suite_degenerate_measure_takes_no_exponential(monkeypatch):
     # a singular Q_inf ends the suite at the chaos layers: neither the
-    # generator in the chaos frame, nor the lift, nor the eigenvector check
-    # is formed for it
+    # generator in the chaos frame nor the lift is formed for it
     def refuse(*args):
         raise AssertionError("formed for a degenerate measure")
 
     monkeypatch.setattr(verification, "_generator_residual", refuse)
     monkeypatch.setattr(verification, "_mehler_lift", refuse)
-    monkeypatch.setattr(verification, "_eigenvector_degree_check", refuse)
     checks = model_suite(DEGENERATE, degree=4)
     assert checks[-1].name == "chaos_checks"
     assert not _failures(checks)
@@ -530,16 +527,16 @@ def test_model_suite_assembles_L_and_the_drift_spectrum_once(monkeypatch):
 
 
 def test_model_suite_walks_the_lattice_once(monkeypatch):
-    # the lattice match and the eigenvector check read one walk; the
-    # wrapper sits in both modules, since the suite binds the name itself
-    from ou_spectra import spectra
-    calls = _count_calls(monkeypatch, spectra, "_lattice_walk")
-    monkeypatch.setattr(verification, "_lattice_walk",
-                        spectra._lattice_walk)
+    # the lattice match walks the lattice once and takes the eigenvalues
+    # of each parity block of L once, as spectrum does
+    calls = _count_calls(monkeypatch, verification, "lattice_spectrum")
+    blocks = _count_calls(monkeypatch, verification, "_eigvals",
+                          key=lambda M: M.shape)
     checks = {c.name: c for c in model_suite(OSCILLATOR, degree=3)}
     assert checks["galerkin_spectrum_lattice_match"].passed
-    assert checks["eigenvector_degree_support"].detail.endswith("tested")
     assert len(calls) == 1
+    # the even class (degrees 0 and 2) and the odd one (1 and 3)
+    assert blocks == [(4, 4), (6, 6)]
 
 
 def test_leading_block_of_L_is_L_on_the_smaller_basis():

@@ -19,15 +19,18 @@ and every report and CSV file the call wrote, with its permission bits.
 
 Every argv whose record differs is printed with its differences: exit
 code, stdout, stderr, each changed, added or removed JSON field (with both
-values), the first differing CSV line, and each file whose mode
-changed.  Below them come how far the numbers moved, as the largest
+values; the rows of a list of named checks are matched by name and
+occurrence, not by position), the first differing CSV line, and each file
+whose mode changed.  Below them come how far the numbers moved, as the largest
 relative change of each changed numeric JSON field (list indices
 dropped), and whether a verdict moved: the exit code or a ``passed``
 field.  Last comes one tally per check name of the
 reports (a JSON file whose ``checks`` is a list of named checks, as
 ``verify`` writes): how many of its rows went from PASS to FAIL and from
 FAIL to PASS, and the largest factor by which its residual over its
-tolerance moved, over every row whose residual or verdict moved.  The exit
+tolerance moved, over every row whose residual or verdict moved, and how
+many of its rows a report holds in the base only (removed) and in the
+head only (added).  The exit
 status is 0 when every record is byte-identical, 1 otherwise.  Roundoff digits differ
 between BLAS builds, so compare two trees on one machine and never
 against stored digests.
@@ -213,19 +216,50 @@ def _worker(src, request, result):
 # --- differences -------------------------------------------------------------
 
 _MISSING = object()
+#: The side of a check row that only the other side's report holds.
+REMOVED, ADDED = "removed", "added"
+
+
+def _named_rows(rows):
+    """The rows of a list of named check rows (dicts with a ``name``),
+    each keyed by its name and its occurrence (a ``verify --random``
+    report repeats the model suite's names); None for any other list."""
+    if not all(isinstance(row, dict) and "name" in row for row in rows):
+        return None
+    seen, out = Counter(), {}
+    for row in rows:
+        out[row["name"], seen[row["name"]]] = row
+        seen[row["name"]] += 1
+    return out
+
+
+def _place(path):
+    """`path` with list indices and occurrences dropped."""
+    return re.sub(r"#\d+\]", "]", re.sub(r"\[\d+\]", "[]", path))
 
 
 def _changed_leaves(base, head, path=""):
     """``(path, base value, head value)`` for each field that differs
     between two parsed JSON values, down to the first level where they
     stop having the same shape; a side without the field holds
-    ``_MISSING``."""
+    ``_MISSING``.  Two lists of named check rows are matched by name and
+    occurrence, as ``checks[name#k]``, so that a row one side lacks is
+    one difference, not a shift of every row after it."""
     if isinstance(base, dict) and isinstance(head, dict):
         out = []
         for key in sorted(set(base) | set(head)):
             out += _changed_leaves(base.get(key, _MISSING),
                                    head.get(key, _MISSING),
                                    "%s.%s" % (path, key) if path else key)
+        return out
+    b_rows, h_rows = (_named_rows(side) if isinstance(side, list) and side
+                      else None for side in (base, head))
+    if b_rows is not None and h_rows is not None:
+        out = []
+        for key in list(b_rows) + [k for k in h_rows if k not in b_rows]:
+            out += _changed_leaves(b_rows.get(key, _MISSING),
+                                   h_rows.get(key, _MISSING),
+                                   "%s[%s#%d]" % (path, *key))
         return out
     if isinstance(base, list) and isinstance(head, list) \
             and len(base) == len(head):
@@ -274,26 +308,18 @@ def drift(base, head):
             key = path.rsplit(".", 1)[-1]
             verdict |= key == "passed" or key.endswith("_passed")
             if _is_number(b) and _is_number(h):
-                place = "%s %s" % (name, re.sub(r"\[\d+\]", "[]", path))
+                place = "%s %s" % (name, _place(path))
                 rel = abs(h - b) / max(abs(b), abs(h)) if h != b else 0.0
                 moved[place] = max(moved.get(place, 0.0), rel)
     return moved, verdict
 
 
 def _check_rows(text):
-    """The named check rows of one JSON report, each keyed by its name
-    and its occurrence (a ``verify --random`` report repeats the model
-    suite's names); none if the report holds no list of checks."""
+    """The named check rows of one JSON report (:func:`_named_rows`);
+    none if the report holds no list of them."""
     report = json.loads(text)
     checks = report.get("checks") if isinstance(report, dict) else None
-    if not isinstance(checks, list):
-        return {}
-    seen, rows = Counter(), {}
-    for row in checks:
-        if isinstance(row, dict) and "name" in row:
-            rows[row["name"], seen[row["name"]]] = row
-            seen[row["name"]] += 1
-    return rows
+    return (_named_rows(checks) if isinstance(checks, list) else None) or {}
 
 
 def _scaled_residual(row):
@@ -322,15 +348,23 @@ def check_moves(base, head):
     """``(name, passed before, passed after, factor)`` for each check row
     whose residual or verdict differs between two records of one argv, in
     the reports both wrote; `factor` is :func:`_factor` of the residuals
-    over their tolerances."""
+    over their tolerances.  A row that one side's report lacks comes as
+    ``(name, passed before, REMOVED, None)`` or ``(name, ADDED, passed
+    after, None)``."""
     out = []
     b_files, h_files = base["files"], head["files"]
     for name in sorted(set(b_files) & set(h_files)):
         if not name.endswith(".json"):
             continue
         b_rows, h_rows = _check_rows(b_files[name]), _check_rows(h_files[name])
-        for key in sorted(set(b_rows) & set(h_rows)):
-            b, h = b_rows[key], h_rows[key]
+        for key in sorted(set(b_rows) | set(h_rows)):
+            b, h = b_rows.get(key), h_rows.get(key)
+            if h is None:
+                out.append((key[0], b.get("passed"), REMOVED, None))
+                continue
+            if b is None:
+                out.append((key[0], ADDED, h.get("passed"), None))
+                continue
             if json.dumps([b.get("residual"), b.get("passed")]) == \
                     json.dumps([h.get("residual"), h.get("passed")]):
                 continue
@@ -340,11 +374,15 @@ def check_moves(base, head):
 
 
 def tally_checks(moves):
-    """Per check name: ``[PASS->FAIL, FAIL->PASS, largest factor, rows]``
-    over `moves`, rows of :func:`check_moves`."""
+    """Per check name: ``[PASS->FAIL, FAIL->PASS, largest factor, rows,
+    removed, added]`` over `moves`, rows of :func:`check_moves`; a removed
+    or added row counts in its own column only."""
     out = {}
     for name, before, after, factor in moves:
-        entry = out.setdefault(name, [0, 0, 1.0, 0])
+        entry = out.setdefault(name, [0, 0, 1.0, 0, 0, 0])
+        if after is REMOVED or before is ADDED:
+            entry[4 if after is REMOVED else 5] += 1
+            continue
         entry[0] += before is True and after is False
         entry[1] += before is False and after is True
         entry[2] = max(entry[2], factor)
@@ -407,7 +445,7 @@ def compare(base_records, head_records):
 def _kind(argv, where, change):
     """The tally key of one difference: the command, the place with list
     indices dropped, and removed/added/changed."""
-    place = re.sub(r"\[\d+\]", "[]", where.split(" ", 1)[-1])
+    place = _place(where.split(" ", 1)[-1])
     verb = change.split(" ", 1)[0]
     return "%s %s %s" % (argv[0], place,
                          verb if verb in ("removed", "added") else "changed")
@@ -467,11 +505,9 @@ def main(argv=None):
     for kind, count in sorted(tally.items()):
         print("  %5d  %s" % (count, kind))
     print("checks whose residual or verdict moved: PASS->FAIL, FAIL->PASS, "
-          "largest factor of residual/tolerance, rows")
-    for name, (to_fail, to_pass, factor, rows) in sorted(
-            tally_checks(moves).items()):
-        print("  %-40s %5d %5d %10.4g %6d" % (name, to_fail, to_pass,
-                                              factor, rows))
+          "largest factor of residual/tolerance, rows; rows removed, added")
+    for name, entry in sorted(tally_checks(moves).items()):
+        print("  %-40s %5d %5d %10.4g %6d %7d %5d" % (name, *entry))
     return 0 if differing == 0 else 1
 
 
