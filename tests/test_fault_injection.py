@@ -376,10 +376,9 @@ def _below_degree_diagonal_added(amplitude):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_a_wrong_L_below_its_degree_diagonal_flips_the_lattice_match(
         monkeypatch, model):
-    # the fault class of the eigenvector degree check that verify ran
-    # until its degrees were seen to hold by construction: at 1e-5 that
-    # check flipped on none of these models, while the lattice match and
-    # the frame's generator check flip on every one
+    # verify computes no eigenvector, so the degrees that they reach are
+    # checked through the spectrum: the lattice match and the frame's
+    # generator check see this fault on every model
     monkeypatch.setattr(*_around(verification, "galerkin_blocks",
                                  _below_degree_diagonal_added(1e-5)))
     assert _model_failed(MODELS[model]()) == {
